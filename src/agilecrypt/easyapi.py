@@ -361,9 +361,14 @@ def hybrid_record_keys(shared_secret: bytes) -> SymmetricKeys:
 
 @dataclass
 class EasySigner:
-    """Two-call signing: with_new_key, then sign.  Stateful keys route
-    every signature through a keystore reservation, so a crash between
-    reserve and release sacrifices the index instead of reusing it."""
+    """Two-call signing: with_new_key, then sign.  Stateful keys sign
+    from a reservation window: one durable keystore reservation hands out
+    the next leaves, and signatures use them from memory until the window
+    runs out.  The window starts at one leaf and doubles on each refill
+    up to min(64, 2^h / 16), clamped to the leaves left.  A crash
+    sacrifices the unused rest of the window instead of reusing it, and
+    the stored consumption mark (next_leaf) may then trail the
+    signatures made by up to one window; close writes it exactly."""
 
     store: Keystore
     alias: str
@@ -373,6 +378,10 @@ class EasySigner:
     _backend: object
     _rng: Rng
     public_blob: bytes = field(init=False)
+    _next_leaf: int = field(init=False, default=0)
+    _window_end: int = field(init=False, default=0)
+    _window_size: int = field(init=False, default=0)
+    _mark_pending: bool = field(init=False, default=False)
 
     def __post_init__(self) -> None:
         raw = self._backend.export_public(self._kp)
@@ -454,16 +463,37 @@ class EasySigner:
     def sign(self, msg: bytes) -> bytes:
         params = self._kp.params
         if params.mode is hbs.HbsMode.STATEFUL:
-            start, end = self.store.reserve_leaves(self.alias, 1)
-            sig = self._backend.sign_with_leaf(self._kp, start, msg, self._rng)
-            self.store.record_consumed(self.alias, end)
+            if self._next_leaf == self._window_end:
+                self._refill_window(params.leaf_count)
+            # Advance first: a signature that fails sacrifices its leaf.
+            leaf = self._next_leaf
+            self._next_leaf += 1
+            sig = self._backend.sign_with_leaf(self._kp, leaf, msg, self._rng)
+            self.store.note_consumed(self.alias, self._next_leaf)
+            self._mark_pending = True
         else:
             sig = self._backend.sign(self._kp, msg, self._rng)
         raw = self._backend.serialize_sig(sig)
         return frame_blob(self.algorithm_id, self.registry_version, raw)
 
+    def _refill_window(self, leaf_count: int) -> None:
+        # A crash loses at most one window: never more than 64 leaves or
+        # 1/16 of the key.
+        cap = max(1, min(64, leaf_count // 16))
+        self._window_size = min(cap, max(1, 2 * self._window_size))
+        left = leaf_count - self.store.get_entry(self.alias).state.reserved_until
+        # With no leaf left, asking for one raises KeyExhausted.
+        start, end = self.store.reserve_leaves(self.alias, max(1, min(self._window_size, left)))
+        self._next_leaf, self._window_end = start, end
+        self._mark_pending = False
+
     def close(self) -> None:
-        self.store.close()
+        try:
+            if self._mark_pending:
+                self._mark_pending = False
+                self.store.record_consumed(self.alias, self._next_leaf)
+        finally:
+            self.store.close()
 
     def __enter__(self) -> EasySigner:
         return self

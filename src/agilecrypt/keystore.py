@@ -21,6 +21,15 @@ reserve-then-sign: reserve_leaves persists the raised reservation mark
 BEFORE returning the range, so a crash can only sacrifice indices, never
 reuse them.
 
+The one exception is note_consumed: it raises the consumption mark
+(next_leaf) in memory only, and the next write of the store carries it.
+easyapi.EasySigner signs from a reservation window of up to
+min(64, 2^h / 16) leaves and notes each signature this way, so a
+long-lived signer writes once per window rather than twice per
+signature.  A crash loses at most the unused rest of one window, and the
+stored next_leaf may then trail the signatures actually made by up to
+one window; after a clean close of the signer it is exact.
+
 One writer per store, enforced by an advisory lock on `<path>.lock`;
 read-only opens take no lock (atomic replacement keeps reads consistent).
 
@@ -204,8 +213,9 @@ class Keystore:
     # -- lifecycle ---------------------------------------------------------
 
     def close(self) -> None:
-        """Release the lock and scrub derived keys.  All mutations were
-        already durable, so close never writes."""
+        """Release the lock and scrub derived keys.  Mutations were
+        already durable, so close never writes; a consumption mark from
+        note_consumed that no write carried yet is dropped."""
         if self._closed:
             return
         self._closed = True
@@ -265,7 +275,8 @@ class Keystore:
     def reserve_leaves(self, alias: str, count: int) -> tuple[int, int]:
         """Hand out the next `count` one-time indices.  The raised
         reservation mark is durable before the range is returned; indices
-        in ranges lost to a crash are sacrificed."""
+        in ranges lost to a crash are sacrificed.  The same write carries
+        any consumption mark raised by note_consumed."""
         self._check_usable(write=True)
         if count < 1:
             raise ParameterError("reservation count must be >= 1")
@@ -285,12 +296,17 @@ class Keystore:
         """Record that indices below `upto` were actually used for
         signatures.  Bookkeeping only; reuse safety comes from the
         reservation mark."""
+        self.note_consumed(alias, upto)
+        self._persist()
+
+    def note_consumed(self, alias: str, upto: int) -> None:
+        """record_consumed without the write: the raised mark stays in
+        memory until the next write of the store."""
         self._check_usable(write=True)
         entry = self._require_stateful(alias)
         if not 0 <= upto <= entry.state.reserved_until:
             raise ParameterError("consumption mark outside reserved range")
         entry.state.next_leaf = max(entry.state.next_leaf, upto)
-        self._persist()
 
     # -- internals ---------------------------------------------------------
 

@@ -19,10 +19,10 @@ import struct
 from dataclasses import dataclass
 
 from .easyapi import (
+    _DEFAULT_PROVIDERS,
     EasyEncrypter,
     EasySigner,
     ProviderRegistry,
-    default_provider_registry,
     parse_blob,
 )
 from .cbkem import KemParams
@@ -171,7 +171,7 @@ def envelope_seal(
     message and signature to the recipient.  Stateful signing keys go
     through their keystore reservation exactly as in a bare sign call."""
     rng = rng if rng is not None else SystemRng()
-    providers = providers if providers is not None else default_provider_registry()
+    providers = providers if providers is not None else _DEFAULT_PROVIDERS
     enc_id, enc_version, raw_pub = parse_blob(recipient_public_blob)
     try:
         kem_params = KemParams.from_algorithm_id(enc_id)
@@ -212,7 +212,7 @@ def envelope_open(
     env: Envelope,
     providers: ProviderRegistry | None = None,
 ) -> bytes:
-    providers = providers if providers is not None else default_provider_registry()
+    providers = providers if providers is not None else _DEFAULT_PROVIDERS
     if env.header.enc_algorithm_id != recipient.algorithm_id:
         raise AlgorithmMismatch(
             f"envelope is for {env.header.enc_algorithm_id!r}, "

@@ -441,7 +441,7 @@ def _client_flow(
     reason = template_divergence(config.registry, config.level, server_hello.template_info)
     if reason is not None:
         _abort(channel, AlertDescription.TEMPLATE_MISMATCH, reason)
-    _, local_enc = _local_templates(config.registry, config.level)
+    local_sig, local_enc = _local_templates(config.registry, config.level)
 
     body = _expect(channel, HandshakeType.CERTIFICATE)
     try:
@@ -453,6 +453,12 @@ def _client_flow(
             channel,
             AlertDescription.BAD_CERTIFICATE,
             "certificate key algorithm differs from negotiated template",
+        )
+    if certificate.hbs_algorithm_id != local_sig.algorithm_id:
+        _abort(
+            channel,
+            AlertDescription.BAD_CERTIFICATE,
+            "certificate signature algorithm differs from negotiated template",
         )
     if not verify_certificate(certificate, config.trusted_roots):
         _abort(channel, AlertDescription.BAD_CERTIFICATE, "certificate verification failed")

@@ -13,6 +13,7 @@ import pytest
 
 from agilecrypt import cbkem, hbs
 from agilecrypt.easyapi import (
+    AlgorithmParameters,
     CompatibilityResult,
     EasyEncrypter,
     EasySigner,
@@ -36,7 +37,7 @@ from agilecrypt.errors import (
     MalformedEncoding,
     ParameterError,
 )
-from agilecrypt.keystore import KeystoreParameters
+from agilecrypt.keystore import CRASH_POINTS, KeystoreParameters, keystore_open
 from agilecrypt.primitives import DeterministicRng
 
 
@@ -252,6 +253,96 @@ def test_signer_agrees_with_direct_hbs(tmp_path):
         direct = hbs.hbs_sign(kp, b"other way", rng)
         framed = frame_blob(ident, 1, hbs.hbs_serialize_sig(direct))
         assert easysigner_verify(signer.public_blob, b"other way", framed)
+
+
+# ---------------------------------------------------------------------------
+# EasySigner reservation windows
+# ---------------------------------------------------------------------------
+
+class SimulatedCrash(Exception):
+    pass
+
+
+def _stored_state(ksp, alias):
+    with keystore_open(ksp, read_only=True) as store:
+        return store.get_entry(alias).state
+
+
+def _leaf_of(sig_blob: bytes) -> int:
+    ident, _, raw = parse_blob(sig_blob)
+    return hbs.hbs_parse_sig(hbs.HbsParams.from_algorithm_id(ident), raw).leaf_index
+
+
+def test_signer_crash_during_refill_never_repeats_a_leaf(tmp_path):
+    ap = template_resolve(builtin_registry(1), TemplateKind.SIGNATURE, SecurityLevel.LOW)
+    cap = min(64, ap.params.leaf_count // 16)
+    ksp = _ksp(tmp_path)
+    rng = DeterministicRng(b"signer refill crash")
+    leaves: list[int] = []
+    with EasySigner.with_new_key(ap, ksp, rng=rng) as signer:
+        alias, pub = signer.alias, signer.public_blob
+        leaves += [_leaf_of(signer.sign(b"first %d" % i)) for i in range(3)]
+    for point in CRASH_POINTS:
+        signer = EasySigner.open(ksp, alias, registry_version=1, rng=rng)
+        # Windows of 1, 2 and 4 leaves are used up; the next signature
+        # must refill, and the store dies during that write.
+        leaves += [_leaf_of(signer.sign(b"%s %d" % (point.encode(), i))) for i in range(7)]
+
+        def hook(name, stop=point):
+            if name == stop:
+                raise SimulatedCrash(name)
+
+        signer.store.crash_hook = hook
+        with pytest.raises(SimulatedCrash):
+            signer.sign(b"lost")
+        signer.store.abandon()
+        made = max(leaves) + 1
+        state = _stored_state(ksp, alias)
+        assert state.reserved_until >= made
+        assert state.reserved_until - made <= cap
+        assert made - state.next_leaf <= cap
+    with EasySigner.open(ksp, alias, registry_version=1, rng=rng) as signer:
+        for i in range(5):
+            sig = signer.sign(b"after %d" % i)
+            assert easysigner_verify(pub, b"after %d" % i, sig)
+            leaves.append(_leaf_of(sig))
+    assert len(leaves) == len(set(leaves)) == 3 + 7 * len(CRASH_POINTS) + 5
+
+
+@pytest.mark.parametrize(
+    "level", [SecurityLevel.LOW, SecurityLevel.MEDIUM], ids=lambda level: level.name.lower()
+)
+def test_signer_writes_once_per_window(tmp_path, level):
+    ap = template_resolve(builtin_registry(1), TemplateKind.SIGNATURE, level)
+    cap = min(64, ap.params.leaf_count // 16)
+    doublings = cap.bit_length() - 1
+    signatures = 200
+    writes = 0
+
+    def count_writes(name):
+        nonlocal writes
+        writes += name == "renamed"
+
+    signer = EasySigner.with_new_key(ap, _ksp(tmp_path), rng=DeterministicRng(b"writes"))
+    signer.store.crash_hook = count_writes
+    leaves = [_leaf_of(signer.sign(b"%d" % i)) for i in range(signatures)]
+    signer.close()
+    assert leaves == list(range(signatures))
+    assert writes <= doublings + -(-signatures // cap) + 1
+
+
+def test_one_shot_signers_waste_no_leaves(tmp_path):
+    params = hbs.HbsParams(n_h=16, w=16, h=6, mode=hbs.HbsMode.STATEFUL)
+    ap = AlgorithmParameters(algorithm_id=params.algorithm_id, params=params, registry_version=1)
+    ksp = _ksp(tmp_path)
+    rng = DeterministicRng(b"one shot")
+    with EasySigner.with_new_key(ap, ksp, rng=rng) as signer:
+        alias = signer.alias
+    for i in range(20):
+        with EasySigner.open(ksp, alias, registry_version=1, rng=rng) as signer:
+            assert _leaf_of(signer.sign(b"one %d" % i)) == i
+    state = _stored_state(ksp, alias)
+    assert (state.next_leaf, state.reserved_until) == (20, 20)
 
 
 # ---------------------------------------------------------------------------

@@ -402,6 +402,32 @@ def test_certificate_algorithm_must_match_template(low_material):
     assert "negotiated" in client_exc.reason
 
 
+def test_certificate_signature_algorithm_must_match_template(low_material):
+    """A trusted CA whose key is a different SPX row than the negotiated
+    signature template: its certificate verifies, but the client rejects
+    it because the signature algorithm differs from the template."""
+    rng = DeterministicRng(seed=b"wrong-sig-alg")
+    other_ca = hbs_keygen(HbsParams.from_algorithm_id("SPX-TOY-16-16-4-S"), rng)
+    cert = issue_certificate(
+        other_ca,
+        "server.test",
+        low_material["enc_id"],
+        kem_serialize_pk(low_material["kem"].pk),
+        rng,
+    )
+    results = _loopback(
+        _client_cfg(low_material, trusted_roots=(other_ca.root,)),
+        _server_cfg(low_material, certificate=cert),
+    )
+    client_exc = results["client_exc"]
+    assert isinstance(client_exc, TlsAlertSent)
+    assert client_exc.description == AlertDescription.BAD_CERTIFICATE
+    assert "signature algorithm" in client_exc.reason
+    server_exc = results["server_exc"]
+    assert isinstance(server_exc, TlsAlertReceived)
+    assert server_exc.description == AlertDescription.BAD_CERTIFICATE
+
+
 # ---------------------------------------------------------------------------
 # Wire-level fault injection
 # ---------------------------------------------------------------------------
