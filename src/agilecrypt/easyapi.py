@@ -20,12 +20,12 @@ Blob framing (documented bit-exactly in docs/formats.md):
 from __future__ import annotations
 
 import datetime
-import struct
 from dataclasses import dataclass, field
 from enum import Enum, IntEnum
 from importlib import resources
 
 from . import cbkem, hbs
+from .codec import Reader, decode_text, encode_text, uint, vec8
 from .errors import (
     AlgorithmMismatch,
     BadMac,
@@ -63,6 +63,8 @@ __all__ = [
     "easysigner_verify",
     "frame_blob",
     "parse_blob",
+    "hybrid_encap",
+    "hybrid_open",
 ]
 
 
@@ -313,24 +315,19 @@ _DEFAULT_PROVIDERS = default_provider_registry()
 # ---------------------------------------------------------------------------
 
 def frame_blob(algorithm_id: str, registry_version: int, payload: bytes) -> bytes:
-    ident = algorithm_id.encode("ascii")
+    ident = encode_text(algorithm_id, "ascii")
     if not 1 <= len(ident) <= 255:
         raise ParameterError("algorithm identifier length must be 1..255")
-    return struct.pack(">B", len(ident)) + ident + struct.pack(">I", registry_version) + payload
+    return vec8(ident) + uint(registry_version, 4) + payload
 
 
 def parse_blob(data: bytes) -> tuple[str, int, bytes]:
-    if len(data) < 1:
-        raise MalformedEncoding("empty blob", offset=0)
-    id_len = data[0]
-    if id_len == 0 or len(data) < 1 + id_len + 4:
-        raise MalformedEncoding("blob header truncated", offset=len(data))
-    try:
-        ident = data[1 : 1 + id_len].decode("ascii")
-    except UnicodeDecodeError as exc:
-        raise MalformedEncoding("algorithm identifier is not ASCII", offset=1) from exc
-    (version,) = struct.unpack(">I", data[1 + id_len : 5 + id_len])
-    return ident, version, data[5 + id_len :]
+    r = Reader(data)
+    ident = decode_text(r.vec8(), "ascii", r.offset)
+    if not ident:
+        raise MalformedEncoding("empty algorithm identifier", offset=0)
+    version = r.u32()
+    return ident, version, data[r.offset :]
 
 
 # ---------------------------------------------------------------------------
@@ -353,10 +350,36 @@ def hybrid_record_keys(shared_secret: bytes) -> SymmetricKeys:
     """Expand a KEM shared secret into one direction of record keys.
     Everything hybrid-encrypted in this package derives its keys here,
     which is what makes facade and hand-rolled compositions agree."""
-    material = prf(HashId.H512, shared_secret, "hybrid record keys", b"", 112)
-    return SymmetricKeys(
-        enc_key=material[:32], mac_key=material[32:96], iv_seed=material[96:112]
+    return SymmetricKeys.from_material(
+        prf(HashId.H512, shared_secret, "hybrid record keys", b"", SymmetricKeys.MATERIAL_BYTES)
     )
+
+
+# The hybrid step of EasyEncrypter and mailenv; each brings its own associated data.
+
+def hybrid_encap(
+    params: cbkem.KemParams,
+    raw_public_key: bytes,
+    rng: Rng,
+    providers: ProviderRegistry | None = None,
+) -> tuple[bytes, SymmetricKeys]:
+    """Encapsulate to a recipient's raw KEM public key: the serialized
+    KEM ciphertext and the record keys to seal with."""
+    backend = (providers or _DEFAULT_PROVIDERS).resolve(params.algorithm_id)
+    pk = backend.parse_pk(params, raw_public_key)
+    ct, secret = backend.encap(pk, params, rng)
+    return backend.serialize_ct(params, ct), hybrid_record_keys(secret)
+
+
+def hybrid_open(recipient: EasyEncrypter, kem_ct: bytes, header: bytes, sealed: bytes) -> bytes:
+    """Decapsulate ``kem_ct`` with the recipient's key and open the record
+    sealed under ``header``.  A KEM rejection raises InvalidCiphertext; a
+    record that fails authentication raises BadMac."""
+    keys = hybrid_record_keys(recipient.decap_bytes(kem_ct))
+    try:
+        return open_record(keys, 0, header, sealed)
+    except BadPadding as exc:
+        raise BadMac("sealed payload failed authentication") from exc
 
 
 @dataclass
@@ -615,13 +638,10 @@ class EasyEncrypter:
     def encrypt(self, recipient_public_blob: bytes, plaintext: bytes) -> bytes:
         ident, _, raw_pub = parse_blob(recipient_public_blob)
         params = cbkem.KemParams.from_algorithm_id(ident)
-        backend = self._backend if ident == self.algorithm_id else _DEFAULT_PROVIDERS.resolve(ident)
-        pk = backend.parse_pk(params, raw_pub)
-        ct, secret = backend.encap(pk, params, self._rng)
-        ct_bytes = backend.serialize_ct(params, ct)
-        header = frame_blob(ident, self.registry_version, b"") + ct_bytes
-        sealed = seal_record(hybrid_record_keys(secret), 0, header, plaintext)
-        return frame_blob(ident, self.registry_version, ct_bytes + sealed)
+        ct_bytes, keys = hybrid_encap(params, raw_pub, self._rng)
+        # The blob is its own associated data up to the sealed body.
+        header = frame_blob(ident, self.registry_version, ct_bytes)
+        return header + seal_record(keys, 0, header, plaintext)
 
     def decap_bytes(self, ct_bytes: bytes) -> bytes:
         """Recover the shared secret from serialized KEM ciphertext.
@@ -644,12 +664,7 @@ class EasyEncrypter:
         if len(payload) < params.ct_bytes:
             raise InvalidCiphertext("payload shorter than a KEM ciphertext")
         ct_bytes, sealed = payload[: params.ct_bytes], payload[params.ct_bytes :]
-        secret = self.decap_bytes(ct_bytes)
-        header = frame_blob(ident, version, b"") + ct_bytes
-        try:
-            return open_record(hybrid_record_keys(secret), 0, header, sealed)
-        except BadPadding as exc:
-            raise BadMac("sealed payload failed authentication") from exc
+        return hybrid_open(self, ct_bytes, frame_blob(ident, version, ct_bytes), sealed)
 
     def close(self) -> None:
         self.store.close()

@@ -12,7 +12,9 @@ File format (documented bit-exactly in docs/formats.md):
 The password is stretched with PBKDF2-HMAC-SHA512 (iteration count stored
 in the header so tests can lower it) into the record-protection keys; the
 MAC is verified before any entry parsing, so a wrong password or tampered
-file never yields partial data.
+file never yields partial data.  The entry table is read and written with
+agilecrypt.codec, whose strict-decoding rules apply; a table that breaks
+them raises MalformedStore.
 
 Every mutation rewrites and atomically replaces the whole file
 (write-temp, fsync, rename, fsync directory) and completes before the
@@ -43,9 +45,9 @@ import dataclasses
 import fcntl
 import hashlib
 import os
-import struct
 from dataclasses import dataclass
 
+from .codec import Reader, decode_text, encode_text, uint, vec16, vec32
 from .errors import (
     BadMac,
     BadPadding,
@@ -53,6 +55,7 @@ from .errors import (
     DuplicateAlias,
     KeyExhausted,
     KeystoreIoError,
+    MalformedEncoding,
     MalformedStore,
     ParameterError,
     StoreLocked,
@@ -118,72 +121,61 @@ def _stateful_leaf_count(algorithm_id: str) -> int:
 
 def _derive_keys(password: str, salt: bytes, iterations: int) -> SymmetricKeys:
     material = hashlib.pbkdf2_hmac(
-        "sha512", password.encode("utf-8"), salt, iterations, dklen=112
+        "sha512", password.encode("utf-8"), salt, iterations, SymmetricKeys.MATERIAL_BYTES
     )
-    return SymmetricKeys(
-        enc_key=material[:32], mac_key=material[32:96], iv_seed=material[96:112]
-    )
+    return SymmetricKeys.from_material(material)
 
 
 # ---------------------------------------------------------------------------
 # Entry table encoding (lives inside the sealed blob)
 # ---------------------------------------------------------------------------
 
+def _encode_entry(e: KeystoreEntry) -> bytes:
+    if e.state is None:
+        state = b"\x00"
+    else:
+        state = b"\x01" + uint(e.state.next_leaf, 4) + uint(e.state.reserved_until, 4)
+    return b"".join(
+        (
+            vec16(encode_text(e.alias, "utf-8")),
+            vec16(encode_text(e.algorithm_id, "ascii")),
+            vec32(e.secret_material),
+            vec32(e.public_material),
+            state,
+        )
+    )
+
+
 def _encode_table(entries: dict[str, KeystoreEntry]) -> bytes:
-    out = [struct.pack(">I", len(entries))]
-    for alias in sorted(entries):
-        e = entries[alias]
-        alias_b = e.alias.encode("utf-8")
-        algo_b = e.algorithm_id.encode("ascii")
-        out.append(struct.pack(">H", len(alias_b)) + alias_b)
-        out.append(struct.pack(">H", len(algo_b)) + algo_b)
-        out.append(struct.pack(">I", len(e.secret_material)) + e.secret_material)
-        out.append(struct.pack(">I", len(e.public_material)) + e.public_material)
-        if e.state is None:
-            out.append(b"\x00")
-        else:
-            out.append(
-                b"\x01" + struct.pack(">II", e.state.next_leaf, e.state.reserved_until)
-            )
-    return b"".join(out)
+    return uint(len(entries), 4) + b"".join(
+        _encode_entry(entries[alias]) for alias in sorted(entries)
+    )
+
+
+def _read_entry(r: Reader) -> KeystoreEntry:
+    alias = decode_text(r.vec16(), "utf-8", r.offset)
+    algorithm_id = decode_text(r.vec16(), "ascii", r.offset)
+    secret, public, flag = r.vec32(), r.vec32(), r.u8()
+    if flag > 1:
+        raise MalformedEncoding(f"unknown state flag {flag}", offset=r.offset - 1)
+    state = EntryState(next_leaf=r.u32(), reserved_until=r.u32()) if flag else None
+    return KeystoreEntry(alias, algorithm_id, secret, public, state)
 
 
 def _decode_table(data: bytes) -> dict[str, KeystoreEntry]:
-    def take(n: int) -> bytes:
-        nonlocal off
-        if off + n > len(data):
-            raise MalformedStore(f"entry table truncated at byte {off}")
-        chunk = data[off : off + n]
-        off += n
-        return chunk
-
-    off = 0
-    (count,) = struct.unpack(">I", take(4))
+    """Parse the entry table; any departure from the layout raises
+    MalformedStore."""
+    r = Reader(data)
     entries: dict[str, KeystoreEntry] = {}
-    for _ in range(count):
-        alias = take(struct.unpack(">H", take(2))[0]).decode("utf-8")
-        algo = take(struct.unpack(">H", take(2))[0]).decode("ascii")
-        secret = take(struct.unpack(">I", take(4))[0])
-        public = take(struct.unpack(">I", take(4))[0])
-        flag = take(1)[0]
-        if flag == 0:
-            state = None
-        elif flag == 1:
-            next_leaf, reserved = struct.unpack(">II", take(8))
-            state = EntryState(next_leaf=next_leaf, reserved_until=reserved)
-        else:
-            raise MalformedStore(f"unknown state flag {flag}")
-        if alias in entries:
-            raise MalformedStore(f"duplicate alias {alias!r} in table")
-        entries[alias] = KeystoreEntry(
-            alias=alias,
-            algorithm_id=algo,
-            secret_material=secret,
-            public_material=public,
-            state=state,
-        )
-    if off != len(data):
-        raise MalformedStore(f"{len(data) - off} trailing bytes after entry table")
+    try:
+        for _ in range(r.u32()):
+            entry = _read_entry(r)
+            if entry.alias in entries:
+                raise MalformedEncoding(f"duplicate alias {entry.alias!r}", offset=r.offset)
+            entries[entry.alias] = entry
+        r.expect_end()
+    except MalformedEncoding as exc:
+        raise MalformedStore(f"entry table: {exc}") from exc
     return entries
 
 
@@ -372,6 +364,12 @@ def _validate_entry(entry: KeystoreEntry) -> None:
             raise ParameterError("require 0 <= next_leaf <= reserved_until")
         if entry.state.reserved_until > _stateful_leaf_count(entry.algorithm_id):
             raise ParameterError("reserved_until exceeds leaf count")
+    # Refuse what the table encoder would (an alias over 65535 UTF-8 bytes,
+    # a non-ASCII algorithm id) before the entry reaches the store.
+    try:
+        _encode_entry(entry)
+    except MalformedEncoding as exc:
+        raise ParameterError(f"entry cannot be stored: {exc}") from exc
 
 
 def _fsync_dir(path: str) -> None:
@@ -417,12 +415,7 @@ def keystore_create(params: KeystoreParameters, rng: Rng | None = None) -> Keyst
     lock_fd = _acquire_lock(params.path)
     try:
         salt = random_bytes(16, rng)
-        header = (
-            MAGIC
-            + struct.pack(">H", FORMAT_VERSION)
-            + salt
-            + struct.pack(">I", params.iterations)
-        )
+        header = MAGIC + uint(FORMAT_VERSION, 2) + salt + uint(params.iterations, 4)
         keys = _derive_keys(params.password, salt, params.iterations)
         ks = Keystore(
             params=params,
@@ -455,11 +448,11 @@ def keystore_open(params: KeystoreParameters, read_only: bool = False) -> Keysto
         header, blob = raw[:_HEADER_LEN], raw[_HEADER_LEN:]
         if header[:4] != MAGIC:
             raise MalformedStore("bad magic")
-        (version,) = struct.unpack(">H", header[4:6])
+        version = int.from_bytes(header[4:6], "big")
         if version != FORMAT_VERSION:
             raise MalformedStore(f"unsupported format version {version}")
         salt = header[6:22]
-        (iterations,) = struct.unpack(">I", header[22:26])
+        iterations = int.from_bytes(header[22:26], "big")
         if iterations < 1:
             raise MalformedStore("zero iteration count")
         keys = _derive_keys(params.password, salt, iterations)

@@ -11,33 +11,38 @@ Opening reverses the layers strictly: authenticate and decrypt first,
 then verify the signature, and release the message only if every check
 passed.  KEM-stage rejections surface as ``BadMac`` because a caller
 holding a damaged envelope cannot tell the regions apart.
+
+The KEM-then-seal step is easyapi's hybrid_encap/hybrid_open, shared
+with EasyEncrypter; the envelope differs only in its associated data
+(the header, without the KEM ciphertext).  Framing uses agilecrypt.codec,
+whose strict-decoding rules apply.
 """
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass
 
+from .cbkem import KemParams
+from .codec import Reader, decode_text, encode_text, uint, vec8, vec16, vec32
 from .easyapi import (
     _DEFAULT_PROVIDERS,
     EasyEncrypter,
     EasySigner,
     ProviderRegistry,
+    hybrid_encap,
+    hybrid_open,
     parse_blob,
 )
-from .cbkem import KemParams
 from .errors import (
     AlgorithmMismatch,
     BadMac,
-    BadPadding,
     BadSignature,
     InvalidCiphertext,
     MalformedEncoding,
     ParameterError,
 )
 from .hbs import HbsParams
-from .easyapi import hybrid_record_keys
-from .primitives import HashId, Rng, SystemRng, hash_data, open_record, seal_record
+from .primitives import HashId, Rng, SystemRng, hash_data, seal_record
 
 ENVELOPE_EXTENSION = ".agenv"
 
@@ -68,84 +73,42 @@ class Envelope:
 def encode_header(header: EnvelopeHeader) -> bytes:
     """Canonical header bytes: the associated data for the seal and the
     prefix of the signed bytes."""
-    sender = header.sender_id.encode("utf-8")
-    recipient = header.recipient_id.encode("utf-8")
-    sig_id = header.sig_algorithm_id.encode("ascii")
-    enc_id = header.enc_algorithm_id.encode("ascii")
     return (
-        struct.pack(">H", len(sender)) + sender
-        + struct.pack(">H", len(recipient)) + recipient
-        + struct.pack(">B", len(sig_id)) + sig_id
-        + struct.pack(">B", len(enc_id)) + enc_id
-        + struct.pack(">I", header.registry_version)
+        vec16(encode_text(header.sender_id, "utf-8"))
+        + vec16(encode_text(header.recipient_id, "utf-8"))
+        + vec8(encode_text(header.sig_algorithm_id, "ascii"))
+        + vec8(encode_text(header.enc_algorithm_id, "ascii"))
+        + uint(header.registry_version, 4)
     )
-
-
-class _Cursor:
-    def __init__(self, data: bytes):
-        self._data = data
-        self._off = 0
-
-    def take(self, n: int) -> bytes:
-        if self._off + n > len(self._data):
-            raise MalformedEncoding(
-                f"envelope truncated: need {n} bytes at offset {self._off}",
-                offset=self._off,
-            )
-        out = self._data[self._off : self._off + n]
-        self._off += n
-        return out
-
-    def u8(self) -> int:
-        return self.take(1)[0]
-
-    def u16(self) -> int:
-        return struct.unpack(">H", self.take(2))[0]
-
-    def u32(self) -> int:
-        return struct.unpack(">I", self.take(4))[0]
-
-    def text(self, length: int, what: str) -> str:
-        try:
-            return self.take(length).decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise MalformedEncoding(f"{what} is not valid text", offset=self._off) from exc
-
-    def expect_end(self) -> None:
-        if self._off != len(self._data):
-            raise MalformedEncoding(
-                f"{len(self._data) - self._off} trailing bytes after envelope",
-                offset=self._off,
-            )
 
 
 def envelope_encode(env: Envelope) -> bytes:
     return (
         _MAGIC
-        + struct.pack(">H", _FORMAT_VERSION)
+        + uint(_FORMAT_VERSION, 2)
         + encode_header(env.header)
-        + struct.pack(">I", len(env.kem_ct)) + env.kem_ct
-        + struct.pack(">I", len(env.sealed_body)) + env.sealed_body
+        + vec32(env.kem_ct)
+        + vec32(env.sealed_body)
     )
 
 
 def envelope_decode(data: bytes) -> Envelope:
-    c = _Cursor(data)
-    if c.take(4) != _MAGIC:
+    r = Reader(data)
+    if r.take(4) != _MAGIC:
         raise MalformedEncoding("not an envelope file", offset=0)
-    version = c.u16()
+    version = r.u16()
     if version != _FORMAT_VERSION:
         raise MalformedEncoding(f"unknown envelope format version {version}", offset=4)
     header = EnvelopeHeader(
-        sender_id=c.text(c.u16(), "sender id"),
-        recipient_id=c.text(c.u16(), "recipient id"),
-        sig_algorithm_id=c.text(c.u8(), "signature algorithm id"),
-        enc_algorithm_id=c.text(c.u8(), "encryption algorithm id"),
-        registry_version=c.u32(),
+        sender_id=decode_text(r.vec16(), "utf-8", r.offset),
+        recipient_id=decode_text(r.vec16(), "utf-8", r.offset),
+        sig_algorithm_id=decode_text(r.vec8(), "ascii", r.offset),
+        enc_algorithm_id=decode_text(r.vec8(), "ascii", r.offset),
+        registry_version=r.u32(),
     )
-    kem_ct = c.take(c.u32())
-    sealed_body = c.take(c.u32())
-    c.expect_end()
+    kem_ct = r.vec32()
+    sealed_body = r.vec32()
+    r.expect_end()
     return Envelope(header=header, kem_ct=kem_ct, sealed_body=sealed_body)
 
 
@@ -171,7 +134,6 @@ def envelope_seal(
     message and signature to the recipient.  Stateful signing keys go
     through their keystore reservation exactly as in a bare sign call."""
     rng = rng if rng is not None else SystemRng()
-    providers = providers if providers is not None else _DEFAULT_PROVIDERS
     enc_id, enc_version, raw_pub = parse_blob(recipient_public_blob)
     try:
         kem_params = KemParams.from_algorithm_id(enc_id)
@@ -197,13 +159,9 @@ def envelope_seal(
     )
     header_bytes = encode_header(header)
     _, _, raw_sig = parse_blob(signer.sign(header_bytes + message))
-    backend = providers.resolve(enc_id)
-    pk = backend.parse_pk(kem_params, raw_pub)
-    ct, secret = backend.encap(pk, kem_params, rng)
-    sealed = seal_record(hybrid_record_keys(secret), 0, header_bytes, message + raw_sig)
-    return Envelope(
-        header=header, kem_ct=backend.serialize_ct(kem_params, ct), sealed_body=sealed
-    )
+    kem_ct, keys = hybrid_encap(kem_params, raw_pub, rng, providers)
+    sealed = seal_record(keys, 0, header_bytes, message + raw_sig)
+    return Envelope(header=header, kem_ct=kem_ct, sealed_body=sealed)
 
 
 def envelope_open(
@@ -212,7 +170,6 @@ def envelope_open(
     env: Envelope,
     providers: ProviderRegistry | None = None,
 ) -> bytes:
-    providers = providers if providers is not None else _DEFAULT_PROVIDERS
     if env.header.enc_algorithm_id != recipient.algorithm_id:
         raise AlgorithmMismatch(
             f"envelope is for {env.header.enc_algorithm_id!r}, "
@@ -230,20 +187,14 @@ def envelope_open(
             f"sender key is {pub_id!r}, envelope was signed with "
             f"{env.header.sig_algorithm_id!r}"
         )
-    sig_backend = providers.resolve(pub_id)
+    sig_backend = (providers or _DEFAULT_PROVIDERS).resolve(pub_id)
     _, sender_root = sig_backend.parse_public(raw_sender_pub)
 
     header_bytes = encode_header(env.header)
     try:
-        secret = recipient.decap_bytes(env.kem_ct)
+        plaintext = hybrid_open(recipient, env.kem_ct, header_bytes, env.sealed_body)
     except InvalidCiphertext as exc:
         raise BadMac("envelope ciphertext region failed decapsulation") from exc
-    try:
-        plaintext = open_record(
-            hybrid_record_keys(secret), 0, header_bytes, env.sealed_body
-        )
-    except BadPadding as exc:
-        raise BadMac("sealed body failed authentication") from exc
 
     sig_size = sig_params.signature_size
     if len(plaintext) < sig_size:

@@ -12,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ..cbkem import KemParams, kem_parse_pk
+from ..codec import Reader, decode_text, encode_text, vec8, vec16, vec32
 from ..errors import MalformedEncoding, ParameterError
 from ..hbs import (
     HbsKeyPair,
@@ -23,7 +24,6 @@ from ..hbs import (
     hbs_verify,
 )
 from ..primitives import Rng
-from .wire import Reader, _vec8, _vec16, _vec32
 
 
 @dataclass(frozen=True)
@@ -44,11 +44,11 @@ def _signed_portion(
     issuer_root: bytes,
 ) -> bytes:
     return (
-        _vec16(subject.encode("utf-8"))
-        + _vec8(kem_algorithm_id.encode("ascii"))
-        + _vec32(kem_public_key)
-        + _vec8(hbs_algorithm_id.encode("ascii"))
-        + _vec8(issuer_root)
+        vec16(encode_text(subject, "utf-8"))
+        + vec8(encode_text(kem_algorithm_id, "ascii"))
+        + vec32(kem_public_key)
+        + vec8(encode_text(hbs_algorithm_id, "ascii"))
+        + vec8(issuer_root)
     )
 
 
@@ -79,21 +79,15 @@ def encode_certificate(cert: Certificate) -> bytes:
         cert.hbs_algorithm_id,
         cert.issuer_root,
     )
-    return body + _vec32(hbs_serialize_sig(cert.issuer_signature))
+    return body + vec32(hbs_serialize_sig(cert.issuer_signature))
 
 
 def parse_certificate(data: bytes) -> Certificate:
     r = Reader(data)
-    try:
-        subject = r.vec16().decode("utf-8")
-        kem_algorithm_id = r.vec8().decode("ascii")
-    except UnicodeDecodeError as exc:
-        raise MalformedEncoding("certificate text field not decodable", offset=r.offset) from exc
+    subject = decode_text(r.vec16(), "utf-8", r.offset)
+    kem_algorithm_id = decode_text(r.vec8(), "ascii", r.offset)
     kem_public_key = r.vec32()
-    try:
-        hbs_algorithm_id = r.vec8().decode("ascii")
-    except UnicodeDecodeError as exc:
-        raise MalformedEncoding("certificate text field not decodable", offset=r.offset) from exc
+    hbs_algorithm_id = decode_text(r.vec8(), "ascii", r.offset)
     issuer_root = r.vec8()
     sig_raw = r.vec32()
     r.expect_end()

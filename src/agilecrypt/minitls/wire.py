@@ -1,8 +1,9 @@
 """Wire-level constants and codecs for the TLS-1.2-subset stack.
 
 Framing follows TLS 1.2 conventions: big-endian integers, length-prefixed
-vectors, 4-byte handshake headers (1-byte type, 3-byte length).  Decoders
-are strict: trailing bytes and out-of-range values are rejected with the
+vectors, 4-byte handshake headers (1-byte type, 3-byte length).  The
+reader and vector writers are agilecrypt.codec's, whose strict-decoding
+rules apply: trailing bytes and out-of-range values are rejected with the
 failing byte offset.
 
 The template-info extension (type 0xFD00, private-use range) carries the
@@ -13,10 +14,10 @@ exchange happens.
 
 from __future__ import annotations
 
-import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import IntEnum
 
+from ..codec import Reader, decode_text, encode_text, uint, vec8, vec16, vec24
 from ..errors import AgilecryptError, MalformedEncoding
 
 TLS_VERSION = 0x0303
@@ -78,89 +79,11 @@ class TlsAlertReceived(TlsError):
 
 
 # ---------------------------------------------------------------------------
-# Strict reader / vector helpers
-# ---------------------------------------------------------------------------
-
-class Reader:
-    def __init__(self, data: bytes):
-        self._data = data
-        self._off = 0
-
-    @property
-    def offset(self) -> int:
-        return self._off
-
-    def take(self, n: int) -> bytes:
-        if self._off + n > len(self._data):
-            raise MalformedEncoding("input truncated", offset=self._off)
-        chunk = self._data[self._off : self._off + n]
-        self._off += n
-        return chunk
-
-    def u8(self) -> int:
-        return self.take(1)[0]
-
-    def u16(self) -> int:
-        return struct.unpack(">H", self.take(2))[0]
-
-    def u24(self) -> int:
-        high, low = struct.unpack(">BH", self.take(3))
-        return (high << 16) | low
-
-    def u32(self) -> int:
-        return struct.unpack(">I", self.take(4))[0]
-
-    def vec8(self) -> bytes:
-        return self.take(self.u8())
-
-    def vec16(self) -> bytes:
-        return self.take(self.u16())
-
-    def vec24(self) -> bytes:
-        return self.take(self.u24())
-
-    def vec32(self) -> bytes:
-        return self.take(self.u32())
-
-    def expect_end(self) -> None:
-        if self._off != len(self._data):
-            raise MalformedEncoding(
-                f"{len(self._data) - self._off} trailing bytes", offset=self._off
-            )
-
-
-def _vec8(data: bytes) -> bytes:
-    if len(data) > 0xFF:
-        raise MalformedEncoding(f"vector of {len(data)} bytes exceeds u8 length")
-    return struct.pack(">B", len(data)) + data
-
-
-def _vec16(data: bytes) -> bytes:
-    if len(data) > 0xFFFF:
-        raise MalformedEncoding(f"vector of {len(data)} bytes exceeds u16 length")
-    return struct.pack(">H", len(data)) + data
-
-
-def _vec24(data: bytes) -> bytes:
-    if len(data) > 0xFFFFFF:
-        raise MalformedEncoding(f"vector of {len(data)} bytes exceeds u24 length")
-    return struct.pack(">BH", len(data) >> 16, len(data) & 0xFFFF) + data
-
-
-def _vec32(data: bytes) -> bytes:
-    if len(data) > 0xFFFFFFFF:
-        raise MalformedEncoding(f"vector of {len(data)} bytes exceeds u32 length")
-    return struct.pack(">I", len(data)) + data
-
-
-# ---------------------------------------------------------------------------
 # Handshake message framing
 # ---------------------------------------------------------------------------
 
 def encode_handshake_message(hs_type: HandshakeType, body: bytes) -> bytes:
-    if len(body) > 0xFFFFFF:
-        raise MalformedEncoding(f"handshake body of {len(body)} bytes exceeds u24 length")
-    return struct.pack(">BBH", hs_type, len(body) >> 16, len(body) & 0xFFFF) + body
+    return uint(hs_type, 1) + uint(len(body), 3) + body
 
 
 def decode_handshake_header(header: bytes) -> tuple[HandshakeType, int]:
@@ -187,9 +110,10 @@ class TemplateInfo:
 
     def encode(self) -> bytes:
         return (
-            struct.pack(">IB", self.registry_version, self.level)
-            + _vec8(self.sig_id.encode("ascii"))
-            + _vec8(self.enc_id.encode("ascii"))
+            uint(self.registry_version, 4)
+            + uint(self.level, 1)
+            + vec8(encode_text(self.sig_id, "ascii"))
+            + vec8(encode_text(self.enc_id, "ascii"))
         )
 
     @classmethod
@@ -197,18 +121,14 @@ class TemplateInfo:
         r = Reader(data)
         version = r.u32()
         level = r.u8()
-        try:
-            sig_id = r.vec8().decode("ascii")
-            enc_id = r.vec8().decode("ascii")
-        except UnicodeDecodeError as exc:
-            raise MalformedEncoding("algorithm id is not ASCII", offset=r.offset) from exc
+        sig_id = decode_text(r.vec8(), "ascii", r.offset)
+        enc_id = decode_text(r.vec8(), "ascii", r.offset)
         r.expect_end()
         return cls(registry_version=version, level=level, sig_id=sig_id, enc_id=enc_id)
 
 
 def _encode_extensions(info: TemplateInfo) -> bytes:
-    ext = struct.pack(">H", TEMPLATE_INFO_EXT) + _vec16(info.encode())
-    return _vec16(ext)
+    return vec16(uint(TEMPLATE_INFO_EXT, 2) + vec16(info.encode()))
 
 
 def _decode_extensions(r: Reader) -> TemplateInfo | None:
@@ -239,13 +159,13 @@ class ClientHello:
     compression_methods: tuple[int, ...] = (0,)
 
     def encode(self) -> bytes:
-        suites = b"".join(struct.pack(">H", s) for s in self.cipher_suites)
+        suites = b"".join(uint(s, 2) for s in self.cipher_suites)
         body = (
-            struct.pack(">H", TLS_VERSION)
+            uint(TLS_VERSION, 2)
             + self.random
-            + _vec8(self.session_id)
-            + _vec16(suites)
-            + _vec8(bytes(self.compression_methods))
+            + vec8(self.session_id)
+            + vec16(suites)
+            + vec8(bytes(self.compression_methods))
         )
         if self.template_info is not None:
             body += _encode_extensions(self.template_info)
@@ -263,7 +183,7 @@ class ClientHello:
         if len(suites_raw) == 0 or len(suites_raw) % 2:
             raise MalformedEncoding("cipher suite list invalid", offset=r.offset)
         suites = tuple(
-            struct.unpack(">H", suites_raw[i : i + 2])[0] for i in range(0, len(suites_raw), 2)
+            int.from_bytes(suites_raw[i : i + 2], "big") for i in range(0, len(suites_raw), 2)
         )
         compression = tuple(r.vec8())
         info = _decode_extensions(r)
@@ -286,10 +206,11 @@ class ServerHello:
 
     def encode(self) -> bytes:
         body = (
-            struct.pack(">H", TLS_VERSION)
+            uint(TLS_VERSION, 2)
             + self.random
-            + _vec8(self.session_id)
-            + struct.pack(">HB", self.cipher_suite, 0)
+            + vec8(self.session_id)
+            + uint(self.cipher_suite, 2)
+            + b"\x00"  # null compression
         )
         if self.template_info is not None:
             body += _encode_extensions(self.template_info)
@@ -317,7 +238,7 @@ class ServerHello:
 # ---------------------------------------------------------------------------
 
 def encode_certificate_body(cert_bytes: bytes) -> bytes:
-    return _vec24(_vec24(cert_bytes))
+    return vec24(vec24(cert_bytes))
 
 
 def decode_certificate_body(data: bytes) -> bytes:
@@ -330,7 +251,7 @@ def decode_certificate_body(data: bytes) -> bytes:
 
 
 def encode_client_key_exchange_body(ct_bytes: bytes) -> bytes:
-    return _vec16(ct_bytes)
+    return vec16(ct_bytes)
 
 
 def decode_client_key_exchange_body(data: bytes) -> bytes:

@@ -97,6 +97,8 @@ class SymmetricKeys:
     zeroize() is called.
     """
 
+    MATERIAL_BYTES = 112  # the length from_material splits
+
     enc_key: bytearray
     mac_key: bytearray
     iv_seed: bytearray
@@ -111,6 +113,12 @@ class SymmetricKeys:
             raise ParameterError("mac_key must be 32 or 64 bytes")
         if len(self.iv_seed) != 16:
             raise ParameterError("iv_seed must be 16 bytes")
+
+    @classmethod
+    def from_material(cls, material: bytes) -> SymmetricKeys:
+        """Split derived key material: enc key [0:32], mac key [32:96],
+        iv seed [96:112]."""
+        return cls(enc_key=material[:32], mac_key=material[32:96], iv_seed=material[96:112])
 
     @property
     def mac_hash(self) -> HashId:

@@ -28,6 +28,7 @@ from agilecrypt.keystore import (
     EntryState,
     KeystoreEntry,
     KeystoreParameters,
+    _decode_table,
     keystore_create,
     keystore_open,
 )
@@ -186,6 +187,48 @@ def test_state_invariants_enforced(tmp_path):
         bad.state = EntryState(next_leaf=5, reserved_until=2)
         with pytest.raises(ParameterError):
             ks.put_entry(bad)
+
+
+@pytest.mark.parametrize(
+    "entry",
+    [
+        _stateless_entry(alias="a" * 70_000),
+        _stateless_entry(alias="é" * 32_768),  # 65536 UTF-8 bytes
+        _stateless_entry(algorithm_id="X" * 70_000),
+        _stateless_entry(algorithm_id="CME-TOY-10-8-é"),
+    ],
+    ids=["alias-70000", "alias-65536-utf8", "algorithm-70000", "algorithm-non-ascii"],
+)
+def test_unstorable_entry_rejected_and_store_stays_usable(tmp_path, entry):
+    params = _params(tmp_path)
+    with keystore_create(params) as ks:
+        with pytest.raises(ParameterError):
+            ks.put_entry(entry)
+        assert ks.aliases() == []
+        ks.put_entry(_stateless_entry())
+        ks.put_entry(_stateful_entry())
+        assert ks.reserve_leaves("sig", 2) == (0, 2)
+    with keystore_open(params) as ks:
+        assert ks.aliases() == ["enc", "sig"]
+
+
+@pytest.mark.parametrize(
+    "field, raw",
+    [("alias", b"\xff\xfe"), ("algorithm id", "CME-é".encode("utf-8"))],
+    ids=["alias-not-utf8", "algorithm-not-ascii"],
+)
+def test_table_with_undecodable_text_is_malformed_store(field, raw):
+    alias, algorithm_id = (raw, b"CME-TOY-10-8") if field == "alias" else (b"enc", raw)
+    table = (
+        (1).to_bytes(4, "big")
+        + len(alias).to_bytes(2, "big") + alias
+        + len(algorithm_id).to_bytes(2, "big") + algorithm_id
+        + (1).to_bytes(4, "big") + b"s"
+        + (1).to_bytes(4, "big") + b"p"
+        + b"\x00"
+    )
+    with pytest.raises(MalformedStore):
+        _decode_table(table)
 
 
 def test_reserve_semantics_and_persistence(tmp_path):

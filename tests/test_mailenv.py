@@ -23,7 +23,7 @@ from agilecrypt.errors import (
     BadSignature,
     MalformedEncoding,
 )
-from agilecrypt.keystore import KeystoreParameters
+from agilecrypt.keystore import KeystoreParameters, keystore_open
 from agilecrypt.mailenv import (
     ENVELOPE_EXTENSION,
     Envelope,
@@ -170,6 +170,19 @@ def test_header_identities_and_defaults(tmp_path):
     )
     assert (named.header.sender_id, named.header.recipient_id) == ("alice", "bob")
     assert envelope_open(recipient, signer.public_blob, named) == b"m"
+    signer.close()
+    recipient.close()
+
+
+@pytest.mark.parametrize("field", ["sender_id", "recipient_id"])
+def test_oversize_header_id_rejected_before_signing(tmp_path, field):
+    signer, recipient, rng = _parties(tmp_path, seed=b"oversize")
+    before = signer.store.get_entry(signer.alias).state
+    with pytest.raises(MalformedEncoding):
+        envelope_seal(signer, recipient.public_blob, b"m", rng=rng, **{field: "x" * 70_000})
+    assert signer.store.get_entry(signer.alias).state == before
+    with keystore_open(_ksp(tmp_path, "sender.ks"), read_only=True) as stored:
+        assert stored.get_entry(signer.alias).state == before
     signer.close()
     recipient.close()
 
