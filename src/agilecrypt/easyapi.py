@@ -358,15 +358,14 @@ def hybrid_record_keys(shared_secret: bytes) -> SymmetricKeys:
 # The hybrid step of EasyEncrypter and mailenv; each brings its own associated data.
 
 def hybrid_encap(
-    params: cbkem.KemParams,
-    raw_public_key: bytes,
+    pk: cbkem.KemPublicKey,
     rng: Rng,
     providers: ProviderRegistry | None = None,
 ) -> tuple[bytes, SymmetricKeys]:
-    """Encapsulate to a recipient's raw KEM public key: the serialized
+    """Encapsulate to a recipient's parsed KEM public key: the serialized
     KEM ciphertext and the record keys to seal with."""
+    params = pk.params
     backend = (providers or _DEFAULT_PROVIDERS).resolve(params.algorithm_id)
-    pk = backend.parse_pk(params, raw_public_key)
     ct, secret = backend.encap(pk, params, rng)
     return backend.serialize_ct(params, ct), hybrid_record_keys(secret)
 
@@ -638,7 +637,8 @@ class EasyEncrypter:
     def encrypt(self, recipient_public_blob: bytes, plaintext: bytes) -> bytes:
         ident, _, raw_pub = parse_blob(recipient_public_blob)
         params = cbkem.KemParams.from_algorithm_id(ident)
-        ct_bytes, keys = hybrid_encap(params, raw_pub, self._rng)
+        pk = _DEFAULT_PROVIDERS.resolve(ident).parse_pk(params, raw_pub)
+        ct_bytes, keys = hybrid_encap(pk, self._rng)
         # The blob is its own associated data up to the sealed body.
         header = frame_blob(ident, self.registry_version, ct_bytes)
         return header + seal_record(keys, 0, header, plaintext)

@@ -16,6 +16,7 @@ import struct
 from dataclasses import dataclass, field
 from enum import Enum
 
+from .codec import Reader, uint
 from .errors import KeyExhausted, MalformedEncoding, ParameterError
 from .primitives import HashId, Rng, hash_data, prf
 
@@ -321,13 +322,12 @@ def hbs_export_public(kp: HbsKeyPair) -> bytes:
     """n_h u8 || w u16 || h u8 || mode u8 || root[n_h]."""
     p = kp.params
     mode_byte = 0 if p.mode is HbsMode.STATEFUL else 1
-    return struct.pack(">BHBB", p.n_h, p.w, p.h, mode_byte) + kp.root
+    return uint(p.n_h, 1) + uint(p.w, 2) + uint(p.h, 1) + uint(mode_byte, 1) + kp.root
 
 
 def hbs_parse_public(data: bytes) -> tuple[HbsParams, bytes]:
-    if len(data) < 5:
-        raise MalformedEncoding("public key header truncated", offset=len(data))
-    n_h, w, h, mode_byte = struct.unpack(">BHBB", data[:5])
+    r = Reader(data)
+    n_h, w, h, mode_byte = r.u8(), r.u16(), r.u8(), r.u8()
     if mode_byte not in (0, 1):
         raise MalformedEncoding("unknown mode byte", offset=4)
     try:
@@ -336,17 +336,15 @@ def hbs_parse_public(data: bytes) -> tuple[HbsParams, bytes]:
         )
     except ParameterError as exc:
         raise MalformedEncoding(f"invalid parameters: {exc}", offset=0) from exc
-    if len(data) != 5 + n_h:
-        raise MalformedEncoding(
-            f"public key length {len(data)}, expected {5 + n_h}",
-            offset=min(len(data), 5 + n_h),
-        )
-    return params, data[5:]
+    root = r.take(n_h)
+    r.expect_end()
+    return params, root
 
 
 def hbs_serialize_sig(sig: HbsSignature) -> bytes:
+    """leaf u32 || randomizer[32] || wots_sig[l * n_h] || auth_path[h * n_h]."""
     return (
-        struct.pack(">I", sig.leaf_index)
+        uint(sig.leaf_index, 4)
         + sig.randomizer
         + b"".join(sig.wots_sig)
         + b"".join(sig.auth_path)
@@ -360,13 +358,11 @@ def hbs_parse_sig(params: HbsParams, data: bytes) -> HbsSignature:
             f"signature length {len(data)}, expected {expected}",
             offset=min(len(data), expected),
         )
-    leaf_index = struct.unpack(">I", data[:4])[0]
-    randomizer = data[4:36]
-    off = 36
-    n = params.n_h
-    wots = [data[off + i * n : off + (i + 1) * n] for i in range(params.l)]
-    off += params.l * n
-    auth = [data[off + i * n : off + (i + 1) * n] for i in range(params.h)]
+    r = Reader(data)
+    leaf_index = r.u32()
+    randomizer = r.take(32)
+    wots = [r.take(params.n_h) for _ in range(params.l)]
+    auth = [r.take(params.n_h) for _ in range(params.h)]
     return HbsSignature(
         leaf_index=leaf_index, randomizer=randomizer, wots_sig=wots, auth_path=auth
     )

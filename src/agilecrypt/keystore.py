@@ -86,8 +86,9 @@ class KeystoreParameters:
             raise ParameterError("keystore path must be non-empty")
         if len(self.password) < 1:
             raise ParameterError("password must have at least 1 character")
-        if self.iterations < 1:
-            raise ParameterError("iteration count must be >= 1")
+        if not 1 <= self.iterations <= 0xFFFFFFFF:
+            # The file header stores the count as a u32.
+            raise ParameterError("iteration count must be in [1, 2^32 - 1]")
 
 
 @dataclass

@@ -158,8 +158,10 @@ def envelope_seal(
         registry_version=signer.registry_version,
     )
     header_bytes = encode_header(header)
+    # A damaged recipient key must fail before signing uses a leaf.
+    kem_pk = (providers or _DEFAULT_PROVIDERS).resolve(enc_id).parse_pk(kem_params, raw_pub)
     _, _, raw_sig = parse_blob(signer.sign(header_bytes + message))
-    kem_ct, keys = hybrid_encap(kem_params, raw_pub, rng, providers)
+    kem_ct, keys = hybrid_encap(kem_pk, rng, providers)
     sealed = seal_record(keys, 0, header_bytes, message + raw_sig)
     return Envelope(header=header, kem_ct=kem_ct, sealed_body=sealed)
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..cbkem import KemParams, kem_parse_pk
+from ..cbkem import KemParams, KemPublicKey, kem_parse_pk
 from ..codec import Reader, decode_text, encode_text, vec8, vec16, vec32
 from ..errors import MalformedEncoding, ParameterError
 from ..hbs import (
@@ -106,17 +106,21 @@ def parse_certificate(data: bytes) -> Certificate:
     )
 
 
-def verify_certificate(cert: Certificate, trusted_roots: tuple[bytes, ...]) -> bool:
-    """Issuer signature valid under a trusted root, and the embedded KEM
-    key structurally sound for its declared algorithm."""
+def verify_certificate(
+    cert: Certificate, trusted_roots: tuple[bytes, ...]
+) -> KemPublicKey | None:
+    """Check that the issuer signature is valid under a trusted root and
+    that the embedded KEM key parses for its declared algorithm.  Returns
+    that parsed key, so a caller can encapsulate to it without parsing
+    the (megabyte-scale) key again, or None when any check fails."""
     if cert.issuer_root not in trusted_roots:
-        return False
+        return None
     try:
         sig_params = HbsParams.from_algorithm_id(cert.hbs_algorithm_id)
         kem_params = KemParams.from_algorithm_id(cert.kem_algorithm_id)
-        kem_parse_pk(kem_params, cert.kem_public_key)
+        kem_pk = kem_parse_pk(kem_params, cert.kem_public_key)
     except (ParameterError, MalformedEncoding):
-        return False
+        return None
     body = _signed_portion(
         cert.subject,
         cert.kem_algorithm_id,
@@ -124,4 +128,5 @@ def verify_certificate(cert: Certificate, trusted_roots: tuple[bytes, ...]) -> b
         cert.hbs_algorithm_id,
         cert.issuer_root,
     )
-    return hbs_verify(cert.issuer_root, sig_params, body, cert.issuer_signature)
+    valid = hbs_verify(cert.issuer_root, sig_params, body, cert.issuer_signature)
+    return kem_pk if valid else None

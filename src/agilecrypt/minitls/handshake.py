@@ -7,6 +7,10 @@ shared secret becomes the premaster.  Both sides advertise their
 security-level template in a hello extension; any divergence aborts the
 handshake before a single key-exchange byte is sent.
 
+Both roles run through one driver, ``_handshake``, which owns the record
+layer, the transcript and the mapping of failures to alerts; the two
+flows differ only in their message order.
+
 At most one alert is ever sent per connection and every alert is fatal,
 so close_notify does not exist here.
 """
@@ -14,7 +18,9 @@ so close_notify does not exist here.
 from __future__ import annotations
 
 import hmac
+from collections.abc import Callable
 from dataclasses import dataclass
+from typing import NoReturn
 
 from ..cbkem import (
     KemParams,
@@ -22,7 +28,6 @@ from ..cbkem import (
     kem_decap,
     kem_encap,
     kem_parse_ct,
-    kem_parse_pk,
     kem_serialize_ct,
 )
 from ..easyapi import (
@@ -148,8 +153,7 @@ def finished_verify_data(master_secret: bytes, label: str, transcript_hash: byte
 # ---------------------------------------------------------------------------
 
 def build_template_info(registry: TemplateRegistry, level: SecurityLevel) -> TemplateInfo:
-    sig = template_resolve(registry, TemplateKind.SIGNATURE, level)
-    enc = template_resolve(registry, TemplateKind.ENCRYPTION, level)
+    sig, enc = _local_templates(registry, level)
     return TemplateInfo(
         registry_version=registry.version,
         level=int(level),
@@ -174,8 +178,10 @@ def template_divergence(
     string classifying the drift."""
     local_sig, local_enc = _local_templates(registry, level)
     problems = []
-    for label, local in (("signature", local_sig), ("encryption", local_enc)):
-        remote_id = remote.sig_id if label == "signature" else remote.enc_id
+    for label, local, remote_id in (
+        ("signature", local_sig, remote.sig_id),
+        ("encryption", local_enc, remote.enc_id),
+    ):
         verdict = compatibility_check(local, remote_id, remote.registry_version)
         if verdict is not CompatibilityResult.COMPATIBLE:
             problems.append(
@@ -192,6 +198,20 @@ def template_divergence(
 # Handshake plumbing
 # ---------------------------------------------------------------------------
 
+def _send_fragmented(record: RecordLayer, content_type: ContentType, data: bytes) -> None:
+    """One record per MAX_RECORD_PLAINTEXT bytes of ``data``."""
+    for start in range(0, len(data), MAX_RECORD_PLAINTEXT):
+        record.send(content_type, data[start : start + MAX_RECORD_PLAINTEXT])
+
+
+def _send_fatal_alert(record: RecordLayer, description: AlertDescription) -> None:
+    """Best effort: the connection is going down either way."""
+    try:
+        record.send(ContentType.ALERT, encode_alert(description))
+    except (AgilecryptError, OSError):
+        pass
+
+
 class HandshakeChannel:
     """Fragments outgoing handshake messages, reassembles incoming ones,
     and feeds the transcript."""
@@ -204,8 +224,7 @@ class HandshakeChannel:
     def send_message(self, hs_type: HandshakeType, body: bytes) -> None:
         msg = encode_handshake_message(hs_type, body)
         self.transcript.add_message(_HS_NAMES[hs_type], "sent", msg)
-        for start in range(0, len(msg), MAX_RECORD_PLAINTEXT):
-            self.record.send(ContentType.HANDSHAKE, msg[start : start + MAX_RECORD_PLAINTEXT])
+        _send_fragmented(self.record, ContentType.HANDSHAKE, msg)
 
     def _fill(self, needed: int) -> None:
         while len(self._buffer) < needed:
@@ -246,12 +265,9 @@ class HandshakeChannel:
         self.transcript.note_ccs("received")
 
 
-def _abort(channel: HandshakeChannel, description: AlertDescription, reason: str) -> None:
+def _abort(channel: HandshakeChannel, description: AlertDescription, reason: str) -> NoReturn:
     """Send the fatal alert (best effort) and raise."""
-    try:
-        channel.record.send(ContentType.ALERT, encode_alert(description))
-    except (AgilecryptError, OSError):
-        pass
+    _send_fatal_alert(channel.record, description)
     raise TlsAlertSent(description, reason)
 
 
@@ -320,10 +336,7 @@ class TlsSession:
     def send(self, data: bytes) -> None:
         if not self._open:
             raise ConnectionClosed("session is closed")
-        for start in range(0, len(data), MAX_RECORD_PLAINTEXT):
-            self.record.send(
-                ContentType.APPLICATION_DATA, data[start : start + MAX_RECORD_PLAINTEXT]
-            )
+        _send_fragmented(self.record, ContentType.APPLICATION_DATA, data)
 
     def recv(self) -> bytes:
         """One record's worth of application data."""
@@ -361,10 +374,7 @@ class TlsSession:
 
     def _teardown(self, alert: AlertDescription | None) -> None:
         if self._open and alert is not None:
-            try:
-                self.record.send(ContentType.ALERT, encode_alert(alert))
-            except (AgilecryptError, OSError):
-                pass
+            _send_fatal_alert(self.record, alert)
         self._open = False
         self.keys.zeroize()
         try:
@@ -387,6 +397,22 @@ class TlsSession:
 # ---------------------------------------------------------------------------
 
 def client_handshake(transport: Transport, config: ClientTlsConfig) -> TlsSession:
+    return _handshake("client", transport, config, _client_flow)
+
+
+def server_handshake(transport: Transport, config: ServerTlsConfig) -> TlsSession:
+    return _handshake("server", transport, config, _server_flow)
+
+
+def _handshake(
+    role: str,
+    transport: Transport,
+    config: ClientTlsConfig | ServerTlsConfig,
+    flow: Callable[..., tuple[int, SessionKeys]],
+) -> TlsSession:
+    """Run one side's ``flow`` over a fresh record layer.  Decoding and
+    record-protection failures become fatal alerts, and the transcript
+    is finished on every outcome."""
     rng = config.rng if config.rng is not None else SystemRng()
     record = RecordLayer(transport)
     transcript = HandshakeTranscript()
@@ -395,21 +421,58 @@ def client_handshake(transport: Transport, config: ClientTlsConfig) -> TlsSessio
     transcript.local_template = local_info
     try:
         try:
-            suite, keys = _client_flow(channel, config, rng, local_info)
+            suite, keys = flow(channel, config, rng, local_info)
         except MalformedEncoding as exc:
             _abort(channel, AlertDescription.HANDSHAKE_FAILURE, str(exc))
         except (BadMac, BadPadding) as exc:
             _abort(channel, AlertDescription.BAD_RECORD_MAC, str(exc))
-    except TlsError as exc:
-        transcript.finish(aborted=True, alert=_alert_code(exc))
-        exc.transcript = transcript
-        raise
-    except ConnectionClosed as exc:
-        transcript.finish(aborted=True)
+    except (TlsError, ConnectionClosed) as exc:
+        # Only the alert exceptions carry a description.
+        description = getattr(exc, "description", None)
+        transcript.finish(aborted=True, alert=None if description is None else int(description))
         exc.transcript = transcript
         raise
     transcript.finish(suite=suite, aborted=False)
-    return TlsSession("client", record, keys, transcript, suite)
+    return TlsSession(role, record, keys, transcript, suite)
+
+
+def _accept_remote_template(
+    channel: HandshakeChannel,
+    config: ClientTlsConfig | ServerTlsConfig,
+    remote: TemplateInfo | None,
+    peer: str,
+) -> None:
+    if remote is None:
+        _abort(channel, AlertDescription.HANDSHAKE_FAILURE, f"{peer} sent no template info")
+    channel.transcript.remote_template = remote
+    reason = template_divergence(config.registry, config.level, remote)
+    if reason is not None:
+        _abort(channel, AlertDescription.TEMPLATE_MISMATCH, reason)
+
+
+# RFC 5246 §7.4.9: both Finished messages are the PRF over the transcript
+# so far, told apart by the sender's label and sent under its keys.
+
+def _send_finished(channel: HandshakeChannel, keys: SessionKeys, sender: str) -> None:
+    channel.send_ccs()
+    channel.record.enable_send_protection(getattr(keys, sender))
+    own_hash = channel.transcript.transcript_hash()
+    channel.send_message(
+        HandshakeType.FINISHED,
+        encode_finished_body(
+            finished_verify_data(keys.master_secret, f"{sender} finished", own_hash)
+        ),
+    )
+
+
+def _recv_finished(channel: HandshakeChannel, keys: SessionKeys, sender: str) -> None:
+    peer_hash = channel.transcript.transcript_hash()
+    channel.recv_ccs()
+    channel.record.enable_recv_protection(getattr(keys, sender))
+    body = _expect(channel, HandshakeType.FINISHED)
+    expected = finished_verify_data(keys.master_secret, f"{sender} finished", peer_hash)
+    if not hmac.compare_digest(decode_finished_body(body), expected):
+        _abort(channel, AlertDescription.DECRYPT_ERROR, f"{sender} Finished verification failed")
 
 
 def _client_flow(
@@ -418,7 +481,6 @@ def _client_flow(
     rng: Rng,
     local_info: TemplateInfo,
 ) -> tuple[int, SessionKeys]:
-    transcript = channel.transcript
     client_random = rng.random_bytes(32)
     hello = ClientHello(
         random=client_random,
@@ -427,98 +489,47 @@ def _client_flow(
     )
     channel.send_message(HandshakeType.CLIENT_HELLO, hello.encode())
 
-    body = _expect(channel, HandshakeType.SERVER_HELLO)
-    server_hello = ServerHello.decode(body)
+    server_hello = ServerHello.decode(_expect(channel, HandshakeType.SERVER_HELLO))
     if server_hello.cipher_suite not in config.offered_suites:
         _abort(
             channel,
             AlertDescription.HANDSHAKE_FAILURE,
             f"server chose unoffered suite 0x{server_hello.cipher_suite:04X}",
         )
-    if server_hello.template_info is None:
-        _abort(channel, AlertDescription.HANDSHAKE_FAILURE, "server sent no template info")
-    transcript.remote_template = server_hello.template_info
-    reason = template_divergence(config.registry, config.level, server_hello.template_info)
-    if reason is not None:
-        _abort(channel, AlertDescription.TEMPLATE_MISMATCH, reason)
-    local_sig, local_enc = _local_templates(config.registry, config.level)
+    _accept_remote_template(channel, config, server_hello.template_info, "server")
 
     body = _expect(channel, HandshakeType.CERTIFICATE)
     try:
         certificate = parse_certificate(decode_certificate_body(body))
     except MalformedEncoding as exc:
         _abort(channel, AlertDescription.BAD_CERTIFICATE, f"unparseable certificate: {exc}")
-    if certificate.kem_algorithm_id != local_enc.algorithm_id:
+    if certificate.kem_algorithm_id != local_info.enc_id:
         _abort(
             channel,
             AlertDescription.BAD_CERTIFICATE,
             "certificate key algorithm differs from negotiated template",
         )
-    if certificate.hbs_algorithm_id != local_sig.algorithm_id:
+    if certificate.hbs_algorithm_id != local_info.sig_id:
         _abort(
             channel,
             AlertDescription.BAD_CERTIFICATE,
             "certificate signature algorithm differs from negotiated template",
         )
-    if not verify_certificate(certificate, config.trusted_roots):
+    kem_pk = verify_certificate(certificate, config.trusted_roots)
+    if kem_pk is None:
         _abort(channel, AlertDescription.BAD_CERTIFICATE, "certificate verification failed")
-    kem_params = KemParams.from_algorithm_id(certificate.kem_algorithm_id)
-    kem_pk = kem_parse_pk(kem_params, certificate.kem_public_key)
 
-    body = _expect(channel, HandshakeType.SERVER_HELLO_DONE)
-    decode_server_hello_done_body(body)
+    decode_server_hello_done_body(_expect(channel, HandshakeType.SERVER_HELLO_DONE))
 
-    ciphertext, premaster = kem_encap(kem_pk, kem_params, rng)
+    ciphertext, premaster = kem_encap(kem_pk, kem_pk.params, rng)
     channel.send_message(
         HandshakeType.CLIENT_KEY_EXCHANGE,
-        encode_client_key_exchange_body(kem_serialize_ct(kem_params, ciphertext)),
+        encode_client_key_exchange_body(kem_serialize_ct(kem_pk.params, ciphertext)),
     )
     keys = derive_session_keys(premaster, client_random, server_hello.random)
-
-    channel.send_ccs()
-    channel.record.enable_send_protection(keys.client)
-    own_hash = transcript.transcript_hash()
-    channel.send_message(
-        HandshakeType.FINISHED,
-        encode_finished_body(
-            finished_verify_data(keys.master_secret, "client finished", own_hash)
-        ),
-    )
-
-    peer_hash = transcript.transcript_hash()
-    channel.recv_ccs()
-    channel.record.enable_recv_protection(keys.server)
-    body = _expect(channel, HandshakeType.FINISHED)
-    expected = finished_verify_data(keys.master_secret, "server finished", peer_hash)
-    if not hmac.compare_digest(decode_finished_body(body), expected):
-        _abort(channel, AlertDescription.DECRYPT_ERROR, "server Finished verification failed")
+    _send_finished(channel, keys, "client")
+    _recv_finished(channel, keys, "server")
     return server_hello.cipher_suite, keys
-
-
-def server_handshake(transport: Transport, config: ServerTlsConfig) -> TlsSession:
-    rng = config.rng if config.rng is not None else SystemRng()
-    record = RecordLayer(transport)
-    transcript = HandshakeTranscript()
-    channel = HandshakeChannel(record, transcript)
-    local_info = build_template_info(config.registry, config.level)
-    transcript.local_template = local_info
-    try:
-        try:
-            suite, keys = _server_flow(channel, config, rng, local_info)
-        except MalformedEncoding as exc:
-            _abort(channel, AlertDescription.HANDSHAKE_FAILURE, str(exc))
-        except (BadMac, BadPadding) as exc:
-            _abort(channel, AlertDescription.BAD_RECORD_MAC, str(exc))
-    except TlsError as exc:
-        transcript.finish(aborted=True, alert=_alert_code(exc))
-        exc.transcript = transcript
-        raise
-    except ConnectionClosed as exc:
-        transcript.finish(aborted=True)
-        exc.transcript = transcript
-        raise
-    transcript.finish(suite=suite, aborted=False)
-    return TlsSession("server", record, keys, transcript, suite)
 
 
 def _server_flow(
@@ -527,18 +538,11 @@ def _server_flow(
     rng: Rng,
     local_info: TemplateInfo,
 ) -> tuple[int, SessionKeys]:
-    transcript = channel.transcript
-    body = _expect(channel, HandshakeType.CLIENT_HELLO)
-    hello = ClientHello.decode(body)
+    hello = ClientHello.decode(_expect(channel, HandshakeType.CLIENT_HELLO))
     suite = next((s for s in hello.cipher_suites if s in config.supported_suites), None)
     if suite is None:
         _abort(channel, AlertDescription.HANDSHAKE_FAILURE, "no common cipher suite")
-    if hello.template_info is None:
-        _abort(channel, AlertDescription.HANDSHAKE_FAILURE, "client sent no template info")
-    transcript.remote_template = hello.template_info
-    reason = template_divergence(config.registry, config.level, hello.template_info)
-    if reason is not None:
-        _abort(channel, AlertDescription.TEMPLATE_MISMATCH, reason)
+    _accept_remote_template(channel, config, hello.template_info, "client")
 
     server_random = rng.random_bytes(32)
     channel.send_message(
@@ -562,27 +566,6 @@ def _server_flow(
     except (MalformedEncoding, InvalidCiphertext) as exc:
         _abort(channel, AlertDescription.INVALID_CIPHERTEXT, f"key exchange rejected: {exc}")
     keys = derive_session_keys(premaster, hello.random, server_random)
-
-    peer_hash = transcript.transcript_hash()
-    channel.recv_ccs()
-    channel.record.enable_recv_protection(keys.client)
-    body = _expect(channel, HandshakeType.FINISHED)
-    expected = finished_verify_data(keys.master_secret, "client finished", peer_hash)
-    if not hmac.compare_digest(decode_finished_body(body), expected):
-        _abort(channel, AlertDescription.DECRYPT_ERROR, "client Finished verification failed")
-
-    channel.send_ccs()
-    channel.record.enable_send_protection(keys.server)
-    own_hash = transcript.transcript_hash()
-    channel.send_message(
-        HandshakeType.FINISHED,
-        encode_finished_body(
-            finished_verify_data(keys.master_secret, "server finished", own_hash)
-        ),
-    )
+    _recv_finished(channel, keys, "client")
+    _send_finished(channel, keys, "server")
     return suite, keys
-
-
-def _alert_code(exc: TlsError) -> int | None:
-    description = getattr(exc, "description", None)
-    return int(description) if description is not None else None

@@ -1,14 +1,17 @@
 """Byte-exact outputs for fixed seeds at LOW.
 
 Each case hashes the bytes one encoder produces from a fixed
-``DeterministicRng`` seed.  Refactoring the codecs, the key-material
-split or the hybrid step must leave every digest as it is: a changed
-digest means a documented byte layout changed.
+``DeterministicRng`` seed; the handshake case hashes everything each
+side of a loopback handshake writes.  Refactoring the codecs, the
+key-material split, the hybrid step or the handshake driver must leave
+every digest as it is: a changed digest means a documented byte layout
+changed.
 """
 
 from __future__ import annotations
 
 import hashlib
+import threading
 
 import pytest
 
@@ -28,7 +31,18 @@ from agilecrypt.keystore import (
     keystore_create,
 )
 from agilecrypt.mailenv import envelope_encode, envelope_open, envelope_seal
-from agilecrypt.minitls import ClientHello, TemplateInfo, encode_certificate, issue_certificate
+from agilecrypt.minitls import (
+    ClientHello,
+    ClientTlsConfig,
+    ServerTlsConfig,
+    TemplateInfo,
+    Transport,
+    client_handshake,
+    encode_certificate,
+    issue_certificate,
+    server_handshake,
+    transport_pair,
+)
 from agilecrypt.minitls.wire import SUITE_0x1306, HandshakeType, encode_handshake_message
 from agilecrypt.primitives import DeterministicRng
 
@@ -43,6 +57,8 @@ _PINNED = {
     "keystore": "2a03dbb077a851ef026d3ae17e18a68e1c372c73038bf9110c68a0c2c4eb1a11",
     "certificate": "23dc00281f00f087fd59f33040fd521483b9fa0ed7f5c0c87b1870ff30896595",
     "client_hello": "082ddfc235f7b27208ab0a80ff95f21ba0d246c9063cb73c2598abd151b9a750",
+    "handshake_client_to_server": "a90f2f8abe1dd88eaa19a9f503a1e12ee7077961e4c54a31dfbdb8b6c530a85e",
+    "handshake_server_to_client": "b54710493701adec7cefe041d3e6ccf5f437bc27da0844d0b118bcb6a4df2156",
 }
 
 
@@ -129,3 +145,60 @@ def test_client_hello_is_pinned():
     )
     wire = encode_handshake_message(HandshakeType.CLIENT_HELLO, hello.encode())
     assert _digest(wire) == _PINNED["client_hello"]
+
+
+class _RecordingTransport(Transport):
+    """Passes through to ``inner`` and keeps a copy of every byte written."""
+
+    def __init__(self, inner: Transport):
+        self.inner = inner
+        self.written = bytearray()
+
+    def read_exact(self, n: int) -> bytes:
+        return self.inner.read_exact(n)
+
+    def write(self, data: bytes) -> None:
+        self.written.extend(data)
+        self.inner.write(data)
+
+    def close(self) -> None:
+        self.inner.close()
+
+
+def test_handshake_byte_stream_is_pinned():
+    """Both directions of a whole LOW handshake, protected Finished
+    records included."""
+    rng = _rng("handshake-material")
+    ca = hbs.hbs_keygen(_SIG_AP.params, rng)
+    kem = cbkem.kem_keygen(_ENC_AP.params, rng)
+    cert = issue_certificate(
+        ca, "pinned.example", _ENC_AP.algorithm_id, cbkem.kem_serialize_pk(kem.pk), rng
+    )
+    client_end, server_end = (_RecordingTransport(t) for t in transport_pair(timeout=30.0))
+    server_config = ServerTlsConfig(
+        registry=_REGISTRY,
+        level=SecurityLevel.LOW,
+        certificate=cert,
+        kem_secret=kem.sk,
+        rng=_rng("handshake-server"),
+    )
+    client_config = ClientTlsConfig(
+        registry=_REGISTRY,
+        level=SecurityLevel.LOW,
+        trusted_roots=(ca.root,),
+        rng=_rng("handshake-client"),
+    )
+    server_result = {}
+    server = threading.Thread(
+        target=lambda: server_result.update(
+            session=server_handshake(server_end, server_config)
+        ),
+        daemon=True,
+    )
+    server.start()
+    client_handshake(client_end, client_config).close()
+    server.join(timeout=60.0)
+    assert not server.is_alive(), "server side of the handshake hung"
+    server_result["session"].close()
+    assert _digest(client_end.written) == _PINNED["handshake_client_to_server"]
+    assert _digest(server_end.written) == _PINNED["handshake_server_to_client"]

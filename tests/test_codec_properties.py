@@ -1,21 +1,48 @@
-"""Property tests for the decoders built on agilecrypt.codec.
+"""Property tests for every decoder of a byte or text format.
 
 For each format: encoding a value and decoding the bytes gives the value
 back, and any byte string (random, or a valid encoding truncated, with a
 byte replaced, or extended) either decodes or raises the one documented
 error: MalformedEncoding, or MalformedStore for the keystore entry table.
+The registry text gets the same treatment with strings instead of bytes.
 Hypothesis runs derandomized with a fixed example budget, so every run
 checks the same inputs.
 """
 
 from __future__ import annotations
 
+import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from agilecrypt.easyapi import frame_blob, parse_blob
+from agilecrypt.cbkem import (
+    KemCiphertext,
+    KemParams,
+    KemPublicKey,
+    kem_parse_ct,
+    kem_parse_pk,
+    kem_serialize_ct,
+    kem_serialize_pk,
+)
+from agilecrypt.easyapi import (
+    SecurityLevel,
+    TemplateKind,
+    TemplateRegistry,
+    frame_blob,
+    parse_blob,
+    parse_registry_text,
+)
 from agilecrypt.errors import MalformedEncoding, MalformedStore
-from agilecrypt.hbs import HbsParams, hbs_parse_sig
+from agilecrypt.hbs import (
+    HbsKeyPair,
+    HbsMode,
+    HbsParams,
+    HbsSignature,
+    hbs_export_public,
+    hbs_parse_public,
+    hbs_parse_sig,
+    hbs_serialize_sig,
+)
 from agilecrypt.keystore import EntryState, KeystoreEntry, _decode_table, _encode_table
 from agilecrypt.mailenv import Envelope, EnvelopeHeader, envelope_decode, envelope_encode
 from agilecrypt.minitls import (
@@ -47,7 +74,11 @@ def _utf8(max_size: int = 20):
 @st.composite
 def _mutated(draw, encodings):
     """A valid encoding, then truncated, one byte replaced, or extended."""
-    raw = bytearray(draw(encodings))
+    return _mutate(draw, draw(encodings))
+
+
+def _mutate(draw, encoding: bytes) -> bytes:
+    raw = bytearray(encoding)
     how = draw(st.sampled_from(["truncate", "replace", "extend"]))
     if how == "truncate":
         return bytes(raw[: draw(st.integers(0, max(0, len(raw) - 1)))])
@@ -145,6 +176,72 @@ def _entry_tables(draw):
 
 _BLOB = st.tuples(_ascii(min_size=1, max_size=255), _U32, st.binary(max_size=64))
 
+# Small KEM and HBS parameter sets keep the keys and signatures short.
+_KEM_PARAMS = st.builds(KemParams, m=st.integers(2, 6), b=st.integers(1, 4))
+_SIG_PARAMS = st.builds(
+    HbsParams,
+    n_h=st.sampled_from([16, 32]),
+    w=st.sampled_from([2, 4, 16, 256]),
+    h=st.integers(4, 16),
+    mode=st.sampled_from(list(HbsMode)),
+)
+
+
+@st.composite
+def _kem_ciphertexts(draw):
+    params = draw(_KEM_PARAMS)
+    syndromes = draw(st.lists(st.integers(0, params.n), min_size=params.b, max_size=params.b))
+    return params, KemCiphertext(syndromes=syndromes)
+
+
+@st.composite
+def _kem_public_keys(draw):
+    params = draw(_KEM_PARAMS)
+    column = st.integers(0, (1 << params.m) - 1)
+    blocks = [
+        np.array(draw(st.lists(column, min_size=params.k, max_size=params.k)), dtype=np.uint32)
+        for _ in range(params.b)
+    ]
+    return KemPublicKey(params=params, blocks=blocks)
+
+
+@st.composite
+def _hbs_signatures(draw):
+    params = draw(_SIG_PARAMS)
+    node = st.binary(min_size=params.n_h, max_size=params.n_h)
+    signature = HbsSignature(
+        leaf_index=draw(_U32),
+        randomizer=draw(st.binary(min_size=32, max_size=32)),
+        wots_sig=draw(st.lists(node, min_size=params.l, max_size=params.l)),
+        auth_path=draw(st.lists(node, min_size=params.h, max_size=params.h)),
+    )
+    return params, signature
+
+
+@st.composite
+def _hbs_public_keys(draw):
+    params = draw(_SIG_PARAMS)
+    root = draw(st.binary(min_size=params.n_h, max_size=params.n_h))
+    return HbsKeyPair(seed=bytes(32), root=root, params=params)
+
+
+_REGISTRY = st.builds(
+    TemplateRegistry,
+    version=_U32,
+    issued=st.dates(),
+    entries=st.fixed_dictionaries(
+        {
+            (kind, level): st.sampled_from(
+                ["SPX-TOY-16-16-4-S", "SPX-TOY-32-16-12-SL", "SPX-TOY-16-4-8-S"]
+                if kind is TemplateKind.SIGNATURE
+                else ["CME-TOY-10-8", "CME-TOY-13-16", "CME-TOY-16-10"]
+            )
+            for kind in TemplateKind
+            for level in SecurityLevel
+        }
+    ),
+)
+
 
 # ---------------------------------------------------------------------------
 # Round trips
@@ -184,6 +281,38 @@ def test_entry_table_roundtrip(entries):
 @given(_BLOB)
 def test_blob_roundtrip(parts):
     assert parse_blob(frame_blob(*parts)) == parts
+
+
+@_PROPERTY
+@given(_kem_ciphertexts())
+def test_kem_ciphertext_roundtrip(case):
+    params, ct = case
+    assert kem_parse_ct(params, kem_serialize_ct(params, ct)) == ct
+
+
+@_PROPERTY
+@given(_kem_public_keys())
+def test_kem_public_key_roundtrip(pk):
+    assert kem_parse_pk(pk.params, kem_serialize_pk(pk)) == pk
+
+
+@_PROPERTY
+@given(_hbs_signatures())
+def test_hbs_signature_roundtrip(case):
+    params, sig = case
+    assert hbs_parse_sig(params, hbs_serialize_sig(sig)) == sig
+
+
+@_PROPERTY
+@given(_hbs_public_keys())
+def test_hbs_public_key_roundtrip(kp):
+    assert hbs_parse_public(hbs_export_public(kp)) == (kp.params, kp.root)
+
+
+@_PROPERTY
+@given(_REGISTRY)
+def test_registry_text_roundtrip(registry):
+    assert parse_registry_text(registry.canonical_text()) == registry
 
 
 # ---------------------------------------------------------------------------
@@ -231,3 +360,82 @@ def test_entry_table_decoder_raises_only_malformed_store(data):
 @given(_inputs(_BLOB.map(lambda parts: frame_blob(*parts))))
 def test_blob_parser_raises_only_malformed_encoding(data):
     _decodes_or_raises(parse_blob, data, MalformedEncoding)
+
+
+@st.composite
+def _sized_inputs(draw, cases, encode, size):
+    """(params, data): data is random of any length, random of the one
+    valid length, or a mutated valid encoding, for params drawn with
+    the case."""
+    params, value = draw(cases)
+    data = draw(
+        st.one_of(
+            st.binary(max_size=300),
+            st.binary(min_size=size(params), max_size=size(params)),
+            st.just(encode(params, value)),
+        )
+    )
+    if draw(st.booleans()):
+        data = _mutate(draw, data)
+    return params, data
+
+
+@_PROPERTY
+@given(_sized_inputs(_kem_ciphertexts(), kem_serialize_ct, lambda p: p.ct_bytes))
+def test_kem_ciphertext_parser_raises_only_malformed_encoding(case):
+    params, data = case
+    _decodes_or_raises(lambda raw: kem_parse_ct(params, raw), data, MalformedEncoding)
+
+
+@_PROPERTY
+@given(
+    _sized_inputs(
+        _kem_public_keys().map(lambda pk: (pk.params, pk)),
+        lambda _, pk: kem_serialize_pk(pk),
+        lambda p: p.pk_bytes,
+    )
+)
+def test_kem_public_key_parser_raises_only_malformed_encoding(case):
+    params, data = case
+    _decodes_or_raises(lambda raw: kem_parse_pk(params, raw), data, MalformedEncoding)
+
+
+@_PROPERTY
+@given(
+    _sized_inputs(
+        _hbs_signatures(), lambda _, sig: hbs_serialize_sig(sig), lambda p: p.signature_size
+    )
+)
+def test_hbs_signature_parser_raises_only_malformed_encoding(case):
+    params, data = case
+    _decodes_or_raises(lambda raw: hbs_parse_sig(params, raw), data, MalformedEncoding)
+
+
+@_PROPERTY
+@given(_inputs(_hbs_public_keys().map(hbs_export_public)))
+def test_hbs_public_key_parser_raises_only_malformed_encoding(data):
+    _decodes_or_raises(hbs_parse_public, data, MalformedEncoding)
+
+
+@st.composite
+def _registry_texts(draw):
+    """Arbitrary text, or a canonical registry text with one line
+    dropped, one character replaced, or text appended."""
+    if draw(st.booleans()):
+        return draw(st.text(max_size=300))
+    text = draw(_REGISTRY).canonical_text()
+    how = draw(st.sampled_from(["drop", "replace", "extend"]))
+    if how == "drop":
+        lines = text.splitlines(keepends=True)
+        del lines[draw(st.integers(0, len(lines) - 1))]
+        return "".join(lines)
+    if how == "replace":
+        at = draw(st.integers(0, len(text) - 1))
+        return text[:at] + draw(st.characters()) + text[at + 1 :]
+    return text + draw(st.text(min_size=1, max_size=40))
+
+
+@_PROPERTY
+@given(_registry_texts())
+def test_registry_text_parser_raises_only_malformed_encoding(text):
+    _decodes_or_raises(parse_registry_text, text, MalformedEncoding)

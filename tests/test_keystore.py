@@ -365,3 +365,10 @@ def test_password_policy():
         KeystoreParameters(path="x", password="")
     with pytest.raises(ParameterError):
         KeystoreParameters(path="", password="p")
+
+
+@pytest.mark.parametrize("iterations", [0, 2**32])
+def test_iteration_count_must_fit_the_header(iterations):
+    with pytest.raises(ParameterError):
+        KeystoreParameters(path="ks", password="p", iterations=iterations)
+    assert KeystoreParameters(path="ks", password="p", iterations=2**32 - 1).iterations

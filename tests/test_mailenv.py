@@ -23,7 +23,7 @@ from agilecrypt.errors import (
     BadSignature,
     MalformedEncoding,
 )
-from agilecrypt.keystore import KeystoreParameters, keystore_open
+from agilecrypt.keystore import EntryState, KeystoreParameters, keystore_open
 from agilecrypt.mailenv import (
     ENVELOPE_EXTENSION,
     Envelope,
@@ -183,6 +183,19 @@ def test_oversize_header_id_rejected_before_signing(tmp_path, field):
     assert signer.store.get_entry(signer.alias).state == before
     with keystore_open(_ksp(tmp_path, "sender.ks"), read_only=True) as stored:
         assert stored.get_entry(signer.alias).state == before
+    signer.close()
+    recipient.close()
+
+
+def test_damaged_recipient_key_rejected_before_signing(tmp_path):
+    signer, recipient, rng = _parties(tmp_path, seed=b"cut-key")
+    cut_blob = recipient.public_blob[:-1]
+    with pytest.raises(MalformedEncoding):
+        envelope_seal(signer, cut_blob, b"m", rng=rng)
+    unused = EntryState(next_leaf=0, reserved_until=0)
+    assert signer.store.get_entry(signer.alias).state == unused
+    with keystore_open(_ksp(tmp_path, "sender.ks"), read_only=True) as stored:
+        assert stored.get_entry(signer.alias).state == unused
     signer.close()
     recipient.close()
 

@@ -7,10 +7,12 @@ import hashlib
 import hmac as hmac_mod
 import socket
 import struct
+import sys
 import threading
 
 import pytest
 
+from agilecrypt import cbkem
 from agilecrypt.cbkem import KemParams, kem_keygen, kem_serialize_pk
 from agilecrypt.easyapi import (
     SecurityLevel,
@@ -181,6 +183,22 @@ def test_loopback_handshake_and_echo(low_material):
     assert server_seq == [
         (m, "sent" if d == "received" else "received") for m, d in sequence
     ]
+
+
+def test_client_parses_the_certificate_kem_key_once(low_material, monkeypatch):
+    """The key verify_certificate parsed is the one the client encapsulates to."""
+    calls = []
+
+    def counting_parse_pk(params, data):
+        calls.append(threading.get_ident())
+        return cbkem.kem_parse_pk(params, data)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("agilecrypt.minitls") and hasattr(module, "kem_parse_pk"):
+            monkeypatch.setattr(module, "kem_parse_pk", counting_parse_pk)
+    results = _loopback(_client_cfg(low_material), _server_cfg(low_material))
+    assert "client_exc" not in results and "server_exc" not in results
+    assert calls == [threading.get_ident()]
 
 
 def test_loopback_one_megabyte_transfer(low_material):
