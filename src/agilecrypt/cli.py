@@ -324,13 +324,57 @@ def _echo_until_closed(session) -> None:
         session.send(data)
 
 
+def _connection_outcome(failure: BaseException | None) -> str:
+    if failure is None:
+        return "ok"
+    if isinstance(failure, TlsAlertSent):
+        return "alert_sent"
+    if isinstance(failure, TlsAlertReceived):
+        return "alert_received"
+    if isinstance(failure, ConnectionClosed):
+        return "closed"
+    return "error"
+
+
 def _serve_connection(conn: socket.socket, config: ServerTlsConfig, timeout: float | None):
+    """Handshake, then echo until the peer closes.  The socket is closed
+    on every outcome and one JSON line per connection goes to standard
+    error; a failure is re-raised once its line is written."""
+    started = time.monotonic()
     transport = SocketTransport(conn, timeout=timeout)
-    session = server_handshake(transport, config)
+    failure: BaseException | None = None
     try:
-        _echo_until_closed(session)
+        session = server_handshake(transport, config)
+        try:
+            _echo_until_closed(session)
+        finally:
+            session.close()
+    except BaseException as exc:
+        failure = exc
+        raise
     finally:
-        session.close()
+        transport.close()
+        line = {
+            "outcome": _connection_outcome(failure),
+            "alert": _alert_label(failure) if isinstance(failure, TlsError) else None,
+            "bytes_sent": transport.bytes_sent,
+            "bytes_received": transport.bytes_received,
+            "ms": round((time.monotonic() - started) * 1000.0, 3),
+        }
+        # One write per line, so lines from concurrent connections stay whole.
+        sys.stderr.write(json.dumps(line, sort_keys=True) + "\n")
+        sys.stderr.flush()
+
+
+def _serve_connection_quietly(
+    conn: socket.socket, config: ServerTlsConfig, timeout: float | None
+) -> None:
+    """Worker-thread body: the connection's log line already reports an
+    expected failure, so it needs no traceback."""
+    try:
+        _serve_connection(conn, config, timeout)
+    except (AgilecryptError, OSError):
+        pass
 
 
 def _cmd_tls_serve(args: argparse.Namespace) -> int:
@@ -351,7 +395,7 @@ def _cmd_tls_serve(args: argparse.Namespace) -> int:
         while True:
             conn, _ = listener.accept()
             worker = threading.Thread(
-                target=_serve_connection,
+                target=_serve_connection_quietly,
                 args=(conn, config, args.timeout),
                 daemon=True,
             )
@@ -468,6 +512,10 @@ def aggregate_reports(reports: list[dict]) -> dict:
         "total_received": _stats([rep["total_received"] for rep in reports]),
         "duration_ms": _stats([rep["duration_ms"] for rep in reports]),
         "aborted": any(rep["aborted"] for rep in reports),
+        "records": {
+            key: _stats([rep["records"][key] for rep in reports])
+            for key in first["records"]
+        },
     }
 
 

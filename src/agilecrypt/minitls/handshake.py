@@ -11,6 +11,12 @@ Both roles run through one driver, ``_handshake``, which owns the record
 layer, the transcript and the mapping of failures to alerts; the two
 flows differ only in their message order.
 
+Each flight goes to the transport in one write: the channel frames (and,
+after ChangeCipherSpec, seals) the records of every message it sends and
+writes them together just before it next reads, before a fatal alert,
+and when the handshake returns.  The byte stream is the same as one
+write per record; only the number of writes changes.
+
 At most one alert is ever sent per connection and every alert is fatal,
 so close_notify does not exist here.
 """
@@ -18,7 +24,7 @@ so close_notify does not exist here.
 from __future__ import annotations
 
 import hmac
-from collections.abc import Callable
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 from typing import NoReturn
 
@@ -198,37 +204,60 @@ def template_divergence(
 # Handshake plumbing
 # ---------------------------------------------------------------------------
 
-def _send_fragmented(record: RecordLayer, content_type: ContentType, data: bytes) -> None:
-    """One record per MAX_RECORD_PLAINTEXT bytes of ``data``."""
-    for start in range(0, len(data), MAX_RECORD_PLAINTEXT):
-        record.send(content_type, data[start : start + MAX_RECORD_PLAINTEXT])
+def _frame_fragmented(record: RecordLayer, content_type: ContentType, data: bytes) -> list[bytes]:
+    """One framed record per MAX_RECORD_PLAINTEXT bytes of ``data``."""
+    return [
+        record.frame(content_type, data[start : start + MAX_RECORD_PLAINTEXT])
+        for start in range(0, len(data), MAX_RECORD_PLAINTEXT)
+    ]
 
 
-def _send_fatal_alert(record: RecordLayer, description: AlertDescription) -> None:
-    """Best effort: the connection is going down either way."""
+def _send_fatal_alert(
+    record: RecordLayer, description: AlertDescription, queued: Sequence[bytes] = ()
+) -> None:
+    """Best effort: the connection is going down either way.  Records
+    still ``queued`` go out first, in the same write."""
     try:
-        record.send(ContentType.ALERT, encode_alert(description))
+        alert = record.frame(ContentType.ALERT, encode_alert(description))
+        record.write(b"".join([*queued, alert]))
     except (AgilecryptError, OSError):
         pass
 
 
 class HandshakeChannel:
     """Fragments outgoing handshake messages, reassembles incoming ones,
-    and feeds the transcript."""
+    and feeds the transcript.  Outgoing records queue until ``flush``,
+    which the channel calls itself before every read."""
 
     def __init__(self, record: RecordLayer, transcript: HandshakeTranscript):
         self.record = record
         self.transcript = transcript
         self._buffer = bytearray()
+        self._flight: list[bytes] = []
 
     def send_message(self, hs_type: HandshakeType, body: bytes) -> None:
         msg = encode_handshake_message(hs_type, body)
         self.transcript.add_message(_HS_NAMES[hs_type], "sent", msg)
-        _send_fragmented(self.record, ContentType.HANDSHAKE, msg)
+        self._flight.extend(_frame_fragmented(self.record, ContentType.HANDSHAKE, msg))
+
+    def flush(self) -> None:
+        """Write every queued record in one transport write."""
+        if self._flight:
+            wire = b"".join(self._flight)
+            self._flight.clear()
+            self.record.write(wire)
+
+    def send_fatal_alert(self, description: AlertDescription) -> None:
+        _send_fatal_alert(self.record, description, self._flight)
+        self._flight.clear()
+
+    def _recv_record(self) -> tuple[ContentType, bytes]:
+        self.flush()
+        return self.record.recv()
 
     def _fill(self, needed: int) -> None:
         while len(self._buffer) < needed:
-            content_type, payload = self.record.recv()
+            content_type, payload = self._recv_record()
             if content_type == ContentType.ALERT:
                 raise TlsAlertReceived(decode_alert(payload))
             if content_type != ContentType.HANDSHAKE:
@@ -251,13 +280,13 @@ class HandshakeChannel:
         return hs_type, msg[4:]
 
     def send_ccs(self) -> None:
-        self.record.send(ContentType.CHANGE_CIPHER_SPEC, b"\x01")
+        self._flight.append(self.record.frame(ContentType.CHANGE_CIPHER_SPEC, b"\x01"))
         self.transcript.note_ccs("sent")
 
     def recv_ccs(self) -> None:
         if self._buffer:
             raise MalformedEncoding("handshake data buffered across ChangeCipherSpec")
-        content_type, payload = self.record.recv()
+        content_type, payload = self._recv_record()
         if content_type == ContentType.ALERT:
             raise TlsAlertReceived(decode_alert(payload))
         if content_type != ContentType.CHANGE_CIPHER_SPEC or payload != b"\x01":
@@ -267,7 +296,7 @@ class HandshakeChannel:
 
 def _abort(channel: HandshakeChannel, description: AlertDescription, reason: str) -> NoReturn:
     """Send the fatal alert (best effort) and raise."""
-    _send_fatal_alert(channel.record, description)
+    channel.send_fatal_alert(description)
     raise TlsAlertSent(description, reason)
 
 
@@ -336,7 +365,9 @@ class TlsSession:
     def send(self, data: bytes) -> None:
         if not self._open:
             raise ConnectionClosed("session is closed")
-        _send_fragmented(self.record, ContentType.APPLICATION_DATA, data)
+        frames = _frame_fragmented(self.record, ContentType.APPLICATION_DATA, data)
+        if frames:
+            self.record.write(b"".join(frames))
 
     def recv(self) -> bytes:
         """One record's worth of application data."""
@@ -411,8 +442,9 @@ def _handshake(
     flow: Callable[..., tuple[int, SessionKeys]],
 ) -> TlsSession:
     """Run one side's ``flow`` over a fresh record layer.  Decoding and
-    record-protection failures become fatal alerts, and the transcript
-    is finished on every outcome."""
+    record-protection failures become fatal alerts, the last flight is
+    written before returning, and the transcript is finished on every
+    outcome."""
     rng = config.rng if config.rng is not None else SystemRng()
     record = RecordLayer(transport)
     transcript = HandshakeTranscript()
@@ -422,6 +454,7 @@ def _handshake(
     try:
         try:
             suite, keys = flow(channel, config, rng, local_info)
+            channel.flush()
         except MalformedEncoding as exc:
             _abort(channel, AlertDescription.HANDSHAKE_FAILURE, str(exc))
         except (BadMac, BadPadding) as exc:
@@ -429,10 +462,12 @@ def _handshake(
     except (TlsError, ConnectionClosed) as exc:
         # Only the alert exceptions carry a description.
         description = getattr(exc, "description", None)
-        transcript.finish(aborted=True, alert=None if description is None else int(description))
+        transcript.finish(
+            record, aborted=True, alert=None if description is None else int(description)
+        )
         exc.transcript = transcript
         raise
-    transcript.finish(suite=suite, aborted=False)
+    transcript.finish(record, suite=suite, aborted=False)
     return TlsSession(role, record, keys, transcript, suite)
 
 

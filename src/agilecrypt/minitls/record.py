@@ -5,6 +5,10 @@ ChangeCipherSpec, fragments travel in the clear; afterwards each
 direction runs MAC-then-encrypt CBC through primitives.seal_record with
 its own sequence counter starting at 0.  A record whose protection fails
 is fatal: the error propagates and the connection must be torn down.
+
+Framing and writing are separate steps, so a caller can frame several
+records and hand them to the transport in one write; ``send`` does both
+for a single record.
 """
 
 from __future__ import annotations
@@ -36,6 +40,9 @@ class RecordLayer:
         self._recv_seq = 0
         self.bytes_sent = 0
         self.bytes_received = 0
+        self.records_sent = 0
+        self.records_received = 0
+        self.writes = 0
 
     def enable_send_protection(self, keys: SymmetricKeys) -> None:
         self._send_keys = keys
@@ -45,7 +52,10 @@ class RecordLayer:
         self._recv_keys = keys
         self._recv_seq = 0
 
-    def send(self, content_type: ContentType, payload: bytes) -> None:
+    def frame(self, content_type: ContentType, payload: bytes) -> bytes:
+        """One record's wire bytes, sealed if send protection is on.
+        Sealing consumes a sequence number, so frames must reach the
+        transport in the order they were made."""
         if len(payload) > MAX_RECORD_PLAINTEXT:
             raise RecordOverflow(
                 f"record payload {len(payload)} exceeds {MAX_RECORD_PLAINTEXT}"
@@ -56,9 +66,17 @@ class RecordLayer:
             self._send_seq += 1
         else:
             fragment = payload
-        wire = _HEADER.pack(content_type, TLS_VERSION, len(fragment)) + fragment
+        self.records_sent += 1
+        return _HEADER.pack(content_type, TLS_VERSION, len(fragment)) + fragment
+
+    def write(self, wire: bytes) -> None:
+        """Hand already framed records to the transport in one write."""
         self.transport.write(wire)
+        self.writes += 1
         self.bytes_sent += len(wire)
+
+    def send(self, content_type: ContentType, payload: bytes) -> None:
+        self.write(self.frame(content_type, payload))
 
     def recv(self) -> tuple[ContentType, bytes]:
         header = self.transport.read_exact(_HEADER.size)
@@ -75,6 +93,7 @@ class RecordLayer:
             raise MalformedEncoding(f"record length {length} exceeds limit", offset=3)
         fragment = self.transport.read_exact(length)
         self.bytes_received += _HEADER.size + length
+        self.records_received += 1
         return content_type, fragment
 
     def _recv_protected(
@@ -101,6 +120,7 @@ class RecordLayer:
         self.bytes_received += _HEADER.size + length
         payload = open_record(self._recv_keys, self._recv_seq, header[:3], fragment)
         self._recv_seq += 1
+        self.records_received += 1
         try:
             content_type = ContentType(ctype_raw)
         except ValueError:

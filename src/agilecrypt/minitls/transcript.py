@@ -3,15 +3,18 @@
 Every handshake message is logged with its direction and exact wire size
 (including the 4-byte handshake header).  ChangeCipherSpec is logged for
 the size report but excluded from the transcript hash, matching how the
-Finished computation treats it.
+Finished computation treats it.  The hash runs as messages arrive, so
+asking for it never re-reads the megabyte-scale certificate.
 """
 
 from __future__ import annotations
 
+import hashlib
 import time
 from dataclasses import dataclass, field
+from typing import Any
 
-from ..primitives import HashId, hash_data
+from .record import RecordLayer
 from .wire import SUITE_NAMES, AlertDescription, TemplateInfo
 
 
@@ -31,27 +34,41 @@ class HandshakeTranscript:
     aborted: bool = False
     alert: int | None = None
     duration_ms: float | None = None
-    _parts: list[bytes] = field(default_factory=list, repr=False)
+    # Record-layer counters, copied in when the handshake finishes.
+    records_sent: int = 0
+    records_received: int = 0
+    writes: int = 0
+    _hash: Any = field(default_factory=hashlib.sha512, repr=False)
     _started: float = field(default_factory=time.monotonic, repr=False)
 
     def add_message(self, name: str, direction: str, data: bytes) -> None:
         self.entries.append(TranscriptEntry(message=name, direction=direction, length=len(data)))
-        self._parts.append(data)
+        self._hash.update(data)
 
     def note_ccs(self, direction: str) -> None:
         # One-byte body, never part of the transcript hash.
         self.entries.append(TranscriptEntry(message="ChangeCipherSpec", direction=direction, length=1))
 
     def transcript_hash(self) -> bytes:
-        return hash_data(HashId.H512, b"".join(self._parts))
+        """SHA-512 over every message added so far."""
+        return self._hash.copy().digest()
 
-    def finish(self, suite: int | None = None, aborted: bool = False, alert: int | None = None) -> None:
+    def finish(
+        self,
+        record: RecordLayer,
+        suite: int | None = None,
+        aborted: bool = False,
+        alert: int | None = None,
+    ) -> None:
         if self.duration_ms is not None:
             return
         if suite is not None:
             self.suite = suite
         self.aborted = aborted
         self.alert = alert
+        self.records_sent = record.records_sent
+        self.records_received = record.records_received
+        self.writes = record.writes
         self.duration_ms = (time.monotonic() - self._started) * 1000.0
 
 
@@ -68,7 +85,8 @@ def _template_dict(info: TemplateInfo | None) -> dict | None:
 
 def transcript_report(t: HandshakeTranscript) -> dict:
     """JSON-ready summary: per-message sizes, totals, negotiated suite,
-    template views from both sides, duration, and abort status."""
+    template views from both sides, duration, abort status, and the
+    records and transport writes the handshake took."""
     sent = sum(e.length for e in t.entries if e.direction == "sent")
     received = sum(e.length for e in t.entries if e.direction == "received")
     alert_name = None
@@ -95,4 +113,9 @@ def transcript_report(t: HandshakeTranscript) -> dict:
         "aborted": t.aborted,
         "alert": t.alert,
         "alert_name": alert_name,
+        "records": {
+            "sent": t.records_sent,
+            "received": t.records_received,
+            "writes": t.writes,
+        },
     }

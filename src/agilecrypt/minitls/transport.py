@@ -2,8 +2,11 @@
 
 SocketTransport wraps any connected socket (TCP or socketpair), which
 also covers the in-memory case: transport_pair() returns two connected
-endpoints in one process.  BufferTransport is a single-threaded FIFO for
-tests that want to inject bytes directly without sockets.
+endpoints in one process.  On TCP it turns Nagle's algorithm off: the
+record layer already hands over whole flights, and holding back the
+small ones until the peer's delayed ACK would stall the handshake.
+BufferTransport is a single-threaded FIFO for tests that want to inject
+bytes directly without sockets.
 """
 
 from __future__ import annotations
@@ -27,11 +30,16 @@ class Transport:
 class SocketTransport(Transport):
     """Socket-backed transport.  A read timeout turns a half-dead peer
     into ConnectionClosed instead of hanging forever; pass None to block
-    indefinitely."""
+    indefinitely.  The same timeout bounds each whole write.  Byte
+    counts cover everything moved either way."""
 
     def __init__(self, sock: socket.socket, timeout: float | None = None):
         sock.settimeout(timeout)
+        if sock.family in (socket.AF_INET, socket.AF_INET6):
+            sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
         self._sock = sock
+        self.bytes_sent = 0
+        self.bytes_received = 0
 
     def read_exact(self, n: int) -> bytes:
         chunks = []
@@ -45,6 +53,7 @@ class SocketTransport(Transport):
                 raise ConnectionClosed(f"stream ended with {remaining} bytes missing")
             chunks.append(chunk)
             remaining -= len(chunk)
+            self.bytes_received += len(chunk)
         return b"".join(chunks)
 
     def write(self, data: bytes) -> None:
@@ -52,6 +61,7 @@ class SocketTransport(Transport):
             self._sock.sendall(data)
         except OSError as exc:
             raise ConnectionClosed(f"socket error while writing: {exc}") from exc
+        self.bytes_sent += len(data)
 
     def close(self) -> None:
         try:

@@ -5,14 +5,18 @@ from __future__ import annotations
 
 import hashlib
 import hmac as hmac_mod
+import json
 import socket
 import struct
 import sys
 import threading
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from agilecrypt import cbkem
+from agilecrypt.cli import _serve_connection
 from agilecrypt.cbkem import KemParams, kem_keygen, kem_serialize_pk
 from agilecrypt.easyapi import (
     SecurityLevel,
@@ -248,6 +252,94 @@ def test_handshake_over_real_tcp(low_material):
 
 
 # ---------------------------------------------------------------------------
+# Flights and transport writes
+# ---------------------------------------------------------------------------
+
+class _WriteLog(Transport):
+    """Passes through to ``inner`` and keeps every write as one item."""
+
+    def __init__(self, inner: Transport):
+        self.inner = inner
+        self.writes: list[bytes] = []
+
+    def read_exact(self, n: int) -> bytes:
+        return self.inner.read_exact(n)
+
+    def write(self, data: bytes) -> None:
+        self.writes.append(bytes(data))
+        self.inner.write(data)
+
+    def close(self) -> None:
+        self.inner.close()
+
+
+def test_each_flight_is_one_write(low_material):
+    """Client: ClientHello, then ClientKeyExchange + ChangeCipherSpec +
+    Finished.  Server: ServerHello + Certificate + ServerHelloDone, then
+    ChangeCipherSpec + Finished.  A 1 MiB send is one write too."""
+    blob = DeterministicRng(seed=b"flight blob").random_bytes(1 << 20)
+    a, b = transport_pair(timeout=_IO_TIMEOUT)
+    client_t, server_t = _WriteLog(a), _WriteLog(b)
+
+    def pump(session, results):
+        results["server_writes"] = list(server_t.writes)
+        results["received"] = session.recv_exact(len(blob))
+
+    def talk(session, results):
+        results["client_writes"] = list(client_t.writes)
+        session.send(blob)
+        results["send_writes"] = client_t.writes[len(results["client_writes"]) :]
+
+    results = _loopback(
+        _client_cfg(low_material),
+        _server_cfg(low_material),
+        transports=(client_t, server_t),
+        server_app=pump,
+        client_app=talk,
+    )
+    assert "client_exc" not in results and "server_exc" not in results
+    records_per_write = lambda writes: [len(_split_records(w)) for w in writes]  # noqa: E731
+    assert records_per_write(results["client_writes"]) == [1, 3]
+    assert records_per_write(results["server_writes"]) == [3, 2]
+    assert records_per_write(results["send_writes"]) == [64]
+    assert results["received"] == blob
+
+    client_records = transcript_report(results["client"].transcript)["records"]
+    server_records = transcript_report(results["server"].transcript)["records"]
+    assert client_records == {"sent": 4, "received": 5, "writes": 2}
+    assert server_records == {"sent": 5, "received": 4, "writes": 2}
+
+
+def _nodelay(sock: socket.socket) -> bool:
+    return sock.getsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY) != 0
+
+
+def test_tcp_transports_disable_nagle():
+    with socket.create_server(("127.0.0.1", 0)) as listener:
+        client = connect_tcp("127.0.0.1", listener.getsockname()[1], timeout=10.0)
+        conn, _ = listener.accept()
+        server = SocketTransport(conn, timeout=10.0)
+    try:
+        assert _nodelay(client._sock)
+        assert _nodelay(server._sock)
+        client.write(b"ping")
+        assert server.read_exact(4) == b"ping"
+    finally:
+        client.close()
+        server.close()
+
+    # A socketpair has no TCP options and still carries bytes.
+    left, right = transport_pair(timeout=10.0)
+    try:
+        left.write(b"pong")
+        assert right.read_exact(4) == b"pong"
+        assert (left.bytes_sent, right.bytes_received) == (4, 4)
+    finally:
+        left.close()
+        right.close()
+
+
+# ---------------------------------------------------------------------------
 # Key schedule against an independent reference
 # ---------------------------------------------------------------------------
 
@@ -296,6 +388,24 @@ def test_transcript_hash_excludes_ccs():
     assert [e.message for e in t.entries] == ["ClientHello", "ChangeCipherSpec", "Finished"]
 
 
+@settings(derandomize=True, max_examples=150, deadline=None, database=None)
+@given(st.lists(st.tuples(st.binary(max_size=64), st.booleans()), max_size=12))
+def test_transcript_hash_tracks_the_concatenation(steps):
+    """After every message the hash is SHA-512 of all messages so far;
+    ChangeCipherSpec never moves it."""
+    t = HandshakeTranscript()
+    so_far = b""
+    assert t.transcript_hash() == hashlib.sha512(b"").digest()
+    for data, ccs_after in steps:
+        t.add_message("Finished", "sent", data)
+        so_far += data
+        expected = hashlib.sha512(so_far).digest()
+        assert t.transcript_hash() == expected
+        if ccs_after:
+            t.note_ccs("received")
+            assert t.transcript_hash() == expected
+
+
 # ---------------------------------------------------------------------------
 # Template drift and negotiation failures
 # ---------------------------------------------------------------------------
@@ -334,6 +444,48 @@ def test_registry_drift_aborts_before_key_exchange(low_material):
         assert "ClientKeyExchange" not in names
         assert "Certificate" not in names
         assert report["total_bytes"] > 0  # partial sizes still reported
+
+
+def test_serve_connection_closes_and_logs_a_failed_handshake(low_material, capsys):
+    """A drifted client against the tls-serve connection handler: the
+    server's socket ends up closed and standard error holds one JSON
+    line naming the alert."""
+    server_sock, client_sock = socket.socketpair()
+    server_cfg = _server_cfg(
+        low_material, registry=builtin_registry(2), level=SecurityLevel.HIGH
+    )
+    client_cfg = ClientTlsConfig(
+        registry=builtin_registry(1),
+        level=SecurityLevel.HIGH,
+        trusted_roots=(low_material["ca"].root,),
+        rng=DeterministicRng(seed=b"c"),
+    )
+    outcome: dict = {}
+
+    def serve():
+        try:
+            _serve_connection(server_sock, server_cfg, _IO_TIMEOUT)
+        except Exception as exc:  # noqa: BLE001 - recorded for assertions
+            outcome["server_exc"] = exc
+
+    thread = threading.Thread(target=serve, daemon=True)
+    thread.start()
+    client_t = SocketTransport(client_sock, timeout=_IO_TIMEOUT)
+    with pytest.raises(TlsAlertReceived):
+        client_handshake(client_t, client_cfg)
+    thread.join(timeout=_JOIN_TIMEOUT)
+    client_t.close()
+    assert not thread.is_alive(), "server thread deadlocked"
+
+    assert isinstance(outcome.get("server_exc"), TlsAlertSent)
+    assert server_sock.fileno() == -1
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1
+    line = json.loads(lines[0])
+    assert line["outcome"] == "alert_sent"
+    assert line["alert"] == "template_mismatch"
+    assert line["bytes_received"] > 0 and line["bytes_sent"] > 0
+    assert line["ms"] >= 0
 
 
 def test_same_version_template_conflict_classified(low_material):
