@@ -17,7 +17,10 @@ oracle can run; production-flavoured sets use m >= 8.
 All public-key and ciphertext encodings are bit-packed MSB-first,
 block-major, row-major within each T block, zero-padded to the final
 byte.  Large keys are built and serialized block by block, never through
-unbounded recursion or per-bit Python lists.
+unbounded recursion or per-bit Python lists.  Each block draws from its
+own seeded stream, so the blocks of a large key are built in parallel
+worker processes with the same result.  A stored key is opened from its
+public key: the secret tables are the inverse of its columns.
 """
 
 from __future__ import annotations
@@ -27,6 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._parallel import parallel_map
 from .errors import AgilecryptError, InvalidCiphertext, MalformedEncoding, ParameterError
 from .primitives import DeterministicRng, HashId, Rng, hash_data
 
@@ -134,7 +138,10 @@ class KemPublicKey:
 
 @dataclass(eq=False)
 class KemSecretKey:
-    """Value-to-position inverse tables; rebuildable from the 32-byte seed."""
+    """Value-to-position inverse tables.  They are the inverse of the
+    public key's columns, so they are rebuilt either from the 32-byte
+    seed (KemKeyPair.from_seed, which also draws the public key) or,
+    much faster, from the seed's public key (KemKeyPair.load)."""
 
     params: KemParams
     seed: bytes
@@ -155,19 +162,36 @@ class KemKeyPair:
 
     @classmethod
     def from_seed(cls, params: KemParams, seed: bytes) -> KemKeyPair:
+        """Draw the key pair a seed names: the key generation path."""
         if len(seed) != 32:
             raise ParameterError("seed must be 32 bytes")
-        pk_blocks, inv_blocks = [], []
-        for i in range(params.b):
-            block_seed = hash_data(HashId.H256, b"kem-block" + seed + struct.pack(">H", i))
-            cols, inv = _build_block(params, DeterministicRng(block_seed))
-            pk_blocks.append(cols)
-            inv_blocks.append(inv)
+        tasks = [(params, seed, i) for i in range(params.b)]
+        built = parallel_map(_seeded_block, tasks, params.b * params.n)
         return cls(
             params=params,
             seed=seed,
-            pk=KemPublicKey(params=params, blocks=pk_blocks),
-            sk=KemSecretKey(params=params, seed=seed, inverse=inv_blocks),
+            pk=KemPublicKey(params=params, blocks=[cols for cols, _ in built]),
+            sk=KemSecretKey(params=params, seed=seed, inverse=[inv for _, inv in built]),
+        )
+
+    @classmethod
+    def load(cls, params: KemParams, seed: bytes, public: bytes) -> KemKeyPair:
+        """Open a stored key from its seed and its serialized public key.
+        The public key must come from an authenticated source (a MAC'd
+        store entry, a signed certificate): decapsulation follows its
+        columns, and the seed is kept, not checked against them."""
+        if len(seed) != 32:
+            raise ParameterError("seed must be 32 bytes")
+        pk = kem_parse_pk(params, public)
+        identity = _identity_columns(params.m)
+        inverse = [
+            _inverse_table(params, np.concatenate([identity, cols])) for cols in pk.blocks
+        ]
+        return cls(
+            params=params,
+            seed=seed,
+            pk=pk,
+            sk=KemSecretKey(params=params, seed=seed, inverse=inverse),
         )
 
 
@@ -196,6 +220,28 @@ def _invert_gf2(a_rows: list[int], m: int) -> list[int] | None:
     return [row & ((1 << m) - 1) for row in rows]
 
 
+def _identity_columns(m: int) -> np.ndarray:
+    return np.uint32(1) << np.arange(m - 1, -1, -1, dtype=np.uint32)
+
+
+def _inverse_table(params: KemParams, columns: np.ndarray) -> np.ndarray:
+    """Value-to-position table for one block's n column values, which
+    must be a permutation of 1..n."""
+    n = params.n
+    counts = np.bincount(columns, minlength=n + 1)
+    if counts[0] or not np.all(counts[1:] == 1):
+        raise MalformedEncoding("public key block is not a permutation of 1..n")
+    inverse = np.full(1 << params.m, -1, dtype=np.int32)
+    inverse[columns] = np.arange(n, dtype=np.int32)
+    return inverse
+
+
+def _seeded_block(params: KemParams, seed: bytes, i: int) -> tuple[np.ndarray, np.ndarray]:
+    """Block i of the key a seed names; each block has its own stream."""
+    block_seed = hash_data(HashId.H256, b"kem-block" + seed + struct.pack(">H", i))
+    return _build_block(params, DeterministicRng(block_seed))
+
+
 def _build_block(params: KemParams, rng: Rng) -> tuple[np.ndarray, np.ndarray]:
     """One block: permute the nonzero column values, bring the leading m
     columns to identity, return (T columns, value->position table)."""
@@ -218,12 +264,9 @@ def _build_block(params: KemParams, rng: Rng) -> tuple[np.ndarray, np.ndarray]:
         for p in range(m):
             table = np.concatenate([table, table ^ np.uint32(u_basis[p])])
         transformed = table[values]
-        identity = np.uint32(1) << np.arange(m - 1, -1, -1, dtype=np.uint32)
-        if not np.array_equal(transformed[:m], identity):
+        if not np.array_equal(transformed[:m], _identity_columns(m)):
             raise AgilecryptError("internal error: systematic form check failed")
-        inverse = np.full(1 << m, -1, dtype=np.int32)
-        inverse[transformed] = np.arange(n, dtype=np.int32)
-        return transformed[m:].copy(), inverse
+        return transformed[m:].copy(), _inverse_table(params, transformed)
     raise AgilecryptError("internal error: no invertible leading block in 100 draws")
 
 

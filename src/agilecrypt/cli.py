@@ -41,7 +41,7 @@ from .easyapi import (
     parse_blob,
     template_resolve,
 )
-from .errors import AgilecryptError, ConnectionClosed
+from .errors import AgilecryptError, AlgorithmMismatch, ConnectionClosed
 from .hbs import hbs_keygen
 from .keystore import DEFAULT_ITERATIONS, KeystoreParameters
 from .mailenv import (
@@ -304,10 +304,17 @@ def _cmd_tls_setup(args: argparse.Namespace) -> int:
 
 
 def _load_server_material(args: argparse.Namespace):
+    """The certificate to serve and the KEM secret for the public key it
+    carries; decapsulation follows that key."""
     cert = parse_certificate(_read_file(os.path.join(args.dir, SERVER_CERT_FILE)))
     kem_id, _, seed = parse_blob(_read_file(os.path.join(args.dir, SERVER_SEED_FILE)))
+    if kem_id != cert.kem_algorithm_id:
+        raise AlgorithmMismatch(
+            f"{SERVER_SEED_FILE} holds a {kem_id} key, the certificate a "
+            f"{cert.kem_algorithm_id} key"
+        )
     params = KemParams.from_algorithm_id(kem_id)
-    kem_kp = KemKeyPair.from_seed(params, seed)
+    kem_kp = KemKeyPair.load(params, seed, cert.kem_public_key)
     return cert, kem_kp.sk
 
 

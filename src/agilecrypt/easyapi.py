@@ -280,7 +280,7 @@ class KemBackend:
     """Built-in KEM provider, delegating to the cbkem module."""
 
     keygen = staticmethod(cbkem.kem_keygen)
-    from_seed = staticmethod(cbkem.KemKeyPair.from_seed)
+    load = staticmethod(cbkem.KemKeyPair.load)
     encap = staticmethod(cbkem.kem_encap)
     decap = staticmethod(cbkem.kem_decap)
     serialize_pk = staticmethod(cbkem.kem_serialize_pk)
@@ -556,11 +556,7 @@ class EasyEncrypter:
     _kp: cbkem.KemKeyPair
     _backend: object
     _rng: Rng
-    public_blob: bytes = field(init=False)
-
-    def __post_init__(self) -> None:
-        raw = self._backend.serialize_pk(self._kp.pk)
-        self.public_blob = frame_blob(self.algorithm_id, self.registry_version, raw)
+    public_blob: bytes
 
     @classmethod
     def with_new_key(
@@ -599,6 +595,7 @@ class EasyEncrypter:
             _kp=kp,
             _backend=backend,
             _rng=rng,
+            public_blob=frame_blob(ap.algorithm_id, ap.registry_version, raw_pub),
         )
 
     @classmethod
@@ -616,7 +613,9 @@ class EasyEncrypter:
             entry = store.get_entry(alias)
             backend = (providers or _DEFAULT_PROVIDERS).resolve(entry.algorithm_id)
             params = cbkem.KemParams.from_algorithm_id(entry.algorithm_id)
-            kp = backend.from_seed(params, entry.secret_material)
+            # The store's MAC covers the public material, so the secret
+            # tables are taken from it rather than redrawn from the seed.
+            kp = backend.load(params, entry.secret_material, entry.public_material)
         except BaseException:
             store.close()
             raise
@@ -628,6 +627,7 @@ class EasyEncrypter:
             _kp=kp,
             _backend=backend,
             _rng=rng,
+            public_blob=frame_blob(entry.algorithm_id, registry_version, entry.public_material),
         )
 
     @property

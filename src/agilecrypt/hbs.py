@@ -12,13 +12,16 @@ All integers in canonical encodings are big-endian with fixed widths.
 
 from __future__ import annotations
 
+import functools
+import hmac
 import struct
 from dataclasses import dataclass, field
 from enum import Enum
 
+from ._parallel import parallel_map
 from .codec import Reader, uint
 from .errors import KeyExhausted, MalformedEncoding, ParameterError
-from .primitives import HashId, Rng, hash_data, prf
+from .primitives import HashId, Rng, hash_data
 
 __all__ = [
     "HbsMode",
@@ -147,7 +150,7 @@ class HbsKeyPair:
             raise ParameterError("next_leaf out of range")
         kp = cls(seed=seed, root=b"", params=params, next_leaf=next_leaf)
         if root is None:
-            kp._ensure_tree()
+            kp._levels = _build_tree(params, seed)
             kp.root = kp._levels[params.h][0]
         else:
             if len(root) != params.n_h:
@@ -156,23 +159,51 @@ class HbsKeyPair:
         return kp
 
     def _ensure_tree(self) -> None:
+        """Build the Merkle tree on first use.  A root supplied to
+        from_seed must be the one the seed builds; otherwise no signature
+        made with this key could verify, so none is made."""
         if self._levels is None:
-            self._levels = _build_tree(self.params, self.seed)
+            levels = _build_tree(self.params, self.seed)
+            if levels[self.params.h][0] != self.root:
+                raise ParameterError("seed does not rebuild the stored root")
+            self._levels = levels
 
 
 # ---------------------------------------------------------------------------
 # Chain and tree internals
 # ---------------------------------------------------------------------------
 
-def _chain_start(params: HbsParams, seed: bytes, leaf: int, chain: int) -> bytes:
-    return prf(params.hash_id, seed, "wots-sk", struct.pack(">IH", leaf, chain), params.n_h)
+def _prf_key(params: HbsParams, seed: bytes) -> hmac.HMAC:
+    """The seed keyed once; ``_chain_start`` copies it per chain."""
+    return hmac.new(seed, digestmod=params.hash_id._ctor)
+
+
+def _chain_start(params: HbsParams, key: hmac.HMAC, leaf: int, chain: int) -> bytes:
+    """``prf(hash_id, seed, "wots-sk", leaf || chain, n_h)``.  n_h never
+    exceeds one digest, so the P_hash expansion is its first block:
+    A(1) = HMAC(seed, label_seed), then HMAC(seed, A(1) || label_seed)."""
+    label_seed = b"wots-sk" + struct.pack(">IH", leaf, chain)
+    a1 = key.copy()
+    a1.update(label_seed)
+    block = key.copy()
+    block.update(a1.digest() + label_seed)
+    return block.digest()[: params.n_h]
+
+
+@functools.lru_cache(maxsize=16)
+def _chain_prefixes(params: HbsParams) -> tuple[tuple[bytes, ...], ...]:
+    """``b"ch" || chain || step`` for every chain and step, built once per
+    parameter set; ``_advance`` prepends them to the running value."""
+    return tuple(
+        tuple(b"ch" + struct.pack(">HH", chain, s) for s in range(params.w - 1))
+        for chain in range(params.l)
+    )
 
 
 def _advance(params: HbsParams, chain: int, value: bytes, start: int, steps: int) -> bytes:
-    for s in range(start, start + steps):
-        value = hash_data(params.hash_id, b"ch" + struct.pack(">HH", chain, s) + value)[
-            : params.n_h
-        ]
+    ctor, n = params.hash_id._ctor, params.n_h
+    for prefix in _chain_prefixes(params)[chain][start : start + steps]:
+        value = ctor(prefix + value).digest()[:n]
     return value
 
 
@@ -188,14 +219,34 @@ def _parent(params: HbsParams, level: int, left: bytes, right: bytes) -> bytes:
     ]
 
 
-def _build_tree(params: HbsParams, seed: bytes) -> list[list[bytes]]:
+# Leaves per task when the tree build is spread over worker processes.
+_LEAVES_PER_TASK = 256
+
+
+def _leaf_range(params: HbsParams, seed: bytes, start: int, stop: int) -> list[bytes]:
+    """Leaf digests ``start`` to ``stop - 1``: every chain run to its end."""
+    ctor, n = params.hash_id._ctor, params.n_h
+    key = _prf_key(params, seed)
+    prefixes = _chain_prefixes(params)
     leaves = []
-    for leaf in range(params.leaf_count):
-        ends = [
-            _advance(params, j, _chain_start(params, seed, leaf, j), 0, params.w - 1)
-            for j in range(params.l)
-        ]
+    for leaf in range(start, stop):
+        ends = []
+        for chain, chain_prefixes in enumerate(prefixes):
+            value = _chain_start(params, key, leaf, chain)
+            for prefix in chain_prefixes:
+                value = ctor(prefix + value).digest()[:n]
+            ends.append(value)
         leaves.append(_leaf_digest(params, leaf, ends))
+    return leaves
+
+
+def _build_tree(params: HbsParams, seed: bytes) -> list[list[bytes]]:
+    tasks = [
+        (params, seed, start, min(start + _LEAVES_PER_TASK, params.leaf_count))
+        for start in range(0, params.leaf_count, _LEAVES_PER_TASK)
+    ]
+    steps = params.leaf_count * params.l * params.w
+    leaves = [leaf for part in parallel_map(_leaf_range, tasks, steps) for leaf in part]
     levels = [leaves]
     for level in range(1, params.h + 1):
         below = levels[-1]
@@ -257,8 +308,9 @@ def hbs_sign_with_leaf(
         # Stateless leaf choice and digits come from the same digest, so
         # the verifier can recompute both.
         leaf_index = _stateless_leaf(params, digest)
+    key = _prf_key(params, kp.seed)
     wots = [
-        _advance(params, j, _chain_start(params, kp.seed, leaf_index, j), 0, d)
+        _advance(params, j, _chain_start(params, key, leaf_index, j), 0, d)
         for j, d in enumerate(digits)
     ]
     auth = [kp._levels[t][(leaf_index >> t) ^ 1] for t in range(params.h)]

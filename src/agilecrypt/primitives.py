@@ -249,12 +249,19 @@ class DeterministicRng(Rng):
         if n < 0:
             raise ParameterError("byte count must be >= 0")
         with self._lock:
-            while len(self._buffer) < n:
-                block = hashlib.sha256(
-                    b"drbg" + struct.pack(">Q", self._counter) + self.seed
-                ).digest()
-                self._counter += 1
-                self._buffer += block
+            if len(self._buffer) < n:
+                # Joined once at the end, so a long read stays linear.
+                blocks = [self._buffer]
+                have = len(self._buffer)
+                while have < n:
+                    blocks.append(
+                        hashlib.sha256(
+                            b"drbg" + struct.pack(">Q", self._counter) + self.seed
+                        ).digest()
+                    )
+                    self._counter += 1
+                    have += 32
+                self._buffer = b"".join(blocks)
             out, self._buffer = self._buffer[:n], self._buffer[n:]
             return out
 

@@ -1,21 +1,25 @@
-"""Byte-exact outputs for fixed seeds at LOW.
+"""Byte-exact outputs for fixed seeds.
 
 Each case hashes the bytes one encoder produces from a fixed
 ``DeterministicRng`` seed; the handshake case hashes everything each
 side of a loopback handshake writes.  Refactoring the codecs, the
 key-material split, the hybrid step or the handshake driver must leave
 every digest as it is: a changed digest means a documented byte layout
-changed.
+changed.  The key cases pin the signature roots and KEM public keys of
+every registry row, so faster key building must draw the same keys,
+whether or not it runs on worker processes.
 """
 
 from __future__ import annotations
 
 import hashlib
+import multiprocessing
 import threading
 
+import numpy as np
 import pytest
 
-from agilecrypt import cbkem, hbs
+from agilecrypt import _parallel, cbkem, hbs
 from agilecrypt.easyapi import (
     EasyEncrypter,
     EasySigner,
@@ -59,6 +63,22 @@ _PINNED = {
     "client_hello": "082ddfc235f7b27208ab0a80ff95f21ba0d246c9063cb73c2598abd151b9a750",
     "handshake_client_to_server": "a90f2f8abe1dd88eaa19a9f503a1e12ee7077961e4c54a31dfbdb8b6c530a85e",
     "handshake_server_to_client": "b54710493701adec7cefe041d3e6ccf5f437bc27da0844d0b118bcb6a4df2156",
+}
+
+# Merkle roots (hex) of hbs_keygen(params, _rng("hbs-root/" + id)).  The
+# registry v2 HIGH row, SPX-TOY-32-16-14-SL, takes about a minute and is
+# not pinned here; its root is recorded in CHANGES.md.
+_PINNED_ROOTS = {
+    "SPX-TOY-16-16-8-S": "1318fbacb3643a2ab4ccc208148dcd76",
+    "SPX-TOY-16-16-10-S": "d33beb1eecd56661d2647f8c6323a182",
+    "SPX-TOY-32-16-12-SL": "8919ba55de89ac8ba02abb8fc2f4115859197b20d84af02196926f9e2a7705db",
+}
+
+# SHA-256 of kem_serialize_pk of kem_keygen(params, _rng("kem-pk/" + id)).
+_PINNED_KEM_PKS = {
+    "CME-TOY-10-8": "767ab2b8ca2b05f62da38d750cddf31958b19ab511ae12996179bc1aa3cd8b18",
+    "CME-TOY-13-16": "0a9edc82b67a86e233bc73fa4f3abcc2a839cb1f03d863942edc879d52fe6e29",
+    "CME-TOY-16-10": "8e49767ebfda94a4abd493c9953985a3b1a8dfbb165b4ba926a9b6d38e5cfabc",
 }
 
 
@@ -202,3 +222,84 @@ def test_handshake_byte_stream_is_pinned():
     server_result["session"].close()
     assert _digest(client_end.written) == _PINNED["handshake_client_to_server"]
     assert _digest(server_end.written) == _PINNED["handshake_server_to_client"]
+
+
+# ---------------------------------------------------------------------------
+# Keys: roots, public keys and secret tables
+# ---------------------------------------------------------------------------
+
+@pytest.fixture(scope="module")
+def kem_keys():
+    """One key per registry KEM row, built once for the module (the
+    HIGH row takes seconds)."""
+    return {
+        ident: cbkem.kem_keygen(
+            cbkem.KemParams.from_algorithm_id(ident), _rng("kem-pk/" + ident)
+        )
+        for ident in _PINNED_KEM_PKS
+    }
+
+
+@pytest.mark.parametrize("ident", sorted(_PINNED_ROOTS))
+def test_signature_root_is_pinned(ident):
+    kp = hbs.hbs_keygen(hbs.HbsParams.from_algorithm_id(ident), _rng("hbs-root/" + ident))
+    assert kp.root.hex() == _PINNED_ROOTS[ident]
+
+
+def test_kem_public_keys_are_pinned(kem_keys):
+    digests = {ident: _digest(cbkem.kem_serialize_pk(kp.pk)) for ident, kp in kem_keys.items()}
+    assert digests == _PINNED_KEM_PKS
+
+
+def _same_tables(a: cbkem.KemKeyPair, b: cbkem.KemKeyPair) -> bool:
+    return a.pk == b.pk and all(
+        np.array_equal(x, y) for x, y in zip(a.sk.inverse, b.sk.inverse, strict=True)
+    )
+
+
+def test_loaded_tables_equal_the_seeded_tables(kem_keys):
+    registry_rows = {
+        template_resolve(builtin_registry(version), TemplateKind.ENCRYPTION, level).algorithm_id
+        for version in (1, 2)
+        for level in SecurityLevel
+    }
+    named = {p.algorithm_id for p in cbkem.NAMED_PARAM_SETS.values()}
+    assert registry_rows | named == set(kem_keys)
+    for ident, kp in kem_keys.items():
+        loaded = cbkem.KemKeyPair.load(kp.params, kp.seed, cbkem.kem_serialize_pk(kp.pk))
+        assert loaded.seed == loaded.sk.seed == kp.seed
+        assert _same_tables(loaded, kp), ident
+
+
+def test_pool_and_in_process_builds_agree(monkeypatch):
+    """Keys built by forked workers (up to three, whatever the core
+    count) equal keys built in-process, and no worker outlives the build."""
+    sig_params = hbs.HbsParams(n_h=16, w=4, h=9, mode=hbs.HbsMode.STATEFUL)
+    kem_params = cbkem.KemParams.from_algorithm_id("CME-TOY-10-8")
+    seed = bytes(range(32))
+    monkeypatch.setattr(_parallel, "MIN_PARALLEL_STEPS", 1 << 62)
+    tree_alone = hbs._build_tree(sig_params, seed)
+    kem_alone = cbkem.KemKeyPair.from_seed(kem_params, seed)
+    if "fork" not in multiprocessing.get_all_start_methods():
+        pytest.skip("worker processes are forked, and this platform cannot fork")
+    monkeypatch.setattr(_parallel, "MIN_PARALLEL_STEPS", 0)
+    monkeypatch.setattr(_parallel, "available_cores", lambda: 3)
+    assert _parallel._worker_count(16, 1) == 3
+    tree_pooled = hbs._build_tree(sig_params, seed)
+    kem_pooled = cbkem.KemKeyPair.from_seed(kem_params, seed)
+    assert multiprocessing.active_children() == []
+    assert tree_pooled == tree_alone
+    assert _same_tables(kem_pooled, kem_alone)
+
+
+def test_pool_is_not_forked_while_another_thread_runs(monkeypatch):
+    monkeypatch.setattr(_parallel, "available_cores", lambda: 4)
+    release = threading.Event()
+    other = threading.Thread(target=release.wait, args=(30.0,))
+    other.start()
+    try:
+        assert _parallel._worker_count(8, 1 << 62) == 1
+    finally:
+        release.set()
+        other.join(timeout=30.0)
+    assert not other.is_alive()

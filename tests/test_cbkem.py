@@ -19,6 +19,7 @@ from agilecrypt.cbkem import (
     KemCiphertext,
     KemKeyPair,
     KemParams,
+    KemPublicKey,
     kem_decap,
     kem_encap,
     kem_keygen,
@@ -205,3 +206,20 @@ def test_from_seed_reconstruction():
     assert kem_serialize_pk(rebuilt.pk) == kem_serialize_pk(kp.pk)
     ct, ss = kem_encap(kp.pk, p, rng)
     assert kem_decap(rebuilt.sk, p, ct) == ss
+
+
+def test_load_rejects_columns_that_are_not_a_permutation():
+    p = KemParams(m=4, b=2)
+    kp = kem_keygen(p, DeterministicRng(b"load malformed"))
+    good = kem_serialize_pk(kp.pk)
+    assert KemKeyPair.load(p, kp.seed, good).pk == kp.pk
+    for bad_value in (0, 1 << (p.m - 1), int(kp.pk.blocks[1][0])):
+        blocks = [cols.copy() for cols in kp.pk.blocks]
+        blocks[1][-1] = bad_value  # zero, a unit column, or a repeated T column
+        bad = kem_serialize_pk(KemPublicKey(params=p, blocks=blocks))
+        with pytest.raises(MalformedEncoding):
+            KemKeyPair.load(p, kp.seed, bad)
+    with pytest.raises(MalformedEncoding):
+        KemKeyPair.load(p, kp.seed, good[:-1])
+    with pytest.raises(ParameterError):
+        KemKeyPair.load(p, kp.seed[:31], good)

@@ -17,6 +17,8 @@ import threading
 
 import pytest
 
+from agilecrypt.easyapi import frame_blob, parse_blob
+
 CLI = [sys.executable, "-m", "agilecrypt.cli"]
 PASSWORD = "cli-test-password"
 KDF_ITERATIONS = "2000"
@@ -340,6 +342,22 @@ def test_tls_serve_connect_echo_and_report(tls_low_dir, workdir):
     assert report["aborted"] is False
     names = [m["message"] for m in report["messages"]]
     assert "Certificate" in names and "Finished" in names
+
+
+def test_tls_serve_rejects_a_seed_for_another_kem(tls_low_dir, workdir):
+    d = workdir / "tls-mismatch"
+    d.mkdir()
+    for name in ("ca.root", "server.cert"):
+        (d / name).write_bytes((tls_low_dir / name).read_bytes())
+    kem_id, version, seed = parse_blob((tls_low_dir / "server.seed").read_bytes())
+    assert kem_id == "CME-TOY-10-8"
+    (d / "server.seed").write_bytes(frame_blob("CME-TOY-13-16", version, seed))
+    result = run_cli(
+        "tls-serve", "--dir", d, "--level", "low", "--once", password=None, timeout=60
+    )
+    assert result.returncode == 1
+    assert "PORT" not in result.stdout
+    assert "AlgorithmMismatch" in result.stderr and "CME-TOY-10-8" in result.stderr
 
 
 def test_tls_connect_to_closed_port_exits_one(tls_low_dir):

@@ -8,11 +8,14 @@ here as an independent check on the implementation.
 from __future__ import annotations
 
 import random
+import struct
 
 import pytest
 
+from agilecrypt import hbs
 from agilecrypt.errors import KeyExhausted, MalformedEncoding, ParameterError
 from agilecrypt.hbs import (
+    HbsKeyPair,
     HbsMode,
     HbsParams,
     hbs_export_public,
@@ -23,7 +26,7 @@ from agilecrypt.hbs import (
     hbs_sign,
     hbs_verify,
 )
-from agilecrypt.primitives import DeterministicRng
+from agilecrypt.primitives import DeterministicRng, hash_data, prf
 
 # (n_h, w, h) -> hand-computed (l1, l2)
 _CHAIN_COUNTS = {
@@ -213,3 +216,63 @@ def test_public_key_export_roundtrip():
         hbs_parse_public(blob[:-1])
     with pytest.raises(MalformedEncoding):
         hbs_parse_public(blob + b"\x00")
+
+
+def _reference_tree(params: HbsParams, seed: bytes) -> list[list[bytes]]:
+    """The tree spelled out from prf and hash_data, one hash at a time."""
+    n = params.n_h
+    leaves = []
+    for leaf in range(params.leaf_count):
+        ends = []
+        for chain in range(params.l):
+            value = prf(params.hash_id, seed, "wots-sk", struct.pack(">IH", leaf, chain), n)
+            for step in range(params.w - 1):
+                value = hash_data(
+                    params.hash_id, b"ch" + struct.pack(">HH", chain, step) + value
+                )[:n]
+            ends.append(value)
+        leaves.append(
+            hash_data(params.hash_id, b"leaf" + struct.pack(">I", leaf) + b"".join(ends))[:n]
+        )
+    levels = [leaves]
+    for level in range(1, params.h + 1):
+        below = levels[-1]
+        levels.append(
+            [
+                hash_data(
+                    params.hash_id,
+                    b"node" + struct.pack(">H", level) + below[2 * i] + below[2 * i + 1],
+                )[:n]
+                for i in range(len(below) // 2)
+            ]
+        )
+    return levels
+
+
+@pytest.mark.parametrize("n_h,w", [(16, 16), (32, 16), (16, 4), (32, 256)])
+def test_tree_matches_the_reference_construction(n_h, w):
+    params = _params(n_h=n_h, w=w, h=4)
+    seed = bytes(range(32))
+    assert hbs._build_tree(params, seed) == _reference_tree(params, seed)
+    key = hbs._prf_key(params, seed)
+    for leaf, chain in [(0, 0), (15, params.l - 1), (2**32 - 1, 65535)]:
+        assert hbs._chain_start(params, key, leaf, chain) == prf(
+            params.hash_id, seed, "wots-sk", struct.pack(">IH", leaf, chain), n_h
+        )
+
+
+def test_deferred_tree_build_rejects_a_wrong_root():
+    params = _params()
+    kp = hbs_keygen(params, DeterministicRng(b"wrong-root"))
+    wrong = bytes([kp.root[0] ^ 1]) + kp.root[1:]
+    opened = HbsKeyPair.from_seed(params, kp.seed, root=wrong)
+    result = None
+    with pytest.raises(ParameterError):
+        result = hbs_sign(opened, b"never signed", DeterministicRng(b"sig"))
+    assert result is None
+    assert opened._levels is None
+    with pytest.raises(ParameterError):
+        hbs_sign(opened, b"still never signed", DeterministicRng(b"sig"))
+    good = HbsKeyPair.from_seed(params, kp.seed, root=kp.root)
+    sig = hbs_sign(good, b"signed", DeterministicRng(b"sig"))
+    assert hbs_verify(kp.root, params, b"signed", sig)

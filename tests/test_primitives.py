@@ -10,6 +10,7 @@ from __future__ import annotations
 import hashlib
 import hmac as hmac_mod
 import random
+import struct
 
 import pytest
 
@@ -240,6 +241,21 @@ def test_deterministic_rng_reproduces_stream():
     chunks_b = [b.random_bytes(n) for n in (1, 7, 32, 0, 64)]
     assert chunks_a == chunks_b
     assert DeterministicRng(b"other seed").random_bytes(32) != b"".join(chunks_a)[:32]
+    # One read of several hundred blocks, after an odd-sized read that
+    # leaves a partial block buffered, equals the same bytes read in
+    # chunks and the hash-counter stream itself.
+    size = 600 * 32 + 5
+    whole = DeterministicRng(b"seed material")
+    whole.random_bytes(3)
+    chunked = DeterministicRng(b"seed material")
+    chunked.random_bytes(3)
+    pieces = [chunked.random_bytes(n) for n in (29, 100, 0, 7) * 40]
+    pieces.append(chunked.random_bytes(size - sum(map(len, pieces))))
+    stream = b"".join(
+        hashlib.sha256(b"drbg" + struct.pack(">Q", i) + b"seed material").digest()
+        for i in range(602)
+    )
+    assert whole.random_bytes(size) == b"".join(pieces) == stream[3 : 3 + size]
 
 
 def test_deterministic_rng_randint_below_uniform_range():
