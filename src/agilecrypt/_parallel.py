@@ -17,10 +17,12 @@ import os
 import threading
 from concurrent.futures import ProcessPoolExecutor
 
-# Below this many inner steps (hash calls or random draws) a key takes
-# well under a second in-process, and forking workers would cost more
-# than it saves.  LOW keys stay below it.
-MIN_PARALLEL_STEPS = 1 << 18
+# Jobs are sized in hash calls: one HBS chain step, about 1.2-1.5 us
+# in-process (2-core x86 VM, Python 3.11).  Measured there, two forked
+# workers cost about 0.1 s of in-process work to start and collect, and
+# save about half of anything above that.  The threshold is set higher,
+# at about 0.35 s, so that LOW keys (at most 0.2 s) stay in-process.
+MIN_PARALLEL_HASH_CALLS = 1 << 18
 
 
 def available_cores() -> int:
@@ -30,8 +32,8 @@ def available_cores() -> int:
         return os.cpu_count() or 1
 
 
-def _worker_count(tasks: int, steps: int) -> int:
-    if steps < MIN_PARALLEL_STEPS or tasks < 2:
+def _worker_count(tasks: int, hash_calls: int) -> int:
+    if hash_calls < MIN_PARALLEL_HASH_CALLS or tasks < 2:
         return 1
     if "fork" not in multiprocessing.get_all_start_methods():
         return 1
@@ -40,12 +42,12 @@ def _worker_count(tasks: int, steps: int) -> int:
     return min(tasks, available_cores())
 
 
-def parallel_map(fn, tasks: list[tuple], steps: int) -> list:
+def parallel_map(fn, tasks: list[tuple], hash_calls: int) -> list:
     """``[fn(*task) for task in tasks]``, computed by up to one forked
-    worker per available core when ``steps`` (the caller's estimate of
-    the whole job's inner steps) is large enough.  Every worker has
-    exited when this returns or raises."""
-    workers = _worker_count(len(tasks), steps)
+    worker per available core when ``hash_calls`` (the caller's estimate
+    of the whole job's in-process cost) is large enough.  Every worker
+    has exited when this returns or raises."""
+    workers = _worker_count(len(tasks), hash_calls)
     if workers == 1:
         return [fn(*task) for task in tasks]
     context = multiprocessing.get_context("fork")

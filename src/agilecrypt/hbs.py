@@ -225,17 +225,13 @@ _LEAVES_PER_TASK = 256
 
 def _leaf_range(params: HbsParams, seed: bytes, start: int, stop: int) -> list[bytes]:
     """Leaf digests ``start`` to ``stop - 1``: every chain run to its end."""
-    ctor, n = params.hash_id._ctor, params.n_h
     key = _prf_key(params, seed)
-    prefixes = _chain_prefixes(params)
     leaves = []
     for leaf in range(start, stop):
-        ends = []
-        for chain, chain_prefixes in enumerate(prefixes):
-            value = _chain_start(params, key, leaf, chain)
-            for prefix in chain_prefixes:
-                value = ctor(prefix + value).digest()[:n]
-            ends.append(value)
+        ends = [
+            _advance(params, j, _chain_start(params, key, leaf, j), 0, params.w - 1)
+            for j in range(params.l)
+        ]
         leaves.append(_leaf_digest(params, leaf, ends))
     return leaves
 
@@ -245,8 +241,9 @@ def _build_tree(params: HbsParams, seed: bytes) -> list[list[bytes]]:
         (params, seed, start, min(start + _LEAVES_PER_TASK, params.leaf_count))
         for start in range(0, params.leaf_count, _LEAVES_PER_TASK)
     ]
-    steps = params.leaf_count * params.l * params.w
-    leaves = [leaf for part in parallel_map(_leaf_range, tasks, steps) for leaf in part]
+    # A chain costs about w hash calls: w - 1 steps and its start.
+    hash_calls = params.leaf_count * params.l * params.w
+    leaves = [leaf for part in parallel_map(_leaf_range, tasks, hash_calls) for leaf in part]
     levels = [leaves]
     for level in range(1, params.h + 1):
         below = levels[-1]

@@ -277,12 +277,12 @@ def test_pool_and_in_process_builds_agree(monkeypatch):
     sig_params = hbs.HbsParams(n_h=16, w=4, h=9, mode=hbs.HbsMode.STATEFUL)
     kem_params = cbkem.KemParams.from_algorithm_id("CME-TOY-10-8")
     seed = bytes(range(32))
-    monkeypatch.setattr(_parallel, "MIN_PARALLEL_STEPS", 1 << 62)
+    monkeypatch.setattr(_parallel, "MIN_PARALLEL_HASH_CALLS", 1 << 62)
     tree_alone = hbs._build_tree(sig_params, seed)
     kem_alone = cbkem.KemKeyPair.from_seed(kem_params, seed)
     if "fork" not in multiprocessing.get_all_start_methods():
         pytest.skip("worker processes are forked, and this platform cannot fork")
-    monkeypatch.setattr(_parallel, "MIN_PARALLEL_STEPS", 0)
+    monkeypatch.setattr(_parallel, "MIN_PARALLEL_HASH_CALLS", 0)
     monkeypatch.setattr(_parallel, "available_cores", lambda: 3)
     assert _parallel._worker_count(16, 1) == 3
     tree_pooled = hbs._build_tree(sig_params, seed)
@@ -290,6 +290,39 @@ def test_pool_and_in_process_builds_agree(monkeypatch):
     assert multiprocessing.active_children() == []
     assert tree_pooled == tree_alone
     assert _same_tables(kem_pooled, kem_alone)
+
+
+class _Planned(Exception):
+    pass
+
+
+def test_low_keys_stay_in_process_and_larger_keys_use_the_pool(monkeypatch):
+    """The pool threshold, applied to each module's cost estimate,
+    leaves LOW keys in-process and hands MEDIUM and HIGH keys to two
+    workers on a two-core machine.  The build stops once it is planned."""
+    monkeypatch.setattr(_parallel, "available_cores", lambda: 2)
+    monkeypatch.setattr(
+        _parallel.multiprocessing, "get_all_start_methods", lambda: ["fork", "spawn"]
+    )
+    monkeypatch.setattr(_parallel.threading, "active_count", lambda: 1)
+
+    def plan(fn, tasks, hash_calls):
+        raise _Planned(_parallel._worker_count(len(tasks), hash_calls))
+
+    monkeypatch.setattr(hbs, "parallel_map", plan)
+    monkeypatch.setattr(cbkem, "parallel_map", plan)
+    builders = (
+        (TemplateKind.SIGNATURE, hbs.HbsParams, hbs.HbsKeyPair),
+        (TemplateKind.ENCRYPTION, cbkem.KemParams, cbkem.KemKeyPair),
+    )
+    for version in (1, 2):
+        for level in SecurityLevel:
+            for kind, params_type, pair_type in builders:
+                ident = template_resolve(builtin_registry(version), kind, level).algorithm_id
+                with pytest.raises(_Planned) as planned:
+                    pair_type.from_seed(params_type.from_algorithm_id(ident), bytes(32))
+                expected = 1 if level is SecurityLevel.LOW else 2
+                assert planned.value.args[0] == expected, ident
 
 
 def test_pool_is_not_forked_while_another_thread_runs(monkeypatch):
