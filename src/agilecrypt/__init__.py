@@ -8,8 +8,8 @@ Layers, bottom up:
   stateless modes)
 - cbkem: code-based key-encapsulation with deliberately large public keys
 - keystore: password-protected on-disk store with crash-safe state reservation
-- easyapi: security-level templates, versioned registry, provider selection,
-  and the two-call signer/encrypter facade
+- easyapi: security-level templates, versioned registry, and the two-call
+  signer/encrypter facade
 - minitls: TLS-1.2-subset handshake and record stack for cipher suite 0x1306
 - mailenv: sign-then-encrypt mail envelope
 - cli: command-line harness, including handshake-size measurement

@@ -536,6 +536,8 @@ def run_measurement(
         raise UsageError(
             f"unknown parameter set {paramset!r}; choose from {sorted(PARAMSET_LEVELS)}"
         )
+    if repetitions < 1:
+        raise UsageError(f"--reps must be at least 1, got {repetitions}")
     level = PARAMSET_LEVELS[paramset]
     registry = builtin_registry(1)
     setup_rng = _make_rng(None if seed is None else seed + "/setup")

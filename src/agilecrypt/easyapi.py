@@ -1,4 +1,4 @@
-"""Security-level templates, provider selection, and the two-call facade.
+"""Security-level templates and the two-call facade.
 
 A TemplateRegistry is a versioned data file mapping (kind, level) to a
 concrete algorithm identifier.  Registries are deliberately swappable:
@@ -50,8 +50,6 @@ __all__ = [
     "TemplateRegistry",
     "AlgorithmParameters",
     "CompatibilityResult",
-    "Provider",
-    "ProviderRegistry",
     "EasySigner",
     "EasyEncrypter",
     "builtin_registry",
@@ -59,7 +57,6 @@ __all__ = [
     "parse_registry_text",
     "template_resolve",
     "compatibility_check",
-    "default_provider_registry",
     "easysigner_verify",
     "frame_blob",
     "parse_blob",
@@ -222,95 +219,6 @@ def compatibility_check(
 
 
 # ---------------------------------------------------------------------------
-# Provider registry
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class Provider:
-    """priority: lower number wins.  prefixes: algorithm-id prefixes this
-    provider claims."""
-
-    name: str
-    priority: int
-    prefixes: tuple[str, ...]
-    implementation: object
-
-
-class ProviderRegistry:
-    def __init__(self) -> None:
-        self._providers: list[Provider] = []
-
-    def register(self, provider: Provider) -> None:
-        for existing in self._providers:
-            if existing.priority != provider.priority:
-                continue
-            for a in existing.prefixes:
-                for b in provider.prefixes:
-                    if a.startswith(b) or b.startswith(a):
-                        raise ParameterError(
-                            f"provider {provider.name!r} prefix {b!r} is ambiguous "
-                            f"with {existing.name!r} prefix {a!r} at priority "
-                            f"{provider.priority}"
-                        )
-        self._providers.append(provider)
-        self._providers.sort(key=lambda p: p.priority)
-
-    def resolve(self, algorithm_id: str) -> object:
-        for provider in self._providers:
-            if any(algorithm_id.startswith(prefix) for prefix in provider.prefixes):
-                return provider.implementation
-        raise ParameterError(f"no provider claims algorithm {algorithm_id!r}")
-
-
-class HbsBackend:
-    """Built-in signature provider, delegating to the hbs module."""
-
-    keygen = staticmethod(hbs.hbs_keygen)
-    sign = staticmethod(hbs.hbs_sign)
-    sign_with_leaf = staticmethod(hbs.hbs_sign_with_leaf)
-    verify = staticmethod(hbs.hbs_verify)
-    from_seed = staticmethod(hbs.HbsKeyPair.from_seed)
-    export_public = staticmethod(hbs.hbs_export_public)
-    parse_public = staticmethod(hbs.hbs_parse_public)
-    serialize_sig = staticmethod(hbs.hbs_serialize_sig)
-    parse_sig = staticmethod(hbs.hbs_parse_sig)
-
-
-class KemBackend:
-    """Built-in KEM provider, delegating to the cbkem module."""
-
-    keygen = staticmethod(cbkem.kem_keygen)
-    load = staticmethod(cbkem.KemKeyPair.load)
-    encap = staticmethod(cbkem.kem_encap)
-    decap = staticmethod(cbkem.kem_decap)
-    serialize_pk = staticmethod(cbkem.kem_serialize_pk)
-    parse_pk = staticmethod(cbkem.kem_parse_pk)
-    serialize_ct = staticmethod(cbkem.kem_serialize_ct)
-    parse_ct = staticmethod(cbkem.kem_parse_ct)
-
-
-def default_provider_registry() -> ProviderRegistry:
-    reg = ProviderRegistry()
-    reg.register(
-        Provider(
-            name="hbs-builtin", priority=10, prefixes=("SPX-TOY-",), implementation=HbsBackend()
-        )
-    )
-    reg.register(
-        Provider(
-            name="cbkem-builtin",
-            priority=10,
-            prefixes=("CME-TOY-",),
-            implementation=KemBackend(),
-        )
-    )
-    return reg
-
-
-_DEFAULT_PROVIDERS = default_provider_registry()
-
-
-# ---------------------------------------------------------------------------
 # Blob framing
 # ---------------------------------------------------------------------------
 
@@ -357,17 +265,12 @@ def hybrid_record_keys(shared_secret: bytes) -> SymmetricKeys:
 
 # The hybrid step of EasyEncrypter and mailenv; each brings its own associated data.
 
-def hybrid_encap(
-    pk: cbkem.KemPublicKey,
-    rng: Rng,
-    providers: ProviderRegistry | None = None,
-) -> tuple[bytes, SymmetricKeys]:
+def hybrid_encap(pk: cbkem.KemPublicKey, rng: Rng) -> tuple[bytes, SymmetricKeys]:
     """Encapsulate to a recipient's parsed KEM public key: the serialized
     KEM ciphertext and the record keys to seal with."""
     params = pk.params
-    backend = (providers or _DEFAULT_PROVIDERS).resolve(params.algorithm_id)
-    ct, secret = backend.encap(pk, params, rng)
-    return backend.serialize_ct(params, ct), hybrid_record_keys(secret)
+    ct, secret = cbkem.kem_encap(pk, params, rng)
+    return cbkem.kem_serialize_ct(params, ct), hybrid_record_keys(secret)
 
 
 def hybrid_open(recipient: EasyEncrypter, kem_ct: bytes, header: bytes, sealed: bytes) -> bytes:
@@ -397,7 +300,6 @@ class EasySigner:
     algorithm_id: str
     registry_version: int
     _kp: hbs.HbsKeyPair
-    _backend: object
     _rng: Rng
     public_blob: bytes = field(init=False)
     _next_leaf: int = field(init=False, default=0)
@@ -406,23 +308,18 @@ class EasySigner:
     _mark_pending: bool = field(init=False, default=False)
 
     def __post_init__(self) -> None:
-        raw = self._backend.export_public(self._kp)
+        raw = hbs.hbs_export_public(self._kp)
         self.public_blob = frame_blob(self.algorithm_id, self.registry_version, raw)
 
     @classmethod
     def with_new_key(
-        cls,
-        ap: AlgorithmParameters,
-        ksp: KeystoreParameters,
-        rng: Rng | None = None,
-        providers: ProviderRegistry | None = None,
+        cls, ap: AlgorithmParameters, ksp: KeystoreParameters, rng: Rng | None = None
     ) -> EasySigner:
         rng = rng or SystemRng()
         if not isinstance(ap.params, hbs.HbsParams):
             raise ParameterError("signer requires a signature algorithm")
-        backend = (providers or _DEFAULT_PROVIDERS).resolve(ap.algorithm_id)
-        kp = backend.keygen(ap.params, rng)
-        raw_pub = backend.export_public(kp)
+        kp = hbs.hbs_keygen(ap.params, rng)
+        raw_pub = hbs.hbs_export_public(kp)
         alias = _derived_alias("sig", ap.algorithm_id, raw_pub)
         store = _open_or_create_store(ksp, rng)
         try:
@@ -445,26 +342,20 @@ class EasySigner:
             algorithm_id=ap.algorithm_id,
             registry_version=ap.registry_version,
             _kp=kp,
-            _backend=backend,
             _rng=rng,
         )
 
     @classmethod
     def open(
-        cls,
-        ksp: KeystoreParameters,
-        alias: str,
-        registry_version: int,
-        rng: Rng | None = None,
-        providers: ProviderRegistry | None = None,
+        cls, ksp: KeystoreParameters, alias: str, registry_version: int, rng: Rng | None = None
     ) -> EasySigner:
         rng = rng or SystemRng()
         store = keystore_open(ksp)
         try:
             entry = store.get_entry(alias)
-            backend = (providers or _DEFAULT_PROVIDERS).resolve(entry.algorithm_id)
-            params, root = backend.parse_public(entry.public_material)
-            kp = backend.from_seed(params, entry.secret_material, root=root)
+            params = hbs.HbsParams.from_algorithm_id(entry.algorithm_id)
+            _, root = hbs.hbs_parse_public(entry.public_material)
+            kp = hbs.HbsKeyPair.from_seed(params, entry.secret_material, root=root)
         except BaseException:
             store.close()
             raise
@@ -474,7 +365,6 @@ class EasySigner:
             algorithm_id=entry.algorithm_id,
             registry_version=registry_version,
             _kp=kp,
-            _backend=backend,
             _rng=rng,
         )
 
@@ -490,12 +380,12 @@ class EasySigner:
             # Advance first: a signature that fails sacrifices its leaf.
             leaf = self._next_leaf
             self._next_leaf += 1
-            sig = self._backend.sign_with_leaf(self._kp, leaf, msg, self._rng)
+            sig = hbs.hbs_sign_with_leaf(self._kp, leaf, msg, self._rng)
             self.store.note_consumed(self.alias, self._next_leaf)
             self._mark_pending = True
         else:
-            sig = self._backend.sign(self._kp, msg, self._rng)
-        raw = self._backend.serialize_sig(sig)
+            sig = hbs.hbs_sign(self._kp, msg, self._rng)
+        raw = hbs.hbs_serialize_sig(sig)
         return frame_blob(self.algorithm_id, self.registry_version, raw)
 
     def _refill_window(self, leaf_count: int) -> None:
@@ -524,9 +414,7 @@ class EasySigner:
         self.close()
 
 
-def easysigner_verify(
-    public_blob: bytes, msg: bytes, sig_blob: bytes, providers: ProviderRegistry | None = None
-) -> bool:
+def easysigner_verify(public_blob: bytes, msg: bytes, sig_blob: bytes) -> bool:
     """Check a framed signature against a framed public key.  Any
     malformed input rejects; no exception escapes for bad blobs."""
     try:
@@ -534,14 +422,14 @@ def easysigner_verify(
         sig_id, _, raw_sig = parse_blob(sig_blob)
         if pub_id != sig_id:
             return False
-        backend = (providers or _DEFAULT_PROVIDERS).resolve(sig_id)
-        params, root = backend.parse_public(raw_pub)
-        if params.algorithm_id != pub_id:
+        params = hbs.HbsParams.from_algorithm_id(sig_id)
+        pub_params, root = hbs.hbs_parse_public(raw_pub)
+        if pub_params != params:
             return False
-        sig = backend.parse_sig(params, raw_sig)
+        sig = hbs.hbs_parse_sig(params, raw_sig)
     except (MalformedEncoding, ParameterError):
         return False
-    return backend.verify(root, params, msg, sig)
+    return hbs.hbs_verify(root, params, msg, sig)
 
 
 @dataclass
@@ -554,24 +442,18 @@ class EasyEncrypter:
     algorithm_id: str
     registry_version: int
     _kp: cbkem.KemKeyPair
-    _backend: object
     _rng: Rng
     public_blob: bytes
 
     @classmethod
     def with_new_key(
-        cls,
-        ap: AlgorithmParameters,
-        ksp: KeystoreParameters,
-        rng: Rng | None = None,
-        providers: ProviderRegistry | None = None,
+        cls, ap: AlgorithmParameters, ksp: KeystoreParameters, rng: Rng | None = None
     ) -> EasyEncrypter:
         rng = rng or SystemRng()
         if not isinstance(ap.params, cbkem.KemParams):
             raise ParameterError("encrypter requires a KEM algorithm")
-        backend = (providers or _DEFAULT_PROVIDERS).resolve(ap.algorithm_id)
-        kp = backend.keygen(ap.params, rng)
-        raw_pub = backend.serialize_pk(kp.pk)
+        kp = cbkem.kem_keygen(ap.params, rng)
+        raw_pub = cbkem.kem_serialize_pk(kp.pk)
         alias = _derived_alias("enc", ap.algorithm_id, raw_pub)
         store = _open_or_create_store(ksp, rng)
         try:
@@ -593,29 +475,22 @@ class EasyEncrypter:
             algorithm_id=ap.algorithm_id,
             registry_version=ap.registry_version,
             _kp=kp,
-            _backend=backend,
             _rng=rng,
             public_blob=frame_blob(ap.algorithm_id, ap.registry_version, raw_pub),
         )
 
     @classmethod
     def open(
-        cls,
-        ksp: KeystoreParameters,
-        alias: str,
-        registry_version: int,
-        rng: Rng | None = None,
-        providers: ProviderRegistry | None = None,
+        cls, ksp: KeystoreParameters, alias: str, registry_version: int, rng: Rng | None = None
     ) -> EasyEncrypter:
         rng = rng or SystemRng()
         store = keystore_open(ksp)
         try:
             entry = store.get_entry(alias)
-            backend = (providers or _DEFAULT_PROVIDERS).resolve(entry.algorithm_id)
             params = cbkem.KemParams.from_algorithm_id(entry.algorithm_id)
             # The store's MAC covers the public material, so the secret
             # tables are taken from it rather than redrawn from the seed.
-            kp = backend.load(params, entry.secret_material, entry.public_material)
+            kp = cbkem.KemKeyPair.load(params, entry.secret_material, entry.public_material)
         except BaseException:
             store.close()
             raise
@@ -625,7 +500,6 @@ class EasyEncrypter:
             algorithm_id=entry.algorithm_id,
             registry_version=registry_version,
             _kp=kp,
-            _backend=backend,
             _rng=rng,
             public_blob=frame_blob(entry.algorithm_id, registry_version, entry.public_material),
         )
@@ -637,7 +511,7 @@ class EasyEncrypter:
     def encrypt(self, recipient_public_blob: bytes, plaintext: bytes) -> bytes:
         ident, _, raw_pub = parse_blob(recipient_public_blob)
         params = cbkem.KemParams.from_algorithm_id(ident)
-        pk = _DEFAULT_PROVIDERS.resolve(ident).parse_pk(params, raw_pub)
+        pk = cbkem.kem_parse_pk(params, raw_pub)
         ct_bytes, keys = hybrid_encap(pk, self._rng)
         # The blob is its own associated data up to the sealed body.
         header = frame_blob(ident, self.registry_version, ct_bytes)
@@ -649,10 +523,10 @@ class EasyEncrypter:
         container format."""
         params = self._kp.params
         try:
-            ct = self._backend.parse_ct(params, ct_bytes)
+            ct = cbkem.kem_parse_ct(params, ct_bytes)
         except MalformedEncoding as exc:
             raise InvalidCiphertext(str(exc)) from exc
-        return self._backend.decap(self._kp.sk, params, ct)
+        return cbkem.kem_decap(self._kp.sk, params, ct)
 
     def decrypt(self, blob: bytes) -> bytes:
         ident, version, payload = parse_blob(blob)

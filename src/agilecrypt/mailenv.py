@@ -22,17 +22,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .cbkem import KemParams
+from .cbkem import KemParams, kem_parse_pk
 from .codec import Reader, decode_text, encode_text, uint, vec8, vec16, vec32
-from .easyapi import (
-    _DEFAULT_PROVIDERS,
-    EasyEncrypter,
-    EasySigner,
-    ProviderRegistry,
-    hybrid_encap,
-    hybrid_open,
-    parse_blob,
-)
+from .easyapi import EasyEncrypter, EasySigner, hybrid_encap, hybrid_open, parse_blob
 from .errors import (
     AlgorithmMismatch,
     BadMac,
@@ -41,7 +33,7 @@ from .errors import (
     MalformedEncoding,
     ParameterError,
 )
-from .hbs import HbsParams
+from .hbs import HbsParams, hbs_parse_public, hbs_parse_sig, hbs_verify
 from .primitives import HashId, Rng, SystemRng, hash_data, seal_record
 
 ENVELOPE_EXTENSION = ".agenv"
@@ -128,7 +120,6 @@ def envelope_seal(
     rng: Rng | None = None,
     sender_id: str | None = None,
     recipient_id: str | None = None,
-    providers: ProviderRegistry | None = None,
 ) -> Envelope:
     """Sign ``header || message`` with the sender's key, then seal
     message and signature to the recipient.  Stateful signing keys go
@@ -159,19 +150,14 @@ def envelope_seal(
     )
     header_bytes = encode_header(header)
     # A damaged recipient key must fail before signing uses a leaf.
-    kem_pk = (providers or _DEFAULT_PROVIDERS).resolve(enc_id).parse_pk(kem_params, raw_pub)
+    kem_pk = kem_parse_pk(kem_params, raw_pub)
     _, _, raw_sig = parse_blob(signer.sign(header_bytes + message))
-    kem_ct, keys = hybrid_encap(kem_pk, rng, providers)
+    kem_ct, keys = hybrid_encap(kem_pk, rng)
     sealed = seal_record(keys, 0, header_bytes, message + raw_sig)
     return Envelope(header=header, kem_ct=kem_ct, sealed_body=sealed)
 
 
-def envelope_open(
-    recipient: EasyEncrypter,
-    sender_public_blob: bytes,
-    env: Envelope,
-    providers: ProviderRegistry | None = None,
-) -> bytes:
+def envelope_open(recipient: EasyEncrypter, sender_public_blob: bytes, env: Envelope) -> bytes:
     if env.header.enc_algorithm_id != recipient.algorithm_id:
         raise AlgorithmMismatch(
             f"envelope is for {env.header.enc_algorithm_id!r}, "
@@ -189,8 +175,7 @@ def envelope_open(
             f"sender key is {pub_id!r}, envelope was signed with "
             f"{env.header.sig_algorithm_id!r}"
         )
-    sig_backend = (providers or _DEFAULT_PROVIDERS).resolve(pub_id)
-    _, sender_root = sig_backend.parse_public(raw_sender_pub)
+    _, sender_root = hbs_parse_public(raw_sender_pub)
 
     header_bytes = encode_header(env.header)
     try:
@@ -203,9 +188,9 @@ def envelope_open(
         raise BadSignature("sealed body too short to hold a signature")
     message, raw_sig = plaintext[:-sig_size], plaintext[-sig_size:]
     try:
-        signature = sig_backend.parse_sig(sig_params, raw_sig)
+        signature = hbs_parse_sig(sig_params, raw_sig)
     except MalformedEncoding as exc:
         raise BadSignature("embedded signature unreadable") from exc
-    if not sig_backend.verify(sender_root, sig_params, header_bytes + message, signature):
+    if not hbs_verify(sender_root, sig_params, header_bytes + message, signature):
         raise BadSignature("sender signature does not verify")
     return message

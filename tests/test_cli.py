@@ -201,6 +201,27 @@ def test_envelope_open_with_wrong_sender_key_exits_one(keyring, workdir):
     assert "AlgorithmMismatch" in opened.stderr
 
 
+def test_sign_with_an_encryption_alias_exits_one(keyring, workdir):
+    result = run_cli(
+        "sign", keyring["message"], "--alias", keyring["enc_alias"],
+        *_keystore_args(keyring), "--out", workdir / "enc-alias.sig",
+    )
+    assert result.returncode == 1
+    assert result.stderr.splitlines() == [result.stderr.strip()]
+    assert result.stderr.startswith("agilecrypt: error: ParameterError")
+    assert not (workdir / "enc-alias.sig").exists()
+
+
+def test_verify_with_kem_blobs_exits_one(keyring):
+    result = run_cli(
+        "verify", keyring["message"],
+        "--public", keyring["enc_pub"], "--sig", keyring["enc_pub"],
+        password=None,
+    )
+    assert result.returncode == 1
+    assert result.stderr == "agilecrypt: error: signature rejected\n"
+
+
 # ---------------------------------------------------------------------------
 # Exit-code and password contract
 # ---------------------------------------------------------------------------
@@ -456,7 +477,9 @@ def test_measure_reports_are_identical_apart_from_timing(workdir):
 
 
 def test_measure_rejects_unknown_paramset(workdir):
-    result = run_cli(
-        "measure", "--paramset", "toy-999", "--reps", 1, password=None
-    )
-    assert result.returncode == 2
+    for paramset, reps in (("toy-999", 1), ("toy-64", 0), ("toy-64", -1)):
+        result = run_cli(
+            "measure", "--paramset", paramset, "--reps", reps, password=None
+        )
+        assert result.returncode == 2, (paramset, reps, result.stderr)
+        assert "Traceback" not in result.stderr

@@ -17,13 +17,10 @@ from agilecrypt.easyapi import (
     CompatibilityResult,
     EasyEncrypter,
     EasySigner,
-    Provider,
-    ProviderRegistry,
     SecurityLevel,
     TemplateKind,
     builtin_registry,
     compatibility_check,
-    default_provider_registry,
     easysigner_verify,
     frame_blob,
     parse_blob,
@@ -37,7 +34,7 @@ from agilecrypt.errors import (
     MalformedEncoding,
     ParameterError,
 )
-from agilecrypt.keystore import CRASH_POINTS, KeystoreParameters, keystore_open
+from agilecrypt.keystore import CRASH_POINTS, KeystoreEntry, KeystoreParameters, keystore_open
 from agilecrypt.primitives import DeterministicRng
 
 
@@ -121,39 +118,6 @@ def test_v1_monotone_sizes():
     ]
     assert sig_sizes == sorted(sig_sizes)
     assert enc_sizes == sorted(enc_sizes)
-
-
-# ---------------------------------------------------------------------------
-# Provider selection
-# ---------------------------------------------------------------------------
-
-def test_default_providers_resolve_both_families():
-    reg = default_provider_registry()
-    assert reg.resolve("SPX-TOY-16-16-8-S") is not None
-    assert reg.resolve("CME-TOY-10-8") is not None
-    with pytest.raises(ParameterError):
-        reg.resolve("RSA-2048")
-
-
-def test_provider_priority_is_deterministic():
-    reg = default_provider_registry()
-    special = object()
-    reg.register(
-        Provider(name="fast32", priority=1, prefixes=("SPX-TOY-32",), implementation=special)
-    )
-    assert reg.resolve("SPX-TOY-32-16-12-SL") is special
-    assert reg.resolve("SPX-TOY-16-16-8-S") is not special
-
-
-def test_ambiguous_registration_rejected():
-    reg = default_provider_registry()
-    reg.register(Provider(name="a", priority=5, prefixes=("XYZ-1",), implementation=object()))
-    with pytest.raises(ParameterError):
-        reg.register(
-            Provider(name="b", priority=5, prefixes=("XYZ-",), implementation=object())
-        )
-    # Same overlap at a different priority is fine.
-    reg.register(Provider(name="c", priority=6, prefixes=("XYZ-",), implementation=object()))
 
 
 # ---------------------------------------------------------------------------
@@ -253,6 +217,37 @@ def test_signer_agrees_with_direct_hbs(tmp_path):
         direct = hbs.hbs_sign(kp, b"other way", rng)
         framed = frame_blob(ident, 1, hbs.hbs_serialize_sig(direct))
         assert easysigner_verify(signer.public_blob, b"other way", framed)
+
+
+def test_signer_open_refuses_other_families(tmp_path):
+    ap = template_resolve(builtin_registry(1), TemplateKind.ENCRYPTION, SecurityLevel.LOW)
+    ksp = _ksp(tmp_path)
+    rng = DeterministicRng(b"signer families")
+    with EasyEncrypter.with_new_key(ap, ksp, rng=rng) as enc:
+        enc_alias = enc.alias
+        enc.store.put_entry(
+            KeystoreEntry(
+                alias="rsa",
+                algorithm_id="RSA-2048",
+                secret_material=bytes(32),
+                public_material=bytes(256),
+                state=None,
+            )
+        )
+    for alias in (enc_alias, "rsa"):
+        with pytest.raises(ParameterError):
+            EasySigner.open(ksp, alias, registry_version=1, rng=rng)
+    # Each refusal closed its store handle, so the store opens again.
+    EasyEncrypter.open(ksp, enc_alias, registry_version=1, rng=rng).close()
+
+
+def test_verify_rejects_blobs_of_other_families(tmp_path):
+    ap = template_resolve(builtin_registry(1), TemplateKind.ENCRYPTION, SecurityLevel.LOW)
+    with EasyEncrypter.with_new_key(ap, _ksp(tmp_path), rng=DeterministicRng(b"kem blobs")) as enc:
+        kem_pub = enc.public_blob
+    assert not easysigner_verify(kem_pub, b"m", kem_pub)
+    rsa = frame_blob("RSA-2048", 1, bytes(256))
+    assert not easysigner_verify(rsa, b"m", rsa)
 
 
 # ---------------------------------------------------------------------------

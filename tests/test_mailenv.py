@@ -13,6 +13,7 @@ from agilecrypt.easyapi import (
     SecurityLevel,
     TemplateKind,
     builtin_registry,
+    frame_blob,
     hybrid_record_keys,
     parse_blob,
     template_resolve,
@@ -338,6 +339,14 @@ def test_wrong_sender_key_type_rejected(tmp_path):
     env = envelope_seal(signer, recipient.public_blob, b"m", rng=rng)
     with pytest.raises(AlgorithmMismatch):
         envelope_open(recipient, recipient.public_blob, env)  # KEM key as sender
+    rsa = frame_blob("RSA-2048", 1, bytes(256))
+    with pytest.raises(AlgorithmMismatch):
+        envelope_open(recipient, rsa, env)
+    rsa_env = dataclasses.replace(
+        env, header=dataclasses.replace(env.header, sig_algorithm_id="RSA-2048")
+    )
+    with pytest.raises(AlgorithmMismatch):
+        envelope_open(recipient, rsa, rsa_env)
     signer.close()
     recipient.close()
 
