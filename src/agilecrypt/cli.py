@@ -22,12 +22,11 @@ import argparse
 import json
 import os
 import socket
-import statistics
 import sys
 import threading
 import time
 
-from .cbkem import NAMED_PARAM_SETS, KemKeyPair, KemParams, kem_keygen, kem_serialize_pk
+from .cbkem import NAMED_PARAM_SETS
 from .easyapi import (
     EasyEncrypter,
     EasySigner,
@@ -36,13 +35,10 @@ from .easyapi import (
     TemplateRegistry,
     builtin_registry,
     easysigner_verify,
-    frame_blob,
     load_registry,
-    parse_blob,
     template_resolve,
 )
-from .errors import AgilecryptError, AlgorithmMismatch, ConnectionClosed
-from .hbs import hbs_keygen
+from .errors import AgilecryptError, ConnectionClosed
 from .keystore import DEFAULT_ITERATIONS, KeystoreParameters
 from .mailenv import (
     ENVELOPE_EXTENSION,
@@ -52,7 +48,6 @@ from .mailenv import (
     envelope_seal,
 )
 from .minitls import (
-    AlertDescription,
     ClientTlsConfig,
     ServerTlsConfig,
     SocketTransport,
@@ -62,27 +57,19 @@ from .minitls import (
     client_handshake,
     connect_tcp,
     encode_certificate,
-    issue_certificate,
-    parse_certificate,
     server_handshake,
     transcript_report,
-    transport_pair,
 )
-from .primitives import DeterministicRng, Rng, SystemRng
+from .minitls.certificate import issue_server_material, load_server_material
+from .minitls.measure import echo_until_closed, run_measurement
+from .minitls.wire import alert_name
+from .primitives import make_rng
 
 # ---------------------------------------------------------------------------
 # Shared plumbing
 # ---------------------------------------------------------------------------
 
 PASSWORD_ENV_VAR = "AGILECRYPT_PASSWORD"
-
-# Handshake parameter sets are named after their KEM; the registry level
-# whose ENCRYPTION row carries that KEM supplies the rest of the profile.
-PARAMSET_LEVELS = {
-    "toy-64": SecurityLevel.LOW,
-    "toy-128": SecurityLevel.MEDIUM,
-    "mce-emu": SecurityLevel.HIGH,
-}
 
 CA_ROOT_FILE = "ca.root"
 SERVER_CERT_FILE = "server.cert"
@@ -138,27 +125,14 @@ def _load_registry_arg(args: argparse.Namespace) -> TemplateRegistry:
     return builtin_registry(1)
 
 
-def _make_rng(seed: str | None) -> Rng:
-    """Deterministic stream for reproducible fixtures and reports,
-    operating-system entropy otherwise."""
-    if seed is not None:
-        return DeterministicRng(seed.encode("utf-8"))
-    return SystemRng()
-
-
 def _alert_label(exc: TlsError) -> str:
-    if isinstance(exc, TlsAlertSent):
-        return exc.description.name.lower()
-    if isinstance(exc, TlsAlertReceived):
-        try:
-            return AlertDescription(exc.description).name.lower()
-        except ValueError:
-            return f"alert_{exc.description}"
+    if isinstance(exc, (TlsAlertSent, TlsAlertReceived)):
+        return alert_name(exc.description) or f"alert_{exc.description}"
     return "handshake_failure"
 
 
 # ---------------------------------------------------------------------------
-# Key lifecycle commands
+# Key lifecycle, envelope and registry commands
 # ---------------------------------------------------------------------------
 
 def _cmd_keygen(args: argparse.Namespace) -> int:
@@ -216,10 +190,6 @@ def _cmd_decrypt(args: argparse.Namespace) -> int:
     return 0
 
 
-# ---------------------------------------------------------------------------
-# Envelope commands
-# ---------------------------------------------------------------------------
-
 def _cmd_envelope_seal(args: argparse.Namespace) -> int:
     registry = _load_registry_arg(args)
     ksp = _keystore_params(args)
@@ -253,10 +223,6 @@ def _cmd_envelope_open(args: argparse.Namespace) -> int:
     return 0
 
 
-# ---------------------------------------------------------------------------
-# Registry helper
-# ---------------------------------------------------------------------------
-
 def _cmd_registry_dump(args: argparse.Namespace) -> int:
     registry = builtin_registry(args.builtin)
     _write_output(registry.canonical_text().encode("ascii"), args.out)
@@ -264,71 +230,26 @@ def _cmd_registry_dump(args: argparse.Namespace) -> int:
 
 
 # ---------------------------------------------------------------------------
-# TLS fixture generation
+# TLS fixtures, echo pair and measurement
 # ---------------------------------------------------------------------------
-
-def _issue_server_material(
-    registry: TemplateRegistry, level: SecurityLevel, subject: str, rng: Rng
-):
-    """CA key, server KEM key, and a certificate binding them, all drawn
-    from the registry's templates at the given level."""
-    sig_ap = template_resolve(registry, TemplateKind.SIGNATURE, level)
-    enc_ap = template_resolve(registry, TemplateKind.ENCRYPTION, level)
-    issuer = hbs_keygen(sig_ap.params, rng)
-    kem_kp = kem_keygen(enc_ap.params, rng)
-    cert = issue_certificate(
-        issuer, subject, enc_ap.algorithm_id, kem_serialize_pk(kem_kp.pk), rng
-    )
-    return issuer, kem_kp, cert, enc_ap
-
 
 def _cmd_tls_setup(args: argparse.Namespace) -> int:
     registry = _load_registry_arg(args)
     level = SecurityLevel.from_name(args.level)
-    rng = _make_rng(args.seed)
+    rng = make_rng(args.seed)
     os.makedirs(args.dir, exist_ok=True)
-    issuer, kem_kp, cert, enc_ap = _issue_server_material(
-        registry, level, args.subject, rng
-    )
+    issuer, _, cert, seed_blob = issue_server_material(registry, level, args.subject, rng)
     with open(os.path.join(args.dir, CA_ROOT_FILE), "wb") as fh:
         fh.write(issuer.root)
     with open(os.path.join(args.dir, SERVER_CERT_FILE), "wb") as fh:
         fh.write(encode_certificate(cert))
     with open(os.path.join(args.dir, SERVER_SEED_FILE), "wb") as fh:
-        fh.write(frame_blob(enc_ap.algorithm_id, registry.version, kem_kp.seed))
+        fh.write(seed_blob)
     print(
         f"wrote {CA_ROOT_FILE}, {SERVER_CERT_FILE}, {SERVER_SEED_FILE} to {args.dir}",
         file=sys.stderr,
     )
     return 0
-
-
-def _load_server_material(args: argparse.Namespace):
-    """The certificate to serve and the KEM secret for the public key it
-    carries; decapsulation follows that key."""
-    cert = parse_certificate(_read_file(os.path.join(args.dir, SERVER_CERT_FILE)))
-    kem_id, _, seed = parse_blob(_read_file(os.path.join(args.dir, SERVER_SEED_FILE)))
-    if kem_id != cert.kem_algorithm_id:
-        raise AlgorithmMismatch(
-            f"{SERVER_SEED_FILE} holds a {kem_id} key, the certificate a "
-            f"{cert.kem_algorithm_id} key"
-        )
-    params = KemParams.from_algorithm_id(kem_id)
-    kem_kp = KemKeyPair.load(params, seed, cert.kem_public_key)
-    return cert, kem_kp.sk
-
-
-# ---------------------------------------------------------------------------
-# TLS echo pair
-# ---------------------------------------------------------------------------
-
-def _echo_until_closed(session) -> None:
-    while True:
-        try:
-            data = session.recv()
-        except ConnectionClosed:
-            break
-        session.send(data)
 
 
 def _connection_outcome(failure: BaseException | None) -> str:
@@ -351,11 +272,8 @@ def _serve_connection(conn: socket.socket, config: ServerTlsConfig, timeout: flo
     transport = SocketTransport(conn, timeout=timeout)
     failure: BaseException | None = None
     try:
-        session = server_handshake(transport, config)
-        try:
-            _echo_until_closed(session)
-        finally:
-            session.close()
+        with server_handshake(transport, config) as session:
+            echo_until_closed(session)
     except BaseException as exc:
         failure = exc
         raise
@@ -387,9 +305,12 @@ def _serve_connection_quietly(
 def _cmd_tls_serve(args: argparse.Namespace) -> int:
     registry = _load_registry_arg(args)
     level = SecurityLevel.from_name(args.level)
-    cert, kem_secret = _load_server_material(args)
+    cert, kem_kp = load_server_material(
+        _read_file(os.path.join(args.dir, SERVER_CERT_FILE)),
+        _read_file(os.path.join(args.dir, SERVER_SEED_FILE)),
+    )
     config = ServerTlsConfig(
-        registry=registry, level=level, certificate=cert, kem_secret=kem_secret
+        registry=registry, level=level, certificate=cert, kem_secret=kem_kp.sk
     )
     listener = socket.create_server(("127.0.0.1", args.port))
     try:
@@ -434,14 +355,12 @@ def _cmd_tls_connect(args: argparse.Namespace) -> int:
     except (TlsError, ConnectionClosed):
         transport.close()
         raise
-    try:
+    with session:
         probe = _probe_bytes(args.probe_bytes)
         session.send(probe)
         echoed = session.recv_exact(len(probe))
         if echoed != probe:
             return _fail("echo mismatch: peer returned different bytes")
-    finally:
-        session.close()
     report = transcript_report(session.transcript)
     _write_output((json.dumps(report, indent=2, sort_keys=True) + "\n").encode(), args.out)
     print(
@@ -450,125 +369,6 @@ def _cmd_tls_connect(args: argparse.Namespace) -> int:
         file=sys.stderr,
     )
     return 0
-
-
-# ---------------------------------------------------------------------------
-# Measurement harness
-# ---------------------------------------------------------------------------
-
-def _run_loopback_handshake(
-    client_config: ClientTlsConfig, server_config: ServerTlsConfig
-):
-    """One in-process handshake over a socket pair; returns the client's
-    transcript."""
-    client_transport, server_transport = transport_pair(timeout=30.0)
-    server_exc: list[BaseException] = []
-
-    def server_side() -> None:
-        try:
-            session = server_handshake(server_transport, server_config)
-            _echo_until_closed(session)
-        except BaseException as exc:
-            server_exc.append(exc)
-
-    worker = threading.Thread(target=server_side, daemon=True)
-    worker.start()
-    try:
-        session = client_handshake(client_transport, client_config)
-        session.close()
-    finally:
-        client_transport.close()
-        worker.join(timeout=60.0)
-        server_transport.close()
-    if server_exc and not isinstance(server_exc[0], (ConnectionClosed, TlsError)):
-        raise server_exc[0]
-    return session.transcript
-
-
-def _stats(values: list) -> dict:
-    return {
-        "min": min(values),
-        "median": statistics.median(values),
-        "max": max(values),
-    }
-
-
-def aggregate_reports(reports: list[dict]) -> dict:
-    """Fold per-handshake transcript reports into one report with
-    min/median/max for every size and timing figure.  All runs must have
-    followed the same message sequence."""
-    first = reports[0]
-    shape = [(m["message"], m["direction"]) for m in first["messages"]]
-    for rep in reports[1:]:
-        if [(m["message"], m["direction"]) for m in rep["messages"]] != shape:
-            raise ValueError("handshake runs diverged in message sequence")
-    messages = []
-    for idx, (name, direction) in enumerate(shape):
-        sizes = [rep["messages"][idx]["bytes"] for rep in reports]
-        messages.append(
-            {"message": name, "direction": direction, "bytes": _stats(sizes)}
-        )
-    return {
-        "repetitions": len(reports),
-        "suite": first["suite"],
-        "suite_name": first["suite_name"],
-        "templates": first["templates"],
-        "messages": messages,
-        "total_bytes": _stats([rep["total_bytes"] for rep in reports]),
-        "total_sent": _stats([rep["total_sent"] for rep in reports]),
-        "total_received": _stats([rep["total_received"] for rep in reports]),
-        "duration_ms": _stats([rep["duration_ms"] for rep in reports]),
-        "aborted": any(rep["aborted"] for rep in reports),
-        "records": {
-            key: _stats([rep["records"][key] for rep in reports])
-            for key in first["records"]
-        },
-    }
-
-
-def run_measurement(
-    paramset: str, repetitions: int, seed: str | None = None
-) -> dict:
-    """Generate fixture keys for the parameter set, run the handshake
-    ``repetitions`` times over an in-process loopback, and aggregate the
-    client-side transcripts."""
-    if paramset not in PARAMSET_LEVELS:
-        raise UsageError(
-            f"unknown parameter set {paramset!r}; choose from {sorted(PARAMSET_LEVELS)}"
-        )
-    if repetitions < 1:
-        raise UsageError(f"--reps must be at least 1, got {repetitions}")
-    level = PARAMSET_LEVELS[paramset]
-    registry = builtin_registry(1)
-    setup_rng = _make_rng(None if seed is None else seed + "/setup")
-    issuer, kem_kp, cert, _ = _issue_server_material(
-        registry, level, f"measure-{paramset}", setup_rng
-    )
-    started = time.monotonic()
-    reports = []
-    for rep in range(repetitions):
-        client_rng = _make_rng(None if seed is None else f"{seed}/client/{rep}")
-        server_rng = _make_rng(None if seed is None else f"{seed}/server/{rep}")
-        client_config = ClientTlsConfig(
-            registry=registry,
-            level=level,
-            trusted_roots=(issuer.root,),
-            rng=client_rng,
-        )
-        server_config = ServerTlsConfig(
-            registry=registry,
-            level=level,
-            certificate=cert,
-            kem_secret=kem_kp.sk,
-            rng=server_rng,
-        )
-        transcript = _run_loopback_handshake(client_config, server_config)
-        reports.append(transcript_report(transcript))
-    aggregated = aggregate_reports(reports)
-    aggregated["paramset"] = paramset
-    aggregated["level"] = level.name.lower()
-    aggregated["wall_clock_s"] = round(time.monotonic() - started, 3)
-    return aggregated
 
 
 def _cmd_measure(args: argparse.Namespace) -> int:
@@ -587,6 +387,16 @@ def _cmd_measure(args: argparse.Namespace) -> int:
 # Argument parser
 # ---------------------------------------------------------------------------
 
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def _add_keystore_args(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--keystore", required=True, help="path to the keystore file")
     sub.add_argument(
@@ -596,7 +406,7 @@ def _add_keystore_args(sub: argparse.ArgumentParser) -> None:
     sub.add_argument(
         "--kdf-iterations",
         type=int,
-        default=None,
+        default=DEFAULT_ITERATIONS,
         help="key-derivation iteration count (default: library default)",
     )
 
@@ -717,8 +527,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser(
         "measure", help="run loopback handshakes and report message sizes"
     )
-    p.add_argument("--paramset", required=True, choices=sorted(PARAMSET_LEVELS))
-    p.add_argument("--reps", type=int, default=3)
+    p.add_argument("--paramset", required=True, choices=sorted(NAMED_PARAM_SETS))
+    p.add_argument("--reps", type=_positive_int, default=3)
     p.add_argument("--seed", help="deterministic run seed (reports then differ only in timing)")
     p.add_argument("--out", help="report output (default: stdout)")
     p.set_defaults(func=_cmd_measure)
@@ -729,8 +539,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "kdf_iterations", None) is None and hasattr(args, "keystore"):
-        args.kdf_iterations = DEFAULT_ITERATIONS
     try:
         return args.func(args)
     except UsageError as exc:

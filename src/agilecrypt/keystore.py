@@ -328,14 +328,20 @@ class Keystore:
         tmp = self.params.path + ".tmp"
         try:
             fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o600)
+            try:
+                # os.write may take part of the buffer; the view slices without copying.
+                pending = memoryview(self._header + blob)
+                while pending:
+                    written = os.write(fd, pending)
+                    if written == 0:
+                        raise OSError(f"write stalled with {len(pending)} bytes left")
+                    pending = pending[written:]
+                self._hook("tmp-written")
+                os.fsync(fd)
+            finally:
+                os.close(fd)
         except OSError as exc:
             raise KeystoreIoError(f"cannot write {tmp}: {exc}") from exc
-        try:
-            os.write(fd, self._header + blob)
-            self._hook("tmp-written")
-            os.fsync(fd)
-        finally:
-            os.close(fd)
         self._hook("tmp-synced")
         try:
             os.replace(tmp, self.params.path)
@@ -426,11 +432,11 @@ def keystore_create(params: KeystoreParameters, rng: Rng | None = None) -> Keyst
             lock_fd=lock_fd,
             read_only=False,
         )
+        ks._persist()
     except BaseException:
         fcntl.flock(lock_fd, fcntl.LOCK_UN)
         os.close(lock_fd)
         raise
-    ks._persist()
     return ks
 
 

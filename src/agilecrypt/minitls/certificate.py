@@ -11,13 +11,22 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..cbkem import KemParams, KemPublicKey, kem_parse_pk
+from ..cbkem import KemKeyPair, KemParams, KemPublicKey, kem_keygen, kem_parse_pk, kem_serialize_pk
 from ..codec import Reader, decode_text, encode_text, vec8, vec16, vec32
-from ..errors import MalformedEncoding, ParameterError
+from ..easyapi import (
+    SecurityLevel,
+    TemplateKind,
+    TemplateRegistry,
+    frame_blob,
+    parse_blob,
+    template_resolve,
+)
+from ..errors import AlgorithmMismatch, MalformedEncoding, ParameterError
 from ..hbs import (
     HbsKeyPair,
     HbsParams,
     HbsSignature,
+    hbs_keygen,
     hbs_parse_sig,
     hbs_serialize_sig,
     hbs_sign,
@@ -130,3 +139,33 @@ def verify_certificate(
     )
     valid = hbs_verify(cert.issuer_root, sig_params, body, cert.issuer_signature)
     return kem_pk if valid else None
+
+
+def issue_server_material(
+    registry: TemplateRegistry, level: SecurityLevel, subject: str, rng: Rng
+) -> tuple[HbsKeyPair, KemKeyPair, Certificate, bytes]:
+    """CA key, server KEM key, and a certificate binding them, all drawn
+    from the registry's templates at the given level.  The last item is
+    the KEM seed blob that load_server_material reads back."""
+    sig_ap = template_resolve(registry, TemplateKind.SIGNATURE, level)
+    enc_ap = template_resolve(registry, TemplateKind.ENCRYPTION, level)
+    issuer = hbs_keygen(sig_ap.params, rng)
+    kem_kp = kem_keygen(enc_ap.params, rng)
+    cert = issue_certificate(
+        issuer, subject, enc_ap.algorithm_id, kem_serialize_pk(kem_kp.pk), rng
+    )
+    return issuer, kem_kp, cert, frame_blob(enc_ap.algorithm_id, registry.version, kem_kp.seed)
+
+
+def load_server_material(cert_bytes: bytes, seed_blob: bytes) -> tuple[Certificate, KemKeyPair]:
+    """The certificate to serve and the KEM key pair for the public key
+    it carries; decapsulation follows that key.  The seed blob must name
+    the certificate's KEM algorithm, else AlgorithmMismatch."""
+    cert = parse_certificate(cert_bytes)
+    kem_id, _, seed = parse_blob(seed_blob)
+    if kem_id != cert.kem_algorithm_id:
+        raise AlgorithmMismatch(
+            f"server seed holds a {kem_id} key, the certificate a "
+            f"{cert.kem_algorithm_id} key"
+        )
+    return cert, KemKeyPair.load(KemParams.from_algorithm_id(kem_id), seed, cert.kem_public_key)

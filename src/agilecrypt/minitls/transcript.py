@@ -1,4 +1,4 @@
-"""Handshake transcript bookkeeping and the measurement report.
+"""Handshake transcript bookkeeping and the measurement report schema.
 
 Every handshake message is logged with its direction and exact wire size
 (including the 4-byte handshake header).  ChangeCipherSpec is logged for
@@ -10,12 +10,13 @@ asking for it never re-reads the megabyte-scale certificate.
 from __future__ import annotations
 
 import hashlib
+import statistics
 import time
 from dataclasses import dataclass, field
 from typing import Any
 
 from .record import RecordLayer
-from .wire import SUITE_NAMES, AlertDescription, TemplateInfo
+from .wire import SUITE_NAMES, TemplateInfo, alert_name
 
 
 @dataclass
@@ -89,12 +90,6 @@ def transcript_report(t: HandshakeTranscript) -> dict:
     records and transport writes the handshake took."""
     sent = sum(e.length for e in t.entries if e.direction == "sent")
     received = sum(e.length for e in t.entries if e.direction == "received")
-    alert_name = None
-    if t.alert is not None:
-        try:
-            alert_name = AlertDescription(t.alert).name.lower()
-        except ValueError:
-            alert_name = None
     return {
         "messages": [
             {"message": e.message, "direction": e.direction, "bytes": e.length}
@@ -112,10 +107,47 @@ def transcript_report(t: HandshakeTranscript) -> dict:
         "duration_ms": t.duration_ms,
         "aborted": t.aborted,
         "alert": t.alert,
-        "alert_name": alert_name,
+        "alert_name": None if t.alert is None else alert_name(t.alert),
         "records": {
             "sent": t.records_sent,
             "received": t.records_received,
             "writes": t.writes,
+        },
+    }
+
+
+def _stats(values: list) -> dict:
+    return {"min": min(values), "median": statistics.median(values), "max": max(values)}
+
+
+def aggregate_reports(reports: list[dict]) -> dict:
+    """Fold per-handshake transcript reports into one report with
+    min/median/max for every size and timing figure.  All runs must have
+    followed the same message sequence."""
+    first = reports[0]
+    shape = [(m["message"], m["direction"]) for m in first["messages"]]
+    for rep in reports[1:]:
+        if [(m["message"], m["direction"]) for m in rep["messages"]] != shape:
+            raise ValueError("handshake runs diverged in message sequence")
+    messages = []
+    for idx, (name, direction) in enumerate(shape):
+        sizes = [rep["messages"][idx]["bytes"] for rep in reports]
+        messages.append(
+            {"message": name, "direction": direction, "bytes": _stats(sizes)}
+        )
+    return {
+        "repetitions": len(reports),
+        "suite": first["suite"],
+        "suite_name": first["suite_name"],
+        "templates": first["templates"],
+        "messages": messages,
+        "total_bytes": _stats([rep["total_bytes"] for rep in reports]),
+        "total_sent": _stats([rep["total_sent"] for rep in reports]),
+        "total_received": _stats([rep["total_received"] for rep in reports]),
+        "duration_ms": _stats([rep["duration_ms"] for rep in reports]),
+        "aborted": any(rep["aborted"] for rep in reports),
+        "records": {
+            key: _stats([rep["records"][key] for rep in reports])
+            for key in first["records"]
         },
     }

@@ -70,12 +70,17 @@ class TlsAlertReceived(TlsError):
     """The peer sent a fatal alert."""
 
     def __init__(self, description: int):
-        try:
-            name = AlertDescription(description).name
-        except ValueError:
-            name = f"code {description}"
-        super().__init__(f"received fatal alert {name}")
+        name = alert_name(description)
+        super().__init__(f"received fatal alert {name.upper() if name else f'code {description}'}")
         self.description = description
+
+
+def alert_name(code: int) -> str | None:
+    """Lowercase name of a known alert code, None for any other code."""
+    try:
+        return AlertDescription(code).name.lower()
+    except ValueError:
+        return None
 
 
 # ---------------------------------------------------------------------------

@@ -272,3 +272,11 @@ _SYSTEM_RNG = SystemRng()
 def random_bytes(n: int, rng: Rng | None = None) -> bytes:
     """n random bytes from rng, defaulting to the system source."""
     return (rng or _SYSTEM_RNG).random_bytes(n)
+
+
+def make_rng(seed: str | None) -> Rng:
+    """Deterministic stream for reproducible fixtures and reports,
+    operating-system entropy otherwise."""
+    if seed is not None:
+        return DeterministicRng(seed.encode("utf-8"))
+    return SystemRng()

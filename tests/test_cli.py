@@ -401,6 +401,45 @@ def test_tls_connect_bad_address_exits_two(tls_low_dir):
     assert result.returncode == 2
 
 
+@pytest.mark.parametrize(
+    "code, label, name",
+    [(42, "bad_certificate", "BAD_CERTIFICATE"), (99, "alert_99", "code 99")],
+)
+def test_tls_connect_names_a_received_alert(tls_low_dir, code, label, name):
+    """A server that answers the ClientHello with a fatal alert: the one
+    stderr line names a known code and spells out an unknown one."""
+    listener = socket.create_server(("127.0.0.1", 0))
+    port = listener.getsockname()[1]
+
+    def answer_with_alert() -> None:
+        conn, _ = listener.accept()
+        with conn:
+            conn.recv(65536)
+            conn.sendall(bytes([21, 3, 3, 0, 2, 2, code]))
+            conn.shutdown(socket.SHUT_WR)
+            try:
+                while conn.recv(65536):
+                    pass
+            except OSError:
+                pass
+
+    responder = threading.Thread(target=answer_with_alert, daemon=True)
+    responder.start()
+    try:
+        result = run_cli(
+            "tls-connect", f"127.0.0.1:{port}", "--dir", tls_low_dir,
+            "--level", "low", password=None, timeout=60,
+        )
+    finally:
+        responder.join(timeout=60)
+        listener.close()
+    assert not responder.is_alive()
+    assert result.returncode == 1
+    assert result.stderr == (
+        f"agilecrypt: error: handshake failed: {label} (received fatal alert {name})\n"
+    )
+
+
 def test_registry_drift_aborts_both_processes(workdir):
     setup_dir = workdir / "tlshigh"
     result = run_cli(

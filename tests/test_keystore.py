@@ -8,11 +8,13 @@ fresh process would.
 
 from __future__ import annotations
 
+import errno
 import os
 import random
 
 import pytest
 
+from agilecrypt import keystore
 from agilecrypt.errors import (
     BadPassword,
     DuplicateAlias,
@@ -329,6 +331,51 @@ def test_no_reuse_across_randomized_crash_schedules(tmp_path):
         for i in range(start, end):
             assert i not in seen, f"leaf {i} released twice"
             seen.add(i)
+
+
+def test_short_writes_still_store_every_byte(tmp_path, monkeypatch):
+    params = _params(tmp_path)
+    keystore_create(params).close()
+    real_write = os.write
+    with keystore_open(params) as ks:
+        monkeypatch.setattr(
+            keystore.os, "write", lambda fd, data: real_write(fd, data[: max(1, len(data) // 2)])
+        )
+        ks.put_entry(_stateless_entry())
+        monkeypatch.undo()
+    with keystore_open(params) as ks:
+        assert ks.get_entry("enc") == _stateless_entry()
+
+
+def _disk_full(*args):
+    raise OSError(errno.ENOSPC, "No space left on device")
+
+
+@pytest.mark.parametrize(
+    "call, replacement",
+    [("write", _disk_full), ("write", lambda fd, data: 0), ("fsync", _disk_full)],
+    ids=["write-error", "write-no-progress", "fsync-error"],
+)
+def test_failed_write_keeps_the_previous_store(tmp_path, monkeypatch, call, replacement):
+    params = _params(tmp_path)
+    with keystore_create(params) as ks:
+        ks.put_entry(_stateful_entry())
+    with keystore_open(params) as ks:
+        monkeypatch.setattr(keystore.os, call, replacement)
+        with pytest.raises(KeystoreIoError):
+            ks.put_entry(_stateless_entry())
+        monkeypatch.undo()
+    with keystore_open(params) as ks:
+        assert ks.aliases() == ["sig"]
+
+
+def test_create_releases_the_lock_when_its_first_write_fails(tmp_path, monkeypatch):
+    params = _params(tmp_path)
+    monkeypatch.setattr(keystore.os, "replace", _disk_full)
+    with pytest.raises(KeystoreIoError):
+        keystore_create(params)
+    monkeypatch.undo()
+    keystore_create(params).close()
 
 
 def test_single_writer_lock(tmp_path):

@@ -25,7 +25,7 @@ from agilecrypt.easyapi import (
     parse_registry_text,
     template_resolve,
 )
-from agilecrypt.errors import AgilecryptError, BadMac, BadPadding, ConnectionClosed
+from agilecrypt.errors import AgilecryptError, BadMac, BadPadding, ConnectionClosed, ParameterError
 from agilecrypt.hbs import HbsParams, hbs_keygen
 from agilecrypt.minitls import (
     AlertDescription,
@@ -50,6 +50,7 @@ from agilecrypt.minitls import (
     transport_pair,
 )
 from agilecrypt.minitls.handshake import build_template_info
+from agilecrypt.minitls.measure import paramset_level, run_measurement
 from agilecrypt.primitives import DeterministicRng
 
 _JOIN_TIMEOUT = 60.0
@@ -488,6 +489,21 @@ def test_serve_connection_closes_and_logs_a_failed_handshake(low_material, capsy
     assert line["ms"] >= 0
 
 
+@pytest.mark.parametrize("code, label", [(51, "decrypt_error"), (99, "alert_99")])
+def test_serve_connection_logs_the_name_of_a_received_alert(low_material, capsys, code, label):
+    """A peer that answers with a fatal alert instead of a ClientHello:
+    the log line names a known code and spells out an unknown one."""
+    server_sock, client_sock = socket.socketpair()
+    client_sock.sendall(bytes([ContentType.ALERT, 3, 3, 0, 2, 2, code]))
+    try:
+        with pytest.raises(TlsAlertReceived):
+            _serve_connection(server_sock, _server_cfg(low_material), _IO_TIMEOUT)
+    finally:
+        client_sock.close()
+    line = json.loads(capsys.readouterr().err)
+    assert (line["outcome"], line["alert"]) == ("alert_received", label)
+
+
 def test_same_version_template_conflict_classified(low_material):
     """Registries that disagree while claiming the same version number
     are a template conflict, not version drift."""
@@ -791,3 +807,26 @@ def test_session_closed_after_teardown(low_material):
         client.send(b"late")
     with pytest.raises(ConnectionClosed):
         client.recv()
+
+
+# ---------------------------------------------------------------------------
+# Measurement harness
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("version", [1, 2])
+def test_paramsets_resolve_to_the_level_of_their_kem(version):
+    registry = builtin_registry(version)
+    levels = {name: paramset_level(registry, name) for name in ("toy-64", "toy-128", "mce-emu")}
+    assert levels == {
+        "toy-64": SecurityLevel.LOW,
+        "toy-128": SecurityLevel.MEDIUM,
+        "mce-emu": SecurityLevel.HIGH,
+    }
+    with pytest.raises(ParameterError):
+        paramset_level(registry, "toy-999")
+
+
+def test_measurement_rejects_bad_arguments_before_building_keys():
+    for paramset, reps in (("toy-999", 1), ("toy-64", 0), ("toy-64", -1)):
+        with pytest.raises(ParameterError):
+            run_measurement(paramset, reps)

@@ -20,13 +20,16 @@ from agilecrypt.minitls import (
     Certificate,
     ClientHello,
     ContentType,
+    HandshakeTranscript,
     HandshakeType,
     RecordLayer,
     ServerHello,
     TemplateInfo,
+    TlsAlertReceived,
     encode_certificate,
     issue_certificate,
     parse_certificate,
+    transcript_report,
     verify_certificate,
 )
 from agilecrypt.minitls.wire import (
@@ -239,6 +242,19 @@ def test_alert_codec():
         decode_alert(b"\x02")
     with pytest.raises(MalformedEncoding):
         decode_alert(bytes([1, 112]))  # warning level not in the profile
+
+
+@pytest.mark.parametrize(
+    "code, message, report_name",
+    [
+        (112, "received fatal alert TEMPLATE_MISMATCH", "template_mismatch"),
+        (99, "received fatal alert code 99", None),
+    ],
+)
+def test_alert_names_in_exception_and_report(code, message, report_name):
+    assert str(TlsAlertReceived(code)) == message
+    report = transcript_report(HandshakeTranscript(aborted=True, alert=code))
+    assert (report["alert"], report["alert_name"]) == (code, report_name)
 
 
 # ---------------------------------------------------------------------------
