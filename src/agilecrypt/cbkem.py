@@ -16,19 +16,20 @@ oracle can run; production-flavoured sets use m >= 8.
 
 All public-key and ciphertext encodings are bit-packed MSB-first,
 block-major, row-major within each T block, zero-padded to the final
-byte.  Large keys are built and serialized block by block, never through
-unbounded recursion or per-bit Python lists.  Each block draws from its
-own seeded stream, so the blocks of a large key are built in parallel
-worker processes with the same result.  A stored key is opened from its
-public key: the secret tables are the inverse of its columns.
+byte.  A public key is held as that encoding and read in place: an
+encapsulation reads m bits per block.  Each block draws from its own
+seeded stream, so the blocks of a large key are built in parallel
+worker processes with the same result.  The secret tables are the
+inverse of a key's columns: key generation takes them from the columns
+it draws, and a stored key is opened from the columns of its public key.
 """
 
 from __future__ import annotations
 
 import struct
+from array import array
+from collections.abc import Sequence
 from dataclasses import dataclass
-
-import numpy as np
 
 from ._parallel import parallel_map
 from .errors import AgilecryptError, InvalidCiphertext, MalformedEncoding, ParameterError
@@ -111,46 +112,42 @@ NAMED_PARAM_SETS: dict[str, KemParams] = {
 }
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True)
 class KemPublicKey:
-    """Per-block T columns as m-bit values (numpy uint32 arrays of length k)."""
+    """The canonical encoding, read in place: row r of T column j of
+    block i (bit m-1-r of its value) is bit (i*m + r)*k + j, MSB-first."""
 
     params: KemParams
-    blocks: list[np.ndarray]
+    encoding: bytes
 
     def syndrome_for_position(self, block: int, position: int) -> int:
         """Column value at an error position: unit vector inside the
         identity part, T column beyond it."""
-        m = self.params.m
+        m, k = self.params.m, self.params.k
         if not 0 <= position < self.params.n:
             raise ParameterError("position out of range")
         if position < m:
             return 1 << (m - 1 - position)
-        return int(self.blocks[block][position - m])
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, KemPublicKey):
-            return NotImplemented
-        return self.params == other.params and all(
-            np.array_equal(a, b) for a, b in zip(self.blocks, other.blocks)
-        )
+        value = 0
+        for bit in range(block * m * k + position - m, (block + 1) * m * k, k):
+            value = (value << 1) | ((self.encoding[bit >> 3] >> (7 - (bit & 7))) & 1)
+        return value
 
 
 @dataclass(eq=False)
 class KemSecretKey:
-    """Value-to-position inverse tables.  They are the inverse of the
-    public key's columns, so they are rebuilt either from the 32-byte
-    seed (KemKeyPair.from_seed, which also draws the public key) or,
-    much faster, from the seed's public key (KemKeyPair.load)."""
+    """Value-to-position tables, the inverse of the public key's columns:
+    built from the columns key generation draws (KemKeyPair.from_seed)
+    or from a stored public key (KemKeyPair.load)."""
 
     params: KemParams
     seed: bytes
-    inverse: list[np.ndarray]
+    inverse: list[array]
 
     def position_for_syndrome(self, block: int, syndrome: int) -> int:
         if not 0 < syndrome <= self.params.n:
             return -1
-        return int(self.inverse[block][syndrome])
+        return self.inverse[block][syndrome]
 
 
 @dataclass(eq=False)
@@ -166,14 +163,9 @@ class KemKeyPair:
         if len(seed) != 32:
             raise ParameterError("seed must be 32 bytes")
         tasks = [(params, seed, i) for i in range(params.b)]
-        hash_calls = params.b * params.n * _HASH_CALLS_PER_POSITION
-        built = parallel_map(_seeded_block, tasks, hash_calls)
-        return cls(
-            params=params,
-            seed=seed,
-            pk=KemPublicKey(params=params, blocks=[cols for cols, _ in built]),
-            sk=KemSecretKey(params=params, seed=seed, inverse=[inv for _, inv in built]),
-        )
+        built = parallel_map(_seeded_block, tasks, params.b * params.n * _HASH_CALLS_PER_POSITION)
+        pk = KemPublicKey(params, _pack_columns(params, [cols for cols, _ in built]))
+        return cls(params, seed, pk, KemSecretKey(params, seed, [table for _, table in built]))
 
     @classmethod
     def load(cls, params: KemParams, seed: bytes, public: bytes) -> KemKeyPair:
@@ -184,16 +176,8 @@ class KemKeyPair:
         if len(seed) != 32:
             raise ParameterError("seed must be 32 bytes")
         pk = kem_parse_pk(params, public)
-        identity = _identity_columns(params.m)
-        inverse = [
-            _inverse_table(params, np.concatenate([identity, cols])) for cols in pk.blocks
-        ]
-        return cls(
-            params=params,
-            seed=seed,
-            pk=pk,
-            sk=KemSecretKey(params=params, seed=seed, inverse=inverse),
-        )
+        inverse = [_inverse_table(params, cols) for cols in _unpack_columns(pk)]
+        return cls(params, seed, pk, KemSecretKey(params, seed, inverse))
 
 
 @dataclass
@@ -221,20 +205,20 @@ def _invert_gf2(a_rows: list[int], m: int) -> list[int] | None:
     return [row & ((1 << m) - 1) for row in rows]
 
 
-def _identity_columns(m: int) -> np.ndarray:
-    return np.uint32(1) << np.arange(m - 1, -1, -1, dtype=np.uint32)
+def _unit_columns(m: int) -> list[int]:
+    return [1 << (m - 1 - p) for p in range(m)]
 
 
-def _inverse_table(params: KemParams, columns: np.ndarray) -> np.ndarray:
-    """Value-to-position table for one block's n column values, which
-    must be a permutation of 1..n."""
-    n = params.n
-    counts = np.bincount(columns, minlength=n + 1)
-    if counts[0] or not np.all(counts[1:] == 1):
+def _inverse_table(params: KemParams, t_columns: Sequence[int]) -> array:
+    """Value-to-position table for one block: its unit columns and its T
+    columns, n values that fill all n slots of 1..n only if they are a
+    permutation of 1..n."""
+    table = array("i", [-1]) * (params.n + 1)
+    for position, value in enumerate(_unit_columns(params.m) + list(t_columns)):
+        table[value] = position
+    if -1 in table[1:]:
         raise MalformedEncoding("public key block is not a permutation of 1..n")
-    inverse = np.full(1 << params.m, -1, dtype=np.int32)
-    inverse[columns] = np.arange(n, dtype=np.int32)
-    return inverse
+    return table
 
 
 # In-process cost of one key position, in HBS hash calls: a block's
@@ -244,37 +228,36 @@ def _inverse_table(params: KemParams, columns: np.ndarray) -> np.ndarray:
 _HASH_CALLS_PER_POSITION = 5
 
 
-def _seeded_block(params: KemParams, seed: bytes, i: int) -> tuple[np.ndarray, np.ndarray]:
-    """Block i of the key a seed names; each block has its own stream."""
+def _seeded_block(params: KemParams, seed: bytes, i: int) -> tuple[array, array]:
+    """Block i of the key a seed names, as (T columns, inverse table);
+    each block has its own stream."""
     block_seed = hash_data(HashId.H256, b"kem-block" + seed + struct.pack(">H", i))
-    return _build_block(params, DeterministicRng(block_seed))
+    cols = _build_block(params, DeterministicRng(block_seed))
+    return array("I", cols), _inverse_table(params, cols)
 
 
-def _build_block(params: KemParams, rng: Rng) -> tuple[np.ndarray, np.ndarray]:
+def _build_block(params: KemParams, rng: Rng) -> list[int]:
     """One block: permute the nonzero column values, bring the leading m
-    columns to identity, return (T columns, value->position table)."""
+    columns to identity, return the k T columns."""
     m, n = params.m, params.n
     for _ in range(100):
-        order = rng.shuffled(n)
-        values = np.array(order, dtype=np.uint32) + 1
+        values = [v + 1 for v in rng.shuffled(n)]
         a_rows = [
-            sum(((int(values[c]) >> (m - 1 - r)) & 1) << (m - 1 - c) for c in range(m))
+            sum(((values[c] >> (m - 1 - r)) & 1) << (m - 1 - c) for c in range(m))
             for r in range(m)
         ]
         u_rows = _invert_gf2(a_rows, m)
         if u_rows is None:
             continue
         # U applied to every m-bit value at once, by linearity.
-        u_basis = [
-            sum(((u_rows[r] >> p) & 1) << (m - 1 - r) for r in range(m)) for p in range(m)
-        ]
-        table = np.zeros(1, dtype=np.uint32)
+        table = [0]
         for p in range(m):
-            table = np.concatenate([table, table ^ np.uint32(u_basis[p])])
-        transformed = table[values]
-        if not np.array_equal(transformed[:m], _identity_columns(m)):
+            u_column = sum(((u_rows[r] >> p) & 1) << (m - 1 - r) for r in range(m))
+            table += [t ^ u_column for t in table]
+        transformed = [table[v] for v in values]
+        if transformed[:m] != _unit_columns(m):
             raise AgilecryptError("internal error: systematic form check failed")
-        return transformed[m:].copy(), _inverse_table(params, transformed)
+        return transformed[m:]
     raise AgilecryptError("internal error: no invertible leading block in 100 draws")
 
 
@@ -321,24 +304,44 @@ def kem_decap(sk: KemSecretKey, params: KemParams, ct: KemCiphertext) -> bytes:
 # Canonical encodings
 # ---------------------------------------------------------------------------
 
-def _pk_block_bits(params: KemParams, cols: np.ndarray) -> np.ndarray:
-    """Row-major bit array (length k*m, uint8) for one T block."""
+# Columns are handled as 4-byte big-endian words: bit s of a column value
+# is bit s % 8 of byte 3 - s // 8.  Row r of a block is bit m-1-r of each
+# of its columns, spelled below as one ASCII digit per column.
+_BIT_TO_DIGIT = [bytes(0x30 | ((x >> s) & 1) for x in range(256)) for s in range(8)]
+_DIGIT_TO_BIT = [bytes.maketrans(b"01", bytes([0, 1 << s])) for s in range(8)]
+
+
+def _pack_columns(params: KemParams, blocks: Sequence[Sequence[int]]) -> bytes:
+    """The public-key encoding of per-block T columns (k m-bit values each)."""
     m, k = params.m, params.k
-    bits = np.empty((m, k), dtype=np.uint8)
-    for r in range(m):
-        bits[r] = ((cols >> np.uint32(m - 1 - r)) & np.uint32(1)).astype(np.uint8)
-    return bits.reshape(-1)
+    rows = []
+    for cols in blocks:
+        words = struct.pack(f">{k}I", *cols)
+        for s in range(m - 1, -1, -1):
+            rows.append(words[3 - s // 8 :: 4].translate(_BIT_TO_DIGIT[s % 8]))
+    rows.append(b"0" * (8 * params.pk_bytes - params.pk_bits))
+    return int(b"".join(rows), 2).to_bytes(params.pk_bytes, "big")
+
+
+def _unpack_columns(pk: KemPublicKey) -> list[tuple[int, ...]]:
+    """Per-block T columns of a public key; inverse of _pack_columns."""
+    m, k = pk.params.m, pk.params.k
+    digits = format(int.from_bytes(pk.encoding, "big"), f"0{8 * len(pk.encoding)}b").encode()
+    blocks = []
+    for i in range(pk.params.b):
+        lanes = [0, 0, 0, 0]
+        for r, s in enumerate(range(m - 1, -1, -1)):
+            row = digits[(i * m + r) * k : (i * m + r + 1) * k]
+            lanes[3 - s // 8] |= int.from_bytes(row.translate(_DIGIT_TO_BIT[s % 8]), "big")
+        words = bytearray(4 * k)
+        for q, lane in enumerate(lanes):
+            words[q::4] = lane.to_bytes(k, "big")
+        blocks.append(struct.unpack(f">{k}I", words))
+    return blocks
 
 
 def kem_serialize_pk(pk: KemPublicKey) -> bytes:
-    params = pk.params
-    packed = np.packbits(
-        np.concatenate([_pk_block_bits(params, cols) for cols in pk.blocks])
-    )
-    out = packed.tobytes()
-    if len(out) != params.pk_bytes:
-        raise AgilecryptError("internal error: pk serialization length mismatch")
-    return out
+    return pk.encoding
 
 
 def kem_parse_pk(params: KemParams, data: bytes) -> KemPublicKey:
@@ -347,18 +350,9 @@ def kem_parse_pk(params: KemParams, data: bytes) -> KemPublicKey:
             f"public key length {len(data)}, expected {params.pk_bytes}",
             offset=min(len(data), params.pk_bytes),
         )
-    bits = np.unpackbits(np.frombuffer(data, dtype=np.uint8))
-    if bits[params.pk_bits :].any():
+    if data[-1] & ((1 << (8 * params.pk_bytes - params.pk_bits)) - 1):
         raise MalformedEncoding("nonzero padding bits", offset=params.pk_bits // 8)
-    m, k = params.m, params.k
-    blocks = []
-    for i in range(params.b):
-        rows = bits[i * k * m : (i + 1) * k * m].reshape(m, k)
-        cols = np.zeros(k, dtype=np.uint32)
-        for r in range(m):
-            cols = (cols << np.uint32(1)) | rows[r]
-        blocks.append(cols)
-    return KemPublicKey(params=params, blocks=blocks)
+    return KemPublicKey(params=params, encoding=bytes(data))
 
 
 def kem_serialize_ct(params: KemParams, ct: KemCiphertext) -> bytes:

@@ -387,14 +387,21 @@ def _cmd_measure(args: argparse.Namespace) -> int:
 # Argument parser
 # ---------------------------------------------------------------------------
 
-def _positive_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
-    return value
+def _in_range(kind: type, low: float, high: float = float("inf")):
+    """An argparse type: a `kind` (int or float) value in [low, high]."""
+    def parse(text: str):
+        try:
+            value = kind(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid {kind.__name__} value: {text!r}") from None
+        if not low <= value <= high:
+            raise argparse.ArgumentTypeError(f"must be in [{low}, {high}], got {value}")
+        return value
+
+    return parse
+
+
+_TIMEOUT = _in_range(float, 0.001, 86400.0)  # > 0 for sockets; a day outlasts any handshake
 
 
 def _add_keystore_args(sub: argparse.ArgumentParser) -> None:
@@ -405,7 +412,7 @@ def _add_keystore_args(sub: argparse.ArgumentParser) -> None:
     )
     sub.add_argument(
         "--kdf-iterations",
-        type=int,
+        type=_in_range(int, 1, 0xFFFFFFFF),
         default=DEFAULT_ITERATIONS,
         help="key-derivation iteration count (default: library default)",
     )
@@ -508,9 +515,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("tls-serve", help="echo server for the 0x1306 suite")
     p.add_argument("--dir", required=True, help="directory written by tls-setup")
     p.add_argument("--level", required=True, choices=("low", "medium", "high"))
-    p.add_argument("--port", type=int, default=0, help="0 picks a free port")
+    p.add_argument("--port", type=_in_range(int, 0, 0xFFFF), default=0, help="0 picks a free port")
     p.add_argument("--once", action="store_true", help="serve one connection, then exit")
-    p.add_argument("--timeout", type=float, default=30.0, help="per-read timeout seconds")
+    p.add_argument("--timeout", type=_TIMEOUT, default=30.0, help="per-read timeout seconds")
     _add_registry_arg(p)
     p.set_defaults(func=_cmd_tls_serve)
 
@@ -518,8 +525,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("address", help="HOST:PORT")
     p.add_argument("--dir", required=True, help="directory written by tls-setup")
     p.add_argument("--level", required=True, choices=("low", "medium", "high"))
-    p.add_argument("--probe-bytes", type=int, default=1024)
-    p.add_argument("--timeout", type=float, default=30.0, help="per-read timeout seconds")
+    p.add_argument("--probe-bytes", type=_in_range(int, 0), default=1024)
+    p.add_argument("--timeout", type=_TIMEOUT, default=30.0, help="per-read timeout seconds")
     _add_registry_arg(p)
     p.add_argument("--out", help="report output (default: stdout)")
     p.set_defaults(func=_cmd_tls_connect)
@@ -528,7 +535,7 @@ def build_parser() -> argparse.ArgumentParser:
         "measure", help="run loopback handshakes and report message sizes"
     )
     p.add_argument("--paramset", required=True, choices=sorted(NAMED_PARAM_SETS))
-    p.add_argument("--reps", type=_positive_int, default=3)
+    p.add_argument("--reps", type=_in_range(int, 1), default=3)
     p.add_argument("--seed", help="deterministic run seed (reports then differ only in timing)")
     p.add_argument("--out", help="report output (default: stdout)")
     p.set_defaults(func=_cmd_measure)

@@ -90,15 +90,6 @@ from .wire import (
     encode_handshake_message,
 )
 
-_HS_NAMES = {
-    HandshakeType.CLIENT_HELLO: "ClientHello",
-    HandshakeType.SERVER_HELLO: "ServerHello",
-    HandshakeType.CERTIFICATE: "Certificate",
-    HandshakeType.SERVER_HELLO_DONE: "ServerHelloDone",
-    HandshakeType.CLIENT_KEY_EXCHANGE: "ClientKeyExchange",
-    HandshakeType.FINISHED: "Finished",
-}
-
 _MASTER_SECRET_LEN = 48
 _KEY_BLOCK_LEN = 64 + 64 + 32 + 32 + 16 + 16
 _FINISHED_LEN = 12
@@ -237,7 +228,7 @@ class HandshakeChannel:
 
     def send_message(self, hs_type: HandshakeType, body: bytes) -> None:
         msg = encode_handshake_message(hs_type, body)
-        self.transcript.add_message(_HS_NAMES[hs_type], "sent", msg)
+        self.transcript.add_message(hs_type.message_name, "sent", msg)
         self._flight.extend(_frame_fragmented(self.record, ContentType.HANDSHAKE, msg))
 
     def flush(self) -> None:
@@ -276,7 +267,7 @@ class HandshakeChannel:
         self._fill(4 + length)
         msg = bytes(self._buffer[: 4 + length])
         del self._buffer[: 4 + length]
-        self.transcript.add_message(_HS_NAMES[hs_type], "received", msg)
+        self.transcript.add_message(hs_type.message_name, "received", msg)
         return hs_type, msg[4:]
 
     def send_ccs(self) -> None:
@@ -308,7 +299,7 @@ def _expect(
         _abort(
             channel,
             AlertDescription.HANDSHAKE_FAILURE,
-            f"expected {_HS_NAMES[expected]}, got {_HS_NAMES[hs_type]}",
+            f"expected {expected.message_name}, got {hs_type.message_name}",
         )
     return body
 

@@ -31,6 +31,17 @@ _HEADER = struct.Struct(">BHH")
 _MAX_WIRE_FRAGMENT = MAX_RECORD_PLAINTEXT + 2048
 
 
+def _content_type(ctype_raw: int, version: int) -> ContentType:
+    """The content type of a record header, which must carry TLS_VERSION."""
+    try:
+        content_type = ContentType(ctype_raw)
+    except ValueError:
+        raise MalformedEncoding(f"unknown content type {ctype_raw}", offset=0) from None
+    if version != TLS_VERSION:
+        raise MalformedEncoding(f"unsupported record version 0x{version:04x}", offset=1)
+    return content_type
+
+
 class RecordLayer:
     def __init__(self, transport: Transport):
         self.transport = transport
@@ -83,12 +94,7 @@ class RecordLayer:
         ctype_raw, version, length = _HEADER.unpack(header)
         if self._recv_keys is not None:
             return self._recv_protected(header, ctype_raw, version, length)
-        try:
-            content_type = ContentType(ctype_raw)
-        except ValueError:
-            raise MalformedEncoding(f"unknown content type {ctype_raw}", offset=0) from None
-        if version != TLS_VERSION:
-            raise MalformedEncoding(f"unsupported record version 0x{version:04x}", offset=1)
+        content_type = _content_type(ctype_raw, version)
         if length > _MAX_WIRE_FRAGMENT:
             raise MalformedEncoding(f"record length {length} exceeds limit", offset=3)
         fragment = self.transport.read_exact(length)
@@ -121,10 +127,4 @@ class RecordLayer:
         payload = open_record(self._recv_keys, self._recv_seq, header[:3], fragment)
         self._recv_seq += 1
         self.records_received += 1
-        try:
-            content_type = ContentType(ctype_raw)
-        except ValueError:
-            raise MalformedEncoding(f"unknown content type {ctype_raw}", offset=0) from None
-        if version != TLS_VERSION:
-            raise MalformedEncoding(f"unsupported record version 0x{version:04x}", offset=1)
-        return content_type, payload
+        return _content_type(ctype_raw, version), payload

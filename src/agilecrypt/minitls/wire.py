@@ -43,6 +43,11 @@ class HandshakeType(IntEnum):
     CLIENT_KEY_EXCHANGE = 16
     FINISHED = 20
 
+    @property
+    def message_name(self) -> str:
+        """The message name in reports: CLIENT_KEY_EXCHANGE is ClientKeyExchange."""
+        return self.name.title().replace("_", "")
+
 
 class AlertDescription(IntEnum):
     BAD_RECORD_MAC = 20

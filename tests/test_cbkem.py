@@ -10,6 +10,8 @@ closed-form size formulas.
 from __future__ import annotations
 
 import random
+import subprocess
+import sys
 
 import pytest
 
@@ -20,6 +22,7 @@ from agilecrypt.cbkem import (
     KemKeyPair,
     KemParams,
     KemPublicKey,
+    _pack_columns,
     kem_decap,
     kem_encap,
     kem_keygen,
@@ -213,13 +216,40 @@ def test_load_rejects_columns_that_are_not_a_permutation():
     kp = kem_keygen(p, DeterministicRng(b"load malformed"))
     good = kem_serialize_pk(kp.pk)
     assert KemKeyPair.load(p, kp.seed, good).pk == kp.pk
-    for bad_value in (0, 1 << (p.m - 1), int(kp.pk.blocks[1][0])):
-        blocks = [cols.copy() for cols in kp.pk.blocks]
+    for bad_value in (0, 1 << (p.m - 1), kp.pk.syndrome_for_position(1, p.m)):
+        blocks = [
+            [kp.pk.syndrome_for_position(i, j) for j in range(p.m, p.n)] for i in range(p.b)
+        ]
         blocks[1][-1] = bad_value  # zero, a unit column, or a repeated T column
-        bad = kem_serialize_pk(KemPublicKey(params=p, blocks=blocks))
+        bad = kem_serialize_pk(KemPublicKey(params=p, encoding=_pack_columns(p, blocks)))
         with pytest.raises(MalformedEncoding):
             KemKeyPair.load(p, kp.seed, bad)
     with pytest.raises(MalformedEncoding):
         KemKeyPair.load(p, kp.seed, good[:-1])
     with pytest.raises(ParameterError):
         KemKeyPair.load(p, kp.seed[:31], good)
+
+
+_WITHOUT_NUMPY = """
+import sys
+sys.modules["numpy"] = None  # any import of numpy now raises ImportError
+import agilecrypt.cli
+from agilecrypt import cbkem
+from agilecrypt.easyapi import SecurityLevel, TemplateKind, builtin_registry, template_resolve
+from agilecrypt.primitives import DeterministicRng
+
+ap = template_resolve(builtin_registry(1), TemplateKind.ENCRYPTION, SecurityLevel.LOW)
+params = cbkem.KemParams.from_algorithm_id(ap.algorithm_id)
+rng = DeterministicRng(b"blocked import")
+kp = cbkem.kem_keygen(params, rng)
+loaded = cbkem.KemKeyPair.load(params, kp.seed, cbkem.kem_serialize_pk(kp.pk))
+ct, ss = cbkem.kem_encap(loaded.pk, params, rng)
+assert cbkem.kem_decap(loaded.sk, params, ct) == ss
+"""
+
+
+def test_cli_and_kem_run_without_numpy():
+    result = subprocess.run(
+        [sys.executable, "-c", _WITHOUT_NUMPY], capture_output=True, text=True, timeout=120
+    )
+    assert result.returncode == 0, result.stderr

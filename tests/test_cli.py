@@ -402,6 +402,29 @@ def test_tls_connect_bad_address_exits_two(tls_low_dir):
 
 
 @pytest.mark.parametrize(
+    "args",
+    [
+        ("tls-serve", "--once", "--port", "70000"),
+        ("tls-serve", "--once", "--port", "-1"),
+        ("tls-connect", "127.0.0.1:9", "--timeout", "-1"),
+        ("tls-connect", "127.0.0.1:9", "--probe-bytes", "-1"),
+        ("keygen", "sign", "--kdf-iterations", "0"),
+    ],
+)
+def test_out_of_range_argument_is_a_usage_error(tls_low_dir, workdir, args):
+    command, *rest = args
+    if command == "keygen":
+        rest += ["--keystore", workdir / "unused-range.bin"]
+    else:
+        rest += ["--dir", tls_low_dir]
+    result = run_cli(command, *rest, "--level", "low")
+    assert result.returncode == 2, result.stderr
+    errors = [line for line in result.stderr.splitlines() if ": error: " in line]
+    assert len(errors) == 1 and errors[0].startswith("agilecrypt "), result.stderr
+    assert "Traceback" not in result.stderr
+
+
+@pytest.mark.parametrize(
     "code, label, name",
     [(42, "bad_certificate", "BAD_CERTIFICATE"), (99, "alert_99", "code 99")],
 )

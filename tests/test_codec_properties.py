@@ -11,7 +11,6 @@ checks the same inputs.
 
 from __future__ import annotations
 
-import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -19,6 +18,8 @@ from agilecrypt.cbkem import (
     KemCiphertext,
     KemParams,
     KemPublicKey,
+    _pack_columns,
+    _unpack_columns,
     kem_parse_ct,
     kem_parse_pk,
     kem_serialize_ct,
@@ -196,13 +197,13 @@ def _kem_ciphertexts(draw):
 
 @st.composite
 def _kem_public_keys(draw):
+    """A public key packed from arbitrary m-bit T columns, and the columns."""
     params = draw(_KEM_PARAMS)
     column = st.integers(0, (1 << params.m) - 1)
     blocks = [
-        np.array(draw(st.lists(column, min_size=params.k, max_size=params.k)), dtype=np.uint32)
-        for _ in range(params.b)
+        draw(st.lists(column, min_size=params.k, max_size=params.k)) for _ in range(params.b)
     ]
-    return KemPublicKey(params=params, blocks=blocks)
+    return KemPublicKey(params=params, encoding=_pack_columns(params, blocks)), blocks
 
 
 @st.composite
@@ -292,8 +293,16 @@ def test_kem_ciphertext_roundtrip(case):
 
 @_PROPERTY
 @given(_kem_public_keys())
-def test_kem_public_key_roundtrip(pk):
-    assert kem_parse_pk(pk.params, kem_serialize_pk(pk)) == pk
+def test_kem_public_key_roundtrip(case):
+    pk, blocks = case
+    params = pk.params
+    parsed = kem_parse_pk(params, kem_serialize_pk(pk))
+    assert parsed == pk
+    assert [list(cols) for cols in _unpack_columns(parsed)] == blocks
+    assert [
+        [parsed.syndrome_for_position(i, j) for j in range(params.m, params.n)]
+        for i in range(params.b)
+    ] == blocks
 
 
 @_PROPERTY
@@ -390,7 +399,7 @@ def test_kem_ciphertext_parser_raises_only_malformed_encoding(case):
 @_PROPERTY
 @given(
     _sized_inputs(
-        _kem_public_keys().map(lambda pk: (pk.params, pk)),
+        _kem_public_keys().map(lambda case: (case[0].params, case[0])),
         lambda _, pk: kem_serialize_pk(pk),
         lambda p: p.pk_bytes,
     )
