@@ -20,6 +20,8 @@ Blob framing (documented bit-exactly in docs/formats.md):
 from __future__ import annotations
 
 import datetime
+import os
+from collections.abc import Callable
 from dataclasses import dataclass, field
 from enum import Enum, IntEnum
 from importlib import resources
@@ -242,18 +244,6 @@ def parse_blob(data: bytes) -> tuple[str, int, bytes]:
 # Facade handles
 # ---------------------------------------------------------------------------
 
-def _open_or_create_store(ksp: KeystoreParameters, rng: Rng) -> Keystore:
-    import os
-
-    if os.path.exists(ksp.path) and os.path.getsize(ksp.path) > 0:
-        return keystore_open(ksp)
-    return keystore_create(ksp, rng)
-
-
-def _derived_alias(prefix: str, algorithm_id: str, public: bytes) -> str:
-    return f"{prefix}-{algorithm_id}-{hash_data(HashId.H256, public)[:4].hex()}"
-
-
 def hybrid_record_keys(shared_secret: bytes) -> SymmetricKeys:
     """Expand a KEM shared secret into one direction of record keys.
     Everything hybrid-encrypted in this package derives its keys here,
@@ -277,7 +267,12 @@ def hybrid_open(recipient: EasyEncrypter, kem_ct: bytes, header: bytes, sealed: 
     """Decapsulate ``kem_ct`` with the recipient's key and open the record
     sealed under ``header``.  A KEM rejection raises InvalidCiphertext; a
     record that fails authentication raises BadMac."""
-    keys = hybrid_record_keys(recipient.decap_bytes(kem_ct))
+    params = recipient._kp.params
+    try:
+        ct = cbkem.kem_parse_ct(params, kem_ct)
+    except MalformedEncoding as exc:
+        raise InvalidCiphertext(str(exc)) from exc
+    keys = hybrid_record_keys(cbkem.kem_decap(recipient._kp.sk, params, ct))
     try:
         return open_record(keys, 0, header, sealed)
     except BadPadding as exc:
@@ -285,7 +280,77 @@ def hybrid_open(recipient: EasyEncrypter, kem_ct: bytes, header: bytes, sealed: 
 
 
 @dataclass
-class EasySigner:
+class _StoredKey:
+    """A key pair in one keystore entry, its store held open by the handle.
+    Each family's with_new_key and open make or load the key; _create and
+    _load do the store work, and close the store when they fail."""
+
+    store: Keystore
+    alias: str
+    algorithm_id: str
+    registry_version: int
+    _kp: hbs.HbsKeyPair | cbkem.KemKeyPair
+    _rng: Rng
+    public_blob: bytes
+
+    @classmethod
+    def _create(
+        cls,
+        prefix: str,
+        ap: AlgorithmParameters,
+        ksp: KeystoreParameters,
+        rng: Rng,
+        kp: hbs.HbsKeyPair | cbkem.KemKeyPair,
+        public: bytes,
+        state: EntryState | None,
+    ):
+        alias = f"{prefix}-{ap.algorithm_id}-{hash_data(HashId.H256, public)[:4].hex()}"
+        exists = os.path.exists(ksp.path) and os.path.getsize(ksp.path) > 0
+        store = keystore_open(ksp) if exists else keystore_create(ksp, rng)
+        try:
+            store.put_entry(KeystoreEntry(alias, ap.algorithm_id, kp.seed, public, state))
+        except BaseException:
+            store.close()
+            raise
+        public_blob = frame_blob(ap.algorithm_id, ap.registry_version, public)
+        return cls(store, alias, ap.algorithm_id, ap.registry_version, kp, rng, public_blob)
+
+    @classmethod
+    def _load(
+        cls,
+        ksp: KeystoreParameters,
+        alias: str,
+        registry_version: int,
+        rng: Rng | None,
+        load_key: Callable[[KeystoreEntry], hbs.HbsKeyPair | cbkem.KemKeyPair],
+    ):
+        rng = rng or SystemRng()
+        store = keystore_open(ksp)
+        try:
+            entry = store.get_entry(alias)
+            kp = load_key(entry)
+        except BaseException:
+            store.close()
+            raise
+        public_blob = frame_blob(entry.algorithm_id, registry_version, entry.public_material)
+        return cls(store, alias, entry.algorithm_id, registry_version, kp, rng, public_blob)
+
+    @property
+    def key_seed(self) -> bytes:
+        return self._kp.seed
+
+    def close(self) -> None:
+        self.store.close()
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.close()
+
+
+@dataclass
+class EasySigner(_StoredKey):
     """Two-call signing: with_new_key, then sign.  Stateful keys sign
     from a reservation window: one durable keystore reservation hands out
     the next leaves, and signatures use them from memory until the window
@@ -295,21 +360,10 @@ class EasySigner:
     the stored consumption mark (next_leaf) may then trail the
     signatures made by up to one window; close writes it exactly."""
 
-    store: Keystore
-    alias: str
-    algorithm_id: str
-    registry_version: int
-    _kp: hbs.HbsKeyPair
-    _rng: Rng
-    public_blob: bytes = field(init=False)
     _next_leaf: int = field(init=False, default=0)
     _window_end: int = field(init=False, default=0)
     _window_size: int = field(init=False, default=0)
     _mark_pending: bool = field(init=False, default=False)
-
-    def __post_init__(self) -> None:
-        raw = hbs.hbs_export_public(self._kp)
-        self.public_blob = frame_blob(self.algorithm_id, self.registry_version, raw)
 
     @classmethod
     def with_new_key(
@@ -319,58 +373,20 @@ class EasySigner:
         if not isinstance(ap.params, hbs.HbsParams):
             raise ParameterError("signer requires a signature algorithm")
         kp = hbs.hbs_keygen(ap.params, rng)
-        raw_pub = hbs.hbs_export_public(kp)
-        alias = _derived_alias("sig", ap.algorithm_id, raw_pub)
-        store = _open_or_create_store(ksp, rng)
-        try:
-            stateful = ap.params.mode is hbs.HbsMode.STATEFUL
-            store.put_entry(
-                KeystoreEntry(
-                    alias=alias,
-                    algorithm_id=ap.algorithm_id,
-                    secret_material=kp.seed,
-                    public_material=raw_pub,
-                    state=EntryState(next_leaf=0, reserved_until=0) if stateful else None,
-                )
-            )
-        except BaseException:
-            store.close()
-            raise
-        return cls(
-            store=store,
-            alias=alias,
-            algorithm_id=ap.algorithm_id,
-            registry_version=ap.registry_version,
-            _kp=kp,
-            _rng=rng,
-        )
+        stateful = ap.params.mode is hbs.HbsMode.STATEFUL
+        state = EntryState(next_leaf=0, reserved_until=0) if stateful else None
+        return cls._create("sig", ap, ksp, rng, kp, hbs.hbs_export_public(kp), state)
 
     @classmethod
     def open(
         cls, ksp: KeystoreParameters, alias: str, registry_version: int, rng: Rng | None = None
     ) -> EasySigner:
-        rng = rng or SystemRng()
-        store = keystore_open(ksp)
-        try:
-            entry = store.get_entry(alias)
+        def load_key(entry: KeystoreEntry) -> hbs.HbsKeyPair:
             params = hbs.HbsParams.from_algorithm_id(entry.algorithm_id)
             _, root = hbs.hbs_parse_public(entry.public_material)
-            kp = hbs.HbsKeyPair.from_seed(params, entry.secret_material, root=root)
-        except BaseException:
-            store.close()
-            raise
-        return cls(
-            store=store,
-            alias=alias,
-            algorithm_id=entry.algorithm_id,
-            registry_version=registry_version,
-            _kp=kp,
-            _rng=rng,
-        )
+            return hbs.HbsKeyPair.from_seed(params, entry.secret_material, root=root)
 
-    @property
-    def key_seed(self) -> bytes:
-        return self._kp.seed
+        return cls._load(ksp, alias, registry_version, rng, load_key)
 
     def sign(self, msg: bytes) -> bytes:
         params = self._kp.params
@@ -405,13 +421,7 @@ class EasySigner:
                 self._mark_pending = False
                 self.store.record_consumed(self.alias, self._next_leaf)
         finally:
-            self.store.close()
-
-    def __enter__(self) -> EasySigner:
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
+            super().close()
 
 
 def easysigner_verify(public_blob: bytes, msg: bytes, sig_blob: bytes) -> bool:
@@ -432,18 +442,9 @@ def easysigner_verify(public_blob: bytes, msg: bytes, sig_blob: bytes) -> bool:
     return hbs.hbs_verify(root, params, msg, sig)
 
 
-@dataclass
-class EasyEncrypter:
+class EasyEncrypter(_StoredKey):
     """Hybrid encryption handle: encapsulate to the recipient's KEM key,
     expand the shared secret into record keys, seal the payload."""
-
-    store: Keystore
-    alias: str
-    algorithm_id: str
-    registry_version: int
-    _kp: cbkem.KemKeyPair
-    _rng: Rng
-    public_blob: bytes
 
     @classmethod
     def with_new_key(
@@ -453,60 +454,19 @@ class EasyEncrypter:
         if not isinstance(ap.params, cbkem.KemParams):
             raise ParameterError("encrypter requires a KEM algorithm")
         kp = cbkem.kem_keygen(ap.params, rng)
-        raw_pub = cbkem.kem_serialize_pk(kp.pk)
-        alias = _derived_alias("enc", ap.algorithm_id, raw_pub)
-        store = _open_or_create_store(ksp, rng)
-        try:
-            store.put_entry(
-                KeystoreEntry(
-                    alias=alias,
-                    algorithm_id=ap.algorithm_id,
-                    secret_material=kp.seed,
-                    public_material=raw_pub,
-                    state=None,
-                )
-            )
-        except BaseException:
-            store.close()
-            raise
-        return cls(
-            store=store,
-            alias=alias,
-            algorithm_id=ap.algorithm_id,
-            registry_version=ap.registry_version,
-            _kp=kp,
-            _rng=rng,
-            public_blob=frame_blob(ap.algorithm_id, ap.registry_version, raw_pub),
-        )
+        return cls._create("enc", ap, ksp, rng, kp, cbkem.kem_serialize_pk(kp.pk), None)
 
     @classmethod
     def open(
         cls, ksp: KeystoreParameters, alias: str, registry_version: int, rng: Rng | None = None
     ) -> EasyEncrypter:
-        rng = rng or SystemRng()
-        store = keystore_open(ksp)
-        try:
-            entry = store.get_entry(alias)
+        def load_key(entry: KeystoreEntry) -> cbkem.KemKeyPair:
             params = cbkem.KemParams.from_algorithm_id(entry.algorithm_id)
             # The store's MAC covers the public material, so the secret
             # tables are taken from it rather than redrawn from the seed.
-            kp = cbkem.KemKeyPair.load(params, entry.secret_material, entry.public_material)
-        except BaseException:
-            store.close()
-            raise
-        return cls(
-            store=store,
-            alias=alias,
-            algorithm_id=entry.algorithm_id,
-            registry_version=registry_version,
-            _kp=kp,
-            _rng=rng,
-            public_blob=frame_blob(entry.algorithm_id, registry_version, entry.public_material),
-        )
+            return cbkem.KemKeyPair.load(params, entry.secret_material, entry.public_material)
 
-    @property
-    def key_seed(self) -> bytes:
-        return self._kp.seed
+        return cls._load(ksp, alias, registry_version, rng, load_key)
 
     def encrypt(self, recipient_public_blob: bytes, plaintext: bytes) -> bytes:
         ident, _, raw_pub = parse_blob(recipient_public_blob)
@@ -516,17 +476,6 @@ class EasyEncrypter:
         # The blob is its own associated data up to the sealed body.
         header = frame_blob(ident, self.registry_version, ct_bytes)
         return header + seal_record(keys, 0, header, plaintext)
-
-    def decap_bytes(self, ct_bytes: bytes) -> bytes:
-        """Recover the shared secret from serialized KEM ciphertext.
-        The building block for compositions outside this module's own
-        container format."""
-        params = self._kp.params
-        try:
-            ct = cbkem.kem_parse_ct(params, ct_bytes)
-        except MalformedEncoding as exc:
-            raise InvalidCiphertext(str(exc)) from exc
-        return cbkem.kem_decap(self._kp.sk, params, ct)
 
     def decrypt(self, blob: bytes) -> bytes:
         ident, version, payload = parse_blob(blob)
@@ -539,12 +488,3 @@ class EasyEncrypter:
             raise InvalidCiphertext("payload shorter than a KEM ciphertext")
         ct_bytes, sealed = payload[: params.ct_bytes], payload[params.ct_bytes :]
         return hybrid_open(self, ct_bytes, frame_blob(ident, version, ct_bytes), sealed)
-
-    def close(self) -> None:
-        self.store.close()
-
-    def __enter__(self) -> EasyEncrypter:
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()

@@ -24,13 +24,9 @@ BEFORE returning the range, so a crash can only sacrifice indices, never
 reuse them.
 
 The one exception is note_consumed: it raises the consumption mark
-(next_leaf) in memory only, and the next write of the store carries it.
-easyapi.EasySigner signs from a reservation window of up to
-min(64, 2^h / 16) leaves and notes each signature this way, so a
-long-lived signer writes once per window rather than twice per
-signature.  A crash loses at most the unused rest of one window, and the
-stored next_leaf may then trail the signatures actually made by up to
-one window; after a clean close of the signer it is exact.
+(next_leaf) in memory only, and the next write of the store carries it,
+so after a crash the stored next_leaf may trail the indices actually
+used.  easyapi.EasySigner describes the reservation window it signs from.
 
 One writer per store, enforced by an advisory lock on `<path>.lock`;
 read-only opens take no lock (atomic replacement keeps reads consistent).
@@ -213,23 +209,16 @@ class Keystore:
             return
         self._closed = True
         self._keys.zeroize()
-        self._release_lock()
+        _release_lock(self._lock_fd)
+        self._lock_fd = None
 
     def abandon(self) -> None:
         """Drop the handle as a crashed process would (test helper).  A
         real kill releases the advisory lock automatically; this does the
         same without touching the file."""
         self._closed = True
-        self._release_lock()
-
-    def _release_lock(self) -> None:
-        if self._lock_fd is not None:
-            try:
-                fcntl.flock(self._lock_fd, fcntl.LOCK_UN)
-                os.close(self._lock_fd)
-            except OSError:
-                pass
-            self._lock_fd = None
+        _release_lock(self._lock_fd)
+        self._lock_fd = None
 
     def __enter__(self) -> Keystore:
         return self
@@ -329,13 +318,14 @@ class Keystore:
         try:
             fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o600)
             try:
-                # os.write may take part of the buffer; the view slices without copying.
-                pending = memoryview(self._header + blob)
-                while pending:
-                    written = os.write(fd, pending)
-                    if written == 0:
-                        raise OSError(f"write stalled with {len(pending)} bytes left")
-                    pending = pending[written:]
+                # os.write may take part of a buffer; the view slices without copying.
+                for piece in (self._header, blob):
+                    pending = memoryview(piece)
+                    while pending:
+                        written = os.write(fd, pending)
+                        if written == 0:
+                            raise OSError(f"write stalled with {len(pending)} bytes left")
+                        pending = pending[written:]
                 self._hook("tmp-written")
                 os.fsync(fd)
             finally:
@@ -406,6 +396,16 @@ def _acquire_lock(path: str) -> int:
     return fd
 
 
+def _release_lock(lock_fd: int | None) -> None:
+    if lock_fd is None:
+        return
+    try:
+        fcntl.flock(lock_fd, fcntl.LOCK_UN)
+        os.close(lock_fd)
+    except OSError:
+        pass
+
+
 # ---------------------------------------------------------------------------
 # Create / open
 # ---------------------------------------------------------------------------
@@ -434,8 +434,7 @@ def keystore_create(params: KeystoreParameters, rng: Rng | None = None) -> Keyst
         )
         ks._persist()
     except BaseException:
-        fcntl.flock(lock_fd, fcntl.LOCK_UN)
-        os.close(lock_fd)
+        _release_lock(lock_fd)
         raise
     return ks
 
@@ -479,7 +478,5 @@ def keystore_open(params: KeystoreParameters, read_only: bool = False) -> Keysto
             read_only=read_only,
         )
     except BaseException:
-        if lock_fd is not None:
-            fcntl.flock(lock_fd, fcntl.LOCK_UN)
-            os.close(lock_fd)
+        _release_lock(lock_fd)
         raise

@@ -9,6 +9,7 @@ parameter sets.
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass
 
 from ..cbkem import KemKeyPair, KemParams, KemPublicKey, kem_keygen, kem_parse_pk, kem_serialize_pk
@@ -45,19 +46,15 @@ class Certificate:
     issuer_signature: HbsSignature
 
 
-def _signed_portion(
-    subject: str,
-    kem_algorithm_id: str,
-    kem_public_key: bytes,
-    hbs_algorithm_id: str,
-    issuer_root: bytes,
-) -> bytes:
+def _signed_portion(cert: Certificate) -> bytes:
+    """Every field but the signature, length-prefixed in field order: the
+    bytes the issuer signs."""
     return (
-        vec16(encode_text(subject, "utf-8"))
-        + vec8(encode_text(kem_algorithm_id, "ascii"))
-        + vec32(kem_public_key)
-        + vec8(encode_text(hbs_algorithm_id, "ascii"))
-        + vec8(issuer_root)
+        vec16(encode_text(cert.subject, "utf-8"))
+        + vec8(encode_text(cert.kem_algorithm_id, "ascii"))
+        + vec32(cert.kem_public_key)
+        + vec8(encode_text(cert.hbs_algorithm_id, "ascii"))
+        + vec8(cert.issuer_root)
     )
 
 
@@ -66,29 +63,15 @@ def issue_certificate(
 ) -> Certificate:
     """Sign a certificate with the issuer's hash-based key.  Stateful
     issuer keys consume one leaf per issued certificate."""
-    body = _signed_portion(
-        subject, kem_algorithm_id, kem_public_key, issuer.params.algorithm_id, issuer.root
+    unsigned = Certificate(
+        subject, kem_algorithm_id, kem_public_key, issuer.params.algorithm_id, issuer.root, None
     )
-    signature = hbs_sign(issuer, body, rng)
-    return Certificate(
-        subject=subject,
-        kem_algorithm_id=kem_algorithm_id,
-        kem_public_key=kem_public_key,
-        hbs_algorithm_id=issuer.params.algorithm_id,
-        issuer_root=issuer.root,
-        issuer_signature=signature,
-    )
+    signature = hbs_sign(issuer, _signed_portion(unsigned), rng)
+    return dataclasses.replace(unsigned, issuer_signature=signature)
 
 
 def encode_certificate(cert: Certificate) -> bytes:
-    body = _signed_portion(
-        cert.subject,
-        cert.kem_algorithm_id,
-        cert.kem_public_key,
-        cert.hbs_algorithm_id,
-        cert.issuer_root,
-    )
-    return body + vec32(hbs_serialize_sig(cert.issuer_signature))
+    return _signed_portion(cert) + vec32(hbs_serialize_sig(cert.issuer_signature))
 
 
 def parse_certificate(data: bytes) -> Certificate:
@@ -106,12 +89,7 @@ def parse_certificate(data: bytes) -> Certificate:
         raise MalformedEncoding(f"certificate signature algorithm: {exc}") from exc
     signature = hbs_parse_sig(sig_params, sig_raw)
     return Certificate(
-        subject=subject,
-        kem_algorithm_id=kem_algorithm_id,
-        kem_public_key=kem_public_key,
-        hbs_algorithm_id=hbs_algorithm_id,
-        issuer_root=issuer_root,
-        issuer_signature=signature,
+        subject, kem_algorithm_id, kem_public_key, hbs_algorithm_id, issuer_root, signature
     )
 
 
@@ -130,14 +108,7 @@ def verify_certificate(
         kem_pk = kem_parse_pk(kem_params, cert.kem_public_key)
     except (ParameterError, MalformedEncoding):
         return None
-    body = _signed_portion(
-        cert.subject,
-        cert.kem_algorithm_id,
-        cert.kem_public_key,
-        cert.hbs_algorithm_id,
-        cert.issuer_root,
-    )
-    valid = hbs_verify(cert.issuer_root, sig_params, body, cert.issuer_signature)
+    valid = hbs_verify(cert.issuer_root, sig_params, _signed_portion(cert), cert.issuer_signature)
     return kem_pk if valid else None
 
 

@@ -313,7 +313,6 @@ class ClientTlsConfig:
     registry: TemplateRegistry
     level: SecurityLevel
     trusted_roots: tuple[bytes, ...]
-    offered_suites: tuple[int, ...] = (SUITE_0x1306,)
     rng: Rng | None = None
 
 
@@ -323,7 +322,6 @@ class ServerTlsConfig:
     level: SecurityLevel
     certificate: Certificate
     kem_secret: KemSecretKey
-    supported_suites: tuple[int, ...] = (SUITE_0x1306,)
     rng: Rng | None = None
 
 
@@ -430,7 +428,7 @@ def _handshake(
     role: str,
     transport: Transport,
     config: ClientTlsConfig | ServerTlsConfig,
-    flow: Callable[..., tuple[int, SessionKeys]],
+    flow: Callable[..., SessionKeys],
 ) -> TlsSession:
     """Run one side's ``flow`` over a fresh record layer.  Decoding and
     record-protection failures become fatal alerts, the last flight is
@@ -444,7 +442,7 @@ def _handshake(
     transcript.local_template = local_info
     try:
         try:
-            suite, keys = flow(channel, config, rng, local_info)
+            keys = flow(channel, config, rng, local_info)
             channel.flush()
         except MalformedEncoding as exc:
             _abort(channel, AlertDescription.HANDSHAKE_FAILURE, str(exc))
@@ -458,8 +456,8 @@ def _handshake(
         )
         exc.transcript = transcript
         raise
-    transcript.finish(record, suite=suite, aborted=False)
-    return TlsSession(role, record, keys, transcript, suite)
+    transcript.finish(record, suite=SUITE_0x1306, aborted=False)
+    return TlsSession(role, record, keys, transcript, SUITE_0x1306)
 
 
 def _accept_remote_template(
@@ -506,17 +504,17 @@ def _client_flow(
     config: ClientTlsConfig,
     rng: Rng,
     local_info: TemplateInfo,
-) -> tuple[int, SessionKeys]:
+) -> SessionKeys:
     client_random = rng.random_bytes(32)
     hello = ClientHello(
         random=client_random,
-        cipher_suites=tuple(config.offered_suites),
+        cipher_suites=(SUITE_0x1306,),
         template_info=local_info,
     )
     channel.send_message(HandshakeType.CLIENT_HELLO, hello.encode())
 
     server_hello = ServerHello.decode(_expect(channel, HandshakeType.SERVER_HELLO))
-    if server_hello.cipher_suite not in config.offered_suites:
+    if server_hello.cipher_suite != SUITE_0x1306:
         _abort(
             channel,
             AlertDescription.HANDSHAKE_FAILURE,
@@ -555,7 +553,7 @@ def _client_flow(
     keys = derive_session_keys(premaster, client_random, server_hello.random)
     _send_finished(channel, keys, "client")
     _recv_finished(channel, keys, "server")
-    return server_hello.cipher_suite, keys
+    return keys
 
 
 def _server_flow(
@@ -563,10 +561,9 @@ def _server_flow(
     config: ServerTlsConfig,
     rng: Rng,
     local_info: TemplateInfo,
-) -> tuple[int, SessionKeys]:
+) -> SessionKeys:
     hello = ClientHello.decode(_expect(channel, HandshakeType.CLIENT_HELLO))
-    suite = next((s for s in hello.cipher_suites if s in config.supported_suites), None)
-    if suite is None:
+    if SUITE_0x1306 not in hello.cipher_suites:
         _abort(channel, AlertDescription.HANDSHAKE_FAILURE, "no common cipher suite")
     _accept_remote_template(channel, config, hello.template_info, "client")
 
@@ -574,7 +571,7 @@ def _server_flow(
     channel.send_message(
         HandshakeType.SERVER_HELLO,
         ServerHello(
-            random=server_random, cipher_suite=suite, template_info=local_info
+            random=server_random, cipher_suite=SUITE_0x1306, template_info=local_info
         ).encode(),
     )
     channel.send_message(
@@ -594,4 +591,4 @@ def _server_flow(
     keys = derive_session_keys(premaster, hello.random, server_random)
     _recv_finished(channel, keys, "client")
     _send_finished(channel, keys, "server")
-    return suite, keys
+    return keys

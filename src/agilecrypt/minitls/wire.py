@@ -137,12 +137,35 @@ class TemplateInfo:
         return cls(registry_version=version, level=level, sig_id=sig_id, enc_id=enc_id)
 
 
-def _encode_extensions(info: TemplateInfo) -> bytes:
+# ---------------------------------------------------------------------------
+# Hello messages
+# ---------------------------------------------------------------------------
+
+# Both hellos are a prefix (version, random, session_id), their own
+# suite and compression fields, and an optional extension tail.
+
+def _encode_hello_prefix(random: bytes, session_id: bytes) -> bytes:
+    return uint(TLS_VERSION, 2) + random + vec8(session_id)
+
+
+def _encode_extension_tail(info: TemplateInfo | None) -> bytes:
+    if info is None:
+        return b""
     return vec16(uint(TEMPLATE_INFO_EXT, 2) + vec16(info.encode()))
 
 
-def _decode_extensions(r: Reader) -> TemplateInfo | None:
-    if r.offset == len(r._data):  # extensions block is optional in TLS 1.2
+def _decode_hello_prefix(r: Reader) -> tuple[bytes, bytes]:
+    """The random and session_id of a hello whose version is ours."""
+    version = r.u16()
+    if version != TLS_VERSION:
+        raise MalformedEncoding(f"unsupported version 0x{version:04x}", offset=0)
+    return r.take(32), r.vec8()
+
+
+def _decode_extension_tail(r: Reader) -> TemplateInfo | None:
+    """The template info in the rest of a hello; the extensions block is
+    optional in TLS 1.2, and nothing may follow it."""
+    if r.offset == len(r._data):
         return None
     block = Reader(r.vec16())
     info = None
@@ -153,12 +176,9 @@ def _decode_extensions(r: Reader) -> TemplateInfo | None:
             if info is not None:
                 raise MalformedEncoding("duplicate template-info extension")
             info = TemplateInfo.decode(ext_data)
+    r.expect_end()
     return info
 
-
-# ---------------------------------------------------------------------------
-# Hello messages
-# ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
 class ClientHello:
@@ -170,25 +190,17 @@ class ClientHello:
 
     def encode(self) -> bytes:
         suites = b"".join(uint(s, 2) for s in self.cipher_suites)
-        body = (
-            uint(TLS_VERSION, 2)
-            + self.random
-            + vec8(self.session_id)
+        return (
+            _encode_hello_prefix(self.random, self.session_id)
             + vec16(suites)
             + vec8(bytes(self.compression_methods))
+            + _encode_extension_tail(self.template_info)
         )
-        if self.template_info is not None:
-            body += _encode_extensions(self.template_info)
-        return body
 
     @classmethod
     def decode(cls, data: bytes) -> ClientHello:
         r = Reader(data)
-        version = r.u16()
-        if version != TLS_VERSION:
-            raise MalformedEncoding(f"unsupported version 0x{version:04x}", offset=0)
-        random = r.take(32)
-        session_id = r.vec8()
+        random, session_id = _decode_hello_prefix(r)
         suites_raw = r.vec16()
         if len(suites_raw) == 0 or len(suites_raw) % 2:
             raise MalformedEncoding("cipher suite list invalid", offset=r.offset)
@@ -196,8 +208,7 @@ class ClientHello:
             int.from_bytes(suites_raw[i : i + 2], "big") for i in range(0, len(suites_raw), 2)
         )
         compression = tuple(r.vec8())
-        info = _decode_extensions(r)
-        r.expect_end()
+        info = _decode_extension_tail(r)
         return cls(
             random=random,
             cipher_suites=suites,
@@ -215,31 +226,22 @@ class ServerHello:
     session_id: bytes = b""
 
     def encode(self) -> bytes:
-        body = (
-            uint(TLS_VERSION, 2)
-            + self.random
-            + vec8(self.session_id)
+        return (
+            _encode_hello_prefix(self.random, self.session_id)
             + uint(self.cipher_suite, 2)
             + b"\x00"  # null compression
+            + _encode_extension_tail(self.template_info)
         )
-        if self.template_info is not None:
-            body += _encode_extensions(self.template_info)
-        return body
 
     @classmethod
     def decode(cls, data: bytes) -> ServerHello:
         r = Reader(data)
-        version = r.u16()
-        if version != TLS_VERSION:
-            raise MalformedEncoding(f"unsupported version 0x{version:04x}", offset=0)
-        random = r.take(32)
-        session_id = r.vec8()
+        random, session_id = _decode_hello_prefix(r)
         suite = r.u16()
         compression = r.u8()
         if compression != 0:
             raise MalformedEncoding("compression must be null", offset=r.offset - 1)
-        info = _decode_extensions(r)
-        r.expect_end()
+        info = _decode_extension_tail(r)
         return cls(random=random, cipher_suite=suite, template_info=info, session_id=session_id)
 
 

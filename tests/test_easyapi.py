@@ -30,6 +30,7 @@ from agilecrypt.easyapi import (
 from agilecrypt.errors import (
     AgilecryptError,
     BadPassword,
+    DuplicateAlias,
     KeyExhausted,
     MalformedEncoding,
     ParameterError,
@@ -239,6 +240,46 @@ def test_signer_open_refuses_other_families(tmp_path):
             EasySigner.open(ksp, alias, registry_version=1, rng=rng)
     # Each refusal closed its store handle, so the store opens again.
     EasyEncrypter.open(ksp, enc_alias, registry_version=1, rng=rng).close()
+
+
+def test_encrypter_open_refuses_other_families(tmp_path):
+    ap = template_resolve(builtin_registry(1), TemplateKind.SIGNATURE, SecurityLevel.LOW)
+    ksp = _ksp(tmp_path)
+    rng = DeterministicRng(b"encrypter families")
+    with EasySigner.with_new_key(ap, ksp, rng=rng) as signer:
+        sig_alias = signer.alias
+        signer.store.put_entry(
+            KeystoreEntry(
+                alias="rsa",
+                algorithm_id="RSA-2048",
+                secret_material=bytes(32),
+                public_material=bytes(256),
+                state=None,
+            )
+        )
+    for alias in (sig_alias, "rsa"):
+        with pytest.raises(ParameterError):
+            EasyEncrypter.open(ksp, alias, registry_version=1, rng=rng)
+    # Each refusal closed its store handle, so the store opens again.
+    EasySigner.open(ksp, sig_alias, registry_version=1, rng=rng).close()
+
+
+@pytest.mark.parametrize(
+    "handle, kind",
+    [(EasySigner, TemplateKind.SIGNATURE), (EasyEncrypter, TemplateKind.ENCRYPTION)],
+    ids=["signer", "encrypter"],
+)
+def test_a_second_identical_key_is_refused_and_frees_the_store(tmp_path, handle, kind):
+    ap = template_resolve(builtin_registry(1), kind, SecurityLevel.LOW)
+    ksp = _ksp(tmp_path)
+    with handle.with_new_key(ap, ksp, rng=DeterministicRng(b"same key twice")) as first:
+        alias, pub = first.alias, first.public_blob
+    # The same rng seed makes the same key, so the same alias.
+    with pytest.raises(DuplicateAlias):
+        handle.with_new_key(ap, ksp, rng=DeterministicRng(b"same key twice"))
+    # The refused call left no writer lock behind.
+    with handle.open(ksp, alias, registry_version=1) as again:
+        assert again.public_blob == pub
 
 
 def test_verify_rejects_blobs_of_other_families(tmp_path):

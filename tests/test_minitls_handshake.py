@@ -30,10 +30,13 @@ from agilecrypt.hbs import HbsParams, hbs_keygen
 from agilecrypt.minitls import (
     AlertDescription,
     BufferTransport,
+    ClientHello,
     ClientTlsConfig,
     ContentType,
     HandshakeTranscript,
+    HandshakeType,
     RecordLayer,
+    ServerHello,
     ServerTlsConfig,
     SocketTransport,
     TlsAlertReceived,
@@ -51,6 +54,7 @@ from agilecrypt.minitls import (
 )
 from agilecrypt.minitls.handshake import build_template_info
 from agilecrypt.minitls.measure import paramset_level, run_measurement
+from agilecrypt.minitls.wire import decode_alert, encode_handshake_message
 from agilecrypt.primitives import DeterministicRng
 
 _JOIN_TIMEOUT = 60.0
@@ -539,17 +543,76 @@ def test_matching_levels_other_than_low(low_material):
     assert divergence is None  # v1 and v2 only drifted at HIGH
 
 
+def _against_script(handshake, config, script):
+    """Run one handshake half in a thread while ``script`` plays its peer
+    over a bare record layer.  Returns the half's exception (None if it
+    completed) and what ``script`` returned."""
+    ours, theirs = transport_pair(timeout=_IO_TIMEOUT)
+    outcome: dict = {}
+
+    def run():
+        try:
+            handshake(ours, config)
+        except Exception as exc:  # noqa: BLE001 - recorded for assertions
+            outcome["exc"] = exc
+
+    thread = threading.Thread(target=run, daemon=True)
+    thread.start()
+    try:
+        seen = script(RecordLayer(theirs))
+    finally:
+        thread.join(timeout=_JOIN_TIMEOUT)
+        for transport in (ours, theirs):
+            transport.close()
+    assert not thread.is_alive(), "handshake thread deadlocked"
+    return outcome.get("exc"), seen
+
+
+def _send_hello(record, hs_type, hello):
+    record.send(ContentType.HANDSHAKE, encode_handshake_message(hs_type, hello.encode()))
+
+
 def test_no_common_suite_aborts(low_material):
-    results = _loopback(
-        _client_cfg(low_material, offered_suites=(0x4A4A,)),
-        _server_cfg(low_material),
+    hello = ClientHello(
+        random=bytes(32),
+        cipher_suites=(0x4A4A,),
+        template_info=build_template_info(low_material["registry"], SecurityLevel.LOW),
     )
-    server_exc = results["server_exc"]
+
+    def client(record):
+        _send_hello(record, HandshakeType.CLIENT_HELLO, hello)
+        return record.recv()
+
+    server_exc, (content_type, payload) = _against_script(
+        server_handshake, _server_cfg(low_material), client
+    )
     assert isinstance(server_exc, TlsAlertSent)
     assert server_exc.description == AlertDescription.HANDSHAKE_FAILURE
-    client_exc = results["client_exc"]
-    assert isinstance(client_exc, TlsAlertReceived)
+    assert content_type == ContentType.ALERT
+    assert decode_alert(payload) == AlertDescription.HANDSHAKE_FAILURE
+
+
+def test_client_refuses_a_suite_it_did_not_offer(low_material):
+    reply = ServerHello(
+        random=bytes(32),
+        cipher_suite=0x4A4A,
+        template_info=build_template_info(low_material["registry"], SecurityLevel.LOW),
+    )
+
+    def server(record):
+        content_type, payload = record.recv()
+        assert content_type == ContentType.HANDSHAKE
+        assert ClientHello.decode(payload[4:]).cipher_suites == (0x1306,)
+        _send_hello(record, HandshakeType.SERVER_HELLO, reply)
+        return record.recv()
+
+    client_exc, (content_type, payload) = _against_script(
+        client_handshake, _client_cfg(low_material), server
+    )
+    assert isinstance(client_exc, TlsAlertSent)
     assert client_exc.description == AlertDescription.HANDSHAKE_FAILURE
+    assert content_type == ContentType.ALERT
+    assert decode_alert(payload) == AlertDescription.HANDSHAKE_FAILURE
 
 
 def test_untrusted_root_aborts(low_material):
