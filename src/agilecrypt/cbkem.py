@@ -223,9 +223,12 @@ def _inverse_table(params: KemParams, t_columns: Sequence[int]) -> array:
 
 # In-process cost of one key position, in HBS hash calls: a block's
 # Fisher-Yates draws (about 3.5 shuffles until the leading block is
-# invertible) and its systematic form take 5-7 us a position, against
-# 1.2-1.5 us a hash call, on a 2-core x86 VM with Python 3.11.
-_HASH_CALLS_PER_POSITION = 5
+# invertible) and its systematic form take 1.8-2.2 us a position, against
+# 1.2-2.0 us a hash call, on a 2-core x86 VM with Python 3.11.  That is
+# 1-2 calls, rounded up to 3 so that every registry row stays on its side
+# of the pool threshold: at 2, MEDIUM (16 x 8191 positions, 0.24 s
+# in-process) would drop 32 calls below it.
+_HASH_CALLS_PER_POSITION = 3
 
 
 def _seeded_block(params: KemParams, seed: bytes, i: int) -> tuple[array, array]:
@@ -241,9 +244,12 @@ def _build_block(params: KemParams, rng: Rng) -> list[int]:
     columns to identity, return the k T columns."""
     m, n = params.m, params.n
     for _ in range(100):
-        values = [v + 1 for v in rng.shuffled(n)]
+        # Column c takes the value order[c] + 1; only the leading m
+        # decide whether this draw is kept.
+        order = rng.shuffled(n)
+        leading = [v + 1 for v in order[:m]]
         a_rows = [
-            sum(((values[c] >> (m - 1 - r)) & 1) << (m - 1 - c) for c in range(m))
+            sum(((leading[c] >> (m - 1 - r)) & 1) << (m - 1 - c) for c in range(m))
             for r in range(m)
         ]
         u_rows = _invert_gf2(a_rows, m)
@@ -254,7 +260,7 @@ def _build_block(params: KemParams, rng: Rng) -> list[int]:
         for p in range(m):
             u_column = sum(((u_rows[r] >> p) & 1) << (m - 1 - r) for r in range(m))
             table += [t ^ u_column for t in table]
-        transformed = [table[v] for v in values]
+        transformed = [table[v + 1] for v in order]
         if transformed[:m] != _unit_columns(m):
             raise AgilecryptError("internal error: systematic form check failed")
         return transformed[m:]

@@ -14,7 +14,9 @@ import hashlib
 import hmac
 import os
 import struct
+import sys
 import threading
+from array import array
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -209,7 +211,12 @@ class Rng:
                 return v % bound
 
     def shuffled(self, n: int) -> list[int]:
-        """Uniform permutation of range(n), Fisher-Yates."""
+        """Uniform permutation of range(n), Fisher-Yates.
+
+        Position i, from n-1 down to 1, swaps with randint_below(i + 1),
+        which reads one big-endian draw per try, as wide as i + 1 needs:
+        3 bytes while i >= 65535, 2 bytes while i >= 255, then 1 byte.
+        """
         perm = list(range(n))
         for i in range(n - 1, 0, -1):
             j = self.randint_below(i + 1)
@@ -250,20 +257,80 @@ class DeterministicRng(Rng):
             raise ParameterError("byte count must be >= 0")
         with self._lock:
             if len(self._buffer) < n:
-                # Joined once at the end, so a long read stays linear.
-                blocks = [self._buffer]
-                have = len(self._buffer)
-                while have < n:
-                    blocks.append(
-                        hashlib.sha256(
-                            b"drbg" + struct.pack(">Q", self._counter) + self.seed
-                        ).digest()
-                    )
-                    self._counter += 1
-                    have += 32
-                self._buffer = b"".join(blocks)
+                self._buffer += self._blocks(-((len(self._buffer) - n) // 32))
             out, self._buffer = self._buffer[:n], self._buffer[n:]
             return out
+
+    def shuffled(self, n: int) -> list[int]:
+        """Rng.shuffled, walked in bulk: the same permutation from the
+        same stream bytes, and the stream left where Rng.shuffled leaves
+        it, without a lock or a slice per draw."""
+        perm = list(range(n))
+        with self._lock:
+            stream, pos = self._buffer, 0
+            i = n - 1
+            while i > 0:
+                # One round per chunk: draws of one width, for positions
+                # down to the last one that draws that width.
+                width = ((i + 1).bit_length() + 7) // 8
+                last = max(1, 256 ** (width - 1) - 1)
+                top = 256**width
+                # This width's remaining draws, a quarter of them retried.
+                want = min(_SHUFFLE_CHUNK_BYTES, (i - last + 1) * width * 5 // 4 + 64)
+                if len(stream) - pos < want:
+                    stream = stream[pos:] + self._blocks(-((len(stream) - pos - want) // 32))
+                    pos = 0
+                words = _big_endian_words(stream[pos:], width)
+                k = 0
+                try:
+                    for i in range(i, last - 1, -1):
+                        bound = i + 1
+                        limit = top - top % bound
+                        v = words[k]
+                        while v >= limit:
+                            k += 1
+                            v = words[k]
+                        k += 1
+                        j = v % bound
+                        perm[i], perm[j] = perm[j], perm[i]
+                    i = last - 1
+                except IndexError:
+                    pass  # chunk used up: the next round refills it and resumes at i
+                pos += k * width
+            # Give back the whole blocks hashed ahead of the last draw.
+            unread = len(stream) - pos
+            self._counter -= unread // 32
+            self._buffer = stream[pos : pos + unread % 32]
+        return perm
+
+    def _blocks(self, count: int) -> bytes:
+        """The next count blocks of the stream; the caller holds the lock."""
+        start, self._counter = self._counter, self._counter + count
+        return b"".join(
+            hashlib.sha256(b"drbg" + struct.pack(">Q", c) + self.seed).digest()
+            for c in range(start, start + count)
+        )
+
+
+# Stream bytes a bulk shuffle hashes ahead at most, per chunk.
+_SHUFFLE_CHUNK_BYTES = 1 << 16
+
+# An array type code per word size; narrower draws are zero-padded.
+_WORD_TYPECODES = {array(code).itemsize: code for code in "BHILQ"}
+
+
+def _big_endian_words(data: bytes, width: int) -> list[int]:
+    """data as consecutive big-endian width-byte integers, dropping a
+    trailing partial word."""
+    count = len(data) // width
+    size = min(s for s in _WORD_TYPECODES if s >= width)
+    padded = bytearray(count * size)
+    for b in range(width):
+        padded[size - width + b :: size] = data[b : count * width : width]
+    words = array(_WORD_TYPECODES[size], padded)
+    if sys.byteorder == "little":
+        words.byteswap()
+    return words.tolist()
 
 
 _SYSTEM_RNG = SystemRng()

@@ -497,6 +497,7 @@ def _strip_timing(report: dict) -> dict:
     trimmed = dict(report)
     trimmed.pop("duration_ms", None)
     trimmed.pop("wall_clock_s", None)
+    trimmed.pop("setup_s", None)
     return trimmed
 
 

@@ -13,12 +13,15 @@ import random
 import struct
 
 import pytest
+from hypothesis import Phase, given, settings
+from hypothesis import strategies as st
 
 from agilecrypt import primitives
 from agilecrypt.errors import BadMac, BadPadding, ParameterError
 from agilecrypt.primitives import (
     DeterministicRng,
     HashId,
+    Rng,
     SymmetricKeys,
     SystemRng,
     hash_data,
@@ -264,3 +267,44 @@ def test_deterministic_rng_randint_below_uniform_range():
     assert seen == set(range(10))
     with pytest.raises(ParameterError):
         rng.randint_below(0)
+
+
+def _assert_same_walk(seed: bytes, prefix: int, n: int) -> None:
+    """DeterministicRng's bulk shuffle against the generic Rng.shuffled on
+    a second handle: same permutation, same stream position after."""
+    bulk, reference = DeterministicRng(seed), DeterministicRng(seed)
+    bulk.random_bytes(prefix)
+    reference.random_bytes(prefix)
+    assert bulk.shuffled(n) == Rng.shuffled(reference, n)
+    assert bulk._counter == reference._counter
+    assert bulk.random_bytes(64) == reference.random_bytes(64)
+
+
+# Both sides of each draw-width boundary: 1 byte below position 255,
+# 2 below 65535, 3 above.  Not shrunk: each example walks up to 65537
+# positions, and a failure is reported as first found.
+@pytest.mark.parametrize("n", [0, 1, 2, 3, 255, 256, 257, 1000, 65535, 65536, 65537])
+@settings(
+    derandomize=True,
+    max_examples=4,
+    deadline=None,
+    database=None,
+    phases=(Phase.generate,),
+)
+@given(seed=st.binary(max_size=16), prefix=st.integers(0, 63))
+def test_bulk_shuffle_matches_generic_walk(n, seed, prefix):
+    _assert_same_walk(seed, prefix, n)
+
+
+@settings(derandomize=True, max_examples=100, deadline=None, database=None)
+@given(seed=st.binary(max_size=16), prefix=st.integers(0, 63), n=st.integers(0, 700))
+def test_bulk_shuffle_matches_generic_walk_small(seed, prefix, n):
+    _assert_same_walk(seed, prefix, n)
+
+
+def test_bulk_shuffle_refills_used_up_chunks(monkeypatch):
+    # One block per chunk: every chunk runs out, in the middle of a
+    # phase and in the middle of a rejected draw's retries.
+    monkeypatch.setattr(primitives, "_SHUFFLE_CHUNK_BYTES", 32)
+    for n, prefix in ((300, 0), (300, 31), (65537, 5)):
+        _assert_same_walk(b"refill", prefix, n)
