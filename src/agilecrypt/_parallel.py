@@ -17,11 +17,12 @@ import os
 import threading
 from concurrent.futures import ProcessPoolExecutor
 
-# Jobs are sized in hash calls: one HBS chain step, about 1.2-1.5 us
-# in-process (2-core x86 VM, Python 3.11).  Measured there, two forked
-# workers cost about 0.1 s of in-process work to start and collect, and
-# save about half of anything above that.  The threshold is set higher,
-# at about 0.35 s, so that LOW keys (at most 0.2 s) stay in-process.
+# Jobs are sized in hash calls: one HBS chain step, about 0.9-1.1 us
+# in-process for the SHA-256 rows and 1.1-1.4 us for the SHA-512 rows
+# (2-core x86 VM, Python 3.11).  Measured there, two forked workers cost
+# about 0.1 s of in-process work to start and collect, and save about
+# half of anything above that.  The threshold is set higher, at about
+# 0.25-0.35 s, so that LOW keys (at most 0.2 s) stay in-process.
 MIN_PARALLEL_HASH_CALLS = 1 << 18
 
 

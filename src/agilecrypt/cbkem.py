@@ -223,11 +223,11 @@ def _inverse_table(params: KemParams, t_columns: Sequence[int]) -> array:
 
 # In-process cost of one key position, in HBS hash calls: a block's
 # Fisher-Yates draws (about 3.5 shuffles until the leading block is
-# invertible) and its systematic form take 1.8-2.2 us a position, against
-# 1.2-2.0 us a hash call, on a 2-core x86 VM with Python 3.11.  That is
-# 1-2 calls, rounded up to 3 so that every registry row stays on its side
-# of the pool threshold: at 2, MEDIUM (16 x 8191 positions, 0.24 s
-# in-process) would drop 32 calls below it.
+# invertible) and its systematic form take 1.3-2.0 us a position, against
+# 0.9-1.4 us a hash call, on a 2-core x86 VM with Python 3.11.  That is
+# about 2 calls, rounded up to 3 so that every registry row stays on its
+# side of the pool threshold: at 2, MEDIUM (16 x 8191 positions,
+# 0.16-0.27 s in-process) would drop 32 calls below it.
 _HASH_CALLS_PER_POSITION = 3
 
 

@@ -65,8 +65,8 @@ _PINNED = {
 }
 
 # Merkle roots (hex) of hbs_keygen(params, _rng("hbs-root/" + id)).  The
-# registry v2 HIGH row, SPX-TOY-32-16-14-SL, takes about a minute and is
-# not pinned here; its root is recorded in CHANGES.md.
+# registry v2 HIGH row, SPX-TOY-32-16-14-SL, takes about 11 s on two
+# workers and is not pinned here; its root is recorded in CHANGES.md.
 _PINNED_ROOTS = {
     "SPX-TOY-16-16-8-S": "1318fbacb3643a2ab4ccc208148dcd76",
     "SPX-TOY-16-16-10-S": "d33beb1eecd56661d2647f8c6323a182",

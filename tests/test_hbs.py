@@ -9,10 +9,13 @@ from __future__ import annotations
 
 import random
 import struct
+import subprocess
+import sys
 
 import pytest
 
 from agilecrypt import hbs
+from agilecrypt.easyapi import SecurityLevel, TemplateKind, builtin_registry, template_resolve
 from agilecrypt.errors import KeyExhausted, MalformedEncoding, ParameterError
 from agilecrypt.hbs import (
     HbsKeyPair,
@@ -218,23 +221,24 @@ def test_public_key_export_roundtrip():
         hbs_parse_public(blob + b"\x00")
 
 
-def _reference_tree(params: HbsParams, seed: bytes) -> list[list[bytes]]:
-    """The tree spelled out from prf and hash_data, one hash at a time."""
+def _reference_leaf(params: HbsParams, seed: bytes, leaf: int) -> bytes:
+    """Leaf digest spelled out from prf and hash_data, one hash at a time,
+    as the key derivation paragraph of docs/formats.md states it."""
     n = params.n_h
-    leaves = []
-    for leaf in range(params.leaf_count):
-        ends = []
-        for chain in range(params.l):
-            value = prf(params.hash_id, seed, "wots-sk", struct.pack(">IH", leaf, chain), n)
-            for step in range(params.w - 1):
-                value = hash_data(
-                    params.hash_id, b"ch" + struct.pack(">HH", chain, step) + value
-                )[:n]
-            ends.append(value)
-        leaves.append(
-            hash_data(params.hash_id, b"leaf" + struct.pack(">I", leaf) + b"".join(ends))[:n]
-        )
-    levels = [leaves]
+    ends = []
+    for chain in range(params.l):
+        value = prf(params.hash_id, seed, "wots-sk", struct.pack(">IH", leaf, chain), n)
+        for step in range(params.w - 1):
+            step_input = b"ch" + struct.pack(">HH", chain, step) + value
+            value = hash_data(params.hash_id, step_input)[:n]
+        ends.append(value)
+    return hash_data(params.hash_id, b"leaf" + struct.pack(">I", leaf) + b"".join(ends))[:n]
+
+
+def _reference_tree(params: HbsParams, seed: bytes) -> list[list[bytes]]:
+    """The tree spelled out from _reference_leaf and hash_data."""
+    n = params.n_h
+    levels = [[_reference_leaf(params, seed, leaf) for leaf in range(params.leaf_count)]]
     for level in range(1, params.h + 1):
         below = levels[-1]
         levels.append(
@@ -259,6 +263,47 @@ def test_tree_matches_the_reference_construction(n_h, w):
         assert hbs._chain_start(params, key, leaf, chain) == prf(
             params.hash_id, seed, "wots-sk", struct.pack(">IH", leaf, chain), n_h
         )
+
+
+@pytest.mark.parametrize("level", list(SecurityLevel), ids=lambda level: level.name)
+def test_registry_leaves_match_the_documented_derivation(level):
+    """The first two and the last leaf of each v1 signature row, built by
+    the chain code, equal the leaves spelled out from the doc.  Whole
+    h=4 trees are compared level by level above."""
+    ident = template_resolve(builtin_registry(1), TemplateKind.SIGNATURE, level).algorithm_id
+    params = HbsParams.from_algorithm_id(ident)
+    seed = hash_data(params.hash_id, ident.encode("ascii"))[:32]
+    for leaf in (0, 1, params.leaf_count - 1):
+        assert hbs._leaf_range(params, seed, leaf, leaf + 1) == [
+            _reference_leaf(params, seed, leaf)
+        ], (ident, leaf)
+
+
+# Blocks the built-in SHA-2 modules, so hbs falls back to hashlib's
+# constructors, and rebuilds the SPX-TOY-16-16-8-S root that
+# test_byte_pinning.py pins.
+_WITHOUT_BUILTIN_SHA2 = """
+import sys
+for name in ("_sha2", "_sha256", "_sha512"):
+    sys.modules[name] = None  # any import of it now raises ImportError
+import hashlib
+from agilecrypt import hbs
+from agilecrypt.primitives import DeterministicRng, HashId
+
+assert hbs._SHORT_INPUT_HASH == {HashId.H256: hashlib.sha256, HashId.H512: hashlib.sha512}
+params = hbs.HbsParams.from_algorithm_id("SPX-TOY-16-16-8-S")
+kp = hbs.hbs_keygen(params, DeterministicRng(b"byte-pinning/hbs-root/SPX-TOY-16-16-8-S"))
+assert kp.root.hex() == "1318fbacb3643a2ab4ccc208148dcd76", kp.root.hex()
+sig = hbs.hbs_sign(kp, b"fallback", DeterministicRng(b"fallback signature"))
+assert hbs.hbs_verify(kp.root, params, b"fallback", sig)
+"""
+
+
+def test_chains_without_the_builtin_sha2_modules():
+    result = subprocess.run(
+        [sys.executable, "-c", _WITHOUT_BUILTIN_SHA2], capture_output=True, text=True, timeout=120
+    )
+    assert result.returncode == 0, result.stderr
 
 
 def test_deferred_tree_build_rejects_a_wrong_root():
