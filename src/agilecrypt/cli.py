@@ -342,14 +342,16 @@ def _probe_bytes(n: int) -> bytes:
 
 
 def _cmd_tls_connect(args: argparse.Namespace) -> int:
+    host, _, port_text = args.address.rpartition(":")
+    # ASCII digits only: str.isdigit also accepts superscript digits, which int() refuses.
+    port = int(port_text) if port_text.isascii() and port_text.isdigit() else 0
+    if not host or not 1 <= port <= 0xFFFF:
+        raise UsageError(f"address must be HOST:PORT with a port in 1..65535, got {args.address!r}")
     registry = _load_registry_arg(args)
     level = SecurityLevel.from_name(args.level)
     roots = (_read_file(os.path.join(args.dir, CA_ROOT_FILE)),)
-    host, _, port_text = args.address.rpartition(":")
-    if not host or not port_text.isdigit():
-        raise UsageError(f"address must be HOST:PORT, got {args.address!r}")
     config = ClientTlsConfig(registry=registry, level=level, trusted_roots=roots)
-    transport = connect_tcp(host, int(port_text), timeout=args.timeout)
+    transport = connect_tcp(host, port, timeout=args.timeout)
     try:
         session = client_handshake(transport, config)
     except (TlsError, ConnectionClosed):

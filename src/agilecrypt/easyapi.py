@@ -360,7 +360,6 @@ class EasySigner(_StoredKey):
     the stored consumption mark (next_leaf) may then trail the
     signatures made by up to one window; close writes it exactly."""
 
-    _next_leaf: int = field(init=False, default=0)
     _window_end: int = field(init=False, default=0)
     _window_size: int = field(init=False, default=0)
     _mark_pending: bool = field(init=False, default=False)
@@ -389,18 +388,15 @@ class EasySigner(_StoredKey):
         return cls._load(ksp, alias, registry_version, rng, load_key)
 
     def sign(self, msg: bytes) -> bytes:
-        params = self._kp.params
-        if params.mode is hbs.HbsMode.STATEFUL:
-            if self._next_leaf == self._window_end:
-                self._refill_window(params.leaf_count)
-            # Advance first: a signature that fails sacrifices its leaf.
-            leaf = self._next_leaf
-            self._next_leaf += 1
-            sig = hbs.hbs_sign_with_leaf(self._kp, leaf, msg, self._rng)
-            self.store.note_consumed(self.alias, self._next_leaf)
+        stateful = self._kp.params.mode is hbs.HbsMode.STATEFUL
+        if stateful and self._kp.next_leaf == self._window_end:
+            self._refill_window(self._kp.params.leaf_count)
+        # hbs_sign advances the key's cursor first: a signature that
+        # fails sacrifices its leaf.
+        sig = hbs.hbs_sign(self._kp, msg, self._rng)
+        if stateful:
+            self.store.note_consumed(self.alias, self._kp.next_leaf)
             self._mark_pending = True
-        else:
-            sig = hbs.hbs_sign(self._kp, msg, self._rng)
         raw = hbs.hbs_serialize_sig(sig)
         return frame_blob(self.algorithm_id, self.registry_version, raw)
 
@@ -412,14 +408,14 @@ class EasySigner(_StoredKey):
         left = leaf_count - self.store.get_entry(self.alias).state.reserved_until
         # With no leaf left, asking for one raises KeyExhausted.
         start, end = self.store.reserve_leaves(self.alias, max(1, min(self._window_size, left)))
-        self._next_leaf, self._window_end = start, end
+        self._kp.next_leaf, self._window_end = start, end
         self._mark_pending = False
 
     def close(self) -> None:
         try:
             if self._mark_pending:
                 self._mark_pending = False
-                self.store.record_consumed(self.alias, self._next_leaf)
+                self.store.record_consumed(self.alias, self._kp.next_leaf)
         finally:
             super().close()
 

@@ -155,16 +155,13 @@ class HbsKeyPair:
         params: HbsParams,
         seed: bytes,
         root: bytes | None = None,
-        next_leaf: int = 0,
     ) -> HbsKeyPair:
         """Rebuild a key pair from its master seed.  If root is supplied
         (e.g. from an authenticated store) the tree build is deferred to
         the first signing call."""
         if len(seed) != 32:
             raise ParameterError("seed must be 32 bytes")
-        if not 0 <= next_leaf <= params.leaf_count:
-            raise ParameterError("next_leaf out of range")
-        kp = cls(seed=seed, root=b"", params=params, next_leaf=next_leaf)
+        kp = cls(seed=seed, root=b"", params=params)
         if root is None:
             kp._levels = _build_tree(params, seed)
             kp.root = kp._levels[params.h][0]
@@ -326,9 +323,10 @@ def hbs_keygen(params: HbsParams, rng: Rng) -> HbsKeyPair:
 def hbs_sign_with_leaf(
     kp: HbsKeyPair, leaf_index: int, msg: bytes, rng: Rng
 ) -> HbsSignature:
-    """Sign using an explicitly chosen leaf.  Callers managing STATEFUL keys
-    through reservations use this directly; index-reuse discipline is then
-    entirely the caller's responsibility."""
+    """Sign using an explicitly chosen leaf; index-reuse discipline is
+    then entirely the caller's responsibility.  hbs_sign signs through
+    here, and so does the EasySigner facade: it points the key's
+    next_leaf into its keystore reservation and calls hbs_sign."""
     params = kp.params
     if not 0 <= leaf_index < params.leaf_count:
         raise ParameterError("leaf index out of range")

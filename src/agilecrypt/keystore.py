@@ -58,7 +58,7 @@ from .errors import (
     UnknownAlias,
 )
 from .hbs import HbsMode, HbsParams
-from .primitives import Rng, SymmetricKeys, open_record, random_bytes, seal_record
+from .primitives import Rng, SymmetricKeys, SystemRng, open_record, seal_record
 
 MAGIC = b"AGKS"
 FORMAT_VERSION = 1
@@ -82,6 +82,11 @@ class KeystoreParameters:
             raise ParameterError("keystore path must be non-empty")
         if len(self.password) < 1:
             raise ParameterError("password must have at least 1 character")
+        try:
+            self.password.encode("utf-8")
+        except UnicodeEncodeError:
+            # A command line that is not valid UTF-8 decodes to lone surrogates.
+            raise ParameterError("password is not valid UTF-8") from None
         if not 1 <= self.iterations <= 0xFFFFFFFF:
             # The file header stores the count as a u32.
             raise ParameterError("iteration count must be in [1, 2^32 - 1]")
@@ -105,15 +110,14 @@ class KeystoreEntry:
     state: EntryState | None
 
 
-def is_stateful_algorithm(algorithm_id: str) -> bool:
+def _stateful_leaf_count(algorithm_id: str) -> int | None:
+    """The one-time leaves of a stateful signature id; None for any
+    other id."""
     try:
-        return HbsParams.from_algorithm_id(algorithm_id).mode is HbsMode.STATEFUL
+        params = HbsParams.from_algorithm_id(algorithm_id)
     except ParameterError:
-        return False
-
-
-def _stateful_leaf_count(algorithm_id: str) -> int:
-    return HbsParams.from_algorithm_id(algorithm_id).leaf_count
+        return None
+    return params.leaf_count if params.mode is HbsMode.STATEFUL else None
 
 
 def _derive_keys(password: str, salt: bytes, iterations: int) -> SymmetricKeys:
@@ -188,14 +192,12 @@ class Keystore:
         keys: SymmetricKeys,
         entries: dict[str, KeystoreEntry],
         lock_fd: int | None,
-        read_only: bool,
     ):
         self.params = params
         self._header = header
         self._keys = keys
         self._entries = entries
         self._lock_fd = lock_fd
-        self._read_only = read_only
         self._closed = False
         self.crash_hook = None
 
@@ -265,11 +267,9 @@ class Keystore:
         entry = self._require_stateful(alias)
         start = entry.state.reserved_until
         end = start + count
-        if end > _stateful_leaf_count(entry.algorithm_id):
-            raise KeyExhausted(
-                f"{alias!r}: {count} leaves requested, "
-                f"{_stateful_leaf_count(entry.algorithm_id) - start} left"
-            )
+        leaf_count = _stateful_leaf_count(entry.algorithm_id)
+        if end > leaf_count:
+            raise KeyExhausted(f"{alias!r}: {count} leaves requested, {leaf_count - start} left")
         entry.state.reserved_until = end
         self._persist()
         return (start, end)
@@ -303,7 +303,8 @@ class Keystore:
     def _check_usable(self, write: bool) -> None:
         if self._closed:
             raise KeystoreIoError("store handle is closed")
-        if write and self._read_only:
+        # Only a writer holds the lock.
+        if write and self._lock_fd is None:
             raise KeystoreIoError("store opened read-only")
 
     def _hook(self, point: str) -> None:
@@ -351,15 +352,15 @@ def _validate_entry(entry: KeystoreEntry) -> None:
         raise ParameterError("alias must be non-empty")
     if not entry.algorithm_id:
         raise ParameterError("algorithm_id must be non-empty")
-    stateful = is_stateful_algorithm(entry.algorithm_id)
-    if stateful and entry.state is None:
+    leaf_count = _stateful_leaf_count(entry.algorithm_id)
+    if leaf_count is not None and entry.state is None:
         raise ParameterError("stateful algorithm requires counter state")
-    if not stateful and entry.state is not None:
+    if leaf_count is None and entry.state is not None:
         raise ParameterError("stateless algorithm must not carry counter state")
     if entry.state is not None:
         if not 0 <= entry.state.next_leaf <= entry.state.reserved_until:
             raise ParameterError("require 0 <= next_leaf <= reserved_until")
-        if entry.state.reserved_until > _stateful_leaf_count(entry.algorithm_id):
+        if entry.state.reserved_until > leaf_count:
             raise ParameterError("reserved_until exceeds leaf count")
     # Refuse what the table encoder would (an alias over 65535 UTF-8 bytes,
     # a non-ASCII algorithm id) before the entry reaches the store.
@@ -370,15 +371,9 @@ def _validate_entry(entry: KeystoreEntry) -> None:
 
 
 def _fsync_dir(path: str) -> None:
-    dirname = os.path.dirname(os.path.abspath(path))
-    try:
-        dfd = os.open(dirname, os.O_RDONLY)
-    except OSError:
-        return
+    dfd = os.open(os.path.dirname(os.path.abspath(path)), os.O_RDONLY)
     try:
         os.fsync(dfd)
-    except OSError:
-        pass
     finally:
         os.close(dfd)
 
@@ -412,26 +407,21 @@ def _release_lock(lock_fd: int | None) -> None:
 
 def keystore_create(params: KeystoreParameters, rng: Rng | None = None) -> Keystore:
     """Create a fresh store at params.path (which must be absent or an
-    empty file) and return an open writer handle."""
-    try:
-        exists_nonempty = os.path.exists(params.path) and os.path.getsize(params.path) > 0
-    except OSError as exc:
-        raise KeystoreIoError(f"cannot stat {params.path}: {exc}") from exc
-    if exists_nonempty:
-        raise KeystoreIoError(f"{params.path} already exists and is non-empty")
+    empty file) and return an open writer handle.  The file is checked
+    under the writer lock, so a store another writer has just filled is
+    refused, never overwritten."""
     lock_fd = _acquire_lock(params.path)
     try:
-        salt = random_bytes(16, rng)
+        try:
+            exists_nonempty = os.path.exists(params.path) and os.path.getsize(params.path) > 0
+        except OSError as exc:
+            raise KeystoreIoError(f"cannot stat {params.path}: {exc}") from exc
+        if exists_nonempty:
+            raise KeystoreIoError(f"{params.path} already exists and is non-empty")
+        salt = (rng or SystemRng()).random_bytes(16)
         header = MAGIC + uint(FORMAT_VERSION, 2) + salt + uint(params.iterations, 4)
         keys = _derive_keys(params.password, salt, params.iterations)
-        ks = Keystore(
-            params=params,
-            header=header,
-            keys=keys,
-            entries={},
-            lock_fd=lock_fd,
-            read_only=False,
-        )
+        ks = Keystore(params=params, header=header, keys=keys, entries={}, lock_fd=lock_fd)
         ks._persist()
     except BaseException:
         _release_lock(lock_fd)
@@ -469,14 +459,7 @@ def keystore_open(params: KeystoreParameters, read_only: bool = False) -> Keysto
                 "store authentication failed: wrong password or tampered file"
             ) from exc
         entries = _decode_table(table)
-        return Keystore(
-            params=params,
-            header=header,
-            keys=keys,
-            entries=entries,
-            lock_fd=lock_fd,
-            read_only=read_only,
-        )
+        return Keystore(params=params, header=header, keys=keys, entries=entries, lock_fd=lock_fd)
     except BaseException:
         _release_lock(lock_fd)
         raise

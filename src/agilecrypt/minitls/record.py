@@ -27,7 +27,7 @@ from .transport import Transport
 from .wire import TLS_VERSION, ContentType
 
 _HEADER = struct.Struct(">BHH")
-# CBC expansion: 16 IV + up to 64 MAC + up to 16 padding + block rounding.
+# CBC expansion: 16 IV + 64 MAC + up to 16 padding + block rounding.
 _MAX_WIRE_FRAGMENT = MAX_RECORD_PLAINTEXT + 2048
 
 
@@ -49,8 +49,6 @@ class RecordLayer:
         self._recv_keys: SymmetricKeys | None = None
         self._send_seq = 0
         self._recv_seq = 0
-        self.bytes_sent = 0
-        self.bytes_received = 0
         self.records_sent = 0
         self.records_received = 0
         self.writes = 0
@@ -84,7 +82,6 @@ class RecordLayer:
         """Hand already framed records to the transport in one write."""
         self.transport.write(wire)
         self.writes += 1
-        self.bytes_sent += len(wire)
 
     def send(self, content_type: ContentType, payload: bytes) -> None:
         self.write(self.frame(content_type, payload))
@@ -98,7 +95,6 @@ class RecordLayer:
         if length > _MAX_WIRE_FRAGMENT:
             raise MalformedEncoding(f"record length {length} exceeds limit", offset=3)
         fragment = self.transport.read_exact(length)
-        self.bytes_received += _HEADER.size + length
         self.records_received += 1
         return content_type, fragment
 
@@ -123,7 +119,6 @@ class RecordLayer:
             fragment = self.transport.read_exact(length)
         except ConnectionClosed as exc:
             raise BadMac(f"protected record truncated: {exc}") from exc
-        self.bytes_received += _HEADER.size + length
         payload = open_record(self._recv_keys, self._recv_seq, header[:3], fragment)
         self._recv_seq += 1
         self.records_received += 1

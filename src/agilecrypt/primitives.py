@@ -32,6 +32,8 @@ from .errors import (
 MAX_RECORD_PLAINTEXT = 2**14
 
 _AES_BLOCK = 16
+# The record MAC is HMAC-SHA512: its key and its tag are both 64 bytes.
+_MAC_BYTES = 64
 
 
 class HashId(Enum):
@@ -92,9 +94,9 @@ def prf(hash_id: HashId, secret: bytes, label: str, seed: bytes, out_len: int) -
 
 @dataclass
 class SymmetricKeys:
-    """One direction's record-protection keys.
+    """One direction's record-protection keys: a 32-byte AES key, a
+    64-byte HMAC-SHA512 key and a 16-byte IV seed.
 
-    mac_key length selects the MAC hash (32 bytes for H256, 64 for H512).
     Zeroization is best effort: Python cannot scrub copies made before
     zeroize() is called.
     """
@@ -111,8 +113,8 @@ class SymmetricKeys:
         self.iv_seed = bytearray(self.iv_seed)
         if len(self.enc_key) != 32:
             raise ParameterError("enc_key must be 32 bytes")
-        if len(self.mac_key) not in (32, 64):
-            raise ParameterError("mac_key must be 32 or 64 bytes")
+        if len(self.mac_key) != _MAC_BYTES:
+            raise ParameterError("mac_key must be 64 bytes")
         if len(self.iv_seed) != 16:
             raise ParameterError("iv_seed must be 16 bytes")
 
@@ -121,10 +123,6 @@ class SymmetricKeys:
         """Split derived key material: enc key [0:32], mac key [32:96],
         iv seed [96:112]."""
         return cls(enc_key=material[:32], mac_key=material[32:96], iv_seed=material[96:112])
-
-    @property
-    def mac_hash(self) -> HashId:
-        return HashId.H256 if len(self.mac_key) == 32 else HashId.H512
 
     def zeroize(self) -> None:
         for buf in (self.enc_key, self.mac_key, self.iv_seed):
@@ -141,7 +139,7 @@ def _record_iv(keys: SymmetricKeys, seq: int) -> bytes:
 
 def _record_mac(keys: SymmetricKeys, seq: int, header: bytes, plaintext: bytes) -> bytes:
     authed = struct.pack(">Q", seq) + header + struct.pack(">I", len(plaintext)) + plaintext
-    return hmac.new(bytes(keys.mac_key), authed, keys.mac_hash._ctor).digest()
+    return hmac.new(bytes(keys.mac_key), authed, hashlib.sha512).digest()
 
 
 def seal_record(keys: SymmetricKeys, seq: int, header: bytes, plaintext: bytes) -> bytes:
@@ -166,7 +164,6 @@ def seal_record(keys: SymmetricKeys, seq: int, header: bytes, plaintext: bytes) 
 def open_record(keys: SymmetricKeys, seq: int, header: bytes, sealed: bytes) -> bytes:
     """Inverse of seal_record.  Raises BadPadding or BadMac on any tamper;
     never returns a value for modified input."""
-    mac_len = keys.mac_hash.digest_size
     if len(sealed) < _AES_BLOCK * 2 or len(sealed) % _AES_BLOCK != 0:
         raise BadPadding("sealed record has invalid length")
     iv, ct = sealed[:_AES_BLOCK], sealed[_AES_BLOCK:]
@@ -178,9 +175,9 @@ def open_record(keys: SymmetricKeys, seq: int, header: bytes, sealed: bytes) -> 
     if any(b != pad_len for b in body[-(pad_len + 1):]):
         raise BadPadding("padding bytes inconsistent")
     body = body[: len(body) - pad_len - 1]
-    if len(body) < mac_len:
+    if len(body) < _MAC_BYTES:
         raise BadMac("record too short for MAC")
-    plaintext, tag = body[:-mac_len], body[-mac_len:]
+    plaintext, tag = body[:-_MAC_BYTES], body[-_MAC_BYTES:]
     expect = _record_mac(keys, seq, header, plaintext)
     if not hmac.compare_digest(tag, expect):
         raise BadMac("record MAC mismatch")
@@ -331,14 +328,6 @@ def _big_endian_words(data: bytes, width: int) -> list[int]:
     if sys.byteorder == "little":
         words.byteswap()
     return words.tolist()
-
-
-_SYSTEM_RNG = SystemRng()
-
-
-def random_bytes(n: int, rng: Rng | None = None) -> bytes:
-    """n random bytes from rng, defaulting to the system source."""
-    return (rng or _SYSTEM_RNG).random_bytes(n)
 
 
 def make_rng(seed: str | None) -> Rng:

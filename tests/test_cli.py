@@ -1,9 +1,10 @@
 """Command-line interface tests.
 
-Every test drives the installed entry point through a real subprocess,
-so argument parsing, exit codes, the password environment variable, and
-the stdout/stderr split are all exercised exactly as a shell user sees
-them.
+Every test but one drives the installed entry point through a real
+subprocess, so argument parsing, exit codes, the password environment
+variable, and the stdout/stderr split are all exercised exactly as a
+shell user sees them.  The tls-connect port test calls main in process,
+so that it can refuse any connection attempt.
 """
 
 from __future__ import annotations
@@ -268,6 +269,23 @@ def test_positional_password_is_rejected(keyring):
     assert result.returncode == 2
 
 
+@pytest.mark.parametrize("via", ["flag", "environment"])
+def test_password_that_is_not_utf8_exits_one(workdir, via):
+    # subprocess encodes "\udcff" as the raw byte 0xff, which the child
+    # decodes back to "\udcff", as it would a shell's $'\xff'.
+    ks = workdir / f"not-utf8-{via}.bin"
+    flag = ["--password", "\udcff"] if via == "flag" else []
+    result = run_cli(
+        "keygen", "sign", "--level", "low", "--keystore", ks, *flag,
+        password="\udcff" if via == "environment" else None,
+    )
+    assert result.returncode == 1
+    assert result.stderr.splitlines() == [
+        "agilecrypt: error: ParameterError: password is not valid UTF-8"
+    ]
+    assert not ks.exists()
+
+
 def test_wrong_password_exits_one(keyring):
     result = run_cli(
         "sign", keyring["message"], "--alias", keyring["sig_alias"],
@@ -399,6 +417,21 @@ def test_tls_connect_bad_address_exits_two(tls_low_dir):
         password=None,
     )
     assert result.returncode == 2
+
+
+@pytest.mark.parametrize("port", ["70000", "65536", "0", "\u00b2", "\u0663", "+80"])
+def test_tls_connect_refuses_a_port_before_reading_or_connecting(tmp_path, monkeypatch, port):
+    # In process, so that a connection attempt fails the test instead of
+    # reaching whatever port the resolver makes of the number.
+    from agilecrypt import cli
+
+    def no_connection(*args, **kwargs):
+        raise AssertionError("tls-connect tried to connect")
+
+    monkeypatch.setattr(cli, "connect_tcp", no_connection)
+    # --dir names no directory: reading ca.root first would exit 1.
+    args = ["tls-connect", f"127.0.0.1:{port}", "--dir", str(tmp_path / "absent"), "--level", "low"]
+    assert cli.main(args) == 2
 
 
 @pytest.mark.parametrize(

@@ -214,7 +214,8 @@ def test_signer_agrees_with_direct_hbs(tmp_path):
         # Direct route verifies the facade's signature...
         assert hbs.hbs_verify(root, params, b"dual route", hbs.hbs_parse_sig(params, raw))
         # ...and the facade verifies a directly built signature.
-        kp = hbs.HbsKeyPair.from_seed(params, signer.key_seed, next_leaf=100)
+        kp = hbs.HbsKeyPair.from_seed(params, signer.key_seed)
+        kp.next_leaf = 100
         direct = hbs.hbs_sign(kp, b"other way", rng)
         framed = frame_blob(ident, 1, hbs.hbs_serialize_sig(direct))
         assert easysigner_verify(signer.public_blob, b"other way", framed)
@@ -379,6 +380,27 @@ def test_one_shot_signers_waste_no_leaves(tmp_path):
             assert _leaf_of(signer.sign(b"one %d" % i)) == i
     state = _stored_state(ksp, alias)
     assert (state.next_leaf, state.reserved_until) == (20, 20)
+
+
+def test_signer_whose_seed_misses_the_root_spends_one_reserved_leaf(tmp_path):
+    ap = template_resolve(builtin_registry(1), TemplateKind.SIGNATURE, SecurityLevel.LOW)
+    ksp = _ksp(tmp_path)
+    rng = DeterministicRng(b"wrong seed")
+    with EasySigner.with_new_key(ap, ksp, rng=rng) as signer:
+        alias = signer.alias
+        entry = signer.store.get_entry(alias)
+        entry.secret_material = bytes(32)
+        signer.store.update_entry(entry)
+    writes = []
+    signer = EasySigner.open(ksp, alias, registry_version=1, rng=rng)
+    signer.store.crash_hook = writes.append
+    with pytest.raises(ParameterError, match="does not rebuild the stored root"):
+        signer.sign(b"never made")
+    assert writes.count("renamed") == 1  # the reservation
+    signer.close()
+    assert writes.count("renamed") == 1
+    state = _stored_state(ksp, alias)
+    assert (state.next_leaf, state.reserved_until) == (0, 1)
 
 
 # ---------------------------------------------------------------------------

@@ -11,6 +11,7 @@ from __future__ import annotations
 import errno
 import os
 import random
+import stat
 
 import pytest
 
@@ -378,6 +379,40 @@ def test_create_releases_the_lock_when_its_first_write_fails(tmp_path, monkeypat
     keystore_create(params).close()
 
 
+def test_create_refuses_a_store_filled_while_it_waited_for_the_lock(tmp_path, monkeypatch):
+    params = _params(tmp_path)
+    real_acquire = keystore._acquire_lock
+
+    def other_writer_first(path):
+        monkeypatch.setattr(keystore, "_acquire_lock", real_acquire)
+        with keystore_create(params) as other:
+            other.put_entry(_stateless_entry())
+        return real_acquire(path)
+
+    monkeypatch.setattr(keystore, "_acquire_lock", other_writer_first)
+    with pytest.raises(KeystoreIoError, match="non-empty"):
+        keystore_create(params)
+    with keystore_open(params) as ks:
+        assert ks.aliases() == ["enc"]
+
+
+def test_failed_directory_fsync_hands_out_no_range(tmp_path, monkeypatch):
+    params = _params(tmp_path)
+    real_fsync = os.fsync
+
+    def fail_on_directories(fd):
+        if stat.S_ISDIR(os.fstat(fd).st_mode):
+            raise OSError(errno.EIO, "Input/output error")
+        real_fsync(fd)
+
+    with keystore_create(params) as ks:
+        ks.put_entry(_stateful_entry())
+        monkeypatch.setattr(keystore.os, "fsync", fail_on_directories)
+        with pytest.raises(KeystoreIoError, match="Input/output error"):
+            ks.reserve_leaves("sig", 4)
+        monkeypatch.undo()
+
+
 def test_single_writer_lock(tmp_path):
     params = _params(tmp_path)
     ks = keystore_create(params)
@@ -412,6 +447,9 @@ def test_password_policy():
         KeystoreParameters(path="x", password="")
     with pytest.raises(ParameterError):
         KeystoreParameters(path="", password="p")
+    # How a command line holding the byte 0xff decodes.
+    with pytest.raises(ParameterError, match="UTF-8"):
+        KeystoreParameters(path="ks", password="\udcff")
 
 
 @pytest.mark.parametrize("iterations", [0, 2**32])

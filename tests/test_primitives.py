@@ -218,6 +218,12 @@ def test_open_single_bit_tamper_never_leaks():
             open_record(keys, trial, b"hdr", bytes(sealed))
 
 
+@pytest.mark.parametrize("width", [32, 63, 65])
+def test_symmetric_keys_refuse_a_mac_key_that_is_not_64_bytes(width):
+    with pytest.raises(ParameterError, match="mac_key"):
+        SymmetricKeys(enc_key=b"\x11" * 32, mac_key=b"\x22" * width, iv_seed=b"\x33" * 16)
+
+
 def test_symmetric_keys_zeroize():
     keys = SymmetricKeys(enc_key=b"\x11" * 32, mac_key=b"\x22" * 64, iv_seed=b"\x33" * 16)
     keys.zeroize()
