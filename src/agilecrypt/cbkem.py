@@ -247,18 +247,15 @@ def _build_block(params: KemParams, rng: Rng) -> list[int]:
         # Column c takes the value order[c] + 1; only the leading m
         # decide whether this draw is kept.
         order = rng.shuffled(n)
-        leading = [v + 1 for v in order[:m]]
-        a_rows = [
-            sum(((leading[c] >> (m - 1 - r)) & 1) << (m - 1 - c) for c in range(m))
-            for r in range(m)
-        ]
-        u_rows = _invert_gf2(a_rows, m)
-        if u_rows is None:
+        # The leading values are the rows of A's transpose, so their
+        # inverse has the columns of U = A^-1 as its rows.
+        u_columns = _invert_gf2([v + 1 for v in order[:m]], m)
+        if u_columns is None:
             continue
-        # U applied to every m-bit value at once, by linearity.
+        # U applied to every m-bit value at once, by linearity: bit p of
+        # a value selects column m-1-p.
         table = [0]
-        for p in range(m):
-            u_column = sum(((u_rows[r] >> p) & 1) << (m - 1 - r) for r in range(m))
+        for u_column in reversed(u_columns):
             table += [t ^ u_column for t in table]
         transformed = [table[v + 1] for v in order]
         if transformed[:m] != _unit_columns(m):

@@ -343,6 +343,8 @@ def _probe_bytes(n: int) -> bytes:
 
 def _cmd_tls_connect(args: argparse.Namespace) -> int:
     host, _, port_text = args.address.rpartition(":")
+    if host.startswith("[") and host.endswith("]"):
+        host = host[1:-1]  # a bracketed IPv6 address, [::1]:4433
     # ASCII digits only: str.isdigit also accepts superscript digits, which int() refuses.
     port = int(port_text) if port_text.isascii() and port_text.isdigit() else 0
     if not host or not 1 <= port <= 0xFFFF:
@@ -524,7 +526,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_tls_serve)
 
     p = sub.add_parser("tls-connect", help="handshake, echo a probe, print the report")
-    p.add_argument("address", help="HOST:PORT")
+    p.add_argument("address", help="HOST:PORT, an IPv6 host in brackets ([::1]:4433)")
     p.add_argument("--dir", required=True, help="directory written by tls-setup")
     p.add_argument("--level", required=True, choices=("low", "medium", "high"))
     p.add_argument("--probe-bytes", type=_in_range(int, 0), default=1024)

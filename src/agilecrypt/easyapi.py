@@ -20,7 +20,6 @@ Blob framing (documented bit-exactly in docs/formats.md):
 from __future__ import annotations
 
 import datetime
-import os
 from collections.abc import Callable
 from dataclasses import dataclass, field
 from enum import Enum, IntEnum
@@ -35,6 +34,7 @@ from .errors import (
     InvalidCiphertext,
     MalformedEncoding,
     ParameterError,
+    StoreExists,
 )
 from .keystore import (
     EntryState,
@@ -305,8 +305,12 @@ class _StoredKey:
         state: EntryState | None,
     ):
         alias = f"{prefix}-{ap.algorithm_id}-{hash_data(HashId.H256, public)[:4].hex()}"
-        exists = os.path.exists(ksp.path) and os.path.getsize(ksp.path) > 0
-        store = keystore_open(ksp) if exists else keystore_create(ksp, rng)
+        # keystore_create decides under the writer lock whether the store
+        # is new, so a store another call has just made gets the key too.
+        try:
+            store = keystore_create(ksp, rng)
+        except StoreExists:
+            store = keystore_open(ksp)
         try:
             store.put_entry(KeystoreEntry(alias, ap.algorithm_id, kp.seed, public, state))
         except BaseException:

@@ -74,6 +74,10 @@ class KeystoreIoError(KeystoreError):
     """Filesystem failure while reading or writing a store."""
 
 
+class StoreExists(KeystoreIoError):
+    """keystore_create found a non-empty store already at its path."""
+
+
 class StoreLocked(KeystoreError):
     """Another writer holds the store's advisory lock."""
 

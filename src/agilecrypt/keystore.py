@@ -54,6 +54,7 @@ from .errors import (
     MalformedEncoding,
     MalformedStore,
     ParameterError,
+    StoreExists,
     StoreLocked,
     UnknownAlias,
 )
@@ -409,7 +410,7 @@ def keystore_create(params: KeystoreParameters, rng: Rng | None = None) -> Keyst
     """Create a fresh store at params.path (which must be absent or an
     empty file) and return an open writer handle.  The file is checked
     under the writer lock, so a store another writer has just filled is
-    refused, never overwritten."""
+    refused with StoreExists, never overwritten."""
     lock_fd = _acquire_lock(params.path)
     try:
         try:
@@ -417,7 +418,7 @@ def keystore_create(params: KeystoreParameters, rng: Rng | None = None) -> Keyst
         except OSError as exc:
             raise KeystoreIoError(f"cannot stat {params.path}: {exc}") from exc
         if exists_nonempty:
-            raise KeystoreIoError(f"{params.path} already exists and is non-empty")
+            raise StoreExists(f"{params.path} already exists and is non-empty")
         salt = (rng or SystemRng()).random_bytes(16)
         header = MAGIC + uint(FORMAT_VERSION, 2) + salt + uint(params.iterations, 4)
         keys = _derive_keys(params.password, salt, params.iterations)

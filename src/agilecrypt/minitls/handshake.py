@@ -8,8 +8,10 @@ security-level template in a hello extension; any divergence aborts the
 handshake before a single key-exchange byte is sent.
 
 Both roles run through one driver, ``_handshake``, which owns the record
-layer, the transcript and the mapping of failures to alerts; the two
-flows differ only in their message order.
+layer and the transcript; the two flows differ only in their message
+order.  One function reads every record (``_recv_payload``) and one maps
+a failure to the alert this side sends (``_alert_for``), for the
+handshake and the session alike.
 
 Each flight goes to the transport in one write: the channel frames (and,
 after ChangeCipherSpec, seals) the records of every message it sends and
@@ -203,6 +205,26 @@ def _frame_fragmented(record: RecordLayer, content_type: ContentType, data: byte
     ]
 
 
+def _recv_payload(record: RecordLayer, expected: ContentType) -> bytes:
+    """The payload of the next record if it is of type ``expected``; a peer
+    alert raises TlsAlertReceived and any other record MalformedEncoding."""
+    content_type, payload = record.recv()
+    if content_type == expected:
+        return payload
+    if content_type == ContentType.ALERT:
+        raise TlsAlertReceived(decode_alert(payload))
+    raise MalformedEncoding(f"expected {expected.name} record, got content type {content_type}")
+
+
+def _alert_for(exc: AgilecryptError) -> AlertDescription | None:
+    """The fatal alert this side sends when ``exc`` ends a connection."""
+    if isinstance(exc, (BadMac, BadPadding)):
+        return AlertDescription.BAD_RECORD_MAC
+    if isinstance(exc, MalformedEncoding):
+        return AlertDescription.HANDSHAKE_FAILURE
+    return None
+
+
 def _send_fatal_alert(
     record: RecordLayer, description: AlertDescription, queued: Sequence[bytes] = ()
 ) -> None:
@@ -242,20 +264,10 @@ class HandshakeChannel:
         _send_fatal_alert(self.record, description, self._flight)
         self._flight.clear()
 
-    def _recv_record(self) -> tuple[ContentType, bytes]:
-        self.flush()
-        return self.record.recv()
-
     def _fill(self, needed: int) -> None:
         while len(self._buffer) < needed:
-            content_type, payload = self._recv_record()
-            if content_type == ContentType.ALERT:
-                raise TlsAlertReceived(decode_alert(payload))
-            if content_type != ContentType.HANDSHAKE:
-                raise MalformedEncoding(
-                    f"expected handshake record, got content type {content_type}"
-                )
-            self._buffer.extend(payload)
+            self.flush()
+            self._buffer.extend(_recv_payload(self.record, ContentType.HANDSHAKE))
 
     def recv_message(self) -> tuple[HandshakeType, bytes]:
         self._fill(4)
@@ -277,10 +289,8 @@ class HandshakeChannel:
     def recv_ccs(self) -> None:
         if self._buffer:
             raise MalformedEncoding("handshake data buffered across ChangeCipherSpec")
-        content_type, payload = self._recv_record()
-        if content_type == ContentType.ALERT:
-            raise TlsAlertReceived(decode_alert(payload))
-        if content_type != ContentType.CHANGE_CIPHER_SPEC or payload != b"\x01":
+        self.flush()
+        if _recv_payload(self.record, ContentType.CHANGE_CIPHER_SPEC) != b"\x01":
             raise MalformedEncoding("expected ChangeCipherSpec")
         self.transcript.note_ccs("received")
 
@@ -291,16 +301,10 @@ def _abort(channel: HandshakeChannel, description: AlertDescription, reason: str
     raise TlsAlertSent(description, reason)
 
 
-def _expect(
-    channel: HandshakeChannel, expected: HandshakeType
-) -> bytes:
+def _expect(channel: HandshakeChannel, expected: HandshakeType) -> bytes:
     hs_type, body = channel.recv_message()
     if hs_type != expected:
-        _abort(
-            channel,
-            AlertDescription.HANDSHAKE_FAILURE,
-            f"expected {expected.message_name}, got {hs_type.message_name}",
-        )
+        raise MalformedEncoding(f"expected {expected.message_name}, got {hs_type.message_name}")
     return body
 
 
@@ -332,8 +336,8 @@ class ServerTlsConfig:
 class TlsSession:
     """Application-data channel after a completed handshake.
 
-    Any record-authentication failure tears the connection down before a
-    byte of the offending record is surfaced to the caller.
+    Every failed ``send``, ``recv`` or ``recv_exact`` tears the connection
+    down before a byte of the offending record is surfaced to the caller.
     """
 
     def __init__(
@@ -352,45 +356,36 @@ class TlsSession:
         self._open = True
 
     def send(self, data: bytes) -> None:
-        if not self._open:
-            raise ConnectionClosed("session is closed")
-        frames = _frame_fragmented(self.record, ContentType.APPLICATION_DATA, data)
-        if frames:
-            self.record.write(b"".join(frames))
+        try:
+            if not self._open:
+                raise ConnectionClosed("session is closed")
+            frames = _frame_fragmented(self.record, ContentType.APPLICATION_DATA, data)
+            if frames:
+                self.record.write(b"".join(frames))
+        except AgilecryptError as exc:
+            self._fail(exc)
 
     def recv(self) -> bytes:
         """One record's worth of application data."""
-        if not self._open:
-            raise ConnectionClosed("session is closed")
         try:
-            content_type, payload = self.record.recv()
-        except (BadMac, BadPadding):
-            self._teardown(AlertDescription.BAD_RECORD_MAC)
-            raise
-        except MalformedEncoding:
-            self._teardown(AlertDescription.HANDSHAKE_FAILURE)
-            raise
-        except ConnectionClosed:
-            self._teardown(None)
-            raise
-        if content_type == ContentType.APPLICATION_DATA:
-            return payload
-        if content_type == ContentType.ALERT:
-            code = decode_alert(payload)
-            self._teardown(None)
-            raise TlsAlertReceived(code)
-        self._teardown(AlertDescription.HANDSHAKE_FAILURE)
-        raise MalformedEncoding(
-            f"unexpected content type {content_type} after handshake"
-        )
+            if not self._open:
+                raise ConnectionClosed("session is closed")
+            return _recv_payload(self.record, ContentType.APPLICATION_DATA)
+        except AgilecryptError as exc:
+            self._fail(exc)
 
     def recv_exact(self, n: int) -> bytes:
         chunks = bytearray()
         while len(chunks) < n:
             chunks.extend(self.recv())
         if len(chunks) != n:
-            raise MalformedEncoding(f"peer sent {len(chunks)} bytes, expected {n}")
+            self._fail(MalformedEncoding(f"peer sent {len(chunks)} bytes, expected {n}"))
         return bytes(chunks)
+
+    def _fail(self, exc: AgilecryptError) -> NoReturn:
+        """Tear down with the alert that answers ``exc``, then raise it."""
+        self._teardown(_alert_for(exc))
+        raise exc
 
     def _teardown(self, alert: AlertDescription | None) -> None:
         if self._open and alert is not None:
@@ -444,10 +439,11 @@ def _handshake(
         try:
             keys = flow(channel, config, rng, local_info)
             channel.flush()
-        except MalformedEncoding as exc:
-            _abort(channel, AlertDescription.HANDSHAKE_FAILURE, str(exc))
-        except (BadMac, BadPadding) as exc:
-            _abort(channel, AlertDescription.BAD_RECORD_MAC, str(exc))
+        except AgilecryptError as exc:
+            description = _alert_for(exc)
+            if description is None:
+                raise
+            _abort(channel, description, str(exc))
     except (TlsError, ConnectionClosed) as exc:
         # Only the alert exceptions carry a description.
         description = getattr(exc, "description", None)

@@ -43,10 +43,6 @@ class HashId(Enum):
     H512 = "H512"
 
     @property
-    def digest_size(self) -> int:
-        return 32 if self is HashId.H256 else 64
-
-    @property
     def _ctor(self):
         return hashlib.sha256 if self is HashId.H256 else hashlib.sha512
 

@@ -19,6 +19,7 @@ import threading
 import pytest
 
 from agilecrypt.easyapi import frame_blob, parse_blob
+from agilecrypt.errors import ConnectionClosed
 
 CLI = [sys.executable, "-m", "agilecrypt.cli"]
 PASSWORD = "cli-test-password"
@@ -432,6 +433,22 @@ def test_tls_connect_refuses_a_port_before_reading_or_connecting(tmp_path, monke
     # --dir names no directory: reading ca.root first would exit 1.
     args = ["tls-connect", f"127.0.0.1:{port}", "--dir", str(tmp_path / "absent"), "--level", "low"]
     assert cli.main(args) == 2
+
+
+def test_tls_connect_strips_the_brackets_of_an_ipv6_host(tmp_path, monkeypatch):
+    from agilecrypt import cli
+
+    hosts = []
+
+    def record_host(host, port, timeout=None):
+        hosts.append((host, port))
+        raise ConnectionClosed("refused by the test")
+
+    monkeypatch.setattr(cli, "connect_tcp", record_host)
+    (tmp_path / "ca.root").write_bytes(b"root")
+    args = ["tls-connect", "[::1]:4433", "--dir", str(tmp_path), "--level", "low"]
+    assert cli.main(args) == 1
+    assert hosts == [("::1", 4433)]
 
 
 @pytest.mark.parametrize(

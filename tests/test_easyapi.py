@@ -11,7 +11,7 @@ import random
 
 import pytest
 
-from agilecrypt import cbkem, hbs
+from agilecrypt import cbkem, easyapi, hbs
 from agilecrypt.easyapi import (
     AlgorithmParameters,
     CompatibilityResult,
@@ -281,6 +281,28 @@ def test_a_second_identical_key_is_refused_and_frees_the_store(tmp_path, handle,
     # The refused call left no writer lock behind.
     with handle.open(ksp, alias, registry_version=1) as again:
         assert again.public_blob == pub
+
+
+def test_racing_new_keys_both_land_in_the_store(tmp_path, monkeypatch):
+    # The second call has decided to make the store when the first one
+    # makes it and finishes: it must add its key instead of failing.
+    ap = template_resolve(builtin_registry(1), TemplateKind.SIGNATURE, SecurityLevel.LOW)
+    ksp = _ksp(tmp_path)
+    create = easyapi.keystore_create
+    aliases = []
+
+    def first_finishes_first(*args, **kwargs):
+        monkeypatch.setattr(easyapi, "keystore_create", create)
+        with EasySigner.with_new_key(ap, ksp, rng=DeterministicRng(b"first")) as first:
+            aliases.append(first.alias)
+        return create(*args, **kwargs)
+
+    monkeypatch.setattr(easyapi, "keystore_create", first_finishes_first)
+    with EasySigner.with_new_key(ap, ksp, rng=DeterministicRng(b"second")) as second:
+        aliases.append(second.alias)
+    with keystore_open(ksp, read_only=True) as store:
+        assert sorted(store.aliases()) == sorted(aliases)
+    assert len(set(aliases)) == 2
 
 
 def test_verify_rejects_blobs_of_other_families(tmp_path):

@@ -25,7 +25,14 @@ from agilecrypt.easyapi import (
     parse_registry_text,
     template_resolve,
 )
-from agilecrypt.errors import AgilecryptError, BadMac, BadPadding, ConnectionClosed, ParameterError
+from agilecrypt.errors import (
+    AgilecryptError,
+    BadMac,
+    BadPadding,
+    ConnectionClosed,
+    MalformedEncoding,
+    ParameterError,
+)
 from agilecrypt.hbs import HbsParams, hbs_keygen
 from agilecrypt.minitls import (
     AlertDescription,
@@ -41,6 +48,7 @@ from agilecrypt.minitls import (
     SocketTransport,
     TlsAlertReceived,
     TlsAlertSent,
+    TlsSession,
     Transport,
     client_handshake,
     connect_tcp,
@@ -54,7 +62,7 @@ from agilecrypt.minitls import (
 )
 from agilecrypt.minitls.handshake import build_template_info
 from agilecrypt.minitls.measure import paramset_level, run_measurement
-from agilecrypt.minitls.wire import decode_alert, encode_handshake_message
+from agilecrypt.minitls.wire import decode_alert, encode_alert, encode_handshake_message
 from agilecrypt.primitives import DeterministicRng
 
 _JOIN_TIMEOUT = 60.0
@@ -870,6 +878,92 @@ def test_session_closed_after_teardown(low_material):
         client.send(b"late")
     with pytest.raises(ConnectionClosed):
         client.recv()
+
+
+class _LoggedBuffer(BufferTransport):
+    """Logs every write attempt, the failed ones included."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.attempts: list[bytes] = []
+
+    def write(self, data: bytes) -> None:
+        self.attempts.append(data)
+        super().write(data)
+
+
+def _session_and_peer():
+    """A server session over a logged buffer pipe, and a record layer
+    holding the client's copy of the same keys at the other end."""
+    ours, theirs = _LoggedBuffer.pair()
+    keys, peer_keys = (
+        derive_session_keys(b"\x07" * 20, b"\x01" * 32, b"\x02" * 32) for _ in range(2)
+    )
+    record = RecordLayer(ours)
+    record.enable_send_protection(keys.server)
+    record.enable_recv_protection(keys.client)
+    peer = RecordLayer(theirs)
+    peer.enable_send_protection(peer_keys.client)
+    peer.enable_recv_protection(peer_keys.server)
+    return TlsSession("server", record, keys, HandshakeTranscript(), 0x1306), peer
+
+
+def _assert_torn_down(session):
+    """Closed, every key byte zero, and nothing more to read."""
+    assert not session._open
+    keys = session.keys
+    buffers = [keys.master_secret]
+    for side in (keys.client, keys.server):
+        buffers += [side.enc_key, side.mac_key, side.iv_seed]
+    assert not any(any(buf) for buf in buffers)
+    with pytest.raises(ConnectionClosed):
+        session.recv()
+
+
+def test_malformed_alert_after_handshake_tears_down_session():
+    session, peer = _session_and_peer()
+    peer.send(ContentType.ALERT, b"\x02\x28\x00")
+    peer.send(ContentType.APPLICATION_DATA, b"after")
+    with pytest.raises(MalformedEncoding):
+        session.recv()
+    _assert_torn_down(session)
+    assert peer.recv() == (ContentType.ALERT, encode_alert(AlertDescription.HANDSHAKE_FAILURE))
+
+
+def test_failed_write_tears_down_session_without_an_alert():
+    session, peer = _session_and_peer()
+    session.send(b"first")
+    assert peer.recv() == (ContentType.APPLICATION_DATA, b"first")
+    peer.transport.close()
+    with pytest.raises(ConnectionClosed):
+        session.send(b"second")
+    _assert_torn_down(session)
+    # The two application writes and nothing after them.
+    assert len(session.record.transport.attempts) == 2
+
+
+def test_recv_exact_surplus_tears_down_session():
+    session, peer = _session_and_peer()
+    peer.send(ContentType.APPLICATION_DATA, b"0123456789")
+    with pytest.raises(MalformedEncoding):
+        session.recv_exact(4)
+    _assert_torn_down(session)
+    assert peer.recv() == (ContentType.ALERT, encode_alert(AlertDescription.HANDSHAKE_FAILURE))
+
+
+def test_malformed_alert_during_handshake_is_a_handshake_failure(low_material):
+    def server(record):
+        assert record.recv()[0] == ContentType.HANDSHAKE
+        record.send(ContentType.ALERT, b"\x02")
+        return record.recv()
+
+    client_exc, (content_type, payload) = _against_script(
+        client_handshake, _client_cfg(low_material), server
+    )
+    assert isinstance(client_exc, TlsAlertSent)
+    assert client_exc.description == AlertDescription.HANDSHAKE_FAILURE
+    assert content_type == ContentType.ALERT
+    assert decode_alert(payload) == AlertDescription.HANDSHAKE_FAILURE
 
 
 # ---------------------------------------------------------------------------
