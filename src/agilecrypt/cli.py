@@ -70,6 +70,7 @@ from .primitives import make_rng
 # ---------------------------------------------------------------------------
 
 PASSWORD_ENV_VAR = "AGILECRYPT_PASSWORD"
+_LEVELS = tuple(level.name.lower() for level in SecurityLevel)
 
 CA_ROOT_FILE = "ca.root"
 SERVER_CERT_FILE = "server.cert"
@@ -438,7 +439,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("keygen", help="create a key under a security-level template")
     p.add_argument("kind", choices=("sign", "encrypt"))
-    p.add_argument("--level", required=True, choices=("low", "medium", "high"))
+    p.add_argument("--level", required=True, choices=_LEVELS)
     _add_keystore_args(p)
     _add_registry_arg(p)
     p.add_argument("--out", help="write the public key blob here")
@@ -510,7 +511,7 @@ def build_parser() -> argparse.ArgumentParser:
         "tls-setup", help="generate CA root, server certificate, and server key files"
     )
     p.add_argument("--dir", required=True, help="output directory")
-    p.add_argument("--level", required=True, choices=("low", "medium", "high"))
+    p.add_argument("--level", required=True, choices=_LEVELS)
     p.add_argument("--subject", default="agilecrypt-server")
     p.add_argument("--seed", help="deterministic generation seed (fixtures only)")
     _add_registry_arg(p)
@@ -518,7 +519,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("tls-serve", help="echo server for the 0x1306 suite")
     p.add_argument("--dir", required=True, help="directory written by tls-setup")
-    p.add_argument("--level", required=True, choices=("low", "medium", "high"))
+    p.add_argument("--level", required=True, choices=_LEVELS)
     p.add_argument("--port", type=_in_range(int, 0, 0xFFFF), default=0, help="0 picks a free port")
     p.add_argument("--once", action="store_true", help="serve one connection, then exit")
     p.add_argument("--timeout", type=_TIMEOUT, default=30.0, help="per-read timeout seconds")
@@ -528,7 +529,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("tls-connect", help="handshake, echo a probe, print the report")
     p.add_argument("address", help="HOST:PORT, an IPv6 host in brackets ([::1]:4433)")
     p.add_argument("--dir", required=True, help="directory written by tls-setup")
-    p.add_argument("--level", required=True, choices=("low", "medium", "high"))
+    p.add_argument("--level", required=True, choices=_LEVELS)
     p.add_argument("--probe-bytes", type=_in_range(int, 0), default=1024)
     p.add_argument("--timeout", type=_TIMEOUT, default=30.0, help="per-read timeout seconds")
     _add_registry_arg(p)

@@ -62,6 +62,8 @@ __all__ = [
     "easysigner_verify",
     "frame_blob",
     "parse_blob",
+    "recipient_key",
+    "sender_key",
     "hybrid_encap",
     "hybrid_open",
 ]
@@ -118,6 +120,8 @@ class TemplateRegistry:
     entries: dict[tuple[TemplateKind, SecurityLevel], str]
 
     def __post_init__(self) -> None:
+        if not 0 <= self.version <= 0xFFFFFFFF:
+            raise ParameterError(f"registry version {self.version} is outside u32")
         for kind in TemplateKind:
             for level in SecurityLevel:
                 if (kind, level) not in self.entries:
@@ -240,6 +244,36 @@ def parse_blob(data: bytes) -> tuple[str, int, bytes]:
     return ident, version, data[r.offset :]
 
 
+def _family_params(kind: TemplateKind, algorithm_id: str):
+    try:
+        return _typed_params(kind, algorithm_id)
+    except ParameterError as exc:
+        raise AlgorithmMismatch(f"{algorithm_id!r} is no {kind.value.lower()} algorithm") from exc
+
+
+def recipient_key(blob: bytes) -> tuple[str, int, cbkem.KemPublicKey]:
+    """Read a framed KEM public key: its identifier, registry version and
+    key.  A blob of another family or an unknown identifier raises
+    AlgorithmMismatch; bad key bytes raise MalformedEncoding."""
+    ident, version, raw = parse_blob(blob)
+    params = _family_params(TemplateKind.ENCRYPTION, ident)
+    return ident, version, cbkem.kem_parse_pk(params, raw)
+
+
+def sender_key(blob: bytes, algorithm_id: str) -> tuple[hbs.HbsParams, bytes]:
+    """Read a framed HBS public key for ``algorithm_id``: its parameters and
+    root.  Another identifier or family, or key bytes for other parameters,
+    raise AlgorithmMismatch; bad key bytes raise MalformedEncoding."""
+    ident, _, raw = parse_blob(blob)
+    if ident != algorithm_id:
+        raise AlgorithmMismatch(f"key is {ident!r}, expected {algorithm_id!r}")
+    params = _family_params(TemplateKind.SIGNATURE, ident)
+    key_params, root = hbs.hbs_parse_public(raw)
+    if key_params != params:
+        raise AlgorithmMismatch(f"key bytes are not for {ident!r}")
+    return params, root
+
+
 # ---------------------------------------------------------------------------
 # Facade handles
 # ---------------------------------------------------------------------------
@@ -305,6 +339,7 @@ class _StoredKey:
         state: EntryState | None,
     ):
         alias = f"{prefix}-{ap.algorithm_id}-{hash_data(HashId.H256, public)[:4].hex()}"
+        public_blob = frame_blob(ap.algorithm_id, ap.registry_version, public)
         # keystore_create decides under the writer lock whether the store
         # is new, so a store another call has just made gets the key too.
         try:
@@ -316,7 +351,6 @@ class _StoredKey:
         except BaseException:
             store.close()
             raise
-        public_blob = frame_blob(ap.algorithm_id, ap.registry_version, public)
         return cls(store, alias, ap.algorithm_id, ap.registry_version, kp, rng, public_blob)
 
     @classmethod
@@ -333,10 +367,10 @@ class _StoredKey:
         try:
             entry = store.get_entry(alias)
             kp = load_key(entry)
+            public_blob = frame_blob(entry.algorithm_id, registry_version, entry.public_material)
         except BaseException:
             store.close()
             raise
-        public_blob = frame_blob(entry.algorithm_id, registry_version, entry.public_material)
         return cls(store, alias, entry.algorithm_id, registry_version, kp, rng, public_blob)
 
     @property
@@ -424,22 +458,25 @@ class EasySigner(_StoredKey):
             super().close()
 
 
+def _signature_verifies(params: hbs.HbsParams, root: bytes, msg: bytes, raw_sig: bytes) -> bool:
+    """The check behind easysigner_verify and envelope_open; an
+    unreadable signature rejects."""
+    try:
+        sig = hbs.hbs_parse_sig(params, raw_sig)
+    except MalformedEncoding:
+        return False
+    return hbs.hbs_verify(root, params, msg, sig)
+
+
 def easysigner_verify(public_blob: bytes, msg: bytes, sig_blob: bytes) -> bool:
     """Check a framed signature against a framed public key.  Any
     malformed input rejects; no exception escapes for bad blobs."""
     try:
-        pub_id, _, raw_pub = parse_blob(public_blob)
         sig_id, _, raw_sig = parse_blob(sig_blob)
-        if pub_id != sig_id:
-            return False
-        params = hbs.HbsParams.from_algorithm_id(sig_id)
-        pub_params, root = hbs.hbs_parse_public(raw_pub)
-        if pub_params != params:
-            return False
-        sig = hbs.hbs_parse_sig(params, raw_sig)
-    except (MalformedEncoding, ParameterError):
+        params, root = sender_key(public_blob, sig_id)
+    except (MalformedEncoding, AlgorithmMismatch):
         return False
-    return hbs.hbs_verify(root, params, msg, sig)
+    return _signature_verifies(params, root, msg, raw_sig)
 
 
 class EasyEncrypter(_StoredKey):
@@ -469,9 +506,7 @@ class EasyEncrypter(_StoredKey):
         return cls._load(ksp, alias, registry_version, rng, load_key)
 
     def encrypt(self, recipient_public_blob: bytes, plaintext: bytes) -> bytes:
-        ident, _, raw_pub = parse_blob(recipient_public_blob)
-        params = cbkem.KemParams.from_algorithm_id(ident)
-        pk = cbkem.kem_parse_pk(params, raw_pub)
+        ident, _, pk = recipient_key(recipient_public_blob)
         ct_bytes, keys = hybrid_encap(pk, self._rng)
         # The blob is its own associated data up to the sealed body.
         header = frame_blob(ident, self.registry_version, ct_bytes)

@@ -12,9 +12,9 @@ then verify the signature, and release the message only if every check
 passed.  KEM-stage rejections surface as ``BadMac`` because a caller
 holding a damaged envelope cannot tell the regions apart.
 
-The KEM-then-seal step is easyapi's hybrid_encap/hybrid_open, shared
-with EasyEncrypter; the envelope differs only in its associated data
-(the header, without the KEM ciphertext).  Framing uses agilecrypt.codec,
+Key reading and the KEM-then-seal step are easyapi's, shared with
+EasyEncrypter; the envelope differs only in its associated data (the
+header, without the KEM ciphertext).  Framing uses agilecrypt.codec,
 whose strict-decoding rules apply.
 """
 
@@ -22,18 +22,18 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .cbkem import KemParams, kem_parse_pk
 from .codec import Reader, decode_text, encode_text, uint, vec8, vec16, vec32
-from .easyapi import EasyEncrypter, EasySigner, hybrid_encap, hybrid_open, parse_blob
-from .errors import (
-    AlgorithmMismatch,
-    BadMac,
-    BadSignature,
-    InvalidCiphertext,
-    MalformedEncoding,
-    ParameterError,
+from .easyapi import (
+    EasyEncrypter,
+    EasySigner,
+    _signature_verifies,
+    hybrid_encap,
+    hybrid_open,
+    parse_blob,
+    recipient_key,
+    sender_key,
 )
-from .hbs import HbsParams, hbs_parse_public, hbs_parse_sig, hbs_verify
+from .errors import AlgorithmMismatch, BadMac, BadSignature, InvalidCiphertext, MalformedEncoding
 from .primitives import HashId, Rng, SystemRng, hash_data, seal_record
 
 ENVELOPE_EXTENSION = ".agenv"
@@ -125,13 +125,8 @@ def envelope_seal(
     message and signature to the recipient.  Stateful signing keys go
     through their keystore reservation exactly as in a bare sign call."""
     rng = rng if rng is not None else SystemRng()
-    enc_id, enc_version, raw_pub = parse_blob(recipient_public_blob)
-    try:
-        kem_params = KemParams.from_algorithm_id(enc_id)
-    except ParameterError as exc:
-        raise AlgorithmMismatch(
-            f"recipient key {enc_id!r} is not an encryption key"
-        ) from exc
+    # A damaged recipient key must fail before signing uses a leaf.
+    enc_id, enc_version, kem_pk = recipient_key(recipient_public_blob)
     if enc_version != signer.registry_version:
         raise AlgorithmMismatch(
             f"registry generations differ: sender v{signer.registry_version}, "
@@ -149,8 +144,6 @@ def envelope_seal(
         registry_version=signer.registry_version,
     )
     header_bytes = encode_header(header)
-    # A damaged recipient key must fail before signing uses a leaf.
-    kem_pk = kem_parse_pk(kem_params, raw_pub)
     _, _, raw_sig = parse_blob(signer.sign(header_bytes + message))
     kem_ct, keys = hybrid_encap(kem_pk, rng)
     sealed = seal_record(keys, 0, header_bytes, message + raw_sig)
@@ -163,20 +156,7 @@ def envelope_open(recipient: EasyEncrypter, sender_public_blob: bytes, env: Enve
             f"envelope is for {env.header.enc_algorithm_id!r}, "
             f"this key is {recipient.algorithm_id!r}"
         )
-    try:
-        sig_params = HbsParams.from_algorithm_id(env.header.sig_algorithm_id)
-    except ParameterError as exc:
-        raise AlgorithmMismatch(
-            f"unresolvable signature algorithm {env.header.sig_algorithm_id!r}"
-        ) from exc
-    pub_id, _, raw_sender_pub = parse_blob(sender_public_blob)
-    if pub_id != env.header.sig_algorithm_id:
-        raise AlgorithmMismatch(
-            f"sender key is {pub_id!r}, envelope was signed with "
-            f"{env.header.sig_algorithm_id!r}"
-        )
-    _, sender_root = hbs_parse_public(raw_sender_pub)
-
+    sig_params, sender_root = sender_key(sender_public_blob, env.header.sig_algorithm_id)
     header_bytes = encode_header(env.header)
     try:
         plaintext = hybrid_open(recipient, env.kem_ct, header_bytes, env.sealed_body)
@@ -184,13 +164,7 @@ def envelope_open(recipient: EasyEncrypter, sender_public_blob: bytes, env: Enve
         raise BadMac("envelope ciphertext region failed decapsulation") from exc
 
     sig_size = sig_params.signature_size
-    if len(plaintext) < sig_size:
-        raise BadSignature("sealed body too short to hold a signature")
     message, raw_sig = plaintext[:-sig_size], plaintext[-sig_size:]
-    try:
-        signature = hbs_parse_sig(sig_params, raw_sig)
-    except MalformedEncoding as exc:
-        raise BadSignature("embedded signature unreadable") from exc
-    if not hbs_verify(sender_root, sig_params, header_bytes + message, signature):
+    if not _signature_verifies(sig_params, sender_root, header_bytes + message, raw_sig):
         raise BadSignature("sender signature does not verify")
     return message

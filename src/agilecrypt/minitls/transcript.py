@@ -12,7 +12,7 @@ from __future__ import annotations
 import hashlib
 import statistics
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Any
 
 from .record import RecordLayer
@@ -73,17 +73,6 @@ class HandshakeTranscript:
         self.duration_ms = (time.monotonic() - self._started) * 1000.0
 
 
-def _template_dict(info: TemplateInfo | None) -> dict | None:
-    if info is None:
-        return None
-    return {
-        "registry_version": info.registry_version,
-        "level": info.level,
-        "sig_id": info.sig_id,
-        "enc_id": info.enc_id,
-    }
-
-
 def transcript_report(t: HandshakeTranscript) -> dict:
     """JSON-ready summary: per-message sizes, totals, negotiated suite,
     template views from both sides, duration, abort status, and the
@@ -101,8 +90,8 @@ def transcript_report(t: HandshakeTranscript) -> dict:
         "suite": None if t.suite is None else f"0x{t.suite:04X}",
         "suite_name": None if t.suite is None else SUITE_NAMES.get(t.suite),
         "templates": {
-            "local": _template_dict(t.local_template),
-            "remote": _template_dict(t.remote_template),
+            "local": None if t.local_template is None else asdict(t.local_template),
+            "remote": None if t.remote_template is None else asdict(t.remote_template),
         },
         "duration_ms": t.duration_ms,
         "aborted": t.aborted,

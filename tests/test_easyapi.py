@@ -7,6 +7,7 @@ direct calls into the underlying scheme modules, and vice versa.
 
 from __future__ import annotations
 
+import dataclasses
 import random
 
 import pytest
@@ -29,6 +30,7 @@ from agilecrypt.easyapi import (
 )
 from agilecrypt.errors import (
     AgilecryptError,
+    AlgorithmMismatch,
     BadPassword,
     DuplicateAlias,
     KeyExhausted,
@@ -105,6 +107,9 @@ def test_registry_parse_rejects_incomplete_and_garbage():
         parse_registry_text(v1_text.replace("issued 2026-01-05\n", ""))
     with pytest.raises(MalformedEncoding):
         parse_registry_text(v1_text.replace("CME-TOY-10-8", "SPX-TOY-16-16-8-S"))
+    for version in ("4294967296", "-1"):  # outside the u32 that frames a blob
+        with pytest.raises(MalformedEncoding):
+            parse_registry_text(v1_text.replace("version 1\n", f"version {version}\n"))
 
 
 def test_v1_monotone_sizes():
@@ -303,6 +308,35 @@ def test_racing_new_keys_both_land_in_the_store(tmp_path, monkeypatch):
     with keystore_open(ksp, read_only=True) as store:
         assert sorted(store.aliases()) == sorted(aliases)
     assert len(set(aliases)) == 2
+
+
+def test_version_outside_u32_stores_no_key_and_frees_the_store(tmp_path):
+    ap = template_resolve(builtin_registry(1), TemplateKind.SIGNATURE, SecurityLevel.LOW)
+    ksp = _ksp(tmp_path)
+    with EasySigner.with_new_key(ap, ksp, rng=DeterministicRng(b"u32 first")) as first:
+        alias = first.alias
+    wide = dataclasses.replace(ap, registry_version=2**32)
+    with pytest.raises(MalformedEncoding):
+        EasySigner.with_new_key(wide, ksp, rng=DeterministicRng(b"u32 wide"))
+    with pytest.raises(MalformedEncoding):
+        EasySigner.open(ksp, alias, registry_version=2**32)
+    # Neither refusal left a writer lock behind, and the first left no entry.
+    with keystore_open(ksp) as store:
+        assert store.aliases() == [alias]
+
+
+def test_encrypt_refuses_keys_of_other_families(tmp_path):
+    reg = builtin_registry(1)
+    ksp = _ksp(tmp_path)
+    rng = DeterministicRng(b"encrypt families")
+    sig_ap = template_resolve(reg, TemplateKind.SIGNATURE, SecurityLevel.LOW)
+    with EasySigner.with_new_key(sig_ap, ksp, rng=rng) as signer:
+        sig_pub = signer.public_blob
+    enc_ap = template_resolve(reg, TemplateKind.ENCRYPTION, SecurityLevel.LOW)
+    with EasyEncrypter.with_new_key(enc_ap, ksp, rng=rng) as enc:
+        for blob in (sig_pub, frame_blob("RSA-2048", 1, bytes(256))):
+            with pytest.raises(AlgorithmMismatch):
+                enc.encrypt(blob, b"m")
 
 
 def test_verify_rejects_blobs_of_other_families(tmp_path):

@@ -13,6 +13,7 @@ from agilecrypt.easyapi import (
     SecurityLevel,
     TemplateKind,
     builtin_registry,
+    easysigner_verify,
     frame_blob,
     hybrid_record_keys,
     parse_blob,
@@ -24,6 +25,7 @@ from agilecrypt.errors import (
     BadSignature,
     MalformedEncoding,
 )
+from agilecrypt.hbs import hbs_export_public, hbs_keygen
 from agilecrypt.keystore import EntryState, KeystoreParameters, keystore_open
 from agilecrypt.mailenv import (
     ENVELOPE_EXTENSION,
@@ -347,6 +349,20 @@ def test_wrong_sender_key_type_rejected(tmp_path):
     )
     with pytest.raises(AlgorithmMismatch):
         envelope_open(recipient, rsa, rsa_env)
+    signer.close()
+    recipient.close()
+
+
+def test_sender_key_bytes_of_another_row_rejected(tmp_path):
+    """A sender blob framed as the LOW signature id around a MEDIUM key."""
+    signer, recipient, rng = _parties(tmp_path, seed=b"otherrow")
+    medium = template_resolve(builtin_registry(1), TemplateKind.SIGNATURE, SecurityLevel.MEDIUM)
+    raw = hbs_export_public(hbs_keygen(medium.params, rng))
+    forged = frame_blob(signer.algorithm_id, signer.registry_version, raw)
+    env = envelope_seal(signer, recipient.public_blob, b"m", rng=rng)
+    with pytest.raises(AlgorithmMismatch):
+        envelope_open(recipient, forged, env)
+    assert not easysigner_verify(forged, b"m", signer.sign(b"m"))
     signer.close()
     recipient.close()
 
