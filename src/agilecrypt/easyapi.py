@@ -62,6 +62,8 @@ __all__ = [
     "easysigner_verify",
     "frame_blob",
     "parse_blob",
+    "family_params",
+    "kem_public_key",
     "recipient_key",
     "sender_key",
     "hybrid_encap",
@@ -107,10 +109,14 @@ class CompatibilityResult(Enum):
 # Template registry
 # ---------------------------------------------------------------------------
 
-def _typed_params(kind: TemplateKind, algorithm_id: str):
-    if kind is TemplateKind.SIGNATURE:
-        return hbs.HbsParams.from_algorithm_id(algorithm_id)
-    return cbkem.KemParams.from_algorithm_id(algorithm_id)
+def family_params(kind: TemplateKind, algorithm_id: str):
+    """The typed parameters ``algorithm_id`` names: the one family check.
+    An identifier of the other family or an unknown one raises AlgorithmMismatch."""
+    family = hbs.HbsParams if kind is TemplateKind.SIGNATURE else cbkem.KemParams
+    try:
+        return family.from_algorithm_id(algorithm_id)
+    except ParameterError as exc:
+        raise AlgorithmMismatch(f"{algorithm_id!r} is no {kind.value.lower()} algorithm") from exc
 
 
 @dataclass(frozen=True)
@@ -129,7 +135,7 @@ class TemplateRegistry:
         if len(self.entries) != 6:
             raise ParameterError("registry has extraneous entries")
         for (kind, _level), algorithm_id in self.entries.items():
-            _typed_params(kind, algorithm_id)  # family check: raises if wrong
+            family_params(kind, algorithm_id)  # raises if of the wrong family
 
     def canonical_text(self) -> str:
         lines = [f"version {self.version}", f"issued {self.issued.isoformat()}"]
@@ -177,13 +183,16 @@ def parse_registry_text(text: str) -> TemplateRegistry:
         entries[(kind, level)] = parts[2]
     try:
         return TemplateRegistry(version=version, issued=issued, entries=entries)
-    except ParameterError as exc:
+    except (ParameterError, AlgorithmMismatch) as exc:
         raise MalformedEncoding(str(exc)) from exc
 
 
 def load_registry(path: str) -> TemplateRegistry:
-    with open(path, "r", encoding="ascii") as fh:
-        return parse_registry_text(fh.read())
+    """The registry file at ``path``; a byte outside ASCII raises
+    MalformedEncoding."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    return parse_registry_text(decode_text(data, "ascii", len(data)))
 
 
 def builtin_registry(version: int) -> TemplateRegistry:
@@ -205,7 +214,7 @@ def template_resolve(
     algorithm_id = reg.entries[(kind, level)]
     return AlgorithmParameters(
         algorithm_id=algorithm_id,
-        params=_typed_params(kind, algorithm_id),
+        params=family_params(kind, algorithm_id),
         registry_version=reg.version,
     )
 
@@ -244,20 +253,17 @@ def parse_blob(data: bytes) -> tuple[str, int, bytes]:
     return ident, version, data[r.offset :]
 
 
-def _family_params(kind: TemplateKind, algorithm_id: str):
-    try:
-        return _typed_params(kind, algorithm_id)
-    except ParameterError as exc:
-        raise AlgorithmMismatch(f"{algorithm_id!r} is no {kind.value.lower()} algorithm") from exc
+def kem_public_key(algorithm_id: str, raw: bytes) -> cbkem.KemPublicKey:
+    """The KEM public key ``raw`` holds for ``algorithm_id``; bad key bytes
+    raise MalformedEncoding."""
+    return cbkem.kem_parse_pk(family_params(TemplateKind.ENCRYPTION, algorithm_id), raw)
 
 
 def recipient_key(blob: bytes) -> tuple[str, int, cbkem.KemPublicKey]:
     """Read a framed KEM public key: its identifier, registry version and
-    key.  A blob of another family or an unknown identifier raises
-    AlgorithmMismatch; bad key bytes raise MalformedEncoding."""
+    key, as kem_public_key reads them."""
     ident, version, raw = parse_blob(blob)
-    params = _family_params(TemplateKind.ENCRYPTION, ident)
-    return ident, version, cbkem.kem_parse_pk(params, raw)
+    return ident, version, kem_public_key(ident, raw)
 
 
 def sender_key(blob: bytes, algorithm_id: str) -> tuple[hbs.HbsParams, bytes]:
@@ -267,7 +273,7 @@ def sender_key(blob: bytes, algorithm_id: str) -> tuple[hbs.HbsParams, bytes]:
     ident, _, raw = parse_blob(blob)
     if ident != algorithm_id:
         raise AlgorithmMismatch(f"key is {ident!r}, expected {algorithm_id!r}")
-    params = _family_params(TemplateKind.SIGNATURE, ident)
+    params = family_params(TemplateKind.SIGNATURE, ident)
     key_params, root = hbs.hbs_parse_public(raw)
     if key_params != params:
         raise AlgorithmMismatch(f"key bytes are not for {ident!r}")

@@ -12,9 +12,9 @@ File format (documented bit-exactly in docs/formats.md):
 The password is stretched with PBKDF2-HMAC-SHA512 (iteration count stored
 in the header so tests can lower it) into the record-protection keys; the
 MAC is verified before any entry parsing, so a wrong password or tampered
-file never yields partial data.  The entry table is read and written with
-agilecrypt.codec, whose strict-decoding rules apply; a table that breaks
-them raises MalformedStore.
+file never yields partial data.  The header and the entry table are read
+and written with agilecrypt.codec, whose strict-decoding rules apply; a
+header or table that breaks them raises MalformedStore.
 
 Every mutation rewrites and atomically replaces the whole file
 (write-temp, fsync, rename, fsync directory) and completes before the
@@ -64,7 +64,6 @@ from .primitives import Rng, SymmetricKeys, SystemRng, open_record, seal_record
 MAGIC = b"AGKS"
 FORMAT_VERSION = 1
 DEFAULT_ITERATIONS = 100_000
-_HEADER_LEN = 4 + 2 + 16 + 4
 
 CRASH_POINTS = ("serialized", "tmp-written", "tmp-synced", "renamed")
 
@@ -440,18 +439,19 @@ def keystore_open(params: KeystoreParameters, read_only: bool = False) -> Keysto
                 raw = fh.read()
         except OSError as exc:
             raise KeystoreIoError(f"cannot read {params.path}: {exc}") from exc
-        if len(raw) < _HEADER_LEN:
-            raise MalformedStore("file shorter than header")
-        header, blob = raw[:_HEADER_LEN], raw[_HEADER_LEN:]
-        if header[:4] != MAGIC:
-            raise MalformedStore("bad magic")
-        version = int.from_bytes(header[4:6], "big")
-        if version != FORMAT_VERSION:
-            raise MalformedStore(f"unsupported format version {version}")
-        salt = header[6:22]
-        iterations = int.from_bytes(header[22:26], "big")
-        if iterations < 1:
-            raise MalformedStore("zero iteration count")
+        r = Reader(raw)
+        try:
+            if r.take(4) != MAGIC:
+                raise MalformedEncoding("bad magic", offset=0)
+            version = r.u16()
+            if version != FORMAT_VERSION:
+                raise MalformedEncoding(f"unsupported format version {version}", offset=4)
+            salt, iterations = r.take(16), r.u32()
+            if iterations < 1:
+                raise MalformedEncoding("zero iteration count", offset=22)
+        except MalformedEncoding as exc:
+            raise MalformedStore(f"header: {exc}") from exc
+        header, blob = raw[: r.offset], raw[r.offset :]
         keys = _derive_keys(params.password, salt, iterations)
         try:
             table = open_record(keys, 0, header, blob)

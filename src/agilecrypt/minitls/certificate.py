@@ -12,20 +12,21 @@ from __future__ import annotations
 import dataclasses
 from dataclasses import dataclass
 
-from ..cbkem import KemKeyPair, KemParams, KemPublicKey, kem_keygen, kem_parse_pk, kem_serialize_pk
+from ..cbkem import KemKeyPair, KemPublicKey, kem_keygen, kem_serialize_pk
 from ..codec import Reader, decode_text, encode_text, vec8, vec16, vec32
 from ..easyapi import (
     SecurityLevel,
     TemplateKind,
     TemplateRegistry,
+    family_params,
     frame_blob,
+    kem_public_key,
     parse_blob,
     template_resolve,
 )
-from ..errors import AlgorithmMismatch, MalformedEncoding, ParameterError
+from ..errors import AlgorithmMismatch, MalformedEncoding
 from ..hbs import (
     HbsKeyPair,
-    HbsParams,
     HbsSignature,
     hbs_keygen,
     hbs_parse_sig,
@@ -84,8 +85,8 @@ def parse_certificate(data: bytes) -> Certificate:
     sig_raw = r.vec32()
     r.expect_end()
     try:
-        sig_params = HbsParams.from_algorithm_id(hbs_algorithm_id)
-    except ParameterError as exc:
+        sig_params = family_params(TemplateKind.SIGNATURE, hbs_algorithm_id)
+    except AlgorithmMismatch as exc:
         raise MalformedEncoding(f"certificate signature algorithm: {exc}") from exc
     signature = hbs_parse_sig(sig_params, sig_raw)
     return Certificate(
@@ -103,10 +104,9 @@ def verify_certificate(
     if cert.issuer_root not in trusted_roots:
         return None
     try:
-        sig_params = HbsParams.from_algorithm_id(cert.hbs_algorithm_id)
-        kem_params = KemParams.from_algorithm_id(cert.kem_algorithm_id)
-        kem_pk = kem_parse_pk(kem_params, cert.kem_public_key)
-    except (ParameterError, MalformedEncoding):
+        sig_params = family_params(TemplateKind.SIGNATURE, cert.hbs_algorithm_id)
+        kem_pk = kem_public_key(cert.kem_algorithm_id, cert.kem_public_key)
+    except (AlgorithmMismatch, MalformedEncoding):
         return None
     valid = hbs_verify(cert.issuer_root, sig_params, _signed_portion(cert), cert.issuer_signature)
     return kem_pk if valid else None
@@ -130,8 +130,8 @@ def issue_server_material(
 
 def load_server_material(cert_bytes: bytes, seed_blob: bytes) -> tuple[Certificate, KemKeyPair]:
     """The certificate to serve and the KEM key pair for the public key
-    it carries; decapsulation follows that key.  The seed blob must name
-    the certificate's KEM algorithm, else AlgorithmMismatch."""
+    it carries; decapsulation follows that key.  Any id fault (a seed blob
+    for another algorithm, or no KEM id) raises AlgorithmMismatch."""
     cert = parse_certificate(cert_bytes)
     kem_id, _, seed = parse_blob(seed_blob)
     if kem_id != cert.kem_algorithm_id:
@@ -139,4 +139,5 @@ def load_server_material(cert_bytes: bytes, seed_blob: bytes) -> tuple[Certifica
             f"server seed holds a {kem_id} key, the certificate a "
             f"{cert.kem_algorithm_id} key"
         )
-    return cert, KemKeyPair.load(KemParams.from_algorithm_id(kem_id), seed, cert.kem_public_key)
+    params = family_params(TemplateKind.ENCRYPTION, kem_id)
+    return cert, KemKeyPair.load(params, seed, cert.kem_public_key)

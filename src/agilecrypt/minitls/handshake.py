@@ -31,7 +31,6 @@ from dataclasses import dataclass
 from typing import NoReturn
 
 from ..cbkem import (
-    KemParams,
     KemSecretKey,
     kem_decap,
     kem_encap,
@@ -523,18 +522,13 @@ def _client_flow(
         certificate = parse_certificate(decode_certificate_body(body))
     except MalformedEncoding as exc:
         _abort(channel, AlertDescription.BAD_CERTIFICATE, f"unparseable certificate: {exc}")
-    if certificate.kem_algorithm_id != local_info.enc_id:
-        _abort(
-            channel,
-            AlertDescription.BAD_CERTIFICATE,
-            "certificate key algorithm differs from negotiated template",
-        )
-    if certificate.hbs_algorithm_id != local_info.sig_id:
-        _abort(
-            channel,
-            AlertDescription.BAD_CERTIFICATE,
-            "certificate signature algorithm differs from negotiated template",
-        )
+    for label, cert_id, template_id in (
+        ("key", certificate.kem_algorithm_id, local_info.enc_id),
+        ("signature", certificate.hbs_algorithm_id, local_info.sig_id),
+    ):
+        if cert_id != template_id:
+            reason = f"certificate {label} algorithm differs from negotiated template"
+            _abort(channel, AlertDescription.BAD_CERTIFICATE, reason)
     kem_pk = verify_certificate(certificate, config.trusted_roots)
     if kem_pk is None:
         _abort(channel, AlertDescription.BAD_CERTIFICATE, "certificate verification failed")
@@ -578,7 +572,8 @@ def _server_flow(
 
     body = _expect(channel, HandshakeType.CLIENT_KEY_EXCHANGE)
     ct_bytes = decode_client_key_exchange_body(body)
-    kem_params = KemParams.from_algorithm_id(config.certificate.kem_algorithm_id)
+    # The server's own key fixes the parameters, so parse and decapsulation agree.
+    kem_params = config.kem_secret.params
     try:
         ciphertext = kem_parse_ct(kem_params, ct_bytes)
         premaster = kem_decap(config.kem_secret, kem_params, ciphertext)

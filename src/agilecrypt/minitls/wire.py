@@ -97,13 +97,13 @@ def encode_handshake_message(hs_type: HandshakeType, body: bytes) -> bytes:
 
 
 def decode_handshake_header(header: bytes) -> tuple[HandshakeType, int]:
-    if len(header) != 4:
-        raise MalformedEncoding("handshake header must be 4 bytes", offset=len(header))
+    r = Reader(header)
+    raw_type, length = r.u8(), r.u24()
+    r.expect_end()
     try:
-        hs_type = HandshakeType(header[0])
+        hs_type = HandshakeType(raw_type)
     except ValueError:
-        raise MalformedEncoding(f"unknown handshake type {header[0]}", offset=0) from None
-    length = (header[1] << 16) | (header[2] << 8) | header[3]
+        raise MalformedEncoding(f"unknown handshake type {raw_type}", offset=0) from None
     return hs_type, length
 
 

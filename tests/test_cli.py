@@ -319,6 +319,17 @@ def test_registry_dump_matches_builtin_text(workdir):
         assert result.stdout == builtin_registry(version).canonical_text()
 
 
+def test_registry_file_that_is_not_ascii_exits_one(workdir):
+    registry = workdir / "not-ascii-registry.txt"
+    registry.write_bytes(b"\xff")
+    ks = workdir / "not-ascii-registry.bin"
+    result = run_cli("keygen", "sign", "--level", "low", "--keystore", ks, "--registry", registry)
+    assert result.returncode == 1
+    lines = result.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("agilecrypt: error: MalformedEncoding")
+    assert not ks.exists()
+
+
 # ---------------------------------------------------------------------------
 # TLS echo pair over subprocesses
 # ---------------------------------------------------------------------------

@@ -112,6 +112,17 @@ def test_registry_parse_rejects_incomplete_and_garbage():
             parse_registry_text(v1_text.replace("version 1\n", f"version {version}\n"))
 
 
+def test_load_registry_raises_malformed_encoding_for_a_file_that_is_not_ascii(tmp_path):
+    text = builtin_registry(1).canonical_text().encode("ascii")
+    path = tmp_path / "registry.txt"
+    path.write_bytes(text)
+    assert easyapi.load_registry(str(path)).digest() == builtin_registry(1).digest()
+    for data in (b"\xff", b"# caf\xc3\xa9\n" + text):
+        path.write_bytes(data)
+        with pytest.raises(MalformedEncoding):
+            easyapi.load_registry(str(path))
+
+
 def test_v1_monotone_sizes():
     reg = builtin_registry(1)
     sig_sizes = [

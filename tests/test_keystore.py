@@ -109,6 +109,21 @@ def test_malformed_header_rejected(tmp_path):
         keystore_open(params)
 
 
+def test_short_header_unknown_version_and_zero_iterations_rejected(tmp_path):
+    params = _params(tmp_path)
+    keystore_create(params).close()
+    raw = open(params.path, "rb").read()
+    for fault in (
+        b"",
+        raw[:25],
+        raw[:4] + (2).to_bytes(2, "big") + raw[6:],
+        raw[:22] + bytes(4) + raw[26:],
+    ):
+        open(params.path, "wb").write(fault)
+        with pytest.raises(MalformedStore):
+            keystore_open(params)
+
+
 def test_tampered_blob_fails_closed(tmp_path):
     params = _params(tmp_path)
     with keystore_create(params) as ks:

@@ -10,6 +10,7 @@ import socket
 import struct
 import sys
 import threading
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -205,13 +206,18 @@ def test_loopback_handshake_and_echo(low_material):
 def test_client_parses_the_certificate_kem_key_once(low_material, monkeypatch):
     """The key verify_certificate parsed is the one the client encapsulates to."""
     calls = []
+    parse_pk = cbkem.kem_parse_pk
 
     def counting_parse_pk(params, data):
         calls.append(threading.get_ident())
-        return cbkem.kem_parse_pk(params, data)
+        return parse_pk(params, data)
 
+    # Certificates read their key through the facade, which calls the KEM
+    # module's attribute; patch it there and wherever minitls binds it.
     for name, module in list(sys.modules.items()):
-        if name.startswith("agilecrypt.minitls") and hasattr(module, "kem_parse_pk"):
+        if name == "agilecrypt.cbkem" or (
+            name.startswith("agilecrypt.minitls") and hasattr(module, "kem_parse_pk")
+        ):
             monkeypatch.setattr(module, "kem_parse_pk", counting_parse_pk)
     results = _loopback(_client_cfg(low_material), _server_cfg(low_material))
     assert "client_exc" not in results and "server_exc" not in results
@@ -657,6 +663,26 @@ def test_certificate_algorithm_must_match_template(low_material):
     assert isinstance(client_exc, TlsAlertSent)
     assert client_exc.description == AlertDescription.BAD_CERTIFICATE
     assert "negotiated" in client_exc.reason
+
+
+def test_server_key_for_other_parameters_sends_invalid_ciphertext(low_material):
+    """A server whose secret key is for other parameters than its
+    certificate's KEM key reads the ClientKeyExchange with its own key's
+    parameters: invalid_ciphertext, and both sides end at once."""
+    other_kp = kem_keygen(KemParams(m=10, b=4), DeterministicRng(seed=b"other-params"))
+    start = time.monotonic()
+    results = _loopback(
+        _client_cfg(low_material), _server_cfg(low_material, kem_secret=other_kp.sk)
+    )
+    elapsed = time.monotonic() - start
+    server_exc, client_exc = results["server_exc"], results["client_exc"]
+    assert isinstance(server_exc, TlsAlertSent), repr(server_exc)
+    assert server_exc.description == AlertDescription.INVALID_CIPHERTEXT
+    assert isinstance(client_exc, TlsAlertReceived), repr(client_exc)
+    assert client_exc.description == AlertDescription.INVALID_CIPHERTEXT
+    for exc in (server_exc, client_exc):
+        assert transcript_report(exc.transcript)["aborted"]
+    assert elapsed < _IO_TIMEOUT / 2
 
 
 def test_certificate_signature_algorithm_must_match_template(low_material):

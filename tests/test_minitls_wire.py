@@ -6,8 +6,10 @@ import dataclasses
 
 import pytest
 
-from agilecrypt.cbkem import KemParams, kem_keygen, kem_serialize_pk
+from agilecrypt.cbkem import KemParams, kem_decap, kem_encap, kem_keygen, kem_serialize_pk
+from agilecrypt.easyapi import frame_blob, kem_public_key
 from agilecrypt.errors import (
+    AlgorithmMismatch,
     BadMac,
     BadPadding,
     ConnectionClosed,
@@ -32,6 +34,7 @@ from agilecrypt.minitls import (
     transcript_report,
     verify_certificate,
 )
+from agilecrypt.minitls.certificate import load_server_material
 from agilecrypt.minitls.wire import (
     AlertDescription,
     Reader,
@@ -380,6 +383,42 @@ def test_certificate_roundtrip_and_verify(cert_material):
     assert parsed.kem_public_key == cert.kem_public_key
     assert parsed.issuer_root == cert.issuer_root
     assert verify_certificate(parsed, (issuer.root,))
+
+
+@pytest.fixture(scope="module")
+def server_files():
+    """An issuer, a LOW KEM key pair, and the rng that issues their certificates."""
+    rng = DeterministicRng(seed=b"server-files")
+    issuer = hbs_keygen(HbsParams(n_h=16, w=16, h=4, mode=HbsMode.STATEFUL), rng)
+    kem_kp = kem_keygen(KemParams(m=10, b=8), rng)
+    return issuer, kem_kp, rng
+
+
+@pytest.mark.parametrize(
+    "fault, error",
+    [
+        ({"seed_id": "CME-TOY-13-16"}, AlgorithmMismatch),
+        ({"kem_id": "SPX-TOY-16-16-4-S"}, AlgorithmMismatch),
+        ({"kem_id": "RSA-2048"}, AlgorithmMismatch),
+        ({"public": b"\x00" * 100}, MalformedEncoding),
+        ({}, None),
+    ],
+    ids=["seed-for-another-kem", "signature-id", "rsa-id", "key-length", "honest"],
+)
+def test_load_server_material(server_files, fault, error):
+    issuer, kem_kp, rng = server_files
+    fields = {"kem_id": "CME-TOY-10-8", "public": kem_serialize_pk(kem_kp.pk), **fault}
+    cert = issue_certificate(issuer, "server.example", fields["kem_id"], fields["public"], rng)
+    seed_blob = frame_blob(fields.get("seed_id", fields["kem_id"]), 1, kem_kp.seed)
+    if error is not None:
+        with pytest.raises(error):
+            load_server_material(encode_certificate(cert), seed_blob)
+        return
+    loaded_cert, kp = load_server_material(encode_certificate(cert), seed_blob)
+    assert loaded_cert == cert
+    pk = kem_public_key(cert.kem_algorithm_id, cert.kem_public_key)
+    ct, secret = kem_encap(pk, pk.params, DeterministicRng(seed=b"encap"))
+    assert kem_decap(kp.sk, kp.params, ct) == secret
 
 
 def test_certificate_issuing_consumes_a_leaf(cert_material):
