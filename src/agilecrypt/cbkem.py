@@ -100,9 +100,12 @@ class KemParams:
         if len(parts) != 4 or parts[0] != "CME" or parts[1] != "TOY":
             raise ParameterError(f"not a code-based KEM identifier: {identifier!r}")
         try:
-            return cls(m=int(parts[2]), b=int(parts[3]))
+            params = cls(m=int(parts[2]), b=int(parts[3]))
         except ValueError as exc:
             raise ParameterError(f"bad identifier {identifier!r}: {exc}") from exc
+        if params.algorithm_id != identifier:
+            raise ParameterError(f"{identifier!r} is not spelled {params.algorithm_id!r}")
+        return params
 
 
 NAMED_PARAM_SETS: dict[str, KemParams] = {

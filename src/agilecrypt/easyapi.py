@@ -425,7 +425,7 @@ class EasySigner(_StoredKey):
         cls, ksp: KeystoreParameters, alias: str, registry_version: int, rng: Rng | None = None
     ) -> EasySigner:
         def load_key(entry: KeystoreEntry) -> hbs.HbsKeyPair:
-            params = hbs.HbsParams.from_algorithm_id(entry.algorithm_id)
+            params = family_params(TemplateKind.SIGNATURE, entry.algorithm_id)
             _, root = hbs.hbs_parse_public(entry.public_material)
             return hbs.HbsKeyPair.from_seed(params, entry.secret_material, root=root)
 
@@ -504,7 +504,7 @@ class EasyEncrypter(_StoredKey):
         cls, ksp: KeystoreParameters, alias: str, registry_version: int, rng: Rng | None = None
     ) -> EasyEncrypter:
         def load_key(entry: KeystoreEntry) -> cbkem.KemKeyPair:
-            params = cbkem.KemParams.from_algorithm_id(entry.algorithm_id)
+            params = family_params(TemplateKind.ENCRYPTION, entry.algorithm_id)
             # The store's MAC covers the public material, so the secret
             # tables are taken from it rather than redrawn from the seed.
             return cbkem.KemKeyPair.load(params, entry.secret_material, entry.public_material)

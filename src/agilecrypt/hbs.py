@@ -128,7 +128,10 @@ class HbsParams:
             mode = HbsMode(parts[5])
         except ValueError as exc:
             raise ParameterError(f"bad identifier {identifier!r}: {exc}") from exc
-        return cls(n_h=n_h, w=w, h=h, mode=mode)
+        params = cls(n_h=n_h, w=w, h=h, mode=mode)
+        if params.algorithm_id != identifier:
+            raise ParameterError(f"{identifier!r} is not spelled {params.algorithm_id!r}")
+        return params
 
 
 @dataclass

@@ -296,7 +296,7 @@ class Keystore:
         if alias not in self._entries:
             raise UnknownAlias(f"no entry {alias!r}")
         entry = self._entries[alias]
-        if entry.state is None:
+        if entry.state is None or _stateful_leaf_count(entry.algorithm_id) is None:
             raise ParameterError(f"entry {alias!r} is not stateful")
         return entry
 

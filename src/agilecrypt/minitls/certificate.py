@@ -131,7 +131,8 @@ def issue_server_material(
 def load_server_material(cert_bytes: bytes, seed_blob: bytes) -> tuple[Certificate, KemKeyPair]:
     """The certificate to serve and the KEM key pair for the public key
     it carries; decapsulation follows that key.  Any id fault (a seed blob
-    for another algorithm, or no KEM id) raises AlgorithmMismatch."""
+    for another algorithm, or no KEM id) raises AlgorithmMismatch; a seed
+    or key of the wrong length raises MalformedEncoding."""
     cert = parse_certificate(cert_bytes)
     kem_id, _, seed = parse_blob(seed_blob)
     if kem_id != cert.kem_algorithm_id:
@@ -140,4 +141,6 @@ def load_server_material(cert_bytes: bytes, seed_blob: bytes) -> tuple[Certifica
             f"{cert.kem_algorithm_id} key"
         )
     params = family_params(TemplateKind.ENCRYPTION, kem_id)
+    if len(seed) != 32:
+        raise MalformedEncoding(f"server seed holds {len(seed)} bytes, not 32")
     return cert, KemKeyPair.load(params, seed, cert.kem_public_key)

@@ -209,11 +209,23 @@ class Rng:
         Position i, from n-1 down to 1, swaps with randint_below(i + 1),
         which reads one big-endian draw per try, as wide as i + 1 needs:
         3 bytes while i >= 65535, 2 bytes while i >= 255, then 1 byte.
+        The draws are fetched in bulk, one per position left at the
+        current width, so the walk reads no byte past its last draw.
         """
         perm = list(range(n))
-        for i in range(n - 1, 0, -1):
-            j = self.randint_below(i + 1)
-            perm[i], perm[j] = perm[j], perm[i]
+        i = n - 1
+        while i > 0:
+            width = ((i + 1).bit_length() + 7) // 8
+            top = 256**width
+            lowest = max(1, 256 ** (width - 1) - 1)
+            # A rejected draw is used up; its position draws again from
+            # the next fetch.
+            for v in _big_endian_words(self.random_bytes((i - lowest + 1) * width), width):
+                bound = i + 1
+                if v < top - top % bound:
+                    j = v % bound
+                    perm[i], perm[j] = perm[j], perm[i]
+                    i -= 1
         return perm
 
 
@@ -254,48 +266,6 @@ class DeterministicRng(Rng):
             out, self._buffer = self._buffer[:n], self._buffer[n:]
             return out
 
-    def shuffled(self, n: int) -> list[int]:
-        """Rng.shuffled, walked in bulk: the same permutation from the
-        same stream bytes, and the stream left where Rng.shuffled leaves
-        it, without a lock or a slice per draw."""
-        perm = list(range(n))
-        with self._lock:
-            stream, pos = self._buffer, 0
-            i = n - 1
-            while i > 0:
-                # One round per chunk: draws of one width, for positions
-                # down to the last one that draws that width.
-                width = ((i + 1).bit_length() + 7) // 8
-                last = max(1, 256 ** (width - 1) - 1)
-                top = 256**width
-                # This width's remaining draws, a quarter of them retried.
-                want = min(_SHUFFLE_CHUNK_BYTES, (i - last + 1) * width * 5 // 4 + 64)
-                if len(stream) - pos < want:
-                    stream = stream[pos:] + self._blocks(-((len(stream) - pos - want) // 32))
-                    pos = 0
-                words = _big_endian_words(stream[pos:], width)
-                k = 0
-                try:
-                    for i in range(i, last - 1, -1):
-                        bound = i + 1
-                        limit = top - top % bound
-                        v = words[k]
-                        while v >= limit:
-                            k += 1
-                            v = words[k]
-                        k += 1
-                        j = v % bound
-                        perm[i], perm[j] = perm[j], perm[i]
-                    i = last - 1
-                except IndexError:
-                    pass  # chunk used up: the next round refills it and resumes at i
-                pos += k * width
-            # Give back the whole blocks hashed ahead of the last draw.
-            unread = len(stream) - pos
-            self._counter -= unread // 32
-            self._buffer = stream[pos : pos + unread % 32]
-        return perm
-
     def _blocks(self, count: int) -> bytes:
         """The next count blocks of the stream; the caller holds the lock."""
         start, self._counter = self._counter, self._counter + count
@@ -304,9 +274,6 @@ class DeterministicRng(Rng):
             for c in range(start, start + count)
         )
 
-
-# Stream bytes a bulk shuffle hashes ahead at most, per chunk.
-_SHUFFLE_CHUNK_BYTES = 1 << 16
 
 # An array type code per word size; narrower draws are zero-padded.
 _WORD_TYPECODES = {array(code).itemsize: code for code in "BHILQ"}

@@ -68,8 +68,16 @@ def test_algorithm_id_roundtrip():
     p = KemParams(m=13, b=16)
     assert p.algorithm_id == "CME-TOY-13-16"
     assert KemParams.from_algorithm_id("CME-TOY-13-16") == p
-    with pytest.raises(ParameterError):
-        KemParams.from_algorithm_id("SPX-TOY-16-16-8-S")
+    # Only the spelling algorithm_id gives back names a parameter set.
+    for identifier in (
+        "SPX-TOY-16-16-8-S",
+        "CME-TOY-010-8",
+        "CME-TOY-1_0-8",
+        "CME-TOY-+10-8",
+        "CME-TOY- 10-8",
+    ):
+        with pytest.raises(ParameterError):
+            KemParams.from_algorithm_id(identifier)
 
 
 def test_keygen_deterministic():

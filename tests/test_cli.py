@@ -210,7 +210,7 @@ def test_sign_with_an_encryption_alias_exits_one(keyring, workdir):
     )
     assert result.returncode == 1
     assert result.stderr.splitlines() == [result.stderr.strip()]
-    assert result.stderr.startswith("agilecrypt: error: ParameterError")
+    assert result.stderr.startswith("agilecrypt: error: AlgorithmMismatch")
     assert not (workdir / "enc-alias.sig").exists()
 
 

@@ -107,6 +107,8 @@ def test_registry_parse_rejects_incomplete_and_garbage():
         parse_registry_text(v1_text.replace("issued 2026-01-05\n", ""))
     with pytest.raises(MalformedEncoding):
         parse_registry_text(v1_text.replace("CME-TOY-10-8", "SPX-TOY-16-16-8-S"))
+    with pytest.raises(MalformedEncoding):  # one parameter set, one spelling
+        parse_registry_text(v1_text.replace("CME-TOY-10-8", "CME-TOY-010-8"))
     for version in ("4294967296", "-1"):  # outside the u32 that frames a blob
         with pytest.raises(MalformedEncoding):
             parse_registry_text(v1_text.replace("version 1\n", f"version {version}\n"))
@@ -253,7 +255,7 @@ def test_signer_open_refuses_other_families(tmp_path):
             )
         )
     for alias in (enc_alias, "rsa"):
-        with pytest.raises(ParameterError):
+        with pytest.raises(AlgorithmMismatch):
             EasySigner.open(ksp, alias, registry_version=1, rng=rng)
     # Each refusal closed its store handle, so the store opens again.
     EasyEncrypter.open(ksp, enc_alias, registry_version=1, rng=rng).close()
@@ -275,7 +277,7 @@ def test_encrypter_open_refuses_other_families(tmp_path):
             )
         )
     for alias in (sig_alias, "rsa"):
-        with pytest.raises(ParameterError):
+        with pytest.raises(AlgorithmMismatch):
             EasyEncrypter.open(ksp, alias, registry_version=1, rng=rng)
     # Each refusal closed its store handle, so the store opens again.
     EasySigner.open(ksp, sig_alias, registry_version=1, rng=rng).close()

@@ -75,8 +75,9 @@ def test_algorithm_id_roundtrip():
     assert HbsParams.from_algorithm_id("SPX-TOY-16-16-8-S") == _params(n_h=16, h=8)
     with pytest.raises(ParameterError):
         HbsParams.from_algorithm_id("SPX-TOY-16-16-8")
-    with pytest.raises(ParameterError):
-        HbsParams.from_algorithm_id("CME-TOY-10-8")
+    for identifier in ("CME-TOY-10-8", "SPX-TOY-16-16-08-S"):
+        with pytest.raises(ParameterError):
+            HbsParams.from_algorithm_id(identifier)
 
 
 def test_keygen_deterministic_root():

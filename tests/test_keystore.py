@@ -276,6 +276,20 @@ def test_reserve_rejects_stateless(tmp_path):
             ks.reserve_leaves("enc", 1)
 
 
+@pytest.mark.parametrize("algorithm_id", ["SPX-TOY-16-16-04-S", "RSA-2048"])
+def test_reserve_rejects_a_stored_id_that_does_not_resolve(tmp_path, algorithm_id):
+    # A table that carries counter state under an id no parameter set has,
+    # as one written while other spellings of an id were accepted would.
+    params = _params(tmp_path)
+    with keystore_create(params) as ks:
+        ks.put_entry(_stateful_entry())
+        ks._entries["sig"].algorithm_id = algorithm_id
+        ks._persist()
+    with keystore_open(params) as ks:
+        with pytest.raises(ParameterError):
+            ks.reserve_leaves("sig", 1)
+
+
 def test_record_consumed_persists(tmp_path):
     params = _params(tmp_path)
     with keystore_create(params) as ks:

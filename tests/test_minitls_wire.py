@@ -401,15 +401,17 @@ def server_files():
         ({"kem_id": "SPX-TOY-16-16-4-S"}, AlgorithmMismatch),
         ({"kem_id": "RSA-2048"}, AlgorithmMismatch),
         ({"public": b"\x00" * 100}, MalformedEncoding),
+        ({"seed": b"\x00" * 31}, MalformedEncoding),
         ({}, None),
     ],
-    ids=["seed-for-another-kem", "signature-id", "rsa-id", "key-length", "honest"],
+    ids=["seed-for-another-kem", "signature-id", "rsa-id", "key-length", "seed-length", "honest"],
 )
 def test_load_server_material(server_files, fault, error):
     issuer, kem_kp, rng = server_files
     fields = {"kem_id": "CME-TOY-10-8", "public": kem_serialize_pk(kem_kp.pk), **fault}
     cert = issue_certificate(issuer, "server.example", fields["kem_id"], fields["public"], rng)
-    seed_blob = frame_blob(fields.get("seed_id", fields["kem_id"]), 1, kem_kp.seed)
+    seed = fields.get("seed", kem_kp.seed)
+    seed_blob = frame_blob(fields.get("seed_id", fields["kem_id"]), 1, seed)
     if error is not None:
         with pytest.raises(error):
             load_server_material(encode_certificate(cert), seed_blob)

@@ -16,7 +16,6 @@ import pytest
 from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
-from agilecrypt import primitives
 from agilecrypt.errors import BadMac, BadPadding, ParameterError
 from agilecrypt.primitives import (
     DeterministicRng,
@@ -275,13 +274,23 @@ def test_deterministic_rng_randint_below_uniform_range():
         rng.randint_below(0)
 
 
+def _one_draw_at_a_time(rng: Rng, n: int) -> list[int]:
+    """Fisher-Yates with one randint_below call per position: the walk
+    Rng.shuffled must match draw for draw."""
+    perm = list(range(n))
+    for i in range(n - 1, 0, -1):
+        j = rng.randint_below(i + 1)
+        perm[i], perm[j] = perm[j], perm[i]
+    return perm
+
+
 def _assert_same_walk(seed: bytes, prefix: int, n: int) -> None:
-    """DeterministicRng's bulk shuffle against the generic Rng.shuffled on
-    a second handle: same permutation, same stream position after."""
+    """Rng.shuffled against the one-draw-at-a-time walk on a second
+    handle: same permutation, same stream position after."""
     bulk, reference = DeterministicRng(seed), DeterministicRng(seed)
     bulk.random_bytes(prefix)
     reference.random_bytes(prefix)
-    assert bulk.shuffled(n) == Rng.shuffled(reference, n)
+    assert bulk.shuffled(n) == _one_draw_at_a_time(reference, n)
     assert bulk._counter == reference._counter
     assert bulk.random_bytes(64) == reference.random_bytes(64)
 
@@ -308,9 +317,21 @@ def test_bulk_shuffle_matches_generic_walk_small(seed, prefix, n):
     _assert_same_walk(seed, prefix, n)
 
 
-def test_bulk_shuffle_refills_used_up_chunks(monkeypatch):
-    # One block per chunk: every chunk runs out, in the middle of a
-    # phase and in the middle of a rejected draw's retries.
-    monkeypatch.setattr(primitives, "_SHUFFLE_CHUNK_BYTES", 32)
-    for n, prefix in ((300, 0), (300, 31), (65537, 5)):
-        _assert_same_walk(b"refill", prefix, n)
+def test_consecutive_shuffles_hash_no_stream_block_twice(monkeypatch):
+    hashed = []
+    blocks = DeterministicRng._blocks
+
+    def recording(self, count):
+        hashed.extend(range(self._counter, self._counter + count))
+        return blocks(self, count)
+
+    monkeypatch.setattr(DeterministicRng, "_blocks", recording)
+    rng = DeterministicRng(b"rehash")
+    for n in (300, 65535, 1000):
+        rng.shuffled(n)
+    assert hashed == list(range(rng._counter))
+
+
+@pytest.mark.parametrize("n", [254, 255, 256, 257, 65534, 65535, 65536, 65537])
+def test_system_rng_shuffle_is_a_permutation(n):
+    assert sorted(SystemRng().shuffled(n)) == list(range(n))
