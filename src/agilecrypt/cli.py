@@ -24,7 +24,6 @@ import os
 import socket
 import sys
 import threading
-import time
 
 from .cbkem import NAMED_PARAM_SETS
 from .easyapi import (
@@ -51,18 +50,15 @@ from .minitls import (
     ClientTlsConfig,
     ServerTlsConfig,
     SocketTransport,
-    TlsAlertReceived,
-    TlsAlertSent,
     TlsError,
     client_handshake,
     connect_tcp,
     encode_certificate,
-    server_handshake,
     transcript_report,
 )
 from .minitls.certificate import issue_server_material, load_server_material
-from .minitls.measure import echo_until_closed, run_measurement
-from .minitls.wire import alert_name
+from .minitls.measure import run_measurement, serve_connection
+from .minitls.wire import alert_label
 from .primitives import make_rng
 
 # ---------------------------------------------------------------------------
@@ -124,12 +120,6 @@ def _load_registry_arg(args: argparse.Namespace) -> TemplateRegistry:
     if args.registry is not None:
         return load_registry(args.registry)
     return builtin_registry(1)
-
-
-def _alert_label(exc: TlsError) -> str:
-    if isinstance(exc, (TlsAlertSent, TlsAlertReceived)):
-        return alert_name(exc.description) or f"alert_{exc.description}"
-    return "handshake_failure"
 
 
 # ---------------------------------------------------------------------------
@@ -240,12 +230,9 @@ def _cmd_tls_setup(args: argparse.Namespace) -> int:
     rng = make_rng(args.seed)
     os.makedirs(args.dir, exist_ok=True)
     issuer, _, cert, seed_blob = issue_server_material(registry, level, args.subject, rng)
-    with open(os.path.join(args.dir, CA_ROOT_FILE), "wb") as fh:
-        fh.write(issuer.root)
-    with open(os.path.join(args.dir, SERVER_CERT_FILE), "wb") as fh:
-        fh.write(encode_certificate(cert))
-    with open(os.path.join(args.dir, SERVER_SEED_FILE), "wb") as fh:
-        fh.write(seed_blob)
+    _write_output(issuer.root, os.path.join(args.dir, CA_ROOT_FILE))
+    _write_output(encode_certificate(cert), os.path.join(args.dir, SERVER_CERT_FILE))
+    _write_output(seed_blob, os.path.join(args.dir, SERVER_SEED_FILE))
     print(
         f"wrote {CA_ROOT_FILE}, {SERVER_CERT_FILE}, {SERVER_SEED_FILE} to {args.dir}",
         file=sys.stderr,
@@ -253,54 +240,18 @@ def _cmd_tls_setup(args: argparse.Namespace) -> int:
     return 0
 
 
-def _connection_outcome(failure: BaseException | None) -> str:
-    if failure is None:
-        return "ok"
-    if isinstance(failure, TlsAlertSent):
-        return "alert_sent"
-    if isinstance(failure, TlsAlertReceived):
-        return "alert_received"
-    if isinstance(failure, ConnectionClosed):
-        return "closed"
-    return "error"
-
-
-def _serve_connection(conn: socket.socket, config: ServerTlsConfig, timeout: float | None):
-    """Handshake, then echo until the peer closes.  The socket is closed
-    on every outcome and one JSON line per connection goes to standard
-    error; a failure is re-raised once its line is written."""
-    started = time.monotonic()
-    transport = SocketTransport(conn, timeout=timeout)
-    failure: BaseException | None = None
-    try:
-        with server_handshake(transport, config) as session:
-            echo_until_closed(session)
-    except BaseException as exc:
-        failure = exc
-        raise
-    finally:
-        transport.close()
-        line = {
-            "outcome": _connection_outcome(failure),
-            "alert": _alert_label(failure) if isinstance(failure, TlsError) else None,
-            "bytes_sent": transport.bytes_sent,
-            "bytes_received": transport.bytes_received,
-            "ms": round((time.monotonic() - started) * 1000.0, 3),
-        }
-        # One write per line, so lines from concurrent connections stay whole.
-        sys.stderr.write(json.dumps(line, sort_keys=True) + "\n")
-        sys.stderr.flush()
-
-
-def _serve_connection_quietly(
-    conn: socket.socket, config: ServerTlsConfig, timeout: float | None
+def _serve_logged(
+    conn: socket.socket, config: ServerTlsConfig, timeout: float | None, expected: tuple = ()
 ) -> None:
-    """Worker-thread body: the connection's log line already reports an
-    expected failure, so it needs no traceback."""
-    try:
-        _serve_connection(conn, config, timeout)
-    except (AgilecryptError, OSError):
-        pass
+    """Serve one connection and write its record to standard error as
+    one JSON line; re-raise the failure that ended it unless it is of an
+    ``expected`` type, which the line already reports."""
+    record, failure = serve_connection(SocketTransport(conn, timeout=timeout), config)
+    # One write per line, so lines from concurrent connections stay whole.
+    sys.stderr.write(json.dumps(record, sort_keys=True) + "\n")
+    sys.stderr.flush()
+    if failure is not None and not isinstance(failure, expected):
+        raise failure
 
 
 def _cmd_tls_serve(args: argparse.Namespace) -> int:
@@ -319,13 +270,14 @@ def _cmd_tls_serve(args: argparse.Namespace) -> int:
         print(f"PORT {port}", flush=True)
         if args.once:
             conn, _ = listener.accept()
-            _serve_connection(conn, config, args.timeout)
+            _serve_logged(conn, config, args.timeout)
             return 0
         while True:
             conn, _ = listener.accept()
+            # A worker prints a traceback only for an unexpected failure.
             worker = threading.Thread(
-                target=_serve_connection_quietly,
-                args=(conn, config, args.timeout),
+                target=_serve_logged,
+                args=(conn, config, args.timeout, (AgilecryptError, OSError)),
                 daemon=True,
             )
             worker.start()
@@ -557,7 +509,7 @@ def main(argv: list[str] | None = None) -> int:
         print(f"agilecrypt: error: {exc}", file=sys.stderr)
         return 2
     except TlsError as exc:
-        return _fail(f"handshake failed: {_alert_label(exc)} ({exc})")
+        return _fail(f"handshake failed: {alert_label(exc.description)} ({exc})")
     except (AgilecryptError, OSError) as exc:
         return _fail(f"{type(exc).__name__}: {exc}")
     except KeyboardInterrupt:

@@ -111,12 +111,15 @@ class CompatibilityResult(Enum):
 
 def family_params(kind: TemplateKind, algorithm_id: str):
     """The typed parameters ``algorithm_id`` names: the one family check.
-    An identifier of the other family or an unknown one raises AlgorithmMismatch."""
+    An identifier of the other family, an unknown one or one in another
+    spelling raises AlgorithmMismatch, whose text ends with the reason."""
     family = hbs.HbsParams if kind is TemplateKind.SIGNATURE else cbkem.KemParams
     try:
         return family.from_algorithm_id(algorithm_id)
     except ParameterError as exc:
-        raise AlgorithmMismatch(f"{algorithm_id!r} is no {kind.value.lower()} algorithm") from exc
+        raise AlgorithmMismatch(
+            f"{algorithm_id!r} is no {kind.value.lower()} algorithm: {exc}"
+        ) from exc
 
 
 @dataclass(frozen=True)

@@ -1,5 +1,6 @@
-"""The echo loop ``tls-serve`` runs per connection, and the loopback
-handshake-size measurement behind the CLI's ``measure`` command."""
+"""How one server connection is served, ended and reported, for
+``tls-serve`` and for the loopback handshake-size measurement behind the
+CLI's ``measure`` command."""
 
 from __future__ import annotations
 
@@ -13,8 +14,15 @@ from ..primitives import make_rng
 from .certificate import issue_server_material
 from .handshake import ClientTlsConfig, ServerTlsConfig, client_handshake, server_handshake
 from .transcript import aggregate_reports, transcript_report
-from .transport import transport_pair
-from .wire import TlsError
+from .transport import SocketTransport, transport_pair
+from .wire import TlsAlertReceived, TlsAlertSent, TlsError, alert_label
+
+# How a failure ends a served connection; any other failure is an "error".
+_OUTCOMES = (
+    (TlsAlertSent, "alert_sent"),
+    (TlsAlertReceived, "alert_received"),
+    (ConnectionClosed, "closed"),
+)
 
 
 def echo_until_closed(session) -> None:
@@ -27,18 +35,42 @@ def echo_until_closed(session) -> None:
         session.send(data)
 
 
+def serve_connection(
+    transport: SocketTransport, config: ServerTlsConfig
+) -> tuple[dict, BaseException | None]:
+    """Handshake, echo until the peer closes, and close the transport on
+    every outcome.  Returns the connection's log record and the exception
+    that ended it, None when the peer closed after the handshake."""
+    started = time.monotonic()
+    failure: BaseException | None = None
+    try:
+        with server_handshake(transport, config) as session:
+            echo_until_closed(session)
+    except BaseException as exc:
+        failure = exc
+    transport.close()
+    outcome = next(
+        (name for kind, name in _OUTCOMES if isinstance(failure, kind)),
+        "ok" if failure is None else "error",
+    )
+    record = {
+        "outcome": outcome,
+        "alert": alert_label(failure.description) if isinstance(failure, TlsError) else None,
+        "bytes_sent": transport.bytes_sent,
+        "bytes_received": transport.bytes_received,
+        "ms": round((time.monotonic() - started) * 1000.0, 3),
+    }
+    return record, failure
+
+
 def _loopback_handshake(client_config: ClientTlsConfig, server_config: ServerTlsConfig):
     """One in-process handshake over a socket pair; returns the client's transcript."""
     client_transport, server_transport = transport_pair(timeout=30.0)
-    server_exc: list[BaseException] = []
-
-    def server_side() -> None:
-        try:
-            echo_until_closed(server_handshake(server_transport, server_config))
-        except BaseException as exc:
-            server_exc.append(exc)
-
-    worker = threading.Thread(target=server_side, daemon=True)
+    served: list[tuple[dict, BaseException | None]] = []
+    worker = threading.Thread(
+        target=lambda: served.append(serve_connection(server_transport, server_config)),
+        daemon=True,
+    )
     worker.start()
     try:
         session = client_handshake(client_transport, client_config)
@@ -47,8 +79,8 @@ def _loopback_handshake(client_config: ClientTlsConfig, server_config: ServerTls
         client_transport.close()
         worker.join(timeout=60.0)
         server_transport.close()
-    if server_exc and not isinstance(server_exc[0], (ConnectionClosed, TlsError)):
-        raise server_exc[0]
+    if served and served[0][0]["outcome"] == "error":
+        raise served[0][1]
     return session.transcript
 
 

@@ -88,6 +88,11 @@ def alert_name(code: int) -> str | None:
         return None
 
 
+def alert_label(code: int) -> str:
+    """``alert_name``, or ``alert_<code>`` for a code with no name."""
+    return alert_name(code) or f"alert_{code}"
+
+
 # ---------------------------------------------------------------------------
 # Handshake message framing
 # ---------------------------------------------------------------------------

@@ -359,6 +359,11 @@ def _start_serve(dirpath, level, registry=None, timeout=180.0):
     return proc, int(line_box[0].split()[1])
 
 
+def _connection_lines(server_err: str) -> list[dict]:
+    """The JSON lines tls-serve writes to standard error, one per connection."""
+    return [json.loads(line) for line in server_err.splitlines() if line.startswith("{")]
+
+
 @pytest.fixture(scope="module")
 def tls_low_dir(workdir):
     d = workdir / "tlslow"
@@ -393,6 +398,10 @@ def test_tls_serve_connect_echo_and_report(tls_low_dir, workdir):
     assert report["aborted"] is False
     names = [m["message"] for m in report["messages"]]
     assert "Certificate" in names and "Finished" in names
+    [line] = _connection_lines(server_err)
+    assert sorted(line) == ["alert", "bytes_received", "bytes_sent", "ms", "outcome"]
+    assert (line["outcome"], line["alert"]) == ("ok", None)
+    assert line["bytes_sent"] > 4096 and line["bytes_received"] > 4096
 
 
 def test_tls_serve_rejects_a_seed_for_another_kem(tls_low_dir, workdir):
@@ -548,6 +557,8 @@ def test_registry_drift_aborts_both_processes(workdir):
     assert proc.returncode == 1
     assert "template_mismatch" in client.stderr
     assert "template_mismatch" in server_err
+    [line] = _connection_lines(server_err)
+    assert (line["outcome"], line["alert"]) == ("alert_sent", "template_mismatch")
 
 
 # ---------------------------------------------------------------------------

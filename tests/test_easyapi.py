@@ -283,6 +283,16 @@ def test_encrypter_open_refuses_other_families(tmp_path):
     EasySigner.open(ksp, sig_alias, registry_version=1, rng=rng).close()
 
 
+def test_family_params_names_the_canonical_spelling():
+    """A KEM id in another spelling is refused as no encryption algorithm,
+    and the message keeps the reason: the spelling it should have."""
+    with pytest.raises(AlgorithmMismatch) as caught:
+        easyapi.family_params(TemplateKind.ENCRYPTION, "CME-TOY-010-8")
+    message = str(caught.value)
+    assert message.startswith("'CME-TOY-010-8' is no encryption algorithm: ")
+    assert "'CME-TOY-10-8'" in message
+
+
 @pytest.mark.parametrize(
     "handle, kind",
     [(EasySigner, TemplateKind.SIGNATURE), (EasyEncrypter, TemplateKind.ENCRYPTION)],

@@ -17,7 +17,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from agilecrypt import cbkem
-from agilecrypt.cli import _serve_connection
 from agilecrypt.cbkem import KemParams, kem_keygen, kem_serialize_pk
 from agilecrypt.easyapi import (
     SecurityLevel,
@@ -62,7 +61,7 @@ from agilecrypt.minitls import (
     transport_pair,
 )
 from agilecrypt.minitls.handshake import build_template_info
-from agilecrypt.minitls.measure import paramset_level, run_measurement
+from agilecrypt.minitls.measure import paramset_level, run_measurement, serve_connection
 from agilecrypt.minitls.wire import decode_alert, encode_alert, encode_handshake_message
 from agilecrypt.primitives import DeterministicRng
 
@@ -465,10 +464,10 @@ def test_registry_drift_aborts_before_key_exchange(low_material):
         assert report["total_bytes"] > 0  # partial sizes still reported
 
 
-def test_serve_connection_closes_and_logs_a_failed_handshake(low_material, capsys):
-    """A drifted client against the tls-serve connection handler: the
-    server's socket ends up closed and standard error holds one JSON
-    line naming the alert."""
+def test_serve_connection_closes_and_logs_a_failed_handshake(low_material):
+    """A drifted client against the connection routine of tls-serve and
+    measure: the server's socket ends up closed and the returned log
+    record names the alert."""
     server_sock, client_sock = socket.socketpair()
     server_cfg = _server_cfg(
         low_material, registry=builtin_registry(2), level=SecurityLevel.HIGH
@@ -479,15 +478,11 @@ def test_serve_connection_closes_and_logs_a_failed_handshake(low_material, capsy
         trusted_roots=(low_material["ca"].root,),
         rng=DeterministicRng(seed=b"c"),
     )
-    outcome: dict = {}
-
-    def serve():
-        try:
-            _serve_connection(server_sock, server_cfg, _IO_TIMEOUT)
-        except Exception as exc:  # noqa: BLE001 - recorded for assertions
-            outcome["server_exc"] = exc
-
-    thread = threading.Thread(target=serve, daemon=True)
+    served: list = []
+    server_t = SocketTransport(server_sock, timeout=_IO_TIMEOUT)
+    thread = threading.Thread(
+        target=lambda: served.append(serve_connection(server_t, server_cfg)), daemon=True
+    )
     thread.start()
     client_t = SocketTransport(client_sock, timeout=_IO_TIMEOUT)
     with pytest.raises(TlsAlertReceived):
@@ -496,11 +491,10 @@ def test_serve_connection_closes_and_logs_a_failed_handshake(low_material, capsy
     client_t.close()
     assert not thread.is_alive(), "server thread deadlocked"
 
-    assert isinstance(outcome.get("server_exc"), TlsAlertSent)
+    [(line, failure)] = served
+    assert isinstance(failure, TlsAlertSent)
     assert server_sock.fileno() == -1
-    lines = capsys.readouterr().err.splitlines()
-    assert len(lines) == 1
-    line = json.loads(lines[0])
+    assert sorted(line) == ["alert", "bytes_received", "bytes_sent", "ms", "outcome"]
     assert line["outcome"] == "alert_sent"
     assert line["alert"] == "template_mismatch"
     assert line["bytes_received"] > 0 and line["bytes_sent"] > 0
@@ -508,18 +502,29 @@ def test_serve_connection_closes_and_logs_a_failed_handshake(low_material, capsy
 
 
 @pytest.mark.parametrize("code, label", [(51, "decrypt_error"), (99, "alert_99")])
-def test_serve_connection_logs_the_name_of_a_received_alert(low_material, capsys, code, label):
+def test_serve_connection_logs_the_name_of_a_received_alert(low_material, code, label):
     """A peer that answers with a fatal alert instead of a ClientHello:
-    the log line names a known code and spells out an unknown one."""
+    the log record names a known code and spells out an unknown one."""
     server_sock, client_sock = socket.socketpair()
     client_sock.sendall(bytes([ContentType.ALERT, 3, 3, 0, 2, 2, code]))
     try:
-        with pytest.raises(TlsAlertReceived):
-            _serve_connection(server_sock, _server_cfg(low_material), _IO_TIMEOUT)
+        line, failure = serve_connection(
+            SocketTransport(server_sock, timeout=_IO_TIMEOUT), _server_cfg(low_material)
+        )
     finally:
         client_sock.close()
-    line = json.loads(capsys.readouterr().err)
+    assert isinstance(failure, TlsAlertReceived)
     assert (line["outcome"], line["alert"]) == ("alert_received", label)
+
+
+def test_serve_connection_reports_a_peer_that_closes_before_its_hello(low_material):
+    client_t, server_t = transport_pair(timeout=_IO_TIMEOUT)
+    client_t.close()
+    line, failure = serve_connection(server_t, _server_cfg(low_material))
+    assert isinstance(failure, ConnectionClosed)
+    assert (line["outcome"], line["alert"]) == ("closed", None)
+    assert line["bytes_sent"] == line["bytes_received"] == 0
+    assert server_t._sock.fileno() == -1
 
 
 def test_same_version_template_conflict_classified(low_material):
