@@ -22,6 +22,11 @@ seeded stream, so the blocks of a large key are built in parallel
 worker processes with the same result.  The secret tables are the
 inverse of a key's columns: key generation takes them from the columns
 it draws, and a stored key is opened from the columns of its public key.
+
+Each key carries its parameters.  kem_encap(pk, rng) returns the
+ciphertext bytes with the secret, and kem_decap(sk, ct) reads those
+bytes; a ciphertext of the wrong length, with pad bits set, or with a
+syndrome that maps to no column raises InvalidCiphertext.
 """
 
 from __future__ import annotations
@@ -40,15 +45,12 @@ __all__ = [
     "KemPublicKey",
     "KemSecretKey",
     "KemKeyPair",
-    "KemCiphertext",
     "NAMED_PARAM_SETS",
     "kem_keygen",
     "kem_encap",
     "kem_decap",
     "kem_serialize_pk",
     "kem_parse_pk",
-    "kem_serialize_ct",
-    "kem_parse_ct",
 ]
 
 
@@ -183,11 +185,6 @@ class KemKeyPair:
         return cls(params, seed, pk, KemSecretKey(params, seed, inverse))
 
 
-@dataclass
-class KemCiphertext:
-    syndromes: list[int]
-
-
 # ---------------------------------------------------------------------------
 # Block construction
 # ---------------------------------------------------------------------------
@@ -275,35 +272,30 @@ def kem_keygen(params: KemParams, rng: Rng) -> KemKeyPair:
     return KemKeyPair.from_seed(params, rng.random_bytes(32))
 
 
-def _shared_secret(params: KemParams, positions: list[int], ct: KemCiphertext) -> bytes:
-    material = b"kem-ss" + b"".join(struct.pack(">I", j) for j in positions)
-    return hash_data(HashId.H256, material + kem_serialize_ct(params, ct))
+def _shared_secret(positions: list[int], ct: bytes) -> bytes:
+    material = b"kem-ss" + struct.pack(f">{len(positions)}I", *positions)
+    return hash_data(HashId.H256, material + ct)
 
 
-def kem_encap(pk: KemPublicKey, params: KemParams, rng: Rng) -> tuple[KemCiphertext, bytes]:
-    """Pick one uniform error position per block; the ciphertext is the
-    corresponding column values, the secret a digest of the positions."""
+def kem_encap(pk: KemPublicKey, rng: Rng) -> tuple[bytes, bytes]:
+    """Pick one uniform error position per block; the ciphertext encodes
+    the corresponding column values, the secret is a digest of the
+    positions.  Returns (ciphertext bytes, secret)."""
+    params = pk.params
     positions = [rng.randint_below(params.n) for _ in range(params.b)]
-    ct = KemCiphertext(
-        syndromes=[pk.syndrome_for_position(i, j) for i, j in enumerate(positions)]
-    )
-    return ct, _shared_secret(params, positions, ct)
+    ct = _encode_ct(params, [pk.syndrome_for_position(i, j) for i, j in enumerate(positions)])
+    return ct, _shared_secret(positions, ct)
 
 
-def kem_decap(sk: KemSecretKey, params: KemParams, ct: KemCiphertext) -> bytes:
-    if len(ct.syndromes) != params.b:
-        raise InvalidCiphertext(
-            f"expected {params.b} syndromes, got {len(ct.syndromes)}"
-        )
-    positions = []
-    for i, s in enumerate(ct.syndromes):
-        if not 0 < s <= params.n:
-            raise InvalidCiphertext(f"syndrome {i} out of range")
-        j = sk.position_for_syndrome(i, s)
-        if j < 0:
-            raise InvalidCiphertext(f"syndrome {i} maps to no column")
-        positions.append(j)
-    return _shared_secret(params, positions, ct)
+def kem_decap(sk: KemSecretKey, ct: bytes) -> bytes:
+    """The secret of a ciphertext; any bad ciphertext (wrong length, pad
+    bits set, a syndrome that maps to no column) raises InvalidCiphertext."""
+    positions = [
+        sk.position_for_syndrome(i, s) for i, s in enumerate(_decode_ct(sk.params, ct))
+    ]
+    if -1 in positions:
+        raise InvalidCiphertext(f"syndrome {positions.index(-1)} maps to no column")
+    return _shared_secret(positions, ct)
 
 
 # ---------------------------------------------------------------------------
@@ -361,29 +353,22 @@ def kem_parse_pk(params: KemParams, data: bytes) -> KemPublicKey:
     return KemPublicKey(params=params, encoding=bytes(data))
 
 
-def kem_serialize_ct(params: KemParams, ct: KemCiphertext) -> bytes:
-    if len(ct.syndromes) != params.b:
-        raise ParameterError("syndrome count does not match params")
+def _encode_ct(params: KemParams, syndromes: Sequence[int]) -> bytes:
     acc = 0
-    for s in ct.syndromes:
+    for s in syndromes:
         acc = (acc << params.m) | s
     acc <<= 8 * params.ct_bytes - params.ct_bits
     return acc.to_bytes(params.ct_bytes, "big")
 
 
-def kem_parse_ct(params: KemParams, data: bytes) -> KemCiphertext:
+def _decode_ct(params: KemParams, data: bytes) -> list[int]:
+    """The b syndromes of a ciphertext; inverse of _encode_ct."""
     if len(data) != params.ct_bytes:
-        raise MalformedEncoding(
-            f"ciphertext length {len(data)}, expected {params.ct_bytes}",
-            offset=min(len(data), params.ct_bytes),
-        )
+        raise InvalidCiphertext(f"ciphertext length {len(data)}, expected {params.ct_bytes}")
     acc = int.from_bytes(data, "big")
     pad = 8 * params.ct_bytes - params.ct_bits
     if acc & ((1 << pad) - 1):
-        raise MalformedEncoding("nonzero padding bits", offset=params.ct_bytes - 1)
+        raise InvalidCiphertext("nonzero padding bits")
     acc >>= pad
     mask = (1 << params.m) - 1
-    syndromes = [
-        (acc >> ((params.b - 1 - i) * params.m)) & mask for i in range(params.b)
-    ]
-    return KemCiphertext(syndromes=syndromes)
+    return [(acc >> ((params.b - 1 - i) * params.m)) & mask for i in range(params.b)]

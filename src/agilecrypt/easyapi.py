@@ -31,7 +31,6 @@ from .errors import (
     AlgorithmMismatch,
     BadMac,
     BadPadding,
-    InvalidCiphertext,
     MalformedEncoding,
     ParameterError,
     StoreExists,
@@ -299,23 +298,17 @@ def hybrid_record_keys(shared_secret: bytes) -> SymmetricKeys:
 # The hybrid step of EasyEncrypter and mailenv; each brings its own associated data.
 
 def hybrid_encap(pk: cbkem.KemPublicKey, rng: Rng) -> tuple[bytes, SymmetricKeys]:
-    """Encapsulate to a recipient's parsed KEM public key: the serialized
-    KEM ciphertext and the record keys to seal with."""
-    params = pk.params
-    ct, secret = cbkem.kem_encap(pk, params, rng)
-    return cbkem.kem_serialize_ct(params, ct), hybrid_record_keys(secret)
+    """Encapsulate to a recipient's parsed KEM public key: the KEM
+    ciphertext bytes and the record keys to seal with."""
+    ct, secret = cbkem.kem_encap(pk, rng)
+    return ct, hybrid_record_keys(secret)
 
 
 def hybrid_open(recipient: EasyEncrypter, kem_ct: bytes, header: bytes, sealed: bytes) -> bytes:
     """Decapsulate ``kem_ct`` with the recipient's key and open the record
     sealed under ``header``.  A KEM rejection raises InvalidCiphertext; a
     record that fails authentication raises BadMac."""
-    params = recipient._kp.params
-    try:
-        ct = cbkem.kem_parse_ct(params, kem_ct)
-    except MalformedEncoding as exc:
-        raise InvalidCiphertext(str(exc)) from exc
-    keys = hybrid_record_keys(cbkem.kem_decap(recipient._kp.sk, params, ct))
+    keys = hybrid_record_keys(cbkem.kem_decap(recipient._kp.sk, kem_ct))
     try:
         return open_record(keys, 0, header, sealed)
     except BadPadding as exc:
@@ -527,8 +520,7 @@ class EasyEncrypter(_StoredKey):
             raise AlgorithmMismatch(
                 f"blob is for {ident!r}, this key is {self.algorithm_id!r}"
             )
-        params = self._kp.params
-        if len(payload) < params.ct_bytes:
-            raise InvalidCiphertext("payload shorter than a KEM ciphertext")
-        ct_bytes, sealed = payload[: params.ct_bytes], payload[params.ct_bytes :]
+        # kem_decap refuses the short ciphertext of a truncated payload.
+        ct_len = self._kp.params.ct_bytes
+        ct_bytes, sealed = payload[:ct_len], payload[ct_len:]
         return hybrid_open(self, ct_bytes, frame_blob(ident, version, ct_bytes), sealed)

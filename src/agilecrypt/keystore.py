@@ -14,7 +14,8 @@ in the header so tests can lower it) into the record-protection keys; the
 MAC is verified before any entry parsing, so a wrong password or tampered
 file never yields partial data.  The header and the entry table are read
 and written with agilecrypt.codec, whose strict-decoding rules apply; a
-header or table that breaks them raises MalformedStore.
+header or table that breaks them, or an entry put_entry would refuse,
+raises MalformedStore when the store is opened.
 
 Every mutation rewrites and atomically replaces the whole file
 (write-temp, fsync, rename, fsync directory) and completes before the
@@ -296,7 +297,7 @@ class Keystore:
         if alias not in self._entries:
             raise UnknownAlias(f"no entry {alias!r}")
         entry = self._entries[alias]
-        if entry.state is None or _stateful_leaf_count(entry.algorithm_id) is None:
+        if entry.state is None:
             raise ParameterError(f"entry {alias!r} is not stateful")
         return entry
 
@@ -460,6 +461,11 @@ def keystore_open(params: KeystoreParameters, read_only: bool = False) -> Keysto
                 "store authentication failed: wrong password or tampered file"
             ) from exc
         entries = _decode_table(table)
+        for alias, entry in entries.items():
+            try:
+                _validate_entry(entry)
+            except ParameterError as exc:
+                raise MalformedStore(f"entry {alias!r}: {exc}") from exc
         return Keystore(params=params, header=header, keys=keys, entries=entries, lock_fd=lock_fd)
     except BaseException:
         _release_lock(lock_fd)

@@ -30,13 +30,7 @@ from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 from typing import NoReturn
 
-from ..cbkem import (
-    KemSecretKey,
-    kem_decap,
-    kem_encap,
-    kem_parse_ct,
-    kem_serialize_ct,
-)
+from ..cbkem import KemSecretKey, kem_decap, kem_encap
 from ..easyapi import (
     AlgorithmParameters,
     CompatibilityResult,
@@ -535,10 +529,9 @@ def _client_flow(
 
     decode_server_hello_done_body(_expect(channel, HandshakeType.SERVER_HELLO_DONE))
 
-    ciphertext, premaster = kem_encap(kem_pk, kem_pk.params, rng)
+    ciphertext, premaster = kem_encap(kem_pk, rng)
     channel.send_message(
-        HandshakeType.CLIENT_KEY_EXCHANGE,
-        encode_client_key_exchange_body(kem_serialize_ct(kem_pk.params, ciphertext)),
+        HandshakeType.CLIENT_KEY_EXCHANGE, encode_client_key_exchange_body(ciphertext)
     )
     keys = derive_session_keys(premaster, client_random, server_hello.random)
     _send_finished(channel, keys, "client")
@@ -570,14 +563,10 @@ def _server_flow(
     )
     channel.send_message(HandshakeType.SERVER_HELLO_DONE, b"")
 
-    body = _expect(channel, HandshakeType.CLIENT_KEY_EXCHANGE)
-    ct_bytes = decode_client_key_exchange_body(body)
-    # The server's own key fixes the parameters, so parse and decapsulation agree.
-    kem_params = config.kem_secret.params
+    ct = decode_client_key_exchange_body(_expect(channel, HandshakeType.CLIENT_KEY_EXCHANGE))
     try:
-        ciphertext = kem_parse_ct(kem_params, ct_bytes)
-        premaster = kem_decap(config.kem_secret, kem_params, ciphertext)
-    except (MalformedEncoding, InvalidCiphertext) as exc:
+        premaster = kem_decap(config.kem_secret, ct)
+    except InvalidCiphertext as exc:
         _abort(channel, AlertDescription.INVALID_CIPHERTEXT, f"key exchange rejected: {exc}")
     keys = derive_session_keys(premaster, hello.random, server_random)
     _recv_finished(channel, keys, "client")

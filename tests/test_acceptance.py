@@ -300,8 +300,8 @@ def test_kem_roundtrips_and_small_field_bijection():
             )
             trial_rng = DeterministicRng(b"kem %s trials %d" % (name.encode(), key_idx))
             for _ in range(100):
-                ct, secret = cbkem.kem_encap(kp.pk, params, trial_rng)
-                if cbkem.kem_decap(kp.sk, params, ct) == secret:
+                ct, secret = cbkem.kem_encap(kp.pk, trial_rng)
+                if cbkem.kem_decap(kp.sk, ct) == secret:
                     good += 1
         results[name] = good
 
@@ -599,15 +599,12 @@ def test_facade_agrees_with_direct_composition(tmp_path):
             blob = enc.encrypt(enc.public_blob, msg)
             ident, version, payload = parse_blob(blob)
             ct_bytes, sealed = payload[: params.ct_bytes], payload[params.ct_bytes :]
-            secret = cbkem.kem_decap(
-                direct_kp.sk, params, cbkem.kem_parse_ct(params, ct_bytes)
-            )
+            secret = cbkem.kem_decap(direct_kp.sk, ct_bytes)
             header = frame_blob(ident, version, b"") + ct_bytes
             if open_record(hybrid_record_keys(secret), 0, header, sealed) == msg:
                 enc_facade_to_direct += 1
 
-            ct, secret = cbkem.kem_encap(direct_kp.pk, params, encap_rng)
-            ct_bytes = cbkem.kem_serialize_ct(params, ct)
+            ct_bytes, secret = cbkem.kem_encap(direct_kp.pk, encap_rng)
             header = frame_blob(enc.algorithm_id, 1, b"") + ct_bytes
             sealed = seal_record(hybrid_record_keys(secret), 0, header, msg)
             hand_built = frame_blob(enc.algorithm_id, 1, ct_bytes + sealed)

@@ -18,17 +18,16 @@ import pytest
 from agilecrypt.errors import InvalidCiphertext, MalformedEncoding, ParameterError
 from agilecrypt.cbkem import (
     NAMED_PARAM_SETS,
-    KemCiphertext,
     KemKeyPair,
     KemParams,
     KemPublicKey,
+    _decode_ct,
+    _encode_ct,
     _pack_columns,
     kem_decap,
     kem_encap,
     kem_keygen,
-    kem_parse_ct,
     kem_parse_pk,
-    kem_serialize_ct,
     kem_serialize_pk,
 )
 from agilecrypt.primitives import DeterministicRng
@@ -126,16 +125,16 @@ def test_encap_decap_roundtrip_grid():
         p = KemParams(m=m, b=b)
         kp = kem_keygen(p, rng)
         for _ in range(250):
-            ct, ss = kem_encap(kp.pk, p, rng)
+            ct, ss = kem_encap(kp.pk, rng)
             assert len(ss) == 32
-            assert kem_decap(kp.sk, p, ct) == ss
+            assert kem_decap(kp.sk, ct) == ss
 
 
 def test_encap_secrets_do_not_collide():
     p = KemParams(m=8, b=4)
     rng = DeterministicRng(b"collisions")
     kp = kem_keygen(p, rng)
-    secrets = {kem_encap(kp.pk, p, rng)[1] for _ in range(1000)}
+    secrets = {kem_encap(kp.pk, rng)[1] for _ in range(1000)}
     assert len(secrets) == 1000
 
 
@@ -143,9 +142,9 @@ def test_decap_rejects_zero_syndrome():
     p = KemParams(m=8, b=2)
     kp = kem_keygen(p, DeterministicRng(b"zero syndrome"))
     with pytest.raises(InvalidCiphertext):
-        kem_decap(kp.sk, p, KemCiphertext(syndromes=[0, 5]))
+        kem_decap(kp.sk, _encode_ct(p, [0, 5]))
     with pytest.raises(InvalidCiphertext):
-        kem_decap(kp.sk, p, KemCiphertext(syndromes=[5]))
+        kem_decap(kp.sk, bytes([5]))
 
 
 def test_cross_key_decap_differs():
@@ -154,9 +153,9 @@ def test_cross_key_decap_differs():
     kp_a = kem_keygen(p, rng)
     kp_b = kem_keygen(p, rng)
     for _ in range(100):
-        ct, ss = kem_encap(kp_a.pk, p, rng)
+        ct, ss = kem_encap(kp_a.pk, rng)
         try:
-            other = kem_decap(kp_b.sk, p, ct)
+            other = kem_decap(kp_b.sk, ct)
         except InvalidCiphertext:
             continue
         assert other != ss
@@ -171,8 +170,8 @@ def test_pk_serialization_roundtrip_small():
         assert len(blob) == p.pk_bytes
         parsed = kem_parse_pk(p, blob)
         assert parsed == kp.pk
-        ct, ss = kem_encap(parsed, p, rng)
-        assert kem_decap(kp.sk, p, ct) == ss
+        ct, ss = kem_encap(parsed, rng)
+        assert kem_decap(kp.sk, ct) == ss
 
 
 def test_pk_parse_rejects_bad_lengths_and_padding():
@@ -197,16 +196,17 @@ def test_ct_serialization_roundtrip():
         p = KemParams(m=m, b=b)
         kp = kem_keygen(p, rng)
         for _ in range(20):
-            ct, ss = kem_encap(kp.pk, p, rng)
-            blob = kem_serialize_ct(p, ct)
-            assert len(blob) == p.ct_bytes
-            parsed = kem_parse_ct(p, blob)
-            assert parsed == ct
-            assert kem_decap(kp.sk, p, parsed) == ss
-    with pytest.raises(MalformedEncoding):
-        kem_parse_ct(p, blob[:-1])
-    with pytest.raises(MalformedEncoding):
-        kem_parse_ct(p, blob + b"\x00")
+            ct, ss = kem_encap(kp.pk, rng)
+            assert len(ct) == p.ct_bytes
+            assert _encode_ct(p, _decode_ct(p, ct)) == ct
+            assert kem_decap(kp.sk, ct) == ss
+    with pytest.raises(InvalidCiphertext):
+        kem_decap(kp.sk, ct[:-1])
+    with pytest.raises(InvalidCiphertext):
+        kem_decap(kp.sk, ct + b"\x00")
+    # 26 payload bits leave 6 pad bits; they must be zero.
+    with pytest.raises(InvalidCiphertext):
+        kem_decap(kp.sk, ct[:-1] + bytes([ct[-1] | 0x01]))
 
 
 def test_from_seed_reconstruction():
@@ -215,8 +215,8 @@ def test_from_seed_reconstruction():
     kp = kem_keygen(p, rng)
     rebuilt = KemKeyPair.from_seed(p, kp.seed)
     assert kem_serialize_pk(rebuilt.pk) == kem_serialize_pk(kp.pk)
-    ct, ss = kem_encap(kp.pk, p, rng)
-    assert kem_decap(rebuilt.sk, p, ct) == ss
+    ct, ss = kem_encap(kp.pk, rng)
+    assert kem_decap(rebuilt.sk, ct) == ss
 
 
 def test_load_rejects_columns_that_are_not_a_permutation():
@@ -251,8 +251,8 @@ params = cbkem.KemParams.from_algorithm_id(ap.algorithm_id)
 rng = DeterministicRng(b"blocked import")
 kp = cbkem.kem_keygen(params, rng)
 loaded = cbkem.KemKeyPair.load(params, kp.seed, cbkem.kem_serialize_pk(kp.pk))
-ct, ss = cbkem.kem_encap(loaded.pk, params, rng)
-assert cbkem.kem_decap(loaded.sk, params, ct) == ss
+ct, ss = cbkem.kem_encap(loaded.pk, rng)
+assert cbkem.kem_decap(loaded.sk, ct) == ss
 """
 
 

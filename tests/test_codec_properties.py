@@ -3,7 +3,10 @@
 For each format: encoding a value and decoding the bytes gives the value
 back, and any byte string (random, or a valid encoding truncated, with a
 byte replaced, or extended) either decodes or raises the one documented
-error: MalformedEncoding, or MalformedStore for the keystore entry table.
+error: MalformedEncoding, MalformedStore for the keystore entry table, or
+InvalidCiphertext for a KEM ciphertext.  kem_decap, the public reader of
+a KEM ciphertext, runs on one fixed small key: it returns a 32-byte
+secret or raises InvalidCiphertext.
 The registry text gets the same treatment with strings instead of bytes.
 Hypothesis runs derandomized with a fixed example budget, so every run
 checks the same inputs.
@@ -15,14 +18,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from agilecrypt.cbkem import (
-    KemCiphertext,
     KemParams,
     KemPublicKey,
+    _decode_ct,
+    _encode_ct,
     _pack_columns,
     _unpack_columns,
-    kem_parse_ct,
+    kem_decap,
+    kem_encap,
+    kem_keygen,
     kem_parse_pk,
-    kem_serialize_ct,
     kem_serialize_pk,
 )
 from agilecrypt.easyapi import (
@@ -33,7 +38,7 @@ from agilecrypt.easyapi import (
     parse_blob,
     parse_registry_text,
 )
-from agilecrypt.errors import MalformedEncoding, MalformedStore
+from agilecrypt.errors import InvalidCiphertext, MalformedEncoding, MalformedStore
 from agilecrypt.hbs import (
     HbsKeyPair,
     HbsMode,
@@ -54,6 +59,7 @@ from agilecrypt.minitls import (
     encode_certificate,
     parse_certificate,
 )
+from agilecrypt.primitives import DeterministicRng
 
 _PROPERTY = settings(derandomize=True, max_examples=150, deadline=None, database=None)
 
@@ -191,8 +197,7 @@ _SIG_PARAMS = st.builds(
 @st.composite
 def _kem_ciphertexts(draw):
     params = draw(_KEM_PARAMS)
-    syndromes = draw(st.lists(st.integers(0, params.n), min_size=params.b, max_size=params.b))
-    return params, KemCiphertext(syndromes=syndromes)
+    return params, draw(st.lists(st.integers(0, params.n), min_size=params.b, max_size=params.b))
 
 
 @st.composite
@@ -287,8 +292,8 @@ def test_blob_roundtrip(parts):
 @_PROPERTY
 @given(_kem_ciphertexts())
 def test_kem_ciphertext_roundtrip(case):
-    params, ct = case
-    assert kem_parse_ct(params, kem_serialize_ct(params, ct)) == ct
+    params, syndromes = case
+    assert _decode_ct(params, _encode_ct(params, syndromes)) == syndromes
 
 
 @_PROPERTY
@@ -390,10 +395,25 @@ def _sized_inputs(draw, cases, encode, size):
 
 
 @_PROPERTY
-@given(_sized_inputs(_kem_ciphertexts(), kem_serialize_ct, lambda p: p.ct_bytes))
-def test_kem_ciphertext_parser_raises_only_malformed_encoding(case):
+@given(_sized_inputs(_kem_ciphertexts(), _encode_ct, lambda p: p.ct_bytes))
+def test_kem_ciphertext_decoder_raises_only_invalid_ciphertext(case):
     params, data = case
-    _decodes_or_raises(lambda raw: kem_parse_ct(params, raw), data, MalformedEncoding)
+    _decodes_or_raises(lambda raw: _decode_ct(params, raw), data, InvalidCiphertext)
+
+
+# One fixed small key: 3 blocks of 4-bit syndromes, so a ciphertext is 2
+# bytes with 4 pad bits.
+_KEM_KEY = kem_keygen(KemParams(m=4, b=3), DeterministicRng(b"decap property key"))
+_KEM_CTS = st.binary(max_size=8).map(lambda seed: kem_encap(_KEM_KEY.pk, DeterministicRng(seed))[0])
+
+
+@_PROPERTY
+@given(st.one_of(st.binary(min_size=2, max_size=2), _inputs(_KEM_CTS)))
+def test_kem_decap_returns_a_secret_or_raises_only_invalid_ciphertext(ct):
+    try:
+        assert len(kem_decap(_KEM_KEY.sk, ct)) == 32
+    except InvalidCiphertext:
+        pass
 
 
 @_PROPERTY

@@ -31,8 +31,10 @@ from agilecrypt.easyapi import (
 from agilecrypt.errors import (
     AgilecryptError,
     AlgorithmMismatch,
+    BadMac,
     BadPassword,
     DuplicateAlias,
+    InvalidCiphertext,
     KeyExhausted,
     MalformedEncoding,
     ParameterError,
@@ -516,6 +518,21 @@ def test_encrypter_tamper_never_leaks(tmp_path):
             raise AssertionError("tampered blob decrypted without error")
 
 
+def test_encrypter_refuses_every_truncated_blob(tmp_path):
+    ap = template_resolve(builtin_registry(1), TemplateKind.ENCRYPTION, SecurityLevel.LOW)
+    with EasyEncrypter.with_new_key(ap, _ksp(tmp_path), rng=DeterministicRng(b"truncate")) as enc:
+        blob = enc.encrypt(enc.public_blob, b"cut short at every length")
+        frame_len = len(blob) - len(parse_blob(blob)[2])
+        ct_end = frame_len + ap.params.ct_bytes
+        for size in range(len(blob)):
+            with pytest.raises(
+                (MalformedEncoding, AlgorithmMismatch, InvalidCiphertext, BadMac)
+            ) as caught:
+                enc.decrypt(blob[:size])
+            if frame_len <= size < ct_end:
+                assert caught.type is InvalidCiphertext, size
+
+
 def test_encrypter_persists_and_reopens(tmp_path):
     ap = template_resolve(builtin_registry(1), TemplateKind.ENCRYPTION, SecurityLevel.LOW)
     ksp = _ksp(tmp_path)
@@ -536,9 +553,8 @@ def test_encrypter_agrees_with_direct_composition(tmp_path):
         # Direct route: parse the frame, decap with cbkem, open with primitives.
         ident, version, payload = parse_blob(blob)
         params = cbkem.KemParams.from_algorithm_id(ident)
-        ct = cbkem.kem_parse_ct(params, payload[: params.ct_bytes])
         kp = cbkem.KemKeyPair.from_seed(params, enc.key_seed)
-        secret = cbkem.kem_decap(kp.sk, params, ct)
+        secret = cbkem.kem_decap(kp.sk, payload[: params.ct_bytes])
         from agilecrypt.primitives import HashId, SymmetricKeys, open_record, prf
 
         material = prf(HashId.H512, secret, "hybrid record keys", b"", 112)

@@ -277,7 +277,7 @@ def test_reserve_rejects_stateless(tmp_path):
 
 
 @pytest.mark.parametrize("algorithm_id", ["SPX-TOY-16-16-04-S", "RSA-2048"])
-def test_reserve_rejects_a_stored_id_that_does_not_resolve(tmp_path, algorithm_id):
+def test_open_refuses_a_stored_id_that_does_not_resolve(tmp_path, algorithm_id):
     # A table that carries counter state under an id no parameter set has,
     # as one written while other spellings of an id were accepted would.
     params = _params(tmp_path)
@@ -285,9 +285,8 @@ def test_reserve_rejects_a_stored_id_that_does_not_resolve(tmp_path, algorithm_i
         ks.put_entry(_stateful_entry())
         ks._entries["sig"].algorithm_id = algorithm_id
         ks._persist()
-    with keystore_open(params) as ks:
-        with pytest.raises(ParameterError):
-            ks.reserve_leaves("sig", 1)
+    with pytest.raises(MalformedStore, match="'sig'"):
+        keystore_open(params)
 
 
 def test_record_consumed_persists(tmp_path):

@@ -6,7 +6,7 @@ import dataclasses
 
 import pytest
 
-from agilecrypt.cbkem import KemParams, kem_encap, kem_parse_pk, kem_serialize_ct
+from agilecrypt.cbkem import KemParams, kem_encap, kem_parse_pk
 from agilecrypt.easyapi import (
     EasyEncrypter,
     EasySigner,
@@ -264,7 +264,7 @@ def _manual_envelope(signer, recipient, inner_plaintext, rng):
     enc_id, enc_version, raw_pub = parse_blob(recipient.public_blob)
     params = KemParams.from_algorithm_id(enc_id)
     pk = kem_parse_pk(params, raw_pub)
-    ct, secret = kem_encap(pk, params, rng)
+    ct, secret = kem_encap(pk, rng)
     header = EnvelopeHeader(
         sender_id=signer.alias,
         recipient_id="bob",
@@ -273,7 +273,7 @@ def _manual_envelope(signer, recipient, inner_plaintext, rng):
         registry_version=signer.registry_version,
     )
     sealed = seal_record(hybrid_record_keys(secret), 0, encode_header(header), inner_plaintext)
-    return Envelope(header=header, kem_ct=kem_serialize_ct(params, ct), sealed_body=sealed)
+    return Envelope(header=header, kem_ct=ct, sealed_body=sealed)
 
 
 def test_stripped_signature_rejected(tmp_path):

@@ -419,8 +419,8 @@ def test_load_server_material(server_files, fault, error):
     loaded_cert, kp = load_server_material(encode_certificate(cert), seed_blob)
     assert loaded_cert == cert
     pk = kem_public_key(cert.kem_algorithm_id, cert.kem_public_key)
-    ct, secret = kem_encap(pk, pk.params, DeterministicRng(seed=b"encap"))
-    assert kem_decap(kp.sk, kp.params, ct) == secret
+    ct, secret = kem_encap(pk, DeterministicRng(seed=b"encap"))
+    assert kem_decap(kp.sk, ct) == secret
 
 
 def test_certificate_issuing_consumes_a_leaf(cert_material):
