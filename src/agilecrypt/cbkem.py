@@ -49,7 +49,6 @@ __all__ = [
     "kem_keygen",
     "kem_encap",
     "kem_decap",
-    "kem_serialize_pk",
     "kem_parse_pk",
 ]
 
@@ -336,10 +335,6 @@ def _unpack_columns(pk: KemPublicKey) -> list[tuple[int, ...]]:
             words[q::4] = lane.to_bytes(k, "big")
         blocks.append(struct.unpack(f">{k}I", words))
     return blocks
-
-
-def kem_serialize_pk(pk: KemPublicKey) -> bytes:
-    return pk.encoding
 
 
 def kem_parse_pk(params: KemParams, data: bytes) -> KemPublicKey:

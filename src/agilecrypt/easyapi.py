@@ -152,7 +152,8 @@ class TemplateRegistry:
 
 def parse_registry_text(text: str) -> TemplateRegistry:
     """Parse the registry file format.  Blank lines and `#` comments are
-    tolerated on input; canonical_text never emits them."""
+    tolerated on input; canonical_text never emits them.  The version and
+    the date must be spelled as canonical_text spells them."""
     lines = [
         (i + 1, line.strip())
         for i, line in enumerate(text.splitlines())
@@ -165,11 +166,18 @@ def parse_registry_text(text: str) -> TemplateRegistry:
         raise MalformedEncoding("first line must be `version N`", offset=vno)
     if not iline.startswith("issued "):
         raise MalformedEncoding("second line must be `issued YYYY-MM-DD`", offset=ino)
+    vtext, itext = vline.split(" ", 1)[1], iline.split(" ", 1)[1]
     try:
-        version = int(vline.split(" ", 1)[1])
-        issued = datetime.date.fromisoformat(iline.split(" ", 1)[1])
+        version = int(vtext)
+        issued = datetime.date.fromisoformat(itext)
     except ValueError as exc:
         raise MalformedEncoding(f"bad header value: {exc}") from exc
+    # Only the spelling canonical_text writes: int() also reads `1_0`,
+    # `+1` and `01`, and fromisoformat reads `20260105` on Python 3.11+.
+    if str(version) != vtext:
+        raise MalformedEncoding(f"version {vtext!r} is not spelled {str(version)!r}")
+    if issued.isoformat() != itext:
+        raise MalformedEncoding(f"issued {itext!r} is not spelled {issued.isoformat()!r}")
     entries: dict[tuple[TemplateKind, SecurityLevel], str] = {}
     for lineno, line in lines[2:]:
         parts = line.split(" ")
@@ -433,11 +441,10 @@ class EasySigner(_StoredKey):
             self._refill_window(self._kp.params.leaf_count)
         # hbs_sign advances the key's cursor first: a signature that
         # fails sacrifices its leaf.
-        sig = hbs.hbs_sign(self._kp, msg, self._rng)
+        raw = hbs.hbs_sign(self._kp, msg, self._rng)
         if stateful:
             self.store.note_consumed(self.alias, self._kp.next_leaf)
             self._mark_pending = True
-        raw = hbs.hbs_serialize_sig(sig)
         return frame_blob(self.algorithm_id, self.registry_version, raw)
 
     def _refill_window(self, leaf_count: int) -> None:
@@ -460,16 +467,6 @@ class EasySigner(_StoredKey):
             super().close()
 
 
-def _signature_verifies(params: hbs.HbsParams, root: bytes, msg: bytes, raw_sig: bytes) -> bool:
-    """The check behind easysigner_verify and envelope_open; an
-    unreadable signature rejects."""
-    try:
-        sig = hbs.hbs_parse_sig(params, raw_sig)
-    except MalformedEncoding:
-        return False
-    return hbs.hbs_verify(root, params, msg, sig)
-
-
 def easysigner_verify(public_blob: bytes, msg: bytes, sig_blob: bytes) -> bool:
     """Check a framed signature against a framed public key.  Any
     malformed input rejects; no exception escapes for bad blobs."""
@@ -478,7 +475,7 @@ def easysigner_verify(public_blob: bytes, msg: bytes, sig_blob: bytes) -> bool:
         params, root = sender_key(public_blob, sig_id)
     except (MalformedEncoding, AlgorithmMismatch):
         return False
-    return _signature_verifies(params, root, msg, raw_sig)
+    return hbs.hbs_verify(root, params, msg, raw_sig)
 
 
 class EasyEncrypter(_StoredKey):
@@ -493,7 +490,7 @@ class EasyEncrypter(_StoredKey):
         if not isinstance(ap.params, cbkem.KemParams):
             raise ParameterError("encrypter requires a KEM algorithm")
         kp = cbkem.kem_keygen(ap.params, rng)
-        return cls._create("enc", ap, ksp, rng, kp, cbkem.kem_serialize_pk(kp.pk), None)
+        return cls._create("enc", ap, ksp, rng, kp, kp.pk.encoding, None)
 
     @classmethod
     def open(

@@ -7,7 +7,9 @@ picks the leaf pseudorandomly from the randomized message digest; at these
 desk-scale heights leaf collisions are probable, so the mode is a
 functional emulation of stateless signing, not a security claim.
 
-All integers in canonical encodings are big-endian with fixed widths.
+A signature exists only as its bytes: hbs_sign returns them and
+hbs_verify reads them in place, rejecting any other length.  All
+integers in canonical encodings are big-endian with fixed widths.
 """
 
 from __future__ import annotations
@@ -43,15 +45,12 @@ __all__ = [
     "HbsMode",
     "HbsParams",
     "HbsKeyPair",
-    "HbsSignature",
     "hbs_keygen",
     "hbs_sign",
     "hbs_sign_with_leaf",
     "hbs_verify",
     "hbs_export_public",
     "hbs_parse_public",
-    "hbs_serialize_sig",
-    "hbs_parse_sig",
 ]
 
 
@@ -132,14 +131,6 @@ class HbsParams:
         if params.algorithm_id != identifier:
             raise ParameterError(f"{identifier!r} is not spelled {params.algorithm_id!r}")
         return params
-
-
-@dataclass
-class HbsSignature:
-    leaf_index: int
-    randomizer: bytes
-    wots_sig: list[bytes]
-    auth_path: list[bytes]
 
 
 @dataclass
@@ -323,13 +314,14 @@ def hbs_keygen(params: HbsParams, rng: Rng) -> HbsKeyPair:
     return HbsKeyPair.from_seed(params, rng.random_bytes(32))
 
 
-def hbs_sign_with_leaf(
-    kp: HbsKeyPair, leaf_index: int, msg: bytes, rng: Rng
-) -> HbsSignature:
+def hbs_sign_with_leaf(kp: HbsKeyPair, leaf_index: int, msg: bytes, rng: Rng) -> bytes:
     """Sign using an explicitly chosen leaf; index-reuse discipline is
     then entirely the caller's responsibility.  hbs_sign signs through
     here, and so does the EasySigner facade: it points the key's
-    next_leaf into its keystore reservation and calls hbs_sign."""
+    next_leaf into its keystore reservation and calls hbs_sign.
+
+    The signature is params.signature_size bytes: leaf u32 ||
+    randomizer[32] || chain values[l * n_h] || auth path[h * n_h]."""
     params = kp.params
     if not 0 <= leaf_index < params.leaf_count:
         raise ParameterError("leaf index out of range")
@@ -346,12 +338,10 @@ def hbs_sign_with_leaf(
         for j, d in enumerate(digits)
     ]
     auth = [kp._levels[t][(leaf_index >> t) ^ 1] for t in range(params.h)]
-    return HbsSignature(
-        leaf_index=leaf_index, randomizer=randomizer, wots_sig=wots, auth_path=auth
-    )
+    return b"".join([uint(leaf_index, 4), randomizer, *wots, *auth])
 
 
-def hbs_sign(kp: HbsKeyPair, msg: bytes, rng: Rng) -> HbsSignature:
+def hbs_sign(kp: HbsKeyPair, msg: bytes, rng: Rng) -> bytes:
     """Sign msg.  STATEFUL keys consume the next leaf and advance the
     counter before the signature is released; STATELESS keys derive the
     leaf from the randomized digest."""
@@ -367,34 +357,32 @@ def hbs_sign(kp: HbsKeyPair, msg: bytes, rng: Rng) -> HbsSignature:
     return hbs_sign_with_leaf(kp, 0, msg, rng)
 
 
-def hbs_verify(root: bytes, params: HbsParams, msg: bytes, sig: HbsSignature) -> bool:
-    """Complete the chains, fold the authentication path, compare roots.
-    Malformed signatures reject; no exception escapes."""
-    if not isinstance(sig.leaf_index, int) or not 0 <= sig.leaf_index < params.leaf_count:
+def hbs_verify(root: bytes, params: HbsParams, msg: bytes, sig: bytes) -> bool:
+    """Read the signature bytes in place, complete the chains, fold the
+    authentication path, compare roots.  A signature of any length but
+    params.signature_size, a leaf index past 2^h, or a stateless leaf
+    the digest does not pick rejects; no exception escapes."""
+    n = params.n_h
+    if len(sig) != params.signature_size or len(root) != n:
         return False
-    if len(sig.randomizer) != 32 or len(root) != params.n_h:
+    leaf = int.from_bytes(sig[:4], "big")
+    if leaf >= params.leaf_count:
         return False
-    if len(sig.wots_sig) != params.l or any(len(v) != params.n_h for v in sig.wots_sig):
-        return False
-    if len(sig.auth_path) != params.h or any(len(v) != params.n_h for v in sig.auth_path):
-        return False
-    digits, digest = _message_digits(params, sig.randomizer, root, msg)
-    if params.mode is HbsMode.STATELESS and sig.leaf_index != _stateless_leaf(
-        params, digest
-    ):
+    digits, digest = _message_digits(params, sig[4:36], root, msg)
+    if params.mode is HbsMode.STATELESS and leaf != _stateless_leaf(params, digest):
         return False
     ends = [
-        _advance(params, j, value, d, params.w - 1 - d)
-        for j, (value, d) in enumerate(zip(sig.wots_sig, digits))
+        _advance(params, j, sig[36 + j * n : 36 + (j + 1) * n], d, params.w - 1 - d)
+        for j, d in enumerate(digits)
     ]
-    node = _leaf_digest(params, sig.leaf_index, ends)
-    idx = sig.leaf_index
-    for t, sibling in enumerate(sig.auth_path):
-        if idx & 1:
+    node = _leaf_digest(params, leaf, ends)
+    path = 36 + params.l * n
+    for t in range(params.h):
+        sibling = sig[path + t * n : path + (t + 1) * n]
+        if (leaf >> t) & 1:
             node = _parent(params, t + 1, sibling, node)
         else:
             node = _parent(params, t + 1, node, sibling)
-        idx >>= 1
     return node == root
 
 
@@ -423,30 +411,3 @@ def hbs_parse_public(data: bytes) -> tuple[HbsParams, bytes]:
     root = r.take(n_h)
     r.expect_end()
     return params, root
-
-
-def hbs_serialize_sig(sig: HbsSignature) -> bytes:
-    """leaf u32 || randomizer[32] || wots_sig[l * n_h] || auth_path[h * n_h]."""
-    return (
-        uint(sig.leaf_index, 4)
-        + sig.randomizer
-        + b"".join(sig.wots_sig)
-        + b"".join(sig.auth_path)
-    )
-
-
-def hbs_parse_sig(params: HbsParams, data: bytes) -> HbsSignature:
-    expected = params.signature_size
-    if len(data) != expected:
-        raise MalformedEncoding(
-            f"signature length {len(data)}, expected {expected}",
-            offset=min(len(data), expected),
-        )
-    r = Reader(data)
-    leaf_index = r.u32()
-    randomizer = r.take(32)
-    wots = [r.take(params.n_h) for _ in range(params.l)]
-    auth = [r.take(params.n_h) for _ in range(params.h)]
-    return HbsSignature(
-        leaf_index=leaf_index, randomizer=randomizer, wots_sig=wots, auth_path=auth
-    )

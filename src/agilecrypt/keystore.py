@@ -19,7 +19,9 @@ raises MalformedStore when the store is opened.
 
 Every mutation rewrites and atomically replaces the whole file
 (write-temp, fsync, rename, fsync directory) and completes before the
-mutating call returns.  Stateful signature counters follow
+mutating call returns.  The handle's table changes only once the new
+file is in place, so a mutation whose write fails before the rename
+leaves no trace in memory and can be retried.  Stateful signature counters follow
 reserve-then-sign: reserve_leaves persists the raised reservation mark
 BEFORE returning the range, so a crash can only sacrifice indices, never
 reuse them.
@@ -246,16 +248,14 @@ class Keystore:
         _validate_entry(entry)
         if entry.alias in self._entries:
             raise DuplicateAlias(f"entry {entry.alias!r} already exists")
-        self._entries[entry.alias] = _copy_entry(entry)
-        self._persist()
+        self._persist({**self._entries, entry.alias: _copy_entry(entry)})
 
     def update_entry(self, entry: KeystoreEntry) -> None:
         self._check_usable(write=True)
         _validate_entry(entry)
         if entry.alias not in self._entries:
             raise UnknownAlias(f"no entry {entry.alias!r}")
-        self._entries[entry.alias] = _copy_entry(entry)
-        self._persist()
+        self._persist({**self._entries, entry.alias: _copy_entry(entry)})
 
     def reserve_leaves(self, alias: str, count: int) -> tuple[int, int]:
         """Hand out the next `count` one-time indices.  The raised
@@ -271,8 +271,8 @@ class Keystore:
         leaf_count = _stateful_leaf_count(entry.algorithm_id)
         if end > leaf_count:
             raise KeyExhausted(f"{alias!r}: {count} leaves requested, {leaf_count - start} left")
-        entry.state.reserved_until = end
-        self._persist()
+        state = dataclasses.replace(entry.state, reserved_until=end)
+        self._persist({**self._entries, alias: dataclasses.replace(entry, state=state)})
         return (start, end)
 
     def record_consumed(self, alias: str, upto: int) -> None:
@@ -312,8 +312,13 @@ class Keystore:
         if self.crash_hook is not None:
             self.crash_hook(point)
 
-    def _persist(self) -> None:
-        table = _encode_table(self._entries)
+    def _persist(self, entries: dict[str, KeystoreEntry] | None = None) -> None:
+        """Write ``entries`` (by default the table in memory) and make
+        them the table in memory once the new file is in place: a write
+        that fails before then leaves memory as the file is."""
+        if entries is None:
+            entries = self._entries
+        table = _encode_table(entries)
         self._hook("serialized")
         blob = seal_record(self._keys, 0, self._header, table)
         tmp = self.params.path + ".tmp"
@@ -337,6 +342,7 @@ class Keystore:
         self._hook("tmp-synced")
         try:
             os.replace(tmp, self.params.path)
+            self._entries = entries
             _fsync_dir(self.params.path)
         except OSError as exc:
             raise KeystoreIoError(f"cannot replace {self.params.path}: {exc}") from exc

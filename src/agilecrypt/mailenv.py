@@ -14,8 +14,10 @@ holding a damaged envelope cannot tell the regions apart.
 
 Key reading and the KEM-then-seal step are easyapi's, shared with
 EasyEncrypter; the envelope differs only in its associated data (the
-header, without the KEM ciphertext).  Framing uses agilecrypt.codec,
-whose strict-decoding rules apply.
+header, without the KEM ciphertext).  The signature is the last
+signature_size bytes of the opened body, and hbs_verify reads them as
+they are: a body too short to hold one fails the check like a damaged
+one.  Framing uses agilecrypt.codec, whose strict-decoding rules apply.
 """
 
 from __future__ import annotations
@@ -26,7 +28,6 @@ from .codec import Reader, decode_text, encode_text, uint, vec8, vec16, vec32
 from .easyapi import (
     EasyEncrypter,
     EasySigner,
-    _signature_verifies,
     hybrid_encap,
     hybrid_open,
     parse_blob,
@@ -34,6 +35,7 @@ from .easyapi import (
     sender_key,
 )
 from .errors import AlgorithmMismatch, BadMac, BadSignature, InvalidCiphertext, MalformedEncoding
+from .hbs import hbs_verify
 from .primitives import HashId, Rng, SystemRng, hash_data, seal_record
 
 ENVELOPE_EXTENSION = ".agenv"
@@ -165,6 +167,6 @@ def envelope_open(recipient: EasyEncrypter, sender_public_blob: bytes, env: Enve
 
     sig_size = sig_params.signature_size
     message, raw_sig = plaintext[:-sig_size], plaintext[-sig_size:]
-    if not _signature_verifies(sig_params, sender_root, header_bytes + message, raw_sig):
+    if not hbs_verify(sender_root, sig_params, header_bytes + message, raw_sig):
         raise BadSignature("sender signature does not verify")
     return message

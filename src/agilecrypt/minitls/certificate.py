@@ -2,9 +2,11 @@
 
 Not X.509: a certificate is five length-prefixed fields (the signed
 portion) followed by the issuer's hash-based signature over exactly those
-bytes.  The KEM public key is embedded whole, which is what makes the
-Certificate handshake message the megabyte-scale payload for large
-parameter sets.
+bytes.  The signature is kept as the bytes hbs_sign returned and is
+written as they are; parse_certificate refuses one whose length is not
+the signature size of the certificate's signature algorithm.  The KEM
+public key is embedded whole, which is what makes the Certificate
+handshake message the megabyte-scale payload for large parameter sets.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ from __future__ import annotations
 import dataclasses
 from dataclasses import dataclass
 
-from ..cbkem import KemKeyPair, KemPublicKey, kem_keygen, kem_serialize_pk
+from ..cbkem import KemKeyPair, KemPublicKey, kem_keygen
 from ..codec import Reader, decode_text, encode_text, vec8, vec16, vec32
 from ..easyapi import (
     SecurityLevel,
@@ -25,15 +27,7 @@ from ..easyapi import (
     template_resolve,
 )
 from ..errors import AlgorithmMismatch, MalformedEncoding
-from ..hbs import (
-    HbsKeyPair,
-    HbsSignature,
-    hbs_keygen,
-    hbs_parse_sig,
-    hbs_serialize_sig,
-    hbs_sign,
-    hbs_verify,
-)
+from ..hbs import HbsKeyPair, hbs_keygen, hbs_sign, hbs_verify
 from ..primitives import Rng
 
 
@@ -44,7 +38,7 @@ class Certificate:
     kem_public_key: bytes
     hbs_algorithm_id: str
     issuer_root: bytes
-    issuer_signature: HbsSignature
+    issuer_signature: bytes
 
 
 def _signed_portion(cert: Certificate) -> bytes:
@@ -72,7 +66,7 @@ def issue_certificate(
 
 
 def encode_certificate(cert: Certificate) -> bytes:
-    return _signed_portion(cert) + vec32(hbs_serialize_sig(cert.issuer_signature))
+    return _signed_portion(cert) + vec32(cert.issuer_signature)
 
 
 def parse_certificate(data: bytes) -> Certificate:
@@ -82,13 +76,18 @@ def parse_certificate(data: bytes) -> Certificate:
     kem_public_key = r.vec32()
     hbs_algorithm_id = decode_text(r.vec8(), "ascii", r.offset)
     issuer_root = r.vec8()
-    sig_raw = r.vec32()
+    signature = r.vec32()
     r.expect_end()
     try:
         sig_params = family_params(TemplateKind.SIGNATURE, hbs_algorithm_id)
     except AlgorithmMismatch as exc:
         raise MalformedEncoding(f"certificate signature algorithm: {exc}") from exc
-    signature = hbs_parse_sig(sig_params, sig_raw)
+    expected = sig_params.signature_size
+    if len(signature) != expected:
+        raise MalformedEncoding(
+            f"signature length {len(signature)}, expected {expected}",
+            offset=min(len(signature), expected),
+        )
     return Certificate(
         subject, kem_algorithm_id, kem_public_key, hbs_algorithm_id, issuer_root, signature
     )
@@ -122,9 +121,7 @@ def issue_server_material(
     enc_ap = template_resolve(registry, TemplateKind.ENCRYPTION, level)
     issuer = hbs_keygen(sig_ap.params, rng)
     kem_kp = kem_keygen(enc_ap.params, rng)
-    cert = issue_certificate(
-        issuer, subject, enc_ap.algorithm_id, kem_serialize_pk(kem_kp.pk), rng
-    )
+    cert = issue_certificate(issuer, subject, enc_ap.algorithm_id, kem_kp.pk.encoding, rng)
     return issuer, kem_kp, cert, frame_blob(enc_ap.algorithm_id, registry.version, kem_kp.seed)
 
 

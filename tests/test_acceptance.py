@@ -220,7 +220,7 @@ def test_registry_drift_aborts_before_key_exchange():
     kem_kp = cbkem.kem_keygen(enc_ap.params, rng)
     cert = issue_certificate(
         issuer, "drift-server", enc_ap.algorithm_id,
-        cbkem.kem_serialize_pk(kem_kp.pk), rng,
+        kem_kp.pk.encoding, rng,
     )
 
     runs, clean_aborts = 10, 0
@@ -363,9 +363,8 @@ def test_signature_roundtrips_mutations_and_sizes():
     signed: list[tuple[bytes, bytes]] = []
     for _ in range(1000):
         msg = trial_rng.randbytes(trial_rng.randrange(0, 128))
-        sig = hbs.hbs_sign(kp, msg, sign_rng)
-        blob = hbs.hbs_serialize_sig(sig)
-        if hbs.hbs_verify(kp.root, params, msg, hbs.hbs_parse_sig(params, blob)):
+        blob = hbs.hbs_sign(kp, msg, sign_rng)
+        if hbs.hbs_verify(kp.root, params, msg, blob):
             roundtrips += 1
         signed.append((msg, blob))
 
@@ -373,12 +372,7 @@ def test_signature_roundtrips_mutations_and_sizes():
         flipped = bytearray(blob)
         bit = trial_rng.randrange(len(flipped) * 8)
         flipped[bit // 8] ^= 1 << (bit % 8)
-        try:
-            mutated = hbs.hbs_parse_sig(params, bytes(flipped))
-        except MalformedEncoding:
-            mutations_rejected += 1
-            continue
-        if not hbs.hbs_verify(kp.root, params, msg, mutated):
+        if not hbs.hbs_verify(kp.root, params, msg, bytes(flipped)):
             mutations_rejected += 1
 
     size_sets = (
@@ -395,7 +389,7 @@ def test_signature_roundtrips_mutations_and_sizes():
         key = hbs.hbs_keygen(p, DeterministicRng(algorithm_id.encode()))
         sig = hbs.hbs_sign(key, b"sized", DeterministicRng(b"sizing"))
         expected = _independent_signature_size(p.n_h, p.w, p.h)
-        if len(hbs.hbs_serialize_sig(sig)) == expected == p.signature_size:
+        if len(sig) == expected == p.signature_size:
             sizes_exact += 1
 
     ok = roundtrips == 1000 and mutations_rejected == 1000 and sizes_exact == len(size_sets)
@@ -475,7 +469,7 @@ def test_stateful_leaf_safety_across_crashes_and_exhaustion(tmp_path):
     ) as signer:
         for i in range(16):
             _, _, raw = parse_blob(signer.sign(b"use %d" % i))
-            leaf_indices.append(hbs.hbs_parse_sig(ap.params, raw).leaf_index)
+            leaf_indices.append(int.from_bytes(raw[:4], "big"))
         try:
             signer.sign(b"one too many")
         except KeyExhausted:
@@ -567,18 +561,14 @@ def test_facade_agrees_with_direct_composition(tmp_path):
         for i in range(sign_trials):
             msg = trial_rng.randbytes(trial_rng.randrange(0, 200))
             ident, _, raw_sig = parse_blob(signer.sign(msg))
-            facade_sig = hbs.hbs_parse_sig(pub_params, raw_sig)
-            direct = hbs.hbs_sign_with_leaf(
-                direct_kp, facade_sig.leaf_index, msg, _StubRng(facade_sig.randomizer)
-            )
-            if hbs.hbs_serialize_sig(direct) == raw_sig and hbs.hbs_verify(
-                root, pub_params, msg, facade_sig
-            ):
+            leaf_index, randomizer = int.from_bytes(raw_sig[:4], "big"), raw_sig[4:36]
+            direct = hbs.hbs_sign_with_leaf(direct_kp, leaf_index, msg, _StubRng(randomizer))
+            if direct == raw_sig and hbs.hbs_verify(root, pub_params, msg, raw_sig):
                 sig_identical += 1
             bare = hbs.hbs_sign_with_leaf(
                 direct_kp, 100 + i, msg, DeterministicRng(b"bare %d" % i)
             )
-            framed = frame_blob(ident, 1, hbs.hbs_serialize_sig(bare))
+            framed = frame_blob(ident, 1, bare)
             if easysigner_verify(signer.public_blob, msg, framed):
                 sig_cross_ok += 1
 

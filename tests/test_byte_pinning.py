@@ -73,7 +73,7 @@ _PINNED_ROOTS = {
     "SPX-TOY-32-16-12-SL": "8919ba55de89ac8ba02abb8fc2f4115859197b20d84af02196926f9e2a7705db",
 }
 
-# SHA-256 of kem_serialize_pk of kem_keygen(params, _rng("kem-pk/" + id)).
+# SHA-256 of the public key encoding of kem_keygen(params, _rng("kem-pk/" + id)).
 _PINNED_KEM_PKS = {
     "CME-TOY-10-8": "767ab2b8ca2b05f62da38d750cddf31958b19ab511ae12996179bc1aa3cd8b18",
     "CME-TOY-13-16": "0a9edc82b67a86e233bc73fa4f3abcc2a839cb1f03d863942edc879d52fe6e29",
@@ -146,7 +146,7 @@ def test_certificate_is_pinned():
     issuer = hbs.hbs_keygen(_SIG_AP.params, rng)
     kem = cbkem.kem_keygen(_ENC_AP.params, rng)
     cert = issue_certificate(
-        issuer, "pinned.example", _ENC_AP.algorithm_id, cbkem.kem_serialize_pk(kem.pk), rng
+        issuer, "pinned.example", _ENC_AP.algorithm_id, kem.pk.encoding, rng
     )
     assert _digest(encode_certificate(cert)) == _PINNED["certificate"]
 
@@ -191,7 +191,7 @@ def test_handshake_byte_stream_is_pinned():
     ca = hbs.hbs_keygen(_SIG_AP.params, rng)
     kem = cbkem.kem_keygen(_ENC_AP.params, rng)
     cert = issue_certificate(
-        ca, "pinned.example", _ENC_AP.algorithm_id, cbkem.kem_serialize_pk(kem.pk), rng
+        ca, "pinned.example", _ENC_AP.algorithm_id, kem.pk.encoding, rng
     )
     client_end, server_end = (_RecordingTransport(t) for t in transport_pair(timeout=30.0))
     server_config = ServerTlsConfig(
@@ -246,7 +246,7 @@ def test_signature_root_is_pinned(ident):
 
 
 def test_kem_public_keys_are_pinned(kem_keys):
-    digests = {ident: _digest(cbkem.kem_serialize_pk(kp.pk)) for ident, kp in kem_keys.items()}
+    digests = {ident: _digest(kp.pk.encoding) for ident, kp in kem_keys.items()}
     assert digests == _PINNED_KEM_PKS
 
 
@@ -263,7 +263,7 @@ def test_loaded_tables_equal_the_seeded_tables(kem_keys):
     named = {p.algorithm_id for p in cbkem.NAMED_PARAM_SETS.values()}
     assert registry_rows | named == set(kem_keys)
     for ident, kp in kem_keys.items():
-        loaded = cbkem.KemKeyPair.load(kp.params, kp.seed, cbkem.kem_serialize_pk(kp.pk))
+        loaded = cbkem.KemKeyPair.load(kp.params, kp.seed, kp.pk.encoding)
         assert loaded.seed == loaded.sk.seed == kp.seed
         assert _same_tables(loaded, kp), ident
 

@@ -20,7 +20,6 @@ from agilecrypt.cbkem import (
     NAMED_PARAM_SETS,
     KemKeyPair,
     KemParams,
-    KemPublicKey,
     _decode_ct,
     _encode_ct,
     _pack_columns,
@@ -28,7 +27,6 @@ from agilecrypt.cbkem import (
     kem_encap,
     kem_keygen,
     kem_parse_pk,
-    kem_serialize_pk,
 )
 from agilecrypt.primitives import DeterministicRng
 
@@ -83,9 +81,9 @@ def test_keygen_deterministic():
     p = KemParams(m=6, b=2)
     kp1 = kem_keygen(p, DeterministicRng(b"kem determinism"))
     kp2 = kem_keygen(p, DeterministicRng(b"kem determinism"))
-    assert kem_serialize_pk(kp1.pk) == kem_serialize_pk(kp2.pk)
+    assert kp1.pk.encoding == kp2.pk.encoding
     kp3 = kem_keygen(p, DeterministicRng(b"different"))
-    assert kem_serialize_pk(kp1.pk) != kem_serialize_pk(kp3.pk)
+    assert kp1.pk.encoding != kp3.pk.encoding
 
 
 def test_identity_column_convention():
@@ -166,7 +164,7 @@ def test_pk_serialization_roundtrip_small():
     for m, b in [(3, 1), (3, 3), (6, 2), (8, 4), (10, 1)]:
         p = KemParams(m=m, b=b)
         kp = kem_keygen(p, rng)
-        blob = kem_serialize_pk(kp.pk)
+        blob = kp.pk.encoding
         assert len(blob) == p.pk_bytes
         parsed = kem_parse_pk(p, blob)
         assert parsed == kp.pk
@@ -177,7 +175,7 @@ def test_pk_serialization_roundtrip_small():
 def test_pk_parse_rejects_bad_lengths_and_padding():
     p = KemParams(m=3, b=1)
     kp = kem_keygen(p, DeterministicRng(b"pk malformed"))
-    blob = kem_serialize_pk(kp.pk)
+    blob = kp.pk.encoding
     with pytest.raises(MalformedEncoding):
         kem_parse_pk(p, blob + b"\x00")
     with pytest.raises(MalformedEncoding):
@@ -214,7 +212,7 @@ def test_from_seed_reconstruction():
     rng = DeterministicRng(b"from seed")
     kp = kem_keygen(p, rng)
     rebuilt = KemKeyPair.from_seed(p, kp.seed)
-    assert kem_serialize_pk(rebuilt.pk) == kem_serialize_pk(kp.pk)
+    assert rebuilt.pk.encoding == kp.pk.encoding
     ct, ss = kem_encap(kp.pk, rng)
     assert kem_decap(rebuilt.sk, ct) == ss
 
@@ -222,14 +220,14 @@ def test_from_seed_reconstruction():
 def test_load_rejects_columns_that_are_not_a_permutation():
     p = KemParams(m=4, b=2)
     kp = kem_keygen(p, DeterministicRng(b"load malformed"))
-    good = kem_serialize_pk(kp.pk)
+    good = kp.pk.encoding
     assert KemKeyPair.load(p, kp.seed, good).pk == kp.pk
     for bad_value in (0, 1 << (p.m - 1), kp.pk.syndrome_for_position(1, p.m)):
         blocks = [
             [kp.pk.syndrome_for_position(i, j) for j in range(p.m, p.n)] for i in range(p.b)
         ]
         blocks[1][-1] = bad_value  # zero, a unit column, or a repeated T column
-        bad = kem_serialize_pk(KemPublicKey(params=p, encoding=_pack_columns(p, blocks)))
+        bad = _pack_columns(p, blocks)
         with pytest.raises(MalformedEncoding):
             KemKeyPair.load(p, kp.seed, bad)
     with pytest.raises(MalformedEncoding):
@@ -250,7 +248,7 @@ ap = template_resolve(builtin_registry(1), TemplateKind.ENCRYPTION, SecurityLeve
 params = cbkem.KemParams.from_algorithm_id(ap.algorithm_id)
 rng = DeterministicRng(b"blocked import")
 kp = cbkem.kem_keygen(params, rng)
-loaded = cbkem.KemKeyPair.load(params, kp.seed, cbkem.kem_serialize_pk(kp.pk))
+loaded = cbkem.KemKeyPair.load(params, kp.seed, kp.pk.encoding)
 ct, ss = cbkem.kem_encap(loaded.pk, rng)
 assert cbkem.kem_decap(loaded.sk, ct) == ss
 """

@@ -6,7 +6,8 @@ byte replaced, or extended) either decodes or raises the one documented
 error: MalformedEncoding, MalformedStore for the keystore entry table, or
 InvalidCiphertext for a KEM ciphertext.  kem_decap, the public reader of
 a KEM ciphertext, runs on one fixed small key: it returns a 32-byte
-secret or raises InvalidCiphertext.
+secret or raises InvalidCiphertext.  A signature has no decoder:
+hbs_verify reads its bytes in place and returns a bool for any of them.
 The registry text gets the same treatment with strings instead of bytes.
 Hypothesis runs derandomized with a fixed example budget, so every run
 checks the same inputs.
@@ -28,7 +29,6 @@ from agilecrypt.cbkem import (
     kem_encap,
     kem_keygen,
     kem_parse_pk,
-    kem_serialize_pk,
 )
 from agilecrypt.easyapi import (
     SecurityLevel,
@@ -43,11 +43,11 @@ from agilecrypt.hbs import (
     HbsKeyPair,
     HbsMode,
     HbsParams,
-    HbsSignature,
     hbs_export_public,
+    hbs_keygen,
     hbs_parse_public,
-    hbs_parse_sig,
-    hbs_serialize_sig,
+    hbs_sign_with_leaf,
+    hbs_verify,
 )
 from agilecrypt.keystore import EntryState, KeystoreEntry, _decode_table, _encode_table
 from agilecrypt.mailenv import Envelope, EnvelopeHeader, envelope_decode, envelope_encode
@@ -153,14 +153,13 @@ def _certificates(draw):
         draw(st.sampled_from(["SPX-TOY-16-16-4-S", "SPX-TOY-16-4-4-SL", "SPX-TOY-32-16-4-S"]))
     )
     size = sig_params.signature_size
-    raw_sig = draw(st.binary(min_size=size, max_size=size))
     return Certificate(
         subject=draw(_utf8()),
         kem_algorithm_id=draw(_ascii(max_size=255)),
         kem_public_key=draw(st.binary(max_size=64)),
         hbs_algorithm_id=sig_params.algorithm_id,
         issuer_root=draw(st.binary(max_size=255)),
-        issuer_signature=hbs_parse_sig(sig_params, raw_sig),
+        issuer_signature=draw(st.binary(min_size=size, max_size=size)),
     )
 
 
@@ -180,6 +179,12 @@ def _entry_tables(draw):
         )
     return entries
 
+
+# One fixed 16-leaf key per mode.
+_SIG_KEYS = [
+    hbs_keygen(HbsParams(n_h=16, w=16, h=4, mode=mode), DeterministicRng(b"verify property key"))
+    for mode in HbsMode
+]
 
 _BLOB = st.tuples(_ascii(min_size=1, max_size=255), _U32, st.binary(max_size=64))
 
@@ -213,15 +218,17 @@ def _kem_public_keys(draw):
 
 @st.composite
 def _hbs_signatures(draw):
-    params = draw(_SIG_PARAMS)
-    node = st.binary(min_size=params.n_h, max_size=params.n_h)
-    signature = HbsSignature(
-        leaf_index=draw(_U32),
-        randomizer=draw(st.binary(min_size=32, max_size=32)),
-        wots_sig=draw(st.lists(node, min_size=params.l, max_size=params.l)),
-        auth_path=draw(st.lists(node, min_size=params.h, max_size=params.h)),
-    )
-    return params, signature
+    """Parameters, a root and signature bytes of the signature's size:
+    random for random parameters, or made over an empty message by one
+    of two fixed small keys."""
+    if draw(st.booleans()):
+        params = draw(_SIG_PARAMS)
+        size = params.signature_size
+        root = draw(st.binary(min_size=params.n_h, max_size=params.n_h))
+        return (params, root), draw(st.binary(min_size=size, max_size=size))
+    kp = draw(st.sampled_from(_SIG_KEYS))
+    rng = DeterministicRng(draw(st.binary(max_size=8)))
+    return (kp.params, kp.root), hbs_sign_with_leaf(kp, draw(st.integers(0, 15)), b"", rng)
 
 
 @st.composite
@@ -301,20 +308,13 @@ def test_kem_ciphertext_roundtrip(case):
 def test_kem_public_key_roundtrip(case):
     pk, blocks = case
     params = pk.params
-    parsed = kem_parse_pk(params, kem_serialize_pk(pk))
+    parsed = kem_parse_pk(params, pk.encoding)
     assert parsed == pk
     assert [list(cols) for cols in _unpack_columns(parsed)] == blocks
     assert [
         [parsed.syndrome_for_position(i, j) for j in range(params.m, params.n)]
         for i in range(params.b)
     ] == blocks
-
-
-@_PROPERTY
-@given(_hbs_signatures())
-def test_hbs_signature_roundtrip(case):
-    params, sig = case
-    assert hbs_parse_sig(params, hbs_serialize_sig(sig)) == sig
 
 
 @_PROPERTY
@@ -420,7 +420,7 @@ def test_kem_decap_returns_a_secret_or_raises_only_invalid_ciphertext(ct):
 @given(
     _sized_inputs(
         _kem_public_keys().map(lambda case: (case[0].params, case[0])),
-        lambda _, pk: kem_serialize_pk(pk),
+        lambda _, pk: pk.encoding,
         lambda p: p.pk_bytes,
     )
 )
@@ -430,14 +430,10 @@ def test_kem_public_key_parser_raises_only_malformed_encoding(case):
 
 
 @_PROPERTY
-@given(
-    _sized_inputs(
-        _hbs_signatures(), lambda _, sig: hbs_serialize_sig(sig), lambda p: p.signature_size
-    )
-)
-def test_hbs_signature_parser_raises_only_malformed_encoding(case):
-    params, data = case
-    _decodes_or_raises(lambda raw: hbs_parse_sig(params, raw), data, MalformedEncoding)
+@given(_sized_inputs(_hbs_signatures(), lambda _, sig: sig, lambda key: key[0].signature_size))
+def test_hbs_verify_returns_a_bool_and_raises_nothing(case):
+    (params, root), data = case
+    assert isinstance(hbs_verify(root, params, b"", data), bool)
 
 
 @_PROPERTY

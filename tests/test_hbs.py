@@ -24,8 +24,6 @@ from agilecrypt.hbs import (
     hbs_export_public,
     hbs_keygen,
     hbs_parse_public,
-    hbs_parse_sig,
-    hbs_serialize_sig,
     hbs_sign,
     hbs_verify,
 )
@@ -91,12 +89,19 @@ def test_keygen_deterministic_root():
     assert hbs_keygen(_params(), DeterministicRng(b"other")).root != kp1.root
 
 
+def _leaf_index(sig: bytes) -> int:
+    return struct.unpack(">I", sig[:4])[0]
+
+
 def test_sign_verify_roundtrip_and_auth_path_len():
     rng = DeterministicRng(b"roundtrip")
     kp = hbs_keygen(_params(), rng)
     sig = hbs_sign(kp, b"Hallo Welt!", rng)
-    assert len(sig.auth_path) == 4
-    assert len(sig.wots_sig) == kp.params.l
+    n_h = kp.params.n_h
+    # leaf u32 || randomizer || l chain values || a 4-node auth path,
+    # which for leaf 0 is node 1 of each level.
+    assert len(sig) == 4 + 32 + kp.params.l * n_h + 4 * n_h
+    assert sig[-4 * n_h :] == b"".join(kp._levels[t][1] for t in range(4))
     assert hbs_verify(kp.root, kp.params, b"Hallo Welt!", sig)
     assert not hbs_verify(kp.root, kp.params, b"Hallo Welt?", sig)
 
@@ -107,7 +112,7 @@ def test_stateful_counter_semantics_and_exhaustion():
     indices = []
     for _ in range(16):
         sig = hbs_sign(kp, b"msg", rng)
-        indices.append(sig.leaf_index)
+        indices.append(_leaf_index(sig))
     assert indices == list(range(16))
     with pytest.raises(KeyExhausted):
         hbs_sign(kp, b"one too many", rng)
@@ -128,7 +133,7 @@ def test_stateless_mode_roundtrips():
     for i in range(50):
         msg = b"stateless %d" % i
         sig = hbs_sign(kp, msg, rng)
-        assert 0 <= sig.leaf_index < 64
+        assert 0 <= _leaf_index(sig) < 64
         assert hbs_verify(kp.root, kp.params, msg, sig)
     # Stateless signing never touches the counter.
     assert kp.next_leaf == 0
@@ -147,7 +152,7 @@ def test_verify_rejects_mutations():
             use_sl = True
         msg = trial_rng.randbytes(trial_rng.randrange(0, 64))
         sig = hbs_sign(target, msg, rng)
-        blob = bytearray(hbs_serialize_sig(sig))
+        blob = bytearray(sig)
         if trial_rng.random() < 0.2 and msg:
             mutated_msg = bytearray(msg)
             pos = trial_rng.randrange(len(mutated_msg) * 8)
@@ -156,8 +161,7 @@ def test_verify_rejects_mutations():
         else:
             pos = trial_rng.randrange(len(blob) * 8)
             blob[pos // 8] ^= 1 << (pos % 8)
-            mutated = hbs_parse_sig(target.params, bytes(blob))
-            assert not hbs_verify(target.root, target.params, msg, mutated)
+            assert not hbs_verify(target.root, target.params, msg, bytes(blob))
 
 
 def test_verify_rejects_wrong_root_and_bad_sizes():
@@ -167,16 +171,15 @@ def test_verify_rejects_wrong_root_and_bad_sizes():
     sig = hbs_sign(kp_a, b"msg", rng)
     assert hbs_verify(kp_a.root, kp_a.params, b"msg", sig)
     assert not hbs_verify(kp_b.root, kp_b.params, b"msg", sig)
-    # Malformed field sizes reject instead of raising.
+    # Malformed sizes and a leaf index past 2^h reject instead of raising.
+    n_h = kp_a.params.n_h
     bad = hbs_sign(kp_a, b"msg2", rng)
-    bad.wots_sig = bad.wots_sig[:-1]
-    assert not hbs_verify(kp_a.root, kp_a.params, b"msg2", bad)
+    assert hbs_verify(kp_a.root, kp_a.params, b"msg2", bad)
+    assert not hbs_verify(kp_a.root, kp_a.params, b"msg2", bad[:-n_h])
     bad2 = hbs_sign(kp_a, b"msg3", rng)
-    bad2.auth_path = bad2.auth_path + [bad2.auth_path[0]]
-    assert not hbs_verify(kp_a.root, kp_a.params, b"msg3", bad2)
+    assert not hbs_verify(kp_a.root, kp_a.params, b"msg3", bad2 + bad2[-n_h:])
     bad3 = hbs_sign(kp_a, b"msg4", rng)
-    bad3.leaf_index = 16
-    assert not hbs_verify(kp_a.root, kp_a.params, b"msg4", bad3)
+    assert not hbs_verify(kp_a.root, kp_a.params, b"msg4", struct.pack(">I", 16) + bad3[4:])
 
 
 def test_signature_size_formula_exact_on_grid():
@@ -185,25 +188,23 @@ def test_signature_size_formula_exact_on_grid():
         p = _params(n_h=n_h, w=w, h=h)
         kp = hbs_keygen(p, rng)
         sig = hbs_sign(kp, b"sized", rng)
-        blob = hbs_serialize_sig(sig)
-        assert len(blob) == 4 + 32 + p.l * n_h + h * n_h
-        assert len(blob) == p.signature_size
-        assert hbs_verify(kp.root, p, b"sized", hbs_parse_sig(p, blob))
+        assert len(sig) == 4 + 32 + p.l * n_h + h * n_h
+        assert len(sig) == p.signature_size
+        assert hbs_verify(kp.root, p, b"sized", sig)
 
 
-def test_sig_serialization_roundtrip():
+def test_signature_bytes_verify_and_resized_bytes_reject():
     rng = DeterministicRng(b"sig serde")
     trial_rng = random.Random(202)
     kp = hbs_keygen(_params(h=6, mode=HbsMode.STATELESS), rng)
     for _ in range(100):
         msg = trial_rng.randbytes(trial_rng.randrange(0, 32))
         sig = hbs_sign(kp, msg, rng)
-        parsed = hbs_parse_sig(kp.params, hbs_serialize_sig(sig))
-        assert parsed == sig
-    with pytest.raises(MalformedEncoding):
-        hbs_parse_sig(kp.params, b"")
-    with pytest.raises(MalformedEncoding):
-        hbs_parse_sig(kp.params, hbs_serialize_sig(sig)[:-1])
+        assert len(sig) == kp.params.signature_size
+        assert hbs_verify(kp.root, kp.params, msg, sig)
+    assert not hbs_verify(kp.root, kp.params, msg, b"")
+    assert not hbs_verify(kp.root, kp.params, msg, sig[:-1])
+    assert not hbs_verify(kp.root, kp.params, msg, sig + b"\0")
 
 
 def test_public_key_export_roundtrip():

@@ -398,6 +398,39 @@ def test_failed_write_keeps_the_previous_store(tmp_path, monkeypatch, call, repl
         assert ks.aliases() == ["sig"]
 
 
+def test_failed_writes_leave_no_trace_in_memory(tmp_path):
+    params = _params(tmp_path)
+    with keystore_create(params) as ks:
+        ks.put_entry(_stateful_entry())
+        ks.reserve_leaves("sig", 4)
+        ks.note_consumed("sig", 2)
+        # A directory where the temporary file goes fails every write.
+        os.mkdir(params.path + ".tmp")
+        with pytest.raises(KeystoreIoError):
+            ks.put_entry(_stateless_entry())
+        changed = _stateful_entry(secret=b"\x05" * 32)
+        changed.state = EntryState(next_leaf=2, reserved_until=4)
+        with pytest.raises(KeystoreIoError):
+            ks.update_entry(changed)
+        with pytest.raises(KeystoreIoError):
+            ks.reserve_leaves("sig", 4)
+        assert ks.aliases() == ["sig"]
+        entry = ks.get_entry("sig")
+        assert entry.secret_material == b"\x01" * 32
+        # The consumption mark raised before the failures is still pending.
+        assert (entry.state.next_leaf, entry.state.reserved_until) == (2, 4)
+        os.rmdir(params.path + ".tmp")
+        ks.put_entry(_stateless_entry(alias="other"))
+        with keystore_open(params, read_only=True) as reader:
+            assert reader.aliases() == ["other", "sig"]
+        ks.put_entry(_stateless_entry())
+        assert ks.reserve_leaves("sig", 4) == (4, 8)
+    with keystore_open(params) as ks:
+        assert ks.aliases() == ["enc", "other", "sig"]
+        state = ks.get_entry("sig").state
+        assert (state.next_leaf, state.reserved_until) == (2, 8)
+
+
 def test_create_releases_the_lock_when_its_first_write_fails(tmp_path, monkeypatch):
     params = _params(tmp_path)
     monkeypatch.setattr(keystore.os, "replace", _disk_full)

@@ -17,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from agilecrypt import cbkem
-from agilecrypt.cbkem import KemParams, kem_keygen, kem_serialize_pk
+from agilecrypt.cbkem import KemParams, kem_keygen
 from agilecrypt.easyapi import (
     SecurityLevel,
     TemplateKind,
@@ -82,7 +82,7 @@ def low_material():
     ca = hbs_keygen(HbsParams.from_algorithm_id(sig.algorithm_id), rng)
     kem_kp = kem_keygen(KemParams.from_algorithm_id(enc.algorithm_id), rng)
     cert = issue_certificate(
-        ca, "server.test", enc.algorithm_id, kem_serialize_pk(kem_kp.pk), rng
+        ca, "server.test", enc.algorithm_id, kem_kp.pk.encoding, rng
     )
     return {"registry": reg, "ca": ca, "cert": cert, "kem": kem_kp, "enc_id": enc.algorithm_id}
 
@@ -657,7 +657,7 @@ def test_certificate_algorithm_must_match_template(low_material):
         low_material["ca"],
         "server.test",
         other_params.algorithm_id,
-        kem_serialize_pk(other_kp.pk),
+        other_kp.pk.encoding,
         rng,
     )
     results = _loopback(
@@ -700,7 +700,7 @@ def test_certificate_signature_algorithm_must_match_template(low_material):
         other_ca,
         "server.test",
         low_material["enc_id"],
-        kem_serialize_pk(low_material["kem"].pk),
+        low_material["kem"].pk.encoding,
         rng,
     )
     results = _loopback(

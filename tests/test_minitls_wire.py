@@ -6,7 +6,7 @@ import dataclasses
 
 import pytest
 
-from agilecrypt.cbkem import KemParams, kem_decap, kem_encap, kem_keygen, kem_serialize_pk
+from agilecrypt.cbkem import KemParams, kem_decap, kem_encap, kem_keygen
 from agilecrypt.easyapi import frame_blob, kem_public_key
 from agilecrypt.errors import (
     AlgorithmMismatch,
@@ -370,7 +370,7 @@ def cert_material():
     kem_params = KemParams(m=10, b=8)
     kem_kp = kem_keygen(kem_params, rng)
     cert = issue_certificate(
-        issuer, "server.example", kem_params.algorithm_id, kem_serialize_pk(kem_kp.pk), rng
+        issuer, "server.example", kem_params.algorithm_id, kem_kp.pk.encoding, rng
     )
     return issuer, cert
 
@@ -408,7 +408,7 @@ def server_files():
 )
 def test_load_server_material(server_files, fault, error):
     issuer, kem_kp, rng = server_files
-    fields = {"kem_id": "CME-TOY-10-8", "public": kem_serialize_pk(kem_kp.pk), **fault}
+    fields = {"kem_id": "CME-TOY-10-8", "public": kem_kp.pk.encoding, **fault}
     cert = issue_certificate(issuer, "server.example", fields["kem_id"], fields["public"], rng)
     seed = fields.get("seed", kem_kp.seed)
     seed_blob = frame_blob(fields.get("seed_id", fields["kem_id"]), 1, seed)
@@ -429,7 +429,7 @@ def test_certificate_issuing_consumes_a_leaf(cert_material):
     rng = DeterministicRng(seed=b"leaf-consume")
     kem_params = KemParams(m=3, b=1)
     kp = kem_keygen(kem_params, rng)
-    issue_certificate(issuer, "x", kem_params.algorithm_id, kem_serialize_pk(kp.pk), rng)
+    issue_certificate(issuer, "x", kem_params.algorithm_id, kp.pk.encoding, rng)
     assert issuer.next_leaf == before + 1
 
 
@@ -463,7 +463,7 @@ def test_certificate_signature_covers_algorithm_id():
     small, same_size = KemParams(m=3, b=1), KemParams(m=2, b=8)
     assert small.pk_bytes == same_size.pk_bytes
     kp = kem_keygen(small, rng)
-    cert = issue_certificate(issuer, "s", small.algorithm_id, kem_serialize_pk(kp.pk), rng)
+    cert = issue_certificate(issuer, "s", small.algorithm_id, kp.pk.encoding, rng)
     assert verify_certificate(cert, (issuer.root,))
     swapped = dataclasses.replace(cert, kem_algorithm_id=same_size.algorithm_id)
     assert not verify_certificate(swapped, (issuer.root,))
