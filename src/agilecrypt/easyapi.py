@@ -163,9 +163,9 @@ def parse_registry_text(text: str) -> TemplateRegistry:
         raise MalformedEncoding(f"registry needs 8 content lines, found {len(lines)}")
     (vno, vline), (ino, iline) = lines[0], lines[1]
     if not vline.startswith("version "):
-        raise MalformedEncoding("first line must be `version N`", offset=vno)
+        raise MalformedEncoding(f"line {vno}: expected `version N`")
     if not iline.startswith("issued "):
-        raise MalformedEncoding("second line must be `issued YYYY-MM-DD`", offset=ino)
+        raise MalformedEncoding(f"line {ino}: expected `issued YYYY-MM-DD`")
     vtext, itext = vline.split(" ", 1)[1], iline.split(" ", 1)[1]
     try:
         version = int(vtext)
@@ -182,14 +182,14 @@ def parse_registry_text(text: str) -> TemplateRegistry:
     for lineno, line in lines[2:]:
         parts = line.split(" ")
         if len(parts) != 3:
-            raise MalformedEncoding("mapping line needs `KIND LEVEL ALGORITHM`", offset=lineno)
+            raise MalformedEncoding(f"line {lineno}: mapping line needs `KIND LEVEL ALGORITHM`")
         try:
             kind = TemplateKind(parts[0])
             level = SecurityLevel[parts[1]]
         except (ValueError, KeyError) as exc:
-            raise MalformedEncoding(f"bad kind/level: {exc}", offset=lineno) from exc
+            raise MalformedEncoding(f"line {lineno}: bad kind/level: {exc}") from exc
         if (kind, level) in entries:
-            raise MalformedEncoding(f"duplicate entry {parts[0]} {parts[1]}", offset=lineno)
+            raise MalformedEncoding(f"line {lineno}: duplicate entry {parts[0]} {parts[1]}")
         entries[(kind, level)] = parts[2]
     try:
         return TemplateRegistry(version=version, issued=issued, entries=entries)

@@ -81,7 +81,8 @@ def connect_tcp(host: str, port: int, timeout: float | None = None) -> SocketTra
     """The timeout applies to connecting and to every later read."""
     try:
         sock = socket.create_connection((host, port), timeout=timeout)
-    except OSError as exc:
+    except (OSError, UnicodeError) as exc:
+        # getaddrinfo raises UnicodeError, with no lookup, for a host IDNA cannot encode.
         raise ConnectionClosed(f"cannot connect to {host}:{port}: {exc}") from exc
     return SocketTransport(sock, timeout)
 

@@ -297,5 +297,9 @@ def make_rng(seed: str | None) -> Rng:
     """Deterministic stream for reproducible fixtures and reports,
     operating-system entropy otherwise."""
     if seed is not None:
-        return DeterministicRng(seed.encode("utf-8"))
+        try:
+            return DeterministicRng(seed.encode("utf-8"))
+        except UnicodeEncodeError:
+            # A command line that is not valid UTF-8 decodes to lone surrogates.
+            raise ParameterError("seed is not valid UTF-8") from None
     return SystemRng()

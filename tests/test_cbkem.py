@@ -9,7 +9,6 @@ closed-form size formulas.
 
 from __future__ import annotations
 
-import random
 import subprocess
 import sys
 

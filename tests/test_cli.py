@@ -1,10 +1,17 @@
 """Command-line interface tests.
 
-Every test but one drives the installed entry point through a real
-subprocess, so argument parsing, exit codes, the password environment
-variable, and the stdout/stderr split are all exercised exactly as a
-shell user sees them.  The tls-connect port test calls main in process,
-so that it can refuse any connection attempt.
+Every test but two drives the CLI through a real `python -m
+agilecrypt.cli` subprocess, so argument parsing, exit codes, the
+password environment variable, and the stdout/stderr split are all
+exercised exactly as a shell user sees them.  The tls-connect port and
+IPv6 tests call main in process, with connect_tcp patched, so that no
+connection is made.
+
+The refused commands are one case table, REFUSED: a row names a command
+line over inputs damaged once per module, its exit code, the text of its
+one error line, and its password.  Every row checks the same contract:
+one `: error:` line and no traceback on stderr (on exit 1, nothing
+else), no `PORT` on stdout, and no file left at the row's new path.
 """
 
 from __future__ import annotations
@@ -18,7 +25,7 @@ import threading
 
 import pytest
 
-from agilecrypt.easyapi import frame_blob, parse_blob
+from agilecrypt.easyapi import builtin_registry, frame_blob, parse_blob
 from agilecrypt.errors import ConnectionClosed
 
 CLI = [sys.executable, "-m", "agilecrypt.cli"]
@@ -92,8 +99,6 @@ def _keystore_args(keyring):
 # ---------------------------------------------------------------------------
 
 def test_keygen_prints_alias_and_writes_public_blob(keyring):
-    from agilecrypt.easyapi import parse_blob
-
     assert keyring["sig_alias"].startswith("sig-SPX-TOY-16-16-8-S")
     assert keyring["enc_alias"].startswith("enc-CME-TOY-10-8")
     for path, algorithm in (
@@ -129,25 +134,6 @@ def test_sign_default_output_is_input_plus_sig(keyring, workdir):
     )
     assert signed.returncode == 0, signed.stderr
     assert (workdir / "other.bin.sig").exists()
-
-
-def test_verify_tampered_signature_exits_one(keyring, workdir):
-    sig_path = workdir / "tampered.sig"
-    signed = run_cli(
-        "sign", keyring["message"], "--alias", keyring["sig_alias"],
-        *_keystore_args(keyring), "--out", sig_path,
-    )
-    assert signed.returncode == 0, signed.stderr
-    blob = bytearray(sig_path.read_bytes())
-    blob[-1] ^= 0x01
-    sig_path.write_bytes(bytes(blob))
-    checked = run_cli(
-        "verify", keyring["message"],
-        "--public", keyring["signer_pub"], "--sig", sig_path,
-        password=None,
-    )
-    assert checked.returncode == 1
-    assert "rejected" in checked.stderr
 
 
 def test_encrypt_decrypt_roundtrip(keyring, workdir):
@@ -186,71 +172,6 @@ def test_envelope_seal_open_roundtrip(keyring, workdir):
     assert opened.stdout == MESSAGE
 
 
-def test_envelope_open_with_wrong_sender_key_exits_one(keyring, workdir):
-    env_path = workdir / "msg2.agenv"
-    sealed = run_cli(
-        "envelope-seal", keyring["message"], "--alias", keyring["sig_alias"],
-        "--recipient", keyring["enc_pub"],
-        *_keystore_args(keyring), "--out", env_path,
-    )
-    assert sealed.returncode == 0, sealed.stderr
-    opened = run_cli(
-        "envelope-open", env_path, "--alias", keyring["enc_alias"],
-        "--sender", keyring["enc_pub"],
-        *_keystore_args(keyring),
-    )
-    assert opened.returncode == 1
-    assert "AlgorithmMismatch" in opened.stderr
-
-
-def test_sign_with_an_encryption_alias_exits_one(keyring, workdir):
-    result = run_cli(
-        "sign", keyring["message"], "--alias", keyring["enc_alias"],
-        *_keystore_args(keyring), "--out", workdir / "enc-alias.sig",
-    )
-    assert result.returncode == 1
-    assert result.stderr.splitlines() == [result.stderr.strip()]
-    assert result.stderr.startswith("agilecrypt: error: AlgorithmMismatch")
-    assert not (workdir / "enc-alias.sig").exists()
-
-
-def test_verify_with_kem_blobs_exits_one(keyring):
-    result = run_cli(
-        "verify", keyring["message"],
-        "--public", keyring["enc_pub"], "--sig", keyring["enc_pub"],
-        password=None,
-    )
-    assert result.returncode == 1
-    assert result.stderr == "agilecrypt: error: signature rejected\n"
-
-
-# ---------------------------------------------------------------------------
-# Exit-code and password contract
-# ---------------------------------------------------------------------------
-
-def test_missing_required_flag_exits_two(keyring):
-    result = run_cli("sign", keyring["message"], *_keystore_args(keyring))
-    assert result.returncode == 2
-
-
-def test_unknown_level_exits_two(workdir):
-    result = run_cli(
-        "keygen", "sign", "--level", "ultra",
-        "--keystore", workdir / "unused.bin",
-    )
-    assert result.returncode == 2
-
-
-def test_missing_password_exits_two_and_names_the_env_var(keyring, workdir):
-    result = run_cli(
-        "decrypt", workdir / "msg.enc", "--alias", keyring["enc_alias"],
-        *_keystore_args(keyring),
-        password=None,
-    )
-    assert result.returncode == 2
-    assert "AGILECRYPT_PASSWORD" in result.stderr
-
-
 def test_password_flag_beats_environment(keyring, workdir):
     listing = run_cli(
         "sign", keyring["message"], "--alias", keyring["sig_alias"],
@@ -261,73 +182,15 @@ def test_password_flag_beats_environment(keyring, workdir):
     assert listing.returncode == 0, listing.stderr
 
 
-def test_positional_password_is_rejected(keyring):
-    result = run_cli(
-        "sign", keyring["message"], PASSWORD, "--alias", keyring["sig_alias"],
-        *_keystore_args(keyring),
-        password=None,
-    )
-    assert result.returncode == 2
-
-
-@pytest.mark.parametrize("via", ["flag", "environment"])
-def test_password_that_is_not_utf8_exits_one(workdir, via):
-    # subprocess encodes "\udcff" as the raw byte 0xff, which the child
-    # decodes back to "\udcff", as it would a shell's $'\xff'.
-    ks = workdir / f"not-utf8-{via}.bin"
-    flag = ["--password", "\udcff"] if via == "flag" else []
-    result = run_cli(
-        "keygen", "sign", "--level", "low", "--keystore", ks, *flag,
-        password="\udcff" if via == "environment" else None,
-    )
-    assert result.returncode == 1
-    assert result.stderr.splitlines() == [
-        "agilecrypt: error: ParameterError: password is not valid UTF-8"
-    ]
-    assert not ks.exists()
-
-
-def test_wrong_password_exits_one(keyring):
-    result = run_cli(
-        "sign", keyring["message"], "--alias", keyring["sig_alias"],
-        *_keystore_args(keyring),
-        password="not-the-password",
-    )
-    assert result.returncode == 1
-    assert "BadPassword" in result.stderr
-
-
-def test_missing_input_file_exits_one(keyring, workdir):
-    result = run_cli(
-        "verify", workdir / "does-not-exist.bin",
-        "--public", keyring["signer_pub"], "--sig", keyring["signer_pub"],
-        password=None,
-    )
-    assert result.returncode == 1
-
-
 # ---------------------------------------------------------------------------
 # Registry dump
 # ---------------------------------------------------------------------------
 
 def test_registry_dump_matches_builtin_text(workdir):
-    from agilecrypt.easyapi import builtin_registry
-
     for version in (1, 2):
         result = run_cli("registry-dump", "--builtin", version, password=None)
         assert result.returncode == 0
         assert result.stdout == builtin_registry(version).canonical_text()
-
-
-def test_registry_file_that_is_not_ascii_exits_one(workdir):
-    registry = workdir / "not-ascii-registry.txt"
-    registry.write_bytes(b"\xff")
-    ks = workdir / "not-ascii-registry.bin"
-    result = run_cli("keygen", "sign", "--level", "low", "--keystore", ks, "--registry", registry)
-    assert result.returncode == 1
-    lines = result.stderr.splitlines()
-    assert len(lines) == 1 and lines[0].startswith("agilecrypt: error: MalformedEncoding")
-    assert not ks.exists()
 
 
 # ---------------------------------------------------------------------------
@@ -381,12 +244,13 @@ def test_tls_setup_writes_the_three_fixture_files(tls_low_dir):
 
 
 def test_tls_serve_connect_echo_and_report(tls_low_dir, workdir):
+    # The 40000-byte probe comes back in three records, which recv_exact joins.
     proc, port = _start_serve(tls_low_dir, "low")
     report_path = workdir / "connect-report.json"
     try:
         result = run_cli(
             "tls-connect", f"127.0.0.1:{port}", "--dir", tls_low_dir,
-            "--level", "low", "--probe-bytes", 4096, "--out", report_path,
+            "--level", "low", "--probe-bytes", 40000, "--out", report_path,
             password=None,
         )
     finally:
@@ -401,43 +265,7 @@ def test_tls_serve_connect_echo_and_report(tls_low_dir, workdir):
     [line] = _connection_lines(server_err)
     assert sorted(line) == ["alert", "bytes_received", "bytes_sent", "ms", "outcome"]
     assert (line["outcome"], line["alert"]) == ("ok", None)
-    assert line["bytes_sent"] > 4096 and line["bytes_received"] > 4096
-
-
-def test_tls_serve_rejects_a_seed_for_another_kem(tls_low_dir, workdir):
-    d = workdir / "tls-mismatch"
-    d.mkdir()
-    for name in ("ca.root", "server.cert"):
-        (d / name).write_bytes((tls_low_dir / name).read_bytes())
-    kem_id, version, seed = parse_blob((tls_low_dir / "server.seed").read_bytes())
-    assert kem_id == "CME-TOY-10-8"
-    (d / "server.seed").write_bytes(frame_blob("CME-TOY-13-16", version, seed))
-    result = run_cli(
-        "tls-serve", "--dir", d, "--level", "low", "--once", password=None, timeout=60
-    )
-    assert result.returncode == 1
-    assert "PORT" not in result.stdout
-    assert "AlgorithmMismatch" in result.stderr and "CME-TOY-10-8" in result.stderr
-
-
-def test_tls_connect_to_closed_port_exits_one(tls_low_dir):
-    probe = socket.socket()
-    probe.bind(("127.0.0.1", 0))
-    _, port = probe.getsockname()
-    probe.close()
-    result = run_cli(
-        "tls-connect", f"127.0.0.1:{port}", "--dir", tls_low_dir,
-        "--level", "low", password=None,
-    )
-    assert result.returncode == 1
-
-
-def test_tls_connect_bad_address_exits_two(tls_low_dir):
-    result = run_cli(
-        "tls-connect", "127.0.0.1:", "--dir", tls_low_dir, "--level", "low",
-        password=None,
-    )
-    assert result.returncode == 2
+    assert line["bytes_sent"] > 40000 and line["bytes_received"] > 40000
 
 
 @pytest.mark.parametrize("port", ["70000", "65536", "0", "\u00b2", "\u0663", "+80"])
@@ -469,29 +297,6 @@ def test_tls_connect_strips_the_brackets_of_an_ipv6_host(tmp_path, monkeypatch):
     args = ["tls-connect", "[::1]:4433", "--dir", str(tmp_path), "--level", "low"]
     assert cli.main(args) == 1
     assert hosts == [("::1", 4433)]
-
-
-@pytest.mark.parametrize(
-    "args",
-    [
-        ("tls-serve", "--once", "--port", "70000"),
-        ("tls-serve", "--once", "--port", "-1"),
-        ("tls-connect", "127.0.0.1:9", "--timeout", "-1"),
-        ("tls-connect", "127.0.0.1:9", "--probe-bytes", "-1"),
-        ("keygen", "sign", "--kdf-iterations", "0"),
-    ],
-)
-def test_out_of_range_argument_is_a_usage_error(tls_low_dir, workdir, args):
-    command, *rest = args
-    if command == "keygen":
-        rest += ["--keystore", workdir / "unused-range.bin"]
-    else:
-        rest += ["--dir", tls_low_dir]
-    result = run_cli(command, *rest, "--level", "low")
-    assert result.returncode == 2, result.stderr
-    errors = [line for line in result.stderr.splitlines() if ": error: " in line]
-    assert len(errors) == 1 and errors[0].startswith("agilecrypt "), result.stderr
-    assert "Traceback" not in result.stderr
 
 
 @pytest.mark.parametrize(
@@ -611,10 +416,168 @@ def test_measure_reports_are_identical_apart_from_timing(workdir):
     assert json.dumps(report_a, sort_keys=True) == json.dumps(report_b, sort_keys=True)
 
 
-def test_measure_rejects_unknown_paramset(workdir):
-    for paramset, reps in (("toy-999", 1), ("toy-64", 0), ("toy-64", -1)):
-        result = run_cli(
-            "measure", "--paramset", paramset, "--reps", reps, password=None
-        )
-        assert result.returncode == 2, (paramset, reps, result.stderr)
-        assert "Traceback" not in result.stderr
+
+# ---------------------------------------------------------------------------
+# Refused commands: one case table
+# ---------------------------------------------------------------------------
+
+@pytest.fixture(scope="module")
+def refused_inputs(keyring, tls_low_dir, workdir):
+    """The fields a REFUSED row's words are formatted with: the keyring,
+    the LOW tls-setup directory, a closed port, and in `dir` every
+    damaged input, each made once."""
+    d = workdir / "refused"
+    d.mkdir()
+    fields = {
+        "msg": keyring["message"], "keystore": keyring["keystore"],
+        "sig_alias": keyring["sig_alias"], "enc_alias": keyring["enc_alias"],
+        "sig_pub": keyring["signer_pub"], "enc_pub": keyring["enc_pub"],
+        "tls": tls_low_dir, "dir": d,
+    }
+    for command in (
+        "sign {msg} --alias {sig_alias} --keystore {keystore} --out {dir}/msg.sig",
+        "encrypt {msg} --alias {enc_alias} --recipient {enc_pub} --keystore {keystore} "
+        "--out {dir}/msg.enc",
+        "envelope-seal {msg} --alias {sig_alias} --recipient {enc_pub} --keystore {keystore} "
+        "--out {dir}/msg.agenv",
+    ):
+        made = run_cli(*(word.format(**fields) for word in command.split()))
+        assert made.returncode == 0, made.stderr
+    signature = (d / "msg.sig").read_bytes()
+    (d / "flipped.sig").write_bytes(signature[:-1] + bytes([signature[-1] ^ 1]))
+    (d / "cut.sig").write_bytes(signature[:-1])
+    # The frame (17 bytes) and half of the 10-byte KEM ciphertext.
+    (d / "short.enc").write_bytes((d / "msg.enc").read_bytes()[:22])
+    v1 = builtin_registry(1).canonical_text()
+    (d / "not-ascii.txt").write_bytes(b"\xff")
+    (d / "odd-id.txt").write_text(v1.replace("CME-TOY-10-8", "CME-TOY-010-8"))
+    (d / "odd-version.txt").write_text(v1.replace("version 1\n", "version 1_0\n"))
+    (d / "no-version.txt").write_text("x\n" * 8)
+    kem_id, version, seed = parse_blob((tls_low_dir / "server.seed").read_bytes())
+    assert kem_id == "CME-TOY-10-8"
+    for name, seed_blob in (
+        ("short-seed", (tls_low_dir / "server.seed").read_bytes()[:-1]),
+        ("other-kem-seed", frame_blob("CME-TOY-13-16", version, seed)),
+        ("signature-key-seed", keyring["signer_pub"].read_bytes()),
+    ):
+        (d / name).mkdir()
+        for file in ("ca.root", "server.cert"):
+            (d / name / file).write_bytes((tls_low_dir / file).read_bytes())
+        (d / name / "server.seed").write_bytes(seed_blob)
+    probe = socket.socket()
+    probe.bind(("127.0.0.1", 0))
+    fields["closed_port"] = probe.getsockname()[1]
+    probe.close()
+    return fields
+
+
+# id, command line (each word formatted with refused_inputs and `new`, a
+# path that must not exist afterwards), exit code, text of the error line,
+# password in the environment.  A `\udcff` reaches the child as the byte
+# 0xff, which it decodes back to `\udcff`, as it would a shell's $'\xff'.
+REFUSED = [
+    ("verify-flipped-signature", "verify {msg} --public {sig_pub} --sig {dir}/flipped.sig",
+     1, "signature rejected", None),
+    ("verify-cut-signature", "verify {msg} --public {sig_pub} --sig {dir}/cut.sig",
+     1, "signature rejected", None),
+    ("verify-kem-blobs", "verify {msg} --public {enc_pub} --sig {enc_pub}",
+     1, "signature rejected", None),
+    ("verify-missing-message", "verify {dir}/absent --public {sig_pub} --sig {sig_pub}",
+     1, "FileNotFoundError", None),
+    ("sign-encryption-alias", "sign {msg} --alias {enc_alias} --keystore {keystore} --out {new}",
+     1, "AlgorithmMismatch", PASSWORD),
+    ("sign-wrong-password", "sign {msg} --alias {sig_alias} --keystore {keystore} --out {new}",
+     1, "BadPassword", "not-the-password"),
+    ("encrypt-to-signature-key",
+     "encrypt {msg} --alias {enc_alias} --recipient {sig_pub} --keystore {keystore} --out {new}",
+     1, "AlgorithmMismatch", PASSWORD),
+    ("decrypt-short-ciphertext",
+     "decrypt {dir}/short.enc --alias {enc_alias} --keystore {keystore} --out {new}",
+     1, "InvalidCiphertext", PASSWORD),
+    ("envelope-open-wrong-sender",
+     "envelope-open {dir}/msg.agenv --alias {enc_alias} --sender {enc_pub} --keystore {keystore} "
+     "--out {new}",
+     1, "AlgorithmMismatch", PASSWORD),
+    ("password-flag-not-utf8", "keygen sign --level low --keystore {new} --password \udcff",
+     1, "ParameterError: password is not valid UTF-8", None),
+    ("password-env-not-utf8", "keygen sign --level low --keystore {new}",
+     1, "ParameterError: password is not valid UTF-8", "\udcff"),
+    ("password-missing",
+     "decrypt {dir}/msg.enc --alias {enc_alias} --keystore {keystore} --out {new}",
+     2, "AGILECRYPT_PASSWORD", None),
+    ("password-positional", "sign {msg} secret --alias {sig_alias} --keystore {keystore}",
+     2, "unrecognized arguments: secret", None),
+    ("alias-missing", "sign {msg} --keystore {keystore} --out {new}",
+     2, "the following arguments are required: --alias", PASSWORD),
+    ("registry-not-ascii",
+     "keygen sign --level low --keystore {new} --registry {dir}/not-ascii.txt",
+     1, "MalformedEncoding", PASSWORD),
+    ("registry-odd-id", "keygen encrypt --level low --keystore {new} --registry {dir}/odd-id.txt",
+     1, "MalformedEncoding: 'CME-TOY-010-8' is no encryption algorithm", PASSWORD),
+    ("registry-odd-version",
+     "keygen sign --level low --keystore {new} --registry {dir}/odd-version.txt",
+     1, "MalformedEncoding: version '1_0' is not spelled '10'", PASSWORD),
+    ("registry-no-version",
+     "keygen sign --level low --keystore {new} --registry {dir}/no-version.txt",
+     1, "MalformedEncoding: line 1: expected `version N`", PASSWORD),
+    ("keygen-unknown-level", "keygen sign --level ultra --keystore {new}",
+     2, "invalid choice: 'ultra'", PASSWORD),
+    ("keygen-kdf-iterations-0", "keygen sign --level low --keystore {new} --kdf-iterations 0",
+     2, "argument --kdf-iterations: must be in", PASSWORD),
+    ("tls-serve-port-70000", "tls-serve --dir {tls} --level low --once --port 70000",
+     2, "argument --port: must be in", None),
+    ("tls-serve-port--1", "tls-serve --dir {tls} --level low --once --port -1",
+     2, "argument --port: must be in", None),
+    ("tls-serve-short-seed", "tls-serve --dir {dir}/short-seed --level low --once",
+     1, "MalformedEncoding: server seed holds 31 bytes", None),
+    ("tls-serve-other-kem-seed", "tls-serve --dir {dir}/other-kem-seed --level low --once",
+     1, "AlgorithmMismatch: server seed holds a CME-TOY-13-16 key, the certificate a CME-TOY-10-8",
+     None),
+    ("tls-serve-signature-key-seed", "tls-serve --dir {dir}/signature-key-seed --level low --once",
+     1, "AlgorithmMismatch", None),
+    ("tls-setup-seed-not-utf8", "tls-setup --dir {new} --level low --seed \udcff",
+     1, "ParameterError: seed is not valid UTF-8", None),
+    ("tls-connect-closed-port",
+     "tls-connect 127.0.0.1:{closed_port} --dir {tls} --level low --out {new}",
+     1, "ConnectionClosed: cannot connect to 127.0.0.1:", None),
+    ("tls-connect-empty-label", "tls-connect a..b:443 --dir {tls} --level low --out {new}",
+     1, "ConnectionClosed: cannot connect to a..b:443", None),
+    ("tls-connect-host-not-utf8", "tls-connect \udcff:443 --dir {tls} --level low --out {new}",
+     1, "ConnectionClosed: cannot connect to", None),
+    ("tls-connect-port-70000", "tls-connect 127.0.0.1:70000 --dir {tls} --level low --out {new}",
+     2, "address must be HOST:PORT", None),
+    ("tls-connect-no-port", "tls-connect 127.0.0.1: --dir {tls} --level low --out {new}",
+     2, "address must be HOST:PORT", None),
+    ("tls-connect-timeout--1", "tls-connect 127.0.0.1:9 --dir {tls} --level low --timeout -1",
+     2, "argument --timeout: must be in", None),
+    ("tls-connect-probe-bytes--1",
+     "tls-connect 127.0.0.1:9 --dir {tls} --level low --probe-bytes -1",
+     2, "argument --probe-bytes: must be in", None),
+    ("measure-unknown-paramset", "measure --paramset toy-999 --out {new}",
+     2, "invalid choice: 'toy-999'", None),
+    ("measure-reps-0", "measure --paramset toy-64 --reps 0 --out {new}",
+     2, "argument --reps: must be in", None),
+    ("measure-reps--1", "measure --paramset toy-64 --reps -1 --out {new}",
+     2, "argument --reps: must be in", None),
+    ("measure-seed-not-utf8", "measure --paramset toy-64 --reps 1 --seed \udcff --out {new}",
+     1, "ParameterError: seed is not valid UTF-8", None),
+]
+
+
+@pytest.mark.parametrize(
+    "command, code, text, password", [pytest.param(*row, id=name) for name, *row in REFUSED]
+)
+def test_a_refused_command_prints_one_error_line(
+    refused_inputs, tmp_path, command, code, text, password
+):
+    new = tmp_path / "new"
+    argv = [word.format(new=new, **refused_inputs) for word in command.split()]
+    result = run_cli(*argv, password=password, timeout=60)
+    errors = [line for line in result.stderr.splitlines() if ": error:" in line]
+    assert (result.returncode, len(errors)) == (code, 1), result.stderr
+    assert errors[0].startswith("agilecrypt") and text in errors[0]
+    if code == 1:
+        assert result.stderr == errors[0] + "\n" and errors[0].startswith("agilecrypt: error: ")
+    assert "Traceback" not in result.stderr
+    assert "PORT" not in result.stdout
+    assert not new.exists()

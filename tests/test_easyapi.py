@@ -122,6 +122,17 @@ def test_registry_parse_rejects_incomplete_and_garbage():
     for issued in ("20260105", "2026-W02-1", "2026-01-5", "+2026-01-05"):
         with pytest.raises(MalformedEncoding):
             parse_registry_text(v1_text.replace("issued 2026-01-05\n", f"issued {issued}\n"))
+    # A line is named by its number, never passed as a byte offset.
+    for text, line in (
+        ("x\n" * 8, "line 1: expected `version N`"),
+        (v1_text.replace("issued", "# comment\nissue"), "line 3: expected `issued"),
+        (v1_text.replace("HIGH CME", "HIGH  CME"), "line 8: mapping line"),
+        (v1_text.replace("ENCRYPTION HIGH", "DECRYPTION HIGH"), "line 8: bad kind/level"),
+        (v1_text.replace("ENCRYPTION HIGH", "ENCRYPTION LOW"), "line 8: duplicate entry"),
+    ):
+        with pytest.raises(MalformedEncoding, match=line) as caught:
+            parse_registry_text(text)
+        assert caught.value.offset is None and "(at byte" not in str(caught.value)
 
 
 def test_load_registry_raises_malformed_encoding_for_a_file_that_is_not_ascii(tmp_path):

@@ -5,7 +5,6 @@ from __future__ import annotations
 
 import hashlib
 import hmac as hmac_mod
-import json
 import socket
 import struct
 import sys

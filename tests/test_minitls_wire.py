@@ -12,14 +12,12 @@ from agilecrypt.errors import (
     AlgorithmMismatch,
     BadMac,
     BadPadding,
-    ConnectionClosed,
     MalformedEncoding,
     RecordOverflow,
 )
 from agilecrypt.hbs import HbsMode, HbsParams, hbs_keygen
 from agilecrypt.minitls import (
     BufferTransport,
-    Certificate,
     ClientHello,
     ContentType,
     HandshakeTranscript,
