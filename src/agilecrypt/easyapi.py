@@ -371,9 +371,10 @@ class _StoredKey:
         registry_version: int,
         rng: Rng | None,
         load_key: Callable[[KeystoreEntry], hbs.HbsKeyPair | cbkem.KemKeyPair],
+        read_only: bool,
     ):
         rng = rng or SystemRng()
-        store = keystore_open(ksp)
+        store = keystore_open(ksp, read_only=read_only)
         try:
             entry = store.get_entry(alias)
             kp = load_key(entry)
@@ -433,7 +434,8 @@ class EasySigner(_StoredKey):
             _, root = hbs.hbs_parse_public(entry.public_material)
             return hbs.HbsKeyPair.from_seed(params, entry.secret_material, root=root)
 
-        return cls._load(ksp, alias, registry_version, rng, load_key)
+        # A stateful key writes its reservations, so the signer holds the lock.
+        return cls._load(ksp, alias, registry_version, rng, load_key, read_only=False)
 
     def sign(self, msg: bytes) -> bytes:
         stateful = self._kp.params.mode is hbs.HbsMode.STATEFUL
@@ -502,7 +504,8 @@ class EasyEncrypter(_StoredKey):
             # tables are taken from it rather than redrawn from the seed.
             return cbkem.KemKeyPair.load(params, entry.secret_material, entry.public_material)
 
-        return cls._load(ksp, alias, registry_version, rng, load_key)
+        # Nothing here writes, so a signer holding the store does not lock it out.
+        return cls._load(ksp, alias, registry_version, rng, load_key, read_only=True)
 
     def encrypt(self, recipient_public_blob: bytes, plaintext: bytes) -> bytes:
         ident, _, pk = recipient_key(recipient_public_blob)

@@ -11,7 +11,10 @@ Both roles run through one driver, ``_handshake``, which owns the record
 layer and the transcript; the two flows differ only in their message
 order.  One function reads every record (``_recv_payload``) and one maps
 a failure to the alert this side sends (``_alert_for``), for the
-handshake and the session alike.
+handshake and the session alike.  A flow refuses by raising
+``TlsAlertSent``; ``_handshake`` alone sends a handshake's alert, the
+refusal's own or the one ``_alert_for`` gives a decoding or record
+failure, and finishes the transcript on every outcome.
 
 Each flight goes to the transport in one write: the channel frames (and,
 after ChangeCipherSpec, seals) the records of every message it sends and
@@ -71,7 +74,6 @@ from .wire import (
     TemplateInfo,
     TlsAlertReceived,
     TlsAlertSent,
-    TlsError,
     decode_alert,
     decode_certificate_body,
     decode_client_key_exchange_body,
@@ -211,6 +213,8 @@ def _recv_payload(record: RecordLayer, expected: ContentType) -> bytes:
 
 def _alert_for(exc: AgilecryptError) -> AlertDescription | None:
     """The fatal alert this side sends when ``exc`` ends a connection."""
+    if isinstance(exc, TlsAlertSent):
+        return exc.description
     if isinstance(exc, (BadMac, BadPadding)):
         return AlertDescription.BAD_RECORD_MAC
     if isinstance(exc, MalformedEncoding):
@@ -288,12 +292,6 @@ class HandshakeChannel:
         self.transcript.note_ccs("received")
 
 
-def _abort(channel: HandshakeChannel, description: AlertDescription, reason: str) -> NoReturn:
-    """Send the fatal alert (best effort) and raise."""
-    channel.send_fatal_alert(description)
-    raise TlsAlertSent(description, reason)
-
-
 def _expect(channel: HandshakeChannel, expected: HandshakeType) -> bytes:
     hs_type, body = channel.recv_message()
     if hs_type != expected:
@@ -333,19 +331,10 @@ class TlsSession:
     down before a byte of the offending record is surfaced to the caller.
     """
 
-    def __init__(
-        self,
-        role: str,
-        record: RecordLayer,
-        keys: SessionKeys,
-        transcript: HandshakeTranscript,
-        suite: int,
-    ):
-        self.role = role
+    def __init__(self, record: RecordLayer, keys: SessionKeys, transcript: HandshakeTranscript):
         self.record = record
         self.keys = keys
         self.transcript = transcript
-        self.suite = suite
         self._open = True
 
     def send(self, data: bytes) -> None:
@@ -405,23 +394,22 @@ class TlsSession:
 # ---------------------------------------------------------------------------
 
 def client_handshake(transport: Transport, config: ClientTlsConfig) -> TlsSession:
-    return _handshake("client", transport, config, _client_flow)
+    return _handshake(transport, config, _client_flow)
 
 
 def server_handshake(transport: Transport, config: ServerTlsConfig) -> TlsSession:
-    return _handshake("server", transport, config, _server_flow)
+    return _handshake(transport, config, _server_flow)
 
 
 def _handshake(
-    role: str,
     transport: Transport,
     config: ClientTlsConfig | ServerTlsConfig,
     flow: Callable[..., SessionKeys],
 ) -> TlsSession:
-    """Run one side's ``flow`` over a fresh record layer.  Decoding and
-    record-protection failures become fatal alerts, the last flight is
-    written before returning, and the transcript is finished on every
-    outcome."""
+    """Run one side's ``flow`` over a fresh record layer.  A refusal, or a
+    decoding or record-protection failure, sends its fatal alert here and
+    is raised as TlsAlertSent; the last flight is written before
+    returning, and the transcript is finished on every outcome."""
     rng = config.rng if config.rng is not None else SystemRng()
     record = RecordLayer(transport)
     transcript = HandshakeTranscript()
@@ -429,24 +417,22 @@ def _handshake(
     local_info = build_template_info(config.registry, config.level)
     transcript.local_template = local_info
     try:
-        try:
-            keys = flow(channel, config, rng, local_info)
-            channel.flush()
-        except AgilecryptError as exc:
-            description = _alert_for(exc)
-            if description is None:
-                raise
-            _abort(channel, description, str(exc))
-    except (TlsError, ConnectionClosed) as exc:
+        keys = flow(channel, config, rng, local_info)
+        channel.flush()
+    except AgilecryptError as exc:
+        failure = exc
+        description = _alert_for(exc)
+        if description is not None:
+            channel.send_fatal_alert(description)
+            if not isinstance(exc, TlsAlertSent):
+                failure = TlsAlertSent(description, str(exc))
         # Only the alert exceptions carry a description.
-        description = getattr(exc, "description", None)
-        transcript.finish(
-            record, aborted=True, alert=None if description is None else int(description)
-        )
-        exc.transcript = transcript
-        raise
+        alert = getattr(failure, "description", None)
+        transcript.finish(record, aborted=True, alert=None if alert is None else int(alert))
+        failure.transcript = transcript
+        raise failure
     transcript.finish(record, suite=SUITE_0x1306, aborted=False)
-    return TlsSession(role, record, keys, transcript, SUITE_0x1306)
+    return TlsSession(record, keys, transcript)
 
 
 def _accept_remote_template(
@@ -456,11 +442,11 @@ def _accept_remote_template(
     peer: str,
 ) -> None:
     if remote is None:
-        _abort(channel, AlertDescription.HANDSHAKE_FAILURE, f"{peer} sent no template info")
+        raise TlsAlertSent(AlertDescription.HANDSHAKE_FAILURE, f"{peer} sent no template info")
     channel.transcript.remote_template = remote
     reason = template_divergence(config.registry, config.level, remote)
     if reason is not None:
-        _abort(channel, AlertDescription.TEMPLATE_MISMATCH, reason)
+        raise TlsAlertSent(AlertDescription.TEMPLATE_MISMATCH, reason)
 
 
 # RFC 5246 §7.4.9: both Finished messages are the PRF over the transcript
@@ -485,7 +471,8 @@ def _recv_finished(channel: HandshakeChannel, keys: SessionKeys, sender: str) ->
     body = _expect(channel, HandshakeType.FINISHED)
     expected = finished_verify_data(keys.master_secret, f"{sender} finished", peer_hash)
     if not hmac.compare_digest(decode_finished_body(body), expected):
-        _abort(channel, AlertDescription.DECRYPT_ERROR, f"{sender} Finished verification failed")
+        reason = f"{sender} Finished verification failed"
+        raise TlsAlertSent(AlertDescription.DECRYPT_ERROR, reason)
 
 
 def _client_flow(
@@ -504,8 +491,7 @@ def _client_flow(
 
     server_hello = ServerHello.decode(_expect(channel, HandshakeType.SERVER_HELLO))
     if server_hello.cipher_suite != SUITE_0x1306:
-        _abort(
-            channel,
+        raise TlsAlertSent(
             AlertDescription.HANDSHAKE_FAILURE,
             f"server chose unoffered suite 0x{server_hello.cipher_suite:04X}",
         )
@@ -515,17 +501,17 @@ def _client_flow(
     try:
         certificate = parse_certificate(decode_certificate_body(body))
     except MalformedEncoding as exc:
-        _abort(channel, AlertDescription.BAD_CERTIFICATE, f"unparseable certificate: {exc}")
+        raise TlsAlertSent(AlertDescription.BAD_CERTIFICATE, f"unparseable certificate: {exc}")
     for label, cert_id, template_id in (
         ("key", certificate.kem_algorithm_id, local_info.enc_id),
         ("signature", certificate.hbs_algorithm_id, local_info.sig_id),
     ):
         if cert_id != template_id:
             reason = f"certificate {label} algorithm differs from negotiated template"
-            _abort(channel, AlertDescription.BAD_CERTIFICATE, reason)
+            raise TlsAlertSent(AlertDescription.BAD_CERTIFICATE, reason)
     kem_pk = verify_certificate(certificate, config.trusted_roots)
     if kem_pk is None:
-        _abort(channel, AlertDescription.BAD_CERTIFICATE, "certificate verification failed")
+        raise TlsAlertSent(AlertDescription.BAD_CERTIFICATE, "certificate verification failed")
 
     decode_server_hello_done_body(_expect(channel, HandshakeType.SERVER_HELLO_DONE))
 
@@ -547,7 +533,11 @@ def _server_flow(
 ) -> SessionKeys:
     hello = ClientHello.decode(_expect(channel, HandshakeType.CLIENT_HELLO))
     if SUITE_0x1306 not in hello.cipher_suites:
-        _abort(channel, AlertDescription.HANDSHAKE_FAILURE, "no common cipher suite")
+        raise TlsAlertSent(AlertDescription.HANDSHAKE_FAILURE, "no common cipher suite")
+    # RFC 5246 §7.4.1.2: every ClientHello offers null compression.
+    if 0 not in hello.compression_methods:
+        reason = "client offered no null compression"
+        raise TlsAlertSent(AlertDescription.HANDSHAKE_FAILURE, reason)
     _accept_remote_template(channel, config, hello.template_info, "client")
 
     server_random = rng.random_bytes(32)
@@ -567,7 +557,7 @@ def _server_flow(
     try:
         premaster = kem_decap(config.kem_secret, ct)
     except InvalidCiphertext as exc:
-        _abort(channel, AlertDescription.INVALID_CIPHERTEXT, f"key exchange rejected: {exc}")
+        raise TlsAlertSent(AlertDescription.INVALID_CIPHERTEXT, f"key exchange rejected: {exc}")
     keys = derive_session_keys(premaster, hello.random, server_random)
     _recv_finished(channel, keys, "client")
     _send_finished(channel, keys, "server")

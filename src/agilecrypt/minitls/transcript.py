@@ -61,8 +61,6 @@ class HandshakeTranscript:
         aborted: bool = False,
         alert: int | None = None,
     ) -> None:
-        if self.duration_ms is not None:
-            return
         if suite is not None:
             self.suite = suite
         self.aborted = aborted

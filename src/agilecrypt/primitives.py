@@ -5,7 +5,9 @@ record protection (AES-256-CBC with an explicit per-record IV), and the
 randomness contract used by every other module.  All operations are pure
 given their inputs; only RNG handles carry state.
 
-Constant-time behaviour beyond tag comparison is a documented non-goal.
+Constant-time behaviour beyond tag comparison is a documented non-goal,
+though open_record computes one MAC whether its padding check or its MAC
+check fails.
 """
 
 from __future__ import annotations
@@ -54,13 +56,6 @@ class HashId(Enum):
 def hash_data(hash_id: HashId, data: bytes) -> bytes:
     """Digest of fixed length: 32 bytes for H256, 64 for H512."""
     return hash_id._ctor(data).digest()
-
-
-def hmac_digest(hash_id: HashId, key: bytes, data: bytes) -> bytes:
-    """Standard HMAC over the selected hash.  Empty keys are rejected."""
-    if len(key) == 0:
-        raise ParameterError("hmac key must be non-empty")
-    return hmac.new(key, data, hash_id._ctor).digest()
 
 
 def prf(hash_id: HashId, secret: bytes, label: str, seed: bytes, out_len: int) -> bytes:
@@ -166,16 +161,22 @@ def open_record(keys: SymmetricKeys, seq: int, header: bytes, sealed: bytes) -> 
     dec = Cipher(algorithms.AES(bytes(keys.enc_key)), modes.CBC(iv)).decryptor()
     body = dec.update(ct) + dec.finalize()
     pad_len = body[-1]
+    bad_padding = None
     if pad_len + 1 > len(body):
-        raise BadPadding("padding length exceeds record")
-    if any(b != pad_len for b in body[-(pad_len + 1):]):
-        raise BadPadding("padding bytes inconsistent")
-    body = body[: len(body) - pad_len - 1]
-    if len(body) < _MAC_BYTES:
+        bad_padding = "padding length exceeds record"
+    elif any(b != pad_len for b in body[-(pad_len + 1):]):
+        bad_padding = "padding bytes inconsistent"
+    elif len(body) - pad_len - 1 < _MAC_BYTES:
         raise BadMac("record too short for MAC")
-    plaintext, tag = body[:-_MAC_BYTES], body[-_MAC_BYTES:]
-    expect = _record_mac(keys, seq, header, plaintext)
-    if not hmac.compare_digest(tag, expect):
+    # RFC 5246 §6.2.3.2: bad padding still pays for a MAC, computed as if
+    # the pad were empty, so a padding failure costs what a MAC failure does.
+    mac_end = len(body) if bad_padding else len(body) - pad_len - 1
+    mac_start = max(mac_end - _MAC_BYTES, 0)
+    plaintext, tag = body[:mac_start], body[mac_start:mac_end]
+    mac_matches = hmac.compare_digest(tag, _record_mac(keys, seq, header, plaintext))
+    if bad_padding is not None:
+        raise BadPadding(bad_padding)
+    if not mac_matches:
         raise BadMac("record MAC mismatch")
     return plaintext
 

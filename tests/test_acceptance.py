@@ -515,7 +515,7 @@ def test_protected_record_tampering_always_tears_down():
         receiver_transport.feed(bytes(wire))
         receiver = RecordLayer(receiver_transport)
         receiver.enable_recv_protection(keys.client)
-        session = TlsSession("server", receiver, keys, HandshakeTranscript(), 0x1306)
+        session = TlsSession(receiver, keys, HandshakeTranscript())
         try:
             session.recv()
         except (BadMac, BadPadding):

@@ -38,6 +38,7 @@ from agilecrypt.errors import (
     KeyExhausted,
     MalformedEncoding,
     ParameterError,
+    StoreLocked,
 )
 from agilecrypt.keystore import CRASH_POINTS, KeystoreEntry, KeystoreParameters, keystore_open
 from agilecrypt.primitives import DeterministicRng
@@ -561,6 +562,23 @@ def test_encrypter_persists_and_reopens(tmp_path):
     with EasyEncrypter.open(ksp, alias, registry_version=1, rng=rng) as enc:
         assert enc.public_blob == pub
         assert enc.decrypt(blob) == b"across processes"
+
+
+def test_encrypter_opens_while_a_signer_holds_the_store(tmp_path):
+    """EasyEncrypter.open never writes: it reads the store read-only, so it
+    decrypts while a signer holds the writer lock and leaves the lock held."""
+    registry = builtin_registry(1)
+    ksp = _ksp(tmp_path)
+    rng = DeterministicRng(b"encrypter beside a signer")
+    enc_ap = template_resolve(registry, TemplateKind.ENCRYPTION, SecurityLevel.LOW)
+    sig_ap = template_resolve(registry, TemplateKind.SIGNATURE, SecurityLevel.LOW)
+    with EasyEncrypter.with_new_key(enc_ap, ksp, rng=rng) as enc:
+        alias, blob = enc.alias, enc.encrypt(enc.public_blob, b"read beside a signer")
+    with EasySigner.with_new_key(sig_ap, ksp, rng=rng):
+        with EasyEncrypter.open(ksp, alias, registry_version=1, rng=rng) as enc:
+            assert enc.decrypt(blob) == b"read beside a signer"
+        with pytest.raises(StoreLocked):
+            keystore_open(ksp)
 
 
 def test_encrypter_agrees_with_direct_composition(tmp_path):

@@ -1,8 +1,15 @@
 """Full handshakes over in-process transports: success paths, template
-drift, negotiation failures, and wire-level fault injection."""
+drift, wire-level fault injection, and refusals.
+
+Every way a handshake refuses is a row of one case table, REFUSALS: the
+side that refuses, the alert it sends, the text of its reason, whether
+it refuses at hello time, and a run against a real or a scripted peer.
+Every row checks the same contract, and every alert the stack can send
+answers at least one row."""
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import hmac as hmac_mod
 import socket
@@ -25,7 +32,6 @@ from agilecrypt.easyapi import (
     template_resolve,
 )
 from agilecrypt.errors import (
-    AgilecryptError,
     BadMac,
     BadPadding,
     ConnectionClosed,
@@ -61,7 +67,7 @@ from agilecrypt.minitls import (
 )
 from agilecrypt.minitls.handshake import build_template_info
 from agilecrypt.minitls.measure import paramset_level, run_measurement, serve_connection
-from agilecrypt.minitls.wire import decode_alert, encode_alert, encode_handshake_message
+from agilecrypt.minitls.wire import encode_alert, encode_handshake_message
 from agilecrypt.primitives import DeterministicRng
 
 _JOIN_TIMEOUT = 60.0
@@ -111,11 +117,13 @@ def _client_cfg(material, seed=b"cli", **overrides):
 
 def _loopback(client_cfg, server_cfg, *, transports=None, server_app=None, client_app=None):
     """Run both handshake halves, server side in a thread.  Sessions or
-    exceptions land in the returned dict under client/server keys."""
+    exceptions land in the returned dict under client/server keys, and
+    the seconds both halves took under "elapsed"."""
     client_t, server_t = (
         transports if transports is not None else transport_pair(timeout=_IO_TIMEOUT)
     )
     results: dict = {}
+    start = time.monotonic()
 
     def serve():
         try:
@@ -136,6 +144,7 @@ def _loopback(client_cfg, server_cfg, *, transports=None, server_app=None, clien
     except Exception as exc:  # noqa: BLE001
         results["client_exc"] = exc
     thread.join(timeout=_JOIN_TIMEOUT)
+    results["elapsed"] = time.monotonic() - start
     assert not thread.is_alive(), "server thread deadlocked"
     for transport in (client_t, server_t):
         try:
@@ -168,8 +177,6 @@ def test_loopback_handshake_and_echo(low_material):
     assert "client_exc" not in results and "server_exc" not in results
     assert results["echo"] == payload
     client, server = results["client"], results["server"]
-    assert (client.role, server.role) == ("client", "server")
-    assert client.suite == server.suite == 0x1306
 
     report = transcript_report(client.transcript)
     assert not report["aborted"]
@@ -424,44 +431,8 @@ def test_transcript_hash_tracks_the_concatenation(steps):
 
 
 # ---------------------------------------------------------------------------
-# Template drift and negotiation failures
+# Template drift and the connection log
 # ---------------------------------------------------------------------------
-
-def test_registry_drift_aborts_before_key_exchange(low_material):
-    """v1 client against v2 server at HIGH: the signature template
-    diverged between registry versions, so both sides bail out with the
-    template-mismatch alert and no key-exchange bytes ever move."""
-    client_cfg = ClientTlsConfig(
-        registry=builtin_registry(1),
-        level=SecurityLevel.HIGH,
-        trusted_roots=(low_material["ca"].root,),
-        rng=DeterministicRng(seed=b"c"),
-    )
-    server_cfg = _server_cfg(
-        low_material, registry=builtin_registry(2), level=SecurityLevel.HIGH
-    )
-    results = _loopback(client_cfg, server_cfg)
-    assert "client" not in results and "server" not in results
-
-    server_exc = results["server_exc"]
-    assert isinstance(server_exc, TlsAlertSent)
-    assert server_exc.description == AlertDescription.TEMPLATE_MISMATCH
-    assert "version_mismatch" in server_exc.reason
-
-    client_exc = results["client_exc"]
-    assert isinstance(client_exc, TlsAlertReceived)
-    assert client_exc.description == AlertDescription.TEMPLATE_MISMATCH
-
-    for exc in (server_exc, client_exc):
-        report = transcript_report(exc.transcript)
-        assert report["aborted"]
-        assert report["alert"] == 112
-        assert report["alert_name"] == "template_mismatch"
-        names = {e["message"] for e in report["messages"]}
-        assert "ClientKeyExchange" not in names
-        assert "Certificate" not in names
-        assert report["total_bytes"] > 0  # partial sizes still reported
-
 
 def test_serve_connection_closes_and_logs_a_failed_handshake(low_material):
     """A drifted client against the connection routine of tls-serve and
@@ -526,30 +497,22 @@ def test_serve_connection_reports_a_peer_that_closes_before_its_hello(low_materi
     assert server_t._sock.fileno() == -1
 
 
-def test_same_version_template_conflict_classified(low_material):
+def test_same_version_template_conflict_classified():
     """Registries that disagree while claiming the same version number
-    are a template conflict, not version drift."""
-    doctored = parse_registry_text(
-        builtin_registry(2).canonical_text().replace("version 2", "version 1")
-    )
+    are a template conflict, not version drift.  The handshake refusal it
+    causes is the REFUSALS row same-version-template-conflict."""
     local = template_resolve(builtin_registry(1), TemplateKind.SIGNATURE, SecurityLevel.HIGH)
-    remote = build_template_info(doctored, SecurityLevel.HIGH)
+    remote = build_template_info(_same_version_conflict(), SecurityLevel.HIGH)
     reason = template_divergence(builtin_registry(1), SecurityLevel.HIGH, remote)
     assert reason is not None and "template_mismatch" in reason
     assert local.algorithm_id in reason
 
-    server_cfg = _server_cfg(low_material, registry=doctored, level=SecurityLevel.HIGH)
-    client_cfg = ClientTlsConfig(
-        registry=builtin_registry(1),
-        level=SecurityLevel.HIGH,
-        trusted_roots=(low_material["ca"].root,),
-        rng=DeterministicRng(seed=b"c"),
+
+def _same_version_conflict():
+    """Registry v2's templates under registry v1's version number."""
+    return parse_registry_text(
+        builtin_registry(2).canonical_text().replace("version 2", "version 1")
     )
-    results = _loopback(client_cfg, server_cfg)
-    exc = results["server_exc"]
-    assert isinstance(exc, TlsAlertSent)
-    assert exc.description == AlertDescription.TEMPLATE_MISMATCH
-    assert "template_mismatch" in exc.reason
 
 
 def test_matching_levels_other_than_low(low_material):
@@ -559,160 +522,6 @@ def test_matching_levels_other_than_low(low_material):
         build_template_info(builtin_registry(2), SecurityLevel.MEDIUM),
     )
     assert divergence is None  # v1 and v2 only drifted at HIGH
-
-
-def _against_script(handshake, config, script):
-    """Run one handshake half in a thread while ``script`` plays its peer
-    over a bare record layer.  Returns the half's exception (None if it
-    completed) and what ``script`` returned."""
-    ours, theirs = transport_pair(timeout=_IO_TIMEOUT)
-    outcome: dict = {}
-
-    def run():
-        try:
-            handshake(ours, config)
-        except Exception as exc:  # noqa: BLE001 - recorded for assertions
-            outcome["exc"] = exc
-
-    thread = threading.Thread(target=run, daemon=True)
-    thread.start()
-    try:
-        seen = script(RecordLayer(theirs))
-    finally:
-        thread.join(timeout=_JOIN_TIMEOUT)
-        for transport in (ours, theirs):
-            transport.close()
-    assert not thread.is_alive(), "handshake thread deadlocked"
-    return outcome.get("exc"), seen
-
-
-def _send_hello(record, hs_type, hello):
-    record.send(ContentType.HANDSHAKE, encode_handshake_message(hs_type, hello.encode()))
-
-
-def test_no_common_suite_aborts(low_material):
-    hello = ClientHello(
-        random=bytes(32),
-        cipher_suites=(0x4A4A,),
-        template_info=build_template_info(low_material["registry"], SecurityLevel.LOW),
-    )
-
-    def client(record):
-        _send_hello(record, HandshakeType.CLIENT_HELLO, hello)
-        return record.recv()
-
-    server_exc, (content_type, payload) = _against_script(
-        server_handshake, _server_cfg(low_material), client
-    )
-    assert isinstance(server_exc, TlsAlertSent)
-    assert server_exc.description == AlertDescription.HANDSHAKE_FAILURE
-    assert content_type == ContentType.ALERT
-    assert decode_alert(payload) == AlertDescription.HANDSHAKE_FAILURE
-
-
-def test_client_refuses_a_suite_it_did_not_offer(low_material):
-    reply = ServerHello(
-        random=bytes(32),
-        cipher_suite=0x4A4A,
-        template_info=build_template_info(low_material["registry"], SecurityLevel.LOW),
-    )
-
-    def server(record):
-        content_type, payload = record.recv()
-        assert content_type == ContentType.HANDSHAKE
-        assert ClientHello.decode(payload[4:]).cipher_suites == (0x1306,)
-        _send_hello(record, HandshakeType.SERVER_HELLO, reply)
-        return record.recv()
-
-    client_exc, (content_type, payload) = _against_script(
-        client_handshake, _client_cfg(low_material), server
-    )
-    assert isinstance(client_exc, TlsAlertSent)
-    assert client_exc.description == AlertDescription.HANDSHAKE_FAILURE
-    assert content_type == ContentType.ALERT
-    assert decode_alert(payload) == AlertDescription.HANDSHAKE_FAILURE
-
-
-def test_untrusted_root_aborts(low_material):
-    results = _loopback(
-        _client_cfg(low_material, trusted_roots=(b"\xee" * 16,)),
-        _server_cfg(low_material),
-    )
-    client_exc = results["client_exc"]
-    assert isinstance(client_exc, TlsAlertSent)
-    assert client_exc.description == AlertDescription.BAD_CERTIFICATE
-    server_exc = results["server_exc"]
-    assert isinstance(server_exc, TlsAlertReceived)
-    assert server_exc.description == AlertDescription.BAD_CERTIFICATE
-
-
-def test_certificate_algorithm_must_match_template(low_material):
-    """Server presents a valid certificate for the wrong KEM: the client
-    rejects it because it differs from the negotiated template."""
-    rng = DeterministicRng(seed=b"wrong-alg")
-    other_params = KemParams.from_algorithm_id("CME-TOY-13-16")
-    other_kp = kem_keygen(other_params, rng)
-    wrong_cert = issue_certificate(
-        low_material["ca"],
-        "server.test",
-        other_params.algorithm_id,
-        other_kp.pk.encoding,
-        rng,
-    )
-    results = _loopback(
-        _client_cfg(low_material),
-        _server_cfg(low_material, certificate=wrong_cert, kem_secret=other_kp.sk),
-    )
-    client_exc = results["client_exc"]
-    assert isinstance(client_exc, TlsAlertSent)
-    assert client_exc.description == AlertDescription.BAD_CERTIFICATE
-    assert "negotiated" in client_exc.reason
-
-
-def test_server_key_for_other_parameters_sends_invalid_ciphertext(low_material):
-    """A server whose secret key is for other parameters than its
-    certificate's KEM key reads the ClientKeyExchange with its own key's
-    parameters: invalid_ciphertext, and both sides end at once."""
-    other_kp = kem_keygen(KemParams(m=10, b=4), DeterministicRng(seed=b"other-params"))
-    start = time.monotonic()
-    results = _loopback(
-        _client_cfg(low_material), _server_cfg(low_material, kem_secret=other_kp.sk)
-    )
-    elapsed = time.monotonic() - start
-    server_exc, client_exc = results["server_exc"], results["client_exc"]
-    assert isinstance(server_exc, TlsAlertSent), repr(server_exc)
-    assert server_exc.description == AlertDescription.INVALID_CIPHERTEXT
-    assert isinstance(client_exc, TlsAlertReceived), repr(client_exc)
-    assert client_exc.description == AlertDescription.INVALID_CIPHERTEXT
-    for exc in (server_exc, client_exc):
-        assert transcript_report(exc.transcript)["aborted"]
-    assert elapsed < _IO_TIMEOUT / 2
-
-
-def test_certificate_signature_algorithm_must_match_template(low_material):
-    """A trusted CA whose key is a different SPX row than the negotiated
-    signature template: its certificate verifies, but the client rejects
-    it because the signature algorithm differs from the template."""
-    rng = DeterministicRng(seed=b"wrong-sig-alg")
-    other_ca = hbs_keygen(HbsParams.from_algorithm_id("SPX-TOY-16-16-4-S"), rng)
-    cert = issue_certificate(
-        other_ca,
-        "server.test",
-        low_material["enc_id"],
-        low_material["kem"].pk.encoding,
-        rng,
-    )
-    results = _loopback(
-        _client_cfg(low_material, trusted_roots=(other_ca.root,)),
-        _server_cfg(low_material, certificate=cert),
-    )
-    client_exc = results["client_exc"]
-    assert isinstance(client_exc, TlsAlertSent)
-    assert client_exc.description == AlertDescription.BAD_CERTIFICATE
-    assert "signature algorithm" in client_exc.reason
-    server_exc = results["server_exc"]
-    assert isinstance(server_exc, TlsAlertReceived)
-    assert server_exc.description == AlertDescription.BAD_CERTIFICATE
 
 
 # ---------------------------------------------------------------------------
@@ -772,10 +581,23 @@ def _split_records(stream: bytes) -> list[tuple[int, int]]:
     return records
 
 
+def _assert_handshake_failed_cleanly(results, label):
+    """Each side whose handshake call failed raised an alert exception or
+    ConnectionClosed, with an aborted transcript.  A side that completed
+    its handshake may still fail later; that is the session's error."""
+    for side in ("client", "server"):
+        if side not in results:
+            exc = results[f"{side}_exc"]
+            assert isinstance(exc, (TlsAlertSent, TlsAlertReceived, ConnectionClosed)), (
+                f"{label}: {exc!r}"
+            )
+            assert transcript_report(exc.transcript)["aborted"], label
+
+
 def test_fault_injection_across_every_handshake_message(low_material):
     """Flip one bit inside each handshake record, one run per record:
-    no tampered run may complete on the client, deliver data, or crash
-    with anything but a clean protocol failure."""
+    no tampered run may complete on the client, deliver data, or end a
+    handshake with anything but an alert or a closed connection."""
     echo = lambda session, results: session.send(session.recv())  # noqa: E731
 
     def talk(session, results):
@@ -820,38 +642,40 @@ def test_fault_injection_across_every_handshake_message(low_material):
         label = f"{side} record {index}"
         assert "echo" not in results, label
         assert "client_exc" in results, label
-        assert isinstance(
-            results["client_exc"], (AgilecryptError, ConnectionClosed)
-        ), f"{label}: {results['client_exc']!r}"
-        if "server" not in results:
-            assert isinstance(
-                results["server_exc"], (AgilecryptError, ConnectionClosed)
-            ), f"{label}: {results['server_exc']!r}"
+        _assert_handshake_failed_cleanly(results, label)
+
+
+def _clean_client_records(material):
+    """(start, fragment_length) of each record the client sends in a
+    clean handshake: ClientHello, ClientKeyExchange, ChangeCipherSpec
+    and Finished."""
+    a, b = transport_pair(timeout=_IO_TIMEOUT)
+    recorder = _RecordingTransport(a)
+    clean = _loopback(_client_cfg(material), _server_cfg(material), transports=(recorder, b))
+    assert "client" in clean
+    return _split_records(bytes(recorder.sent))
+
+
+def _flipped_client_stream(material, offset, bit):
+    """Both real halves, one bit of the client's stream flipped in flight."""
+    a, b = transport_pair(timeout=_IO_TIMEOUT)
+    return _loopback(
+        _client_cfg(material),
+        _server_cfg(material),
+        transports=(_BitFlipTransport(a, offset, bit), b),
+    )
 
 
 def test_tampered_client_key_exchange_alerts(low_material):
     """Target the KEM ciphertext specifically; the server answers with
     invalid_ciphertext or a record-MAC failure, never a session."""
-    a, b = transport_pair(timeout=_IO_TIMEOUT)
-    rec_client = _RecordingTransport(a)
-    clean = _loopback(
-        _client_cfg(low_material),
-        _server_cfg(low_material),
-        transports=(rec_client, b),
-    )
-    assert "client" in clean
-    records = _split_records(bytes(rec_client.sent))
-    start, frag_len = records[1]  # ClientKeyExchange
+    start, frag_len = _clean_client_records(low_material)[1]  # ClientKeyExchange
     observed = set()
     for rel in range(8, frag_len, max(1, frag_len // 6)):
-        a, b = transport_pair(timeout=_IO_TIMEOUT)
-        flipped = _BitFlipTransport(a, start + 5 + rel, bit=0)
-        results = _loopback(
-            _client_cfg(low_material), _server_cfg(low_material), transports=(flipped, b)
-        )
-        assert "client" not in results
+        results = _flipped_client_stream(low_material, start + 5 + rel, bit=0)
+        assert "client" not in results and "server" not in results
+        _assert_handshake_failed_cleanly(results, f"ClientKeyExchange byte {rel}")
         exc = results["server_exc"]
-        assert isinstance(exc, (TlsAlertSent, TlsAlertReceived, ConnectionClosed, BadMac))
         if isinstance(exc, TlsAlertSent):
             observed.add(int(exc.description))
             assert exc.description in (
@@ -860,6 +684,263 @@ def test_tampered_client_key_exchange_alerts(low_material):
                 AlertDescription.DECRYPT_ERROR,
             )
     assert observed, "no server-side alerts captured"
+
+
+# ---------------------------------------------------------------------------
+# Refusals: one case table for every alert a handshake sends
+# ---------------------------------------------------------------------------
+
+_LOW_INFO = build_template_info(builtin_registry(1), SecurityLevel.LOW)
+_LOW_HELLO = ClientHello(random=bytes(32), cipher_suites=(0x1306,), template_info=_LOW_INFO)
+
+
+def _against_script(side, config, script):
+    """Run the ``side`` handshake half in a thread while ``script`` plays
+    its peer over a bare record layer.  Returns what _loopback returns for
+    the half, and what ``script`` returned under "script"."""
+    handshake = client_handshake if side == "client" else server_handshake
+    ours, theirs = transport_pair(timeout=_IO_TIMEOUT)
+    results: dict = {}
+
+    def run():
+        try:
+            results[side] = handshake(ours, config)
+        except Exception as exc:  # noqa: BLE001 - recorded for assertions
+            results[f"{side}_exc"] = exc
+
+    start = time.monotonic()
+    thread = threading.Thread(target=run, daemon=True)
+    thread.start()
+    try:
+        results["script"] = script(RecordLayer(theirs))
+    finally:
+        thread.join(timeout=_JOIN_TIMEOUT)
+        results["elapsed"] = time.monotonic() - start
+        for transport in (ours, theirs):
+            transport.close()
+    assert not thread.is_alive(), "handshake thread deadlocked"
+    return results
+
+
+def _handshake_record(hs_type, body):
+    return ContentType.HANDSHAKE, encode_handshake_message(hs_type, body)
+
+
+def _scripted_client(hello):
+    """A client that sends ``hello`` and reads one record."""
+
+    def script(record):
+        record.send(*_handshake_record(HandshakeType.CLIENT_HELLO, hello.encode()))
+        return record.recv()
+
+    return script
+
+
+def _scripted_server(*records):
+    """A server that reads the ClientHello, which must offer 0x1306 alone,
+    sends ``records`` and reads one record."""
+
+    def script(record):
+        content_type, payload = record.recv()
+        assert content_type == ContentType.HANDSHAKE
+        assert ClientHello.decode(payload[4:]).cipher_suites == (0x1306,)
+        for content_type, payload in records:
+            record.send(content_type, payload)
+        return record.recv()
+
+    return script
+
+
+def _server_hello(**fields):
+    hello = dict(random=bytes(32), cipher_suite=0x1306, template_info=_LOW_INFO) | fields
+    return _handshake_record(HandshakeType.SERVER_HELLO, ServerHello(**hello).encode())
+
+
+def _hello_flip(altered):
+    """(stream offset, bit) of the one bit in which ``altered`` differs
+    from the ClientHello a LOW client sends, which is the first record
+    of its stream: a 5-byte record header, a 4-byte handshake header and
+    the body."""
+    [(index, diff)] = [
+        (i, a ^ b) for i, (a, b) in enumerate(zip(_LOW_HELLO.encode(), altered.encode())) if a != b
+    ]
+    assert diff & (diff - 1) == 0, "more than one bit differs"
+    return 5 + 4 + index, diff.bit_length() - 1
+
+
+def _flipped_client_finished(material):
+    """One bit flipped in the middle of the client's sealed Finished."""
+    start, length = _clean_client_records(material)[3]
+    return _flipped_client_stream(material, start + 5 + length // 2, bit=3)
+
+
+def _other_kem_certificate(material):
+    """A valid certificate from the trusted CA for a KEM other than the
+    template's, served with that KEM's secret key."""
+    rng = DeterministicRng(seed=b"wrong-alg")
+    params = KemParams.from_algorithm_id("CME-TOY-13-16")
+    kem = kem_keygen(params, rng)
+    cert = issue_certificate(
+        material["ca"], "server.test", params.algorithm_id, kem.pk.encoding, rng
+    )
+    return _loopback(
+        _client_cfg(material), _server_cfg(material, certificate=cert, kem_secret=kem.sk)
+    )
+
+
+def _other_signature_ca(material):
+    """A certificate for the template's KEM key from a trusted CA whose key
+    is another SPX row than the signature template: it verifies, but its
+    signature algorithm differs from the template."""
+    rng = DeterministicRng(seed=b"wrong-sig-alg")
+    ca = hbs_keygen(HbsParams.from_algorithm_id("SPX-TOY-16-16-4-S"), rng)
+    cert = issue_certificate(
+        ca, "server.test", material["enc_id"], material["kem"].pk.encoding, rng
+    )
+    return _loopback(
+        _client_cfg(material, trusted_roots=(ca.root,)), _server_cfg(material, certificate=cert)
+    )
+
+
+_HIGH = SecurityLevel.HIGH
+
+# Each row: the side that refuses, the alert it sends, a text of its
+# reason, whether it refuses at hello time (before a Certificate or a
+# ClientKeyExchange moves), and the run, which takes the LOW material
+# and returns _loopback's results (both halves real) or _against_script's
+# (the peer scripted).  Rows with HIGH on one side resolve templates at
+# HIGH but never reach the certificate.
+REFUSALS = [
+    # v1 against v2 at HIGH: the signature template drifted between
+    # registry versions.
+    ("registry-drift", "server", AlertDescription.TEMPLATE_MISMATCH, "version_mismatch", True,
+     lambda m: _loopback(
+         _client_cfg(m, level=_HIGH),
+         _server_cfg(m, registry=builtin_registry(2), level=_HIGH),
+     )),
+    ("same-version-template-conflict", "server", AlertDescription.TEMPLATE_MISMATCH,
+     "template_mismatch", True,
+     lambda m: _loopback(
+         _client_cfg(m, level=_HIGH),
+         _server_cfg(m, registry=_same_version_conflict(), level=_HIGH),
+     )),
+    ("no-common-suite", "server", AlertDescription.HANDSHAKE_FAILURE,
+     "no common cipher suite", True,
+     lambda m: _against_script(
+         "server", _server_cfg(m),
+         _scripted_client(dataclasses.replace(_LOW_HELLO, cipher_suites=(0x4A4A,))),
+     )),
+    ("client-hello-without-template-info", "server", AlertDescription.HANDSHAKE_FAILURE,
+     "client sent no template info", True,
+     lambda m: _against_script(
+         "server", _server_cfg(m),
+         _scripted_client(dataclasses.replace(_LOW_HELLO, template_info=None)),
+     )),
+    # Bit 3 of the compression byte: the client offers (8,).
+    ("client-hello-without-null-compression", "server", AlertDescription.HANDSHAKE_FAILURE,
+     "client offered no null compression", True,
+     lambda m: _flipped_client_stream(
+         m, *_hello_flip(dataclasses.replace(_LOW_HELLO, compression_methods=(8,)))
+     )),
+    ("client-refuses-a-suite-it-did-not-offer", "client", AlertDescription.HANDSHAKE_FAILURE,
+     "server chose unoffered suite 0x4A4A", True,
+     lambda m: _against_script(
+         "client", _client_cfg(m), _scripted_server(_server_hello(cipher_suite=0x4A4A))
+     )),
+    ("server-hello-without-template-info", "client", AlertDescription.HANDSHAKE_FAILURE,
+     "server sent no template info", True,
+     lambda m: _against_script(
+         "client", _client_cfg(m), _scripted_server(_server_hello(template_info=None))
+     )),
+    # An alert record of one byte where two belong.
+    ("malformed-alert-during-handshake", "client", AlertDescription.HANDSHAKE_FAILURE,
+     "alert record is 1 bytes, expected 2", True,
+     lambda m: _against_script(
+         "client", _client_cfg(m), _scripted_server((ContentType.ALERT, b"\x02"))
+     )),
+    ("garbage-certificate-body", "client", AlertDescription.BAD_CERTIFICATE,
+     "unparseable certificate", False,
+     lambda m: _against_script(
+         "client", _client_cfg(m),
+         _scripted_server(
+             _server_hello(), _handshake_record(HandshakeType.CERTIFICATE, b"garbage")
+         ),
+     )),
+    ("untrusted-root", "client", AlertDescription.BAD_CERTIFICATE,
+     "certificate verification failed", False,
+     lambda m: _loopback(_client_cfg(m, trusted_roots=(b"\xee" * 16,)), _server_cfg(m))),
+    ("certificate-key-algorithm-must-match-template", "client",
+     AlertDescription.BAD_CERTIFICATE,
+     "certificate key algorithm differs from negotiated template", False,
+     _other_kem_certificate),
+    ("certificate-signature-algorithm-must-match-template", "client",
+     AlertDescription.BAD_CERTIFICATE,
+     "certificate signature algorithm differs from negotiated template", False,
+     _other_signature_ca),
+    # A server whose secret key is for other parameters than its
+    # certificate's KEM key reads the ClientKeyExchange with its own key's
+    # parameters.
+    ("server-key-for-other-parameters", "server", AlertDescription.INVALID_CIPHERTEXT,
+     "key exchange rejected", False,
+     lambda m: _loopback(
+         _client_cfg(m),
+         _server_cfg(
+             m, kem_secret=kem_keygen(KemParams(m=10, b=4), DeterministicRng(b"other-params")).sk
+         ),
+     )),
+    # The level byte is not compared at hello time, but both Finished
+    # messages cover the ClientHello as each side saw it.
+    ("client-hello-altered-in-flight", "server", AlertDescription.DECRYPT_ERROR,
+     "client Finished verification failed", False,
+     lambda m: _flipped_client_stream(
+         m,
+         *_hello_flip(
+             dataclasses.replace(_LOW_HELLO, template_info=dataclasses.replace(_LOW_INFO, level=3))
+         ),
+     )),
+    ("client-finished-bit-flipped", "server", AlertDescription.BAD_RECORD_MAC,
+     "record MAC mismatch", False, _flipped_client_finished),
+]
+
+
+@pytest.mark.parametrize(
+    "refuser, alert, reason, at_hello, run",
+    [pytest.param(*row[1:], id=row[0]) for row in REFUSALS],
+)
+def test_a_refused_handshake_ends_in_one_alert(
+    low_material, refuser, alert, reason, at_hello, run
+):
+    """The refusing side raises TlsAlertSent with the row's alert and
+    reason; its peer receives exactly that alert; no side returns a
+    session; every handshake exception carries an aborted transcript
+    naming the alert; and the refusal comes well before any I/O timeout."""
+    results = run(low_material)
+    assert "client" not in results and "server" not in results
+    refused = results[f"{refuser}_exc"]
+    assert isinstance(refused, TlsAlertSent), repr(refused)
+    assert refused.description == alert
+    assert reason in refused.reason
+    if "script" in results:
+        assert results["script"] == (ContentType.ALERT, encode_alert(alert))
+    else:
+        peer = results["server_exc" if refuser == "client" else "client_exc"]
+        assert isinstance(peer, TlsAlertReceived), repr(peer)
+        assert peer.description == alert
+    for exc in (results.get("client_exc"), results.get("server_exc")):
+        if exc is None:
+            continue
+        report = transcript_report(exc.transcript)
+        assert report["aborted"]
+        assert (report["alert"], report["alert_name"]) == (int(alert), alert.name.lower())
+        assert report["total_bytes"] > 0  # partial sizes still reported
+        if at_hello:
+            names = {e["message"] for e in report["messages"]}
+            assert not names & {"Certificate", "ClientKeyExchange"}
+    assert results["elapsed"] < _IO_TIMEOUT / 2
+
+
+def test_every_alert_answers_some_refusal():
+    assert {row[2] for row in REFUSALS} == set(AlertDescription)
 
 
 # ---------------------------------------------------------------------------
@@ -935,7 +1016,7 @@ def _session_and_peer():
     peer = RecordLayer(theirs)
     peer.enable_send_protection(peer_keys.client)
     peer.enable_recv_protection(peer_keys.server)
-    return TlsSession("server", record, keys, HandshakeTranscript(), 0x1306), peer
+    return TlsSession(record, keys, HandshakeTranscript()), peer
 
 
 def _assert_torn_down(session):
@@ -979,21 +1060,6 @@ def test_recv_exact_surplus_tears_down_session():
         session.recv_exact(4)
     _assert_torn_down(session)
     assert peer.recv() == (ContentType.ALERT, encode_alert(AlertDescription.HANDSHAKE_FAILURE))
-
-
-def test_malformed_alert_during_handshake_is_a_handshake_failure(low_material):
-    def server(record):
-        assert record.recv()[0] == ContentType.HANDSHAKE
-        record.send(ContentType.ALERT, b"\x02")
-        return record.recv()
-
-    client_exc, (content_type, payload) = _against_script(
-        client_handshake, _client_cfg(low_material), server
-    )
-    assert isinstance(client_exc, TlsAlertSent)
-    assert client_exc.description == AlertDescription.HANDSHAKE_FAILURE
-    assert content_type == ContentType.ALERT
-    assert decode_alert(payload) == AlertDescription.HANDSHAKE_FAILURE
 
 
 # ---------------------------------------------------------------------------

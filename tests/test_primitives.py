@@ -16,6 +16,7 @@ import pytest
 from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
+from agilecrypt import primitives
 from agilecrypt.errors import BadMac, BadPadding, ParameterError
 from agilecrypt.primitives import (
     DeterministicRng,
@@ -24,7 +25,6 @@ from agilecrypt.primitives import (
     SymmetricKeys,
     SystemRng,
     hash_data,
-    hmac_digest,
     open_record,
     prf,
     seal_record,
@@ -81,43 +81,6 @@ def test_hash_bit_flip_changes_digest():
         pos = rng.randrange(len(x) * 8)
         x[pos // 8] ^= 1 << (pos % 8)
         assert hash_data(HashId.H256, bytes(x)) != d0
-
-
-def test_hmac_rfc_vectors():
-    # Published HMAC test vectors: key = 0x0b * 20, data = "Hi There".
-    key1, data1 = b"\x0b" * 20, b"Hi There"
-    assert hmac_digest(HashId.H256, key1, data1).hex() == (
-        "b0344c61d8db38535ca8afceaf0bf12b881dc200c9833da726e9376c2e32cff7"
-    )
-    assert hmac_digest(HashId.H512, key1, data1).hex() == (
-        "87aa7cdea5ef619d4ff0b4241a1d6cb02379f4e2ce4ec2787ad0b30545e17cde"
-        "daa833b7d6b8a702038b274eaea3f4e4be9d914eeb61f1702e696c203a126854"
-    )
-    # Published vector with a key shorter than the block size.
-    key2, data2 = b"Jefe", b"what do ya want for nothing?"
-    assert hmac_digest(HashId.H256, key2, data2).hex() == (
-        "5bdcc146bf60754e6a042426089575c75a003f089d2739839dec58b964ec3843"
-    )
-    assert hmac_digest(HashId.H512, key2, data2).hex() == (
-        "164b7a7bfcf819e2e395fbe73b56e0a387bd64222e831fd610270cd7ea250554"
-        "9758bf75c05a994a6d034f65f8f0e6fdcaeab1a34d4a6b4b636e070a38bce737"
-    )
-
-
-def test_hmac_empty_key_rejected():
-    with pytest.raises(ParameterError):
-        hmac_digest(HashId.H256, b"", b"data")
-
-
-def test_hmac_detects_data_flips():
-    rng = random.Random(103)
-    for _ in range(1000):
-        key = rng.randbytes(rng.randrange(1, 48))
-        data = bytearray(rng.randbytes(rng.randrange(1, 64)))
-        tag = hmac_digest(HashId.H512, key, bytes(data))
-        pos = rng.randrange(len(data) * 8)
-        data[pos // 8] ^= 1 << (pos % 8)
-        assert hmac_digest(HashId.H512, key, bytes(data)) != tag
 
 
 # ---------------------------------------------------------------------------
@@ -215,6 +178,44 @@ def test_open_single_bit_tamper_never_leaks():
         sealed[pos // 8] ^= 1 << (pos % 8)
         with pytest.raises((BadMac, BadPadding)):
             open_record(keys, trial, b"hdr", bytes(sealed))
+
+
+def test_open_record_computes_one_mac_whichever_check_fails(monkeypatch):
+    """RFC 5246 §6.2.3.2: bad padding is MAC'd as if the pad were empty, so
+    a bad pad length, bad pad bytes and a bad MAC each cost one MAC, over
+    lengths within one AES block plus the pad of each other."""
+    keys = _fresh_keys(random.Random(111))
+    plaintext = b"ten bytes!"
+    sealed = seal_record(keys, 3, b"hdr", plaintext)
+    pad = len(sealed) - 16 - len(plaintext) - 64  # pad_len + 1 bytes
+
+    def flipped(position: int, mask: int) -> bytes:
+        out = bytearray(sealed)
+        out[position] ^= mask
+        return bytes(out)
+
+    # A flip in the next-to-last ciphertext block flips the same byte of the
+    # last plaintext block, which ends in the pad; one in the IV flips the
+    # first plaintext byte.
+    cases = [
+        (flipped(-17, (pad - 1) ^ 0xFF), BadPadding, "padding length exceeds record"),
+        (flipped(-18, 0x01), BadPadding, "padding bytes inconsistent"),
+        (flipped(0, 0x01), BadMac, "record MAC mismatch"),
+    ]
+    record_mac = primitives._record_mac
+    mac_lengths = []
+
+    def counting_mac(keys, seq, header, data):
+        mac_lengths.append(len(data))
+        return record_mac(keys, seq, header, data)
+
+    monkeypatch.setattr(primitives, "_record_mac", counting_mac)
+    for tampered, error, text in cases:
+        calls = len(mac_lengths)
+        with pytest.raises(error, match=text):
+            open_record(keys, 3, b"hdr", tampered)
+        assert len(mac_lengths) == calls + 1, text
+    assert max(mac_lengths) - min(mac_lengths) <= 16 + pad
 
 
 @pytest.mark.parametrize("width", [32, 63, 65])
