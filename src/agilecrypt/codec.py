@@ -17,6 +17,9 @@ from .errors import MalformedEncoding
 
 
 class Reader:
+    """Reads ``data`` front to back.  Over a memoryview every read is a
+    view too, so a parser copies only the fields it keeps."""
+
     def __init__(self, data: bytes):
         self._data = data
         self._off = 0
@@ -65,9 +68,9 @@ class Reader:
 
 
 def decode_text(raw: bytes, encoding: str, offset: int) -> str:
-    """``raw`` as text; ``offset`` is where the field ends."""
+    """``raw`` (bytes or a view) as text; ``offset`` is where the field ends."""
     try:
-        return raw.decode(encoding)
+        return str(raw, encoding)
     except UnicodeDecodeError as exc:
         raise MalformedEncoding(f"text field is not {encoding}", offset=offset) from exc
 

@@ -286,7 +286,7 @@ def _message_digits(
 ) -> tuple[list[int], bytes]:
     """Base-w message digits plus checksum digits, and the raw digest the
     stateless leaf index is drawn from."""
-    full = hash_data(params.hash_id, randomizer + root + msg)
+    full = hash_data(params.hash_id, randomizer, root, msg)
     value = int.from_bytes(full[: params.n_h], "big")
     value <<= params.l1 * params.log2w - 8 * params.n_h
     mask = params.w - 1

@@ -7,15 +7,22 @@ written as they are; parse_certificate refuses one whose length is not
 the signature size of the certificate's signature algorithm.  The KEM
 public key is embedded whole, which is what makes the Certificate
 handshake message the megabyte-scale payload for large parameter sets.
+
+A certificate is encoded once per object: ``Certificate.encoding`` is
+built on first use and kept, so a server sends the same bytes on every
+connection without re-encoding them.  The kept bytes are not a field:
+they take no part in ``==`` or ``hash``, and ``dataclasses.replace``
+makes a new object that encodes afresh.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import functools
 from dataclasses import dataclass
 
 from ..cbkem import KemKeyPair, KemPublicKey, kem_keygen
-from ..codec import Reader, decode_text, encode_text, vec8, vec16, vec32
+from ..codec import Reader, decode_text, encode_text, uint, vec8, vec16, vec32
 from ..easyapi import (
     SecurityLevel,
     TemplateKind,
@@ -40,16 +47,25 @@ class Certificate:
     issuer_root: bytes
     issuer_signature: bytes
 
+    @functools.cached_property
+    def encoding(self) -> bytes:
+        """The signed portion followed by the length-prefixed signature."""
+        return b"".join([_signed_portion(self), vec32(self.issuer_signature)])
+
 
 def _signed_portion(cert: Certificate) -> bytes:
     """Every field but the signature, length-prefixed in field order: the
-    bytes the issuer signs."""
-    return (
-        vec16(encode_text(cert.subject, "utf-8"))
-        + vec8(encode_text(cert.kem_algorithm_id, "ascii"))
-        + vec32(cert.kem_public_key)
-        + vec8(encode_text(cert.hbs_algorithm_id, "ascii"))
-        + vec8(cert.issuer_root)
+    bytes the issuer signs.  One join, so the megabyte-scale key is
+    copied once."""
+    return b"".join(
+        [
+            vec16(encode_text(cert.subject, "utf-8")),
+            vec8(encode_text(cert.kem_algorithm_id, "ascii")),
+            uint(len(cert.kem_public_key), 4),
+            cert.kem_public_key,
+            vec8(encode_text(cert.hbs_algorithm_id, "ascii")),
+            vec8(cert.issuer_root),
+        ]
     )
 
 
@@ -66,17 +82,19 @@ def issue_certificate(
 
 
 def encode_certificate(cert: Certificate) -> bytes:
-    return _signed_portion(cert) + vec32(cert.issuer_signature)
+    return cert.encoding
 
 
 def parse_certificate(data: bytes) -> Certificate:
+    """The certificate ``data`` encodes; ``data`` may be a view, of which
+    each field is copied once."""
     r = Reader(data)
     subject = decode_text(r.vec16(), "utf-8", r.offset)
     kem_algorithm_id = decode_text(r.vec8(), "ascii", r.offset)
-    kem_public_key = r.vec32()
+    kem_public_key = bytes(r.vec32())
     hbs_algorithm_id = decode_text(r.vec8(), "ascii", r.offset)
-    issuer_root = r.vec8()
-    signature = r.vec32()
+    issuer_root = bytes(r.vec8())
+    signature = bytes(r.vec32())
     r.expect_end()
     try:
         sig_params = family_params(TemplateKind.SIGNATURE, hbs_algorithm_id)

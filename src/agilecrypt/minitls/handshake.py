@@ -20,7 +20,11 @@ Each flight goes to the transport in one write: the channel frames (and,
 after ChangeCipherSpec, seals) the records of every message it sends and
 writes them together just before it next reads, before a fatal alert,
 and when the handshake returns.  The byte stream is the same as one
-write per record; only the number of writes changes.
+write per record; only the number of writes changes.  The messages a
+flight carries enter the transcript hash after it is written, so the
+server hashes its certificate while the client reads it.  A received
+message is joined from its records with one copy, and its body is a
+view of that copy.
 
 At most one alert is ever sent per connection and every alert is fatal,
 so close_notify does not exist here.
@@ -59,7 +63,7 @@ from ..primitives import (
     SystemRng,
     prf,
 )
-from .certificate import Certificate, encode_certificate, parse_certificate, verify_certificate
+from .certificate import Certificate, parse_certificate, verify_certificate
 from .record import RecordLayer
 from .transcript import HandshakeTranscript
 from .transport import Transport
@@ -193,9 +197,11 @@ def template_divergence(
 # ---------------------------------------------------------------------------
 
 def _frame_fragmented(record: RecordLayer, content_type: ContentType, data: bytes) -> list[bytes]:
-    """One framed record per MAX_RECORD_PLAINTEXT bytes of ``data``."""
+    """One framed record per MAX_RECORD_PLAINTEXT bytes of ``data``, each
+    framed from a view, so ``data`` is copied once, into the records."""
+    view = memoryview(data)
     return [
-        record.frame(content_type, data[start : start + MAX_RECORD_PLAINTEXT])
+        record.frame(content_type, view[start : start + MAX_RECORD_PLAINTEXT])
         for start in range(0, len(data), MAX_RECORD_PLAINTEXT)
     ]
 
@@ -242,7 +248,8 @@ class HandshakeChannel:
     def __init__(self, record: RecordLayer, transcript: HandshakeTranscript):
         self.record = record
         self.transcript = transcript
-        self._buffer = bytearray()
+        self._received: list[bytes] = []  # handshake payloads not yet taken
+        self._buffered = 0
         self._flight: list[bytes] = []
 
     def send_message(self, hs_type: HandshakeType, body: bytes) -> None:
@@ -251,32 +258,45 @@ class HandshakeChannel:
         self._flight.extend(_frame_fragmented(self.record, ContentType.HANDSHAKE, msg))
 
     def flush(self) -> None:
-        """Write every queued record in one transport write."""
+        """Write every queued record in one transport write, then hash
+        the messages they carry."""
         if self._flight:
             wire = b"".join(self._flight)
             self._flight.clear()
             self.record.write(wire)
+        self.transcript.absorb()
 
     def send_fatal_alert(self, description: AlertDescription) -> None:
         _send_fatal_alert(self.record, description, self._flight)
         self._flight.clear()
 
     def _fill(self, needed: int) -> None:
-        while len(self._buffer) < needed:
+        while self._buffered < needed:
             self.flush()
-            self._buffer.extend(_recv_payload(self.record, ContentType.HANDSHAKE))
+            payload = _recv_payload(self.record, ContentType.HANDSHAKE)
+            self._received.append(payload)
+            self._buffered += len(payload)
 
-    def recv_message(self) -> tuple[HandshakeType, bytes]:
+    def _take(self, n: int) -> memoryview:
+        """The next ``n`` received bytes: a view of the payloads joined
+        with one copy (none when one payload holds exactly them)."""
+        data = b"".join(self._received)
+        self._received = [data[n:]] if len(data) > n else []
+        self._buffered -= n
+        return memoryview(data)[:n]
+
+    def recv_message(self) -> tuple[HandshakeType, memoryview]:
+        """The next message's type and body, a read-only view."""
         self._fill(4)
-        hs_type, length = decode_handshake_header(bytes(self._buffer[:4]))
+        hs_type, length = decode_handshake_header(b"".join(self._received)[:4])
         if length > MAX_HANDSHAKE_MESSAGE:
             raise MalformedEncoding(
                 f"handshake message of {length} bytes exceeds {MAX_HANDSHAKE_MESSAGE}"
             )
         self._fill(4 + length)
-        msg = bytes(self._buffer[: 4 + length])
-        del self._buffer[: 4 + length]
+        msg = self._take(4 + length)
         self.transcript.add_message(hs_type.message_name, "received", msg)
+        self.transcript.absorb()
         return hs_type, msg[4:]
 
     def send_ccs(self) -> None:
@@ -284,7 +304,7 @@ class HandshakeChannel:
         self.transcript.note_ccs("sent")
 
     def recv_ccs(self) -> None:
-        if self._buffer:
+        if self._buffered:
             raise MalformedEncoding("handshake data buffered across ChangeCipherSpec")
         self.flush()
         if _recv_payload(self.record, ContentType.CHANGE_CIPHER_SPEC) != b"\x01":
@@ -292,7 +312,7 @@ class HandshakeChannel:
         self.transcript.note_ccs("received")
 
 
-def _expect(channel: HandshakeChannel, expected: HandshakeType) -> bytes:
+def _expect(channel: HandshakeChannel, expected: HandshakeType) -> memoryview:
     hs_type, body = channel.recv_message()
     if hs_type != expected:
         raise MalformedEncoding(f"expected {expected.message_name}, got {hs_type.message_name}")
@@ -549,7 +569,7 @@ def _server_flow(
     )
     channel.send_message(
         HandshakeType.CERTIFICATE,
-        encode_certificate_body(encode_certificate(config.certificate)),
+        encode_certificate_body(config.certificate.encoding),
     )
     channel.send_message(HandshakeType.SERVER_HELLO_DONE, b"")
 

@@ -3,8 +3,14 @@
 Every handshake message is logged with its direction and exact wire size
 (including the 4-byte handshake header).  ChangeCipherSpec is logged for
 the size report but excluded from the transcript hash, matching how the
-Finished computation treats it.  The hash runs as messages arrive, so
-asking for it never re-reads the megabyte-scale certificate.
+Finished computation treats it.  A message's bytes wait in a queue until
+``absorb`` feeds them to the running hash, in the order they were added;
+``transcript_hash`` absorbs whatever is still queued first, so the
+Finished inputs are those of hashing each message as it is added.  The
+handshake channel absorbs a received message as it arrives and the
+messages it sent once their flight is written, so the server's flight,
+megabyte-scale certificate and all, leaves before the server hashes it,
+and asking for the hash never re-reads the certificate.
 """
 
 from __future__ import annotations
@@ -40,11 +46,20 @@ class HandshakeTranscript:
     records_received: int = 0
     writes: int = 0
     _hash: Any = field(default_factory=hashlib.sha512, repr=False)
+    _unhashed: list = field(default_factory=list, repr=False)
     _started: float = field(default_factory=time.monotonic, repr=False)
 
     def add_message(self, name: str, direction: str, data: bytes) -> None:
+        """Log a message; its bytes enter the hash at the next ``absorb``.
+        ``data`` must not change until then."""
         self.entries.append(TranscriptEntry(message=name, direction=direction, length=len(data)))
-        self._hash.update(data)
+        self._unhashed.append(data)
+
+    def absorb(self) -> None:
+        """Hash every message added since the last call, in order."""
+        for data in self._unhashed:
+            self._hash.update(data)
+        self._unhashed.clear()
 
     def note_ccs(self, direction: str) -> None:
         # One-byte body, never part of the transcript hash.
@@ -52,6 +67,7 @@ class HandshakeTranscript:
 
     def transcript_hash(self) -> bytes:
         """SHA-512 over every message added so far."""
+        self.absorb()
         return self._hash.copy().digest()
 
     def finish(

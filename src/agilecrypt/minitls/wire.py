@@ -4,7 +4,10 @@ Framing follows TLS 1.2 conventions: big-endian integers, length-prefixed
 vectors, 4-byte handshake headers (1-byte type, 3-byte length).  The
 reader and vector writers are agilecrypt.codec's, whose strict-decoding
 rules apply: trailing bytes and out-of-range values are rejected with the
-failing byte offset.
+failing byte offset.  Decoders take any bytes-like input, since the
+handshake channel hands out each message body as a memoryview; the small
+messages' decoders copy it to bytes first, so every field they return is
+bytes, while decode_certificate_body returns a view of its input.
 
 The template-info extension (type 0xFD00, private-use range) carries the
 sender's registry version, security level, and both resolved algorithm
@@ -17,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import IntEnum
 
-from ..codec import Reader, decode_text, encode_text, uint, vec8, vec16, vec24
+from ..codec import Reader, decode_text, encode_text, uint, vec8, vec16
 from ..errors import AgilecryptError, MalformedEncoding
 
 TLS_VERSION = 0x0303
@@ -204,7 +207,7 @@ class ClientHello:
 
     @classmethod
     def decode(cls, data: bytes) -> ClientHello:
-        r = Reader(data)
+        r = Reader(bytes(data))
         random, session_id = _decode_hello_prefix(r)
         suites_raw = r.vec16()
         if len(suites_raw) == 0 or len(suites_raw) % 2:
@@ -240,7 +243,7 @@ class ServerHello:
 
     @classmethod
     def decode(cls, data: bytes) -> ServerHello:
-        r = Reader(data)
+        r = Reader(bytes(data))
         random, session_id = _decode_hello_prefix(r)
         suite = r.u16()
         compression = r.u8()
@@ -255,11 +258,15 @@ class ServerHello:
 # ---------------------------------------------------------------------------
 
 def encode_certificate_body(cert_bytes: bytes) -> bytes:
-    return vec24(vec24(cert_bytes))
+    """A chain of one certificate: vec24(vec24(cert_bytes)), with the
+    certificate copied once."""
+    return b"".join([uint(len(cert_bytes) + 3, 3), uint(len(cert_bytes), 3), cert_bytes])
 
 
-def decode_certificate_body(data: bytes) -> bytes:
-    r = Reader(data)
+def decode_certificate_body(data: bytes) -> memoryview:
+    """The one certificate in the chain, as a view of ``data``: the
+    megabyte-scale bytes are not copied."""
+    r = Reader(memoryview(data))
     chain = Reader(r.vec24())
     r.expect_end()
     cert = chain.vec24()
@@ -272,7 +279,7 @@ def encode_client_key_exchange_body(ct_bytes: bytes) -> bytes:
 
 
 def decode_client_key_exchange_body(data: bytes) -> bytes:
-    r = Reader(data)
+    r = Reader(bytes(data))
     ct = r.vec16()
     if len(ct) == 0:
         raise MalformedEncoding("empty key exchange payload", offset=0)

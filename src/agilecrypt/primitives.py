@@ -53,9 +53,14 @@ class HashId(Enum):
 # Hash / HMAC / PRF
 # ---------------------------------------------------------------------------
 
-def hash_data(hash_id: HashId, data: bytes) -> bytes:
-    """Digest of fixed length: 32 bytes for H256, 64 for H512."""
-    return hash_id._ctor(data).digest()
+def hash_data(hash_id: HashId, data: bytes, *more: bytes) -> bytes:
+    """Digest of fixed length: 32 bytes for H256, 64 for H512, over
+    ``data`` followed by each of ``more``.  The parts are fed to one hash
+    object in turn, so a megabyte-scale part is never copied to join it."""
+    h = hash_id._ctor(data)
+    for part in more:
+        h.update(part)
+    return h.digest()
 
 
 def prf(hash_id: HashId, secret: bytes, label: str, seed: bytes, out_len: int) -> bytes:
@@ -140,13 +145,13 @@ def seal_record(keys: SymmetricKeys, seq: int, header: bytes, plaintext: bytes) 
     and the plaintext length, so replay and context confusion are caught
     by open_record.  Size limits are the transport's business: the TLS
     record layer enforces its fragment cap before calling here, while
-    keystores and envelopes seal payloads far past it.
+    keystores and envelopes seal payloads far past it.  ``plaintext`` may
+    be a view; it is copied once, into the body that is encrypted.
     """
     mac = _record_mac(keys, seq, header, plaintext)
-    body = plaintext + mac
     # Full CBC padding: pad_len+1 bytes, each holding the value pad_len.
-    pad_len = _AES_BLOCK - 1 - (len(body) % _AES_BLOCK)
-    body += bytes([pad_len]) * (pad_len + 1)
+    pad_len = _AES_BLOCK - 1 - ((len(plaintext) + len(mac)) % _AES_BLOCK)
+    body = b"".join([plaintext, mac, bytes([pad_len]) * (pad_len + 1)])
     iv = _record_iv(keys, seq)
     enc = Cipher(algorithms.AES(bytes(keys.enc_key)), modes.CBC(iv)).encryptor()
     return iv + enc.update(body) + enc.finalize()

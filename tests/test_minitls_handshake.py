@@ -58,17 +58,20 @@ from agilecrypt.minitls import (
     client_handshake,
     connect_tcp,
     derive_session_keys,
+    encode_certificate,
     finished_verify_data,
     issue_certificate,
+    parse_certificate,
     server_handshake,
     template_divergence,
     transcript_report,
     transport_pair,
 )
+from agilecrypt.minitls import certificate, handshake
 from agilecrypt.minitls.handshake import build_template_info
 from agilecrypt.minitls.measure import paramset_level, run_measurement, serve_connection
 from agilecrypt.minitls.wire import encode_alert, encode_handshake_message
-from agilecrypt.primitives import DeterministicRng
+from agilecrypt.primitives import DeterministicRng, open_record
 
 _JOIN_TIMEOUT = 60.0
 _IO_TIMEOUT = 5.0  # converts would-be deadlocks into ConnectionClosed
@@ -332,6 +335,133 @@ def test_each_flight_is_one_write(low_material):
     server_records = transcript_report(results["server"].transcript)["records"]
     assert client_records == {"sent": 4, "received": 5, "writes": 2}
     assert server_records == {"sent": 5, "received": 4, "writes": 2}
+
+
+# ---------------------------------------------------------------------------
+# Transcript hashing and the certificate's encoding
+# ---------------------------------------------------------------------------
+
+class _EventLog(_WriteLog):
+    """A _WriteLog that also logs each write to ``events``, tagged with
+    the writing thread."""
+
+    def __init__(self, inner: Transport, events: list):
+        super().__init__(inner)
+        self.events = events
+
+    def write(self, data: bytes) -> None:
+        self.events.append((threading.get_ident(), "write", bytes(data)))
+        super().write(data)
+
+
+class _LoggedHash:
+    """SHA-512 that logs each update to ``events``, tagged with the
+    calling thread."""
+
+    def __init__(self, events: list):
+        self._hash = hashlib.sha512()
+        self.events = events
+
+    def update(self, data: bytes) -> None:
+        self.events.append((threading.get_ident(), "hash", bytes(data)))
+        self._hash.update(data)
+
+    def copy(self):
+        return self._hash.copy()
+
+
+def _handshake_payloads(writes: list[bytes], send_keys) -> list[bytes]:
+    """Per write, the joined payloads of its handshake records: the
+    plaintext ones as they are, the protected ones opened with the
+    writer's ``send_keys`` (sequence numbers from 0).  ChangeCipherSpec
+    records are skipped."""
+    payloads, seq = [], None
+    for write in writes:
+        joined = b""
+        for start, length in _split_records(write):
+            header, fragment = write[start : start + 5], write[start + 5 : start + 5 + length]
+            if header[0] == ContentType.CHANGE_CIPHER_SPEC:
+                seq = 0
+                continue
+            if seq is not None:
+                fragment = open_record(send_keys, seq, header[:3], fragment)
+                seq += 1
+            joined += fragment
+        payloads.append(joined)
+    return payloads
+
+
+def test_transcript_hash_covers_every_message_in_wire_order(low_material, monkeypatch):
+    """Each side's final hash is SHA-512 over every handshake message in
+    wire order, ChangeCipherSpec excluded.  The client's Finished covers
+    its ClientKeyExchange, still queued when the client asks for the
+    hash.  The server's Certificate enters its hash only after the write
+    that carries it."""
+    events: list = []
+
+    class LoggedTranscript(HandshakeTranscript):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            self._hash = _LoggedHash(events)
+
+    monkeypatch.setattr(handshake, "HandshakeTranscript", LoggedTranscript)
+    a, b = transport_pair(timeout=_IO_TIMEOUT)
+    client_t, server_t = _EventLog(a, events), _EventLog(b, events)
+    results = _loopback(
+        _client_cfg(low_material), _server_cfg(low_material), transports=(client_t, server_t)
+    )
+    assert "client_exc" not in results and "server_exc" not in results
+    client, server = results["client"], results["server"]
+    hello, client_flight = _handshake_payloads(client_t.writes, client.keys.client)
+    server_flight, server_finished = _handshake_payloads(server_t.writes, server.keys.server)
+    wire = hello + server_flight + client_flight + server_finished
+    assert client.transcript.transcript_hash() == hashlib.sha512(wire).digest()
+    assert server.transcript.transcript_hash() == hashlib.sha512(wire).digest()
+
+    assert client_flight[0] == HandshakeType.CLIENT_KEY_EXCHANGE
+    before_finished, client_finished = client_flight[:-16], client_flight[-16:]
+    assert client_finished[:4] == encode_handshake_message(HandshakeType.FINISHED, bytes(12))[:4]
+    covered = hashlib.sha512(hello + server_flight + before_finished).digest()
+    assert client_finished[4:] == finished_verify_data(
+        client.keys.master_secret, "client finished", covered
+    )
+
+    server_thread = next(t for t, kind, data in events if data == server_t.writes[0])
+    server_events = [(kind, data) for t, kind, data in events if t == server_thread]
+    flight_written = server_events.index(("write", server_t.writes[0]))
+    certificate_hashed = next(
+        i
+        for i, (kind, data) in enumerate(server_events)
+        if kind == "hash" and data[0] == HandshakeType.CERTIFICATE
+    )
+    assert flight_written < certificate_hashed
+
+
+def test_a_certificate_is_encoded_once(low_material, monkeypatch):
+    """A server config's certificate is encoded for its first handshake
+    and the bytes reused for the next; a replaced certificate encodes
+    afresh, and the kept encoding takes no part in equality."""
+    cert = dataclasses.replace(low_material["cert"])
+    encoded = []
+    signed_portion = certificate._signed_portion
+
+    def counting_signed_portion(cert):
+        encoded.append(cert)
+        return signed_portion(cert)
+
+    monkeypatch.setattr(certificate, "_signed_portion", counting_signed_portion)
+    config = _server_cfg(low_material, certificate=cert)
+    for seed in (b"first client", b"second client"):
+        results = _loopback(_client_cfg(low_material, seed=seed), config)
+        assert "client" in results and "server" in results
+    assert sum(c is cert for c in encoded) == 1
+
+    same = dataclasses.replace(cert)
+    assert same == cert and hash(same) == hash(cert)
+    assert encode_certificate(same) == encode_certificate(cert)
+    assert sum(c is same for c in encoded) == 1
+    renamed = dataclasses.replace(cert, subject="other.test")
+    assert parse_certificate(encode_certificate(renamed)) == renamed != cert
 
 
 def _nodelay(sock: socket.socket) -> bool:
