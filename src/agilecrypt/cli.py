@@ -53,7 +53,6 @@ from .minitls import (
     TlsError,
     client_handshake,
     connect_tcp,
-    encode_certificate,
     transcript_report,
 )
 from .minitls.certificate import issue_server_material, load_server_material
@@ -231,7 +230,7 @@ def _cmd_tls_setup(args: argparse.Namespace) -> int:
     os.makedirs(args.dir, exist_ok=True)
     issuer, _, cert, seed_blob = issue_server_material(registry, level, args.subject, rng)
     _write_output(issuer.root, os.path.join(args.dir, CA_ROOT_FILE))
-    _write_output(encode_certificate(cert), os.path.join(args.dir, SERVER_CERT_FILE))
+    _write_output(cert.encoding, os.path.join(args.dir, SERVER_CERT_FILE))
     _write_output(seed_blob, os.path.join(args.dir, SERVER_SEED_FILE))
     print(
         f"wrote {CA_ROOT_FILE}, {SERVER_CERT_FILE}, {SERVER_SEED_FILE} to {args.dir}",

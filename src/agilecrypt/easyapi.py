@@ -327,7 +327,9 @@ def hybrid_open(recipient: EasyEncrypter, kem_ct: bytes, header: bytes, sealed: 
 class _StoredKey:
     """A key pair in one keystore entry, its store held open by the handle.
     Each family's with_new_key and open make or load the key; _create and
-    _load do the store work, and close the store when they fail."""
+    _load do the store work, and close the store when they fail.  After
+    close, sign, encrypt, decrypt and envelope_open raise KeystoreIoError
+    before they do any work."""
 
     store: Keystore
     alias: str
@@ -438,6 +440,7 @@ class EasySigner(_StoredKey):
         return cls._load(ksp, alias, registry_version, rng, load_key, read_only=False)
 
     def sign(self, msg: bytes) -> bytes:
+        self.store.check_open()
         stateful = self._kp.params.mode is hbs.HbsMode.STATEFUL
         if stateful and self._kp.next_leaf == self._window_end:
             self._refill_window(self._kp.params.leaf_count)
@@ -508,6 +511,7 @@ class EasyEncrypter(_StoredKey):
         return cls._load(ksp, alias, registry_version, rng, load_key, read_only=True)
 
     def encrypt(self, recipient_public_blob: bytes, plaintext: bytes) -> bytes:
+        self.store.check_open()
         ident, _, pk = recipient_key(recipient_public_blob)
         ct_bytes, keys = hybrid_encap(pk, self._rng)
         # The blob is its own associated data up to the sealed body.
@@ -515,6 +519,7 @@ class EasyEncrypter(_StoredKey):
         return header + seal_record(keys, 0, header, plaintext)
 
     def decrypt(self, blob: bytes) -> bytes:
+        self.store.check_open()
         ident, version, payload = parse_blob(blob)
         if ident != self.algorithm_id:
             raise AlgorithmMismatch(

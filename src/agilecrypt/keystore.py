@@ -301,9 +301,13 @@ class Keystore:
             raise ParameterError(f"entry {alias!r} is not stateful")
         return entry
 
-    def _check_usable(self, write: bool) -> None:
+    def check_open(self) -> None:
+        """Raise KeystoreIoError once the handle is closed."""
         if self._closed:
             raise KeystoreIoError("store handle is closed")
+
+    def _check_usable(self, write: bool) -> None:
+        self.check_open()
         # Only a writer holds the lock.
         if write and self._lock_fd is None:
             raise KeystoreIoError("store opened read-only")

@@ -153,6 +153,7 @@ def envelope_seal(
 
 
 def envelope_open(recipient: EasyEncrypter, sender_public_blob: bytes, env: Envelope) -> bytes:
+    recipient.store.check_open()
     if env.header.enc_algorithm_id != recipient.algorithm_id:
         raise AlgorithmMismatch(
             f"envelope is for {env.header.enc_algorithm_id!r}, "

@@ -13,18 +13,14 @@ from __future__ import annotations
 
 from .certificate import (
     Certificate,
-    encode_certificate,
     issue_certificate,
     parse_certificate,
     verify_certificate,
 )
 from .handshake import (
     ClientTlsConfig,
-    HandshakeChannel,
     ServerTlsConfig,
-    SessionKeys,
     TlsSession,
-    build_template_info,
     client_handshake,
     derive_session_keys,
     finished_verify_data,
@@ -32,7 +28,7 @@ from .handshake import (
     template_divergence,
 )
 from .record import RecordLayer
-from .transcript import HandshakeTranscript, TranscriptEntry, transcript_report
+from .transcript import HandshakeTranscript, transcript_report
 from .transport import (
     BufferTransport,
     SocketTransport,
@@ -41,11 +37,6 @@ from .transport import (
     transport_pair,
 )
 from .wire import (
-    MAX_HANDSHAKE_MESSAGE,
-    SUITE_0x1306,
-    SUITE_NAMES,
-    TEMPLATE_INFO_EXT,
-    TLS_VERSION,
     AlertDescription,
     ClientHello,
     ContentType,
@@ -64,31 +55,21 @@ __all__ = [
     "ClientHello",
     "ClientTlsConfig",
     "ContentType",
-    "HandshakeChannel",
     "HandshakeTranscript",
     "HandshakeType",
-    "MAX_HANDSHAKE_MESSAGE",
     "RecordLayer",
-    "SUITE_0x1306",
-    "SUITE_NAMES",
     "ServerHello",
     "ServerTlsConfig",
-    "SessionKeys",
     "SocketTransport",
-    "TEMPLATE_INFO_EXT",
-    "TLS_VERSION",
     "TemplateInfo",
     "TlsAlertReceived",
     "TlsAlertSent",
     "TlsError",
     "TlsSession",
-    "TranscriptEntry",
     "Transport",
-    "build_template_info",
     "client_handshake",
     "connect_tcp",
     "derive_session_keys",
-    "encode_certificate",
     "finished_verify_data",
     "issue_certificate",
     "parse_certificate",

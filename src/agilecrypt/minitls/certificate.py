@@ -81,10 +81,6 @@ def issue_certificate(
     return dataclasses.replace(unsigned, issuer_signature=signature)
 
 
-def encode_certificate(cert: Certificate) -> bytes:
-    return cert.encoding
-
-
 def parse_certificate(data: bytes) -> Certificate:
     """The certificate ``data`` encodes; ``data`` may be a view, of which
     each field is copied once."""

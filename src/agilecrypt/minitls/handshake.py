@@ -172,10 +172,15 @@ def _local_templates(
 def template_divergence(
     registry: TemplateRegistry, level: SecurityLevel, remote: TemplateInfo
 ) -> str | None:
-    """None when both algorithm choices line up, otherwise a reason
-    string classifying the drift."""
+    """None when both algorithm choices and the level line up, otherwise
+    a reason string classifying the drift."""
     local_sig, local_enc = _local_templates(registry, level)
     problems = []
+    if remote.level != level:
+        problems.append(
+            f"level {CompatibilityResult.TEMPLATE_MISMATCH.value}: "
+            f"local {int(level)} vs remote {remote.level}"
+        )
     for label, local, remote_id in (
         ("signature", local_sig, remote.sig_id),
         ("encryption", local_enc, remote.enc_id),

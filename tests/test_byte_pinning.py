@@ -41,7 +41,6 @@ from agilecrypt.minitls import (
     TemplateInfo,
     Transport,
     client_handshake,
-    encode_certificate,
     issue_certificate,
     server_handshake,
     transport_pair,
@@ -148,7 +147,7 @@ def test_certificate_is_pinned():
     cert = issue_certificate(
         issuer, "pinned.example", _ENC_AP.algorithm_id, kem.pk.encoding, rng
     )
-    assert _digest(encode_certificate(cert)) == _PINNED["certificate"]
+    assert _digest(cert.encoding) == _PINNED["certificate"]
 
 
 def test_client_hello_is_pinned():

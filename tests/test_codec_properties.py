@@ -56,7 +56,6 @@ from agilecrypt.minitls import (
     ClientHello,
     ServerHello,
     TemplateInfo,
-    encode_certificate,
     parse_certificate,
 )
 from agilecrypt.primitives import DeterministicRng
@@ -281,7 +280,7 @@ def test_envelope_roundtrip(env):
 @_PROPERTY
 @given(_certificates())
 def test_certificate_roundtrip(cert):
-    assert parse_certificate(encode_certificate(cert)) == cert
+    assert parse_certificate(cert.encoding) == cert
 
 
 @_PROPERTY
@@ -359,7 +358,7 @@ def test_envelope_decoder_raises_only_malformed_encoding(data):
 
 
 @_PROPERTY
-@given(_inputs(_certificates().map(encode_certificate)))
+@given(_inputs(_certificates().map(lambda cert: cert.encoding)))
 def test_certificate_parser_raises_only_malformed_encoding(data):
     _decodes_or_raises(parse_certificate, data, MalformedEncoding)
 

@@ -2,12 +2,13 @@
 
 The facade-equivalence checks here are the unit-scale version of the
 dual-route oracle: everything the facade produces must verify through
-direct calls into the underlying scheme modules, and vice versa.
+direct calls into the underlying scheme modules, and vice versa.  Each
+single refused call of the facade is a row of the REFUSED table in
+test_facade_refusals.py; the sweeps over every cut of a blob stay here.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import random
 
 import pytest
@@ -32,20 +33,18 @@ from agilecrypt.errors import (
     AgilecryptError,
     AlgorithmMismatch,
     BadMac,
-    BadPassword,
-    DuplicateAlias,
     InvalidCiphertext,
     KeyExhausted,
     MalformedEncoding,
     ParameterError,
     StoreLocked,
 )
-from agilecrypt.keystore import CRASH_POINTS, KeystoreEntry, KeystoreParameters, keystore_open
+from agilecrypt.keystore import CRASH_POINTS, KeystoreParameters, keystore_open
 from agilecrypt.primitives import DeterministicRng
 
 
-def _ksp(tmp_path, name="facade.agks", password="pw"):
-    return KeystoreParameters(path=str(tmp_path / name), password=password, iterations=1000)
+def _ksp(tmp_path):
+    return KeystoreParameters(path=str(tmp_path / "facade.agks"), password="pw", iterations=1000)
 
 
 # ---------------------------------------------------------------------------
@@ -186,9 +185,6 @@ def test_signer_roundtrip_low(tmp_path):
         pub = signer.public_blob
         sig = signer.sign(b"Hallo Welt!")
         assert easysigner_verify(pub, b"Hallo Welt!", sig)
-        assert not easysigner_verify(pub, b"Hallo Welt?", sig)
-        assert not easysigner_verify(pub, b"Hallo Welt!", sig[:-1])
-        assert not easysigner_verify(pub, b"Hallo Welt!", b"")
         ident, version, _ = parse_blob(sig)
         assert ident == "SPX-TOY-16-16-8-S" and version == 1
 
@@ -217,17 +213,6 @@ def test_signer_persists_and_reopens(tmp_path):
     _, _, raw1 = parse_blob(first)
     _, _, raw2 = parse_blob(second)
     assert raw1[:4] != raw2[:4]
-
-
-def test_signer_wrong_password_propagates(tmp_path):
-    ap = template_resolve(builtin_registry(1), TemplateKind.SIGNATURE, SecurityLevel.LOW)
-    ksp = _ksp(tmp_path)
-    rng = DeterministicRng(b"signer pw")
-    EasySigner.with_new_key(ap, ksp, rng=rng).close()
-    with pytest.raises(BadPassword):
-        EasySigner.with_new_key(
-            ap, KeystoreParameters(path=ksp.path, password="other", iterations=1000), rng=rng
-        )
 
 
 def test_signer_low_exhausts_at_257(tmp_path):
@@ -260,50 +245,6 @@ def test_signer_agrees_with_direct_hbs(tmp_path):
         assert easysigner_verify(signer.public_blob, b"other way", framed)
 
 
-def test_signer_open_refuses_other_families(tmp_path):
-    ap = template_resolve(builtin_registry(1), TemplateKind.ENCRYPTION, SecurityLevel.LOW)
-    ksp = _ksp(tmp_path)
-    rng = DeterministicRng(b"signer families")
-    with EasyEncrypter.with_new_key(ap, ksp, rng=rng) as enc:
-        enc_alias = enc.alias
-        enc.store.put_entry(
-            KeystoreEntry(
-                alias="rsa",
-                algorithm_id="RSA-2048",
-                secret_material=bytes(32),
-                public_material=bytes(256),
-                state=None,
-            )
-        )
-    for alias in (enc_alias, "rsa"):
-        with pytest.raises(AlgorithmMismatch):
-            EasySigner.open(ksp, alias, registry_version=1, rng=rng)
-    # Each refusal closed its store handle, so the store opens again.
-    EasyEncrypter.open(ksp, enc_alias, registry_version=1, rng=rng).close()
-
-
-def test_encrypter_open_refuses_other_families(tmp_path):
-    ap = template_resolve(builtin_registry(1), TemplateKind.SIGNATURE, SecurityLevel.LOW)
-    ksp = _ksp(tmp_path)
-    rng = DeterministicRng(b"encrypter families")
-    with EasySigner.with_new_key(ap, ksp, rng=rng) as signer:
-        sig_alias = signer.alias
-        signer.store.put_entry(
-            KeystoreEntry(
-                alias="rsa",
-                algorithm_id="RSA-2048",
-                secret_material=bytes(32),
-                public_material=bytes(256),
-                state=None,
-            )
-        )
-    for alias in (sig_alias, "rsa"):
-        with pytest.raises(AlgorithmMismatch):
-            EasyEncrypter.open(ksp, alias, registry_version=1, rng=rng)
-    # Each refusal closed its store handle, so the store opens again.
-    EasySigner.open(ksp, sig_alias, registry_version=1, rng=rng).close()
-
-
 def test_family_params_names_the_canonical_spelling():
     """A KEM id in another spelling is refused as no encryption algorithm,
     and the message keeps the reason: the spelling it should have."""
@@ -312,24 +253,6 @@ def test_family_params_names_the_canonical_spelling():
     message = str(caught.value)
     assert message.startswith("'CME-TOY-010-8' is no encryption algorithm: ")
     assert "'CME-TOY-10-8'" in message
-
-
-@pytest.mark.parametrize(
-    "handle, kind",
-    [(EasySigner, TemplateKind.SIGNATURE), (EasyEncrypter, TemplateKind.ENCRYPTION)],
-    ids=["signer", "encrypter"],
-)
-def test_a_second_identical_key_is_refused_and_frees_the_store(tmp_path, handle, kind):
-    ap = template_resolve(builtin_registry(1), kind, SecurityLevel.LOW)
-    ksp = _ksp(tmp_path)
-    with handle.with_new_key(ap, ksp, rng=DeterministicRng(b"same key twice")) as first:
-        alias, pub = first.alias, first.public_blob
-    # The same rng seed makes the same key, so the same alias.
-    with pytest.raises(DuplicateAlias):
-        handle.with_new_key(ap, ksp, rng=DeterministicRng(b"same key twice"))
-    # The refused call left no writer lock behind.
-    with handle.open(ksp, alias, registry_version=1) as again:
-        assert again.public_blob == pub
 
 
 def test_racing_new_keys_both_land_in_the_store(tmp_path, monkeypatch):
@@ -352,44 +275,6 @@ def test_racing_new_keys_both_land_in_the_store(tmp_path, monkeypatch):
     with keystore_open(ksp, read_only=True) as store:
         assert sorted(store.aliases()) == sorted(aliases)
     assert len(set(aliases)) == 2
-
-
-def test_version_outside_u32_stores_no_key_and_frees_the_store(tmp_path):
-    ap = template_resolve(builtin_registry(1), TemplateKind.SIGNATURE, SecurityLevel.LOW)
-    ksp = _ksp(tmp_path)
-    with EasySigner.with_new_key(ap, ksp, rng=DeterministicRng(b"u32 first")) as first:
-        alias = first.alias
-    wide = dataclasses.replace(ap, registry_version=2**32)
-    with pytest.raises(MalformedEncoding):
-        EasySigner.with_new_key(wide, ksp, rng=DeterministicRng(b"u32 wide"))
-    with pytest.raises(MalformedEncoding):
-        EasySigner.open(ksp, alias, registry_version=2**32)
-    # Neither refusal left a writer lock behind, and the first left no entry.
-    with keystore_open(ksp) as store:
-        assert store.aliases() == [alias]
-
-
-def test_encrypt_refuses_keys_of_other_families(tmp_path):
-    reg = builtin_registry(1)
-    ksp = _ksp(tmp_path)
-    rng = DeterministicRng(b"encrypt families")
-    sig_ap = template_resolve(reg, TemplateKind.SIGNATURE, SecurityLevel.LOW)
-    with EasySigner.with_new_key(sig_ap, ksp, rng=rng) as signer:
-        sig_pub = signer.public_blob
-    enc_ap = template_resolve(reg, TemplateKind.ENCRYPTION, SecurityLevel.LOW)
-    with EasyEncrypter.with_new_key(enc_ap, ksp, rng=rng) as enc:
-        for blob in (sig_pub, frame_blob("RSA-2048", 1, bytes(256))):
-            with pytest.raises(AlgorithmMismatch):
-                enc.encrypt(blob, b"m")
-
-
-def test_verify_rejects_blobs_of_other_families(tmp_path):
-    ap = template_resolve(builtin_registry(1), TemplateKind.ENCRYPTION, SecurityLevel.LOW)
-    with EasyEncrypter.with_new_key(ap, _ksp(tmp_path), rng=DeterministicRng(b"kem blobs")) as enc:
-        kem_pub = enc.public_blob
-    assert not easysigner_verify(kem_pub, b"m", kem_pub)
-    rsa = frame_blob("RSA-2048", 1, bytes(256))
-    assert not easysigner_verify(rsa, b"m", rsa)
 
 
 # ---------------------------------------------------------------------------
@@ -543,13 +428,16 @@ def test_encrypter_refuses_every_truncated_blob(tmp_path):
         blob = enc.encrypt(enc.public_blob, b"cut short at every length")
         frame_len = len(blob) - len(parse_blob(blob)[2])
         ct_end = frame_len + ap.params.ct_bytes
+        # One type per region: the frame, the KEM ciphertext, the sealed body.
         for size in range(len(blob)):
-            with pytest.raises(
-                (MalformedEncoding, AlgorithmMismatch, InvalidCiphertext, BadMac)
-            ) as caught:
+            region = (
+                MalformedEncoding if size < frame_len
+                else InvalidCiphertext if size < ct_end
+                else BadMac
+            )
+            with pytest.raises(region) as caught:
                 enc.decrypt(blob[:size])
-            if frame_len <= size < ct_end:
-                assert caught.type is InvalidCiphertext, size
+            assert caught.type is region, size
 
 
 def test_encrypter_persists_and_reopens(tmp_path):

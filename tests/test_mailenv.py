@@ -1,4 +1,8 @@
-"""Sign-then-encrypt envelopes: sealing, opening, tampering, framing."""
+"""Sign-then-encrypt envelopes: sealing, opening, tampering, framing.
+
+Each single refused call of envelope_seal and envelope_open is a row of
+the REFUSED table in test_facade_refusals.py; the sweeps over every byte
+of a sealed body and a KEM ciphertext stay here."""
 
 from __future__ import annotations
 
@@ -6,27 +10,17 @@ import dataclasses
 
 import pytest
 
-from agilecrypt.cbkem import KemParams, kem_encap, kem_parse_pk
 from agilecrypt.easyapi import (
     EasyEncrypter,
     EasySigner,
     SecurityLevel,
     TemplateKind,
     builtin_registry,
-    easysigner_verify,
-    frame_blob,
-    hybrid_record_keys,
     parse_blob,
     template_resolve,
 )
-from agilecrypt.errors import (
-    AlgorithmMismatch,
-    BadMac,
-    BadSignature,
-    MalformedEncoding,
-)
-from agilecrypt.hbs import hbs_export_public, hbs_keygen
-from agilecrypt.keystore import EntryState, KeystoreParameters, keystore_open
+from agilecrypt.errors import BadMac, MalformedEncoding
+from agilecrypt.keystore import KeystoreParameters
 from agilecrypt.mailenv import (
     ENVELOPE_EXTENSION,
     Envelope,
@@ -37,7 +31,7 @@ from agilecrypt.mailenv import (
     envelope_open,
     envelope_seal,
 )
-from agilecrypt.primitives import DeterministicRng, seal_record
+from agilecrypt.primitives import DeterministicRng
 
 _PASSWORD = "envelope-test-password"
 
@@ -48,8 +42,8 @@ def _ksp(tmp_path, name):
     )
 
 
-def _parties(tmp_path, level=SecurityLevel.LOW, seed=b"mail", version=1):
-    reg = builtin_registry(version)
+def _parties(tmp_path, level=SecurityLevel.LOW, seed=b"mail"):
+    reg = builtin_registry(1)
     rng = DeterministicRng(seed=seed)
     signer = EasySigner.with_new_key(
         template_resolve(reg, TemplateKind.SIGNATURE, level), _ksp(tmp_path, "sender.ks"), rng
@@ -97,24 +91,6 @@ def test_envelope_codec_rejects_bad_magic():
     raw[0] ^= 0xFF
     with pytest.raises(MalformedEncoding):
         envelope_decode(bytes(raw))
-
-
-def test_envelope_codec_random_roundtrips():
-    rng = DeterministicRng(seed=b"codec-fuzz")
-    for i in range(100):
-        header = EnvelopeHeader(
-            sender_id=rng.random_bytes(rng.randint_below(12)).hex(),
-            recipient_id=rng.random_bytes(rng.randint_below(12)).hex(),
-            sig_algorithm_id="SPX-TOY-16-16-8-S",
-            enc_algorithm_id="CME-TOY-10-8",
-            registry_version=1 + rng.randint_below(9),
-        )
-        env = Envelope(
-            header=header,
-            kem_ct=rng.random_bytes(1 + rng.randint_below(64)),
-            sealed_body=rng.random_bytes(48 + rng.randint_below(200)),
-        )
-        assert envelope_decode(envelope_encode(env)) == env
 
 
 def test_extension_constant():
@@ -177,32 +153,6 @@ def test_header_identities_and_defaults(tmp_path):
     recipient.close()
 
 
-@pytest.mark.parametrize("field", ["sender_id", "recipient_id"])
-def test_oversize_header_id_rejected_before_signing(tmp_path, field):
-    signer, recipient, rng = _parties(tmp_path, seed=b"oversize")
-    before = signer.store.get_entry(signer.alias).state
-    with pytest.raises(MalformedEncoding):
-        envelope_seal(signer, recipient.public_blob, b"m", rng=rng, **{field: "x" * 70_000})
-    assert signer.store.get_entry(signer.alias).state == before
-    with keystore_open(_ksp(tmp_path, "sender.ks"), read_only=True) as stored:
-        assert stored.get_entry(signer.alias).state == before
-    signer.close()
-    recipient.close()
-
-
-def test_damaged_recipient_key_rejected_before_signing(tmp_path):
-    signer, recipient, rng = _parties(tmp_path, seed=b"cut-key")
-    cut_blob = recipient.public_blob[:-1]
-    with pytest.raises(MalformedEncoding):
-        envelope_seal(signer, cut_blob, b"m", rng=rng)
-    unused = EntryState(next_leaf=0, reserved_until=0)
-    assert signer.store.get_entry(signer.alias).state == unused
-    with keystore_open(_ksp(tmp_path, "sender.ks"), read_only=True) as stored:
-        assert stored.get_entry(signer.alias).state == unused
-    signer.close()
-    recipient.close()
-
-
 def test_stateful_signer_consumes_leaves(tmp_path):
     signer, recipient, rng = _parties(tmp_path, seed=b"leaves")
     state_before = signer.store.get_entry(signer.alias).state.next_leaf
@@ -243,149 +193,6 @@ def test_tampered_kem_ciphertext_rejected(tmp_path):
             envelope_open(recipient, signer.public_blob, broken)
     signer.close()
     recipient.close()
-
-
-def test_tampered_header_rejected(tmp_path):
-    """The header rides outside the ciphertext but is authenticated."""
-    signer, recipient, rng = _parties(tmp_path, seed=b"tamper-hdr")
-    env = envelope_seal(signer, recipient.public_blob, b"payload", rng=rng)
-    renamed = dataclasses.replace(
-        env, header=dataclasses.replace(env.header, sender_id="mallory")
-    )
-    with pytest.raises(BadMac):
-        envelope_open(recipient, signer.public_blob, renamed)
-    signer.close()
-    recipient.close()
-
-
-def _manual_envelope(signer, recipient, inner_plaintext, rng):
-    """Build an envelope with correct record keys but an arbitrary inner
-    layout, bypassing envelope_seal."""
-    enc_id, enc_version, raw_pub = parse_blob(recipient.public_blob)
-    params = KemParams.from_algorithm_id(enc_id)
-    pk = kem_parse_pk(params, raw_pub)
-    ct, secret = kem_encap(pk, rng)
-    header = EnvelopeHeader(
-        sender_id=signer.alias,
-        recipient_id="bob",
-        sig_algorithm_id=signer.algorithm_id,
-        enc_algorithm_id=enc_id,
-        registry_version=signer.registry_version,
-    )
-    sealed = seal_record(hybrid_record_keys(secret), 0, encode_header(header), inner_plaintext)
-    return Envelope(header=header, kem_ct=ct, sealed_body=sealed)
-
-
-def test_stripped_signature_rejected(tmp_path):
-    signer, recipient, rng = _parties(tmp_path, seed=b"strip")
-    env = _manual_envelope(signer, recipient, b"message without any signature", rng)
-    with pytest.raises(BadSignature):
-        envelope_open(recipient, signer.public_blob, env)
-    signer.close()
-    recipient.close()
-
-
-def test_replaced_signature_rejected(tmp_path):
-    """A signature from a different key over the same bytes: MAC passes,
-    signature check must not."""
-    signer, recipient, rng = _parties(tmp_path, seed=b"swap")
-    reg = builtin_registry(1)
-    imposter = EasySigner.with_new_key(
-        template_resolve(reg, TemplateKind.SIGNATURE, SecurityLevel.LOW),
-        _ksp(tmp_path, "imposter.ks"),
-        DeterministicRng(seed=b"imposter"),
-    )
-    message = b"pay 100 coins to the bearer"
-    header = EnvelopeHeader(
-        sender_id=signer.alias,
-        recipient_id="bob",
-        sig_algorithm_id=signer.algorithm_id,
-        enc_algorithm_id=recipient.algorithm_id,
-        registry_version=signer.registry_version,
-    )
-    _, _, forged_sig = parse_blob(imposter.sign(encode_header(header) + message))
-    env = _manual_envelope(signer, recipient, message + forged_sig, rng)
-    with pytest.raises(BadSignature):
-        envelope_open(recipient, signer.public_blob, env)
-    # Prove the signature is the only thing failing: the same inner
-    # bytes check out against the key that actually produced them.
-    env2 = _manual_envelope(signer, recipient, message + forged_sig, rng)
-    assert envelope_open(recipient, imposter.public_blob, env2) == message
-    signer.close()
-    recipient.close()
-    imposter.close()
-
-
-# ---------------------------------------------------------------------------
-# Algorithm agreement
-# ---------------------------------------------------------------------------
-
-def test_wrong_recipient_key_rejected(tmp_path):
-    signer, recipient, rng = _parties(tmp_path, seed=b"wrongkey")
-    reg = builtin_registry(1)
-    other = EasyEncrypter.with_new_key(
-        template_resolve(reg, TemplateKind.ENCRYPTION, SecurityLevel.MEDIUM),
-        _ksp(tmp_path, "other.ks"),
-        DeterministicRng(seed=b"other"),
-    )
-    env = envelope_seal(signer, recipient.public_blob, b"m", rng=rng)
-    with pytest.raises(AlgorithmMismatch):
-        envelope_open(other, signer.public_blob, env)
-    signer.close()
-    recipient.close()
-    other.close()
-
-
-def test_wrong_sender_key_type_rejected(tmp_path):
-    signer, recipient, rng = _parties(tmp_path, seed=b"wrongsender")
-    env = envelope_seal(signer, recipient.public_blob, b"m", rng=rng)
-    with pytest.raises(AlgorithmMismatch):
-        envelope_open(recipient, recipient.public_blob, env)  # KEM key as sender
-    rsa = frame_blob("RSA-2048", 1, bytes(256))
-    with pytest.raises(AlgorithmMismatch):
-        envelope_open(recipient, rsa, env)
-    rsa_env = dataclasses.replace(
-        env, header=dataclasses.replace(env.header, sig_algorithm_id="RSA-2048")
-    )
-    with pytest.raises(AlgorithmMismatch):
-        envelope_open(recipient, rsa, rsa_env)
-    signer.close()
-    recipient.close()
-
-
-def test_sender_key_bytes_of_another_row_rejected(tmp_path):
-    """A sender blob framed as the LOW signature id around a MEDIUM key."""
-    signer, recipient, rng = _parties(tmp_path, seed=b"otherrow")
-    medium = template_resolve(builtin_registry(1), TemplateKind.SIGNATURE, SecurityLevel.MEDIUM)
-    raw = hbs_export_public(hbs_keygen(medium.params, rng))
-    forged = frame_blob(signer.algorithm_id, signer.registry_version, raw)
-    env = envelope_seal(signer, recipient.public_blob, b"m", rng=rng)
-    with pytest.raises(AlgorithmMismatch):
-        envelope_open(recipient, forged, env)
-    assert not easysigner_verify(forged, b"m", signer.sign(b"m"))
-    signer.close()
-    recipient.close()
-
-
-def test_seal_requires_kem_recipient(tmp_path):
-    signer, recipient, rng = _parties(tmp_path, seed=b"notakem")
-    with pytest.raises(AlgorithmMismatch):
-        envelope_seal(signer, signer.public_blob, b"m", rng=rng)
-    signer.close()
-    recipient.close()
-
-
-def test_seal_rejects_mixed_registry_versions(tmp_path):
-    signer, _, rng = _parties(tmp_path, seed=b"mixver")
-    v2 = EasyEncrypter.with_new_key(
-        template_resolve(builtin_registry(2), TemplateKind.ENCRYPTION, SecurityLevel.LOW),
-        _ksp(tmp_path, "v2.ks"),
-        DeterministicRng(seed=b"v2"),
-    )
-    with pytest.raises(AlgorithmMismatch):
-        envelope_seal(signer, v2.public_blob, b"m", rng=rng)
-    signer.close()
-    v2.close()
 
 
 # ---------------------------------------------------------------------------

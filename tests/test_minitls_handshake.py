@@ -58,7 +58,6 @@ from agilecrypt.minitls import (
     client_handshake,
     connect_tcp,
     derive_session_keys,
-    encode_certificate,
     finished_verify_data,
     issue_certificate,
     parse_certificate,
@@ -458,10 +457,10 @@ def test_a_certificate_is_encoded_once(low_material, monkeypatch):
 
     same = dataclasses.replace(cert)
     assert same == cert and hash(same) == hash(cert)
-    assert encode_certificate(same) == encode_certificate(cert)
+    assert same.encoding == cert.encoding
     assert sum(c is same for c in encoded) == 1
     renamed = dataclasses.replace(cert, subject="other.test")
-    assert parse_certificate(encode_certificate(renamed)) == renamed != cert
+    assert parse_certificate(renamed.encoding) == renamed != cert
 
 
 def _nodelay(sock: socket.socket) -> bool:
@@ -1018,14 +1017,26 @@ REFUSALS = [
              m, kem_secret=kem_keygen(KemParams(m=10, b=4), DeterministicRng(b"other-params")).sk
          ),
      )),
-    # The level byte is not compared at hello time, but both Finished
-    # messages cover the ClientHello as each side saw it.
+    # A LOW hello that claims HIGH: the hello check compares the level too.
+    ("client-hello-level-disagrees", "server", AlertDescription.TEMPLATE_MISMATCH,
+     "level template_mismatch: local 1 vs remote 3", True,
+     lambda m: _against_script(
+         "server", _server_cfg(m),
+         _scripted_client(
+             dataclasses.replace(_LOW_HELLO, template_info=dataclasses.replace(_LOW_INFO, level=3))
+         ),
+     )),
+    # Registry version 1 read as 0: the ids still match, so the hello
+    # check passes, but both Finished messages cover the ClientHello as
+    # each side saw it.
     ("client-hello-altered-in-flight", "server", AlertDescription.DECRYPT_ERROR,
      "client Finished verification failed", False,
      lambda m: _flipped_client_stream(
          m,
          *_hello_flip(
-             dataclasses.replace(_LOW_HELLO, template_info=dataclasses.replace(_LOW_INFO, level=3))
+             dataclasses.replace(
+                 _LOW_HELLO, template_info=dataclasses.replace(_LOW_INFO, registry_version=0)
+             )
          ),
      )),
     ("client-finished-bit-flipped", "server", AlertDescription.BAD_RECORD_MAC,
