@@ -4,7 +4,8 @@ All integers are big-endian; ``vecN(x)`` is a ``uN`` length prefix
 followed by the bytes of ``x`` (docs/formats.md, docs/wire-formats.md).
 Both directions are strict and raise ``MalformedEncoding``: decoding on a
 read past the end, trailing bytes or text outside its encoding (with the
-failing byte offset), encoding on a value, vector or text that does not
+failing byte offset, counted from the start of the decoder's input even
+in a nested reader), encoding on a value, vector or text that does not
 fit its field.  A caller with its own error type (the keystore's
 ``MalformedStore``) translates at one boundary.
 """
@@ -20,20 +21,27 @@ class Reader:
     """Reads ``data`` front to back.  Over a memoryview every read is a
     view too, so a parser copies only the fields it keeps."""
 
-    def __init__(self, data: bytes):
-        self._data = data
-        self._off = 0
+    def __init__(self, data: bytes, start: int = 0, end: int | None = None):
+        self._data, self._off = data, start
+        self._end = len(data) if end is None else end
 
     @property
     def offset(self) -> int:
         return self._off
 
+    def at_end(self) -> bool:
+        return self._off == self._end
+
     def take(self, n: int) -> bytes:
-        if self._off + n > len(self._data):
+        if self._off + n > self._end:
             raise MalformedEncoding("input truncated", offset=self._off)
-        chunk = self._data[self._off : self._off + n]
         self._off += n
-        return chunk
+        return self._data[self._off - n : self._off]
+
+    def nested(self, n: int) -> Reader:
+        """A reader of the next ``n`` bytes; its offsets count from this input's start."""
+        self.take(n)
+        return Reader(self._data, self._off - n, self._off)
 
     def u8(self) -> int:
         return self.take(1)[0]
@@ -61,10 +69,8 @@ class Reader:
         return self.take(self.u32())
 
     def expect_end(self) -> None:
-        if self._off != len(self._data):
-            raise MalformedEncoding(
-                f"{len(self._data) - self._off} trailing bytes", offset=self._off
-            )
+        if not self.at_end():
+            raise MalformedEncoding(f"{self._end - self._off} trailing bytes", offset=self._off)
 
 
 def decode_text(raw: bytes, encoding: str, offset: int) -> str:

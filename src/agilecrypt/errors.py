@@ -30,7 +30,9 @@ class RecordOverflow(AgilecryptError):
 class MalformedEncoding(AgilecryptError):
     """A canonical byte encoding could not be parsed.
 
-    ``offset`` is the byte position at which parsing failed, when known.
+    ``offset`` is the byte position at which parsing failed, when known,
+    counted from the start of the decoder's input; a text field reports
+    where it ends.
     """
 
     def __init__(self, message: str, offset: int | None = None):

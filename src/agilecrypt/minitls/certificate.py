@@ -100,7 +100,7 @@ def parse_certificate(data: bytes) -> Certificate:
     if len(signature) != expected:
         raise MalformedEncoding(
             f"signature length {len(signature)}, expected {expected}",
-            offset=min(len(signature), expected),
+            offset=len(data) - len(signature) + min(len(signature), expected),
         )
     return Certificate(
         subject, kem_algorithm_id, kem_public_key, hbs_algorithm_id, issuer_root, signature

@@ -136,13 +136,16 @@ class TemplateInfo:
 
     @classmethod
     def decode(cls, data: bytes) -> TemplateInfo:
-        r = Reader(data)
-        version = r.u32()
-        level = r.u8()
-        sig_id = decode_text(r.vec8(), "ascii", r.offset)
-        enc_id = decode_text(r.vec8(), "ascii", r.offset)
-        r.expect_end()
-        return cls(registry_version=version, level=level, sig_id=sig_id, enc_id=enc_id)
+        return _read_template_info(Reader(data))
+
+
+def _read_template_info(r: Reader) -> TemplateInfo:
+    """The template info that fills the rest of ``r``."""
+    version, level = r.u32(), r.u8()
+    sig_id = decode_text(r.vec8(), "ascii", r.offset)
+    enc_id = decode_text(r.vec8(), "ascii", r.offset)
+    r.expect_end()
+    return TemplateInfo(registry_version=version, level=level, sig_id=sig_id, enc_id=enc_id)
 
 
 # ---------------------------------------------------------------------------
@@ -173,17 +176,17 @@ def _decode_hello_prefix(r: Reader) -> tuple[bytes, bytes]:
 def _decode_extension_tail(r: Reader) -> TemplateInfo | None:
     """The template info in the rest of a hello; the extensions block is
     optional in TLS 1.2, and nothing may follow it."""
-    if r.offset == len(r._data):
+    if r.at_end():
         return None
-    block = Reader(r.vec16())
+    block = r.nested(r.u16())
     info = None
-    while block.offset < len(block._data):
+    while not block.at_end():
         ext_type = block.u16()
-        ext_data = block.vec16()
+        ext_data = block.nested(block.u16())
         if ext_type == TEMPLATE_INFO_EXT:
             if info is not None:
-                raise MalformedEncoding("duplicate template-info extension")
-            info = TemplateInfo.decode(ext_data)
+                raise MalformedEncoding("duplicate template-info extension", offset=ext_data.offset)
+            info = _read_template_info(ext_data)
     r.expect_end()
     return info
 
@@ -267,7 +270,7 @@ def decode_certificate_body(data: bytes) -> memoryview:
     """The one certificate in the chain, as a view of ``data``: the
     megabyte-scale bytes are not copied."""
     r = Reader(memoryview(data))
-    chain = Reader(r.vec24())
+    chain = r.nested(r.u24())
     r.expect_end()
     cert = chain.vec24()
     chain.expect_end()

@@ -4,7 +4,8 @@ The m=3 case is small enough to verify by brute force: every block's
 column map is enumerated position by position and checked to be a
 bijection onto the nonzero 3-bit syndromes.  That oracle anchors the
 larger parameter sets, which are only checked via roundtrips and the
-closed-form size formulas.
+closed-form size formulas.  Each refusal of a decoder is a row of
+DECODER_REFUSALS in test_decoder_refusals.py.
 """
 
 from __future__ import annotations
@@ -171,22 +172,6 @@ def test_pk_serialization_roundtrip_small():
         assert kem_decap(kp.sk, ct) == ss
 
 
-def test_pk_parse_rejects_bad_lengths_and_padding():
-    p = KemParams(m=3, b=1)
-    kp = kem_keygen(p, DeterministicRng(b"pk malformed"))
-    blob = kp.pk.encoding
-    with pytest.raises(MalformedEncoding):
-        kem_parse_pk(p, blob + b"\x00")
-    with pytest.raises(MalformedEncoding):
-        kem_parse_pk(p, blob[:-1])
-    with pytest.raises(MalformedEncoding):
-        kem_parse_pk(p, b"")
-    # 12 payload bits leave 4 pad bits; they must be zero.
-    if blob[-1] & 0x0F == 0:
-        with pytest.raises(MalformedEncoding):
-            kem_parse_pk(p, blob[:-1] + bytes([blob[-1] | 0x01]))
-
-
 def test_ct_serialization_roundtrip():
     rng = DeterministicRng(b"ct serde")
     for m, b in [(3, 1), (8, 4), (13, 2)]:
@@ -197,13 +182,6 @@ def test_ct_serialization_roundtrip():
             assert len(ct) == p.ct_bytes
             assert _encode_ct(p, _decode_ct(p, ct)) == ct
             assert kem_decap(kp.sk, ct) == ss
-    with pytest.raises(InvalidCiphertext):
-        kem_decap(kp.sk, ct[:-1])
-    with pytest.raises(InvalidCiphertext):
-        kem_decap(kp.sk, ct + b"\x00")
-    # 26 payload bits leave 6 pad bits; they must be zero.
-    with pytest.raises(InvalidCiphertext):
-        kem_decap(kp.sk, ct[:-1] + bytes([ct[-1] | 0x01]))
 
 
 def test_from_seed_reconstruction():

@@ -4,7 +4,8 @@ For each format: encoding a value and decoding the bytes gives the value
 back, and any byte string (random, or a valid encoding truncated, with a
 byte replaced, or extended) either decodes or raises the one documented
 error: MalformedEncoding, MalformedStore for the keystore entry table, or
-InvalidCiphertext for a KEM ciphertext.  kem_decap, the public reader of
+InvalidCiphertext for a KEM ciphertext; a keystore file opens or raises
+MalformedStore or BadPassword.  kem_decap, the public reader of
 a KEM ciphertext, runs on one fixed small key: it returns a 32-byte
 secret or raises InvalidCiphertext.  A signature has no decoder:
 hbs_verify reads its bytes in place and returns a bool for any of them.
@@ -15,9 +16,15 @@ checks the same inputs.
 
 from __future__ import annotations
 
+import pathlib
+import tempfile
+from unittest import mock
+
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from agilecrypt import keystore
 from agilecrypt.cbkem import (
     KemParams,
     KemPublicKey,
@@ -30,6 +37,7 @@ from agilecrypt.cbkem import (
     kem_keygen,
     kem_parse_pk,
 )
+from agilecrypt.codec import uint
 from agilecrypt.easyapi import (
     SecurityLevel,
     TemplateKind,
@@ -38,7 +46,7 @@ from agilecrypt.easyapi import (
     parse_blob,
     parse_registry_text,
 )
-from agilecrypt.errors import InvalidCiphertext, MalformedEncoding, MalformedStore
+from agilecrypt.errors import BadPassword, InvalidCiphertext, MalformedEncoding, MalformedStore
 from agilecrypt.hbs import (
     HbsKeyPair,
     HbsMode,
@@ -49,18 +57,38 @@ from agilecrypt.hbs import (
     hbs_sign_with_leaf,
     hbs_verify,
 )
-from agilecrypt.keystore import EntryState, KeystoreEntry, _decode_table, _encode_table
+from agilecrypt.keystore import (
+    EntryState,
+    KeystoreEntry,
+    KeystoreParameters,
+    _decode_table,
+    _encode_table,
+    keystore_open,
+)
 from agilecrypt.mailenv import Envelope, EnvelopeHeader, envelope_decode, envelope_encode
 from agilecrypt.minitls import (
     Certificate,
     ClientHello,
+    HandshakeType,
     ServerHello,
     TemplateInfo,
     parse_certificate,
 )
-from agilecrypt.primitives import DeterministicRng
+from agilecrypt.minitls.wire import (
+    AlertDescription,
+    decode_alert,
+    decode_certificate_body,
+    decode_client_key_exchange_body,
+    decode_finished_body,
+    decode_handshake_header,
+    decode_server_hello_done_body,
+    encode_alert,
+    encode_certificate_body,
+    encode_client_key_exchange_body,
+)
+from agilecrypt.primitives import DeterministicRng, seal_record
 
-_PROPERTY = settings(derandomize=True, max_examples=150, deadline=None, database=None)
+_PROPERTY = settings(max_examples=150)
 
 _U8 = st.integers(0, 0xFF)
 _U16 = st.integers(0, 0xFFFF)
@@ -373,6 +401,78 @@ def test_entry_table_decoder_raises_only_malformed_store(data):
 @given(_inputs(_BLOB.map(lambda parts: frame_blob(*parts))))
 def test_blob_parser_raises_only_malformed_encoding(data):
     _decodes_or_raises(parse_blob, data, MalformedEncoding)
+
+
+@pytest.mark.parametrize(
+    "decode, encodings",
+    [
+        pytest.param(
+            decode_handshake_header,
+            st.tuples(st.sampled_from(HandshakeType), st.integers(0, 0xFFFFFF)).map(
+                lambda header: uint(header[0], 1) + uint(header[1], 3)
+            ),
+            id="handshake-header",
+        ),
+        pytest.param(
+            TemplateInfo.decode, _TEMPLATE_INFO.map(TemplateInfo.encode), id="template-info"
+        ),
+        pytest.param(
+            decode_certificate_body,
+            st.binary(max_size=64).map(encode_certificate_body),
+            id="certificate-body",
+        ),
+        pytest.param(
+            decode_client_key_exchange_body,
+            st.binary(min_size=1, max_size=64).map(encode_client_key_exchange_body),
+            id="client-key-exchange",
+        ),
+        pytest.param(decode_finished_body, st.binary(min_size=12, max_size=12), id="finished"),
+        pytest.param(decode_server_hello_done_body, st.just(b""), id="server-hello-done"),
+        pytest.param(
+            decode_alert, st.sampled_from(AlertDescription).map(encode_alert), id="alert"
+        ),
+    ],
+)
+@_PROPERTY
+@given(data=st.data())
+def test_handshake_body_decoder_raises_only_malformed_encoding(decode, encodings, data):
+    _decodes_or_raises(decode, data.draw(_inputs(encodings)), MalformedEncoding)
+
+
+def _store_file(case) -> bytes:
+    """A store that opens with the password "pw": one iteration, a salt
+    and an entry table."""
+    salt, entries = case
+    header = keystore.MAGIC + uint(keystore.FORMAT_VERSION, 2) + salt + uint(1, 4)
+    keys = keystore._derive_keys("pw", salt, 1)
+    return header + seal_record(keys, 0, header, _encode_table(entries))
+
+
+_STORE_FILES = st.tuples(st.binary(min_size=16, max_size=16), _entry_tables()).map(_store_file)
+
+
+@_PROPERTY
+@given(
+    st.one_of(
+        _STORE_FILES,
+        _inputs(_STORE_FILES, prefix=keystore.MAGIC + uint(keystore.FORMAT_VERSION, 2)),
+    )
+)
+def test_keystore_open_raises_only_malformed_store_or_bad_password(data):
+    """Any file bytes open or raise MalformedStore or BadPassword; an
+    intact file reaches the check of each entry.  The key derivation runs
+    one iteration whatever count the header holds: the count sets its
+    cost, not its outcome."""
+    derive = keystore._derive_keys
+    with tempfile.TemporaryDirectory() as tmp, mock.patch.object(
+        keystore, "_derive_keys", lambda password, salt, _: derive(password, salt, 1)
+    ):
+        path = pathlib.Path(tmp, "store.agks")
+        path.write_bytes(data)
+        try:
+            keystore_open(KeystoreParameters(str(path), "pw"), read_only=True).close()
+        except (MalformedStore, BadPassword):
+            pass
 
 
 @st.composite

@@ -2,7 +2,8 @@
 
 Chain-count expectations below are hand-computed from the closed formulas
 (l1 = ceil(8*n_h / log2 w), l2 = floor(log_w(l1*(w-1))) + 1) and frozen
-here as an independent check on the implementation.
+here as an independent check on the implementation.  Each refusal of a
+decoder is a row of DECODER_REFUSALS in test_decoder_refusals.py.
 """
 
 from __future__ import annotations
@@ -16,14 +17,12 @@ import pytest
 
 from agilecrypt import hbs
 from agilecrypt.easyapi import SecurityLevel, TemplateKind, builtin_registry, template_resolve
-from agilecrypt.errors import KeyExhausted, MalformedEncoding, ParameterError
+from agilecrypt.errors import KeyExhausted, ParameterError
 from agilecrypt.hbs import (
     HbsKeyPair,
     HbsMode,
     HbsParams,
-    hbs_export_public,
     hbs_keygen,
-    hbs_parse_public,
     hbs_sign,
     hbs_verify,
 )
@@ -205,22 +204,6 @@ def test_signature_bytes_verify_and_resized_bytes_reject():
     assert not hbs_verify(kp.root, kp.params, msg, b"")
     assert not hbs_verify(kp.root, kp.params, msg, sig[:-1])
     assert not hbs_verify(kp.root, kp.params, msg, sig + b"\0")
-
-
-def test_public_key_export_roundtrip():
-    rng = DeterministicRng(b"pub serde")
-    for mode in (HbsMode.STATEFUL, HbsMode.STATELESS):
-        kp = hbs_keygen(_params(mode=mode), rng)
-        blob = hbs_export_public(kp)
-        params, root = hbs_parse_public(blob)
-        assert params == kp.params
-        assert root == kp.root
-    with pytest.raises(MalformedEncoding):
-        hbs_parse_public(b"")
-    with pytest.raises(MalformedEncoding):
-        hbs_parse_public(blob[:-1])
-    with pytest.raises(MalformedEncoding):
-        hbs_parse_public(blob + b"\x00")
 
 
 def _reference_leaf(params: HbsParams, seed: bytes, leaf: int) -> bytes:

@@ -3,7 +3,8 @@
 Crash safety is exercised through the injectable crash hook: a hook that
 raises SimulatedCrash at a chosen persistence step models a process kill
 at that moment, and the test then reopens the file from disk like a
-fresh process would.
+fresh process would.  Each refusal of a decoder is a row of
+DECODER_REFUSALS in test_decoder_refusals.py.
 """
 
 from __future__ import annotations
@@ -31,7 +32,6 @@ from agilecrypt.keystore import (
     EntryState,
     KeystoreEntry,
     KeystoreParameters,
-    _decode_table,
     keystore_create,
     keystore_open,
 )
@@ -97,31 +97,6 @@ def test_wrong_password_never_partial_data(tmp_path):
         )
         with pytest.raises(BadPassword):
             keystore_open(bad)
-
-
-def test_malformed_header_rejected(tmp_path):
-    params = _params(tmp_path)
-    keystore_create(params).close()
-    raw = bytearray(open(params.path, "rb").read())
-    raw[0] ^= 0xFF
-    open(params.path, "wb").write(bytes(raw))
-    with pytest.raises(MalformedStore):
-        keystore_open(params)
-
-
-def test_short_header_unknown_version_and_zero_iterations_rejected(tmp_path):
-    params = _params(tmp_path)
-    keystore_create(params).close()
-    raw = open(params.path, "rb").read()
-    for fault in (
-        b"",
-        raw[:25],
-        raw[:4] + (2).to_bytes(2, "big") + raw[6:],
-        raw[:22] + bytes(4) + raw[26:],
-    ):
-        open(params.path, "wb").write(fault)
-        with pytest.raises(MalformedStore):
-            keystore_open(params)
 
 
 def test_tampered_blob_fails_closed(tmp_path):
@@ -228,25 +203,6 @@ def test_unstorable_entry_rejected_and_store_stays_usable(tmp_path, entry):
         assert ks.reserve_leaves("sig", 2) == (0, 2)
     with keystore_open(params) as ks:
         assert ks.aliases() == ["enc", "sig"]
-
-
-@pytest.mark.parametrize(
-    "field, raw",
-    [("alias", b"\xff\xfe"), ("algorithm id", "CME-é".encode("utf-8"))],
-    ids=["alias-not-utf8", "algorithm-not-ascii"],
-)
-def test_table_with_undecodable_text_is_malformed_store(field, raw):
-    alias, algorithm_id = (raw, b"CME-TOY-10-8") if field == "alias" else (b"enc", raw)
-    table = (
-        (1).to_bytes(4, "big")
-        + len(alias).to_bytes(2, "big") + alias
-        + len(algorithm_id).to_bytes(2, "big") + algorithm_id
-        + (1).to_bytes(4, "big") + b"s"
-        + (1).to_bytes(4, "big") + b"p"
-        + b"\x00"
-    )
-    with pytest.raises(MalformedStore):
-        _decode_table(table)
 
 
 def test_reserve_semantics_and_persistence(tmp_path):

@@ -1,8 +1,9 @@
-"""Sign-then-encrypt envelopes: sealing, opening, tampering, framing.
+"""Sign-then-encrypt envelopes: sealing, opening, tampering.
 
 Each single refused call of envelope_seal and envelope_open is a row of
-the REFUSED table in test_facade_refusals.py; the sweeps over every byte
-of a sealed body and a KEM ciphertext stay here."""
+the REFUSED table in test_facade_refusals.py, and each refusal of
+envelope_decode one of DECODER_REFUSALS in test_decoder_refusals.py; the
+sweeps over every byte of a sealed body and a KEM ciphertext stay here."""
 
 from __future__ import annotations
 
@@ -19,12 +20,10 @@ from agilecrypt.easyapi import (
     parse_blob,
     template_resolve,
 )
-from agilecrypt.errors import BadMac, MalformedEncoding
+from agilecrypt.errors import BadMac
 from agilecrypt.keystore import KeystoreParameters
 from agilecrypt.mailenv import (
     ENVELOPE_EXTENSION,
-    Envelope,
-    EnvelopeHeader,
     encode_header,
     envelope_decode,
     envelope_encode,
@@ -54,43 +53,6 @@ def _parties(tmp_path, level=SecurityLevel.LOW, seed=b"mail"):
         rng,
     )
     return signer, recipient, rng
-
-
-# ---------------------------------------------------------------------------
-# Framing
-# ---------------------------------------------------------------------------
-
-_HEADER = EnvelopeHeader(
-    sender_id="alice",
-    recipient_id="bob",
-    sig_algorithm_id="SPX-TOY-16-16-8-S",
-    enc_algorithm_id="CME-TOY-10-8",
-    registry_version=1,
-)
-
-
-def test_envelope_codec_roundtrip():
-    env = Envelope(header=_HEADER, kem_ct=b"\x01\x02\x03", sealed_body=b"\x04" * 40)
-    raw = envelope_encode(env)
-    assert envelope_decode(raw) == env
-    assert raw.startswith(b"AGEV")
-
-
-def test_envelope_codec_rejects_all_truncations():
-    env = Envelope(header=_HEADER, kem_ct=b"ct-bytes", sealed_body=b"body" * 10)
-    raw = envelope_encode(env)
-    for cut in range(len(raw)):
-        with pytest.raises(MalformedEncoding):
-            envelope_decode(raw[:cut])
-    with pytest.raises(MalformedEncoding):
-        envelope_decode(raw + b"\x00")
-
-
-def test_envelope_codec_rejects_bad_magic():
-    raw = bytearray(envelope_encode(Envelope(_HEADER, b"x", b"y")))
-    raw[0] ^= 0xFF
-    with pytest.raises(MalformedEncoding):
-        envelope_decode(bytes(raw))
 
 
 def test_extension_constant():

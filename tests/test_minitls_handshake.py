@@ -541,7 +541,7 @@ def test_transcript_hash_excludes_ccs():
     assert [e.message for e in t.entries] == ["ClientHello", "ChangeCipherSpec", "Finished"]
 
 
-@settings(derandomize=True, max_examples=150, deadline=None, database=None)
+@settings(max_examples=150)
 @given(st.lists(st.tuples(st.binary(max_size=64), st.booleans()), max_size=12))
 def test_transcript_hash_tracks_the_concatenation(steps):
     """After every message the hash is SHA-512 of all messages so far;

@@ -1,4 +1,5 @@
-"""Wire codecs, the record layer, and certificates."""
+"""Wire codecs, the record layer, and certificates.  Each refusal of a
+decoder is a row of DECODER_REFUSALS in test_decoder_refusals.py."""
 
 from __future__ import annotations
 
@@ -7,6 +8,7 @@ import dataclasses
 import pytest
 
 from agilecrypt.cbkem import KemParams, kem_decap, kem_encap, kem_keygen
+from agilecrypt.codec import Reader
 from agilecrypt.easyapi import frame_blob, kem_public_key
 from agilecrypt.errors import (
     AlgorithmMismatch,
@@ -23,8 +25,6 @@ from agilecrypt.minitls import (
     HandshakeTranscript,
     HandshakeType,
     RecordLayer,
-    ServerHello,
-    TemplateInfo,
     TlsAlertReceived,
     issue_certificate,
     parse_certificate,
@@ -34,7 +34,6 @@ from agilecrypt.minitls import (
 from agilecrypt.minitls.certificate import load_server_material
 from agilecrypt.minitls.wire import (
     AlertDescription,
-    Reader,
     decode_alert,
     decode_certificate_body,
     decode_client_key_exchange_body,
@@ -48,11 +47,6 @@ from agilecrypt.minitls.wire import (
     encode_handshake_message,
 )
 from agilecrypt.primitives import DeterministicRng, SymmetricKeys
-
-_INFO = TemplateInfo(
-    registry_version=1, level=2, sig_id="SPX-TOY-16-16-10-S", enc_id="CME-TOY-13-16"
-)
-
 
 # ---------------------------------------------------------------------------
 # Reader
@@ -77,20 +71,6 @@ def test_reader_scalars_and_vectors():
     r.expect_end()
 
 
-def test_reader_truncation_reports_offset():
-    r = Reader(b"\x00\x05ab")
-    with pytest.raises(MalformedEncoding) as exc_info:
-        r.vec16()
-    assert exc_info.value.offset is not None
-
-
-def test_reader_trailing_bytes_rejected():
-    r = Reader(b"\x01\x02")
-    r.u8()
-    with pytest.raises(MalformedEncoding):
-        r.expect_end()
-
-
 # ---------------------------------------------------------------------------
 # Handshake framing
 # ---------------------------------------------------------------------------
@@ -105,11 +85,6 @@ def test_handshake_frame_roundtrip():
     assert msg[4:] == body
 
 
-def test_handshake_frame_rejects_unknown_type():
-    with pytest.raises(MalformedEncoding):
-        decode_handshake_header(bytes([99, 0, 0, 0]))
-
-
 def test_handshake_frame_rejects_oversized_body():
     header = encode_handshake_message(HandshakeType.FINISHED, b"")[:4]
     assert decode_handshake_header(header) == (HandshakeType.FINISHED, 0)
@@ -121,64 +96,9 @@ def test_handshake_frame_rejects_oversized_body():
 # Template info and hellos
 # ---------------------------------------------------------------------------
 
-def test_template_info_rejects_trailing():
-    with pytest.raises(MalformedEncoding):
-        TemplateInfo.decode(_INFO.encode() + b"\x00")
-
-
 def test_client_hello_without_extension():
     hello = ClientHello(random=bytes(32), cipher_suites=(0x1306,), template_info=None)
     assert ClientHello.decode(hello.encode()).template_info is None
-
-
-def test_client_hello_rejects_wrong_version():
-    raw = bytearray(
-        ClientHello(random=bytes(32), cipher_suites=(0x1306,), template_info=_INFO).encode()
-    )
-    raw[0:2] = (0x0301).to_bytes(2, "big")
-    with pytest.raises(MalformedEncoding):
-        ClientHello.decode(bytes(raw))
-
-
-def test_client_hello_rejects_empty_suite_list():
-    hello = ClientHello(random=bytes(32), cipher_suites=(), template_info=None)
-    with pytest.raises(MalformedEncoding):
-        ClientHello.decode(hello.encode())
-
-
-def test_client_hello_prefixes_rejected():
-    hello = ClientHello(random=bytes(32), cipher_suites=(0x1306,), template_info=_INFO)
-    raw = hello.encode()
-    # The one legal prefix is the hello with its extensions block cut off
-    # whole, since extensions are optional.
-    legal = len(dataclasses.replace(hello, template_info=None).encode())
-    for cut in range(len(raw)):
-        if cut == legal:
-            assert ClientHello.decode(raw[:cut]).template_info is None
-            continue
-        with pytest.raises(MalformedEncoding):
-            ClientHello.decode(raw[:cut])
-
-
-def test_server_hello_rejects_compression():
-    raw = bytearray(
-        ServerHello(random=bytes(32), cipher_suite=0x1306, template_info=None).encode()
-    )
-    raw[-1] = 1  # compression byte is last without extensions
-    with pytest.raises(MalformedEncoding):
-        ServerHello.decode(bytes(raw))
-
-
-def test_duplicate_template_extension_rejected():
-    ext = _INFO.encode()
-    one = (0xFD00).to_bytes(2, "big") + len(ext).to_bytes(2, "big") + ext
-    block = (len(one) * 2).to_bytes(2, "big") + one + one
-    raw = (
-        ServerHello(random=bytes(32), cipher_suite=0x1306, template_info=None).encode()
-        + block
-    )
-    with pytest.raises(MalformedEncoding):
-        ServerHello.decode(raw)
 
 
 # ---------------------------------------------------------------------------
@@ -187,41 +107,27 @@ def test_duplicate_template_extension_rejected():
 
 def test_certificate_body_roundtrip():
     assert decode_certificate_body(encode_certificate_body(b"cert")) == b"cert"
-    with pytest.raises(MalformedEncoding):
-        decode_certificate_body(b"\x00\x00")
 
 
 def test_client_key_exchange_body():
     assert decode_client_key_exchange_body(encode_client_key_exchange_body(b"ct")) == b"ct"
-    with pytest.raises(MalformedEncoding):
-        decode_client_key_exchange_body(encode_client_key_exchange_body(b"ct")[:-1])
-    with pytest.raises(MalformedEncoding):
-        decode_client_key_exchange_body(b"\x00\x00")  # empty ciphertext
 
 
 def test_finished_body():
     vd = bytes(range(12))
     assert decode_finished_body(encode_finished_body(vd)) == vd
     with pytest.raises(MalformedEncoding):
-        decode_finished_body(vd[:11])
-    with pytest.raises(MalformedEncoding):
         encode_finished_body(b"short")
 
 
 def test_server_hello_done_body():
     decode_server_hello_done_body(b"")
-    with pytest.raises(MalformedEncoding):
-        decode_server_hello_done_body(b"\x00")
 
 
 def test_alert_codec():
     raw = encode_alert(AlertDescription.TEMPLATE_MISMATCH)
     assert raw == bytes([2, 112])  # always fatal level
     assert decode_alert(raw) == 112
-    with pytest.raises(MalformedEncoding):
-        decode_alert(b"\x02")
-    with pytest.raises(MalformedEncoding):
-        decode_alert(bytes([1, 112]))  # warning level not in the profile
 
 
 @pytest.mark.parametrize(
@@ -288,16 +194,6 @@ def test_record_rejects_oversized_payload():
     sender, _ = _record_pair(protect=False)
     with pytest.raises(RecordOverflow):
         sender.send(ContentType.APPLICATION_DATA, b"x" * (2**14 + 1))
-
-
-def test_record_rejects_bad_header():
-    _, receiver = _record_pair(protect=False)
-    receiver.transport.feed(bytes([99, 0x03, 0x03, 0x00, 0x01, 0x00]))
-    with pytest.raises(MalformedEncoding):
-        receiver.recv()
-    receiver.transport.feed(bytes([23, 0x03, 0x01, 0x00, 0x01, 0x00]))
-    with pytest.raises(MalformedEncoding):
-        receiver.recv()
 
 
 def test_record_wrong_keys_rejected():
@@ -446,11 +342,3 @@ def test_certificate_signature_covers_algorithm_id():
     assert not verify_certificate(swapped, (issuer.root,))
 
 
-def test_certificate_garbage_rejected(cert_material):
-    _, cert = cert_material
-    raw = cert.encoding
-    for cut in (0, 1, 10, len(raw) // 2, len(raw) - 1):
-        with pytest.raises(MalformedEncoding):
-            parse_certificate(raw[:cut])
-    with pytest.raises(MalformedEncoding):
-        parse_certificate(raw + b"\x00")

@@ -300,19 +300,13 @@ def _assert_same_walk(seed: bytes, prefix: int, n: int) -> None:
 # 2 below 65535, 3 above.  Not shrunk: each example walks up to 65537
 # positions, and a failure is reported as first found.
 @pytest.mark.parametrize("n", [0, 1, 2, 3, 255, 256, 257, 1000, 65535, 65536, 65537])
-@settings(
-    derandomize=True,
-    max_examples=4,
-    deadline=None,
-    database=None,
-    phases=(Phase.generate,),
-)
+@settings(max_examples=4, phases=(Phase.generate,))
 @given(seed=st.binary(max_size=16), prefix=st.integers(0, 63))
 def test_bulk_shuffle_matches_generic_walk(n, seed, prefix):
     _assert_same_walk(seed, prefix, n)
 
 
-@settings(derandomize=True, max_examples=100, deadline=None, database=None)
+@settings(max_examples=100)
 @given(seed=st.binary(max_size=16), prefix=st.integers(0, 63), n=st.integers(0, 700))
 def test_bulk_shuffle_matches_generic_walk_small(seed, prefix, n):
     _assert_same_walk(seed, prefix, n)
