@@ -17,12 +17,14 @@ import pytest
 
 from agilecrypt import hbs
 from agilecrypt.easyapi import SecurityLevel, TemplateKind, builtin_registry, template_resolve
-from agilecrypt.errors import KeyExhausted, ParameterError
+from agilecrypt.errors import KeyExhausted, MalformedEncoding, ParameterError
 from agilecrypt.hbs import (
     HbsKeyPair,
     HbsMode,
     HbsParams,
+    hbs_export_public,
     hbs_keygen,
+    hbs_parse_public,
     hbs_sign,
     hbs_verify,
 )
@@ -204,6 +206,22 @@ def test_signature_bytes_verify_and_resized_bytes_reject():
     assert not hbs_verify(kp.root, kp.params, msg, b"")
     assert not hbs_verify(kp.root, kp.params, msg, sig[:-1])
     assert not hbs_verify(kp.root, kp.params, msg, sig + b"\0")
+
+
+def test_public_key_export_roundtrip():
+    rng = DeterministicRng(b"pub serde")
+    for mode in (HbsMode.STATEFUL, HbsMode.STATELESS):
+        kp = hbs_keygen(_params(mode=mode), rng)
+        blob = hbs_export_public(kp)
+        params, root = hbs_parse_public(blob)
+        assert params == kp.params
+        assert root == kp.root
+    with pytest.raises(MalformedEncoding):
+        hbs_parse_public(b"")
+    with pytest.raises(MalformedEncoding):
+        hbs_parse_public(blob[:-1])
+    with pytest.raises(MalformedEncoding):
+        hbs_parse_public(blob + b"\x00")
 
 
 def _reference_leaf(params: HbsParams, seed: bytes, leaf: int) -> bytes:

@@ -24,6 +24,8 @@ from agilecrypt.errors import BadMac
 from agilecrypt.keystore import KeystoreParameters
 from agilecrypt.mailenv import (
     ENVELOPE_EXTENSION,
+    Envelope,
+    EnvelopeHeader,
     encode_header,
     envelope_decode,
     envelope_encode,
@@ -53,6 +55,22 @@ def _parties(tmp_path, level=SecurityLevel.LOW, seed=b"mail"):
         rng,
     )
     return signer, recipient, rng
+
+
+_HEADER = EnvelopeHeader(
+    sender_id="alice",
+    recipient_id="bob",
+    sig_algorithm_id="SPX-TOY-16-16-8-S",
+    enc_algorithm_id="CME-TOY-10-8",
+    registry_version=1,
+)
+
+
+def test_envelope_codec_roundtrip():
+    env = Envelope(header=_HEADER, kem_ct=b"\x01\x02\x03", sealed_body=b"\x04" * 40)
+    raw = envelope_encode(env)
+    assert envelope_decode(raw) == env
+    assert raw.startswith(b"AGEV")
 
 
 def test_extension_constant():
