@@ -271,20 +271,27 @@ def kem_public_key(algorithm_id: str, raw: bytes) -> cbkem.KemPublicKey:
 
 def recipient_key(blob: bytes) -> tuple[str, int, cbkem.KemPublicKey]:
     """Read a framed KEM public key: its identifier, registry version and
-    key, as kem_public_key reads them."""
+    key, as kem_public_key reads them, with offsets counted in ``blob``."""
     ident, version, raw = parse_blob(blob)
-    return ident, version, kem_public_key(ident, raw)
+    try:
+        return ident, version, kem_public_key(ident, raw)
+    except MalformedEncoding as exc:
+        raise exc.shifted(len(blob) - len(raw)) from None
 
 
 def sender_key(blob: bytes, algorithm_id: str) -> tuple[hbs.HbsParams, bytes]:
     """Read a framed HBS public key for ``algorithm_id``: its parameters and
     root.  Another identifier or family, or key bytes for other parameters,
-    raise AlgorithmMismatch; bad key bytes raise MalformedEncoding."""
+    raise AlgorithmMismatch; bad key bytes raise MalformedEncoding, with
+    offsets counted in ``blob``."""
     ident, _, raw = parse_blob(blob)
     if ident != algorithm_id:
         raise AlgorithmMismatch(f"key is {ident!r}, expected {algorithm_id!r}")
     params = family_params(TemplateKind.SIGNATURE, ident)
-    key_params, root = hbs.hbs_parse_public(raw)
+    try:
+        key_params, root = hbs.hbs_parse_public(raw)
+    except MalformedEncoding as exc:
+        raise exc.shifted(len(blob) - len(raw)) from None
     if key_params != params:
         raise AlgorithmMismatch(f"key bytes are not for {ident!r}")
     return params, root

@@ -37,7 +37,12 @@ class MalformedEncoding(AgilecryptError):
 
     def __init__(self, message: str, offset: int | None = None):
         super().__init__(message if offset is None else f"{message} (at byte {offset})")
+        self.message = message
         self.offset = offset
+
+    def shifted(self, by: int) -> MalformedEncoding:
+        """The same failure in an input whose byte ``by`` starts the one that failed."""
+        return MalformedEncoding(self.message, None if self.offset is None else by + self.offset)
 
 
 class KeyExhausted(AgilecryptError):

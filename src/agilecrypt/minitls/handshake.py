@@ -1,4 +1,4 @@
-"""The handshake state machines and the resulting protected session.
+"""The handshake state machine and the resulting protected session.
 
 One cipher suite (0x1306), server-auth only, no resumption and no
 renegotiation.  Key exchange is the code-based KEM: the client
@@ -7,14 +7,16 @@ shared secret becomes the premaster.  Both sides advertise their
 security-level template in a hello extension; any divergence aborts the
 handshake before a single key-exchange byte is sent.
 
-Both roles run through one driver, ``_handshake``, which owns the record
-layer and the transcript; the two flows differ only in their message
-order.  One function reads every record (``_recv_payload``) and one maps
-a failure to the alert this side sends (``_alert_for``), for the
-handshake and the session alike.  A flow refuses by raising
-``TlsAlertSent``; ``_handshake`` alone sends a handshake's alert, the
-refusal's own or the one ``_alert_for`` gives a decoding or record
-failure, and finishes the transcript on every outcome.
+The message order is written once, in ``FLOW``: one row per message in
+wire order, ChangeCipherSpec included, naming its sender, the sender's
+write and the receiver's read.  One driver, ``_handshake``, walks it for
+either role, so the roles cannot disagree on what comes next.  One
+function reads every record (``_recv_payload``) and one maps a failure
+to the alert this side sends (``_alert_for``), for the handshake and the
+session alike.  A row refuses by raising ``TlsAlertSent``;
+``_handshake`` alone sends a handshake's alert, the refusal's own or the
+one ``_alert_for`` gives a decoding or record failure, and finishes the
+transcript on every outcome.
 
 Each flight goes to the transport in one write: the channel frames (and,
 after ChangeCipherSpec, seals) the records of every message it sends and
@@ -33,11 +35,11 @@ so close_notify does not exist here.
 from __future__ import annotations
 
 import hmac
-from collections.abc import Callable, Sequence
+from collections.abc import Sequence
 from dataclasses import dataclass
 from typing import NoReturn
 
-from ..cbkem import KemSecretKey, kem_decap, kem_encap
+from ..cbkem import KemPublicKey, KemSecretKey, kem_decap, kem_encap
 from ..easyapi import (
     AlgorithmParameters,
     CompatibilityResult,
@@ -245,85 +247,6 @@ def _send_fatal_alert(
         pass
 
 
-class HandshakeChannel:
-    """Fragments outgoing handshake messages, reassembles incoming ones,
-    and feeds the transcript.  Outgoing records queue until ``flush``,
-    which the channel calls itself before every read."""
-
-    def __init__(self, record: RecordLayer, transcript: HandshakeTranscript):
-        self.record = record
-        self.transcript = transcript
-        self._received: list[bytes] = []  # handshake payloads not yet taken
-        self._buffered = 0
-        self._flight: list[bytes] = []
-
-    def send_message(self, hs_type: HandshakeType, body: bytes) -> None:
-        msg = encode_handshake_message(hs_type, body)
-        self.transcript.add_message(hs_type.message_name, "sent", msg)
-        self._flight.extend(_frame_fragmented(self.record, ContentType.HANDSHAKE, msg))
-
-    def flush(self) -> None:
-        """Write every queued record in one transport write, then hash
-        the messages they carry."""
-        if self._flight:
-            wire = b"".join(self._flight)
-            self._flight.clear()
-            self.record.write(wire)
-        self.transcript.absorb()
-
-    def send_fatal_alert(self, description: AlertDescription) -> None:
-        _send_fatal_alert(self.record, description, self._flight)
-        self._flight.clear()
-
-    def _fill(self, needed: int) -> None:
-        while self._buffered < needed:
-            self.flush()
-            payload = _recv_payload(self.record, ContentType.HANDSHAKE)
-            self._received.append(payload)
-            self._buffered += len(payload)
-
-    def _take(self, n: int) -> memoryview:
-        """The next ``n`` received bytes: a view of the payloads joined
-        with one copy (none when one payload holds exactly them)."""
-        data = b"".join(self._received)
-        self._received = [data[n:]] if len(data) > n else []
-        self._buffered -= n
-        return memoryview(data)[:n]
-
-    def recv_message(self) -> tuple[HandshakeType, memoryview]:
-        """The next message's type and body, a read-only view."""
-        self._fill(4)
-        hs_type, length = decode_handshake_header(b"".join(self._received)[:4])
-        if length > MAX_HANDSHAKE_MESSAGE:
-            raise MalformedEncoding(
-                f"handshake message of {length} bytes exceeds {MAX_HANDSHAKE_MESSAGE}"
-            )
-        self._fill(4 + length)
-        msg = self._take(4 + length)
-        self.transcript.add_message(hs_type.message_name, "received", msg)
-        self.transcript.absorb()
-        return hs_type, msg[4:]
-
-    def send_ccs(self) -> None:
-        self._flight.append(self.record.frame(ContentType.CHANGE_CIPHER_SPEC, b"\x01"))
-        self.transcript.note_ccs("sent")
-
-    def recv_ccs(self) -> None:
-        if self._buffered:
-            raise MalformedEncoding("handshake data buffered across ChangeCipherSpec")
-        self.flush()
-        if _recv_payload(self.record, ContentType.CHANGE_CIPHER_SPEC) != b"\x01":
-            raise MalformedEncoding("expected ChangeCipherSpec")
-        self.transcript.note_ccs("received")
-
-
-def _expect(channel: HandshakeChannel, expected: HandshakeType) -> memoryview:
-    hs_type, body = channel.recv_message()
-    if hs_type != expected:
-        raise MalformedEncoding(f"expected {expected.message_name}, got {hs_type.message_name}")
-    return body
-
-
 # ---------------------------------------------------------------------------
 # Configuration
 # ---------------------------------------------------------------------------
@@ -415,40 +338,38 @@ class TlsSession:
 
 
 # ---------------------------------------------------------------------------
-# Client and server state machines
+# The message flow
 # ---------------------------------------------------------------------------
 
 def client_handshake(transport: Transport, config: ClientTlsConfig) -> TlsSession:
-    return _handshake(transport, config, _client_flow)
+    return _handshake(transport, config, "client")
 
 
 def server_handshake(transport: Transport, config: ServerTlsConfig) -> TlsSession:
-    return _handshake(transport, config, _server_flow)
+    return _handshake(transport, config, "server")
 
 
 def _handshake(
-    transport: Transport,
-    config: ClientTlsConfig | ServerTlsConfig,
-    flow: Callable[..., SessionKeys],
+    transport: Transport, config: ClientTlsConfig | ServerTlsConfig, role: str
 ) -> TlsSession:
-    """Run one side's ``flow`` over a fresh record layer.  A refusal, or a
-    decoding or record-protection failure, sends its fatal alert here and
-    is raised as TlsAlertSent; the last flight is written before
-    returning, and the transcript is finished on every outcome."""
-    rng = config.rng if config.rng is not None else SystemRng()
-    record = RecordLayer(transport)
-    transcript = HandshakeTranscript()
-    channel = HandshakeChannel(record, transcript)
-    local_info = build_template_info(config.registry, config.level)
-    transcript.local_template = local_info
+    """Walk FLOW as ``role``: send this side's rows, expect the peer's.  A
+    refusal, or a decoding or record-protection failure, sends its fatal
+    alert here and is raised as TlsAlertSent; the last flight is written
+    before returning, and the transcript is finished on every outcome."""
+    side = _Side(RecordLayer(transport), config, role)
+    record, transcript = side.record, side.transcript
     try:
-        keys = flow(channel, config, rng, local_info)
-        channel.flush()
+        for message, sender, write, read in FLOW:
+            if sender == role:
+                side.send(message, write(side))
+            else:
+                read(side, side.receive(message))
+        side.flush()
     except AgilecryptError as exc:
         failure = exc
         description = _alert_for(exc)
         if description is not None:
-            channel.send_fatal_alert(description)
+            side.send_fatal_alert(description)
             if not isinstance(exc, TlsAlertSent):
                 failure = TlsAlertSent(description, str(exc))
         # Only the alert exceptions carry a description.
@@ -457,133 +378,212 @@ def _handshake(
         failure.transcript = transcript
         raise failure
     transcript.finish(record, suite=SUITE_0x1306, aborted=False)
-    return TlsSession(record, keys, transcript)
+    return TlsSession(record, side.keys, transcript)
 
 
-def _accept_remote_template(
-    channel: HandshakeChannel,
-    config: ClientTlsConfig | ServerTlsConfig,
-    remote: TemplateInfo | None,
-    peer: str,
-) -> None:
-    if remote is None:
-        raise TlsAlertSent(AlertDescription.HANDSHAKE_FAILURE, f"{peer} sent no template info")
-    channel.transcript.remote_template = remote
-    reason = template_divergence(config.registry, config.level, remote)
-    if reason is not None:
-        raise TlsAlertSent(AlertDescription.TEMPLATE_MISMATCH, reason)
+class _Side:
+    """One side of one handshake: what its messages have told it so far,
+    and the channel they travel.  The channel fragments outgoing handshake
+    messages, reassembles incoming ones and feeds the transcript; outgoing
+    records queue until ``flush``, which runs before every read.  The
+    ``write_*`` and ``read_*`` methods are FLOW's."""
 
+    def __init__(self, record: RecordLayer, config: ClientTlsConfig | ServerTlsConfig, role: str):
+        self.record = record
+        self.transcript = HandshakeTranscript()
+        self.transcript.local_template = build_template_info(config.registry, config.level)
+        self.config = config
+        self.rng = config.rng if config.rng is not None else SystemRng()
+        self.role = role
+        self.peer = "server" if role == "client" else "client"
+        self.client_random = b""
+        self.server_random = b""
+        self.kem_pk: KemPublicKey | None = None  # the client's, from the certificate
+        self.keys: SessionKeys | None = None
+        self.peer_hash = b""  # what the peer's Finished covers
+        self._received: list[bytes] = []  # handshake payloads not yet taken
+        self._buffered = 0
+        self._flight: list[bytes] = []
 
-# RFC 5246 §7.4.9: both Finished messages are the PRF over the transcript
-# so far, told apart by the sender's label and sent under its keys.
+    def send(self, hs_type: HandshakeType | None, body: bytes) -> None:
+        """Queue message ``hs_type``; for None, a ChangeCipherSpec of ``body``."""
+        if hs_type is None:
+            self._flight.append(self.record.frame(ContentType.CHANGE_CIPHER_SPEC, body))
+            self.transcript.note_ccs("sent")
+            return
+        msg = encode_handshake_message(hs_type, body)
+        self.transcript.add_message(hs_type.message_name, "sent", msg)
+        self._flight.extend(_frame_fragmented(self.record, ContentType.HANDSHAKE, msg))
 
-def _send_finished(channel: HandshakeChannel, keys: SessionKeys, sender: str) -> None:
-    channel.send_ccs()
-    channel.record.enable_send_protection(getattr(keys, sender))
-    own_hash = channel.transcript.transcript_hash()
-    channel.send_message(
-        HandshakeType.FINISHED,
-        encode_finished_body(
-            finished_verify_data(keys.master_secret, f"{sender} finished", own_hash)
-        ),
-    )
+    def flush(self) -> None:
+        """Write every queued record in one transport write, then hash
+        the messages they carry."""
+        if self._flight:
+            wire = b"".join(self._flight)
+            self._flight.clear()
+            self.record.write(wire)
+        self.transcript.absorb()
 
+    def send_fatal_alert(self, description: AlertDescription) -> None:
+        _send_fatal_alert(self.record, description, self._flight)
+        self._flight.clear()
 
-def _recv_finished(channel: HandshakeChannel, keys: SessionKeys, sender: str) -> None:
-    peer_hash = channel.transcript.transcript_hash()
-    channel.recv_ccs()
-    channel.record.enable_recv_protection(getattr(keys, sender))
-    body = _expect(channel, HandshakeType.FINISHED)
-    expected = finished_verify_data(keys.master_secret, f"{sender} finished", peer_hash)
-    if not hmac.compare_digest(decode_finished_body(body), expected):
-        reason = f"{sender} Finished verification failed"
-        raise TlsAlertSent(AlertDescription.DECRYPT_ERROR, reason)
+    def _fill(self, needed: int) -> None:
+        while self._buffered < needed:
+            self.flush()
+            payload = _recv_payload(self.record, ContentType.HANDSHAKE)
+            self._received.append(payload)
+            self._buffered += len(payload)
 
+    def _take(self, n: int) -> memoryview:
+        """The next ``n`` received bytes: a view of the payloads joined
+        with one copy (none when one payload holds exactly them)."""
+        data = b"".join(self._received)
+        self._received = [data[n:]] if len(data) > n else []
+        self._buffered -= n
+        return memoryview(data)[:n]
 
-def _client_flow(
-    channel: HandshakeChannel,
-    config: ClientTlsConfig,
-    rng: Rng,
-    local_info: TemplateInfo,
-) -> SessionKeys:
-    client_random = rng.random_bytes(32)
-    hello = ClientHello(
-        random=client_random,
-        cipher_suites=(SUITE_0x1306,),
-        template_info=local_info,
-    )
-    channel.send_message(HandshakeType.CLIENT_HELLO, hello.encode())
+    def receive(self, expected: HandshakeType | None) -> memoryview:
+        """The body of the next message, a read-only view, which must be
+        of type ``expected``; None expects a ChangeCipherSpec and first
+        takes the transcript hash that the peer's Finished covers."""
+        if expected is None:
+            self.peer_hash = self.transcript.transcript_hash()
+            if self._buffered:
+                raise MalformedEncoding("handshake data buffered across ChangeCipherSpec")
+            self.flush()
+            if _recv_payload(self.record, ContentType.CHANGE_CIPHER_SPEC) != b"\x01":
+                raise MalformedEncoding("expected ChangeCipherSpec")
+            self.transcript.note_ccs("received")
+            return memoryview(b"\x01")
+        self._fill(4)
+        hs_type, length = decode_handshake_header(b"".join(self._received)[:4])
+        if length > MAX_HANDSHAKE_MESSAGE:
+            raise MalformedEncoding(
+                f"handshake message of {length} bytes exceeds {MAX_HANDSHAKE_MESSAGE}"
+            )
+        self._fill(4 + length)
+        msg = self._take(4 + length)
+        self.transcript.add_message(hs_type.message_name, "received", msg)
+        self.transcript.absorb()
+        if hs_type != expected:
+            raise MalformedEncoding(f"expected {expected.message_name}, got {hs_type.message_name}")
+        return msg[4:]
 
-    server_hello = ServerHello.decode(_expect(channel, HandshakeType.SERVER_HELLO))
-    if server_hello.cipher_suite != SUITE_0x1306:
-        raise TlsAlertSent(
-            AlertDescription.HANDSHAKE_FAILURE,
-            f"server chose unoffered suite 0x{server_hello.cipher_suite:04X}",
-        )
-    _accept_remote_template(channel, config, server_hello.template_info, "server")
+    def accept_remote_template(self, remote: TemplateInfo | None) -> None:
+        if remote is None:
+            reason = f"{self.peer} sent no template info"
+            raise TlsAlertSent(AlertDescription.HANDSHAKE_FAILURE, reason)
+        self.transcript.remote_template = remote
+        reason = template_divergence(self.config.registry, self.config.level, remote)
+        if reason is not None:
+            raise TlsAlertSent(AlertDescription.TEMPLATE_MISMATCH, reason)
 
-    body = _expect(channel, HandshakeType.CERTIFICATE)
-    try:
-        certificate = parse_certificate(decode_certificate_body(body))
-    except MalformedEncoding as exc:
-        raise TlsAlertSent(AlertDescription.BAD_CERTIFICATE, f"unparseable certificate: {exc}")
-    for label, cert_id, template_id in (
-        ("key", certificate.kem_algorithm_id, local_info.enc_id),
-        ("signature", certificate.hbs_algorithm_id, local_info.sig_id),
-    ):
-        if cert_id != template_id:
-            reason = f"certificate {label} algorithm differs from negotiated template"
+    def write_client_hello(self) -> bytes:
+        self.client_random = self.rng.random_bytes(32)
+        hello = ClientHello(self.client_random, (SUITE_0x1306,), self.transcript.local_template)
+        return hello.encode()
+
+    def read_client_hello(self, body: memoryview) -> None:
+        hello = ClientHello.decode(body)
+        if SUITE_0x1306 not in hello.cipher_suites:
+            raise TlsAlertSent(AlertDescription.HANDSHAKE_FAILURE, "no common cipher suite")
+        # RFC 5246 §7.4.1.2: every ClientHello offers null compression.
+        if 0 not in hello.compression_methods:
+            reason = "client offered no null compression"
+            raise TlsAlertSent(AlertDescription.HANDSHAKE_FAILURE, reason)
+        self.accept_remote_template(hello.template_info)
+        self.client_random = hello.random
+
+    def write_server_hello(self) -> bytes:
+        self.server_random = self.rng.random_bytes(32)
+        hello = ServerHello(self.server_random, SUITE_0x1306, self.transcript.local_template)
+        return hello.encode()
+
+    def read_server_hello(self, body: memoryview) -> None:
+        hello = ServerHello.decode(body)
+        if hello.cipher_suite != SUITE_0x1306:
+            reason = f"server chose unoffered suite 0x{hello.cipher_suite:04X}"
+            raise TlsAlertSent(AlertDescription.HANDSHAKE_FAILURE, reason)
+        self.accept_remote_template(hello.template_info)
+        self.server_random = hello.random
+
+    def write_certificate(self) -> bytes:
+        return encode_certificate_body(self.config.certificate.encoding)
+
+    def read_certificate(self, body: memoryview) -> None:
+        try:
+            certificate = parse_certificate(decode_certificate_body(body))
+        except MalformedEncoding as exc:
+            raise TlsAlertSent(AlertDescription.BAD_CERTIFICATE, f"unparseable certificate: {exc}")
+        for label, cert_id, template_id in (
+            ("key", certificate.kem_algorithm_id, self.transcript.local_template.enc_id),
+            ("signature", certificate.hbs_algorithm_id, self.transcript.local_template.sig_id),
+        ):
+            if cert_id != template_id:
+                reason = f"certificate {label} algorithm differs from negotiated template"
+                raise TlsAlertSent(AlertDescription.BAD_CERTIFICATE, reason)
+        self.kem_pk = verify_certificate(certificate, self.config.trusted_roots)
+        if self.kem_pk is None:
+            reason = "certificate verification failed"
             raise TlsAlertSent(AlertDescription.BAD_CERTIFICATE, reason)
-    kem_pk = verify_certificate(certificate, config.trusted_roots)
-    if kem_pk is None:
-        raise TlsAlertSent(AlertDescription.BAD_CERTIFICATE, "certificate verification failed")
 
-    decode_server_hello_done_body(_expect(channel, HandshakeType.SERVER_HELLO_DONE))
+    def write_hello_done(self) -> bytes:
+        return b""
 
-    ciphertext, premaster = kem_encap(kem_pk, rng)
-    channel.send_message(
-        HandshakeType.CLIENT_KEY_EXCHANGE, encode_client_key_exchange_body(ciphertext)
-    )
-    keys = derive_session_keys(premaster, client_random, server_hello.random)
-    _send_finished(channel, keys, "client")
-    _recv_finished(channel, keys, "server")
-    return keys
+    def read_hello_done(self, body: memoryview) -> None:
+        decode_server_hello_done_body(body)
+
+    def write_key_exchange(self) -> bytes:
+        ciphertext, premaster = kem_encap(self.kem_pk, self.rng)
+        self.keys = derive_session_keys(premaster, self.client_random, self.server_random)
+        return encode_client_key_exchange_body(ciphertext)
+
+    def read_key_exchange(self, body: memoryview) -> None:
+        ct = decode_client_key_exchange_body(body)
+        try:
+            premaster = kem_decap(self.config.kem_secret, ct)
+        except InvalidCiphertext as exc:
+            raise TlsAlertSent(AlertDescription.INVALID_CIPHERTEXT, f"key exchange rejected: {exc}")
+        self.keys = derive_session_keys(premaster, self.client_random, self.server_random)
+
+    # RFC 5246 §7.4.9: both Finished messages are the PRF over the
+    # transcript up to the sender's ChangeCipherSpec, told apart by the
+    # sender's label and sent under its keys.
+
+    def write_change_cipher_spec(self) -> bytes:
+        return b"\x01"
+
+    def read_change_cipher_spec(self, body: memoryview) -> None:
+        self.record.enable_recv_protection(getattr(self.keys, self.peer))
+
+    def write_finished(self) -> bytes:
+        # Finished is the first record under this side's keys.
+        self.record.enable_send_protection(getattr(self.keys, self.role))
+        own_hash = self.transcript.transcript_hash()
+        label = f"{self.role} finished"
+        return encode_finished_body(finished_verify_data(self.keys.master_secret, label, own_hash))
+
+    def read_finished(self, body: memoryview) -> None:
+        label = f"{self.peer} finished"
+        expected = finished_verify_data(self.keys.master_secret, label, self.peer_hash)
+        if not hmac.compare_digest(decode_finished_body(body), expected):
+            reason = f"{self.peer} Finished verification failed"
+            raise TlsAlertSent(AlertDescription.DECRYPT_ERROR, reason)
 
 
-def _server_flow(
-    channel: HandshakeChannel,
-    config: ServerTlsConfig,
-    rng: Rng,
-    local_info: TemplateInfo,
-) -> SessionKeys:
-    hello = ClientHello.decode(_expect(channel, HandshakeType.CLIENT_HELLO))
-    if SUITE_0x1306 not in hello.cipher_suites:
-        raise TlsAlertSent(AlertDescription.HANDSHAKE_FAILURE, "no common cipher suite")
-    # RFC 5246 §7.4.1.2: every ClientHello offers null compression.
-    if 0 not in hello.compression_methods:
-        reason = "client offered no null compression"
-        raise TlsAlertSent(AlertDescription.HANDSHAKE_FAILURE, reason)
-    _accept_remote_template(channel, config, hello.template_info, "client")
-
-    server_random = rng.random_bytes(32)
-    channel.send_message(
-        HandshakeType.SERVER_HELLO,
-        ServerHello(
-            random=server_random, cipher_suite=SUITE_0x1306, template_info=local_info
-        ).encode(),
-    )
-    channel.send_message(
-        HandshakeType.CERTIFICATE,
-        encode_certificate_body(config.certificate.encoding),
-    )
-    channel.send_message(HandshakeType.SERVER_HELLO_DONE, b"")
-
-    ct = decode_client_key_exchange_body(_expect(channel, HandshakeType.CLIENT_KEY_EXCHANGE))
-    try:
-        premaster = kem_decap(config.kem_secret, ct)
-    except InvalidCiphertext as exc:
-        raise TlsAlertSent(AlertDescription.INVALID_CIPHERTEXT, f"key exchange rejected: {exc}")
-    keys = derive_session_keys(premaster, hello.random, server_random)
-    _recv_finished(channel, keys, "client")
-    _send_finished(channel, keys, "server")
-    return keys
+# RFC 5246 §7.3, one row per message in wire order: (message type, None
+# for ChangeCipherSpec; its sender; the sender's write(side) -> body; the
+# receiver's read(side, body)).
+FLOW = (
+    (HandshakeType.CLIENT_HELLO, "client", _Side.write_client_hello, _Side.read_client_hello),
+    (HandshakeType.SERVER_HELLO, "server", _Side.write_server_hello, _Side.read_server_hello),
+    (HandshakeType.CERTIFICATE, "server", _Side.write_certificate, _Side.read_certificate),
+    (HandshakeType.SERVER_HELLO_DONE, "server", _Side.write_hello_done, _Side.read_hello_done),
+    (HandshakeType.CLIENT_KEY_EXCHANGE, "client",
+     _Side.write_key_exchange, _Side.read_key_exchange),
+    (None, "client", _Side.write_change_cipher_spec, _Side.read_change_cipher_spec),
+    (HandshakeType.FINISHED, "client", _Side.write_finished, _Side.read_finished),
+    (None, "server", _Side.write_change_cipher_spec, _Side.read_change_cipher_spec),
+    (HandshakeType.FINISHED, "server", _Side.write_finished, _Side.read_finished),
+)

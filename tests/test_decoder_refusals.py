@@ -20,7 +20,8 @@ import agilecrypt
 from agilecrypt.cbkem import KemParams, KemSecretKey, kem_decap, kem_parse_pk
 from agilecrypt.codec import Reader, decode_text, uint, vec16, vec32
 from agilecrypt.easyapi import (
-    builtin_registry, frame_blob, load_registry, parse_blob, parse_registry_text
+    builtin_registry, frame_blob, load_registry, parse_blob, parse_registry_text, recipient_key,
+    sender_key,
 )
 from agilecrypt.errors import (
     BadMac, BadPadding, BadPassword, InvalidCiphertext, MalformedEncoding, MalformedStore
@@ -48,6 +49,7 @@ _ENVELOPE = envelope_encode(  # 61 bytes; the sender id ends at byte 9
     Envelope(EnvelopeHeader("a", "b", "SPX-TOY-16-16-8-S", "CME-TOY-10-8", 1), b"ct", b"body")
 )
 _HBS_PK = bytes([16, 0, 16, 4, 0]) + bytes(16)  # SPX-TOY-16-16-4-S
+_LOW_SIG, _LOW_HBS_PK = "SPX-TOY-16-16-8-S", bytes([16, 0, 16, 8, 0]) + bytes(16)
 # A 17-byte public key and a 2-byte ciphertext, 4 pad bits each; with no
 # inverse tables, decapsulation gets only as far as refusing a ciphertext.
 _KEM = KemParams(m=4, b=3)
@@ -172,6 +174,11 @@ DECODER_REFUSALS = [
      "text field is not utf-8"),
     ("envelope-trailing-byte", envelope_decode, _ENVELOPE + b"\x00", _ME, 61, _TRAILING),
     ("blob-empty-identifier", parse_blob, bytes(5), _ME, 0, "empty algorithm identifier"),
+    # The key starts at byte 17 of this blob and at byte 22 of the next.
+    ("recipient-key-short", recipient_key, frame_blob("CME-TOY-10-8", 1, bytes(3)), _ME, 20,
+     "public key length 3, expected 10130"),
+    ("sender-key-trailing-byte", functools.partial(sender_key, algorithm_id=_LOW_SIG),
+     frame_blob(_LOW_SIG, 1, _LOW_HBS_PK + b"\x00"), _ME, 43, _TRAILING),
     ("hbs-key-unknown-mode", hbs_parse_public, _replaced(_HBS_PK, 4, b"\x02"), _ME, 4,
      "unknown mode byte"),
     ("hbs-key-trailing-byte", hbs_parse_public, _HBS_PK + b"\x00", _ME, 21, _TRAILING),

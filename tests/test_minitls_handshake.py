@@ -336,6 +336,22 @@ def test_each_flight_is_one_write(low_material):
     assert server_records == {"sent": 5, "received": 4, "writes": 2}
 
 
+def test_each_side_walks_every_flow_row_once(low_material):
+    """A clean handshake logs, on each side, one transcript entry per FLOW
+    row in table order: its own rows as sent, the peer's as received.  So
+    each row is written once by its sender and read once by its receiver."""
+    results = _loopback(_client_cfg(low_material), _server_cfg(low_material))
+    for role in ("client", "server"):
+        entries = [(e.message, e.direction) for e in results[role].transcript.entries]
+        assert entries == [
+            (
+                "ChangeCipherSpec" if message is None else message.message_name,
+                "sent" if sender == role else "received",
+            )
+            for message, sender, _, _ in handshake.FLOW
+        ]
+
+
 # ---------------------------------------------------------------------------
 # Transcript hashing and the certificate's encoding
 # ---------------------------------------------------------------------------
@@ -865,6 +881,20 @@ def _scripted_client(hello):
     return script
 
 
+def _scripted_client_records(*records):
+    """A client that sends ``records`` and reads up to the first alert
+    record, past any flight the server writes before it refuses."""
+
+    def script(record):
+        for content_type, payload in records:
+            record.send(content_type, payload)
+        while (received := record.recv())[0] != ContentType.ALERT:
+            pass
+        return received
+
+    return script
+
+
 def _scripted_server(*records):
     """A server that reads the ClientHello, which must offer 0x1306 alone,
     sends ``records`` and reads one record."""
@@ -1041,6 +1071,36 @@ REFUSALS = [
      )),
     ("client-finished-bit-flipped", "server", AlertDescription.BAD_RECORD_MAC,
      "record MAC mismatch", False, _flipped_client_finished),
+    # Well-formed messages out of order.  A message's type is checked
+    # before its body is read, so the bodies below are never decoded.
+    ("server-certificate-before-hello", "client", AlertDescription.HANDSHAKE_FAILURE,
+     "expected ServerHello, got Certificate", False,
+     lambda m: _against_script(
+         "client", _client_cfg(m),
+         _scripted_server(_handshake_record(HandshakeType.CERTIFICATE, b"")),
+     )),
+    ("server-hello-repeated", "client", AlertDescription.HANDSHAKE_FAILURE,
+     "expected Certificate, got ServerHello", True,
+     lambda m: _against_script(
+         "client", _client_cfg(m), _scripted_server(_server_hello(), _server_hello())
+     )),
+    ("client-opens-with-key-exchange", "server", AlertDescription.HANDSHAKE_FAILURE,
+     "expected ClientHello, got ClientKeyExchange", False,
+     lambda m: _against_script(
+         "server", _server_cfg(m),
+         _scripted_client_records(_handshake_record(HandshakeType.CLIENT_KEY_EXCHANGE, b"")),
+     )),
+    # CVE-2014-0224: ChangeCipherSpec before any key exists.  The server
+    # has written its flight by then, so the script reads past it.
+    ("early-change-cipher-spec", "server", AlertDescription.HANDSHAKE_FAILURE,
+     "expected HANDSHAKE record, got content type 20", False,
+     lambda m: _against_script(
+         "server", _server_cfg(m),
+         _scripted_client_records(
+             _handshake_record(HandshakeType.CLIENT_HELLO, _LOW_HELLO.encode()),
+             (ContentType.CHANGE_CIPHER_SPEC, b"\x01"),
+         ),
+     )),
 ]
 
 
