@@ -3,7 +3,7 @@
 A TemplateRegistry is a versioned data file mapping (kind, level) to a
 concrete algorithm identifier.  Registries are deliberately swappable:
 pointing a peer at a different registry file changes what a level means,
-which is exactly the drift that compatibility_check classifies.
+and minitls refuses that drift at hello time.
 
 All facade outputs are self-describing blobs: algorithm identifier and
 registry version ride in front of the raw payload, so a decoder can spot
@@ -50,14 +50,12 @@ __all__ = [
     "TemplateKind",
     "TemplateRegistry",
     "AlgorithmParameters",
-    "CompatibilityResult",
     "EasySigner",
     "EasyEncrypter",
     "builtin_registry",
     "load_registry",
     "parse_registry_text",
     "template_resolve",
-    "compatibility_check",
     "easysigner_verify",
     "frame_blob",
     "parse_blob",
@@ -96,12 +94,6 @@ class AlgorithmParameters:
     algorithm_id: str
     params: hbs.HbsParams | cbkem.KemParams
     registry_version: int
-
-
-class CompatibilityResult(Enum):
-    COMPATIBLE = "compatible"
-    TEMPLATE_MISMATCH = "template_mismatch"
-    VERSION_MISMATCH = "version_mismatch"
 
 
 # ---------------------------------------------------------------------------
@@ -227,20 +219,6 @@ def template_resolve(
         params=family_params(kind, algorithm_id),
         registry_version=reg.version,
     )
-
-
-def compatibility_check(
-    local: AlgorithmParameters, remote_algorithm_id: str, remote_registry_version: int
-) -> CompatibilityResult:
-    """Classify a negotiation pairing.  Identical identifiers are
-    compatible regardless of versions; divergent identifiers are a
-    version drift when the registry versions differ, otherwise a genuine
-    template conflict."""
-    if local.algorithm_id == remote_algorithm_id:
-        return CompatibilityResult.COMPATIBLE
-    if local.registry_version != remote_registry_version:
-        return CompatibilityResult.VERSION_MISMATCH
-    return CompatibilityResult.TEMPLATE_MISMATCH
 
 
 # ---------------------------------------------------------------------------

@@ -40,15 +40,7 @@ from dataclasses import dataclass
 from typing import NoReturn
 
 from ..cbkem import KemPublicKey, KemSecretKey, kem_decap, kem_encap
-from ..easyapi import (
-    AlgorithmParameters,
-    CompatibilityResult,
-    SecurityLevel,
-    TemplateKind,
-    TemplateRegistry,
-    compatibility_check,
-    template_resolve,
-)
+from ..easyapi import SecurityLevel, TemplateKind, TemplateRegistry
 from ..errors import (
     AgilecryptError,
     BadMac,
@@ -153,44 +145,35 @@ def finished_verify_data(master_secret: bytes, label: str, transcript_hash: byte
 # ---------------------------------------------------------------------------
 
 def build_template_info(registry: TemplateRegistry, level: SecurityLevel) -> TemplateInfo:
-    sig, enc = _local_templates(registry, level)
+    """This side's template view at ``level``; TemplateRegistry checked
+    each entry's family when it was made, so the ids are taken as read."""
     return TemplateInfo(
         registry_version=registry.version,
         level=int(level),
-        sig_id=sig.algorithm_id,
-        enc_id=enc.algorithm_id,
+        sig_id=registry.entries[(TemplateKind.SIGNATURE, level)],
+        enc_id=registry.entries[(TemplateKind.ENCRYPTION, level)],
     )
 
 
-def _local_templates(
-    registry: TemplateRegistry, level: SecurityLevel
-) -> tuple[AlgorithmParameters, AlgorithmParameters]:
-    return (
-        template_resolve(registry, TemplateKind.SIGNATURE, level),
-        template_resolve(registry, TemplateKind.ENCRYPTION, level),
-    )
-
-
-def template_divergence(
-    registry: TemplateRegistry, level: SecurityLevel, remote: TemplateInfo
-) -> str | None:
-    """None when both algorithm choices and the level line up, otherwise
-    a reason string classifying the drift."""
-    local_sig, local_enc = _local_templates(registry, level)
+def template_divergence(local: TemplateInfo, remote: TemplateInfo) -> str | None:
+    """None when both algorithm ids and the level line up, otherwise a
+    reason string classifying the drift: a differing level is a template
+    mismatch, and differing ids are a version drift when the registry
+    versions differ, otherwise a genuine template conflict."""
     problems = []
-    if remote.level != level:
-        problems.append(
-            f"level {CompatibilityResult.TEMPLATE_MISMATCH.value}: "
-            f"local {int(level)} vs remote {remote.level}"
-        )
-    for label, local, remote_id in (
-        ("signature", local_sig, remote.sig_id),
-        ("encryption", local_enc, remote.enc_id),
+    if remote.level != local.level:
+        problems.append(f"level template_mismatch: local {local.level} vs remote {remote.level}")
+    if local.registry_version != remote.registry_version:
+        verdict = "version_mismatch"
+    else:
+        verdict = "template_mismatch"
+    for label, local_id, remote_id in (
+        ("signature", local.sig_id, remote.sig_id),
+        ("encryption", local.enc_id, remote.enc_id),
     ):
-        verdict = compatibility_check(local, remote_id, remote.registry_version)
-        if verdict is not CompatibilityResult.COMPATIBLE:
+        if local_id != remote_id:
             problems.append(
-                f"{label} {verdict.value}: local {local.algorithm_id!r} "
+                f"{label} {verdict}: local {local_id!r} "
                 f"(registry v{local.registry_version}) vs remote {remote_id!r} "
                 f"(registry v{remote.registry_version})"
             )
@@ -457,17 +440,20 @@ class _Side:
             self.transcript.note_ccs("received")
             return memoryview(b"\x01")
         self._fill(4)
-        hs_type, length = decode_handshake_header(b"".join(self._received)[:4])
+        header = b"".join(self._received)[:4]
+        hs_type, length = decode_handshake_header(header)
         if length > MAX_HANDSHAKE_MESSAGE:
             raise MalformedEncoding(
                 f"handshake message of {length} bytes exceeds {MAX_HANDSHAKE_MESSAGE}"
             )
+        if hs_type != expected:
+            # Refused before its body is read; the transcript lists the header.
+            self.transcript.add_message(hs_type.message_name, "received", header)
+            raise MalformedEncoding(f"expected {expected.message_name}, got {hs_type.message_name}")
         self._fill(4 + length)
         msg = self._take(4 + length)
         self.transcript.add_message(hs_type.message_name, "received", msg)
         self.transcript.absorb()
-        if hs_type != expected:
-            raise MalformedEncoding(f"expected {expected.message_name}, got {hs_type.message_name}")
         return msg[4:]
 
     def accept_remote_template(self, remote: TemplateInfo | None) -> None:
@@ -475,7 +461,7 @@ class _Side:
             reason = f"{self.peer} sent no template info"
             raise TlsAlertSent(AlertDescription.HANDSHAKE_FAILURE, reason)
         self.transcript.remote_template = remote
-        reason = template_divergence(self.config.registry, self.config.level, remote)
+        reason = template_divergence(self.transcript.local_template, remote)
         if reason is not None:
             raise TlsAlertSent(AlertDescription.TEMPLATE_MISMATCH, reason)
 

@@ -7,13 +7,18 @@ method or assigned name in src/ that no file in src/, tests/ or
 perfbench/ mentions besides its definition.  A mention is a loaded name,
 an attribute, an imported name or a string that spells the name; dunder
 names are exempt.  Paths count from the repository root, whichever
-directory the suite runs from.
+directory the suite runs from.  And no stale export: every name an
+agilecrypt module lists in __all__ is an attribute of that module.
 """
 
 from __future__ import annotations
 
 import ast
+import importlib
 import pathlib
+import pkgutil
+
+import agilecrypt
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 
@@ -59,4 +64,16 @@ def test_no_unused_imports_and_no_dead_names():
                 f"{path}:{line}:{name}" for name, line in names
                 if name not in mentioned and not (name.startswith("__") and name.endswith("__"))
             ]
+    assert not failures, "\n".join(failures)
+
+
+def test_every_all_entry_resolves():
+    modules = ["agilecrypt"] + [
+        info.name for info in pkgutil.walk_packages(agilecrypt.__path__, "agilecrypt.")
+    ]
+    failures = []
+    for name in modules:
+        module = importlib.import_module(name)
+        exported = getattr(module, "__all__", ())
+        failures += [f"{name}.__all__:{entry}" for entry in exported if not hasattr(module, entry)]
     assert not failures, "\n".join(failures)

@@ -18,13 +18,11 @@ import pytest
 from agilecrypt import cbkem, easyapi, hbs
 from agilecrypt.easyapi import (
     AlgorithmParameters,
-    CompatibilityResult,
     EasyEncrypter,
     EasySigner,
     SecurityLevel,
     TemplateKind,
     builtin_registry,
-    compatibility_check,
     easysigner_verify,
     frame_blob,
     parse_blob,
@@ -442,24 +440,3 @@ def test_encrypter_agrees_with_direct_composition(tmp_path):
         )
         header = blob[: len(blob) - len(payload)] + payload[: params.ct_bytes]
         assert open_record(keys, 0, header, payload[params.ct_bytes :]) == b"dual route"
-
-
-# ---------------------------------------------------------------------------
-# Drift classification
-# ---------------------------------------------------------------------------
-
-def test_compatibility_check_rules():
-    v1 = builtin_registry(1)
-    local = template_resolve(v1, TemplateKind.SIGNATURE, SecurityLevel.HIGH)
-    same = compatibility_check(local, "SPX-TOY-32-16-12-SL", 1)
-    assert same is CompatibilityResult.COMPATIBLE
-    # Same id, different version: ids rule.
-    assert compatibility_check(local, "SPX-TOY-32-16-12-SL", 2) is CompatibilityResult.COMPATIBLE
-    assert (
-        compatibility_check(local, "SPX-TOY-32-16-14-SL", 2)
-        is CompatibilityResult.VERSION_MISMATCH
-    )
-    assert (
-        compatibility_check(local, "SPX-TOY-32-16-14-SL", 1)
-        is CompatibilityResult.TEMPLATE_MISMATCH
-    )

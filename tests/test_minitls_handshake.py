@@ -70,7 +70,7 @@ from agilecrypt.minitls import certificate, handshake
 from agilecrypt.minitls.handshake import build_template_info
 from agilecrypt.minitls.measure import paramset_level, run_measurement, serve_connection
 from agilecrypt.minitls.wire import encode_alert, encode_handshake_message
-from agilecrypt.primitives import DeterministicRng, open_record
+from agilecrypt.primitives import MAX_RECORD_PLAINTEXT, DeterministicRng, open_record
 
 _JOIN_TIMEOUT = 60.0
 _IO_TIMEOUT = 5.0  # converts would-be deadlocks into ConnectionClosed
@@ -648,7 +648,7 @@ def test_same_version_template_conflict_classified():
     causes is the REFUSALS row same-version-template-conflict."""
     local = template_resolve(builtin_registry(1), TemplateKind.SIGNATURE, SecurityLevel.HIGH)
     remote = build_template_info(_same_version_conflict(), SecurityLevel.HIGH)
-    reason = template_divergence(builtin_registry(1), SecurityLevel.HIGH, remote)
+    reason = template_divergence(build_template_info(builtin_registry(1), SecurityLevel.HIGH), remote)
     assert reason is not None and "template_mismatch" in reason
     assert local.algorithm_id in reason
 
@@ -662,11 +662,58 @@ def _same_version_conflict():
 
 def test_matching_levels_other_than_low(low_material):
     divergence = template_divergence(
-        builtin_registry(1),
-        SecurityLevel.MEDIUM,
+        build_template_info(builtin_registry(1), SecurityLevel.MEDIUM),
         build_template_info(builtin_registry(2), SecurityLevel.MEDIUM),
     )
     assert divergence is None  # v1 and v2 only drifted at HIGH
+
+
+@pytest.mark.parametrize(
+    "local_level, remote_registry, remote_level, reason",
+    [
+        pytest.param(SecurityLevel.HIGH, builtin_registry(1), SecurityLevel.HIGH, None,
+                     id="same-templates"),
+        pytest.param(
+            SecurityLevel.HIGH, builtin_registry(2), SecurityLevel.HIGH,
+            "signature version_mismatch: local 'SPX-TOY-32-16-12-SL' (registry v1) "
+            "vs remote 'SPX-TOY-32-16-14-SL' (registry v2)",
+            id="version-drift",
+        ),
+        pytest.param(
+            SecurityLevel.HIGH, _same_version_conflict(), SecurityLevel.HIGH,
+            "signature template_mismatch: local 'SPX-TOY-32-16-12-SL' (registry v1) "
+            "vs remote 'SPX-TOY-32-16-14-SL' (registry v1)",
+            id="same-version-conflict",
+        ),
+        # Equal ids pass across registry versions.
+        pytest.param(SecurityLevel.MEDIUM, builtin_registry(2), SecurityLevel.MEDIUM, None,
+                     id="equal-ids-across-versions"),
+        pytest.param(
+            SecurityLevel.LOW, builtin_registry(1), SecurityLevel.HIGH,
+            "level template_mismatch: local 1 vs remote 3; "
+            "signature template_mismatch: local 'SPX-TOY-16-16-8-S' (registry v1) "
+            "vs remote 'SPX-TOY-32-16-12-SL' (registry v1); "
+            "encryption template_mismatch: local 'CME-TOY-10-8' (registry v1) "
+            "vs remote 'CME-TOY-16-10' (registry v1)",
+            id="level-and-templates",
+        ),
+        pytest.param(
+            SecurityLevel.LOW, builtin_registry(2), SecurityLevel.HIGH,
+            "level template_mismatch: local 1 vs remote 3; "
+            "signature version_mismatch: local 'SPX-TOY-16-16-8-S' (registry v1) "
+            "vs remote 'SPX-TOY-32-16-14-SL' (registry v2); "
+            "encryption version_mismatch: local 'CME-TOY-10-8' (registry v1) "
+            "vs remote 'CME-TOY-16-10' (registry v2)",
+            id="level-and-versions",
+        ),
+    ],
+)
+def test_template_divergence_reasons(local_level, remote_registry, remote_level, reason):
+    """The one drift classifier, from a registry v1 side's template info
+    and the peer's, with every reason text in full."""
+    local = build_template_info(builtin_registry(1), local_level)
+    remote = build_template_info(remote_registry, remote_level)
+    assert template_divergence(local, remote) == reason
 
 
 # ---------------------------------------------------------------------------
@@ -1142,6 +1189,27 @@ def test_a_refused_handshake_ends_in_one_alert(
 
 def test_every_alert_answers_some_refusal():
     assert {row[2] for row in REFUSALS} == set(AlertDescription)
+
+
+def test_an_out_of_order_message_is_refused_on_its_header(low_material):
+    """A message of the wrong type is refused on its 4-byte header, before
+    its body is read: a 1 MiB Certificate where ServerHello belongs costs
+    the client one of its 65 records, and the aborted transcript lists
+    the 4 bytes read of it."""
+    client_t, server_t = BufferTransport.pair()
+    server = RecordLayer(server_t)
+    message = encode_handshake_message(HandshakeType.CERTIFICATE, bytes(1 << 20))
+    for start in range(0, len(message), MAX_RECORD_PLAINTEXT):
+        server.send(ContentType.HANDSHAKE, message[start : start + MAX_RECORD_PLAINTEXT])
+    with pytest.raises(TlsAlertSent) as refused:
+        client_handshake(client_t, _client_cfg(low_material))
+    assert refused.value.description == AlertDescription.HANDSHAKE_FAILURE
+    assert "expected ServerHello, got Certificate" in refused.value.reason
+    report = transcript_report(refused.value.transcript)
+    assert report["records"]["received"] == 1
+    assert report["messages"][-1] == {"message": "Certificate", "direction": "received", "bytes": 4}
+    assert server.recv()[0] == ContentType.HANDSHAKE  # the ClientHello
+    assert server.recv() == (ContentType.ALERT, encode_alert(AlertDescription.HANDSHAKE_FAILURE))
 
 
 # ---------------------------------------------------------------------------
