@@ -251,10 +251,25 @@ class Keystore:
         self._persist({**self._entries, entry.alias: _copy_entry(entry)})
 
     def update_entry(self, entry: KeystoreEntry) -> None:
+        """Replace the entry stored under entry.alias.  An update that
+        drops or lowers a stateful entry's next_leaf or reserved_until, as
+        a copy read before a reservation would, is refused with
+        ParameterError and the store is unchanged: it would hand out
+        leaves again."""
         self._check_usable(write=True)
         _validate_entry(entry)
         if entry.alias not in self._entries:
             raise UnknownAlias(f"no entry {entry.alias!r}")
+        current = self._entries[entry.alias].state
+        if current is not None and (
+            entry.state is None
+            or entry.state.next_leaf < current.next_leaf
+            or entry.state.reserved_until < current.reserved_until
+        ):
+            raise ParameterError(
+                f"update of {entry.alias!r} would drop or lower its counters "
+                f"({current.next_leaf}, {current.reserved_until})"
+            )
         self._persist({**self._entries, entry.alias: _copy_entry(entry)})
 
     def reserve_leaves(self, alias: str, count: int) -> tuple[int, int]:

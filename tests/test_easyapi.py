@@ -6,7 +6,9 @@ direct calls into the underlying scheme modules, and vice versa.  Each
 single refused call of the facade is a row of the REFUSED table in
 test_facade_refusals.py, and each refusal of a decoder is a row of
 DECODER_REFUSALS in test_decoder_refusals.py; the sweeps over every cut
-and bit flip of an encrypted blob stay here.
+and bit flip of an encrypted blob stay here.  The stateful signer's
+leaf safety (windows, crashes, exhaustion, reopening) is the state
+machine in test_leaf_safety.py.
 """
 
 from __future__ import annotations
@@ -17,7 +19,6 @@ import pytest
 
 from agilecrypt import cbkem, easyapi, hbs
 from agilecrypt.easyapi import (
-    AlgorithmParameters,
     EasyEncrypter,
     EasySigner,
     SecurityLevel,
@@ -33,12 +34,11 @@ from agilecrypt.errors import (
     AlgorithmMismatch,
     BadMac,
     InvalidCiphertext,
-    KeyExhausted,
     MalformedEncoding,
     ParameterError,
     StoreLocked,
 )
-from agilecrypt.keystore import CRASH_POINTS, KeystoreParameters, keystore_open
+from agilecrypt.keystore import KeystoreParameters, keystore_open
 from agilecrypt.primitives import DeterministicRng
 
 
@@ -146,34 +146,6 @@ def test_signer_high_hallo_welt(tmp_path):
         assert easysigner_verify(signer.public_blob, b"Hallo Welt!", sig)
 
 
-def test_signer_persists_and_reopens(tmp_path):
-    ap = template_resolve(builtin_registry(1), TemplateKind.SIGNATURE, SecurityLevel.LOW)
-    ksp = _ksp(tmp_path)
-    rng = DeterministicRng(b"signer reopen")
-    with EasySigner.with_new_key(ap, ksp, rng=rng) as signer:
-        alias, pub = signer.alias, signer.public_blob
-        first = signer.sign(b"before")
-    with EasySigner.open(ksp, alias, registry_version=1, rng=rng) as signer:
-        assert signer.public_blob == pub
-        second = signer.sign(b"after")
-    assert easysigner_verify(pub, b"before", first)
-    assert easysigner_verify(pub, b"after", second)
-    # Stateful leaves advanced across the reopen, never reused.
-    _, _, raw1 = parse_blob(first)
-    _, _, raw2 = parse_blob(second)
-    assert raw1[:4] != raw2[:4]
-
-
-def test_signer_low_exhausts_at_257(tmp_path):
-    ap = template_resolve(builtin_registry(1), TemplateKind.SIGNATURE, SecurityLevel.LOW)
-    rng = DeterministicRng(b"signer exhaustion")
-    with EasySigner.with_new_key(ap, _ksp(tmp_path), rng=rng) as signer:
-        for _ in range(256):
-            signer.sign(b"x")
-        with pytest.raises(KeyExhausted):
-            signer.sign(b"one too many")
-
-
 def test_signer_agrees_with_direct_hbs(tmp_path):
     ap = template_resolve(builtin_registry(1), TemplateKind.SIGNATURE, SecurityLevel.LOW)
     rng = DeterministicRng(b"facade vs direct")
@@ -230,92 +202,6 @@ def test_racing_new_keys_both_land_in_the_store(tmp_path, monkeypatch):
 # EasySigner reservation windows
 # ---------------------------------------------------------------------------
 
-class SimulatedCrash(Exception):
-    pass
-
-
-def _stored_state(ksp, alias):
-    with keystore_open(ksp, read_only=True) as store:
-        return store.get_entry(alias).state
-
-
-def _leaf_of(sig_blob: bytes) -> int:
-    _, _, raw = parse_blob(sig_blob)
-    return int.from_bytes(raw[:4], "big")
-
-
-def test_signer_crash_during_refill_never_repeats_a_leaf(tmp_path):
-    ap = template_resolve(builtin_registry(1), TemplateKind.SIGNATURE, SecurityLevel.LOW)
-    cap = min(64, ap.params.leaf_count // 16)
-    ksp = _ksp(tmp_path)
-    rng = DeterministicRng(b"signer refill crash")
-    leaves: list[int] = []
-    with EasySigner.with_new_key(ap, ksp, rng=rng) as signer:
-        alias, pub = signer.alias, signer.public_blob
-        leaves += [_leaf_of(signer.sign(b"first %d" % i)) for i in range(3)]
-    for point in CRASH_POINTS:
-        signer = EasySigner.open(ksp, alias, registry_version=1, rng=rng)
-        # Windows of 1, 2 and 4 leaves are used up; the next signature
-        # must refill, and the store dies during that write.
-        leaves += [_leaf_of(signer.sign(b"%s %d" % (point.encode(), i))) for i in range(7)]
-
-        def hook(name, stop=point):
-            if name == stop:
-                raise SimulatedCrash(name)
-
-        signer.store.crash_hook = hook
-        with pytest.raises(SimulatedCrash):
-            signer.sign(b"lost")
-        signer.store.abandon()
-        made = max(leaves) + 1
-        state = _stored_state(ksp, alias)
-        assert state.reserved_until >= made
-        assert state.reserved_until - made <= cap
-        assert made - state.next_leaf <= cap
-    with EasySigner.open(ksp, alias, registry_version=1, rng=rng) as signer:
-        for i in range(5):
-            sig = signer.sign(b"after %d" % i)
-            assert easysigner_verify(pub, b"after %d" % i, sig)
-            leaves.append(_leaf_of(sig))
-    assert len(leaves) == len(set(leaves)) == 3 + 7 * len(CRASH_POINTS) + 5
-
-
-@pytest.mark.parametrize(
-    "level", [SecurityLevel.LOW, SecurityLevel.MEDIUM], ids=lambda level: level.name.lower()
-)
-def test_signer_writes_once_per_window(tmp_path, level):
-    ap = template_resolve(builtin_registry(1), TemplateKind.SIGNATURE, level)
-    cap = min(64, ap.params.leaf_count // 16)
-    doublings = cap.bit_length() - 1
-    signatures = 200
-    writes = 0
-
-    def count_writes(name):
-        nonlocal writes
-        writes += name == "renamed"
-
-    signer = EasySigner.with_new_key(ap, _ksp(tmp_path), rng=DeterministicRng(b"writes"))
-    signer.store.crash_hook = count_writes
-    leaves = [_leaf_of(signer.sign(b"%d" % i)) for i in range(signatures)]
-    signer.close()
-    assert leaves == list(range(signatures))
-    assert writes <= doublings + -(-signatures // cap) + 1
-
-
-def test_one_shot_signers_waste_no_leaves(tmp_path):
-    params = hbs.HbsParams(n_h=16, w=16, h=6, mode=hbs.HbsMode.STATEFUL)
-    ap = AlgorithmParameters(algorithm_id=params.algorithm_id, params=params, registry_version=1)
-    ksp = _ksp(tmp_path)
-    rng = DeterministicRng(b"one shot")
-    with EasySigner.with_new_key(ap, ksp, rng=rng) as signer:
-        alias = signer.alias
-    for i in range(20):
-        with EasySigner.open(ksp, alias, registry_version=1, rng=rng) as signer:
-            assert _leaf_of(signer.sign(b"one %d" % i)) == i
-    state = _stored_state(ksp, alias)
-    assert (state.next_leaf, state.reserved_until) == (20, 20)
-
-
 def test_signer_whose_seed_misses_the_root_spends_one_reserved_leaf(tmp_path):
     ap = template_resolve(builtin_registry(1), TemplateKind.SIGNATURE, SecurityLevel.LOW)
     ksp = _ksp(tmp_path)
@@ -333,7 +219,8 @@ def test_signer_whose_seed_misses_the_root_spends_one_reserved_leaf(tmp_path):
     assert writes.count("renamed") == 1  # the reservation
     signer.close()
     assert writes.count("renamed") == 1
-    state = _stored_state(ksp, alias)
+    with keystore_open(ksp, read_only=True) as store:
+        state = store.get_entry(alias).state
     assert (state.next_leaf, state.reserved_until) == (0, 1)
 
 

@@ -642,30 +642,11 @@ def test_serve_connection_reports_a_peer_that_closes_before_its_hello(low_materi
     assert server_t._sock.fileno() == -1
 
 
-def test_same_version_template_conflict_classified():
-    """Registries that disagree while claiming the same version number
-    are a template conflict, not version drift.  The handshake refusal it
-    causes is the REFUSALS row same-version-template-conflict."""
-    local = template_resolve(builtin_registry(1), TemplateKind.SIGNATURE, SecurityLevel.HIGH)
-    remote = build_template_info(_same_version_conflict(), SecurityLevel.HIGH)
-    reason = template_divergence(build_template_info(builtin_registry(1), SecurityLevel.HIGH), remote)
-    assert reason is not None and "template_mismatch" in reason
-    assert local.algorithm_id in reason
-
-
 def _same_version_conflict():
     """Registry v2's templates under registry v1's version number."""
     return parse_registry_text(
         builtin_registry(2).canonical_text().replace("version 2", "version 1")
     )
-
-
-def test_matching_levels_other_than_low(low_material):
-    divergence = template_divergence(
-        build_template_info(builtin_registry(1), SecurityLevel.MEDIUM),
-        build_template_info(builtin_registry(2), SecurityLevel.MEDIUM),
-    )
-    assert divergence is None  # v1 and v2 only drifted at HIGH
 
 
 @pytest.mark.parametrize(
