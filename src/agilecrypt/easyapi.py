@@ -371,10 +371,6 @@ class _StoredKey:
             raise
         return cls(store, alias, entry.algorithm_id, registry_version, kp, rng, public_blob)
 
-    @property
-    def key_seed(self) -> bytes:
-        return self._kp.seed
-
     def close(self) -> None:
         self.store.close()
 

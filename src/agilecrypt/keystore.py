@@ -21,7 +21,9 @@ Every mutation rewrites and atomically replaces the whole file
 (write-temp, fsync, rename, fsync directory) and completes before the
 mutating call returns.  The handle's table changes only once the new
 file is in place, so a mutation whose write fails before the rename
-leaves no trace in memory and can be retried.  Stateful signature counters follow
+leaves no trace in memory and can be retried; one whose directory fsync
+fails has landed, and its error says so.  A writer's open removes a
+`<path>.tmp` that a crash left behind.  Stateful signature counters follow
 reserve-then-sign: reserve_leaves persists the raised reservation mark
 BEFORE returning the range, so a crash can only sacrifice indices, never
 reuse them.
@@ -40,6 +42,7 @@ at each persistence step and may raise to simulate a kill at that moment.
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import fcntl
 import hashlib
@@ -361,10 +364,17 @@ class Keystore:
         self._hook("tmp-synced")
         try:
             os.replace(tmp, self.params.path)
-            self._entries = entries
-            _fsync_dir(self.params.path)
         except OSError as exc:
             raise KeystoreIoError(f"cannot replace {self.params.path}: {exc}") from exc
+        self._entries = entries
+        try:
+            _fsync_dir(self.params.path)
+        except OSError as exc:
+            # The write landed: retrying it would repeat a change already made.
+            raise KeystoreIoError(
+                f"the new table is in place at {self.params.path}; "
+                f"only syncing its directory failed: {exc}"
+            ) from exc
         self._hook("renamed")
 
 
@@ -491,6 +501,11 @@ def keystore_open(params: KeystoreParameters, read_only: bool = False) -> Keysto
                 _validate_entry(entry)
             except ParameterError as exc:
                 raise MalformedStore(f"entry {alias!r}: {exc}") from exc
+        if lock_fd is not None:
+            # A crash after the temporary write leaves a sealed table that
+            # never became current; only the lock holder writes that file.
+            with contextlib.suppress(OSError):
+                os.remove(params.path + ".tmp")
         return Keystore(params=params, header=header, keys=keys, entries=entries, lock_fd=lock_fd)
     except BaseException:
         _release_lock(lock_fd)

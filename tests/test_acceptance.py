@@ -557,7 +557,9 @@ def test_facade_agrees_with_direct_composition(tmp_path):
     ) as signer:
         _, _, raw_pub = parse_blob(signer.public_blob)
         pub_params, root = hbs.hbs_parse_public(raw_pub)
-        direct_kp = hbs.HbsKeyPair.from_seed(pub_params, signer.key_seed)
+        direct_kp = hbs.HbsKeyPair.from_seed(
+            pub_params, signer.store.get_entry(signer.alias).secret_material
+        )
         for i in range(sign_trials):
             msg = trial_rng.randbytes(trial_rng.randrange(0, 200))
             ident, _, raw_sig = parse_blob(signer.sign(msg))
@@ -581,7 +583,9 @@ def test_facade_agrees_with_direct_composition(tmp_path):
         enc_ap, _ksp(tmp_path, "enc.agks"), rng=DeterministicRng(b"acceptance-8 enc")
     ) as enc:
         params = enc_ap.params
-        direct_kp = cbkem.KemKeyPair.from_seed(params, enc.key_seed)
+        direct_kp = cbkem.KemKeyPair.from_seed(
+            params, enc.store.get_entry(enc.alias).secret_material
+        )
         encap_rng = DeterministicRng(b"acceptance-8 encap")
         for i in range(enc_trials):
             msg = trial_rng.randbytes(trial_rng.randrange(0, 200))

@@ -39,7 +39,6 @@ from agilecrypt.minitls import (
     ClientTlsConfig,
     ServerTlsConfig,
     TemplateInfo,
-    Transport,
     client_handshake,
     issue_certificate,
     server_handshake,
@@ -47,6 +46,7 @@ from agilecrypt.minitls import (
 )
 from agilecrypt.minitls.wire import SUITE_0x1306, HandshakeType, encode_handshake_message
 from agilecrypt.primitives import DeterministicRng
+from tls_harness import Tap, run_pair
 
 _REGISTRY = builtin_registry(1)
 _SIG_AP = template_resolve(_REGISTRY, TemplateKind.SIGNATURE, SecurityLevel.LOW)
@@ -165,24 +165,6 @@ def test_client_hello_is_pinned():
     assert _digest(wire) == _PINNED["client_hello"]
 
 
-class _RecordingTransport(Transport):
-    """Passes through to ``inner`` and keeps a copy of every byte written."""
-
-    def __init__(self, inner: Transport):
-        self.inner = inner
-        self.written = bytearray()
-
-    def read_exact(self, n: int) -> bytes:
-        return self.inner.read_exact(n)
-
-    def write(self, data: bytes) -> None:
-        self.written.extend(data)
-        self.inner.write(data)
-
-    def close(self) -> None:
-        self.inner.close()
-
-
 def test_handshake_byte_stream_is_pinned():
     """Both directions of a whole LOW handshake, protected Finished
     records included."""
@@ -192,7 +174,7 @@ def test_handshake_byte_stream_is_pinned():
     cert = issue_certificate(
         ca, "pinned.example", _ENC_AP.algorithm_id, kem.pk.encoding, rng
     )
-    client_end, server_end = (_RecordingTransport(t) for t in transport_pair(timeout=30.0))
+    client_end, server_end = (Tap(t) for t in transport_pair(timeout=30.0))
     server_config = ServerTlsConfig(
         registry=_REGISTRY,
         level=SecurityLevel.LOW,
@@ -206,20 +188,14 @@ def test_handshake_byte_stream_is_pinned():
         trusted_roots=(ca.root,),
         rng=_rng("handshake-client"),
     )
-    server_result = {}
-    server = threading.Thread(
-        target=lambda: server_result.update(
-            session=server_handshake(server_end, server_config)
-        ),
-        daemon=True,
+    results = run_pair(
+        ("server", lambda _: server_handshake(server_end, server_config)),
+        ("client", lambda _: client_handshake(client_end, client_config)),
+        transports=(client_end, server_end),
     )
-    server.start()
-    client_handshake(client_end, client_config).close()
-    server.join(timeout=60.0)
-    assert not server.is_alive(), "server side of the handshake hung"
-    server_result["session"].close()
-    assert _digest(client_end.written) == _PINNED["handshake_client_to_server"]
-    assert _digest(server_end.written) == _PINNED["handshake_server_to_client"]
+    assert "client" in results and "server" in results, results
+    assert _digest(b"".join(client_end.writes)) == _PINNED["handshake_client_to_server"]
+    assert _digest(b"".join(server_end.writes)) == _PINNED["handshake_server_to_client"]
 
 
 # ---------------------------------------------------------------------------

@@ -3,7 +3,8 @@
 Fails with file:line:name for every name a module in src/ or tests/
 imports and never uses (__init__.py re-exports and names a module lists
 in __all__ are exempt), and for every module-level function, class,
-method or assigned name in src/ that no file in src/, tests/ or
+method or assigned name in src/, or in a helper module of tests/ (one
+that holds no tests and is no conftest), that no file in src/, tests/ or
 perfbench/ mentions besides its definition.  A mention is a loaded name,
 an attribute, an imported name or a string that spells the name; dunder
 names are exempt.  Paths count from the repository root, whichever
@@ -21,6 +22,13 @@ import pkgutil
 import agilecrypt
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
+
+
+def _defines_api(path: pathlib.PurePath) -> bool:
+    """src/ modules and the test helper modules, whose names other files use."""
+    if path.parts[0] == "tests":
+        return not path.name.startswith("test_") and path.name != "conftest.py"
+    return path.parts[0] == "src"
 
 
 def test_no_unused_imports_and_no_dead_names():
@@ -50,7 +58,7 @@ def test_no_unused_imports_and_no_dead_names():
         if path.parts[0] in ("src", "tests") and path.name != "__init__.py":
             failures += [f"{path}:{line}:{name}" for name, line in imported.items() if name not in used]
     for path, tree in trees.items():
-        if path.parts[0] != "src":
+        if not _defines_api(path):
             continue
         for node in tree.body:
             defs = [node] if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)) else []

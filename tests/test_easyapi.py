@@ -159,7 +159,7 @@ def test_signer_agrees_with_direct_hbs(tmp_path):
         # Direct route verifies the facade's signature...
         assert hbs.hbs_verify(root, params, b"dual route", raw)
         # ...and the facade verifies a directly built signature.
-        kp = hbs.HbsKeyPair.from_seed(params, signer.key_seed)
+        kp = hbs.HbsKeyPair.from_seed(params, signer.store.get_entry(signer.alias).secret_material)
         kp.next_leaf = 100
         direct = hbs.hbs_sign(kp, b"other way", rng)
         framed = frame_blob(ident, 1, direct)
@@ -317,7 +317,7 @@ def test_encrypter_agrees_with_direct_composition(tmp_path):
         # Direct route: parse the frame, decap with cbkem, open with primitives.
         ident, version, payload = parse_blob(blob)
         params = cbkem.KemParams.from_algorithm_id(ident)
-        kp = cbkem.KemKeyPair.from_seed(params, enc.key_seed)
+        kp = cbkem.KemKeyPair.from_seed(params, enc.store.get_entry(enc.alias).secret_material)
         secret = cbkem.kem_decap(kp.sk, payload[: params.ct_bytes])
         from agilecrypt.primitives import HashId, SymmetricKeys, open_record, prf
 

@@ -46,6 +46,12 @@ RAISES = dict.fromkeys(CRASH_POINTS, SimulatedCrash)
 RAISES.update(dict.fromkeys(("tmp-dir", *PATCHED), KeystoreIoError))
 # A write lands on disk unless its fault strikes before the rename.
 LANDS = (None, "renamed", "dir-fsync-fails")
+# What a failed write says where the fault decides it: a write whose
+# directory fsync fails has landed, and a retry would repeat it.
+SAYS = {
+    "rename-fails": "cannot replace",
+    "dir-fsync-fails": "the new table is in place at",
+}
 
 
 def _image(store) -> dict:
@@ -103,7 +109,7 @@ class LeafSafety(RuleBasedStateMachine):
             stack.callback(setattr, self, "crash_at", None)
             if fault == "tmp-dir":
                 with contextlib.suppress(FileNotFoundError):
-                    os.remove(tmp)  # left by a crash after the temporary write
+                    os.remove(tmp)  # left by an earlier failed write of this handle
                 os.mkdir(tmp)
                 stack.callback(os.rmdir, tmp)
             elif fault in PATCHED:
@@ -123,6 +129,8 @@ class LeafSafety(RuleBasedStateMachine):
             result = exc
         raised = type(result) if isinstance(result, Exception) else None
         assert raised is (refused if after is None else RAISES.get(fault)), result
+        if after is not None and fault in SAYS:
+            assert SAYS[fault] in str(result), result
         if after is not None and fault in LANDS:
             self.committed = after
         assert self.writes == (after is not None and fault in (None, "renamed"))
@@ -191,6 +199,8 @@ class LeafSafety(RuleBasedStateMachine):
             self.closed.sign(b"late")
         signer = EasySigner.open(self.ksp, self.alias, registry_version=1, rng=self.rng)
         assert signer.public_blob == self.public
+        # A writer's open removes what a crash left of its temporary write.
+        assert not os.path.exists(self.ksp.path + ".tmp")
         self._opened(signer)
 
     @with_handle

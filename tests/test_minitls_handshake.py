@@ -5,7 +5,8 @@ Every way a handshake refuses is a row of one case table, REFUSALS: the
 side that refuses, the alert it sends, the text of its reason, whether
 it refuses at hello time, and a run against a real or a scripted peer.
 Every row checks the same contract, and every alert the stack can send
-answers at least one row."""
+answers at least one row.  The transports and the two-thread driver come
+from tests/tls_harness.py."""
 
 from __future__ import annotations
 
@@ -16,7 +17,6 @@ import socket
 import struct
 import sys
 import threading
-import time
 
 import pytest
 from hypothesis import given, settings
@@ -54,7 +54,6 @@ from agilecrypt.minitls import (
     TlsAlertReceived,
     TlsAlertSent,
     TlsSession,
-    Transport,
     client_handshake,
     connect_tcp,
     derive_session_keys,
@@ -71,8 +70,8 @@ from agilecrypt.minitls.handshake import build_template_info
 from agilecrypt.minitls.measure import paramset_level, run_measurement, serve_connection
 from agilecrypt.minitls.wire import encode_alert, encode_handshake_message
 from agilecrypt.primitives import MAX_RECORD_PLAINTEXT, DeterministicRng, open_record
+from tls_harness import Tap, bit_flip, run_pair
 
-_JOIN_TIMEOUT = 60.0
 _IO_TIMEOUT = 5.0  # converts would-be deadlocks into ConnectionClosed
 
 
@@ -117,43 +116,44 @@ def _client_cfg(material, seed=b"cli", **overrides):
     return ClientTlsConfig(**base)
 
 
+def _half(role, transport, config, app=None):
+    """The ``role`` handshake half for run_pair.  ``app`` then runs on the
+    session, which is already in the results under ``role``."""
+    handshake = client_handshake if role == "client" else server_handshake
+
+    def half(results):
+        results[role] = session = handshake(transport, config)
+        if app is not None:
+            app(session, results)
+        return session
+
+    return role, half
+
+
 def _loopback(client_cfg, server_cfg, *, transports=None, server_app=None, client_app=None):
     """Run both handshake halves, server side in a thread.  Sessions or
     exceptions land in the returned dict under client/server keys, and
     the seconds both halves took under "elapsed"."""
-    client_t, server_t = (
-        transports if transports is not None else transport_pair(timeout=_IO_TIMEOUT)
+    client_t, server_t = transports or transport_pair(timeout=_IO_TIMEOUT)
+    return run_pair(
+        _half("server", server_t, server_cfg, server_app),
+        _half("client", client_t, client_cfg, client_app),
+        transports=(client_t, server_t),
     )
-    results: dict = {}
-    start = time.monotonic()
 
-    def serve():
-        try:
-            session = server_handshake(server_t, server_cfg)
-            results["server"] = session
-            if server_app is not None:
-                server_app(session, results)
-        except Exception as exc:  # noqa: BLE001 - recorded for assertions
-            results["server_exc"] = exc
 
-    thread = threading.Thread(target=serve, daemon=True)
-    thread.start()
-    try:
-        session = client_handshake(client_t, client_cfg)
-        results["client"] = session
-        if client_app is not None:
-            client_app(session, results)
-    except Exception as exc:  # noqa: BLE001
-        results["client_exc"] = exc
-    thread.join(timeout=_JOIN_TIMEOUT)
-    results["elapsed"] = time.monotonic() - start
-    assert not thread.is_alive(), "server thread deadlocked"
-    for transport in (client_t, server_t):
-        try:
-            transport.close()
-        except OSError:
-            pass
-    return results
+def _echo(session, results):
+    session.send(session.recv())
+
+
+def _talk(payload):
+    """A client app that sends ``payload`` and keeps the answer under "echo"."""
+
+    def talk(session, results):
+        session.send(payload)
+        results["echo"] = session.recv()
+
+    return talk
 
 
 # ---------------------------------------------------------------------------
@@ -162,19 +162,11 @@ def _loopback(client_cfg, server_cfg, *, transports=None, server_app=None, clien
 
 def test_loopback_handshake_and_echo(low_material):
     payload = b"Hallo Welt!"
-
-    def echo_once(session, results):
-        session.send(session.recv())
-
-    def talk(session, results):
-        session.send(payload)
-        results["echo"] = session.recv()
-
     results = _loopback(
         _client_cfg(low_material),
         _server_cfg(low_material),
-        server_app=echo_once,
-        client_app=talk,
+        server_app=_echo,
+        client_app=_talk(payload),
     )
     assert "client_exc" not in results and "server_exc" not in results
     assert results["echo"] == payload
@@ -249,63 +241,29 @@ def test_loopback_one_megabyte_transfer(low_material):
 
 
 def test_handshake_over_real_tcp(low_material):
-    listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-    listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-    listener.bind(("127.0.0.1", 0))
-    listener.listen(1)
-    port = listener.getsockname()[1]
-    results: dict = {}
-
-    def serve():
-        conn, _ = listener.accept()
-        try:
-            session = server_handshake(SocketTransport(conn), _server_cfg(low_material))
-            session.send(session.recv())
-            results["ok"] = True
-        except Exception as exc:  # noqa: BLE001
-            results["server_exc"] = exc
-
-    thread = threading.Thread(target=serve, daemon=True)
-    thread.start()
-    transport = connect_tcp("127.0.0.1", port, timeout=10.0)
-    session = client_handshake(transport, _client_cfg(low_material))
-    session.send(b"over tcp")
-    assert session.recv() == b"over tcp"
-    thread.join(timeout=_JOIN_TIMEOUT)
-    listener.close()
-    session.close()
-    assert results.get("ok") is True, results.get("server_exc")
+    with socket.create_server(("127.0.0.1", 0)) as listener:
+        client_t = connect_tcp("127.0.0.1", listener.getsockname()[1], timeout=10.0)
+        server_t = SocketTransport(listener.accept()[0])
+    results = _loopback(
+        _client_cfg(low_material),
+        _server_cfg(low_material),
+        transports=(client_t, server_t),
+        server_app=_echo,
+        client_app=_talk(b"over tcp"),
+    )
+    assert results.get("echo") == b"over tcp", results
 
 
 # ---------------------------------------------------------------------------
 # Flights and transport writes
 # ---------------------------------------------------------------------------
 
-class _WriteLog(Transport):
-    """Passes through to ``inner`` and keeps every write as one item."""
-
-    def __init__(self, inner: Transport):
-        self.inner = inner
-        self.writes: list[bytes] = []
-
-    def read_exact(self, n: int) -> bytes:
-        return self.inner.read_exact(n)
-
-    def write(self, data: bytes) -> None:
-        self.writes.append(bytes(data))
-        self.inner.write(data)
-
-    def close(self) -> None:
-        self.inner.close()
-
-
 def test_each_flight_is_one_write(low_material):
     """Client: ClientHello, then ClientKeyExchange + ChangeCipherSpec +
     Finished.  Server: ServerHello + Certificate + ServerHelloDone, then
     ChangeCipherSpec + Finished.  A 1 MiB send is one write too."""
     blob = DeterministicRng(seed=b"flight blob").random_bytes(1 << 20)
-    a, b = transport_pair(timeout=_IO_TIMEOUT)
-    client_t, server_t = _WriteLog(a), _WriteLog(b)
+    client_t, server_t = (Tap(t) for t in transport_pair(timeout=_IO_TIMEOUT))
 
     def pump(session, results):
         results["server_writes"] = list(server_t.writes)
@@ -356,35 +314,6 @@ def test_each_side_walks_every_flow_row_once(low_material):
 # Transcript hashing and the certificate's encoding
 # ---------------------------------------------------------------------------
 
-class _EventLog(_WriteLog):
-    """A _WriteLog that also logs each write to ``events``, tagged with
-    the writing thread."""
-
-    def __init__(self, inner: Transport, events: list):
-        super().__init__(inner)
-        self.events = events
-
-    def write(self, data: bytes) -> None:
-        self.events.append((threading.get_ident(), "write", bytes(data)))
-        super().write(data)
-
-
-class _LoggedHash:
-    """SHA-512 that logs each update to ``events``, tagged with the
-    calling thread."""
-
-    def __init__(self, events: list):
-        self._hash = hashlib.sha512()
-        self.events = events
-
-    def update(self, data: bytes) -> None:
-        self.events.append((threading.get_ident(), "hash", bytes(data)))
-        self._hash.update(data)
-
-    def copy(self):
-        return self._hash.copy()
-
-
 def _handshake_payloads(writes: list[bytes], send_keys) -> list[bytes]:
     """Per write, the joined payloads of its handshake records: the
     plaintext ones as they are, the protected ones opened with the
@@ -412,16 +341,19 @@ def test_transcript_hash_covers_every_message_in_wire_order(low_material, monkey
     its ClientKeyExchange, still queued when the client asks for the
     hash.  The server's Certificate enters its hash only after the write
     that carries it."""
-    events: list = []
+    events: list = []  # (thread, "hash" or "write", bytes) in the order they happen
+    absorb = HandshakeTranscript.absorb
 
-    class LoggedTranscript(HandshakeTranscript):
-        def __init__(self, *args, **kwargs):
-            super().__init__(*args, **kwargs)
-            self._hash = _LoggedHash(events)
+    def logged_absorb(transcript):
+        events.extend((threading.get_ident(), "hash", data) for data in transcript._unhashed)
+        absorb(transcript)
 
-    monkeypatch.setattr(handshake, "HandshakeTranscript", LoggedTranscript)
-    a, b = transport_pair(timeout=_IO_TIMEOUT)
-    client_t, server_t = _EventLog(a, events), _EventLog(b, events)
+    def logged_write(data):
+        events.append((threading.get_ident(), "write", data))
+        return data
+
+    monkeypatch.setattr(HandshakeTranscript, "absorb", logged_absorb)
+    client_t, server_t = (Tap(t, logged_write) for t in transport_pair(timeout=_IO_TIMEOUT))
     results = _loopback(
         _client_cfg(low_material), _server_cfg(low_material), transports=(client_t, server_t)
     )
@@ -583,32 +515,20 @@ def test_serve_connection_closes_and_logs_a_failed_handshake(low_material):
     """A drifted client against the connection routine of tls-serve and
     measure: the server's socket ends up closed and the returned log
     record names the alert."""
-    server_sock, client_sock = socket.socketpair()
-    server_cfg = _server_cfg(
-        low_material, registry=builtin_registry(2), level=SecurityLevel.HIGH
+    server_cfg = _server_cfg(low_material, registry=builtin_registry(2), level=SecurityLevel.HIGH)
+    client_cfg = _client_cfg(low_material, seed=b"c", level=SecurityLevel.HIGH)
+    client_t, server_t = transport_pair(timeout=_IO_TIMEOUT)
+    # Only the client's end is closed here: serve_connection closes its own.
+    results = run_pair(
+        ("served", lambda _: serve_connection(server_t, server_cfg)),
+        ("client", lambda _: client_handshake(client_t, client_cfg)),
+        transports=(client_t,),
     )
-    client_cfg = ClientTlsConfig(
-        registry=builtin_registry(1),
-        level=SecurityLevel.HIGH,
-        trusted_roots=(low_material["ca"].root,),
-        rng=DeterministicRng(seed=b"c"),
-    )
-    served: list = []
-    server_t = SocketTransport(server_sock, timeout=_IO_TIMEOUT)
-    thread = threading.Thread(
-        target=lambda: served.append(serve_connection(server_t, server_cfg)), daemon=True
-    )
-    thread.start()
-    client_t = SocketTransport(client_sock, timeout=_IO_TIMEOUT)
-    with pytest.raises(TlsAlertReceived):
-        client_handshake(client_t, client_cfg)
-    thread.join(timeout=_JOIN_TIMEOUT)
-    client_t.close()
-    assert not thread.is_alive(), "server thread deadlocked"
+    assert isinstance(results.get("client_exc"), TlsAlertReceived), results
 
-    [(line, failure)] = served
+    line, failure = results["served"]
     assert isinstance(failure, TlsAlertSent)
-    assert server_sock.fileno() == -1
+    assert server_t._sock.fileno() == -1
     assert sorted(line) == ["alert", "bytes_received", "bytes_sent", "ms", "outcome"]
     assert line["outcome"] == "alert_sent"
     assert line["alert"] == "template_mismatch"
@@ -701,47 +621,6 @@ def test_template_divergence_reasons(local_level, remote_registry, remote_level,
 # Wire-level fault injection
 # ---------------------------------------------------------------------------
 
-class _RecordingTransport(Transport):
-    def __init__(self, inner: Transport):
-        self.inner = inner
-        self.sent = bytearray()
-
-    def read_exact(self, n: int) -> bytes:
-        return self.inner.read_exact(n)
-
-    def write(self, data: bytes) -> None:
-        self.sent.extend(data)
-        self.inner.write(data)
-
-    def close(self) -> None:
-        self.inner.close()
-
-
-class _BitFlipTransport(Transport):
-    """Flips one bit at an absolute offset of the outgoing stream."""
-
-    def __init__(self, inner: Transport, offset: int, bit: int):
-        self.inner = inner
-        self.offset = offset
-        self.bit = bit
-        self._written = 0
-
-    def read_exact(self, n: int) -> bytes:
-        return self.inner.read_exact(n)
-
-    def write(self, data: bytes) -> None:
-        start, end = self._written, self._written + len(data)
-        if start <= self.offset < end:
-            buf = bytearray(data)
-            buf[self.offset - start] ^= 1 << self.bit
-            data = bytes(buf)
-        self._written = end
-        self.inner.write(data)
-
-    def close(self) -> None:
-        self.inner.close()
-
-
 def _split_records(stream: bytes) -> list[tuple[int, int]]:
     """(start, fragment_length) for each record in a captured stream."""
     records = []
@@ -767,29 +646,26 @@ def _assert_handshake_failed_cleanly(results, label):
             assert transcript_report(exc.transcript)["aborted"], label
 
 
+def _clean_records(material):
+    """(start, fragment_length) of each record the client, then the
+    server, sends in a clean run that echoes one byte."""
+    client_t, server_t = (Tap(t) for t in transport_pair(timeout=_IO_TIMEOUT))
+    clean = _loopback(
+        _client_cfg(material),
+        _server_cfg(material),
+        transports=(client_t, server_t),
+        server_app=_echo,
+        client_app=_talk(b"?"),
+    )
+    assert clean.get("echo") == b"?"
+    return [_split_records(b"".join(t.writes)) for t in (client_t, server_t)]
+
+
 def test_fault_injection_across_every_handshake_message(low_material):
     """Flip one bit inside each handshake record, one run per record:
     no tampered run may complete on the client, deliver data, or end a
     handshake with anything but an alert or a closed connection."""
-    echo = lambda session, results: session.send(session.recv())  # noqa: E731
-
-    def talk(session, results):
-        session.send(b"?")
-        results["echo"] = session.recv()
-
-    # Clean run with recorders to learn the exact wire layout.
-    a, b = transport_pair(timeout=_IO_TIMEOUT)
-    rec_client, rec_server = _RecordingTransport(a), _RecordingTransport(b)
-    clean = _loopback(
-        _client_cfg(low_material),
-        _server_cfg(low_material),
-        transports=(rec_client, rec_server),
-        server_app=echo,
-        client_app=talk,
-    )
-    assert clean.get("echo") == b"?"
-    client_records = _split_records(bytes(rec_client.sent))
-    server_records = _split_records(bytes(rec_server.sent))
+    client_records, server_records = _clean_records(low_material)
     assert len(client_records) == 5  # CH, CKE, CCS, Finished, app data
     assert len(server_records) == 6  # SH, Certificate, SHDone, CCS, Finished, app data
 
@@ -798,35 +674,22 @@ def test_fault_injection_across_every_handshake_message(low_material):
         records = client_records if side == "client" else server_records
         start, frag_len = records[index]
         offset = start + 5 + frag_len // 2  # inside the fragment
-        a, b = transport_pair(timeout=_IO_TIMEOUT)
-        client_t: Transport = a
-        server_t: Transport = b
+        client_t, server_t = transport_pair(timeout=_IO_TIMEOUT)
         if side == "client":
-            client_t = _BitFlipTransport(a, offset, bit=3)
+            client_t = Tap(client_t, bit_flip(offset, bit=3))
         else:
-            server_t = _BitFlipTransport(b, offset, bit=3)
+            server_t = Tap(server_t, bit_flip(offset, bit=3))
         results = _loopback(
             _client_cfg(low_material),
             _server_cfg(low_material),
             transports=(client_t, server_t),
-            server_app=echo,
-            client_app=talk,
+            server_app=_echo,
+            client_app=_talk(b"?"),
         )
         label = f"{side} record {index}"
         assert "echo" not in results, label
         assert "client_exc" in results, label
         _assert_handshake_failed_cleanly(results, label)
-
-
-def _clean_client_records(material):
-    """(start, fragment_length) of each record the client sends in a
-    clean handshake: ClientHello, ClientKeyExchange, ChangeCipherSpec
-    and Finished."""
-    a, b = transport_pair(timeout=_IO_TIMEOUT)
-    recorder = _RecordingTransport(a)
-    clean = _loopback(_client_cfg(material), _server_cfg(material), transports=(recorder, b))
-    assert "client" in clean
-    return _split_records(bytes(recorder.sent))
 
 
 def _flipped_client_stream(material, offset, bit):
@@ -835,14 +698,14 @@ def _flipped_client_stream(material, offset, bit):
     return _loopback(
         _client_cfg(material),
         _server_cfg(material),
-        transports=(_BitFlipTransport(a, offset, bit), b),
+        transports=(Tap(a, bit_flip(offset, bit)), b),
     )
 
 
 def test_tampered_client_key_exchange_alerts(low_material):
     """Target the KEM ciphertext specifically; the server answers with
     invalid_ciphertext or a record-MAC failure, never a session."""
-    start, frag_len = _clean_client_records(low_material)[1]  # ClientKeyExchange
+    start, frag_len = _clean_records(low_material)[0][1]  # ClientKeyExchange
     observed = set()
     for rel in range(8, frag_len, max(1, frag_len // 6)):
         results = _flipped_client_stream(low_material, start + 5 + rel, bit=0)
@@ -871,27 +734,14 @@ def _against_script(side, config, script):
     """Run the ``side`` handshake half in a thread while ``script`` plays
     its peer over a bare record layer.  Returns what _loopback returns for
     the half, and what ``script`` returned under "script"."""
-    handshake = client_handshake if side == "client" else server_handshake
     ours, theirs = transport_pair(timeout=_IO_TIMEOUT)
-    results: dict = {}
-
-    def run():
-        try:
-            results[side] = handshake(ours, config)
-        except Exception as exc:  # noqa: BLE001 - recorded for assertions
-            results[f"{side}_exc"] = exc
-
-    start = time.monotonic()
-    thread = threading.Thread(target=run, daemon=True)
-    thread.start()
-    try:
-        results["script"] = script(RecordLayer(theirs))
-    finally:
-        thread.join(timeout=_JOIN_TIMEOUT)
-        results["elapsed"] = time.monotonic() - start
-        for transport in (ours, theirs):
-            transport.close()
-    assert not thread.is_alive(), "handshake thread deadlocked"
+    results = run_pair(
+        _half(side, ours, config),
+        ("script", lambda _: script(RecordLayer(theirs))),
+        transports=(ours, theirs),
+    )
+    if "script_exc" in results:
+        raise results["script_exc"]
     return results
 
 
@@ -957,7 +807,7 @@ def _hello_flip(altered):
 
 def _flipped_client_finished(material):
     """One bit flipped in the middle of the client's sealed Finished."""
-    start, length = _clean_client_records(material)[3]
+    start, length = _clean_records(material)[0][3]
     return _flipped_client_stream(material, start + 5 + length // 2, bit=3)
 
 
@@ -1198,41 +1048,27 @@ def test_an_out_of_order_message_is_refused_on_its_header(low_material):
 # ---------------------------------------------------------------------------
 
 def test_record_tamper_tears_down_session(low_material):
-    def hold(session, results):
-        try:
-            results["delivered"] = session.recv()
-        except Exception as exc:  # noqa: BLE001
-            results["server_recv_exc"] = exc
+    def send_tampered(session, results):
+        """Flip bit 4 of the middle byte of the one record ``send`` writes."""
+        session.record.transport.on_write = lambda data: bit_flip(len(data) // 2, 4)(data)
+        session.send(b"tamper me")
 
+    client_t, server_t = transport_pair(timeout=_IO_TIMEOUT)
     results = _loopback(
         _client_cfg(low_material),
         _server_cfg(low_material),
-        server_app=hold,
-        client_app=lambda session, results: _send_tampered(session),
+        transports=(Tap(client_t), server_t),
+        server_app=lambda session, results: results.update(delivered=session.recv()),
+        client_app=send_tampered,
     )
     assert "delivered" not in results
-    exc = results["server_recv_exc"]
+    exc = results["server_exc"]
     assert isinstance(exc, (BadMac, BadPadding))
     assert not results["server"]._open
 
 
-def _send_tampered(session):
-    """Seal a record with the session's own keys, flip a ciphertext bit,
-    and push it down the raw transport."""
-    capture, sink = BufferTransport.pair()
-    shadow = RecordLayer(capture)
-    shadow.enable_send_protection(session.keys.client)
-    shadow._send_seq = session.record._send_seq
-    shadow.send(ContentType.APPLICATION_DATA, b"tamper me")
-    wire = bytearray(sink._incoming)
-    wire[len(wire) // 2] ^= 0x10
-    session.record.transport.write(bytes(wire))
-
-
 def test_session_closed_after_teardown(low_material):
-    results = _loopback(
-        _client_cfg(low_material), _server_cfg(low_material), server_app=None
-    )
+    results = _loopback(_client_cfg(low_material), _server_cfg(low_material))
     client = results["client"]
     client.close()
     with pytest.raises(ConnectionClosed):
@@ -1241,26 +1077,14 @@ def test_session_closed_after_teardown(low_material):
         client.recv()
 
 
-class _LoggedBuffer(BufferTransport):
-    """Logs every write attempt, the failed ones included."""
-
-    def __init__(self) -> None:
-        super().__init__()
-        self.attempts: list[bytes] = []
-
-    def write(self, data: bytes) -> None:
-        self.attempts.append(data)
-        super().write(data)
-
-
 def _session_and_peer():
     """A server session over a logged buffer pipe, and a record layer
     holding the client's copy of the same keys at the other end."""
-    ours, theirs = _LoggedBuffer.pair()
+    ours, theirs = BufferTransport.pair()
     keys, peer_keys = (
         derive_session_keys(b"\x07" * 20, b"\x01" * 32, b"\x02" * 32) for _ in range(2)
     )
-    record = RecordLayer(ours)
+    record = RecordLayer(Tap(ours))  # keeps every write attempt, the failed ones included
     record.enable_send_protection(keys.server)
     record.enable_recv_protection(keys.client)
     peer = RecordLayer(theirs)
@@ -1300,7 +1124,7 @@ def test_failed_write_tears_down_session_without_an_alert():
         session.send(b"second")
     _assert_torn_down(session)
     # The two application writes and nothing after them.
-    assert len(session.record.transport.attempts) == 2
+    assert len(session.record.transport.writes) == 2
 
 
 def test_recv_exact_surplus_tears_down_session():
