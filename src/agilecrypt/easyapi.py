@@ -20,6 +20,7 @@ Blob framing (documented bit-exactly in docs/formats.md):
 from __future__ import annotations
 
 import datetime
+import functools
 from collections.abc import Callable
 from dataclasses import dataclass, field
 from enum import Enum, IntEnum
@@ -61,6 +62,7 @@ __all__ = [
     "parse_blob",
     "family_params",
     "kem_public_key",
+    "RECIPIENT_KEY_MEMO",
     "recipient_key",
     "sender_key",
     "hybrid_encap",
@@ -247,9 +249,22 @@ def kem_public_key(algorithm_id: str, raw: bytes) -> cbkem.KemPublicKey:
     return cbkem.kem_parse_pk(family_params(TemplateKind.ENCRYPTION, algorithm_id), raw)
 
 
+# Recipient keys recipient_key remembers.  An entry holds the blob and the
+# parsed key's copy of its key bytes: about 21 MB for eight HIGH keys.
+RECIPIENT_KEY_MEMO = 8
+
+
 def recipient_key(blob: bytes) -> tuple[str, int, cbkem.KemPublicKey]:
     """Read a framed KEM public key: its identifier, registry version and
-    key, as kem_public_key reads them, with offsets counted in ``blob``."""
+    key, as kem_public_key reads them, with offsets counted in ``blob``.
+    The result of each of the last RECIPIENT_KEY_MEMO (8) distinct blobs
+    is remembered, keyed on the exact bytes, so a repeat call does no
+    copy and no parse; a refusal is raised again on every call."""
+    return _recipient_key(bytes(blob))
+
+
+@functools.lru_cache(maxsize=RECIPIENT_KEY_MEMO)
+def _recipient_key(blob: bytes) -> tuple[str, int, cbkem.KemPublicKey]:
     ident, version, raw = parse_blob(blob)
     try:
         return ident, version, kem_public_key(ident, raw)

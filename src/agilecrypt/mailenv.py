@@ -14,18 +14,22 @@ holding a damaged envelope cannot tell the regions apart.
 
 Key reading and the KEM-then-seal step are easyapi's, shared with
 EasyEncrypter; the envelope differs only in its associated data (the
-header, without the KEM ciphertext).  The signature is the last
-signature_size bytes of the opened body, and hbs_verify reads them as
-they are: a body too short to hold one fails the check like a damaged
-one.  Framing uses agilecrypt.codec, whose strict-decoding rules apply.
+header, without the KEM ciphertext).  The recipient's key and its
+default recipient id are read once per key, not once per envelope:
+both are remembered for the last RECIPIENT_KEY_MEMO distinct blobs.
+The signature is the last signature_size bytes of the opened body, and
+hbs_verify reads them as they are: a body too short to hold one fails
+the check like a damaged one.  Framing uses agilecrypt.codec, whose strict-decoding rules apply.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 from .codec import Reader, decode_text, encode_text, uint, vec8, vec16, vec32
 from .easyapi import (
+    RECIPIENT_KEY_MEMO,
     EasyEncrypter,
     EasySigner,
     hybrid_encap,
@@ -110,7 +114,11 @@ def envelope_decode(data: bytes) -> Envelope:
 # Seal and open
 # ---------------------------------------------------------------------------
 
+@functools.lru_cache(maxsize=RECIPIENT_KEY_MEMO)
 def _recipient_fingerprint(public_blob: bytes) -> str:
+    """The default recipient id, remembered like recipient_key's result
+    for the last RECIPIENT_KEY_MEMO (8) distinct blobs, so a repeat seal
+    does not hash the key again."""
     return "key-" + hash_data(HashId.H256, public_blob)[:4].hex()
 
 
@@ -127,6 +135,8 @@ def envelope_seal(
     message and signature to the recipient.  Stateful signing keys go
     through their keystore reservation exactly as in a bare sign call."""
     rng = rng if rng is not None else SystemRng()
+    # Both reads of the recipient's key below are remembered on its bytes.
+    recipient_public_blob = bytes(recipient_public_blob)
     # A damaged recipient key must fail before signing uses a leaf.
     enc_id, enc_version, kem_pk = recipient_key(recipient_public_blob)
     if enc_version != signer.registry_version:

@@ -327,3 +327,45 @@ def test_encrypter_agrees_with_direct_composition(tmp_path):
         )
         header = blob[: len(blob) - len(payload)] + payload[: params.ct_bytes]
         assert open_record(keys, 0, header, payload[params.ct_bytes :]) == b"dual route"
+
+
+# ---------------------------------------------------------------------------
+# Reading a recipient's key
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize(
+    "blob, offset, text",
+    [
+        # The DECODER_REFUSALS row recipient-key-short.
+        pytest.param(
+            frame_blob("CME-TOY-10-8", 1, bytes(3)), 20, "public key length 3, expected 10130",
+            id="short-key",
+        ),
+        # A 17-byte key with 4 padding bits; the key starts at byte 16.
+        pytest.param(
+            frame_blob("CME-TOY-4-3", 1, bytes(16) + b"\x01"), 32, "nonzero padding bits",
+            id="padding-bit",
+        ),
+    ],
+)
+def test_recipient_key_refuses_a_damaged_blob_on_every_call(blob, offset, text):
+    """recipient_key remembers what it read, never what it refused."""
+    for _ in range(2):
+        with pytest.raises(MalformedEncoding) as caught:
+            easyapi.recipient_key(blob)
+        assert caught.type is MalformedEncoding
+        assert (caught.value.offset, caught.value.message) == (offset, text)
+
+
+def test_recipient_key_reads_a_bytes_like_blob_as_its_bytes():
+    blob = frame_blob("CME-TOY-10-8", 1, random.Random(403).randbytes(10130))
+    want = easyapi.recipient_key(blob)
+    assert easyapi.recipient_key(bytearray(blob)) == want
+    assert easyapi.recipient_key(memoryview(blob)) == want
+    # A buffer changed after a call reads as its new bytes.
+    held = bytearray(blob)
+    easyapi.recipient_key(held)
+    held[len(held) // 2] ^= 0x10
+    changed = easyapi.recipient_key(held)
+    assert changed == easyapi.recipient_key(bytes(held))
+    assert changed[2].encoding == parse_blob(bytes(held))[2] != want[2].encoding

@@ -8,16 +8,21 @@ sweeps over every byte of a sealed body and a KEM ciphertext stay here."""
 from __future__ import annotations
 
 import dataclasses
+import hashlib
+import random
 
 import pytest
 
+from agilecrypt import cbkem, mailenv
 from agilecrypt.easyapi import (
     EasyEncrypter,
     EasySigner,
     SecurityLevel,
     TemplateKind,
     builtin_registry,
+    frame_blob,
     parse_blob,
+    recipient_key,
     template_resolve,
 )
 from agilecrypt.errors import BadMac
@@ -123,7 +128,8 @@ def test_header_identities_and_defaults(tmp_path):
     signer, recipient, rng = _parties(tmp_path, seed=b"ids")
     env = envelope_seal(signer, recipient.public_blob, b"m", rng=rng)
     assert env.header.sender_id == signer.alias
-    assert env.header.recipient_id  # derived fingerprint, never empty
+    fingerprint = hashlib.sha256(recipient.public_blob).digest()[:4].hex()
+    assert env.header.recipient_id == "key-" + fingerprint
     named = envelope_seal(
         signer, recipient.public_blob, b"m", rng=rng, sender_id="alice", recipient_id="bob"
     )
@@ -141,6 +147,56 @@ def test_stateful_signer_consumes_leaves(tmp_path):
     assert signer.store.get_entry(signer.alias).state.next_leaf == state_before + 2
     signer.close()
     recipient.close()
+
+
+# ---------------------------------------------------------------------------
+# Repeat traffic to one recipient
+# ---------------------------------------------------------------------------
+
+def test_repeat_traffic_to_one_key_parses_and_hashes_it_once(tmp_path, monkeypatch):
+    """Two envelopes and two encrypted blobs to one recipient, its public
+    blob passed as bytes, a bytearray and a memoryview, parse its KEM key
+    once and hash the blob once, for the default recipient id.  The key
+    is new, so no earlier call can have read it."""
+    signer, recipient, rng = _parties(tmp_path, seed=b"one key, four messages")
+    blob = recipient.public_blob
+    parses, hashes = [], []
+    parse, sha256 = cbkem.kem_parse_pk, hashlib.sha256
+
+    def counting_parse(params, data):
+        parses.append(len(data))
+        return parse(params, data)
+
+    def counting_sha256(*args, **kwargs):
+        if args and args[0] == blob:
+            hashes.append(len(blob))
+        return sha256(*args, **kwargs)
+
+    monkeypatch.setattr(cbkem, "kem_parse_pk", counting_parse)
+    monkeypatch.setattr(hashlib, "sha256", counting_sha256)
+    envelopes = [
+        envelope_seal(signer, blob, b"one", rng=rng),
+        envelope_seal(signer, bytearray(blob), b"two", rng=rng),
+    ]
+    blobs = [recipient.encrypt(blob, b"three"), recipient.encrypt(memoryview(blob), b"four")]
+    assert (len(parses), len(hashes)) == (1, 1)
+    assert [envelope_open(recipient, signer.public_blob, env) for env in envelopes] == [
+        b"one", b"two"
+    ]
+    assert [recipient.decrypt(b) for b in blobs] == [b"three", b"four"]
+    signer.close()
+    recipient.close()
+
+
+def test_blobs_one_key_byte_apart_are_read_apart():
+    first = frame_blob("CME-TOY-10-8", 1, random.Random(404).randbytes(10130))
+    second = first[:-1] + bytes([first[-1] ^ 0x01])
+    for _ in range(2):  # the second round reads what the first remembered
+        keys = [recipient_key(b)[2].encoding for b in (first, second)]
+        ids = [mailenv._recipient_fingerprint(b) for b in (first, second)]
+        assert keys == [parse_blob(first)[2], parse_blob(second)[2]]
+        assert ids == ["key-" + hashlib.sha256(b).digest()[:4].hex() for b in (first, second)]
+        assert keys[0] != keys[1] and ids[0] != ids[1]
 
 
 # ---------------------------------------------------------------------------
