@@ -13,17 +13,29 @@ built on first use and kept, so a server sends the same bytes on every
 connection without re-encoding them.  The kept bytes are not a field:
 they take no part in ``==`` or ``hash``, and ``dataclasses.replace``
 makes a new object that encodes afresh.
+
+A certificate is verified once per process: verify_certificate remembers
+each certificate that passed, with its parsed KEM key, for the last
+CERTIFICATE_MEMO (8) of them, keyed on (issuer root, issuer signature).
+A later call still checks the root against its trusted set first, and is
+served from the memo only when the certificate it gets equals the
+remembered one in every field; anything else is checked in full.  A
+refused certificate is never remembered, so it is checked again on
+every call.  An entry holds the certificate and the parsed key, which
+share the key bytes: about 1.3 MB at HIGH.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import functools
+import threading
 from dataclasses import dataclass
 
 from ..cbkem import KemKeyPair, KemPublicKey, kem_keygen
 from ..codec import Reader, decode_text, encode_text, uint, vec8, vec16, vec32
 from ..easyapi import (
+    CERTIFICATE_MEMO,
     SecurityLevel,
     TemplateKind,
     TemplateRegistry,
@@ -107,22 +119,40 @@ def parse_certificate(data: bytes) -> Certificate:
     )
 
 
+# (issuer root, issuer signature) -> (certificate, its parsed KEM key) for
+# the certificates verify_certificate accepted, oldest first.
+_verified: dict[tuple[bytes, bytes], tuple[Certificate, KemPublicKey]] = {}
+_verified_lock = threading.Lock()
+
+
 def verify_certificate(
     cert: Certificate, trusted_roots: tuple[bytes, ...]
 ) -> KemPublicKey | None:
     """Check that the issuer signature is valid under a trusted root and
     that the embedded KEM key parses for its declared algorithm.  Returns
     that parsed key, so a caller can encapsulate to it without parsing
-    the (megabyte-scale) key again, or None when any check fails."""
+    the (megabyte-scale) key again, or None when any check fails.  A
+    certificate equal to one that passed before is not checked again
+    (see the module docstring)."""
     if cert.issuer_root not in trusted_roots:
         return None
+    memo_key = (cert.issuer_root, cert.issuer_signature)
+    with _verified_lock:
+        hit = _verified.get(memo_key)
+    if hit is not None and hit[0] == cert:
+        return hit[1]
     try:
         sig_params = family_params(TemplateKind.SIGNATURE, cert.hbs_algorithm_id)
         kem_pk = kem_public_key(cert.kem_algorithm_id, cert.kem_public_key)
     except (AlgorithmMismatch, MalformedEncoding):
         return None
-    valid = hbs_verify(cert.issuer_root, sig_params, _signed_portion(cert), cert.issuer_signature)
-    return kem_pk if valid else None
+    if not hbs_verify(cert.issuer_root, sig_params, _signed_portion(cert), cert.issuer_signature):
+        return None
+    with _verified_lock:
+        _verified[memo_key] = (cert, kem_pk)
+        if len(_verified) > CERTIFICATE_MEMO:
+            del _verified[next(iter(_verified))]
+    return kem_pk
 
 
 def issue_server_material(

@@ -202,25 +202,132 @@ def test_loopback_handshake_and_echo(low_material):
     ]
 
 
-def test_client_parses_the_certificate_kem_key_once(low_material, monkeypatch):
-    """The key verify_certificate parsed is the one the client encapsulates to."""
+@pytest.fixture
+def empty_certificate_memo():
+    """verify_certificate's memo, emptied, so the test starts as a fresh
+    process does whatever earlier tests verified."""
+    with certificate._verified_lock:
+        certificate._verified.clear()
+    return certificate._verified
+
+
+def _counted(monkeypatch, function_name, *modules):
+    """Patch ``function_name`` in each of ``modules`` to log the calling
+    thread before it runs; returns the log."""
     calls = []
-    parse_pk = cbkem.kem_parse_pk
+    original = getattr(modules[0], function_name)
 
-    def counting_parse_pk(params, data):
+    def counting(*args):
         calls.append(threading.get_ident())
-        return parse_pk(params, data)
+        return original(*args)
 
+    for module in modules:
+        monkeypatch.setattr(module, function_name, counting)
+    return calls
+
+
+def _count_kem_parses(monkeypatch):
     # Certificates read their key through the facade, which calls the KEM
     # module's attribute; patch it there and wherever minitls binds it.
-    for name, module in list(sys.modules.items()):
-        if name == "agilecrypt.cbkem" or (
-            name.startswith("agilecrypt.minitls") and hasattr(module, "kem_parse_pk")
-        ):
-            monkeypatch.setattr(module, "kem_parse_pk", counting_parse_pk)
+    return _counted(
+        monkeypatch,
+        "kem_parse_pk",
+        cbkem,
+        *(
+            module for name, module in list(sys.modules.items())
+            if name.startswith("agilecrypt.minitls") and hasattr(module, "kem_parse_pk")
+        ),
+    )
+
+
+def _assert_certificate_refused(results):
+    refused = results.get("client_exc")
+    assert isinstance(refused, TlsAlertSent), results
+    assert refused.description == AlertDescription.BAD_CERTIFICATE
+    assert refused.reason == "certificate verification failed"
+
+
+def test_client_parses_the_certificate_kem_key_once(
+    low_material, monkeypatch, empty_certificate_memo
+):
+    """The key verify_certificate parsed is the one the client encapsulates to."""
+    calls = _count_kem_parses(monkeypatch)
     results = _loopback(_client_cfg(low_material), _server_cfg(low_material))
     assert "client_exc" not in results and "server_exc" not in results
     assert calls == [threading.get_ident()]
+
+
+def test_repeat_handshakes_verify_and_parse_the_certificate_once(
+    low_material, monkeypatch, empty_certificate_memo
+):
+    """Each handshake parses a fresh Certificate object off the wire; the
+    second and third equal the first and are served from the memo."""
+    verifies = _counted(monkeypatch, "hbs_verify", certificate)
+    parses = _count_kem_parses(monkeypatch)
+    for seed in (b"cli-1", b"cli-2", b"cli-3"):
+        results = _loopback(
+            _client_cfg(low_material, seed=seed), _server_cfg(low_material),
+            server_app=_echo, client_app=_talk(seed),
+        )
+        assert results.get("echo") == seed, results
+    assert (len(verifies), len(parses)) == (1, 1)
+    [(cert, kem_pk)] = empty_certificate_memo.values()
+    assert cert == low_material["cert"] and kem_pk.encoding == cert.kem_public_key
+
+
+def test_a_certificate_one_key_bit_off_a_remembered_one_is_refused(
+    low_material, monkeypatch, empty_certificate_memo
+):
+    """Same root and signature, so the same memo key: only the equality
+    check tells it from the remembered certificate."""
+    cert = low_material["cert"]
+    results = _loopback(_client_cfg(low_material), _server_cfg(low_material))
+    assert "client_exc" not in results, results
+    key = bytearray(cert.kem_public_key)
+    key[7] ^= 0x40
+    forged = dataclasses.replace(cert, kem_public_key=bytes(key))
+    verifies = _counted(monkeypatch, "hbs_verify", certificate)
+    _assert_certificate_refused(
+        _loopback(_client_cfg(low_material), _server_cfg(low_material, certificate=forged))
+    )
+    assert len(verifies) == 1
+    assert [c for c, _ in empty_certificate_memo.values()] == [cert]
+
+
+def test_a_remembered_certificate_is_refused_once_its_root_is_not_trusted(
+    low_material, monkeypatch, empty_certificate_memo
+):
+    results = _loopback(_client_cfg(low_material), _server_cfg(low_material))
+    assert "client_exc" not in results, results
+    verifies = _counted(monkeypatch, "hbs_verify", certificate)
+    for roots in ((), (b"\xee" * 16,)):
+        _assert_certificate_refused(
+            _loopback(_client_cfg(low_material, trusted_roots=roots), _server_cfg(low_material))
+        )
+    assert verifies == []
+
+
+def test_refused_certificates_are_not_remembered_and_the_memo_holds_eight(
+    low_material, monkeypatch, empty_certificate_memo
+):
+    forged = dataclasses.replace(low_material["cert"], subject="server.evil")
+    verifies = _counted(monkeypatch, "hbs_verify", certificate)
+    for _ in range(2):
+        _assert_certificate_refused(
+            _loopback(_client_cfg(low_material), _server_cfg(low_material, certificate=forged))
+        )
+    assert len(verifies) == 2 and empty_certificate_memo == {}
+    rng = DeterministicRng(seed=b"memo-bound")
+    issued = [
+        issue_certificate(
+            low_material["ca"], f"server-{i}.test", low_material["enc_id"],
+            low_material["kem"].pk.encoding, rng,
+        )
+        for i in range(10)
+    ]
+    for cert in issued:
+        assert certificate.verify_certificate(cert, (low_material["ca"].root,))
+    assert [c for c, _ in empty_certificate_memo.values()] == issued[2:]
 
 
 def test_loopback_one_megabyte_transfer(low_material):
