@@ -86,14 +86,20 @@ def _read_file(path: str) -> bytes:
         return fh.read()
 
 
-def _write_output(data: bytes, out: str | None) -> None:
-    """File when --out is given, raw bytes to stdout otherwise."""
+def _write_output(data: bytes, out: str | None, private: bool = False) -> None:
+    """File when --out is given, raw bytes to stdout otherwise.  A
+    ``private`` file holds a secret: it is made readable and writable by
+    its owner alone (0600) before a byte of it is written, also when it
+    existed before."""
     if out is None:
         sys.stdout.buffer.write(data)
         sys.stdout.buffer.flush()
-    else:
-        with open(out, "wb") as fh:
-            fh.write(data)
+        return
+    fd = os.open(out, os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o600 if private else 0o666)
+    with open(fd, "wb") as fh:
+        if private:
+            os.fchmod(fd, 0o600)
+        fh.write(data)
 
 
 def _resolve_password(args: argparse.Namespace) -> str:
@@ -176,7 +182,7 @@ def _cmd_decrypt(args: argparse.Namespace) -> int:
     blob = _read_file(args.infile)
     with EasyEncrypter.open(ksp, args.alias, registry.version) as enc:
         plaintext = enc.decrypt(blob)
-    _write_output(plaintext, args.out)
+    _write_output(plaintext, args.out, private=True)
     return 0
 
 
@@ -205,7 +211,7 @@ def _cmd_envelope_open(args: argparse.Namespace) -> int:
     env = envelope_decode(_read_file(args.infile))
     with EasyEncrypter.open(ksp, args.alias, registry.version) as recipient:
         message = envelope_open(recipient, sender_blob, env)
-    _write_output(message, args.out)
+    _write_output(message, args.out, private=True)
     print(
         f"envelope from {env.header.sender_id!r} to {env.header.recipient_id!r} verified",
         file=sys.stderr,
@@ -231,7 +237,7 @@ def _cmd_tls_setup(args: argparse.Namespace) -> int:
     issuer, _, cert, seed_blob = issue_server_material(registry, level, args.subject, rng)
     _write_output(issuer.root, os.path.join(args.dir, CA_ROOT_FILE))
     _write_output(cert.encoding, os.path.join(args.dir, SERVER_CERT_FILE))
-    _write_output(seed_blob, os.path.join(args.dir, SERVER_SEED_FILE))
+    _write_output(seed_blob, os.path.join(args.dir, SERVER_SEED_FILE), private=True)
     print(
         f"wrote {CA_ROOT_FILE}, {SERVER_CERT_FILE}, {SERVER_SEED_FILE} to {args.dir}",
         file=sys.stderr,

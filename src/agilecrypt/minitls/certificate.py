@@ -9,10 +9,13 @@ public key is embedded whole, which is what makes the Certificate
 handshake message the megabyte-scale payload for large parameter sets.
 
 A certificate is encoded once per object: ``Certificate.encoding`` is
-built on first use and kept, so a server sends the same bytes on every
-connection without re-encoding them.  The kept bytes are not a field:
-they take no part in ``==`` or ``hash``, and ``dataclasses.replace``
-makes a new object that encodes afresh.
+built on first use and kept, and so is ``Certificate.records``, the
+Certificate handshake message framed as the plaintext records a server
+sends before ChangeCipherSpec.  So a server sends the same records on
+every connection without encoding or framing them again, at the cost
+of one more copy of the certificate (about 1.3 MB at HIGH).  The kept
+bytes are not fields: they take no part in ``==`` or ``hash``, and
+``dataclasses.replace`` makes a new object that encodes afresh.
 
 A certificate is verified once per process: verify_certificate remembers
 each certificate that passed, with its parsed KEM key, for the last
@@ -22,7 +25,19 @@ served from the memo only when the certificate it gets equals the
 remembered one in every field; anything else is checked in full.  A
 refused certificate is never remembered, so it is checked again on
 every call.  An entry holds the certificate and the parsed key, which
-share the key bytes: about 1.3 MB at HIGH.
+share the key bytes: about 1.3 MB at HIGH, and as much again for the
+certificate's encoding once a received message has been compared with
+it.
+
+A client asks the memo before it parses a received Certificate message:
+remembered_certificate compares the message body, still in the record
+payloads it arrived in, with ``vec24(vec24(encoding))`` of each
+remembered certificate, part by part with ``bytes.startswith`` (a
+memcmp), and returns the certificate whose bytes it holds exactly.
+Neither the message nor the key is copied then; verify_certificate
+still checks the root of what it returns and serves its key from the
+memo.  On a miss the client joins, parses and verifies the message as
+it would without the memo.
 """
 
 from __future__ import annotations
@@ -30,6 +45,7 @@ from __future__ import annotations
 import dataclasses
 import functools
 import threading
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 from ..cbkem import KemKeyPair, KemPublicKey, kem_keygen
@@ -48,6 +64,8 @@ from ..easyapi import (
 from ..errors import AlgorithmMismatch, MalformedEncoding
 from ..hbs import HbsKeyPair, hbs_keygen, hbs_sign, hbs_verify
 from ..primitives import Rng
+from .record import ClearRecords, frame_clear
+from .wire import ContentType, HandshakeType, encode_certificate_body, encode_handshake_message
 
 
 @dataclass(frozen=True)
@@ -63,6 +81,14 @@ class Certificate:
     def encoding(self) -> bytes:
         """The signed portion followed by the length-prefixed signature."""
         return b"".join([_signed_portion(self), vec32(self.issuer_signature)])
+
+    @functools.cached_property
+    def records(self) -> ClearRecords:
+        """The Certificate handshake message of a chain of this one
+        certificate, framed as plaintext handshake records."""
+        body = encode_certificate_body(self.encoding)
+        message = encode_handshake_message(HandshakeType.CERTIFICATE, body)
+        return frame_clear(ContentType.HANDSHAKE, message)
 
 
 def _signed_portion(cert: Certificate) -> bytes:
@@ -153,6 +179,39 @@ def verify_certificate(
         if len(_verified) > CERTIFICATE_MEMO:
             del _verified[next(iter(_verified))]
     return kem_pk
+
+
+def remembered_certificate(body: Sequence[bytes]) -> Certificate | None:
+    """The remembered certificate whose Certificate message body, a chain
+    of that one certificate, is ``body`` joined, or None; ``body`` is the
+    message body as the parts it arrived in, which are compared in place
+    and never joined (see the module docstring)."""
+    with _verified_lock:
+        remembered = [cert for cert, _ in _verified.values()]
+    size = sum(map(len, body))
+    for cert in reversed(remembered):
+        encoding = cert.encoding
+        if size == 6 + len(encoding) and _is_chain_of(body, encoding):
+            return cert
+    return None
+
+
+def _is_chain_of(body: Sequence[bytes], encoding: bytes) -> bool:
+    """Whether the parts of ``body``, of 6 + len(encoding) bytes in all,
+    are vec24(vec24(encoding)): its 6 chain-length bytes, then each part
+    equal to its slice of ``encoding``."""
+    lengths = uint(len(encoding) + 3, 3) + uint(len(encoding), 3)
+    offset = -len(lengths)  # where the next part starts in ``encoding``
+    for part in body:
+        if offset < 0:
+            head = part[:-offset]
+            if not lengths.startswith(head, len(lengths) + offset):
+                return False
+            part, offset = part[len(head) :], offset + len(head)
+        if part and not encoding.startswith(part, offset):
+            return False
+        offset += len(part)
+    return True
 
 
 def issue_server_material(

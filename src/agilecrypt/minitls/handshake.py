@@ -24,9 +24,13 @@ writes them together just before it next reads, before a fatal alert,
 and when the handshake returns.  The byte stream is the same as one
 write per record; only the number of writes changes.  The messages a
 flight carries enter the transcript hash after it is written, so the
-server hashes its certificate while the client reads it.  A received
-message is joined from its records with one copy, and its body is a
-view of that copy.
+server hashes its certificate while the client reads it.  The server
+sends its certificate as the records ``Certificate.records`` framed
+once, and hashes views of their payloads.  A received message is kept
+as the record payloads it arrived in and hashed part by part; a row
+joins it only when its decoder needs contiguous bytes, which the
+Certificate row does only when ``remembered_certificate`` does not
+already hold those bytes.
 
 At most one alert is ever sent per connection and every alert is fatal,
 so close_notify does not exist here.
@@ -35,6 +39,7 @@ so close_notify does not exist here.
 from __future__ import annotations
 
 import hmac
+from collections import deque
 from collections.abc import Sequence
 from dataclasses import dataclass
 from typing import NoReturn
@@ -57,8 +62,13 @@ from ..primitives import (
     SystemRng,
     prf,
 )
-from .certificate import Certificate, parse_certificate, verify_certificate
-from .record import RecordLayer
+from .certificate import (
+    Certificate,
+    parse_certificate,
+    remembered_certificate,
+    verify_certificate,
+)
+from .record import ClearRecords, RecordLayer
 from .transcript import HandshakeTranscript
 from .transport import Transport
 from .wire import (
@@ -79,7 +89,6 @@ from .wire import (
     decode_handshake_header,
     decode_server_hello_done_body,
     encode_alert,
-    encode_certificate_body,
     encode_client_key_exchange_body,
     encode_finished_body,
     encode_handshake_message,
@@ -194,6 +203,12 @@ def _frame_fragmented(record: RecordLayer, content_type: ContentType, data: byte
         record.frame(content_type, view[start : start + MAX_RECORD_PLAINTEXT])
         for start in range(0, len(data), MAX_RECORD_PLAINTEXT)
     ]
+
+
+def _joined(parts: Sequence[memoryview]) -> bytes:
+    """``parts`` as one bytes-like object: the only part itself, else
+    one join."""
+    return parts[0] if len(parts) == 1 else b"".join(parts)
 
 
 def _recv_payload(record: RecordLayer, expected: ContentType) -> bytes:
@@ -367,9 +382,11 @@ def _handshake(
 class _Side:
     """One side of one handshake: what its messages have told it so far,
     and the channel they travel.  The channel fragments outgoing handshake
-    messages, reassembles incoming ones and feeds the transcript; outgoing
-    records queue until ``flush``, which runs before every read.  The
-    ``write_*`` and ``read_*`` methods are FLOW's."""
+    messages, cuts incoming ones out of the record payloads and feeds the
+    transcript; outgoing records queue until ``flush``, which runs before
+    every read.  The ``write_*`` and ``read_*`` methods are FLOW's: a
+    write returns the message body, or the message already framed as
+    ClearRecords, and a read gets the body as the views it arrived in."""
 
     def __init__(self, record: RecordLayer, config: ClientTlsConfig | ServerTlsConfig, role: str):
         self.record = record
@@ -384,15 +401,20 @@ class _Side:
         self.kem_pk: KemPublicKey | None = None  # the client's, from the certificate
         self.keys: SessionKeys | None = None
         self.peer_hash = b""  # what the peer's Finished covers
-        self._received: list[bytes] = []  # handshake payloads not yet taken
+        self._received: deque[memoryview] = deque()  # handshake payloads not yet taken
         self._buffered = 0
         self._flight: list[bytes] = []
 
-    def send(self, hs_type: HandshakeType | None, body: bytes) -> None:
-        """Queue message ``hs_type``; for None, a ChangeCipherSpec of ``body``."""
+    def send(self, hs_type: HandshakeType | None, body: bytes | ClearRecords) -> None:
+        """Queue message ``hs_type``, whose body or framed records ``body``
+        is; for None, a ChangeCipherSpec of ``body``."""
         if hs_type is None:
             self._flight.append(self.record.frame(ContentType.CHANGE_CIPHER_SPEC, body))
             self.transcript.note_ccs("sent")
+            return
+        if isinstance(body, ClearRecords):
+            self.transcript.add_message(hs_type.message_name, "sent", *body.payloads)
+            self._flight.append(self.record.reuse(body))
             return
         msg = encode_handshake_message(hs_type, body)
         self.transcript.add_message(hs_type.message_name, "sent", msg)
@@ -415,21 +437,28 @@ class _Side:
         while self._buffered < needed:
             self.flush()
             payload = _recv_payload(self.record, ContentType.HANDSHAKE)
-            self._received.append(payload)
+            self._received.append(memoryview(payload))
             self._buffered += len(payload)
 
-    def _take(self, n: int) -> memoryview:
-        """The next ``n`` received bytes: a view of the payloads joined
-        with one copy (none when one payload holds exactly them)."""
-        data = b"".join(self._received)
-        self._received = [data[n:]] if len(data) > n else []
+    def _take(self, n: int) -> list[memoryview]:
+        """The next ``n`` received bytes, as views of the payloads that
+        hold them; nothing is copied."""
+        parts = []
         self._buffered -= n
-        return memoryview(data)[:n]
+        while n:
+            part = self._received.popleft()
+            if len(part) > n:
+                part, rest = part[:n], part[n:]
+                self._received.appendleft(rest)
+            parts.append(part)
+            n -= len(part)
+        return parts
 
-    def receive(self, expected: HandshakeType | None) -> memoryview:
-        """The body of the next message, a read-only view, which must be
-        of type ``expected``; None expects a ChangeCipherSpec and first
-        takes the transcript hash that the peer's Finished covers."""
+    def receive(self, expected: HandshakeType | None) -> list[memoryview]:
+        """The body of the next message, as read-only views of the record
+        payloads it arrived in, which must be of type ``expected``; None
+        expects a ChangeCipherSpec and first takes the transcript hash
+        that the peer's Finished covers."""
         if expected is None:
             self.peer_hash = self.transcript.transcript_hash()
             if self._buffered:
@@ -438,9 +467,9 @@ class _Side:
             if _recv_payload(self.record, ContentType.CHANGE_CIPHER_SPEC) != b"\x01":
                 raise MalformedEncoding("expected ChangeCipherSpec")
             self.transcript.note_ccs("received")
-            return memoryview(b"\x01")
+            return [memoryview(b"\x01")]
         self._fill(4)
-        header = b"".join(self._received)[:4]
+        header = b"".join(self._take(4))
         hs_type, length = decode_handshake_header(header)
         if length > MAX_HANDSHAKE_MESSAGE:
             raise MalformedEncoding(
@@ -450,11 +479,11 @@ class _Side:
             # Refused before its body is read; the transcript lists the header.
             self.transcript.add_message(hs_type.message_name, "received", header)
             raise MalformedEncoding(f"expected {expected.message_name}, got {hs_type.message_name}")
-        self._fill(4 + length)
-        msg = self._take(4 + length)
-        self.transcript.add_message(hs_type.message_name, "received", msg)
+        self._fill(length)
+        body = self._take(length)
+        self.transcript.add_message(hs_type.message_name, "received", header, *body)
         self.transcript.absorb()
-        return msg[4:]
+        return body
 
     def accept_remote_template(self, remote: TemplateInfo | None) -> None:
         if remote is None:
@@ -470,8 +499,8 @@ class _Side:
         hello = ClientHello(self.client_random, (SUITE_0x1306,), self.transcript.local_template)
         return hello.encode()
 
-    def read_client_hello(self, body: memoryview) -> None:
-        hello = ClientHello.decode(body)
+    def read_client_hello(self, body: list[memoryview]) -> None:
+        hello = ClientHello.decode(_joined(body))
         if SUITE_0x1306 not in hello.cipher_suites:
             raise TlsAlertSent(AlertDescription.HANDSHAKE_FAILURE, "no common cipher suite")
         # RFC 5246 §7.4.1.2: every ClientHello offers null compression.
@@ -486,22 +515,27 @@ class _Side:
         hello = ServerHello(self.server_random, SUITE_0x1306, self.transcript.local_template)
         return hello.encode()
 
-    def read_server_hello(self, body: memoryview) -> None:
-        hello = ServerHello.decode(body)
+    def read_server_hello(self, body: list[memoryview]) -> None:
+        hello = ServerHello.decode(_joined(body))
         if hello.cipher_suite != SUITE_0x1306:
             reason = f"server chose unoffered suite 0x{hello.cipher_suite:04X}"
             raise TlsAlertSent(AlertDescription.HANDSHAKE_FAILURE, reason)
         self.accept_remote_template(hello.template_info)
         self.server_random = hello.random
 
-    def write_certificate(self) -> bytes:
-        return encode_certificate_body(self.config.certificate.encoding)
+    def write_certificate(self) -> ClearRecords:
+        return self.config.certificate.records
 
-    def read_certificate(self, body: memoryview) -> None:
-        try:
-            certificate = parse_certificate(decode_certificate_body(body))
-        except MalformedEncoding as exc:
-            raise TlsAlertSent(AlertDescription.BAD_CERTIFICATE, f"unparseable certificate: {exc}")
+    def read_certificate(self, body: list[memoryview]) -> None:
+        # A remembered certificate takes the same checks below as a
+        # parsed one, and verify_certificate then serves its key.
+        certificate = remembered_certificate(body)
+        if certificate is None:
+            try:
+                certificate = parse_certificate(decode_certificate_body(_joined(body)))
+            except MalformedEncoding as exc:
+                reason = f"unparseable certificate: {exc}"
+                raise TlsAlertSent(AlertDescription.BAD_CERTIFICATE, reason)
         for label, cert_id, template_id in (
             ("key", certificate.kem_algorithm_id, self.transcript.local_template.enc_id),
             ("signature", certificate.hbs_algorithm_id, self.transcript.local_template.sig_id),
@@ -517,16 +551,16 @@ class _Side:
     def write_hello_done(self) -> bytes:
         return b""
 
-    def read_hello_done(self, body: memoryview) -> None:
-        decode_server_hello_done_body(body)
+    def read_hello_done(self, body: list[memoryview]) -> None:
+        decode_server_hello_done_body(_joined(body))
 
     def write_key_exchange(self) -> bytes:
         ciphertext, premaster = kem_encap(self.kem_pk, self.rng)
         self.keys = derive_session_keys(premaster, self.client_random, self.server_random)
         return encode_client_key_exchange_body(ciphertext)
 
-    def read_key_exchange(self, body: memoryview) -> None:
-        ct = decode_client_key_exchange_body(body)
+    def read_key_exchange(self, body: list[memoryview]) -> None:
+        ct = decode_client_key_exchange_body(_joined(body))
         try:
             premaster = kem_decap(self.config.kem_secret, ct)
         except InvalidCiphertext as exc:
@@ -540,7 +574,7 @@ class _Side:
     def write_change_cipher_spec(self) -> bytes:
         return b"\x01"
 
-    def read_change_cipher_spec(self, body: memoryview) -> None:
+    def read_change_cipher_spec(self, body: list[memoryview]) -> None:
         self.record.enable_recv_protection(getattr(self.keys, self.peer))
 
     def write_finished(self) -> bytes:
@@ -550,17 +584,17 @@ class _Side:
         label = f"{self.role} finished"
         return encode_finished_body(finished_verify_data(self.keys.master_secret, label, own_hash))
 
-    def read_finished(self, body: memoryview) -> None:
+    def read_finished(self, body: list[memoryview]) -> None:
         label = f"{self.peer} finished"
         expected = finished_verify_data(self.keys.master_secret, label, self.peer_hash)
-        if not hmac.compare_digest(decode_finished_body(body), expected):
+        if not hmac.compare_digest(decode_finished_body(_joined(body)), expected):
             reason = f"{self.peer} Finished verification failed"
             raise TlsAlertSent(AlertDescription.DECRYPT_ERROR, reason)
 
 
 # RFC 5246 §7.3, one row per message in wire order: (message type, None
-# for ChangeCipherSpec; its sender; the sender's write(side) -> body; the
-# receiver's read(side, body)).
+# for ChangeCipherSpec; its sender; the sender's write(side) -> body or
+# framed records; the receiver's read(side, body parts)).
 FLOW = (
     (HandshakeType.CLIENT_HELLO, "client", _Side.write_client_hello, _Side.read_client_hello),
     (HandshakeType.SERVER_HELLO, "server", _Side.write_server_hello, _Side.read_server_hello),

@@ -8,12 +8,15 @@ is fatal: the error propagates and the connection must be torn down.
 
 Framing and writing are separate steps, so a caller can frame several
 records and hand them to the transport in one write; ``send`` does both
-for a single record.
+for a single record.  Plaintext records that are the same on every
+connection can be framed once, by ``frame_clear``, and queued on any
+record layer whose send protection is still off (``reuse``).
 """
 
 from __future__ import annotations
 
 import struct
+from typing import NamedTuple
 
 from ..errors import (
     BadMac,
@@ -40,6 +43,33 @@ def _content_type(ctype_raw: int, version: int) -> ContentType:
     if version != TLS_VERSION:
         raise MalformedEncoding(f"unsupported record version 0x{version:04x}", offset=1)
     return content_type
+
+
+class ClearRecords(NamedTuple):
+    """Plaintext records framed ahead: their wire bytes, and a view of
+    each record's payload within them."""
+
+    wire: bytes
+    payloads: tuple[memoryview, ...]
+
+
+def frame_clear(content_type: ContentType, data: bytes) -> ClearRecords:
+    """``data`` as plaintext records of MAX_RECORD_PLAINTEXT bytes each
+    (the last one shorter), the same bytes ``RecordLayer.frame`` makes
+    before ChangeCipherSpec; ``data`` is copied once, into the wire."""
+    view = memoryview(data)
+    chunks = [
+        view[start : start + MAX_RECORD_PLAINTEXT]
+        for start in range(0, len(data), MAX_RECORD_PLAINTEXT)
+    ]
+    headers = [_HEADER.pack(content_type, TLS_VERSION, len(chunk)) for chunk in chunks]
+    wire = b"".join(part for record in zip(headers, chunks) for part in record)
+    wire_view, payloads, offset = memoryview(wire), [], 0
+    for chunk in chunks:
+        offset += _HEADER.size
+        payloads.append(wire_view[offset : offset + len(chunk)])
+        offset += len(chunk)
+    return ClearRecords(wire, tuple(payloads))
 
 
 class RecordLayer:
@@ -77,6 +107,12 @@ class RecordLayer:
             fragment = payload
         self.records_sent += 1
         return _HEADER.pack(content_type, TLS_VERSION, len(fragment)) + fragment
+
+    def reuse(self, records: ClearRecords) -> bytes:
+        """The wire bytes of ``records``, counted as framed by this layer.
+        They are plaintext, so they belong before send protection is on."""
+        self.records_sent += len(records.payloads)
+        return records.wire
 
     def write(self, wire: bytes) -> None:
         """Hand already framed records to the transport in one write."""

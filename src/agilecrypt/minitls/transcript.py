@@ -6,7 +6,9 @@ the size report but excluded from the transcript hash, matching how the
 Finished computation treats it.  A message's bytes wait in a queue until
 ``absorb`` feeds them to the running hash, in the order they were added;
 ``transcript_hash`` absorbs whatever is still queued first, so the
-Finished inputs are those of hashing each message as it is added.  The
+Finished inputs are those of hashing each message as it is added.  A
+message may be added as several parts (the record payloads it travels
+in), which are hashed one after the other and never joined.  The
 handshake channel absorbs a received message as it arrives and the
 messages it sent once their flight is written, so the server's flight,
 megabyte-scale certificate and all, leaves before the server hashes it,
@@ -49,14 +51,15 @@ class HandshakeTranscript:
     _unhashed: list = field(default_factory=list, repr=False)
     _started: float = field(default_factory=time.monotonic, repr=False)
 
-    def add_message(self, name: str, direction: str, data: bytes) -> None:
-        """Log a message; its bytes enter the hash at the next ``absorb``.
-        ``data`` must not change until then."""
-        self.entries.append(TranscriptEntry(message=name, direction=direction, length=len(data)))
-        self._unhashed.append(data)
+    def add_message(self, name: str, direction: str, *parts: bytes) -> None:
+        """Log a message, ``parts`` joined; they enter the hash at the
+        next ``absorb``, one by one, and must not change until then."""
+        length = sum(map(len, parts))
+        self.entries.append(TranscriptEntry(message=name, direction=direction, length=length))
+        self._unhashed.extend(parts)
 
     def absorb(self) -> None:
-        """Hash every message added since the last call, in order."""
+        """Hash every message part added since the last call, in order."""
         for data in self._unhashed:
             self._hash.update(data)
         self._unhashed.clear()

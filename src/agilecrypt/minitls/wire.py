@@ -5,9 +5,11 @@ vectors, 4-byte handshake headers (1-byte type, 3-byte length).  The
 reader and vector writers are agilecrypt.codec's, whose strict-decoding
 rules apply: trailing bytes and out-of-range values are rejected with the
 failing byte offset.  Decoders take any bytes-like input, since the
-handshake channel hands out each message body as a memoryview; the small
-messages' decoders copy it to bytes first, so every field they return is
-bytes, while decode_certificate_body returns a view of its input.
+handshake channel hands a message body over as views of the record
+payloads it arrived in, and a body in one record reaches its decoder as
+that memoryview; the small messages' decoders copy it to bytes first, so
+every field they return is bytes, while decode_certificate_body returns a
+view of its input.
 
 The template-info extension (type 0xFD00, private-use range) carries the
 sender's registry version, security level, and both resolved algorithm

@@ -19,6 +19,7 @@ from __future__ import annotations
 import json
 import os
 import socket
+import stat
 import subprocess
 import sys
 import threading
@@ -39,6 +40,7 @@ def run_cli(
     password: str | None = PASSWORD,
     binary: bool = False,
     timeout: float = 180.0,
+    umask: int = -1,
 ):
     env = os.environ.copy()
     env.pop("AGILECRYPT_PASSWORD", None)
@@ -50,6 +52,7 @@ def run_cli(
         text=not binary,
         env=env,
         timeout=timeout,
+        umask=umask,
     )
 
 
@@ -170,6 +173,48 @@ def test_envelope_seal_open_roundtrip(keyring, workdir):
     )
     assert opened.returncode == 0, opened.stderr
     assert opened.stdout == MESSAGE
+
+
+def _mode(path) -> int:
+    return stat.S_IMODE(path.stat().st_mode)
+
+
+def test_secret_outputs_are_readable_by_their_owner_alone(keyring, workdir):
+    """Under umask 022, the outputs that hold a secret (tls-setup's
+    server.seed, and the plaintext of decrypt and envelope-open) are
+    0600, also over an existing 0644 file; the others stay 0644."""
+    tls_dir = workdir / "modes-tls"
+    setup = run_cli(
+        "tls-setup", "--dir", tls_dir, "--level", "low", "--seed", "modes",
+        password=None, umask=0o022,
+    )
+    assert setup.returncode == 0, setup.stderr
+    modes = {name: _mode(tls_dir / name) for name in ("ca.root", "server.cert", "server.seed")}
+    assert modes == {"ca.root": 0o644, "server.cert": 0o644, "server.seed": 0o600}
+
+    keys = ["--alias", keyring["enc_alias"], *_keystore_args(keyring)]
+    sealed = {"encrypt": workdir / "modes.enc", "envelope-seal": workdir / "modes.agenv"}
+    for command, path in sealed.items():
+        alias = keyring["enc_alias" if command == "encrypt" else "sig_alias"]
+        result = run_cli(
+            command, keyring["message"], "--alias", alias, "--recipient", keyring["enc_pub"],
+            *_keystore_args(keyring), "--out", path, umask=0o022,
+        )
+        assert result.returncode == 0, result.stderr
+        assert _mode(path) == 0o644
+    fresh, existing = workdir / "modes-fresh.txt", workdir / "modes-existing.txt"
+    existing.write_bytes(b"stale")
+    existing.chmod(0o644)
+    for command, extra in (
+        ("decrypt", []),
+        ("envelope-open", ["--sender", keyring["signer_pub"]]),
+    ):
+        for out in (fresh, existing):
+            infile = sealed["encrypt" if command == "decrypt" else "envelope-seal"]
+            result = run_cli(command, infile, *keys, *extra, "--out", out, umask=0o022)
+            assert result.returncode == 0, result.stderr
+            assert (out.read_bytes(), _mode(out)) == (MESSAGE, 0o600), (command, out)
+        fresh.unlink()
 
 
 def test_password_flag_beats_environment(keyring, workdir):

@@ -66,9 +66,14 @@ from agilecrypt.minitls import (
     transport_pair,
 )
 from agilecrypt.minitls import certificate, handshake
+from agilecrypt.minitls.certificate import issue_server_material
 from agilecrypt.minitls.handshake import build_template_info
 from agilecrypt.minitls.measure import paramset_level, run_measurement, serve_connection
-from agilecrypt.minitls.wire import encode_alert, encode_handshake_message
+from agilecrypt.minitls.wire import (
+    encode_alert,
+    encode_certificate_body,
+    encode_handshake_message,
+)
 from agilecrypt.primitives import MAX_RECORD_PLAINTEXT, DeterministicRng, open_record
 from tls_harness import Tap, bit_flip, run_pair
 
@@ -330,6 +335,140 @@ def test_refused_certificates_are_not_remembered_and_the_memo_holds_eight(
     assert [c for c, _ in empty_certificate_memo.values()] == issued[2:]
 
 
+_MEDIUM = SecurityLevel.MEDIUM
+
+
+@pytest.fixture(scope="module")
+def medium_material():
+    """A MEDIUM certificate, 213 KB: its Certificate message takes 14
+    records, where LOW's fits in one."""
+    reg = builtin_registry(1)
+    rng = DeterministicRng(seed=b"medium-material")
+    ca, kem_kp, cert, _ = issue_server_material(reg, _MEDIUM, "server.test", rng)
+    return {"registry": reg, "ca": ca, "cert": cert, "kem": kem_kp}
+
+
+def _medium_certificate_records(body):
+    """The Certificate message of ``body`` as a server frames it at
+    MEDIUM, one record per MAX_RECORD_PLAINTEXT bytes."""
+    message = encode_handshake_message(HandshakeType.CERTIFICATE, body)
+    return [
+        (ContentType.HANDSHAKE, message[start : start + MAX_RECORD_PLAINTEXT])
+        for start in range(0, len(message), MAX_RECORD_PLAINTEXT)
+    ]
+
+
+def _flipped(data, index):
+    damaged = bytearray(data)
+    damaged[index] ^= 0x01
+    return bytes(damaged)
+
+
+def _medium_client_refusal(material, body, registry=None):
+    """(alert, reason) of a MEDIUM client, over ``registry`` (by default
+    the material's), that reads a Certificate message of ``body`` from a
+    scripted server agreeing with its template."""
+    config = _client_cfg(material, level=_MEDIUM, registry=registry or material["registry"])
+    info = build_template_info(config.registry, _MEDIUM)
+    records = _medium_certificate_records(body)
+    assert len(records) == 14
+    results = _against_script(
+        "client", config, _scripted_server(_server_hello(template_info=info), *records)
+    )
+    refused = results.get("client_exc")
+    assert isinstance(refused, TlsAlertSent), results
+    assert results["script"] == (ContentType.ALERT, encode_alert(refused.description))
+    return refused.description, refused.reason
+
+
+def _medium_enc_id_elsewhere():
+    """Registry v1 with LOW's KEM as its MEDIUM encryption template."""
+    text = builtin_registry(1).canonical_text()
+    return parse_registry_text(
+        text.replace("ENCRYPTION MEDIUM CME-TOY-13-16", "ENCRYPTION MEDIUM CME-TOY-10-8")
+    )
+
+
+# Inputs a MEDIUM client refuses while the genuine certificate is
+# remembered: each takes the body of a one-certificate chain and gives
+# (body, client registry or None).  The first six damage one of the 6
+# chain-length bytes in front of the remembered bytes, the seventh flips
+# a byte of the last record (inside the signature), and the last sends
+# the remembered certificate to a client whose template names another KEM.
+_HIT_PATH_REFUSALS = [
+    *(
+        pytest.param(lambda body, i=i: (_flipped(body, i), None), id=f"chain-length-byte-{i}")
+        for i in range(6)
+    ),
+    pytest.param(lambda body: (_flipped(body, len(body) - 100), None), id="last-record-byte"),
+    pytest.param(lambda body: (body, _medium_enc_id_elsewhere()), id="client-enc-id-differs"),
+]
+
+
+@pytest.mark.parametrize("damage", _HIT_PATH_REFUSALS)
+def test_a_refusal_reads_the_same_with_the_certificate_remembered(
+    medium_material, empty_certificate_memo, damage
+):
+    """The client sends the same alert with the same reason whether the
+    genuine certificate is remembered or the memo is empty."""
+    cert = medium_material["cert"]
+    body, registry = damage(encode_certificate_body(cert.encoding))
+    assert certificate.verify_certificate(cert, (medium_material["ca"].root,))
+    remembered = _medium_client_refusal(medium_material, body, registry)
+    assert [c for c, _ in empty_certificate_memo.values()] == [cert]
+    empty_certificate_memo.clear()
+    assert remembered == _medium_client_refusal(medium_material, body, registry)
+    assert remembered[0] == AlertDescription.BAD_CERTIFICATE
+
+
+def test_a_repeat_handshake_neither_parses_nor_joins_the_certificate(
+    medium_material, monkeypatch, empty_certificate_memo
+):
+    """Two MEDIUM handshakes: the first client joins the 14 record
+    payloads of the Certificate and parses it; the second finds the
+    received bytes remembered and does neither.  Both take the same
+    records, and the server's are the ones a record layer frames."""
+    parses = _counted(monkeypatch, "parse_certificate", handshake)
+    joins = []  # (thread, parts) per join of a received message
+    joined = handshake._joined
+
+    def logged_joined(parts):
+        joins.append((threading.get_ident(), len(parts)))
+        return joined(parts)
+
+    monkeypatch.setattr(handshake, "_joined", logged_joined)
+    server_cfg = _server_cfg(medium_material, level=_MEDIUM)
+    per_handshake = []
+    for seed in (b"first client", b"second client"):
+        joins.clear()
+        results = _loopback(
+            _client_cfg(medium_material, seed=seed, level=_MEDIUM), server_cfg,
+            server_app=_echo, client_app=_talk(seed),
+        )
+        assert results.get("echo") == seed, results
+        client_joins = [n for thread, n in joins if thread == threading.get_ident()]
+        per_handshake.append(
+            (
+                len(parses),
+                max(client_joins),
+                transcript_report(results["client"].transcript)["records"],
+                transcript_report(results["server"].transcript)["records"],
+            )
+        )
+        parses.clear()
+    client_records = {"sent": 4, "received": 18, "writes": 2}
+    server_records = {"sent": 18, "received": 4, "writes": 2}
+    assert per_handshake == [
+        (1, 14, client_records, server_records),
+        (0, 1, client_records, server_records),
+    ]
+    body = encode_certificate_body(medium_material["cert"].encoding)
+    framer = RecordLayer(None)
+    assert medium_material["cert"].records.wire == b"".join(
+        framer.frame(*record) for record in _medium_certificate_records(body)
+    )
+
+
 def test_loopback_one_megabyte_transfer(low_material):
     blob = DeterministicRng(seed=b"blob").random_bytes(1 << 20)
 
@@ -492,9 +631,10 @@ def test_transcript_hash_covers_every_message_in_wire_order(low_material, monkey
 
 
 def test_a_certificate_is_encoded_once(low_material, monkeypatch):
-    """A server config's certificate is encoded for its first handshake
-    and the bytes reused for the next; a replaced certificate encodes
-    afresh, and the kept encoding takes no part in equality."""
+    """A server config's certificate is encoded and framed into records
+    for its first handshake, and the records reused for the next, which
+    still counts them as sent; a replaced certificate encodes afresh, and
+    the kept encoding takes no part in equality."""
     cert = dataclasses.replace(low_material["cert"])
     encoded = []
     signed_portion = certificate._signed_portion
@@ -504,11 +644,16 @@ def test_a_certificate_is_encoded_once(low_material, monkeypatch):
         return signed_portion(cert)
 
     monkeypatch.setattr(certificate, "_signed_portion", counting_signed_portion)
+    framed = _counted(monkeypatch, "frame_clear", certificate)
     config = _server_cfg(low_material, certificate=cert)
     for seed in (b"first client", b"second client"):
         results = _loopback(_client_cfg(low_material, seed=seed), config)
         assert "client" in results and "server" in results
+        assert transcript_report(results["server"].transcript)["records"] == {
+            "sent": 5, "received": 4, "writes": 2,
+        }
     assert sum(c is cert for c in encoded) == 1
+    assert len(framed) == 1
 
     same = dataclasses.replace(cert)
     assert same == cert and hash(same) == hash(cert)
