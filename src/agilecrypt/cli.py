@@ -37,7 +37,7 @@ from .easyapi import (
     load_registry,
     template_resolve,
 )
-from .errors import AgilecryptError, ConnectionClosed
+from .errors import AgilecryptError, ConnectionClosed, ParameterError
 from .keystore import DEFAULT_ITERATIONS, KeystoreParameters
 from .mailenv import (
     ENVELOPE_EXTENSION,
@@ -262,10 +262,19 @@ def _serve_logged(
 def _cmd_tls_serve(args: argparse.Namespace) -> int:
     registry = _load_registry_arg(args)
     level = SecurityLevel.from_name(args.level)
+    seed_path = os.path.join(args.dir, SERVER_SEED_FILE)
+    with open(seed_path, "rb") as fh:
+        seed_blob = fh.read()
+        seed_mode = os.fstat(fh.fileno()).st_mode & 0o777
     cert, kem_kp = load_server_material(
-        _read_file(os.path.join(args.dir, SERVER_CERT_FILE)),
-        _read_file(os.path.join(args.dir, SERVER_SEED_FILE)),
+        _read_file(os.path.join(args.dir, SERVER_CERT_FILE)), seed_blob
     )
+    # After the content and id checks, so a damaged seed reports its fault.
+    if seed_mode & 0o077:
+        raise ParameterError(
+            f"server seed {seed_path} has mode {seed_mode:04o}, not private to its owner: "
+            f"chmod 600 {seed_path}"
+        )
     config = ServerTlsConfig(
         registry=registry, level=level, certificate=cert, kem_secret=kem_kp.sk
     )

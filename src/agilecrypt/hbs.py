@@ -16,8 +16,11 @@ from __future__ import annotations
 
 import functools
 import struct
+from collections.abc import Callable, Iterable
 from dataclasses import dataclass, field
 from enum import Enum
+from itertools import repeat
+from typing import NamedTuple
 
 from ._parallel import parallel_map
 from .codec import Reader, uint
@@ -25,11 +28,18 @@ from .errors import KeyExhausted, MalformedEncoding, ParameterError
 from .primitives import HashId, Rng, hash_data
 
 # Chain steps and chain starts hash inputs of a few dozen bytes, about 4M
-# times for a HIGH tree.  At that size the cost is per call, and CPython's
-# built-in SHA-2 is cheaper per call than OpenSSL's (0.48 against 0.74 us
-# for SHA-512 on 38 bytes); OpenSSL stays faster on bulk input, so
-# message digests, leaf digests and tree nodes keep using hash_data.
-# The digests are the same either way.
+# times for a HIGH tree and about 600 times for a MEDIUM signature and its
+# verification.  At that size the cost is per call, and CPython's built-in
+# SHA-2 is cheaper per call than OpenSSL's: a whole chain step, the
+# prefix join and the cut included, takes 0.38 against 0.55 us with
+# SHA-512 and 0.32 against 0.41 us with SHA-256 (2-core x86 VM, Python
+# 3.11).  OpenSSL stays faster on bulk input, so message digests, leaf
+# digests and tree nodes keep using hash_data.  The digests are the same
+# either way.  With the hash that cheap, Python overhead per chain shows:
+# the loops read every constant from the parameter set's _ChainPlan,
+# which each public call looks up once, and make no lookup or property
+# call per chain or step (a MEDIUM signature of 16 KiB took 0.19 ms with
+# them and 0.15 ms without, on the same VM).
 try:  # CPython 3.12+
     from _sha2 import sha256 as _short_sha256, sha512 as _short_sha512
 except ImportError:
@@ -180,68 +190,101 @@ class HbsKeyPair:
 # Chain and tree internals
 # ---------------------------------------------------------------------------
 
+class _ChainPlan(NamedTuple):
+    """A parameter set's chain constants, computed once by _chain_plan.
+    The internals below read only these, so a signature, a verification
+    or a run of leaves looks the plan up once, not per chain or step."""
+
+    hash_id: HashId
+    ctor: Callable  # the short-input hash constructor
+    n: int  # n_h
+    l1: int
+    l2: int
+    log2w: int
+    mask: int  # w - 1, the largest digit
+    # prefixes[j][s] is b"ch" || u16 j || u16 s, the input head of step s
+    # of chain j.
+    prefixes: tuple[tuple[bytes, ...], ...]
+
+
+@functools.lru_cache(maxsize=16)
+def _chain_plan(params: HbsParams) -> _ChainPlan:
+    return _ChainPlan(
+        params.hash_id,
+        _SHORT_INPUT_HASH[params.hash_id],
+        params.n_h,
+        params.l1,
+        params.l2,
+        params.log2w,
+        params.w - 1,
+        tuple(
+            tuple(b"ch" + struct.pack(">HH", chain, s) for s in range(params.w - 1))
+            for chain in range(params.l)
+        ),
+    )
+
+
 _IPAD = bytes(b ^ 0x36 for b in range(256))
 _OPAD = bytes(b ^ 0x5C for b in range(256))
 
 
-def _prf_key(params: HbsParams, seed: bytes) -> tuple:
+def _prf_key(plan: _ChainPlan, seed: bytes) -> tuple:
     """The HMAC inner and outer hash states for ``seed``, each past its
-    one key block; ``_hmac`` copies them per call.  The 32-byte seed is
-    shorter than any SHA-2 block, so the HMAC key is the zero-padded seed
-    (RFC 2104).  Copying the states skips ``hmac.HMAC``'s Python wrapper,
-    which takes 8-10% off a 256-leaf ``_leaf_range`` (2-core x86 VM,
-    Python 3.11)."""
-    ctor = _SHORT_INPUT_HASH[params.hash_id]
-    key = seed.ljust(ctor().block_size, b"\0")
-    return ctor(key.translate(_IPAD)), ctor(key.translate(_OPAD))
+    one key block; _chain_starts copies them per HMAC.  The 32-byte seed
+    is shorter than any SHA-2 block, so the HMAC key is the zero-padded
+    seed (RFC 2104).  Copying the states skips ``hmac.HMAC``'s Python
+    wrapper, which takes 8-10% off a 256-leaf ``_leaf_range`` (2-core x86
+    VM, Python 3.11)."""
+    key = seed.ljust(plan.ctor().block_size, b"\0")
+    return plan.ctor(key.translate(_IPAD)), plan.ctor(key.translate(_OPAD))
 
 
-def _hmac(key: tuple, data: bytes) -> bytes:
-    """HMAC(seed, data) = H((K ^ opad) || H((K ^ ipad) || data))."""
+def _chain_starts(plan: _ChainPlan, key: tuple, leaf: int, chains: Iterable[int]) -> list[bytes]:
+    """``prf(hash_id, seed, "wots-sk", leaf || chain, n_h)`` for each of
+    ``chains``.  n_h never exceeds one digest, so the P_hash expansion is
+    its first block: A(1) = HMAC(seed, label_seed), then
+    HMAC(seed, A(1) || label_seed), where
+    HMAC(seed, data) = H((K ^ opad) || H((K ^ ipad) || data))."""
     inner, outer = key
-    h = inner.copy()
-    h.update(data)
-    o = outer.copy()
-    o.update(h.digest())
-    return o.digest()
+    n = plan.n
+    head = b"wots-sk" + struct.pack(">I", leaf)
+    starts = []
+    for chain in chains:
+        label_seed = head + struct.pack(">H", chain)
+        h = inner.copy()
+        h.update(label_seed)
+        o = outer.copy()
+        o.update(h.digest())
+        h = inner.copy()
+        h.update(o.digest() + label_seed)
+        o = outer.copy()
+        o.update(h.digest())
+        starts.append(o.digest()[:n])
+    return starts
 
 
-def _chain_start(params: HbsParams, key: tuple, leaf: int, chain: int) -> bytes:
-    """``prf(hash_id, seed, "wots-sk", leaf || chain, n_h)``.  n_h never
-    exceeds one digest, so the P_hash expansion is its first block:
-    A(1) = HMAC(seed, label_seed), then HMAC(seed, A(1) || label_seed)."""
-    label_seed = b"wots-sk" + struct.pack(">IH", leaf, chain)
-    a1 = _hmac(key, label_seed)
-    return _hmac(key, a1 + label_seed)[: params.n_h]
+def _advance(
+    plan: _ChainPlan, values: Iterable[bytes], starts: Iterable[int], stops: Iterable[int | None]
+) -> list[bytes]:
+    """Each chain j's value in ``values`` run through steps ``starts[j]``
+    to ``stops[j] - 1``, or to the chain's end where the stop is None."""
+    ctor, n = plan.ctor, plan.n
+    out = []
+    for value, row, start, stop in zip(values, plan.prefixes, starts, stops):
+        for prefix in row[start:stop]:
+            value = ctor(prefix + value).digest()[:n]
+        out.append(value)
+    return out
 
 
-@functools.lru_cache(maxsize=16)
-def _chain_prefixes(params: HbsParams) -> tuple[tuple[bytes, ...], ...]:
-    """``b"ch" || chain || step`` for every chain and step, built once per
-    parameter set; ``_advance`` prepends them to the running value."""
-    return tuple(
-        tuple(b"ch" + struct.pack(">HH", chain, s) for s in range(params.w - 1))
-        for chain in range(params.l)
-    )
-
-
-def _advance(params: HbsParams, chain: int, value: bytes, start: int, steps: int) -> bytes:
-    ctor, n = _SHORT_INPUT_HASH[params.hash_id], params.n_h
-    for prefix in _chain_prefixes(params)[chain][start : start + steps]:
-        value = ctor(prefix + value).digest()[:n]
-    return value
-
-
-def _leaf_digest(params: HbsParams, leaf: int, chain_ends: list[bytes]) -> bytes:
-    return hash_data(
-        params.hash_id, b"leaf" + struct.pack(">I", leaf) + b"".join(chain_ends)
-    )[: params.n_h]
-
-
-def _parent(params: HbsParams, level: int, left: bytes, right: bytes) -> bytes:
-    return hash_data(params.hash_id, b"node" + struct.pack(">H", level) + left + right)[
-        : params.n_h
+def _leaf_digest(plan: _ChainPlan, leaf: int, chain_ends: list[bytes]) -> bytes:
+    return hash_data(plan.hash_id, b"leaf" + struct.pack(">I", leaf) + b"".join(chain_ends))[
+        : plan.n
     ]
+
+
+def _parent(plan: _ChainPlan, level: int, left: bytes, right: bytes) -> bytes:
+    return hash_data(plan.hash_id, b"node" + struct.pack(">H", level) + left + right)[: plan.n]
 
 
 # Leaves per task when the tree build is spread over worker processes.
@@ -250,14 +293,13 @@ _LEAVES_PER_TASK = 256
 
 def _leaf_range(params: HbsParams, seed: bytes, start: int, stop: int) -> list[bytes]:
     """Leaf digests ``start`` to ``stop - 1``: every chain run to its end."""
-    key = _prf_key(params, seed)
+    plan = _chain_plan(params)
+    key = _prf_key(plan, seed)
+    chains = range(len(plan.prefixes))
     leaves = []
     for leaf in range(start, stop):
-        ends = [
-            _advance(params, j, _chain_start(params, key, leaf, j), 0, params.w - 1)
-            for j in range(params.l)
-        ]
-        leaves.append(_leaf_digest(params, leaf, ends))
+        ends = _advance(plan, _chain_starts(plan, key, leaf, chains), repeat(0), repeat(None))
+        leaves.append(_leaf_digest(plan, leaf, ends))
     return leaves
 
 
@@ -269,12 +311,13 @@ def _build_tree(params: HbsParams, seed: bytes) -> list[list[bytes]]:
     # A chain costs about w hash calls: w - 1 steps and its start.
     hash_calls = params.leaf_count * params.l * params.w
     leaves = [leaf for part in parallel_map(_leaf_range, tasks, hash_calls) for leaf in part]
+    plan = _chain_plan(params)
     levels = [leaves]
     for level in range(1, params.h + 1):
         below = levels[-1]
         levels.append(
             [
-                _parent(params, level, below[2 * i], below[2 * i + 1])
+                _parent(plan, level, below[2 * i], below[2 * i + 1])
                 for i in range(len(below) // 2)
             ]
         )
@@ -282,21 +325,16 @@ def _build_tree(params: HbsParams, seed: bytes) -> list[list[bytes]]:
 
 
 def _message_digits(
-    params: HbsParams, randomizer: bytes, root: bytes, msg: bytes
+    plan: _ChainPlan, randomizer: bytes, root: bytes, msg: bytes
 ) -> tuple[list[int], bytes]:
     """Base-w message digits plus checksum digits, and the raw digest the
     stateless leaf index is drawn from."""
-    full = hash_data(params.hash_id, randomizer, root, msg)
-    value = int.from_bytes(full[: params.n_h], "big")
-    value <<= params.l1 * params.log2w - 8 * params.n_h
-    mask = params.w - 1
-    digits = [
-        (value >> ((params.l1 - 1 - i) * params.log2w)) & mask for i in range(params.l1)
-    ]
-    checksum = sum(params.w - 1 - d for d in digits)
-    digits.extend(
-        (checksum >> (i * params.log2w)) & mask for i in range(params.l2 - 1, -1, -1)
-    )
+    n, l1, l2, log2w, mask = plan.n, plan.l1, plan.l2, plan.log2w, plan.mask
+    full = hash_data(plan.hash_id, randomizer, root, msg)
+    value = int.from_bytes(full[:n], "big") << (l1 * log2w - 8 * n)
+    digits = [(value >> shift) & mask for shift in range((l1 - 1) * log2w, -1, -log2w)]
+    checksum = l1 * mask - sum(digits)
+    digits.extend((checksum >> shift) & mask for shift in range((l2 - 1) * log2w, -1, -log2w))
     return digits, full
 
 
@@ -326,17 +364,16 @@ def hbs_sign_with_leaf(kp: HbsKeyPair, leaf_index: int, msg: bytes, rng: Rng) ->
     if not 0 <= leaf_index < params.leaf_count:
         raise ParameterError("leaf index out of range")
     kp._ensure_tree()
+    plan = _chain_plan(params)
     randomizer = rng.random_bytes(32)
-    digits, digest = _message_digits(params, randomizer, kp.root, msg)
+    digits, digest = _message_digits(plan, randomizer, kp.root, msg)
     if params.mode is HbsMode.STATELESS:
         # Stateless leaf choice and digits come from the same digest, so
         # the verifier can recompute both.
         leaf_index = _stateless_leaf(params, digest)
-    key = _prf_key(params, kp.seed)
-    wots = [
-        _advance(params, j, _chain_start(params, key, leaf_index, j), 0, d)
-        for j, d in enumerate(digits)
-    ]
+    key = _prf_key(plan, kp.seed)
+    starts = _chain_starts(plan, key, leaf_index, range(len(digits)))
+    wots = _advance(plan, starts, repeat(0), digits)
     auth = [kp._levels[t][(leaf_index >> t) ^ 1] for t in range(params.h)]
     return b"".join([uint(leaf_index, 4), randomizer, *wots, *auth])
 
@@ -368,21 +405,19 @@ def hbs_verify(root: bytes, params: HbsParams, msg: bytes, sig: bytes) -> bool:
     leaf = int.from_bytes(sig[:4], "big")
     if leaf >= params.leaf_count:
         return False
-    digits, digest = _message_digits(params, sig[4:36], root, msg)
+    plan = _chain_plan(params)
+    digits, digest = _message_digits(plan, sig[4:36], root, msg)
     if params.mode is HbsMode.STATELESS and leaf != _stateless_leaf(params, digest):
         return False
-    ends = [
-        _advance(params, j, sig[36 + j * n : 36 + (j + 1) * n], d, params.w - 1 - d)
-        for j, d in enumerate(digits)
-    ]
-    node = _leaf_digest(params, leaf, ends)
-    path = 36 + params.l * n
+    path = 36 + len(digits) * n
+    values = [sig[i : i + n] for i in range(36, path, n)]
+    node = _leaf_digest(plan, leaf, _advance(plan, values, digits, repeat(None)))
     for t in range(params.h):
         sibling = sig[path + t * n : path + (t + 1) * n]
         if (leaf >> t) & 1:
-            node = _parent(params, t + 1, sibling, node)
+            node = _parent(plan, t + 1, sibling, node)
         else:
-            node = _parent(params, t + 1, node, sibling)
+            node = _parent(plan, t + 1, node, sibling)
     return node == root
 
 

@@ -8,14 +8,16 @@ the signature size of the certificate's signature algorithm.  The KEM
 public key is embedded whole, which is what makes the Certificate
 handshake message the megabyte-scale payload for large parameter sets.
 
-A certificate is encoded once per object: ``Certificate.encoding`` is
-built on first use and kept, and so is ``Certificate.records``, the
+A certificate's bytes are built once per object and kept:
+``Certificate.encoding`` on first use, and ``Certificate.records``, the
 Certificate handshake message framed as the plaintext records a server
-sends before ChangeCipherSpec.  So a server sends the same records on
-every connection without encoding or framing them again, at the cost
-of one more copy of the certificate (about 1.3 MB at HIGH).  The kept
-bytes are not fields: they take no part in ``==`` or ``hash``, and
-``dataclasses.replace`` makes a new object that encodes afresh.
+sends before ChangeCipherSpec, on first send.  ``records`` is framed
+from an encoding of its own that it does not keep, so a server sends
+the same records on every connection without encoding or framing them
+again, at the cost of one more copy of the certificate (about 1.3 MB at
+HIGH), not two.  The kept bytes are not fields: they take no part in
+``==`` or ``hash``, and ``dataclasses.replace`` makes a new object that
+encodes afresh.
 
 A certificate is verified once per process: verify_certificate remembers
 each certificate that passed, with its parsed KEM key, for the last
@@ -80,15 +82,20 @@ class Certificate:
     @functools.cached_property
     def encoding(self) -> bytes:
         """The signed portion followed by the length-prefixed signature."""
-        return b"".join([_signed_portion(self), vec32(self.issuer_signature)])
+        return _encode(self)
 
     @functools.cached_property
     def records(self) -> ClearRecords:
         """The Certificate handshake message of a chain of this one
-        certificate, framed as plaintext handshake records."""
-        body = encode_certificate_body(self.encoding)
+        certificate, framed as plaintext handshake records from an
+        encoding that is not kept."""
+        body = encode_certificate_body(_encode(self))
         message = encode_handshake_message(HandshakeType.CERTIFICATE, body)
         return frame_clear(ContentType.HANDSHAKE, message)
+
+
+def _encode(cert: Certificate) -> bytes:
+    return b"".join([_signed_portion(cert), vec32(cert.issuer_signature)])
 
 
 def _signed_portion(cert: Certificate) -> bytes:

@@ -509,6 +509,11 @@ def refused_inputs(keyring, tls_low_dir, workdir):
         for file in ("ca.root", "server.cert"):
             (d / name / file).write_bytes((tls_low_dir / file).read_bytes())
         (d / name / "server.seed").write_bytes(seed_blob)
+    # A sound seed that group and others may read.
+    (d / "open-seed").mkdir()
+    for file in ("ca.root", "server.cert", "server.seed"):
+        (d / "open-seed" / file).write_bytes((tls_low_dir / file).read_bytes())
+    (d / "open-seed" / "server.seed").chmod(0o644)
     probe = socket.socket()
     probe.bind(("127.0.0.1", 0))
     fields["closed_port"] = probe.getsockname()[1]
@@ -580,6 +585,8 @@ REFUSED = [
      None),
     ("tls-serve-signature-key-seed", "tls-serve --dir {dir}/signature-key-seed --level low --once",
      1, "AlgorithmMismatch", None),
+    ("tls-serve-open-seed", "tls-serve --dir {dir}/open-seed --level low --once",
+     1, "server.seed has mode 0644, not private to its owner: chmod 600", None),
     ("tls-setup-seed-not-utf8", "tls-setup --dir {new} --level low --seed \udcff",
      1, "ParameterError: seed is not valid UTF-8", None),
     ("tls-connect-closed-port",

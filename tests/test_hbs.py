@@ -26,6 +26,7 @@ from agilecrypt.hbs import (
     hbs_keygen,
     hbs_parse_public,
     hbs_sign,
+    hbs_sign_with_leaf,
     hbs_verify,
 )
 from agilecrypt.primitives import DeterministicRng, hash_data, prf
@@ -261,11 +262,67 @@ def test_tree_matches_the_reference_construction(n_h, w):
     params = _params(n_h=n_h, w=w, h=4)
     seed = bytes(range(32))
     assert hbs._build_tree(params, seed) == _reference_tree(params, seed)
-    key = hbs._prf_key(params, seed)
-    for leaf, chain in [(0, 0), (15, params.l - 1), (2**32 - 1, 65535)]:
-        assert hbs._chain_start(params, key, leaf, chain) == prf(
-            params.hash_id, seed, "wots-sk", struct.pack(">IH", leaf, chain), n_h
-        )
+    plan = hbs._chain_plan(params)
+    key = hbs._prf_key(plan, seed)
+    for leaf, chains in [(0, [0]), (15, range(params.l)), (2**32 - 1, [65535, 1])]:
+        assert hbs._chain_starts(plan, key, leaf, chains) == [
+            prf(params.hash_id, seed, "wots-sk", struct.pack(">IH", leaf, chain), n_h)
+            for chain in chains
+        ]
+
+
+def _reference_signature(
+    params: HbsParams,
+    seed: bytes,
+    tree: list[list[bytes]],
+    leaf: int,
+    randomizer: bytes,
+    msg: bytes,
+) -> bytes:
+    """A signature spelled out from docs/formats.md alone: the digest, its
+    base-w digits, the checksum digits, each chain's value after its
+    digit's steps, and the auth path of the chosen leaf in ``tree``."""
+    n, w = params.n_h, params.w
+    log2w = w.bit_length() - 1
+    digest = hash_data(params.hash_id, randomizer + tree[params.h][0] + msg)
+    bits = "".join(f"{byte:08b}" for byte in digest[:n])
+    l1 = -(-len(bits) // log2w)
+    bits = bits.ljust(l1 * log2w, "0")
+    digits = [int(bits[i : i + log2w], 2) for i in range(0, len(bits), log2w)]
+    checksum = sum(w - 1 - d for d in digits)
+    l2 = 1
+    while w**l2 <= l1 * (w - 1):
+        l2 += 1
+    digits += [checksum // w**e % w for e in range(l2 - 1, -1, -1)]
+    if params.mode is HbsMode.STATELESS:
+        leaf = int.from_bytes(digest[:2], "big") >> (16 - params.h)
+    values = []
+    for chain, digit in enumerate(digits):
+        value = prf(params.hash_id, seed, "wots-sk", struct.pack(">IH", leaf, chain), n)
+        for step in range(digit):
+            value = hash_data(params.hash_id, b"ch" + struct.pack(">HH", chain, step) + value)[:n]
+        values.append(value)
+    auth = [tree[t][(leaf >> t) ^ 1] for t in range(params.h)]
+    return struct.pack(">I", leaf) + randomizer + b"".join(values + auth)
+
+
+def test_signatures_match_the_reference_construction():
+    """Every (n_h, w) of the tree test above, in both modes, signed in one
+    process, so a chain constant cached for the wrong parameter set shows."""
+    seed = bytes(range(32))
+    messages = [b"", b"reference", bytes(range(256)) * 5]
+    for n_h, w in [(16, 16), (32, 16), (16, 4), (32, 256)]:
+        tree = _reference_tree(_params(n_h=n_h, w=w, h=4), seed)
+        for mode in HbsMode:
+            params = _params(n_h=n_h, w=w, h=4, mode=mode)
+            kp = HbsKeyPair.from_seed(params, seed)
+            for i, (leaf, msg) in enumerate(zip([0, 9, 15], messages)):
+                rng_seed = b"reference %d" % i
+                sig = hbs_sign_with_leaf(kp, leaf, msg, DeterministicRng(rng_seed))
+                randomizer = DeterministicRng(rng_seed).random_bytes(32)
+                expected = _reference_signature(params, seed, tree, leaf, randomizer, msg)
+                assert sig == expected, (n_h, w, mode, leaf)
+                assert hbs_verify(kp.root, params, msg, sig), (n_h, w, mode, leaf)
 
 
 @pytest.mark.parametrize("level", list(SecurityLevel), ids=lambda level: level.name)

@@ -348,9 +348,9 @@ def medium_material():
     return {"registry": reg, "ca": ca, "cert": cert, "kem": kem_kp}
 
 
-def _medium_certificate_records(body):
-    """The Certificate message of ``body`` as a server frames it at
-    MEDIUM, one record per MAX_RECORD_PLAINTEXT bytes."""
+def _certificate_records(body):
+    """The Certificate message of ``body`` as a server frames it, one
+    record per MAX_RECORD_PLAINTEXT bytes."""
     message = encode_handshake_message(HandshakeType.CERTIFICATE, body)
     return [
         (ContentType.HANDSHAKE, message[start : start + MAX_RECORD_PLAINTEXT])
@@ -370,7 +370,7 @@ def _medium_client_refusal(material, body, registry=None):
     scripted server agreeing with its template."""
     config = _client_cfg(material, level=_MEDIUM, registry=registry or material["registry"])
     info = build_template_info(config.registry, _MEDIUM)
-    records = _medium_certificate_records(body)
+    records = _certificate_records(body)
     assert len(records) == 14
     results = _against_script(
         "client", config, _scripted_server(_server_hello(template_info=info), *records)
@@ -465,7 +465,7 @@ def test_a_repeat_handshake_neither_parses_nor_joins_the_certificate(
     body = encode_certificate_body(medium_material["cert"].encoding)
     framer = RecordLayer(None)
     assert medium_material["cert"].records.wire == b"".join(
-        framer.frame(*record) for record in _medium_certificate_records(body)
+        framer.frame(*record) for record in _certificate_records(body)
     )
 
 
@@ -633,8 +633,9 @@ def test_transcript_hash_covers_every_message_in_wire_order(low_material, monkey
 def test_a_certificate_is_encoded_once(low_material, monkeypatch):
     """A server config's certificate is encoded and framed into records
     for its first handshake, and the records reused for the next, which
-    still counts them as sent; a replaced certificate encodes afresh, and
-    the kept encoding takes no part in equality."""
+    still counts them as sent; the served certificate keeps the records
+    but not the encoding they were framed from.  A replaced certificate
+    encodes afresh, and the kept encoding takes no part in equality."""
     cert = dataclasses.replace(low_material["cert"])
     encoded = []
     signed_portion = certificate._signed_portion
@@ -654,6 +655,12 @@ def test_a_certificate_is_encoded_once(low_material, monkeypatch):
         }
     assert sum(c is cert for c in encoded) == 1
     assert len(framed) == 1
+    assert "encoding" not in vars(cert)
+    framer = RecordLayer(None)
+    assert cert.records.wire == b"".join(
+        framer.frame(*record)
+        for record in _certificate_records(encode_certificate_body(cert.encoding))
+    )
 
     same = dataclasses.replace(cert)
     assert same == cert and hash(same) == hash(cert)
