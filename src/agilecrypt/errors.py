@@ -23,10 +23,6 @@ class BadPadding(AgilecryptError):
     """CBC padding check failed on a sealed record."""
 
 
-class RecordOverflow(AgilecryptError):
-    """Record plaintext exceeds the 2^14-byte limit."""
-
-
 class MalformedEncoding(AgilecryptError):
     """A canonical byte encoding could not be parsed.
 

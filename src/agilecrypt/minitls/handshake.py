@@ -18,15 +18,16 @@ session alike.  A row refuses by raising ``TlsAlertSent``;
 one ``_alert_for`` gives a decoding or record failure, and finishes the
 transcript on every outcome.
 
-Each flight goes to the transport in one write: the channel frames (and,
-after ChangeCipherSpec, seals) the records of every message it sends and
-writes them together just before it next reads, before a fatal alert,
-and when the handshake returns.  The byte stream is the same as one
-write per record; only the number of writes changes.  The messages a
-flight carries enter the transcript hash after it is written, so the
-server hashes its certificate while the client reads it.  The server
-sends its certificate as the records ``Certificate.records`` framed
-once, and hashes views of their payloads.  A received message is kept
+Each flight goes to the transport in one write.  The record layer queues
+the records of every message a side sends (sealed after its
+ChangeCipherSpec) and writes them together when the side next reads,
+when the handshake returns, and ahead of a fatal alert, which takes the
+same queue.  The byte stream is the same as one write per record; only
+the number of writes changes.  The messages a flight carries enter the
+transcript hash after it is written, so the server hashes its
+certificate while the client reads it.  The server queues its
+certificate as the records ``Certificate.records`` framed once, and
+hashes views of their payloads.  A received message is kept
 as the record payloads it arrived in and hashed part by part; a row
 joins it only when its decoder needs contiguous bytes, which the
 Certificate row does only when ``remembered_certificate`` does not
@@ -54,14 +55,7 @@ from ..errors import (
     InvalidCiphertext,
     MalformedEncoding,
 )
-from ..primitives import (
-    MAX_RECORD_PLAINTEXT,
-    HashId,
-    Rng,
-    SymmetricKeys,
-    SystemRng,
-    prf,
-)
+from ..primitives import HashId, Rng, SymmetricKeys, SystemRng, prf
 from .certificate import (
     Certificate,
     parse_certificate,
@@ -195,16 +189,6 @@ def template_divergence(local: TemplateInfo, remote: TemplateInfo) -> str | None
 # Handshake plumbing
 # ---------------------------------------------------------------------------
 
-def _frame_fragmented(record: RecordLayer, content_type: ContentType, data: bytes) -> list[bytes]:
-    """One framed record per MAX_RECORD_PLAINTEXT bytes of ``data``, each
-    framed from a view, so ``data`` is copied once, into the records."""
-    view = memoryview(data)
-    return [
-        record.frame(content_type, view[start : start + MAX_RECORD_PLAINTEXT])
-        for start in range(0, len(data), MAX_RECORD_PLAINTEXT)
-    ]
-
-
 def _joined(parts: Sequence[memoryview]) -> bytes:
     """``parts`` as one bytes-like object: the only part itself, else
     one join."""
@@ -233,14 +217,11 @@ def _alert_for(exc: AgilecryptError) -> AlertDescription | None:
     return None
 
 
-def _send_fatal_alert(
-    record: RecordLayer, description: AlertDescription, queued: Sequence[bytes] = ()
-) -> None:
+def _send_fatal_alert(record: RecordLayer, description: AlertDescription) -> None:
     """Best effort: the connection is going down either way.  Records
-    still ``queued`` go out first, in the same write."""
+    still queued go out first, in the same write."""
     try:
-        alert = record.frame(ContentType.ALERT, encode_alert(description))
-        record.write(b"".join([*queued, alert]))
+        record.send(ContentType.ALERT, encode_alert(description))
     except (AgilecryptError, OSError):
         pass
 
@@ -287,9 +268,7 @@ class TlsSession:
         try:
             if not self._open:
                 raise ConnectionClosed("session is closed")
-            frames = _frame_fragmented(self.record, ContentType.APPLICATION_DATA, data)
-            if frames:
-                self.record.write(b"".join(frames))
+            self.record.send(ContentType.APPLICATION_DATA, data)
         except AgilecryptError as exc:
             self._fail(exc)
 
@@ -367,7 +346,7 @@ def _handshake(
         failure = exc
         description = _alert_for(exc)
         if description is not None:
-            side.send_fatal_alert(description)
+            _send_fatal_alert(record, description)
             if not isinstance(exc, TlsAlertSent):
                 failure = TlsAlertSent(description, str(exc))
         # Only the alert exceptions carry a description.
@@ -381,10 +360,10 @@ def _handshake(
 
 class _Side:
     """One side of one handshake: what its messages have told it so far,
-    and the channel they travel.  The channel fragments outgoing handshake
-    messages, cuts incoming ones out of the record payloads and feeds the
-    transcript; outgoing records queue until ``flush``, which runs before
-    every read.  The ``write_*`` and ``read_*`` methods are FLOW's: a
+    and the channel they travel.  The channel queues outgoing messages on
+    the record layer, cuts incoming ones out of the record payloads and
+    feeds the transcript; ``flush``, which runs before every read, writes
+    the queue.  The ``write_*`` and ``read_*`` methods are FLOW's: a
     write returns the message body, or the message already framed as
     ClearRecords, and a read gets the body as the views it arrived in."""
 
@@ -403,35 +382,26 @@ class _Side:
         self.peer_hash = b""  # what the peer's Finished covers
         self._received: deque[memoryview] = deque()  # handshake payloads not yet taken
         self._buffered = 0
-        self._flight: list[bytes] = []
 
     def send(self, hs_type: HandshakeType | None, body: bytes | ClearRecords) -> None:
         """Queue message ``hs_type``, whose body or framed records ``body``
         is; for None, a ChangeCipherSpec of ``body``."""
         if hs_type is None:
-            self._flight.append(self.record.frame(ContentType.CHANGE_CIPHER_SPEC, body))
+            self.record.frame(ContentType.CHANGE_CIPHER_SPEC, body)
             self.transcript.note_ccs("sent")
             return
         if isinstance(body, ClearRecords):
             self.transcript.add_message(hs_type.message_name, "sent", *body.payloads)
-            self._flight.append(self.record.reuse(body))
+            self.record.reuse(body)
             return
         msg = encode_handshake_message(hs_type, body)
         self.transcript.add_message(hs_type.message_name, "sent", msg)
-        self._flight.extend(_frame_fragmented(self.record, ContentType.HANDSHAKE, msg))
+        self.record.frame(ContentType.HANDSHAKE, msg)
 
     def flush(self) -> None:
-        """Write every queued record in one transport write, then hash
-        the messages they carry."""
-        if self._flight:
-            wire = b"".join(self._flight)
-            self._flight.clear()
-            self.record.write(wire)
+        """Write the queued records, then hash the messages they carry."""
+        self.record.flush()
         self.transcript.absorb()
-
-    def send_fatal_alert(self, description: AlertDescription) -> None:
-        _send_fatal_alert(self.record, description, self._flight)
-        self._flight.clear()
 
     def _fill(self, needed: int) -> None:
         while self._buffered < needed:

@@ -102,8 +102,9 @@ def alert_label(code: int) -> str:
 # Handshake message framing
 # ---------------------------------------------------------------------------
 
-def encode_handshake_message(hs_type: HandshakeType, body: bytes) -> bytes:
-    return uint(hs_type, 1) + uint(len(body), 3) + body
+def encode_handshake_message(hs_type: HandshakeType, *body_parts: bytes) -> bytes:
+    """The message whose body is ``body_parts`` joined, made in one join."""
+    return b"".join([uint(hs_type, 1), uint(sum(map(len, body_parts)), 3), *body_parts])
 
 
 def decode_handshake_header(header: bytes) -> tuple[HandshakeType, int]:
@@ -262,10 +263,16 @@ class ServerHello:
 # Remaining handshake bodies
 # ---------------------------------------------------------------------------
 
+def certificate_chain_header(cert_size: int) -> bytes:
+    """The 6 bytes that open the body of a chain of one certificate of
+    ``cert_size`` bytes: the chain's length, then the certificate's."""
+    return uint(cert_size + 3, 3) + uint(cert_size, 3)
+
+
 def encode_certificate_body(cert_bytes: bytes) -> bytes:
     """A chain of one certificate: vec24(vec24(cert_bytes)), with the
     certificate copied once."""
-    return b"".join([uint(len(cert_bytes) + 3, 3), uint(len(cert_bytes), 3), cert_bytes])
+    return certificate_chain_header(len(cert_bytes)) + cert_bytes
 
 
 def decode_certificate_body(data: bytes) -> memoryview:

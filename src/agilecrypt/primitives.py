@@ -144,9 +144,10 @@ def seal_record(keys: SymmetricKeys, seq: int, header: bytes, plaintext: bytes) 
     The MAC covers the 64-bit sequence number, the caller's header bytes,
     and the plaintext length, so replay and context confusion are caught
     by open_record.  Size limits are the transport's business: the TLS
-    record layer enforces its fragment cap before calling here, while
-    keystores and envelopes seal payloads far past it.  ``plaintext`` may
-    be a view; it is copied once, into the body that is encrypted.
+    record layer cuts its payloads at the fragment cap before calling
+    here, while keystores and envelopes seal payloads far past it.
+    ``plaintext`` may be a view; it is copied once, into the body that is
+    encrypted.
     """
     mac = _record_mac(keys, seq, header, plaintext)
     # Full CBC padding: pad_len+1 bytes, each holding the value pad_len.

@@ -17,10 +17,7 @@ import math
 import random
 import subprocess
 import sys
-import threading
 import time
-
-import pytest
 
 import acceptance_report
 from agilecrypt import cbkem, hbs
@@ -74,6 +71,7 @@ from agilecrypt.minitls.wire import (
     TlsError,
 )
 from agilecrypt.primitives import DeterministicRng, open_record, seal_record
+from tls_harness import run_pair, start_serve
 
 # ---------------------------------------------------------------------------
 # Helpers
@@ -155,26 +153,6 @@ def test_size_report_reaches_megabyte_scale(tmp_path):
 # 2: client and server in separate processes echo 1 MiB, ten times
 # ---------------------------------------------------------------------------
 
-def _spawn_serve(setup_dir, level: str):
-    proc = subprocess.Popen(
-        [*CLI, "tls-serve", "--dir", str(setup_dir), "--level", level, "--once"],
-        stdout=subprocess.PIPE,
-        stderr=subprocess.PIPE,
-        text=True,
-    )
-    box: list[str] = []
-    reader = threading.Thread(
-        target=lambda: box.append(proc.stdout.readline()), daemon=True
-    )
-    reader.start()
-    reader.join(120.0)
-    if reader.is_alive() or not box or not box[0].startswith("PORT "):
-        proc.kill()
-        _, err = proc.communicate(timeout=30)
-        pytest.fail(f"echo server failed to start: {err}")
-    return proc, int(box[0].split()[1])
-
-
 def test_two_process_handshake_and_megabyte_echo(tmp_path):
     setup_dir = tmp_path / "tls"
     assert cli_main(
@@ -182,7 +160,7 @@ def test_two_process_handshake_and_megabyte_echo(tmp_path):
     ) == 0
     runs, successes = 10, 0
     for i in range(runs):
-        proc, port = _spawn_serve(setup_dir, "low")
+        proc, port = start_serve(setup_dir, "low", timeout=120.0)
         report_path = tmp_path / f"echo-{i}.json"
         client = subprocess.run(
             [*CLI, "tls-connect", f"127.0.0.1:{port}", "--dir", str(setup_dir),
@@ -239,25 +217,12 @@ def test_registry_drift_aborts_before_key_exchange():
             rng=DeterministicRng(b"drift server %d" % i),
         )
         client_t, server_t = transport_pair(timeout=10.0)
-        outcome: dict = {}
-
-        def serve() -> None:
-            try:
-                server_handshake(server_t, server_cfg)
-            except Exception as exc:  # noqa: BLE001 - recorded for assertions
-                outcome["server"] = exc
-
-        worker = threading.Thread(target=serve, daemon=True)
-        worker.start()
-        try:
-            client_handshake(client_t, client_cfg)
-        except Exception as exc:  # noqa: BLE001
-            outcome["client"] = exc
-        worker.join(60.0)
-        for transport in (client_t, server_t):
-            transport.close()
-
-        server_exc, client_exc = outcome.get("server"), outcome.get("client")
+        outcome = run_pair(
+            ("server", lambda _: server_handshake(server_t, server_cfg)),
+            ("client", lambda _: client_handshake(client_t, client_cfg)),
+            transports=(client_t, server_t),
+        )
+        server_exc, client_exc = outcome.get("server_exc"), outcome.get("client_exc")
         if not isinstance(server_exc, TlsAlertSent):
             continue
         if server_exc.description != AlertDescription.TEMPLATE_MISMATCH:

@@ -28,6 +28,7 @@ import pytest
 
 from agilecrypt.easyapi import builtin_registry, frame_blob, parse_blob
 from agilecrypt.errors import ConnectionClosed
+from tls_harness import start_serve
 
 CLI = [sys.executable, "-m", "agilecrypt.cli"]
 PASSWORD = "cli-test-password"
@@ -242,31 +243,6 @@ def test_registry_dump_matches_builtin_text(workdir):
 # TLS echo pair over subprocesses
 # ---------------------------------------------------------------------------
 
-def _start_serve(dirpath, level, registry=None, timeout=180.0):
-    """Launch tls-serve --once and wait for its PORT line."""
-    args = [*CLI, "tls-serve", "--dir", str(dirpath), "--level", level, "--once"]
-    if registry is not None:
-        args += ["--registry", str(registry)]
-    env = os.environ.copy()
-    env.pop("AGILECRYPT_PASSWORD", None)
-    proc = subprocess.Popen(
-        args, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=env
-    )
-    line_box: list[str] = []
-
-    def read_line() -> None:
-        line_box.append(proc.stdout.readline())
-
-    reader = threading.Thread(target=read_line, daemon=True)
-    reader.start()
-    reader.join(timeout)
-    if reader.is_alive() or not line_box or not line_box[0].startswith("PORT "):
-        proc.kill()
-        _, err = proc.communicate(timeout=30)
-        pytest.fail(f"server did not announce a port: {err}")
-    return proc, int(line_box[0].split()[1])
-
-
 def _connection_lines(server_err: str) -> list[dict]:
     """The JSON lines tls-serve writes to standard error, one per connection."""
     return [json.loads(line) for line in server_err.splitlines() if line.startswith("{")]
@@ -290,7 +266,7 @@ def test_tls_setup_writes_the_three_fixture_files(tls_low_dir):
 
 def test_tls_serve_connect_echo_and_report(tls_low_dir, workdir):
     # The 40000-byte probe comes back in three records, which recv_exact joins.
-    proc, port = _start_serve(tls_low_dir, "low")
+    proc, port = start_serve(tls_low_dir, "low")
     report_path = workdir / "connect-report.json"
     try:
         result = run_cli(
@@ -394,7 +370,7 @@ def test_registry_drift_aborts_both_processes(workdir):
     dumped = run_cli("registry-dump", "--builtin", 2, "--out", reg2, password=None)
     assert dumped.returncode == 0
 
-    proc, port = _start_serve(setup_dir, "high", timeout=300)
+    proc, port = start_serve(setup_dir, "high", timeout=300)
     try:
         client = run_cli(
             "tls-connect", f"127.0.0.1:{port}", "--dir", setup_dir,

@@ -17,6 +17,7 @@ import socket
 import struct
 import sys
 import threading
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -358,6 +359,16 @@ def _certificate_records(body):
     ]
 
 
+def _assert_framed_by_a_record_layer(cert):
+    """``cert.records.wire`` is what a record layer writes when it sends
+    the Certificate message of ``cert`` record by record."""
+    tap = Tap(BufferTransport.pair()[0])
+    layer = RecordLayer(tap)
+    for record in _certificate_records(encode_certificate_body(cert.encoding)):
+        layer.send(*record)
+    assert cert.records.wire == b"".join(tap.writes)
+
+
 def _flipped(data, index):
     damaged = bytearray(data)
     damaged[index] ^= 0x01
@@ -462,11 +473,38 @@ def test_a_repeat_handshake_neither_parses_nor_joins_the_certificate(
         (1, 14, client_records, server_records),
         (0, 1, client_records, server_records),
     ]
-    body = encode_certificate_body(medium_material["cert"].encoding)
-    framer = RecordLayer(None)
-    assert medium_material["cert"].records.wire == b"".join(
-        framer.frame(*record) for record in _certificate_records(body)
+    _assert_framed_by_a_record_layer(medium_material["cert"])
+
+
+def test_every_queued_record_is_bytes(medium_material, monkeypatch):
+    """Every item either side's record layer joins at a flush, over a
+    MEDIUM handshake and an echo of three records each way, is exactly
+    ``bytes``, the server's cached Certificate wire included: CPython
+    releases the GIL for a large join only then (see record.py)."""
+    flushed = []  # the type of every item queued at a flush, in order
+    flush = RecordLayer.flush
+
+    def logged_flush(layer):
+        flushed.extend(type(item) for item in layer._queue)
+        flush(layer)
+
+    monkeypatch.setattr(RecordLayer, "flush", logged_flush)
+    payload = DeterministicRng(seed=b"queued").random_bytes(2 * MAX_RECORD_PLAINTEXT + 1)
+
+    def talk(session, results):
+        session.send(payload)
+        results["echo"] = session.recv_exact(len(payload))
+
+    results = _loopback(
+        _client_cfg(medium_material, level=_MEDIUM),
+        _server_cfg(medium_material, level=_MEDIUM),
+        server_app=lambda session, results: session.send(session.recv_exact(len(payload))),
+        client_app=talk,
     )
+    assert results.get("echo") == payload, results
+    # Client: 4 handshake records; server: 4 and the Certificate's
+    # records as one item; then 3 application records each way.
+    assert flushed == [bytes] * 15
 
 
 def test_loopback_one_megabyte_transfer(low_material):
@@ -638,13 +676,13 @@ def test_a_certificate_is_encoded_once(low_material, monkeypatch):
     encodes afresh, and the kept encoding takes no part in equality."""
     cert = dataclasses.replace(low_material["cert"])
     encoded = []
-    signed_portion = certificate._signed_portion
+    signed_parts = certificate._signed_parts
 
-    def counting_signed_portion(cert):
+    def counting_signed_parts(cert):
         encoded.append(cert)
-        return signed_portion(cert)
+        return signed_parts(cert)
 
-    monkeypatch.setattr(certificate, "_signed_portion", counting_signed_portion)
+    monkeypatch.setattr(certificate, "_signed_parts", counting_signed_parts)
     framed = _counted(monkeypatch, "frame_clear", certificate)
     config = _server_cfg(low_material, certificate=cert)
     for seed in (b"first client", b"second client"):
@@ -656,11 +694,7 @@ def test_a_certificate_is_encoded_once(low_material, monkeypatch):
     assert sum(c is cert for c in encoded) == 1
     assert len(framed) == 1
     assert "encoding" not in vars(cert)
-    framer = RecordLayer(None)
-    assert cert.records.wire == b"".join(
-        framer.frame(*record)
-        for record in _certificate_records(encode_certificate_body(cert.encoding))
-    )
+    _assert_framed_by_a_record_layer(cert)
 
     same = dataclasses.replace(cert)
     assert same == cert and hash(same) == hash(cert)
@@ -668,6 +702,20 @@ def test_a_certificate_is_encoded_once(low_material, monkeypatch):
     assert sum(c is same for c in encoded) == 1
     renamed = dataclasses.replace(cert, subject="other.test")
     assert parse_certificate(renamed.encoding) == renamed != cert
+
+
+def test_framing_a_certificate_peaks_near_twice_its_wire(medium_material):
+    """Certificate.records joins the message once from the certificate's
+    field parts and frames it, so its new allocations peak at the message
+    and the wire, not at a copy per encoding layer."""
+    cert = dataclasses.replace(medium_material["cert"])
+    tracemalloc.start()
+    try:
+        records = cert.records
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.2 * len(records.wire)
 
 
 def _nodelay(sock: socket.socket) -> bool:
@@ -1383,7 +1431,20 @@ def test_failed_write_tears_down_session_without_an_alert():
         session.send(b"second")
     _assert_torn_down(session)
     # The two application writes and nothing after them.
-    assert len(session.record.transport.writes) == 2
+    writes = session.record.transport.writes
+    assert len(writes) == 2
+    # The failed write left nothing queued: a later alert goes out alone.
+    handshake._send_fatal_alert(session.record, AlertDescription.HANDSHAKE_FAILURE)
+    assert len(writes) == 3 and len(_split_records(writes[2])) == 1
+
+
+def test_an_empty_send_makes_no_write():
+    session, peer = _session_and_peer()
+    session.send(b"")
+    assert session.record.transport.writes == []
+    # Nor did it take a sequence number: the next record opens as the first.
+    session.send(b"after")
+    assert peer.recv() == (ContentType.APPLICATION_DATA, b"after")
 
 
 def test_recv_exact_surplus_tears_down_session():

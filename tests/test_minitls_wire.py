@@ -10,13 +10,7 @@ import pytest
 from agilecrypt.cbkem import KemParams, kem_decap, kem_encap, kem_keygen
 from agilecrypt.codec import Reader
 from agilecrypt.easyapi import frame_blob, kem_public_key
-from agilecrypt.errors import (
-    AlgorithmMismatch,
-    BadMac,
-    BadPadding,
-    MalformedEncoding,
-    RecordOverflow,
-)
+from agilecrypt.errors import AlgorithmMismatch, BadMac, BadPadding, MalformedEncoding
 from agilecrypt.hbs import HbsMode, HbsParams, hbs_keygen
 from agilecrypt.minitls import (
     BufferTransport,
@@ -47,6 +41,7 @@ from agilecrypt.minitls.wire import (
     encode_handshake_message,
 )
 from agilecrypt.primitives import DeterministicRng, SymmetricKeys
+from tls_harness import Tap
 
 # ---------------------------------------------------------------------------
 # Reader
@@ -190,10 +185,18 @@ def test_record_same_payload_encrypts_differently():
     second = bytes(b._incoming)
     assert first != second  # sequence-derived IV
 
-def test_record_rejects_oversized_payload():
-    sender, _ = _record_pair(protect=False)
-    with pytest.raises(RecordOverflow):
-        sender.send(ContentType.APPLICATION_DATA, b"x" * (2**14 + 1))
+
+@pytest.mark.parametrize("protect", [False, True], ids=["plaintext", "protected"])
+def test_record_cuts_an_oversized_send_into_two_records_in_one_write(protect):
+    sender, receiver = _record_pair(protect)
+    sender.transport = tap = Tap(sender.transport)
+    payload = bytes(range(256)) * 64 + b"!"
+    assert len(payload) == 2**14 + 1
+    sender.send(ContentType.APPLICATION_DATA, payload)
+    assert len(tap.writes) == 1
+    assert (sender.records_sent, sender.writes) == (2, 1)
+    assert receiver.recv() == (ContentType.APPLICATION_DATA, payload[: 2**14])
+    assert receiver.recv() == (ContentType.APPLICATION_DATA, b"!")
 
 
 def test_record_wrong_keys_rejected():

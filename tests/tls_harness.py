@@ -1,13 +1,20 @@
 """Transport plumbing shared by the TLS tests: ``Tap`` sees every write
-of a transport, ``bit_flip`` damages one bit of it, and ``run_pair`` runs
-the two halves of a conversation and fails if one hangs."""
+of a transport, ``bit_flip`` damages one bit of it, ``run_pair`` runs
+the two halves of a conversation and fails if one hangs, and
+``start_serve`` starts a ``tls-serve --once`` process and reads its
+port."""
 
 from __future__ import annotations
 
 import contextlib
+import os
+import subprocess
+import sys
 import threading
 import time
 from collections.abc import Callable
+
+import pytest
 
 from agilecrypt.minitls import Transport
 
@@ -83,3 +90,28 @@ def run_pair(background, foreground, transports=()) -> dict:
                 transport.close()
     assert not thread.is_alive(), f"{background[0]} thread deadlocked"
     return results
+
+
+def start_serve(setup_dir, level: str, registry=None, timeout: float = 180.0):
+    """Launch ``tls-serve --once`` over the fixture files in ``setup_dir``
+    and wait up to ``timeout`` seconds for its PORT line.  Returns the
+    process and the port; a server that announces none is killed and
+    fails the test with its standard error."""
+    args = [sys.executable, "-m", "agilecrypt.cli", "tls-serve", "--dir", str(setup_dir)]
+    args += ["--level", level, "--once"]
+    if registry is not None:
+        args += ["--registry", str(registry)]
+    env = os.environ.copy()
+    env.pop("AGILECRYPT_PASSWORD", None)
+    proc = subprocess.Popen(
+        args, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=env
+    )
+    line: list[str] = []
+    reader = threading.Thread(target=lambda: line.append(proc.stdout.readline()), daemon=True)
+    reader.start()
+    reader.join(timeout)
+    if reader.is_alive() or not line or not line[0].startswith("PORT "):
+        proc.kill()
+        _, err = proc.communicate(timeout=30)
+        pytest.fail(f"tls-serve did not announce a port: {err}")
+    return proc, int(line[0].split()[1])
