@@ -22,16 +22,21 @@ Each flight goes to the transport in one write.  The record layer queues
 the records of every message a side sends (sealed after its
 ChangeCipherSpec) and writes them together when the side next reads,
 when the handshake returns, and ahead of a fatal alert, which takes the
-same queue.  The byte stream is the same as one write per record; only
-the number of writes changes.  The messages a flight carries enter the
-transcript hash after it is written, so the server hashes its
-certificate while the client reads it.  The server queues its
-certificate as the records ``Certificate.records`` framed once, and
-hashes views of their payloads.  A received message is kept
-as the record payloads it arrived in and hashed part by part; a row
-joins it only when its decoder needs contiguous bytes, which the
-Certificate row does only when ``remembered_certificate`` does not
-already hold those bytes.
+same queue.  Application data is different: ``TlsSession.send`` writes
+each record as soon as it is sealed, so the peer opens, and an echo
+peer answers, one record while the next is sealed.  The byte stream is
+the same as one write per record; only the number of writes changes.
+``TlsSession.recv_exact`` joins the payloads of the records it reads
+once.
+
+The messages a flight carries enter the transcript hash after it is
+written, so the server hashes its certificate while the client reads
+it.  The server queues its certificate as the records
+``Certificate.records`` framed once, and hashes views of their
+payloads.  A received message is kept as the record payloads it arrived
+in and hashed part by part; a row joins it only when its decoder needs
+contiguous bytes, which the Certificate row does only when
+``remembered_certificate`` does not already hold those bytes.
 
 At most one alert is ever sent per connection and every alert is fatal,
 so close_notify does not exist here.
@@ -55,7 +60,7 @@ from ..errors import (
     InvalidCiphertext,
     MalformedEncoding,
 )
-from ..primitives import HashId, Rng, SymmetricKeys, SystemRng, prf
+from ..primitives import MAX_RECORD_PLAINTEXT, HashId, Rng, SymmetricKeys, SystemRng, prf
 from .certificate import (
     Certificate,
     parse_certificate,
@@ -265,10 +270,17 @@ class TlsSession:
         self._open = True
 
     def send(self, data: bytes) -> None:
+        """Send ``data`` as records of at most MAX_RECORD_PLAINTEXT bytes,
+        each written as soon as it is sealed, so the peer can open one
+        while the next is sealed."""
         try:
             if not self._open:
                 raise ConnectionClosed("session is closed")
-            self.record.send(ContentType.APPLICATION_DATA, data)
+            view = memoryview(data)
+            for start in range(0, len(view), MAX_RECORD_PLAINTEXT):
+                self.record.send(
+                    ContentType.APPLICATION_DATA, view[start : start + MAX_RECORD_PLAINTEXT]
+                )
         except AgilecryptError as exc:
             self._fail(exc)
 
@@ -282,12 +294,15 @@ class TlsSession:
             self._fail(exc)
 
     def recv_exact(self, n: int) -> bytes:
-        chunks = bytearray()
-        while len(chunks) < n:
-            chunks.extend(self.recv())
-        if len(chunks) != n:
-            self._fail(MalformedEncoding(f"peer sent {len(chunks)} bytes, expected {n}"))
-        return bytes(chunks)
+        """``n`` bytes of application data from as many records as carry
+        them, joined once; a record that runs past ``n`` is a failure."""
+        parts, received = [], 0
+        while received < n:
+            parts.append(self.recv())
+            received += len(parts[-1])
+        if received != n:
+            self._fail(MalformedEncoding(f"peer sent {received} bytes, expected {n}"))
+        return b"".join(parts)
 
     def _fail(self, exc: AgilecryptError) -> NoReturn:
         """Tear down with the alert that answers ``exc``, then raise it."""

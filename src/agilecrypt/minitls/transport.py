@@ -3,8 +3,18 @@
 SocketTransport wraps any connected socket (TCP or socketpair), which
 also covers the in-memory case: transport_pair() returns two connected
 endpoints in one process.  On TCP it turns Nagle's algorithm off: the
-record layer already hands over whole flights, and holding back the
-small ones until the peer's delayed ACK would stall the handshake.
+record layer hands over whole flights and application records one at a
+time, and holding back the small ones until the peer's delayed ACK would
+stall the handshake.
+
+SocketTransport reads ahead.  Each receive fills a fixed-size buffer
+(READ_BUFFER_SIZE bytes) with as much as the socket holds, and reads
+are served from it, so a record's header and fragment, and often
+several records, take one receive instead of two per record.  A byte
+is copied once on its way from the buffer to the ``bytes`` a read
+returns; a read longer than the whole buffer takes the buffered bytes
+and receives the rest in ``bytes`` of at most that size, joined once.
+The timeout applies to each receive and to each whole write.
 BufferTransport is a single-threaded FIFO for tests that want to inject
 bytes directly without sockets.
 """
@@ -27,11 +37,20 @@ class Transport:
         raise NotImplementedError
 
 
+# Room for three records of the largest sealed size (2^14 + 2048 + 5).
+READ_BUFFER_SIZE = 1 << 16
+
+
+def _stream_ended(missing: int) -> ConnectionClosed:
+    return ConnectionClosed(f"stream ended with {missing} bytes missing")
+
+
 class SocketTransport(Transport):
     """Socket-backed transport.  A read timeout turns a half-dead peer
     into ConnectionClosed instead of hanging forever; pass None to block
-    indefinitely.  The same timeout bounds each whole write.  Byte
-    counts cover everything moved either way."""
+    indefinitely.  The timeout bounds each receive and each whole write.
+    ``bytes_sent`` counts what was written and ``bytes_received`` what
+    was taken from the socket, read-ahead not yet returned included."""
 
     def __init__(self, sock: socket.socket, timeout: float | None = None):
         sock.settimeout(timeout)
@@ -40,21 +59,64 @@ class SocketTransport(Transport):
         self._sock = sock
         self.bytes_sent = 0
         self.bytes_received = 0
+        self._buffer = memoryview(bytearray(READ_BUFFER_SIZE))
+        self._start = self._end = 0  # the unread bytes are _buffer[_start:_end]
 
     def read_exact(self, n: int) -> bytes:
-        chunks = []
-        remaining = n
-        while remaining > 0:
+        buffer, start, end = self._buffer, self._start, self._end
+        if end - start >= n:
+            self._start = start + n
+            return buffer[start : start + n].tobytes()
+        if n > READ_BUFFER_SIZE:
+            return self._read_past_buffer(n)
+        if start == end:
+            start = end = 0
+        missing = start + n - end
+        if start + n <= READ_BUFFER_SIZE:
+            self._end = end + self._fill(end, READ_BUFFER_SIZE, missing, missing)
+            self._start = start + n
+            return buffer[start : start + n].tobytes()
+        # The read runs past the buffer's end: fill it to the end, then
+        # continue at its front, where every byte has been read.
+        self._fill(end, READ_BUFFER_SIZE, READ_BUFFER_SIZE - end, missing)
+        front = start + n - READ_BUFFER_SIZE
+        self._end = self._fill(0, start, front, front)
+        self._start = front
+        return b"".join((buffer[start:], buffer[:front]))
+
+    def _fill(self, at: int, limit: int, wanted: int, missing: int) -> int:
+        """Receive into the buffer from ``at`` up to ``limit`` until at
+        least ``wanted`` bytes have arrived, and return how many did;
+        ``missing`` is the shortfall of the read being served."""
+        got = 0
+        while got < wanted:
             try:
-                chunk = self._sock.recv(min(remaining, 65536))
+                count = self._sock.recv_into(self._buffer[at + got : limit])
+            except OSError as exc:
+                raise ConnectionClosed(f"socket error while reading: {exc}") from exc
+            if not count:
+                raise _stream_ended(missing - got)
+            got += count
+            self.bytes_received += count
+        return got
+
+    def _read_past_buffer(self, n: int) -> bytes:
+        """A read longer than the buffer: the buffered bytes, then the
+        rest received as ``bytes`` of at most READ_BUFFER_SIZE each."""
+        parts = [self._buffer[self._start : self._end]]
+        self._start = self._end = 0
+        remaining = n - len(parts[0])
+        while remaining:
+            try:
+                chunk = self._sock.recv(min(remaining, READ_BUFFER_SIZE))
             except OSError as exc:
                 raise ConnectionClosed(f"socket error while reading: {exc}") from exc
             if not chunk:
-                raise ConnectionClosed(f"stream ended with {remaining} bytes missing")
-            chunks.append(chunk)
+                raise _stream_ended(remaining)
+            parts.append(chunk)
             remaining -= len(chunk)
             self.bytes_received += len(chunk)
-        return b"".join(chunks)
+        return b"".join(parts)
 
     def write(self, data: bytes) -> None:
         try:

@@ -67,6 +67,7 @@ from agilecrypt.minitls import (
     transport_pair,
 )
 from agilecrypt.minitls import certificate, handshake
+from agilecrypt.minitls import record as record_module
 from agilecrypt.minitls.certificate import issue_server_material
 from agilecrypt.minitls.handshake import build_template_info
 from agilecrypt.minitls.measure import paramset_level, run_measurement, serve_connection
@@ -545,7 +546,8 @@ def test_handshake_over_real_tcp(low_material):
 def test_each_flight_is_one_write(low_material):
     """Client: ClientHello, then ClientKeyExchange + ChangeCipherSpec +
     Finished.  Server: ServerHello + Certificate + ServerHelloDone, then
-    ChangeCipherSpec + Finished.  A 1 MiB send is one write too."""
+    ChangeCipherSpec + Finished.  A 1 MiB send is 64 writes of one record
+    each: application records leave as they are sealed."""
     blob = DeterministicRng(seed=b"flight blob").random_bytes(1 << 20)
     client_t, server_t = (Tap(t) for t in transport_pair(timeout=_IO_TIMEOUT))
 
@@ -569,7 +571,7 @@ def test_each_flight_is_one_write(low_material):
     records_per_write = lambda writes: [len(_split_records(w)) for w in writes]  # noqa: E731
     assert records_per_write(results["client_writes"]) == [1, 3]
     assert records_per_write(results["server_writes"]) == [3, 2]
-    assert records_per_write(results["send_writes"]) == [64]
+    assert records_per_write(results["send_writes"]) == [1] * 64
     assert results["received"] == blob
 
     client_records = transcript_report(results["client"].transcript)["records"]
@@ -1445,6 +1447,31 @@ def test_an_empty_send_makes_no_write():
     # Nor did it take a sequence number: the next record opens as the first.
     session.send(b"after")
     assert peer.recv() == (ContentType.APPLICATION_DATA, b"after")
+
+
+def test_each_application_record_is_written_before_the_next_is_sealed(monkeypatch):
+    """A send longer than one record seals a record, writes it, and only
+    then seals the next, so the peer can open each record while the
+    sender seals the one after it."""
+    session, peer = _session_and_peer()
+    events = []
+    seal = record_module.seal_record
+
+    def logged_seal(*args):
+        events.append("seal")
+        return seal(*args)
+
+    def logged_write(data):
+        events.append("write")
+        return data
+
+    monkeypatch.setattr(record_module, "seal_record", logged_seal)
+    session.record.transport.on_write = logged_write
+    payload = bytes(range(256)) * 128 + b"!"  # two full records and one byte
+    session.send(payload)
+    assert events == ["seal", "write"] * 3
+    received = [peer.recv() for _ in range(3)]
+    assert b"".join(data for _, data in received) == payload
 
 
 def test_recv_exact_surplus_tears_down_session():

@@ -3,14 +3,24 @@ decoder is a row of DECODER_REFUSALS in test_decoder_refusals.py."""
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
+import struct
+import threading
+import time
 
 import pytest
 
 from agilecrypt.cbkem import KemParams, kem_decap, kem_encap, kem_keygen
 from agilecrypt.codec import Reader
 from agilecrypt.easyapi import frame_blob, kem_public_key
-from agilecrypt.errors import AlgorithmMismatch, BadMac, BadPadding, MalformedEncoding
+from agilecrypt.errors import (
+    AlgorithmMismatch,
+    BadMac,
+    BadPadding,
+    ConnectionClosed,
+    MalformedEncoding,
+)
 from agilecrypt.hbs import HbsMode, HbsParams, hbs_keygen
 from agilecrypt.minitls import (
     BufferTransport,
@@ -23,10 +33,13 @@ from agilecrypt.minitls import (
     issue_certificate,
     parse_certificate,
     transcript_report,
+    transport_pair,
     verify_certificate,
 )
 from agilecrypt.minitls.certificate import load_server_material
+from agilecrypt.minitls.transport import READ_BUFFER_SIZE
 from agilecrypt.minitls.wire import (
+    TLS_VERSION,
     AlertDescription,
     decode_alert,
     decode_certificate_body,
@@ -233,6 +246,138 @@ def test_record_tamper_never_yields_plaintext():
         with pytest.raises((BadMac, BadPadding)):
             result = layer.recv()
             assert plaintext not in result[1]  # pragma: no cover - must not be reached
+
+
+# ---------------------------------------------------------------------------
+# Socket reads
+# ---------------------------------------------------------------------------
+
+class _CountingSocket:
+    """Stands in for a transport's socket and counts its receive calls,
+    each of which hands over at most ``most`` bytes."""
+
+    def __init__(self, sock, most: int = 1 << 30):
+        self.sock = sock
+        self.most = most
+        self.receives = 0
+
+    def recv_into(self, buffer):
+        self.receives += 1
+        return self.sock.recv_into(buffer, min(len(buffer), self.most))
+
+    def recv(self, size):
+        self.receives += 1
+        return self.sock.recv(min(size, self.most))
+
+    def __getattr__(self, name):
+        return getattr(self.sock, name)
+
+
+@contextlib.contextmanager
+def _closing(*transports):
+    try:
+        yield
+    finally:
+        for transport in transports:
+            transport.close()
+
+
+def _counted_pair(most: int = 1 << 30):
+    """A socket transport pair whose reading end counts its receives."""
+    writer, reader = transport_pair(timeout=10.0)
+    reader._sock = counter = _CountingSocket(reader._sock, most)
+    return writer, reader, counter
+
+
+def _plain_record(payload: bytes) -> bytes:
+    return struct.pack(">BHH", ContentType.APPLICATION_DATA, TLS_VERSION, len(payload)) + payload
+
+
+def test_socket_read_takes_header_and_fragment_in_one_receive():
+    writer, reader, counter = _counted_pair()
+    with _closing(writer, reader):
+        writer.write(_plain_record(b"one segment"))
+        assert RecordLayer(reader).recv() == (ContentType.APPLICATION_DATA, b"one segment")
+        assert counter.receives == 1
+        assert reader.bytes_received == 5 + len(b"one segment")
+
+
+def test_socket_read_assembles_a_record_trickled_a_byte_at_a_time():
+    writer, reader = transport_pair(timeout=10.0)
+    wire = _plain_record(b"trickled")
+
+    def trickle():
+        for i in range(len(wire)):
+            writer.write(wire[i : i + 1])
+            time.sleep(0.002)
+
+    with _closing(writer, reader):
+        thread = threading.Thread(target=trickle)
+        thread.start()
+        try:
+            assert RecordLayer(reader).recv() == (ContentType.APPLICATION_DATA, b"trickled")
+        finally:
+            thread.join(timeout=30)
+        assert not thread.is_alive()
+
+
+def test_socket_read_names_the_bytes_missing_at_end_of_stream():
+    writer, reader = transport_pair(timeout=10.0)
+    with _closing(reader):
+        writer.write(_plain_record(bytes(100))[:45])
+        writer.close()
+        assert reader.read_exact(5)[3:] == (100).to_bytes(2, "big")
+        with pytest.raises(ConnectionClosed, match="stream ended with 60 bytes missing"):
+            reader.read_exact(100)
+
+
+def test_socket_read_timeout_is_connection_closed():
+    writer, reader = transport_pair(timeout=0.05)
+    with _closing(writer, reader):
+        writer.write(b"abc")
+        with pytest.raises(ConnectionClosed, match="socket error while reading"):
+            reader.read_exact(4)
+
+
+def test_socket_reads_a_flight_in_fewer_receives_than_records():
+    writer, reader, counter = _counted_pair()
+    payloads = [bytes([i]) * (1000 + i) for i in range(8)]
+    sender = RecordLayer(writer)
+    for payload in payloads:
+        sender.frame(ContentType.APPLICATION_DATA, payload)
+    with _closing(writer, reader):
+        sender.flush()
+        receiver = RecordLayer(reader)
+        assert [receiver.recv()[1] for _ in payloads] == payloads
+        assert counter.receives < len(payloads)
+
+
+def test_socket_reads_records_across_the_buffer_end_and_past_its_size():
+    """Records of the largest sealed size, received 7000 bytes at a time,
+    run past the read buffer's end many times, and a read longer than the
+    buffer still returns the exact bytes."""
+    rng = DeterministicRng(seed=b"wrap")
+    writer, reader, _ = _counted_pair(most=7000)
+    fragments = [rng.random_bytes(2**14 + 2048 - i) for i in range(12)]
+    longer = rng.random_bytes(READ_BUFFER_SIZE + 12345)
+
+    def write_all():
+        for fragment in fragments:
+            writer.write(_plain_record(fragment))
+        writer.write(b"x" + longer)
+
+    with _closing(writer, reader):
+        thread = threading.Thread(target=write_all)
+        thread.start()
+        try:
+            receiver = RecordLayer(reader)
+            assert [receiver.recv()[1] for _ in fragments] == fragments
+            assert reader.read_exact(1) == b"x"
+            assert reader.read_exact(len(longer)) == longer
+        finally:
+            thread.join(timeout=30)
+        assert not thread.is_alive()
+        assert reader.bytes_received == writer.bytes_sent
 
 
 # ---------------------------------------------------------------------------
