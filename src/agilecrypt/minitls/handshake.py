@@ -22,12 +22,12 @@ Each flight goes to the transport in one write.  The record layer queues
 the records of every message a side sends (sealed after its
 ChangeCipherSpec) and writes them together when the side next reads,
 when the handshake returns, and ahead of a fatal alert, which takes the
-same queue.  Application data is different: ``TlsSession.send`` writes
-each record as soon as it is sealed, so the peer opens, and an echo
-peer answers, one record while the next is sealed.  The byte stream is
-the same as one write per record; only the number of writes changes.
-``TlsSession.recv_exact`` joins the payloads of the records it reads
-once.
+same queue.  Application data is different: ``TlsSession.send`` is one
+``RecordLayer.stream``, which writes each record as soon as it is sealed,
+so the peer opens, and an echo peer answers, one record while the next
+is sealed.  The byte stream is the same as one write per record; only
+the number of writes changes.  ``TlsSession.recv_exact`` joins the
+payloads of the records it reads once.
 
 The messages a flight carries enter the transcript hash after it is
 written, so the server hashes its certificate while the client reads
@@ -60,7 +60,7 @@ from ..errors import (
     InvalidCiphertext,
     MalformedEncoding,
 )
-from ..primitives import MAX_RECORD_PLAINTEXT, HashId, Rng, SymmetricKeys, SystemRng, prf
+from ..primitives import HashId, Rng, SymmetricKeys, SystemRng, prf
 from .certificate import (
     Certificate,
     parse_certificate,
@@ -270,17 +270,10 @@ class TlsSession:
         self._open = True
 
     def send(self, data: bytes) -> None:
-        """Send ``data`` as records of at most MAX_RECORD_PLAINTEXT bytes,
-        each written as soon as it is sealed, so the peer can open one
-        while the next is sealed."""
         try:
             if not self._open:
                 raise ConnectionClosed("session is closed")
-            view = memoryview(data)
-            for start in range(0, len(view), MAX_RECORD_PLAINTEXT):
-                self.record.send(
-                    ContentType.APPLICATION_DATA, view[start : start + MAX_RECORD_PLAINTEXT]
-                )
+            self.record.stream(ContentType.APPLICATION_DATA, data)
         except AgilecryptError as exc:
             self._fail(exc)
 

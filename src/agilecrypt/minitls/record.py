@@ -10,14 +10,15 @@ The layer owns the outgoing queue, so handshake flights, alerts and
 application data take one send path.  ``frame`` cuts a payload of any
 length into records of at most MAX_RECORD_PLAINTEXT bytes (an empty one
 makes no record) and queues them; ``flush`` hands the whole queue to the
-transport in one write; ``send`` does both.  A handshake flight or an
-alert is one ``send`` or ``flush``, so one write; ``TlsSession.send``
-calls ``send`` once per record, so each application record is written
-as soon as it is sealed.  ``recv`` reads a header, then its fragment,
-from the transport, whose read-ahead usually serves both from one
-receive.  Plaintext records that are the same on every connection can
-be framed once, by ``frame_clear``, and queued on any record layer whose
-send protection is still off (``reuse``).
+transport in one write; ``send`` does both, so a handshake flight or
+an alert, one ``send`` or ``flush``, is one write.  ``stream`` frames
+and flushes one record at a time, so each record is written as soon as
+it is sealed; ``TlsSession.send`` is one ``stream``, so the peer opens
+one application record while the next is sealed.  ``recv`` reads a
+header, then its fragment, from the transport, whose read-ahead usually
+serves both from one receive.  Plaintext records that are the same on
+every connection can be framed once, by ``frame_clear``, and queued on
+any record layer whose send protection is still off (``reuse``).
 
 Every queued item is ``bytes``, never a view.  CPython's ``bytes.join``
 releases the GIL for a large join only when every item is ``bytes``, and
@@ -137,6 +138,14 @@ class RecordLayer:
         """Queue ``data`` and flush, behind any records already queued."""
         self.frame(content_type, data)
         self.flush()
+
+    def stream(self, content_type: ContentType, data: bytes) -> None:
+        """Frame ``data`` a record at a time and flush after each, so each
+        record is written as soon as it is sealed."""
+        view = memoryview(data)
+        for start in range(0, len(view), MAX_RECORD_PLAINTEXT):
+            self.frame(content_type, view[start : start + MAX_RECORD_PLAINTEXT])
+            self.flush()
 
     def recv(self) -> tuple[ContentType, bytes]:
         header = self.transport.read_exact(_HEADER.size)

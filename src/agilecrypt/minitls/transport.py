@@ -10,11 +10,14 @@ stall the handshake.
 SocketTransport reads ahead.  Each receive fills a fixed-size buffer
 (READ_BUFFER_SIZE bytes) with as much as the socket holds, and reads
 are served from it, so a record's header and fragment, and often
-several records, take one receive instead of two per record.  A byte
-is copied once on its way from the buffer to the ``bytes`` a read
-returns; a read longer than the whole buffer takes the buffered bytes
-and receives the rest in ``bytes`` of at most that size, joined once.
-The timeout applies to each receive and to each whole write.
+several records, take one receive instead of two per record.  A read
+copies its bytes from the buffer into the ``bytes`` it returns.  When a
+read would run past the buffer's end, the unread tail, shorter than
+that read, first moves to the front, so every receive takes one path.
+A read longer than the whole buffer is served in pieces of at most its
+size, joined once; the record layer never makes one, as it reads one
+header or one fragment at a time.  The timeout applies to each receive
+and to each whole write.
 BufferTransport is a single-threaded FIFO for tests that want to inject
 bytes directly without sockets.
 """
@@ -63,35 +66,35 @@ class SocketTransport(Transport):
         self._start = self._end = 0  # the unread bytes are _buffer[_start:_end]
 
     def read_exact(self, n: int) -> bytes:
-        buffer, start, end = self._buffer, self._start, self._end
-        if end - start >= n:
-            self._start = start + n
-            return buffer[start : start + n].tobytes()
-        if n > READ_BUFFER_SIZE:
-            return self._read_past_buffer(n)
-        if start == end:
-            start = end = 0
-        missing = start + n - end
-        if start + n <= READ_BUFFER_SIZE:
-            self._end = end + self._fill(end, READ_BUFFER_SIZE, missing, missing)
-            self._start = start + n
-            return buffer[start : start + n].tobytes()
-        # The read runs past the buffer's end: fill it to the end, then
-        # continue at its front, where every byte has been read.
-        self._fill(end, READ_BUFFER_SIZE, READ_BUFFER_SIZE - end, missing)
-        front = start + n - READ_BUFFER_SIZE
-        self._end = self._fill(0, start, front, front)
-        self._start = front
-        return b"".join((buffer[start:], buffer[:front]))
+        if n <= READ_BUFFER_SIZE:
+            return self._take(n, n)
+        # Longer than the buffer: pieces of at most its size, joined once.
+        return b"".join(
+            self._take(min(owed, READ_BUFFER_SIZE), owed)
+            for owed in range(n, 0, -READ_BUFFER_SIZE)
+        )
 
-    def _fill(self, at: int, limit: int, wanted: int, missing: int) -> int:
-        """Receive into the buffer from ``at`` up to ``limit`` until at
-        least ``wanted`` bytes have arrived, and return how many did;
-        ``missing`` is the shortfall of the read being served."""
+    def _take(self, n: int, owed: int) -> bytes:
+        """The next ``n`` bytes of a read that still owes ``owed`` bytes."""
+        buffer, start, end = self._buffer, self._start, self._end
+        if end - start < n:
+            if start + n > READ_BUFFER_SIZE:
+                # Move the unread tail, shorter than n, to the front.
+                buffer[: end - start] = buffer[start:end]
+                start, end = 0, end - start
+            end += self._fill(end, n - (end - start), owed - (end - start))
+            self._end = end
+        self._start = start + n
+        return buffer[start : start + n].tobytes()
+
+    def _fill(self, at: int, wanted: int, missing: int) -> int:
+        """Receive into the buffer from ``at`` until at least ``wanted``
+        bytes have arrived, and return how many did; ``missing`` is the
+        shortfall of the read being served."""
         got = 0
         while got < wanted:
             try:
-                count = self._sock.recv_into(self._buffer[at + got : limit])
+                count = self._sock.recv_into(self._buffer[at + got :])
             except OSError as exc:
                 raise ConnectionClosed(f"socket error while reading: {exc}") from exc
             if not count:
@@ -99,24 +102,6 @@ class SocketTransport(Transport):
             got += count
             self.bytes_received += count
         return got
-
-    def _read_past_buffer(self, n: int) -> bytes:
-        """A read longer than the buffer: the buffered bytes, then the
-        rest received as ``bytes`` of at most READ_BUFFER_SIZE each."""
-        parts = [self._buffer[self._start : self._end]]
-        self._start = self._end = 0
-        remaining = n - len(parts[0])
-        while remaining:
-            try:
-                chunk = self._sock.recv(min(remaining, READ_BUFFER_SIZE))
-            except OSError as exc:
-                raise ConnectionClosed(f"socket error while reading: {exc}") from exc
-            if not chunk:
-                raise _stream_ended(remaining)
-            parts.append(chunk)
-            remaining -= len(chunk)
-            self.bytes_received += len(chunk)
-        return b"".join(parts)
 
     def write(self, data: bytes) -> None:
         try:

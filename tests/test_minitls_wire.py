@@ -331,6 +331,27 @@ def test_socket_read_names_the_bytes_missing_at_end_of_stream():
             reader.read_exact(100)
 
 
+def test_socket_read_longer_than_the_buffer_names_the_bytes_missing():
+    writer, reader = transport_pair(timeout=10.0)
+    sent = 2 * READ_BUFFER_SIZE + 100
+
+    def write_and_close():
+        writer.write(bytes(sent))
+        writer.close()
+
+    with _closing(reader):
+        thread = threading.Thread(target=write_and_close)
+        thread.start()
+        try:
+            assert reader.read_exact(50) == bytes(50)
+            missing = READ_BUFFER_SIZE + 123  # more than the read's last piece
+            with pytest.raises(ConnectionClosed, match=f"stream ended with {missing} bytes"):
+                reader.read_exact(sent - 50 + missing)
+        finally:
+            thread.join(timeout=30)
+        assert not thread.is_alive()
+
+
 def test_socket_read_timeout_is_connection_closed():
     writer, reader = transport_pair(timeout=0.05)
     with _closing(writer, reader):
@@ -354,8 +375,9 @@ def test_socket_reads_a_flight_in_fewer_receives_than_records():
 
 def test_socket_reads_records_across_the_buffer_end_and_past_its_size():
     """Records of the largest sealed size, received 7000 bytes at a time,
-    run past the read buffer's end many times, and a read longer than the
-    buffer still returns the exact bytes."""
+    run past the read buffer's end many times, so its unread tail moves to
+    the front, and a read longer than the buffer still returns the exact
+    bytes."""
     rng = DeterministicRng(seed=b"wrap")
     writer, reader, _ = _counted_pair(most=7000)
     fragments = [rng.random_bytes(2**14 + 2048 - i) for i in range(12)]
