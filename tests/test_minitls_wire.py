@@ -5,11 +5,18 @@ from __future__ import annotations
 
 import contextlib
 import dataclasses
+import gc
+import itertools
+import random
+import socket
 import struct
 import threading
 import time
+import weakref
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from agilecrypt.cbkem import KemParams, kem_decap, kem_encap, kem_keygen
 from agilecrypt.codec import Reader
@@ -29,6 +36,7 @@ from agilecrypt.minitls import (
     HandshakeTranscript,
     HandshakeType,
     RecordLayer,
+    SocketTransport,
     TlsAlertReceived,
     issue_certificate,
     parse_certificate,
@@ -400,6 +408,93 @@ def test_socket_reads_records_across_the_buffer_end_and_past_its_size():
             thread.join(timeout=30)
         assert not thread.is_alive()
         assert reader.bytes_received == writer.bytes_sent
+
+
+class _ScriptedSocket:
+    """Stands in for a socket with no thread and no real socket:
+    ``recv_into`` hands over ``stream`` in pieces of the ``cuts`` sizes,
+    taken in turn (fewer when the buffer is shorter; a cut of 0 fills the
+    buffer), then reports end of stream; ``handed`` counts the bytes
+    handed over."""
+
+    family = socket.AF_UNIX
+
+    def __init__(self, stream: bytes, cuts: list[int]):
+        self.stream = stream
+        self.cuts = itertools.cycle(cuts)
+        self.handed = 0
+
+    def settimeout(self, timeout):
+        pass
+
+    def recv_into(self, buffer):
+        start = self.handed
+        count = min(len(buffer), next(self.cuts) or len(buffer), len(self.stream) - start)
+        buffer[:count] = self.stream[start : start + count]
+        self.handed += count
+        return count
+
+    def sendall(self, data):
+        pass
+
+    def shutdown(self, how):
+        pass
+
+    def close(self):
+        pass
+
+
+_CUT = st.one_of(st.integers(0, 2 * READ_BUFFER_SIZE), st.integers(1, 64))
+_READ = st.one_of(
+    st.integers(0, 64),
+    st.integers(0, 2**14 + 2048 + 5),
+    st.integers(READ_BUFFER_SIZE - 64, 2 * READ_BUFFER_SIZE + 64),
+)
+
+
+@settings(max_examples=150)
+@given(
+    length=st.integers(0, 3 * READ_BUFFER_SIZE),
+    seed=st.integers(0, 2**32 - 1),
+    cuts=st.lists(_CUT, min_size=1, max_size=6),
+    reads=st.lists(_READ, max_size=30),
+)
+def test_socket_reads_return_the_stream_under_any_cut_and_read_sizes(length, seed, cuts, reads):
+    """Model property: whatever the stream, however the socket cuts it
+    and whatever the read sizes (some longer than the read buffer), each
+    read returns the next bytes of the stream, the first read the stream
+    cannot fill raises ConnectionClosed naming its own shortfall, and
+    ``bytes_received`` counts every byte the socket handed over."""
+    stream = random.Random(seed).randbytes(length)
+    sock = _ScriptedSocket(stream, cuts)
+    transport = SocketTransport(sock)
+    at = 0
+    for n in reads:
+        if at + n > length:
+            with pytest.raises(ConnectionClosed) as ended:
+                transport.read_exact(n)
+            assert str(ended.value) == f"stream ended with {at + n - length} bytes missing"
+            break
+        assert transport.read_exact(n) == stream[at : at + n]
+        at += n
+    assert transport.bytes_received == sock.handed
+
+
+def test_a_dropped_socket_transport_is_freed_without_the_cycle_collector():
+    """A transport and its read buffer hold no reference cycle, so
+    dropping a closed one frees its buffer at once."""
+    writer, reader = transport_pair()
+    writer.write(b"abc")
+    assert reader.read_exact(1) == b"a"
+    dropped = weakref.ref(reader)
+    gc.disable()
+    try:
+        writer.close()
+        reader.close()
+        del writer, reader
+        assert dropped() is None
+    finally:
+        gc.enable()
 
 
 # ---------------------------------------------------------------------------
