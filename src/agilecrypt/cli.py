@@ -56,7 +56,7 @@ from .minitls import (
     transcript_report,
 )
 from .minitls.certificate import issue_server_material, load_server_material
-from .minitls.measure import run_measurement, serve_connection
+from .minitls.measure import echo_probe, run_measurement, serve_connection
 from .minitls.wire import alert_label
 from .primitives import make_rng
 
@@ -328,9 +328,7 @@ def _cmd_tls_connect(args: argparse.Namespace) -> int:
         raise
     with session:
         probe = _probe_bytes(args.probe_bytes)
-        session.send(probe)
-        echoed = session.recv_exact(len(probe))
-        if echoed != probe:
+        if echo_probe(session, probe) != probe:
             return _fail("echo mismatch: peer returned different bytes")
     report = transcript_report(session.transcript)
     _write_output((json.dumps(report, indent=2, sort_keys=True) + "\n").encode(), args.out)
@@ -488,7 +486,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--level", required=True, choices=_LEVELS)
     p.add_argument("--port", type=_in_range(int, 0, 0xFFFF), default=0, help="0 picks a free port")
     p.add_argument("--once", action="store_true", help="serve one connection, then exit")
-    p.add_argument("--timeout", type=_TIMEOUT, default=30.0, help="per-read timeout seconds")
+    p.add_argument("--timeout", type=_TIMEOUT, default=30.0, help="seconds each read or write may take")
     _add_registry_arg(p)
     p.set_defaults(func=_cmd_tls_serve)
 
@@ -497,7 +495,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dir", required=True, help="directory written by tls-setup")
     p.add_argument("--level", required=True, choices=_LEVELS)
     p.add_argument("--probe-bytes", type=_in_range(int, 0), default=1024)
-    p.add_argument("--timeout", type=_TIMEOUT, default=30.0, help="per-read timeout seconds")
+    p.add_argument("--timeout", type=_TIMEOUT, default=30.0, help="seconds each read or write may take")
     _add_registry_arg(p)
     p.add_argument("--out", help="report output (default: stdout)")
     p.set_defaults(func=_cmd_tls_connect)

@@ -110,9 +110,5 @@ def vec16(data: bytes) -> bytes:
     return _vec(data, 2)
 
 
-def vec24(data: bytes) -> bytes:
-    return _vec(data, 3)
-
-
 def vec32(data: bytes) -> bytes:
     return _vec(data, 4)

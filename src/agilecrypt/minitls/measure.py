@@ -1,6 +1,6 @@
 """How one server connection is served, ended and reported, for
 ``tls-serve`` and for the loopback handshake-size measurement behind the
-CLI's ``measure`` command."""
+CLI's ``measure`` command, and how ``tls-connect`` has a probe echoed."""
 
 from __future__ import annotations
 
@@ -10,7 +10,7 @@ import time
 from ..cbkem import NAMED_PARAM_SETS
 from ..easyapi import SecurityLevel, TemplateKind, TemplateRegistry, builtin_registry
 from ..errors import ConnectionClosed, ParameterError
-from ..primitives import make_rng
+from ..primitives import MAX_RECORD_PLAINTEXT, make_rng
 from .certificate import issue_server_material
 from .handshake import ClientTlsConfig, ServerTlsConfig, client_handshake, server_handshake
 from .transcript import aggregate_reports, transcript_report
@@ -33,6 +33,24 @@ def echo_until_closed(session) -> None:
         except ConnectionClosed:
             break
         session.send(data)
+
+
+def echo_probe(session, probe: bytes) -> bytes:
+    """Send ``probe`` a record at a time to a peer that echoes it, and
+    return the echo.  Once more than two records are owed, echoed records
+    are read back first, which keeps what is in flight far under any
+    socket buffer (a socket pair charges each record's whole allocation
+    to its ~208 KiB), so the two sides never both block writing."""
+    view, echoed, owed = memoryview(probe), [], 0
+    for start in range(0, len(view), MAX_RECORD_PLAINTEXT):
+        chunk = view[start : start + MAX_RECORD_PLAINTEXT]
+        session.send(chunk)
+        owed += len(chunk)
+        while owed > 2 * MAX_RECORD_PLAINTEXT:
+            echoed.append(session.recv())
+            owed -= len(echoed[-1])
+    echoed.append(session.recv_exact(owed))
+    return b"".join(echoed)
 
 
 def serve_connection(

@@ -7,24 +7,22 @@ record layer hands over whole flights and application records one at a
 time, and holding back the small ones until the peer's delayed ACK would
 stall the handshake.
 
-SocketTransport reads ahead.  Each receive fills a fixed-size buffer
-(READ_BUFFER_SIZE bytes) with as much as the socket holds, and reads
-are served from it, so a record's header and fragment, and often
-several records, take one receive instead of two per record.  A read
-copies its bytes from the buffer into the ``bytes`` it returns.  When a
-read would run past the buffer's end, the unread tail, shorter than
-that read, first moves to the front, so every receive takes one path.
-A read longer than the whole buffer is served in pieces of at most its
-size, joined once; the record layer never makes one, as it reads one
-header or one fragment at a time.  The timeout applies to each receive
-and to each whole write.
+SocketTransport reads ahead through the standard library: an
+io.BufferedReader of READ_BUFFER_SIZE bytes over a raw reader that makes
+one receive per call, so a record's header and fragment, and often
+several records, take one receive instead of two per record.  The
+timeout applies to each receive and to each whole write, and
+``bytes_received`` counts what was taken from the socket, read-ahead
+included.
 BufferTransport is a single-threaded FIFO for tests that want to inject
 bytes directly without sockets.
 """
 
 from __future__ import annotations
 
+import io
 import socket
+import weakref
 
 from ..errors import ConnectionClosed
 
@@ -44,8 +42,27 @@ class Transport:
 READ_BUFFER_SIZE = 1 << 16
 
 
-def _stream_ended(missing: int) -> ConnectionClosed:
-    return ConnectionClosed(f"stream ended with {missing} bytes missing")
+class _SocketReader(io.RawIOBase):
+    """The raw stream under a SocketTransport's read buffer: each
+    readinto is one receive from the transport's current socket, counted
+    in its ``bytes_received``.  It holds the transport weakly, so the two
+    form no reference cycle and a dropped transport frees its buffer at
+    once."""
+
+    def __init__(self, transport: SocketTransport):
+        self._transport = weakref.proxy(transport)
+
+    def readable(self) -> bool:
+        return True
+
+    def readinto(self, buffer) -> int:
+        transport = self._transport
+        try:
+            count = transport._sock.recv_into(buffer)
+        except OSError as exc:
+            raise ConnectionClosed(f"socket error while reading: {exc}") from exc
+        transport.bytes_received += count
+        return count
 
 
 class SocketTransport(Transport):
@@ -62,46 +79,13 @@ class SocketTransport(Transport):
         self._sock = sock
         self.bytes_sent = 0
         self.bytes_received = 0
-        self._buffer = memoryview(bytearray(READ_BUFFER_SIZE))
-        self._start = self._end = 0  # the unread bytes are _buffer[_start:_end]
+        self._reader = io.BufferedReader(_SocketReader(self), READ_BUFFER_SIZE)
 
     def read_exact(self, n: int) -> bytes:
-        if n <= READ_BUFFER_SIZE:
-            return self._take(n, n)
-        # Longer than the buffer: pieces of at most its size, joined once.
-        return b"".join(
-            self._take(min(owed, READ_BUFFER_SIZE), owed)
-            for owed in range(n, 0, -READ_BUFFER_SIZE)
-        )
-
-    def _take(self, n: int, owed: int) -> bytes:
-        """The next ``n`` bytes of a read that still owes ``owed`` bytes."""
-        buffer, start, end = self._buffer, self._start, self._end
-        if end - start < n:
-            if start + n > READ_BUFFER_SIZE:
-                # Move the unread tail, shorter than n, to the front.
-                buffer[: end - start] = buffer[start:end]
-                start, end = 0, end - start
-            end += self._fill(end, n - (end - start), owed - (end - start))
-            self._end = end
-        self._start = start + n
-        return buffer[start : start + n].tobytes()
-
-    def _fill(self, at: int, wanted: int, missing: int) -> int:
-        """Receive into the buffer from ``at`` until at least ``wanted``
-        bytes have arrived, and return how many did; ``missing`` is the
-        shortfall of the read being served."""
-        got = 0
-        while got < wanted:
-            try:
-                count = self._sock.recv_into(self._buffer[at + got :])
-            except OSError as exc:
-                raise ConnectionClosed(f"socket error while reading: {exc}") from exc
-            if not count:
-                raise _stream_ended(missing - got)
-            got += count
-            self.bytes_received += count
-        return got
+        data = self._reader.read(n)
+        if len(data) < n:
+            raise ConnectionClosed(f"stream ended with {n - len(data)} bytes missing")
+        return data
 
     def write(self, data: bytes) -> None:
         try:

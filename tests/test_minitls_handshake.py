@@ -70,7 +70,13 @@ from agilecrypt.minitls import certificate, handshake
 from agilecrypt.minitls import record as record_module
 from agilecrypt.minitls.certificate import issue_server_material
 from agilecrypt.minitls.handshake import build_template_info
-from agilecrypt.minitls.measure import paramset_level, run_measurement, serve_connection
+from agilecrypt.minitls.measure import (
+    echo_probe,
+    echo_until_closed,
+    paramset_level,
+    run_measurement,
+    serve_connection,
+)
 from agilecrypt.minitls.wire import (
     encode_alert,
     encode_certificate_body,
@@ -523,6 +529,28 @@ def test_loopback_one_megabyte_transfer(low_material):
     )
     assert "client_exc" not in results and "server_exc" not in results
     assert results["back"] == blob
+
+
+def test_an_echo_far_larger_than_the_socket_buffers_completes(low_material):
+    """echo_probe reads the echo back whenever more than two records are
+    owed, so an 8 MiB probe, far more than a socket pair buffers, comes
+    back whole from the server's record-by-record echo, with a 2 s
+    timeout on each receive and each write."""
+    probe = bytes(range(256)) * (8 << 12)
+
+    def talk(session, results):
+        results["back"] = echo_probe(session, probe)
+        session.close()
+
+    results = _loopback(
+        _client_cfg(low_material),
+        _server_cfg(low_material),
+        transports=transport_pair(timeout=2.0),
+        server_app=lambda session, results: echo_until_closed(session),
+        client_app=talk,
+    )
+    assert "client_exc" not in results and "server_exc" not in results, results
+    assert results["back"] == probe
 
 
 def test_handshake_over_real_tcp(low_material):
