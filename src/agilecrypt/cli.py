@@ -486,7 +486,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--level", required=True, choices=_LEVELS)
     p.add_argument("--port", type=_in_range(int, 0, 0xFFFF), default=0, help="0 picks a free port")
     p.add_argument("--once", action="store_true", help="serve one connection, then exit")
-    p.add_argument("--timeout", type=_TIMEOUT, default=30.0, help="seconds each read or write may take")
+    p.add_argument("--timeout", type=_TIMEOUT, default=30.0, help="seconds a read or write may take")
     _add_registry_arg(p)
     p.set_defaults(func=_cmd_tls_serve)
 
@@ -495,7 +495,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dir", required=True, help="directory written by tls-setup")
     p.add_argument("--level", required=True, choices=_LEVELS)
     p.add_argument("--probe-bytes", type=_in_range(int, 0), default=1024)
-    p.add_argument("--timeout", type=_TIMEOUT, default=30.0, help="seconds each read or write may take")
+    p.add_argument(
+        "--timeout", type=_TIMEOUT, default=30.0, help="seconds connecting, a read or a write may take"
+    )
     _add_registry_arg(p)
     p.add_argument("--out", help="report output (default: stdout)")
     p.set_defaults(func=_cmd_tls_connect)
