@@ -20,11 +20,11 @@ import threading
 import tracemalloc
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from agilecrypt import cbkem
-from agilecrypt.cbkem import KemParams, kem_keygen
+from agilecrypt.cbkem import KemParams, kem_decap, kem_keygen
 from agilecrypt.easyapi import (
     SecurityLevel,
     TemplateKind,
@@ -78,12 +78,14 @@ from agilecrypt.minitls.measure import (
     serve_connection,
 )
 from agilecrypt.minitls.wire import (
+    MAX_HANDSHAKE_MESSAGE,
+    decode_client_key_exchange_body,
     encode_alert,
     encode_certificate_body,
     encode_handshake_message,
 )
 from agilecrypt.primitives import MAX_RECORD_PLAINTEXT, DeterministicRng, open_record
-from tls_harness import Tap, bit_flip, run_pair
+from tls_harness import Tap, bit_flip, reframe, run_pair
 
 _IO_TIMEOUT = 5.0  # converts would-be deadlocks into ConnectionClosed
 
@@ -625,6 +627,119 @@ def test_each_side_walks_every_flow_row_once(low_material):
 
 
 # ---------------------------------------------------------------------------
+# Re-framed, re-cut and cut-short streams
+# ---------------------------------------------------------------------------
+
+_FRAMED_ECHO = b"any framing"
+
+
+def _tapped_run(material, tap):
+    """A clean LOW handshake and an echo of _FRAMED_ECHO, each side's
+    transport wrapped by ``tap``.  Returns the results and both wrapped
+    transports, client first."""
+    client_t, server_t = (tap(t) for t in transport_pair(timeout=_IO_TIMEOUT))
+    results = _loopback(
+        _client_cfg(material),
+        _server_cfg(material),
+        transports=(client_t, server_t),
+        server_app=_echo,
+        client_app=_talk(_FRAMED_ECHO),
+    )
+    assert "client_exc" not in results and "server_exc" not in results, results
+    return results, client_t, server_t
+
+
+def _outcome(results):
+    """The echo, and per side the final transcript hash and the report
+    without its duration: what no framing or cut of the stream may change."""
+    sides = {}
+    for role in ("client", "server"):
+        transcript = results[role].transcript
+        report = transcript_report(transcript)
+        del report["duration_ms"]
+        sides[role] = (transcript.transcript_hash(), report)
+    return results["echo"], sides
+
+
+@pytest.fixture(scope="module")
+def uncut_run(low_material):
+    """The outcome of a run with every write as the record layer made it,
+    and the server's whole stream."""
+    results, _, server_t = _tapped_run(low_material, Tap)
+    return _outcome(results), b"".join(server_t.writes)
+
+
+@settings(max_examples=30)
+@example(cuts=[1])
+@given(cuts=st.lists(st.integers(1, MAX_RECORD_PLAINTEXT), min_size=1, max_size=6))
+def test_handshake_records_framed_any_way_give_the_same_handshake(
+    low_material, uncut_run, cuts
+):
+    """RFC 5246 §6.2.1 lets a sender split a handshake message across
+    records, or put several in one.  With both sides' plaintext handshake
+    records re-framed at ``cuts``, both sides complete with the uncut
+    run's transcript hashes, message lists and echo, and each counts as
+    received the records its peer's two handshake writes carried."""
+    results, client_t, server_t = _tapped_run(low_material, lambda t: Tap(t, reframe(cuts)))
+    echo, sides = _outcome(results)
+    uncut_echo, uncut_sides = uncut_run[0]
+    assert echo == uncut_echo
+    for role, peer in (("client", server_t), ("server", client_t)):
+        (digest, report), (uncut_digest, uncut_report) = sides[role], uncut_sides[role]
+        assert digest == uncut_digest
+        assert report["messages"] == uncut_report["messages"]
+        assert report["records"]["received"] == len(_split_records(b"".join(peer.writes[:2])))
+
+
+@settings(max_examples=30)
+@example(pieces=[1])
+@given(pieces=st.lists(st.integers(1, 2 * MAX_RECORD_PLAINTEXT), min_size=1, max_size=6))
+def test_writes_sent_in_any_pieces_leave_the_session_as_it_was(low_material, uncut_run, pieces):
+    """Every write of both sides reaches the socket as ``pieces``: the
+    echo, both transcript hashes and both reports, records blocks
+    included, are the uncut run's."""
+    results, _, _ = _tapped_run(low_material, lambda t: Tap(t, pieces=pieces))
+    assert _outcome(results) == uncut_run[0]
+
+
+def _cut_ending(stream, cut):
+    """How a client ends when the server's ``stream`` stops after ``cut``
+    bytes: bad_record_mac when the cut falls inside the fragment of a
+    record after the server's ChangeCipherSpec, else a closed connection."""
+    protected = False
+    for start, length in _split_records(stream):
+        if protected and start + 5 <= cut < start + 5 + length:
+            return "bad_record_mac"
+        protected |= stream[start] == ContentType.CHANGE_CIPHER_SPEC
+    return "closed"
+
+
+@settings(max_examples=30)
+@given(data=st.data())
+def test_a_stream_cut_short_ends_the_client_as_the_docs_say(low_material, uncut_run, data):
+    """The uncut run's server stream, stopped at a chosen byte of a chosen
+    record, to a client with the same seeds: the client's handshake or
+    echo ends in ConnectionClosed, or with bad_record_mac (a handshake's
+    alert, a session's BadMac) when the cut falls inside a protected
+    fragment."""
+    stream = uncut_run[1]
+    start, length = data.draw(st.sampled_from(_split_records(stream)), label="record")
+    cut = start + data.draw(st.integers(0, 4 + length), label="offset")
+    client_t, server_t = BufferTransport.pair()
+    server_t.write(stream[:cut])
+    with pytest.raises((ConnectionClosed, BadMac, TlsAlertSent)) as ended:
+        _talk(_FRAMED_ECHO)(client_handshake(client_t, _client_cfg(low_material)), {})
+    exc = ended.value
+    if isinstance(exc, ConnectionClosed):
+        ending = "closed"
+    elif isinstance(exc, BadMac) or exc.description == AlertDescription.BAD_RECORD_MAC:
+        ending = "bad_record_mac"
+    else:
+        ending = repr(exc)
+    assert ending == _cut_ending(stream, cut)
+
+
+# ---------------------------------------------------------------------------
 # Transcript hashing and the certificate's encoding
 # ---------------------------------------------------------------------------
 
@@ -1130,6 +1245,36 @@ def _server_hello(**fields):
     return _handshake_record(HandshakeType.SERVER_HELLO, ServerHello(**hello).encode())
 
 
+def _server_flight(material, *records):
+    """_server_hello(), the material's Certificate, then ``records``."""
+    certificate = encode_certificate_body(material["cert"].encoding)
+    return (
+        _server_hello(), _handshake_record(HandshakeType.CERTIFICATE, certificate), *records
+    )
+
+
+def _keyed_server(material, *records):
+    """A server that reads the ClientHello, sends ``records``, which
+    begin with _server_hello()'s zero random, and reads the client's
+    ClientKeyExchange, ChangeCipherSpec, Finished and one record more.
+    It decapsulates the key exchange with the material's KEM key, so it
+    opens the records after the ChangeCipherSpec, and returns the last."""
+
+    def script(record):
+        hello = record.recv()[1]
+        for content_type, payload in records:
+            record.send(content_type, payload)
+        exchange = decode_client_key_exchange_body(record.recv()[1][4:])
+        premaster = kem_decap(material["kem"].sk, exchange)
+        keys = derive_session_keys(premaster, ClientHello.decode(hello[4:]).random, bytes(32))
+        assert record.recv() == (ContentType.CHANGE_CIPHER_SPEC, b"\x01")
+        record.enable_recv_protection(keys.client)
+        assert record.recv()[0] == ContentType.HANDSHAKE  # the client's Finished
+        return record.recv()
+
+    return script
+
+
 def _hello_flip(altered):
     """(stream offset, bit) of the one bit in which ``altered`` differs
     from the ClientHello a LOW client sends, which is the first record
@@ -1304,6 +1449,43 @@ REFUSALS = [
      lambda m: _against_script(
          "server", _server_cfg(m),
          _scripted_client_records(_handshake_record(HandshakeType.CLIENT_KEY_EXCHANGE, b"")),
+     )),
+    # Handshake bytes left in a record when the peer's ChangeCipherSpec
+    # is due: one byte past the ServerHelloDone in its record.  The
+    # client refuses after sending its own Finished, so its alert is
+    # sealed.
+    ("handshake-data-before-change-cipher-spec", "client", AlertDescription.HANDSHAKE_FAILURE,
+     "handshake data buffered across ChangeCipherSpec", False,
+     lambda m: _against_script(
+         "client", _client_cfg(m),
+         _keyed_server(m, *_server_flight(
+             m,
+             (ContentType.HANDSHAKE,
+              encode_handshake_message(HandshakeType.SERVER_HELLO_DONE, b"") + b"\x00"),
+         )),
+     )),
+    ("change-cipher-spec-body-not-one", "client", AlertDescription.HANDSHAKE_FAILURE,
+     "expected ChangeCipherSpec", False,
+     lambda m: _against_script(
+         "client", _client_cfg(m),
+         _keyed_server(m, *_server_flight(
+             m,
+             _handshake_record(HandshakeType.SERVER_HELLO_DONE, b""),
+             (ContentType.CHANGE_CIPHER_SPEC, b"\x02"),
+         )),
+     )),
+    # A header claiming one byte past the cap, in a record of its own:
+    # refused on the header, before any body record is read, so the
+    # scripted server sends none.
+    ("handshake-message-over-the-cap", "client", AlertDescription.HANDSHAKE_FAILURE,
+     f"handshake message of {MAX_HANDSHAKE_MESSAGE + 1} bytes exceeds {MAX_HANDSHAKE_MESSAGE}",
+     True,
+     lambda m: _against_script(
+         "client", _client_cfg(m),
+         _scripted_server(
+             (ContentType.HANDSHAKE,
+              bytes([HandshakeType.SERVER_HELLO]) + (MAX_HANDSHAKE_MESSAGE + 1).to_bytes(3, "big")),
+         ),
      )),
     # CVE-2014-0224: ChangeCipherSpec before any key exists.  The server
     # has written its flight by then, so the script reads past it.
