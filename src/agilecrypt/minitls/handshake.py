@@ -38,6 +38,12 @@ in and hashed part by part; a row joins it only when its decoder needs
 contiguous bytes, which the Certificate row does only when
 ``remembered_certificate`` does not already hold those bytes.
 
+Received messages are cut from one pending view, the unread rest of the
+last handshake record, and the next record is read only once it is used
+up.  So a message may span records and several may share one (RFC 5246
+§6.2.1), and handshake bytes still pending when the peer's
+ChangeCipherSpec is due are refused.
+
 At most one alert is ever sent per connection and every alert is fatal,
 so close_notify does not exist here.
 """
@@ -45,7 +51,6 @@ so close_notify does not exist here.
 from __future__ import annotations
 
 import hmac
-from collections import deque
 from collections.abc import Sequence
 from dataclasses import dataclass
 from typing import NoReturn
@@ -369,8 +374,9 @@ def _handshake(
 class _Side:
     """One side of one handshake: what its messages have told it so far,
     and the channel they travel.  The channel queues outgoing messages on
-    the record layer, cuts incoming ones out of the record payloads and
-    feeds the transcript; ``flush``, which runs before every read, writes
+    the record layer, cuts incoming ones out of ``_pending``, a view of
+    the unread rest of the last handshake record, and feeds the
+    transcript; ``flush``, which runs before every read, writes
     the queue.  The ``write_*`` and ``read_*`` methods are FLOW's: a
     write returns the message body, or the message already framed as
     ClearRecords, and a read gets the body as the views it arrived in."""
@@ -388,8 +394,7 @@ class _Side:
         self.kem_pk: KemPublicKey | None = None  # the client's, from the certificate
         self.keys: SessionKeys | None = None
         self.peer_hash = b""  # what the peer's Finished covers
-        self._received: deque[memoryview] = deque()  # handshake payloads not yet taken
-        self._buffered = 0
+        self._pending = memoryview(b"")  # the unread rest of the last handshake record
 
     def send(self, hs_type: HandshakeType | None, body: bytes | ClearRecords) -> None:
         """Queue message ``hs_type``, whose body or framed records ``body``
@@ -411,23 +416,16 @@ class _Side:
         self.record.flush()
         self.transcript.absorb()
 
-    def _fill(self, needed: int) -> None:
-        while self._buffered < needed:
-            self.flush()
-            payload = _recv_payload(self.record, ContentType.HANDSHAKE)
-            self._received.append(memoryview(payload))
-            self._buffered += len(payload)
-
     def _take(self, n: int) -> list[memoryview]:
-        """The next ``n`` received bytes, as views of the payloads that
-        hold them; nothing is copied."""
+        """The next ``n`` received handshake bytes, as views of the record
+        payloads that hold them; nothing is copied.  The next record is
+        read, after a flush, only once ``_pending`` is used up."""
         parts = []
-        self._buffered -= n
         while n:
-            part = self._received.popleft()
-            if len(part) > n:
-                part, rest = part[:n], part[n:]
-                self._received.appendleft(rest)
+            if not self._pending:
+                self.flush()
+                self._pending = memoryview(_recv_payload(self.record, ContentType.HANDSHAKE))
+            part, self._pending = self._pending[:n], self._pending[n:]
             parts.append(part)
             n -= len(part)
         return parts
@@ -439,14 +437,13 @@ class _Side:
         that the peer's Finished covers."""
         if expected is None:
             self.peer_hash = self.transcript.transcript_hash()
-            if self._buffered:
+            if self._pending:
                 raise MalformedEncoding("handshake data buffered across ChangeCipherSpec")
             self.flush()
             if _recv_payload(self.record, ContentType.CHANGE_CIPHER_SPEC) != b"\x01":
                 raise MalformedEncoding("expected ChangeCipherSpec")
             self.transcript.note_ccs("received")
             return [memoryview(b"\x01")]
-        self._fill(4)
         header = b"".join(self._take(4))
         hs_type, length = decode_handshake_header(header)
         if length > MAX_HANDSHAKE_MESSAGE:
@@ -457,7 +454,6 @@ class _Side:
             # Refused before its body is read; the transcript lists the header.
             self.transcript.add_message(hs_type.message_name, "received", header)
             raise MalformedEncoding(f"expected {expected.message_name}, got {hs_type.message_name}")
-        self._fill(length)
         body = self._take(length)
         self.transcript.add_message(hs_type.message_name, "received", header, *body)
         self.transcript.absorb()
