@@ -63,10 +63,7 @@ class Tap(Transport):
         if self.on_write is not None:
             data = self.on_write(data)
         self.writes.append(data)
-        if self._sizes is None:
-            self.inner.write(data)
-            return
-        for piece in _cut(data, self._sizes):
+        for piece in [data] if self._sizes is None else _cut(data, self._sizes):
             self.inner.write(piece)
 
     def close(self) -> None:
