@@ -281,7 +281,7 @@ def kem_encap(pk: KemPublicKey, rng: Rng) -> tuple[bytes, bytes]:
     the corresponding column values, the secret is a digest of the
     positions.  Returns (ciphertext bytes, secret)."""
     params = pk.params
-    positions = [rng.randint_below(params.n) for _ in range(params.b)]
+    positions = rng.randints_below(params.n, params.b)
     ct = _encode_ct(params, [pk.syndrome_for_position(i, j) for i, j in enumerate(positions)])
     return ct, _shared_secret(positions, ct)
 

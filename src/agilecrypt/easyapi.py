@@ -278,11 +278,24 @@ def _recipient_key(blob: bytes) -> tuple[str, int, cbkem.KemPublicKey]:
         raise exc.shifted(len(blob) - len(raw)) from None
 
 
+# Sender keys sender_key remembers.  An entry holds the blob, the
+# identifier and the parsed parameters and root: under 200 bytes.
+_SENDER_KEY_MEMO = 8
+
+
 def sender_key(blob: bytes, algorithm_id: str) -> tuple[hbs.HbsParams, bytes]:
     """Read a framed HBS public key for ``algorithm_id``: its parameters and
     root.  Another identifier or family, or key bytes for other parameters,
     raise AlgorithmMismatch; bad key bytes raise MalformedEncoding, with
-    offsets counted in ``blob``."""
+    offsets counted in ``blob``.  The result for each of the last 8
+    distinct ``(blob, algorithm_id)`` pairs is remembered, keyed on the
+    exact bytes, as recipient_key's is; a refusal is raised again on
+    every call."""
+    return _sender_key(bytes(blob), algorithm_id)
+
+
+@functools.lru_cache(maxsize=_SENDER_KEY_MEMO)
+def _sender_key(blob: bytes, algorithm_id: str) -> tuple[hbs.HbsParams, bytes]:
     ident, _, raw = parse_blob(blob)
     if ident != algorithm_id:
         raise AlgorithmMismatch(f"key is {ident!r}, expected {algorithm_id!r}")

@@ -10,6 +10,18 @@ functional emulation of stateless signing, not a security claim.
 A signature exists only as its bytes: hbs_sign returns them and
 hbs_verify reads them in place, rejecting any other length.  All
 integers in canonical encodings are big-endian with fixed widths.
+
+Building a key's Merkle tree runs every chain of every leaf.  A key
+keeps that build's chain table, and signs by slicing it instead of
+running its leaf's chains again, when the table takes at most 16 MiB
+(_TABLE_CAP).  The table is l * w * n_h bytes per leaf: 8,960 for the
+LOW and MEDIUM rows, so 2.2 MiB for LOW's 256 leaves and 8.75 MiB for
+MEDIUM's 1024.  HIGH's would take 134 MiB (34,304 bytes for each of
+4096 leaves) and the largest parameter sets several GB, too much to hold
+per open key, so those keys keep no table and derive each signature's
+chain values from the seed.  The table is secret key material, as the
+seed is: every one-time key is in it.  It is held as long as the key
+pair is, and is never written out.
 """
 
 from __future__ import annotations
@@ -25,31 +37,18 @@ from typing import NamedTuple
 from ._parallel import parallel_map
 from .codec import Reader, uint
 from .errors import KeyExhausted, MalformedEncoding, ParameterError
-from .primitives import HashId, Rng, hash_data
+from .primitives import _SHORT_INPUT_HASH, HashId, Rng, _hmac_states, hash_data
 
-# Chain steps and chain starts hash inputs of a few dozen bytes, about 4M
-# times for a HIGH tree and about 600 times for a MEDIUM signature and its
-# verification.  At that size the cost is per call, and CPython's built-in
-# SHA-2 is cheaper per call than OpenSSL's: a whole chain step, the
-# prefix join and the cut included, takes 0.38 against 0.55 us with
-# SHA-512 and 0.32 against 0.41 us with SHA-256 (2-core x86 VM, Python
-# 3.11).  OpenSSL stays faster on bulk input, so message digests, leaf
-# digests and tree nodes keep using hash_data.  The digests are the same
-# either way.  With the hash that cheap, Python overhead per chain shows:
-# the loops read every constant from the parameter set's _ChainPlan,
-# which each public call looks up once, and make no lookup or property
-# call per chain or step (a MEDIUM signature of 16 KiB took 0.19 ms with
-# them and 0.15 ms without, on the same VM).
-try:  # CPython 3.12+
-    from _sha2 import sha256 as _short_sha256, sha512 as _short_sha512
-except ImportError:
-    try:  # CPython 3.10-3.11
-        from _sha256 import sha256 as _short_sha256
-        from _sha512 import sha512 as _short_sha512
-    except ImportError:  # a build without the built-in hashes
-        from hashlib import sha256 as _short_sha256, sha512 as _short_sha512
-
-_SHORT_INPUT_HASH = {HashId.H256: _short_sha256, HashId.H512: _short_sha512}
+# Chain steps, chain starts and tree nodes hash inputs of at most 70
+# bytes, about 4M times for a HIGH tree and about 600 times for a MEDIUM
+# signature and its verification, so they use the short-input hash (see
+# primitives); message digests and leaf digests (568 bytes or more) keep
+# using hash_data.  With the hash that cheap, Python overhead per chain
+# shows: the loops read every constant from the parameter set's
+# _ChainPlan, which each public call looks up once, and make no lookup
+# or property call per chain or step (a MEDIUM signature of 16 KiB,
+# derived from the seed, took 0.19 ms with them and 0.15 ms without, on
+# a 2-core x86 VM with Python 3.11).
 
 __all__ = [
     "HbsMode",
@@ -152,6 +151,9 @@ class HbsKeyPair:
     _levels: list[list[bytes]] | None = field(
         default=None, init=False, repr=False, compare=False
     )
+    # The chain table _build_tree returns beside _levels; None for a key
+    # over _TABLE_CAP, and until the tree is built.
+    _table: bytes | None = field(default=None, init=False, repr=False, compare=False)
 
     @classmethod
     def from_seed(
@@ -167,7 +169,7 @@ class HbsKeyPair:
             raise ParameterError("seed must be 32 bytes")
         kp = cls(seed=seed, root=b"", params=params)
         if root is None:
-            kp._levels = _build_tree(params, seed)
+            kp._levels, kp._table = _build_tree(params, seed)
             kp.root = kp._levels[params.h][0]
         else:
             if len(root) != params.n_h:
@@ -180,10 +182,10 @@ class HbsKeyPair:
         from_seed must be the one the seed builds; otherwise no signature
         made with this key could verify, so none is made."""
         if self._levels is None:
-            levels = _build_tree(self.params, self.seed)
+            levels, table = _build_tree(self.params, self.seed)
             if levels[self.params.h][0] != self.root:
                 raise ParameterError("seed does not rebuild the stored root")
-            self._levels = levels
+            self._levels, self._table = levels, table
 
 
 # ---------------------------------------------------------------------------
@@ -224,19 +226,12 @@ def _chain_plan(params: HbsParams) -> _ChainPlan:
     )
 
 
-_IPAD = bytes(b ^ 0x36 for b in range(256))
-_OPAD = bytes(b ^ 0x5C for b in range(256))
-
-
 def _prf_key(plan: _ChainPlan, seed: bytes) -> tuple:
-    """The HMAC inner and outer hash states for ``seed``, each past its
-    one key block; _chain_starts copies them per HMAC.  The 32-byte seed
-    is shorter than any SHA-2 block, so the HMAC key is the zero-padded
-    seed (RFC 2104).  Copying the states skips ``hmac.HMAC``'s Python
-    wrapper, which takes 8-10% off a 256-leaf ``_leaf_range`` (2-core x86
-    VM, Python 3.11)."""
-    key = seed.ljust(plan.ctor().block_size, b"\0")
-    return plan.ctor(key.translate(_IPAD)), plan.ctor(key.translate(_OPAD))
+    """The HMAC key schedule of ``seed``, which _chain_starts copies per
+    HMAC.  Copying the states skips ``hmac.HMAC``'s Python wrapper, which
+    takes 8-10% off a 256-leaf ``_leaf_range`` (2-core x86 VM, Python
+    3.11)."""
+    return _hmac_states(plan.ctor, seed)
 
 
 def _chain_starts(plan: _ChainPlan, key: tuple, leaf: int, chains: Iterable[int]) -> list[bytes]:
@@ -284,33 +279,71 @@ def _leaf_digest(plan: _ChainPlan, leaf: int, chain_ends: list[bytes]) -> bytes:
 
 
 def _parent(plan: _ChainPlan, level: int, left: bytes, right: bytes) -> bytes:
-    return hash_data(plan.hash_id, b"node" + struct.pack(">H", level) + left + right)[: plan.n]
+    return plan.ctor(b"node" + struct.pack(">H", level) + left + right).digest()[: plan.n]
 
 
 # Leaves per task when the tree build is spread over worker processes.
 _LEAVES_PER_TASK = 256
 
+# A key keeps the chain table of its tree build, every value of every
+# chain of every leaf, while the table takes at most this many bytes.
+# It takes 2^h * l * w * n_h bytes: 2,293,760 for the LOW row
+# (SPX-TOY-16-16-8-S) and 9,175,040 for MEDIUM (SPX-TOY-16-16-10-S).
+# HIGH's would take 140,509,184 and the largest sets HbsParams allows
+# several GB, held for as long as the key is, so those keys keep none
+# and derive each signature's chain values from the seed.
+_TABLE_CAP = 16 << 20
 
-def _leaf_range(params: HbsParams, seed: bytes, start: int, stop: int) -> list[bytes]:
-    """Leaf digests ``start`` to ``stop - 1``: every chain run to its end."""
+
+def _table_size(params: HbsParams) -> int:
+    """Bytes of a key's chain table: w values of n_h bytes for each of
+    the l chains of each of the 2^h leaves."""
+    return params.leaf_count * params.l * params.w * params.n_h
+
+
+def _leaf_range(
+    params: HbsParams, seed: bytes, start: int, stop: int
+) -> tuple[list[bytes], bytes | None]:
+    """Leaf digests ``start`` to ``stop - 1``, every chain run to its
+    end, and their chain table, or None for a key over _TABLE_CAP.  The
+    table holds each chain's w values, its start and then its value
+    after each step, laid out by leaf, then chain, then step; the last
+    value of each chain is its end, which the leaf digest reads."""
     plan = _chain_plan(params)
     key = _prf_key(plan, seed)
     chains = range(len(plan.prefixes))
     leaves = []
+    if _table_size(params) > _TABLE_CAP:
+        for leaf in range(start, stop):
+            ends = _advance(plan, _chain_starts(plan, key, leaf, chains), repeat(0), repeat(None))
+            leaves.append(_leaf_digest(plan, leaf, ends))
+        return leaves, None
+    ctor, n = plan.ctor, plan.n
+    table = bytearray()
     for leaf in range(start, stop):
-        ends = _advance(plan, _chain_starts(plan, key, leaf, chains), repeat(0), repeat(None))
+        ends = []
+        for value, row in zip(_chain_starts(plan, key, leaf, chains), plan.prefixes):
+            table += value
+            for prefix in row:
+                value = ctor(prefix + value).digest()[:n]
+                table += value
+            ends.append(value)
         leaves.append(_leaf_digest(plan, leaf, ends))
-    return leaves
+    return leaves, bytes(table)
 
 
-def _build_tree(params: HbsParams, seed: bytes) -> list[list[bytes]]:
+def _build_tree(params: HbsParams, seed: bytes) -> tuple[list[list[bytes]], bytes | None]:
+    """The tree's levels, leaves first and the root last, and the chain
+    table of all its leaves (None for a key over _TABLE_CAP)."""
     tasks = [
         (params, seed, start, min(start + _LEAVES_PER_TASK, params.leaf_count))
         for start in range(0, params.leaf_count, _LEAVES_PER_TASK)
     ]
     # A chain costs about w hash calls: w - 1 steps and its start.
     hash_calls = params.leaf_count * params.l * params.w
-    leaves = [leaf for part in parallel_map(_leaf_range, tasks, hash_calls) for leaf in part]
+    parts = parallel_map(_leaf_range, tasks, hash_calls)
+    leaves = [leaf for part, _ in parts for leaf in part]
+    table = None if parts[0][1] is None else b"".join(part for _, part in parts)
     plan = _chain_plan(params)
     levels = [leaves]
     for level in range(1, params.h + 1):
@@ -321,7 +354,7 @@ def _build_tree(params: HbsParams, seed: bytes) -> list[list[bytes]]:
                 for i in range(len(below) // 2)
             ]
         )
-    return levels
+    return levels, table
 
 
 def _message_digits(
@@ -359,7 +392,9 @@ def hbs_sign_with_leaf(kp: HbsKeyPair, leaf_index: int, msg: bytes, rng: Rng) ->
     next_leaf into its keystore reservation and calls hbs_sign.
 
     The signature is params.signature_size bytes: leaf u32 ||
-    randomizer[32] || chain values[l * n_h] || auth path[h * n_h]."""
+    randomizer[32] || chain values[l * n_h] || auth path[h * n_h].  A
+    key that keeps its chain table slices the chain values from it;
+    any other derives them from the seed."""
     params = kp.params
     if not 0 <= leaf_index < params.leaf_count:
         raise ParameterError("leaf index out of range")
@@ -371,9 +406,17 @@ def hbs_sign_with_leaf(kp: HbsKeyPair, leaf_index: int, msg: bytes, rng: Rng) ->
         # Stateless leaf choice and digits come from the same digest, so
         # the verifier can recompute both.
         leaf_index = _stateless_leaf(params, digest)
-    key = _prf_key(plan, kp.seed)
-    starts = _chain_starts(plan, key, leaf_index, range(len(digits)))
-    wots = _advance(plan, starts, repeat(0), digits)
+    table = kp._table
+    if table is None:
+        key = _prf_key(plan, kp.seed)
+        starts = _chain_starts(plan, key, leaf_index, range(len(digits)))
+        wots = _advance(plan, starts, repeat(0), digits)
+    else:
+        # Chain j's value after digits[j] steps, from the leaf's table.
+        n = plan.n
+        stride = (plan.mask + 1) * n
+        at = leaf_index * len(digits) * stride
+        wots = [table[(o := at + j * stride + d * n) : o + n] for j, d in enumerate(digits)]
     auth = [kp._levels[t][(leaf_index >> t) ^ 1] for t in range(params.h)]
     return b"".join([uint(leaf_index, 4), randomizer, *wots, *auth])
 

@@ -17,6 +17,8 @@ EasyEncrypter; the envelope differs only in its associated data (the
 header, without the KEM ciphertext).  The recipient's key and its
 default recipient id are read once per key, not once per envelope:
 both are remembered for the last RECIPIENT_KEY_MEMO distinct blobs.
+The sender's key is read once per key too: sender_key remembers the
+last 8 distinct pairs of key blob and signature algorithm.
 The signature is the last signature_size bytes of the opened body, and
 hbs_verify reads them as they are: a body too short to hold one fails
 the check like a damaged one.  Framing uses agilecrypt.codec, whose strict-decoding rules apply.

@@ -419,12 +419,16 @@ class _Side:
     def _take(self, n: int) -> list[memoryview]:
         """The next ``n`` received handshake bytes, as views of the record
         payloads that hold them; nothing is copied.  The next record is
-        read, after a flush, only once ``_pending`` is used up."""
+        read, after a flush, only once ``_pending`` is used up.  An empty
+        handshake record is refused (RFC 5246 §6.2.1 forbids sending
+        one), so a peer cannot keep a handshake reading them."""
         parts = []
         while n:
             if not self._pending:
                 self.flush()
                 self._pending = memoryview(_recv_payload(self.record, ContentType.HANDSHAKE))
+                if not self._pending:
+                    raise MalformedEncoding("empty handshake record")
             part, self._pending = self._pending[:n], self._pending[n:]
             parts.append(part)
             n -= len(part)

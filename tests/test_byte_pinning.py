@@ -245,22 +245,31 @@ def test_loaded_tables_equal_the_seeded_tables(kem_keys):
 
 def test_pool_and_in_process_builds_agree(monkeypatch):
     """Keys built by forked workers (up to three, whatever the core
-    count) equal keys built in-process, and no worker outlives the build."""
-    sig_params = hbs.HbsParams(n_h=16, w=4, h=9, mode=hbs.HbsMode.STATEFUL)
+    count) equal keys built in-process, and no worker outlives the build.
+    A tree is its levels and its chain table, which the h=9 set and the
+    MEDIUM row both keep."""
+    sig_rows = [
+        hbs.HbsParams(n_h=16, w=4, h=9, mode=hbs.HbsMode.STATEFUL),
+        hbs.HbsParams.from_algorithm_id(
+            template_resolve(_REGISTRY, TemplateKind.SIGNATURE, SecurityLevel.MEDIUM).algorithm_id
+        ),
+    ]
     kem_params = cbkem.KemParams.from_algorithm_id("CME-TOY-10-8")
     seed = bytes(range(32))
     monkeypatch.setattr(_parallel, "MIN_PARALLEL_HASH_CALLS", 1 << 62)
-    tree_alone = hbs._build_tree(sig_params, seed)
+    trees_alone = [hbs._build_tree(sig_params, seed) for sig_params in sig_rows]
     kem_alone = cbkem.KemKeyPair.from_seed(kem_params, seed)
     if "fork" not in multiprocessing.get_all_start_methods():
         pytest.skip("worker processes are forked, and this platform cannot fork")
     monkeypatch.setattr(_parallel, "MIN_PARALLEL_HASH_CALLS", 0)
     monkeypatch.setattr(_parallel, "available_cores", lambda: 3)
     assert _parallel._worker_count(16, 1) == 3
-    tree_pooled = hbs._build_tree(sig_params, seed)
+    trees_pooled = [hbs._build_tree(sig_params, seed) for sig_params in sig_rows]
     kem_pooled = cbkem.KemKeyPair.from_seed(kem_params, seed)
     assert multiprocessing.active_children() == []
-    assert tree_pooled == tree_alone
+    for sig_params, (_, table) in zip(sig_rows, trees_alone):
+        assert len(table) == hbs._table_size(sig_params)
+    assert trees_pooled == trees_alone
     assert _same_tables(kem_pooled, kem_alone)
 
 

@@ -369,3 +369,27 @@ def test_recipient_key_reads_a_bytes_like_blob_as_its_bytes():
     changed = easyapi.recipient_key(held)
     assert changed == easyapi.recipient_key(bytes(held))
     assert changed[2].encoding == parse_blob(bytes(held))[2] != want[2].encoding
+
+
+# ---------------------------------------------------------------------------
+# Reading a sender's key
+# ---------------------------------------------------------------------------
+
+def test_sender_key_is_remembered_per_blob_and_identifier():
+    """sender_key remembers what it read for each (blob, identifier)
+    pair, never what it refused: a LOW key read for its own identifier
+    is still refused for MEDIUM's, and a damaged blob on every call."""
+    low, medium = (
+        template_resolve(builtin_registry(1), TemplateKind.SIGNATURE, level).algorithm_id
+        for level in (SecurityLevel.LOW, SecurityLevel.MEDIUM)
+    )
+    params = hbs.HbsParams.from_algorithm_id(low)
+    root = random.Random(404).randbytes(params.n_h)
+    blob = frame_blob(low, 1, hbs.hbs_export_public(hbs.HbsKeyPair(bytes(32), root, params)))
+    assert easyapi.sender_key(blob, low) == (params, root)
+    assert easyapi.sender_key(memoryview(blob), low) == (params, root)
+    for _ in range(2):
+        with pytest.raises(AlgorithmMismatch):
+            easyapi.sender_key(blob, medium)
+        with pytest.raises(MalformedEncoding):
+            easyapi.sender_key(blob + b"\0", low)

@@ -225,18 +225,24 @@ def test_public_key_export_roundtrip():
         hbs_parse_public(blob + b"\x00")
 
 
-def _reference_leaf(params: HbsParams, seed: bytes, leaf: int) -> bytes:
-    """Leaf digest spelled out from prf and hash_data, one hash at a time,
-    as the key derivation paragraph of docs/formats.md states it."""
+def _reference_chain(params: HbsParams, seed: bytes, leaf: int, chain: int) -> list[bytes]:
+    """A chain's w values, its start and then its value after each step,
+    spelled out from prf and hash_data, one hash at a time, as the key
+    derivation paragraph of docs/formats.md states it."""
     n = params.n_h
-    ends = []
-    for chain in range(params.l):
-        value = prf(params.hash_id, seed, "wots-sk", struct.pack(">IH", leaf, chain), n)
-        for step in range(params.w - 1):
-            step_input = b"ch" + struct.pack(">HH", chain, step) + value
-            value = hash_data(params.hash_id, step_input)[:n]
-        ends.append(value)
-    return hash_data(params.hash_id, b"leaf" + struct.pack(">I", leaf) + b"".join(ends))[:n]
+    values = [prf(params.hash_id, seed, "wots-sk", struct.pack(">IH", leaf, chain), n)]
+    for step in range(params.w - 1):
+        step_input = b"ch" + struct.pack(">HH", chain, step) + values[-1]
+        values.append(hash_data(params.hash_id, step_input)[:n])
+    return values
+
+
+def _reference_leaf(params: HbsParams, seed: bytes, leaf: int) -> bytes:
+    """Leaf digest over the ends of the leaf's reference chains."""
+    ends = [_reference_chain(params, seed, leaf, chain)[-1] for chain in range(params.l)]
+    return hash_data(params.hash_id, b"leaf" + struct.pack(">I", leaf) + b"".join(ends))[
+        : params.n_h
+    ]
 
 
 def _reference_tree(params: HbsParams, seed: bytes) -> list[list[bytes]]:
@@ -261,7 +267,14 @@ def _reference_tree(params: HbsParams, seed: bytes) -> list[list[bytes]]:
 def test_tree_matches_the_reference_construction(n_h, w):
     params = _params(n_h=n_h, w=w, h=4)
     seed = bytes(range(32))
-    assert hbs._build_tree(params, seed) == _reference_tree(params, seed)
+    levels, table = hbs._build_tree(params, seed)
+    assert levels == _reference_tree(params, seed)
+    assert table == b"".join(
+        value
+        for leaf in range(params.leaf_count)
+        for chain in range(params.l)
+        for value in _reference_chain(params, seed, leaf, chain)
+    )
     plan = hbs._chain_plan(params)
     key = hbs._prf_key(plan, seed)
     for leaf, chains in [(0, [0]), (15, range(params.l)), (2**32 - 1, [65535, 1])]:
@@ -306,16 +319,18 @@ def _reference_signature(
     return struct.pack(">I", leaf) + randomizer + b"".join(values + auth)
 
 
-def test_signatures_match_the_reference_construction():
-    """Every (n_h, w) of the tree test above, in both modes, signed in one
-    process, so a chain constant cached for the wrong parameter set shows."""
+def _assert_reference_signatures(n_h: int, w: int) -> None:
+    """Signatures of one (n_h, w) at h=4, in both modes, from a key that
+    built its tree and from one opened with a deferred tree, equal the
+    reference construction's."""
     seed = bytes(range(32))
     messages = [b"", b"reference", bytes(range(256)) * 5]
-    for n_h, w in [(16, 16), (32, 16), (16, 4), (32, 256)]:
-        tree = _reference_tree(_params(n_h=n_h, w=w, h=4), seed)
-        for mode in HbsMode:
-            params = _params(n_h=n_h, w=w, h=4, mode=mode)
-            kp = HbsKeyPair.from_seed(params, seed)
+    tree = _reference_tree(_params(n_h=n_h, w=w, h=4), seed)
+    for mode in HbsMode:
+        params = _params(n_h=n_h, w=w, h=4, mode=mode)
+        built = HbsKeyPair.from_seed(params, seed)
+        deferred = HbsKeyPair.from_seed(params, seed, root=tree[params.h][0])
+        for kp in (built, deferred):
             for i, (leaf, msg) in enumerate(zip([0, 9, 15], messages)):
                 rng_seed = b"reference %d" % i
                 sig = hbs_sign_with_leaf(kp, leaf, msg, DeterministicRng(rng_seed))
@@ -323,6 +338,53 @@ def test_signatures_match_the_reference_construction():
                 expected = _reference_signature(params, seed, tree, leaf, randomizer, msg)
                 assert sig == expected, (n_h, w, mode, leaf)
                 assert hbs_verify(kp.root, params, msg, sig), (n_h, w, mode, leaf)
+
+
+def test_signatures_match_the_reference_construction():
+    """Every (n_h, w) of the tree test above, in both modes, signed in one
+    process, so a chain constant cached for the wrong parameter set shows.
+    Each of these keys keeps its chain table and signs from it."""
+    for n_h, w in [(16, 16), (32, 16), (16, 4), (32, 256)]:
+        assert hbs._table_size(_params(n_h=n_h, w=w, h=4)) <= hbs._TABLE_CAP
+        _assert_reference_signatures(n_h, w)
+
+
+def test_a_key_over_the_table_cap_keeps_no_table_and_signs_from_its_seed(monkeypatch):
+    """With the cap one byte below a key's table, the key keeps no table,
+    whether it builds its tree at once or on its first signature, and
+    still signs the reference construction's bytes."""
+    params = _params()
+    monkeypatch.setattr(hbs, "_TABLE_CAP", hbs._table_size(params) - 1)
+    seed = bytes(range(32))
+    built = HbsKeyPair.from_seed(params, seed)
+    assert built._levels is not None and built._table is None
+    deferred = HbsKeyPair.from_seed(params, seed, root=built.root)
+    hbs_sign(deferred, b"first", DeterministicRng(b"sig"))
+    assert deferred._levels is not None and deferred._table is None
+    _assert_reference_signatures(16, 16)
+    monkeypatch.setattr(hbs, "_TABLE_CAP", hbs._table_size(params))
+    assert len(HbsKeyPair.from_seed(params, seed)._table) == hbs._TABLE_CAP
+
+
+@pytest.mark.parametrize(
+    "level, table_bytes",
+    [(SecurityLevel.LOW, 2_293_760), (SecurityLevel.MEDIUM, 9_175_040), (SecurityLevel.HIGH, None)],
+    ids=lambda value: getattr(value, "name", str(value)),
+)
+def test_registry_rows_keep_tables_of_the_documented_size(level, table_bytes):
+    """LOW and MEDIUM keys keep tables of the sizes the hbs docstring
+    states; a HIGH key's table would be 140,509,184 bytes, over the
+    16 MiB cap, so it keeps none.  Only the HIGH size is computed: its
+    tree takes seconds to build."""
+    assert hbs._TABLE_CAP == 16 << 20
+    ident = template_resolve(builtin_registry(1), TemplateKind.SIGNATURE, level).algorithm_id
+    params = HbsParams.from_algorithm_id(ident)
+    if table_bytes is None:
+        assert hbs._table_size(params) == 140_509_184
+        assert hbs._leaf_range(params, bytes(32), 0, 1)[1] is None
+        return
+    assert hbs._table_size(params) == table_bytes
+    assert len(HbsKeyPair.from_seed(params, bytes(32))._table) == table_bytes
 
 
 @pytest.mark.parametrize("level", list(SecurityLevel), ids=lambda level: level.name)
@@ -334,7 +396,7 @@ def test_registry_leaves_match_the_documented_derivation(level):
     params = HbsParams.from_algorithm_id(ident)
     seed = hash_data(params.hash_id, ident.encode("ascii"))[:32]
     for leaf in (0, 1, params.leaf_count - 1):
-        assert hbs._leaf_range(params, seed, leaf, leaf + 1) == [
+        assert hbs._leaf_range(params, seed, leaf, leaf + 1)[0] == [
             _reference_leaf(params, seed, leaf)
         ], (ident, leaf)
 
@@ -375,9 +437,10 @@ def test_deferred_tree_build_rejects_a_wrong_root():
     with pytest.raises(ParameterError):
         result = hbs_sign(opened, b"never signed", DeterministicRng(b"sig"))
     assert result is None
-    assert opened._levels is None
+    assert opened._levels is None and opened._table is None
     with pytest.raises(ParameterError):
         hbs_sign(opened, b"still never signed", DeterministicRng(b"sig"))
     good = HbsKeyPair.from_seed(params, kp.seed, root=kp.root)
     sig = hbs_sign(good, b"signed", DeterministicRng(b"sig"))
     assert hbs_verify(kp.root, params, b"signed", sig)
+    assert good._table == kp._table is not None

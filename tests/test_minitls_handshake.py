@@ -1240,6 +1240,21 @@ def _scripted_server(*records):
     return script
 
 
+def _scripted_server_after_an_empty_record(*records):
+    """_scripted_server(*records), which first writes one empty HANDSHAKE
+    record: a bare 5-byte header, which RecordLayer.frame never makes."""
+
+    def script(record):
+        content_type, _ = record.recv()
+        assert content_type == ContentType.HANDSHAKE
+        record.transport.write(struct.pack(">BHH", ContentType.HANDSHAKE, 0x0303, 0))
+        for content_type, payload in records:
+            record.send(content_type, payload)
+        return record.recv()
+
+    return script
+
+
 def _server_hello(**fields):
     hello = dict(random=bytes(32), cipher_suite=0x1306, template_info=_LOW_INFO) | fields
     return _handshake_record(HandshakeType.SERVER_HELLO, ServerHello(**hello).encode())
@@ -1319,6 +1334,14 @@ def _other_signature_ca(material):
     return _loopback(
         _client_cfg(material, trusted_roots=(ca.root,)), _server_cfg(material, certificate=cert)
     )
+
+
+def _reads_one_record(results):
+    """``results``, once the refusing client's report shows that it read
+    one record."""
+    report = transcript_report(results["client_exc"].transcript)
+    assert report["records"]["received"] == 1, report["records"]
+    return results
 
 
 _HIGH = SecurityLevel.HIGH
@@ -1487,6 +1510,14 @@ REFUSALS = [
               bytes([HandshakeType.SERVER_HELLO]) + (MAX_HANDSHAKE_MESSAGE + 1).to_bytes(3, "big")),
          ),
      )),
+    # RFC 5246 §6.2.1: no empty HANDSHAKE record, which a peer could
+    # otherwise send without end.  The client refuses the first record
+    # it reads, before the ServerHello behind it.
+    ("empty-handshake-record", "client", AlertDescription.HANDSHAKE_FAILURE,
+     "empty handshake record", True,
+     lambda m: _reads_one_record(_against_script(
+         "client", _client_cfg(m), _scripted_server_after_an_empty_record(_server_hello())
+     ))),
     # CVE-2014-0224: ChangeCipherSpec before any key exists.  The server
     # has written its flight by then, so the script reads past it.
     ("early-change-cipher-spec", "server", AlertDescription.HANDSHAKE_FAILURE,

@@ -13,10 +13,12 @@ import random
 import struct
 
 import pytest
-from hypothesis import Phase, given, settings
+from hypothesis import Phase, example, given, settings
 from hypothesis import strategies as st
 
 from agilecrypt import primitives
+from agilecrypt.cbkem import KemParams
+from agilecrypt.easyapi import SecurityLevel, TemplateKind, builtin_registry, template_resolve
 from agilecrypt.errors import BadMac, BadPadding, ParameterError
 from agilecrypt.primitives import (
     DeterministicRng,
@@ -102,6 +104,29 @@ def test_prf_matches_independent_reference():
         assert prf(hid, secret, label, seed, out_len) == _phash_reference(
             hid, secret, label, seed, out_len
         )
+
+
+# Secrets up to 300 bytes pass both HMAC block sizes (64 and 128 bytes),
+# where the key schedule hashes the secret first.  The reference
+# signature construction in test_hbs.py calls prf itself, so a key
+# schedule bug would change both sides of that comparison; this property
+# checks prf against the hmac module alone.
+# The secret's length is drawn first, so lengths past both blocks are as
+# common as short ones.
+@settings(max_examples=200)
+@given(
+    hid=st.sampled_from(list(HashId)),
+    secret=st.integers(0, 300).flatmap(lambda n: st.binary(min_size=n, max_size=n)),
+    label=st.text(alphabet=st.characters(max_codepoint=127)),
+    seed=st.binary(max_size=100),
+    out_len=st.integers(1, 300),
+)
+@example(hid=HashId.H512, secret=bytes(129), label="", seed=b"", out_len=1)
+@example(hid=HashId.H256, secret=bytes(65), label="", seed=b"", out_len=1)
+def test_prf_matches_the_hmac_module(hid, secret, label, seed, out_len):
+    assert prf(hid, secret, label, seed, out_len) == _phash_reference(
+        hid, secret, label, seed, out_len
+    )
 
 
 def test_prf_prefix_property():
@@ -273,6 +298,62 @@ def test_deterministic_rng_randint_below_uniform_range():
     assert seen == set(range(10))
     with pytest.raises(ParameterError):
         rng.randint_below(0)
+
+
+def _draws_one_at_a_time(rng: Rng, bound: int, count: int) -> list[int]:
+    """Rejection sampling spelled out: one big-endian draw per try, as
+    wide as bound needs, kept when below the largest multiple of bound
+    that fits the width."""
+    if bound == 1:
+        return [0] * count
+    width = (bound.bit_length() + 7) // 8
+    values = []
+    while len(values) < count:
+        v = int.from_bytes(rng.random_bytes(width), "big")
+        if v < 256**width // bound * bound:
+            values.append(v % bound)
+    return values
+
+
+# The bounds around each draw width, and every registry KEM row's n,
+# which kem_encap draws below; 129 and 32769 reject about half their
+# draws, so a draw after a rejection is read in most examples.
+_KEM_ROWS = [
+    template_resolve(builtin_registry(version), TemplateKind.ENCRYPTION, level).algorithm_id
+    for version in (1, 2)
+    for level in SecurityLevel
+]
+_DRAW_BOUNDS = sorted(
+    {1, 2, 129, 255, 256, 257, 32769, 65535, 65536}
+    | {KemParams.from_algorithm_id(ident).n for ident in _KEM_ROWS}
+)
+
+
+@settings(max_examples=200)
+@given(
+    bound=st.sampled_from(_DRAW_BOUNDS),
+    count=st.integers(0, 40),
+    seed=st.binary(max_size=16),
+    prefix=st.integers(0, 63),
+)
+def test_randints_below_reads_what_randint_below_reads(bound, count, seed, prefix):
+    """randints_below(bound, count) returns what count calls of
+    randint_below return, and leaves the stream where they leave it."""
+    bulk, single, reference = (DeterministicRng(seed) for _ in range(3))
+    for rng in (bulk, single, reference):
+        rng.random_bytes(prefix)
+    values = bulk.randints_below(bound, count)
+    assert values == [single.randint_below(bound) for _ in range(count)]
+    assert values == _draws_one_at_a_time(reference, bound, count)
+    assert bulk.random_bytes(8) == single.random_bytes(8) == reference.random_bytes(8)
+
+
+def test_randints_below_refuses_bad_arguments():
+    rng = DeterministicRng(b"ints")
+    with pytest.raises(ParameterError):
+        rng.randints_below(0, 1)
+    with pytest.raises(ParameterError):
+        rng.randints_below(2, -1)
 
 
 def _one_draw_at_a_time(rng: Rng, n: int) -> list[int]:
