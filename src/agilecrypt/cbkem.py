@@ -145,7 +145,6 @@ class KemSecretKey:
     or from a stored public key (KemKeyPair.load)."""
 
     params: KemParams
-    seed: bytes
     inverse: list[array]
 
     def position_for_syndrome(self, block: int, syndrome: int) -> int:
@@ -156,10 +155,13 @@ class KemSecretKey:
 
 @dataclass(eq=False)
 class KemKeyPair:
-    params: KemParams
     seed: bytes
     pk: KemPublicKey
     sk: KemSecretKey
+
+    @property
+    def params(self) -> KemParams:
+        return self.pk.params
 
     @classmethod
     def from_seed(cls, params: KemParams, seed: bytes) -> KemKeyPair:
@@ -169,7 +171,7 @@ class KemKeyPair:
         tasks = [(params, seed, i) for i in range(params.b)]
         built = parallel_map(_seeded_block, tasks, params.b * params.n * _HASH_CALLS_PER_POSITION)
         pk = KemPublicKey(params, _pack_columns(params, [cols for cols, _ in built]))
-        return cls(params, seed, pk, KemSecretKey(params, seed, [table for _, table in built]))
+        return cls(seed, pk, KemSecretKey(params, [table for _, table in built]))
 
     @classmethod
     def load(cls, params: KemParams, seed: bytes, public: bytes) -> KemKeyPair:
@@ -181,7 +183,7 @@ class KemKeyPair:
             raise ParameterError("seed must be 32 bytes")
         pk = kem_parse_pk(params, public)
         inverse = [_inverse_table(params, cols) for cols in _unpack_columns(pk)]
-        return cls(params, seed, pk, KemSecretKey(params, seed, inverse))
+        return cls(seed, pk, KemSecretKey(params, inverse))
 
 
 # ---------------------------------------------------------------------------

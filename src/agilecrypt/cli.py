@@ -385,6 +385,7 @@ def _add_keystore_args(sub: argparse.ArgumentParser) -> None:
         default=DEFAULT_ITERATIONS,
         help="key-derivation iteration count (default: library default)",
     )
+    _add_registry_arg(sub)
 
 
 def _add_registry_arg(sub: argparse.ArgumentParser) -> None:
@@ -405,7 +406,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("kind", choices=("sign", "encrypt"))
     p.add_argument("--level", required=True, choices=_LEVELS)
     _add_keystore_args(p)
-    _add_registry_arg(p)
     p.add_argument("--out", help="write the public key blob here")
     p.set_defaults(func=_cmd_keygen)
 
@@ -413,7 +413,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("infile", help="message file")
     p.add_argument("--alias", required=True)
     _add_keystore_args(p)
-    _add_registry_arg(p)
     p.add_argument("--out", help="signature output (default: INFILE.sig)")
     p.set_defaults(func=_cmd_sign)
 
@@ -428,7 +427,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--alias", required=True, help="own encryption key alias")
     p.add_argument("--recipient", required=True, help="recipient public key blob")
     _add_keystore_args(p)
-    _add_registry_arg(p)
     p.add_argument("--out", help="ciphertext output (default: INFILE.enc)")
     p.set_defaults(func=_cmd_encrypt)
 
@@ -436,7 +434,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("infile")
     p.add_argument("--alias", required=True)
     _add_keystore_args(p)
-    _add_registry_arg(p)
     p.add_argument("--out", help="plaintext output (default: stdout)")
     p.set_defaults(func=_cmd_decrypt)
 
@@ -449,7 +446,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sender-id", help="sender name in the envelope header")
     p.add_argument("--recipient-id", help="recipient name in the envelope header")
     _add_keystore_args(p)
-    _add_registry_arg(p)
     p.add_argument(
         "--out", help=f"envelope output (default: INFILE{ENVELOPE_EXTENSION})"
     )
@@ -462,7 +458,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--alias", required=True, help="own encryption key alias")
     p.add_argument("--sender", required=True, help="sender public key blob")
     _add_keystore_args(p)
-    _add_registry_arg(p)
     p.add_argument("--out", help="message output (default: stdout)")
     p.set_defaults(func=_cmd_envelope_open)
 

@@ -63,7 +63,6 @@ __all__ = [
     "family_params",
     "kem_public_key",
     "RECIPIENT_KEY_MEMO",
-    "CERTIFICATE_MEMO",
     "recipient_key",
     "sender_key",
     "hybrid_encap",
@@ -253,11 +252,6 @@ def kem_public_key(algorithm_id: str, raw: bytes) -> cbkem.KemPublicKey:
 # Recipient keys recipient_key remembers.  An entry holds the blob and the
 # parsed key's copy of its key bytes: about 21 MB for eight HIGH keys.
 RECIPIENT_KEY_MEMO = 8
-
-# Verified certificates minitls.certificate.verify_certificate remembers.
-# An entry holds the certificate and its parsed key, which share the key
-# bytes: about 10 MB for eight HIGH certificates.
-CERTIFICATE_MEMO = 8
 
 
 def recipient_key(blob: bytes) -> tuple[str, int, cbkem.KemPublicKey]:

@@ -167,23 +167,24 @@ class HbsKeyPair:
         the first signing call."""
         if len(seed) != 32:
             raise ParameterError("seed must be 32 bytes")
-        kp = cls(seed=seed, root=b"", params=params)
+        if root is not None and len(root) != params.n_h:
+            raise ParameterError("root length does not match params")
+        kp = cls(seed=seed, root=root, params=params)
         if root is None:
-            kp._levels, kp._table = _build_tree(params, seed)
-            kp.root = kp._levels[params.h][0]
-        else:
-            if len(root) != params.n_h:
-                raise ParameterError("root length does not match params")
-            kp.root = root
+            kp._ensure_tree()
         return kp
 
     def _ensure_tree(self) -> None:
-        """Build the Merkle tree on first use.  A root supplied to
-        from_seed must be the one the seed builds; otherwise no signature
-        made with this key could verify, so none is made."""
+        """Build the Merkle tree on first use, and set the root from it
+        when none was supplied.  A root supplied to from_seed must be the
+        one the seed builds; otherwise no signature made with this key
+        could verify, so none is made."""
         if self._levels is None:
             levels, table = _build_tree(self.params, self.seed)
-            if levels[self.params.h][0] != self.root:
+            built = levels[self.params.h][0]
+            if self.root is None:
+                self.root = built
+            elif built != self.root:
                 raise ParameterError("seed does not rebuild the stored root")
             self._levels, self._table = levels, table
 
@@ -224,14 +225,6 @@ def _chain_plan(params: HbsParams) -> _ChainPlan:
             for chain in range(params.l)
         ),
     )
-
-
-def _prf_key(plan: _ChainPlan, seed: bytes) -> tuple:
-    """The HMAC key schedule of ``seed``, which _chain_starts copies per
-    HMAC.  Copying the states skips ``hmac.HMAC``'s Python wrapper, which
-    takes 8-10% off a 256-leaf ``_leaf_range`` (2-core x86 VM, Python
-    3.11)."""
-    return _hmac_states(plan.ctor, seed)
 
 
 def _chain_starts(plan: _ChainPlan, key: tuple, leaf: int, chains: Iterable[int]) -> list[bytes]:
@@ -310,7 +303,7 @@ def _leaf_range(
     after each step, laid out by leaf, then chain, then step; the last
     value of each chain is its end, which the leaf digest reads."""
     plan = _chain_plan(params)
-    key = _prf_key(plan, seed)
+    key = _hmac_states(plan.ctor, seed)
     chains = range(len(plan.prefixes))
     leaves = []
     if _table_size(params) > _TABLE_CAP:
@@ -408,7 +401,7 @@ def hbs_sign_with_leaf(kp: HbsKeyPair, leaf_index: int, msg: bytes, rng: Rng) ->
         leaf_index = _stateless_leaf(params, digest)
     table = kp._table
     if table is None:
-        key = _prf_key(plan, kp.seed)
+        key = _hmac_states(plan.ctor, kp.seed)
         starts = _chain_starts(plan, key, leaf_index, range(len(digits)))
         wots = _advance(plan, starts, repeat(0), digits)
     else:

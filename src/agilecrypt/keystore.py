@@ -29,9 +29,11 @@ BEFORE returning the range, so a crash can only sacrifice indices, never
 reuse them.
 
 The one exception is note_consumed: it raises the consumption mark
-(next_leaf) in memory only, and the next write of the store carries it,
-so after a crash the stored next_leaf may trail the indices actually
-used.  easyapi.EasySigner describes the reservation window it signs from.
+(next_leaf) by replacing the entry in memory only, and the next write
+of the store carries it, so after a crash the stored next_leaf may
+trail the indices actually used.  easyapi.EasySigner describes the
+reservation window it signs from.  Entries and their counter state are
+immutable values, so get_entry returns the entry the store holds.
 
 One writer per store, enforced by an advisory lock on `<path>.lock`;
 read-only opens take no lock (atomic replacement keeps reads consistent).
@@ -98,7 +100,7 @@ class KeystoreParameters:
             raise ParameterError("iteration count must be in [1, 2^32 - 1]")
 
 
-@dataclass
+@dataclass(frozen=True)
 class EntryState:
     """Stateful-key counters.  next_leaf counts confirmed consumption,
     reserved_until is the high-water mark of handed-out indices."""
@@ -107,7 +109,7 @@ class EntryState:
     reserved_until: int
 
 
-@dataclass
+@dataclass(frozen=True)
 class KeystoreEntry:
     alias: str
     algorithm_id: str
@@ -244,14 +246,14 @@ class Keystore:
         self._check_usable(write=False)
         if alias not in self._entries:
             raise UnknownAlias(f"no entry {alias!r}")
-        return _copy_entry(self._entries[alias])
+        return self._entries[alias]
 
     def put_entry(self, entry: KeystoreEntry) -> None:
         self._check_usable(write=True)
         _validate_entry(entry)
         if entry.alias in self._entries:
             raise DuplicateAlias(f"entry {entry.alias!r} already exists")
-        self._persist({**self._entries, entry.alias: _copy_entry(entry)})
+        self._persist({**self._entries, entry.alias: entry})
 
     def update_entry(self, entry: KeystoreEntry) -> None:
         """Replace the entry stored under entry.alias.  An update that
@@ -273,7 +275,7 @@ class Keystore:
                 f"update of {entry.alias!r} would drop or lower its counters "
                 f"({current.next_leaf}, {current.reserved_until})"
             )
-        self._persist({**self._entries, entry.alias: _copy_entry(entry)})
+        self._persist({**self._entries, entry.alias: entry})
 
     def reserve_leaves(self, alias: str, count: int) -> tuple[int, int]:
         """Hand out the next `count` one-time indices.  The raised
@@ -307,7 +309,8 @@ class Keystore:
         entry = self._require_stateful(alias)
         if not 0 <= upto <= entry.state.reserved_until:
             raise ParameterError("consumption mark outside reserved range")
-        entry.state.next_leaf = max(entry.state.next_leaf, upto)
+        state = dataclasses.replace(entry.state, next_leaf=max(entry.state.next_leaf, upto))
+        self._entries[alias] = dataclasses.replace(entry, state=state)
 
     # -- internals ---------------------------------------------------------
 
@@ -376,11 +379,6 @@ class Keystore:
                 f"only syncing its directory failed: {exc}"
             ) from exc
         self._hook("renamed")
-
-
-def _copy_entry(entry: KeystoreEntry) -> KeystoreEntry:
-    state = dataclasses.replace(entry.state) if entry.state is not None else None
-    return dataclasses.replace(entry, state=state)
 
 
 def _validate_entry(entry: KeystoreEntry) -> None:

@@ -55,7 +55,6 @@ from dataclasses import dataclass
 from ..cbkem import KemKeyPair, KemPublicKey, kem_keygen
 from ..codec import Reader, decode_text, encode_text, uint, vec8, vec16, vec32
 from ..easyapi import (
-    CERTIFICATE_MEMO,
     SecurityLevel,
     TemplateKind,
     TemplateRegistry,
@@ -161,7 +160,9 @@ def parse_certificate(data: bytes) -> Certificate:
 
 
 # (issuer root, issuer signature) -> (certificate, its parsed KEM key) for
-# the certificates verify_certificate accepted, oldest first.
+# the last CERTIFICATE_MEMO certificates verify_certificate accepted,
+# oldest first.  The pair shares the key bytes: about 10 MB for eight at HIGH.
+CERTIFICATE_MEMO = 8
 _verified: dict[tuple[bytes, bytes], tuple[Certificate, KemPublicKey]] = {}
 _verified_lock = threading.Lock()
 

@@ -76,6 +76,7 @@ from .record import ClearRecords, RecordLayer
 from .transcript import HandshakeTranscript
 from .transport import Transport
 from .wire import (
+    FINISHED_LEN,
     MAX_HANDSHAKE_MESSAGE,
     SUITE_0x1306,
     AlertDescription,
@@ -100,7 +101,6 @@ from .wire import (
 
 _MASTER_SECRET_LEN = 48
 _KEY_BLOCK_LEN = 64 + 64 + 32 + 32 + 16 + 16
-_FINISHED_LEN = 12
 
 
 # ---------------------------------------------------------------------------
@@ -150,7 +150,7 @@ def derive_session_keys(
 
 
 def finished_verify_data(master_secret: bytes, label: str, transcript_hash: bytes) -> bytes:
-    return prf(HashId.H512, bytes(master_secret), label, transcript_hash, _FINISHED_LEN)
+    return prf(HashId.H512, bytes(master_secret), label, transcript_hash, FINISHED_LEN)
 
 
 # ---------------------------------------------------------------------------

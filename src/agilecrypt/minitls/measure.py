@@ -10,9 +10,10 @@ import time
 from ..cbkem import NAMED_PARAM_SETS
 from ..easyapi import SecurityLevel, TemplateKind, TemplateRegistry, builtin_registry
 from ..errors import ConnectionClosed, ParameterError
-from ..primitives import MAX_RECORD_PLAINTEXT, make_rng
+from ..primitives import make_rng
 from .certificate import issue_server_material
 from .handshake import ClientTlsConfig, ServerTlsConfig, client_handshake, server_handshake
+from .record import MAX_RECORD_PLAINTEXT
 from .transcript import aggregate_reports, transcript_report
 from .transport import SocketTransport, transport_pair
 from .wire import TlsAlertReceived, TlsAlertSent, TlsError, alert_label

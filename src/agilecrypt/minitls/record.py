@@ -35,10 +35,11 @@ import struct
 from typing import NamedTuple
 
 from ..errors import BadMac, BadPadding, ConnectionClosed, MalformedEncoding
-from ..primitives import MAX_RECORD_PLAINTEXT, SymmetricKeys, open_record, seal_record
+from ..primitives import SymmetricKeys, open_record, seal_record
 from .transport import Transport
 from .wire import TLS_VERSION, ContentType
 
+MAX_RECORD_PLAINTEXT = 2**14
 _HEADER = struct.Struct(">BHH")
 # CBC expansion: 16 IV + 64 MAC + up to 16 padding + block rounding.
 _MAX_WIRE_FRAGMENT = MAX_RECORD_PLAINTEXT + 2048

@@ -31,6 +31,7 @@ SUITE_NAMES = {SUITE_0x1306: "TLS_CME_SPX_WITH_AES_256_CBC_SHA512"}
 TEMPLATE_INFO_EXT = 0xFD00
 
 MAX_HANDSHAKE_MESSAGE = 8 * 1024 * 1024  # generous cap above the largest certificate
+FINISHED_LEN = 12  # verify_data bytes, RFC 5246 §7.4.9
 
 
 class ContentType(IntEnum):
@@ -300,14 +301,14 @@ def decode_client_key_exchange_body(data: bytes) -> bytes:
 
 
 def encode_finished_body(verify_data: bytes) -> bytes:
-    if len(verify_data) != 12:
-        raise MalformedEncoding("verify_data must be 12 bytes")
+    if len(verify_data) != FINISHED_LEN:
+        raise MalformedEncoding(f"verify_data must be {FINISHED_LEN} bytes")
     return verify_data
 
 
 def decode_finished_body(data: bytes) -> bytes:
-    if len(data) != 12:
-        raise MalformedEncoding(f"finished body is {len(data)} bytes, expected 12")
+    if len(data) != FINISHED_LEN:
+        raise MalformedEncoding(f"finished body is {len(data)} bytes, expected {FINISHED_LEN}")
     return data
 
 

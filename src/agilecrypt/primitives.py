@@ -31,8 +31,6 @@ from .errors import (
     ParameterError,
 )
 
-MAX_RECORD_PLAINTEXT = 2**14
-
 _AES_BLOCK = 16
 # The record MAC is HMAC-SHA512: its key and its tag are both 64 bytes.
 _MAC_BYTES = 64
@@ -245,10 +243,6 @@ class Rng:
     def random_bytes(self, n: int) -> bytes:
         raise NotImplementedError
 
-    def randint_below(self, bound: int) -> int:
-        """Uniform integer in [0, bound): randints_below(bound, 1)[0]."""
-        return self.randints_below(bound, 1)[0]
-
     def randints_below(self, bound: int, count: int) -> list[int]:
         """``count`` uniform integers in [0, bound), by rejection sampling.
 
@@ -256,7 +250,7 @@ class Rng:
         needs; a draw at or past the largest multiple of bound that fits
         the width is used up and drawn again.  The draws are fetched in
         bulk, one per integer still owed, so the stream is read exactly
-        as far as ``count`` calls of randint_below read it.
+        as far as drawing the integers one at a time reads it.
         """
         if bound < 1:
             raise ParameterError("bound must be >= 1")
@@ -276,9 +270,9 @@ class Rng:
     def shuffled(self, n: int) -> list[int]:
         """Uniform permutation of range(n), Fisher-Yates.
 
-        Position i, from n-1 down to 1, swaps with randint_below(i + 1),
-        which reads one big-endian draw per try, as wide as i + 1 needs:
-        3 bytes while i >= 65535, 2 bytes while i >= 255, then 1 byte.
+        Position i, from n-1 down to 1, swaps with a uniform j <= i, drawn
+        as randints_below draws: one big-endian draw per try, as wide as
+        i + 1 needs, 3 bytes while i >= 65535, 2 while i >= 255, then 1.
         The draws are fetched in bulk, one per position left at the
         current width, so the walk reads no byte past its last draw.
         """

@@ -54,7 +54,7 @@ _LOW_SIG, _LOW_HBS_PK = "SPX-TOY-16-16-8-S", bytes([16, 0, 16, 8, 0]) + bytes(16
 # inverse tables, decapsulation gets only as far as refusing a ciphertext.
 _KEM = KemParams(m=4, b=3)
 _kem_pk = functools.partial(kem_parse_pk, _KEM)
-_decap = functools.partial(kem_decap, KemSecretKey(_KEM, b"", []))
+_decap = functools.partial(kem_decap, KemSecretKey(_KEM, []))
 
 
 def _cert(signature=bytes(660), sig_id="SPX-TOY-16-16-4-S") -> bytes:

@@ -13,6 +13,7 @@ machine in test_leaf_safety.py.
 
 from __future__ import annotations
 
+import dataclasses
 import random
 
 import pytest
@@ -209,7 +210,7 @@ def test_signer_whose_seed_misses_the_root_spends_one_reserved_leaf(tmp_path):
     with EasySigner.with_new_key(ap, ksp, rng=rng) as signer:
         alias = signer.alias
         entry = signer.store.get_entry(alias)
-        entry.secret_material = bytes(32)
+        entry = dataclasses.replace(entry, secret_material=bytes(32))
         signer.store.update_entry(entry)
     writes = []
     signer = EasySigner.open(ksp, alias, registry_version=1, rng=rng)

@@ -276,7 +276,7 @@ def test_tree_matches_the_reference_construction(n_h, w):
         for value in _reference_chain(params, seed, leaf, chain)
     )
     plan = hbs._chain_plan(params)
-    key = hbs._prf_key(plan, seed)
+    key = hbs._hmac_states(plan.ctor, seed)
     for leaf, chains in [(0, [0]), (15, range(params.l)), (2**32 - 1, [65535, 1])]:
         assert hbs._chain_starts(plan, key, leaf, chains) == [
             prf(params.hash_id, seed, "wots-sk", struct.pack(">IH", leaf, chain), n_h)

@@ -9,6 +9,7 @@ test_decoder_refusals.py.
 
 from __future__ import annotations
 
+import dataclasses
 import errno
 import os
 import random
@@ -169,7 +170,7 @@ def test_state_invariants_enforced(tmp_path):
                 )
             )
         bad = _stateful_entry(alias="z")
-        bad.state = EntryState(next_leaf=5, reserved_until=2)
+        bad = dataclasses.replace(bad, state=EntryState(next_leaf=5, reserved_until=2))
         with pytest.raises(ParameterError):
             ks.put_entry(bad)
 
@@ -217,6 +218,20 @@ def test_update_from_a_stale_copy_is_refused(tmp_path):
         assert ks.reserve_leaves("sig", 4) == (4, 8)
 
 
+def test_entries_handed_out_are_frozen_values(tmp_path):
+    with keystore_create(_params(tmp_path)) as ks:
+        ks.put_entry(_stateful_entry())
+        ks.reserve_leaves("sig", 4)
+        entry = ks.get_entry("sig")
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            entry.secret_material = bytes(32)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            entry.state.next_leaf = 3
+        ks.note_consumed("sig", 3)
+        assert entry.state == EntryState(next_leaf=0, reserved_until=4)
+        assert ks.get_entry("sig").state == EntryState(next_leaf=3, reserved_until=4)
+
+
 @pytest.mark.parametrize("algorithm_id", ["SPX-TOY-16-16-04-S", "RSA-2048"])
 def test_open_refuses_a_stored_id_that_does_not_resolve(tmp_path, algorithm_id):
     # A table that carries counter state under an id no parameter set has,
@@ -224,7 +239,7 @@ def test_open_refuses_a_stored_id_that_does_not_resolve(tmp_path, algorithm_id):
     params = _params(tmp_path)
     with keystore_create(params) as ks:
         ks.put_entry(_stateful_entry())
-        ks._entries["sig"].algorithm_id = algorithm_id
+        ks._entries["sig"] = dataclasses.replace(ks._entries["sig"], algorithm_id=algorithm_id)
         ks._persist()
     with pytest.raises(MalformedStore, match="'sig'"):
         keystore_open(params)

@@ -210,7 +210,7 @@ def test_tampered_body_rejected_everywhere(tmp_path):
     step = max(1, len(env.sealed_body) // 100)
     for pos in range(0, len(env.sealed_body), step):
         body = bytearray(env.sealed_body)
-        body[pos] ^= 1 << rng.randint_below(8)
+        body[pos] ^= 1 << rng.randints_below(8, 1)[0]
         broken = dataclasses.replace(env, sealed_body=bytes(body))
         with pytest.raises(BadMac):
             envelope_open(recipient, signer.public_blob, broken)
@@ -223,7 +223,7 @@ def test_tampered_kem_ciphertext_rejected(tmp_path):
     env = envelope_seal(signer, recipient.public_blob, b"secret", rng=rng)
     for pos in range(len(env.kem_ct)):
         ct = bytearray(env.kem_ct)
-        ct[pos] ^= 1 << rng.randint_below(8)
+        ct[pos] ^= 1 << rng.randints_below(8, 1)[0]
         broken = dataclasses.replace(env, kem_ct=bytes(ct))
         with pytest.raises(BadMac):
             envelope_open(recipient, signer.public_blob, broken)

@@ -77,6 +77,7 @@ from agilecrypt.minitls.measure import (
     run_measurement,
     serve_connection,
 )
+from agilecrypt.minitls.record import MAX_RECORD_PLAINTEXT
 from agilecrypt.minitls.wire import (
     MAX_HANDSHAKE_MESSAGE,
     decode_client_key_exchange_body,
@@ -84,7 +85,7 @@ from agilecrypt.minitls.wire import (
     encode_certificate_body,
     encode_handshake_message,
 )
-from agilecrypt.primitives import MAX_RECORD_PLAINTEXT, DeterministicRng, open_record
+from agilecrypt.primitives import DeterministicRng, open_record
 from tls_harness import Tap, bit_flip, reframe, run_pair
 
 _IO_TIMEOUT = 5.0  # converts would-be deadlocks into ConnectionClosed

@@ -246,7 +246,7 @@ def test_record_tamper_never_yields_plaintext():
     b._incoming.clear()
     for pos in range(len(wire)):
         mutated = bytearray(wire)
-        mutated[pos] ^= 1 << rng.randint_below(8)
+        mutated[pos] ^= 1 << rng.randints_below(8, 1)[0]
         fresh_a, fresh_b = BufferTransport.pair()
         layer = RecordLayer(fresh_b)
         layer.enable_recv_protection(_keys(b"k"))

@@ -292,12 +292,11 @@ def test_deterministic_rng_reproduces_stream():
     assert whole.random_bytes(size) == b"".join(pieces) == stream[3 : 3 + size]
 
 
-def test_deterministic_rng_randint_below_uniform_range():
+def test_deterministic_rng_randints_below_uniform_range():
     rng = DeterministicRng(b"ints")
-    seen = {rng.randint_below(10) for _ in range(500)}
-    assert seen == set(range(10))
+    assert set(rng.randints_below(10, 500)) == set(range(10))
     with pytest.raises(ParameterError):
-        rng.randint_below(0)
+        rng.randints_below(0, 1)
 
 
 def _draws_one_at_a_time(rng: Rng, bound: int, count: int) -> list[int]:
@@ -336,16 +335,14 @@ _DRAW_BOUNDS = sorted(
     seed=st.binary(max_size=16),
     prefix=st.integers(0, 63),
 )
-def test_randints_below_reads_what_randint_below_reads(bound, count, seed, prefix):
-    """randints_below(bound, count) returns what count calls of
-    randint_below return, and leaves the stream where they leave it."""
-    bulk, single, reference = (DeterministicRng(seed) for _ in range(3))
-    for rng in (bulk, single, reference):
-        rng.random_bytes(prefix)
-    values = bulk.randints_below(bound, count)
-    assert values == [single.randint_below(bound) for _ in range(count)]
-    assert values == _draws_one_at_a_time(reference, bound, count)
-    assert bulk.random_bytes(8) == single.random_bytes(8) == reference.random_bytes(8)
+def test_randints_below_reads_what_one_draw_at_a_time_reads(bound, count, seed, prefix):
+    """randints_below(bound, count) returns what drawing count integers
+    one try at a time returns, and leaves the stream where that leaves it."""
+    bulk, reference = DeterministicRng(seed), DeterministicRng(seed)
+    bulk.random_bytes(prefix)
+    reference.random_bytes(prefix)
+    assert bulk.randints_below(bound, count) == _draws_one_at_a_time(reference, bound, count)
+    assert bulk.random_bytes(8) == reference.random_bytes(8)
 
 
 def test_randints_below_refuses_bad_arguments():
@@ -357,11 +354,11 @@ def test_randints_below_refuses_bad_arguments():
 
 
 def _one_draw_at_a_time(rng: Rng, n: int) -> list[int]:
-    """Fisher-Yates with one randint_below call per position: the walk
+    """Fisher-Yates with one spelled-out draw per position: the walk
     Rng.shuffled must match draw for draw."""
     perm = list(range(n))
     for i in range(n - 1, 0, -1):
-        j = rng.randint_below(i + 1)
+        (j,) = _draws_one_at_a_time(rng, i + 1, 1)
         perm[i], perm[j] = perm[j], perm[i]
     return perm
 
