@@ -19,11 +19,10 @@ Conventions shared by every subcommand:
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
-import socket
 import sys
-import threading
 
 from .cbkem import NAMED_PARAM_SETS
 from .easyapi import (
@@ -37,7 +36,7 @@ from .easyapi import (
     load_registry,
     template_resolve,
 )
-from .errors import AgilecryptError, ConnectionClosed, ParameterError
+from .errors import AgilecryptError, ConnectionClosed
 from .keystore import DEFAULT_ITERATIONS, KeystoreParameters
 from .mailenv import (
     ENVELOPE_EXTENSION,
@@ -49,14 +48,15 @@ from .mailenv import (
 from .minitls import (
     ClientTlsConfig,
     ServerTlsConfig,
-    SocketTransport,
     TlsError,
     client_handshake,
     connect_tcp,
+    listen_tcp,
     transcript_report,
 )
+from .minitls.certificate import CA_ROOT_FILE, SERVER_CERT_FILE, SERVER_SEED_FILE
 from .minitls.certificate import issue_server_material, load_server_material
-from .minitls.measure import echo_probe, run_measurement, serve_connection
+from .minitls.measure import echo_probe, run_measurement, serve
 from .minitls.wire import alert_label
 from .primitives import make_rng
 
@@ -66,10 +66,6 @@ from .primitives import make_rng
 
 PASSWORD_ENV_VAR = "AGILECRYPT_PASSWORD"
 _LEVELS = tuple(level.name.lower() for level in SecurityLevel)
-
-CA_ROOT_FILE = "ca.root"
-SERVER_CERT_FILE = "server.cert"
-SERVER_SEED_FILE = "server.seed"
 
 
 class UsageError(Exception):
@@ -245,67 +241,15 @@ def _cmd_tls_setup(args: argparse.Namespace) -> int:
     return 0
 
 
-def _serve_logged(
-    conn: socket.socket, config: ServerTlsConfig, timeout: float | None, expected: tuple = ()
-) -> None:
-    """Serve one connection and write its record to standard error as
-    one JSON line; re-raise the failure that ended it unless it is of an
-    ``expected`` type, which the line already reports."""
-    record, failure = serve_connection(SocketTransport(conn, timeout=timeout), config)
-    # One write per line, so lines from concurrent connections stay whole.
-    sys.stderr.write(json.dumps(record, sort_keys=True) + "\n")
-    sys.stderr.flush()
-    if failure is not None and not isinstance(failure, expected):
-        raise failure
-
-
 def _cmd_tls_serve(args: argparse.Namespace) -> int:
     registry = _load_registry_arg(args)
     level = SecurityLevel.from_name(args.level)
-    seed_path = os.path.join(args.dir, SERVER_SEED_FILE)
-    with open(seed_path, "rb") as fh:
-        seed_blob = fh.read()
-        seed_mode = os.fstat(fh.fileno()).st_mode & 0o777
-    cert, kem_kp = load_server_material(
-        _read_file(os.path.join(args.dir, SERVER_CERT_FILE)), seed_blob
-    )
-    # After the content and id checks, so a damaged seed reports its fault.
-    if seed_mode & 0o077:
-        raise ParameterError(
-            f"server seed {seed_path} has mode {seed_mode:04o}, not private to its owner: "
-            f"chmod 600 {seed_path}"
-        )
-    config = ServerTlsConfig(
-        registry=registry, level=level, certificate=cert, kem_secret=kem_kp.sk
-    )
-    listener = socket.create_server(("127.0.0.1", args.port))
-    try:
-        port = listener.getsockname()[1]
-        print(f"PORT {port}", flush=True)
-        if args.once:
-            conn, _ = listener.accept()
-            _serve_logged(conn, config, args.timeout)
-            return 0
-        while True:
-            conn, _ = listener.accept()
-            # A worker prints a traceback only for an unexpected failure.
-            worker = threading.Thread(
-                target=_serve_logged,
-                args=(conn, config, args.timeout, (AgilecryptError, OSError)),
-                daemon=True,
-            )
-            worker.start()
-    except KeyboardInterrupt:
-        return 0
-    finally:
-        listener.close()
-
-
-def _probe_bytes(n: int) -> bytes:
-    """A fixed recognizable pattern; reproducibility matters more than
-    randomness for an echo check."""
-    block = bytes(range(256))
-    return (block * (n // 256 + 1))[:n]
+    cert, kem_kp = load_server_material(args.dir)
+    config = ServerTlsConfig(registry=registry, level=level, certificate=cert, kem_secret=kem_kp.sk)
+    with listen_tcp(args.port) as listener, contextlib.suppress(KeyboardInterrupt):
+        print(f"PORT {listener.getsockname()[1]}", flush=True)
+        serve(listener, config, args.timeout, args.once)
+    return 0
 
 
 def _cmd_tls_connect(args: argparse.Namespace) -> int:
@@ -327,7 +271,8 @@ def _cmd_tls_connect(args: argparse.Namespace) -> int:
         transport.close()
         raise
     with session:
-        probe = _probe_bytes(args.probe_bytes)
+        # A fixed recognizable pattern: reproducibility matters more than randomness here.
+        probe = (bytes(range(256)) * (args.probe_bytes // 256 + 1))[: args.probe_bytes]
         if echo_probe(session, probe) != probe:
             return _fail("echo mismatch: peer returned different bytes")
     report = transcript_report(session.transcript)

@@ -34,6 +34,7 @@ from .transport import (
     SocketTransport,
     Transport,
     connect_tcp,
+    listen_tcp,
     transport_pair,
 )
 from .wire import (
@@ -72,6 +73,7 @@ __all__ = [
     "derive_session_keys",
     "finished_verify_data",
     "issue_certificate",
+    "listen_tcp",
     "parse_certificate",
     "server_handshake",
     "template_divergence",

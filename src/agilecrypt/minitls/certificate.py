@@ -48,6 +48,7 @@ from __future__ import annotations
 
 import dataclasses
 import functools
+import os
 import threading
 from collections.abc import Sequence
 from dataclasses import dataclass
@@ -64,7 +65,7 @@ from ..easyapi import (
     parse_blob,
     template_resolve,
 )
-from ..errors import AlgorithmMismatch, MalformedEncoding
+from ..errors import AlgorithmMismatch, MalformedEncoding, ParameterError
 from ..hbs import HbsKeyPair, hbs_keygen, hbs_sign, hbs_verify
 from ..primitives import Rng
 from .record import ClearRecords, frame_clear
@@ -230,6 +231,12 @@ def _is_chain_of(body: Sequence[bytes], encoding: bytes) -> bool:
     return True
 
 
+# The files tls-setup writes and the TLS commands read, in one directory.
+CA_ROOT_FILE = "ca.root"
+SERVER_CERT_FILE = "server.cert"
+SERVER_SEED_FILE = "server.seed"
+
+
 def issue_server_material(
     registry: TemplateRegistry, level: SecurityLevel, subject: str, rng: Rng
 ) -> tuple[HbsKeyPair, KemKeyPair, Certificate, bytes]:
@@ -244,12 +251,18 @@ def issue_server_material(
     return issuer, kem_kp, cert, frame_blob(enc_ap.algorithm_id, registry.version, kem_kp.seed)
 
 
-def load_server_material(cert_bytes: bytes, seed_blob: bytes) -> tuple[Certificate, KemKeyPair]:
-    """The certificate to serve and the KEM key pair for the public key
-    it carries; decapsulation follows that key.  Any id fault (a seed blob
-    for another algorithm, or no KEM id) raises AlgorithmMismatch; a seed
-    or key of the wrong length raises MalformedEncoding."""
-    cert = parse_certificate(cert_bytes)
+def load_server_material(directory: str) -> tuple[Certificate, KemKeyPair]:
+    """The certificate in SERVER_CERT_FILE of ``directory`` and the KEM key
+    pair for its public key, from the seed blob in SERVER_SEED_FILE.  An id
+    fault (a seed blob for another algorithm, or no KEM id) raises
+    AlgorithmMismatch, a seed or key of the wrong length MalformedEncoding;
+    then, so a damaged seed reports its fault, an open seed file ParameterError."""
+    seed_path = os.path.join(directory, SERVER_SEED_FILE)
+    with open(seed_path, "rb") as fh:
+        seed_blob = fh.read()
+        seed_mode = os.fstat(fh.fileno()).st_mode & 0o777
+    with open(os.path.join(directory, SERVER_CERT_FILE), "rb") as fh:
+        cert = parse_certificate(fh.read())
     kem_id, _, seed = parse_blob(seed_blob)
     if kem_id != cert.kem_algorithm_id:
         raise AlgorithmMismatch(
@@ -259,4 +272,10 @@ def load_server_material(cert_bytes: bytes, seed_blob: bytes) -> tuple[Certifica
     params = family_params(TemplateKind.ENCRYPTION, kem_id)
     if len(seed) != 32:
         raise MalformedEncoding(f"server seed holds {len(seed)} bytes, not 32")
-    return cert, KemKeyPair.load(params, seed, cert.kem_public_key)
+    kem_kp = KemKeyPair.load(params, seed, cert.kem_public_key)
+    if seed_mode & 0o077:
+        raise ParameterError(
+            f"server seed {seed_path} has mode {seed_mode:04o}, not private to its owner: "
+            f"chmod 600 {seed_path}"
+        )
+    return cert, kem_kp

@@ -1,15 +1,18 @@
-"""How one server connection is served, ended and reported, for
+"""How server connections are accepted, served, ended and reported, for
 ``tls-serve`` and for the loopback handshake-size measurement behind the
 CLI's ``measure`` command, and how ``tls-connect`` has a probe echoed."""
 
 from __future__ import annotations
 
+import json
+import socket
+import sys
 import threading
 import time
 
 from ..cbkem import NAMED_PARAM_SETS
 from ..easyapi import SecurityLevel, TemplateKind, TemplateRegistry, builtin_registry
-from ..errors import ConnectionClosed, ParameterError
+from ..errors import AgilecryptError, ConnectionClosed, ParameterError
 from ..primitives import make_rng
 from .certificate import issue_server_material
 from .handshake import ClientTlsConfig, ServerTlsConfig, client_handshake, server_handshake
@@ -80,6 +83,31 @@ def serve_connection(
         "ms": round((time.monotonic() - started) * 1000.0, 3),
     }
     return record, failure
+
+
+def serve(
+    listener: socket.socket, config: ServerTlsConfig, timeout: float | None, once: bool
+) -> None:
+    """Accept connections on ``listener`` and serve each, ``timeout`` bounding its
+    reads and writes, with its record written to standard error as one JSON line.
+    ``once`` serves one connection in the calling thread and re-raises what ended
+    it; otherwise each gets a daemon thread, and accepting goes on until it raises."""
+
+    def serve_logged(conn: socket.socket, expected: tuple = (AgilecryptError, OSError)) -> None:
+        record, failure = serve_connection(SocketTransport(conn, timeout=timeout), config)
+        # One write per line, so lines from concurrent connections stay whole.
+        sys.stderr.write(json.dumps(record, sort_keys=True) + "\n")
+        sys.stderr.flush()
+        if failure is not None and not isinstance(failure, expected):
+            raise failure
+
+    if once:
+        serve_logged(listener.accept()[0], expected=())
+        return
+    while True:
+        conn, _ = listener.accept()
+        # The line reports an expected failure; a worker prints a traceback only for another.
+        threading.Thread(target=serve_logged, args=(conn,), daemon=True).start()
 
 
 def _loopback_handshake(client_config: ClientTlsConfig, server_config: ServerTlsConfig):

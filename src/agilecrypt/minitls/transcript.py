@@ -23,6 +23,7 @@ import time
 from dataclasses import asdict, dataclass, field
 from typing import Any
 
+from ..errors import ParameterError
 from .record import RecordLayer
 from .wire import SUITE_NAMES, TemplateInfo, alert_name
 
@@ -134,7 +135,7 @@ def aggregate_reports(reports: list[dict]) -> dict:
     shape = [(m["message"], m["direction"]) for m in first["messages"]]
     for rep in reports[1:]:
         if [(m["message"], m["direction"]) for m in rep["messages"]] != shape:
-            raise ValueError("handshake runs diverged in message sequence")
+            raise ParameterError("handshake runs diverged in message sequence")
     messages = []
     for idx, (name, direction) in enumerate(shape):
         sizes = [rep["messages"][idx]["bytes"] for rep in reports]

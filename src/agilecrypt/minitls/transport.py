@@ -108,6 +108,11 @@ def transport_pair(timeout: float | None = None) -> tuple[SocketTransport, Socke
     return SocketTransport(a, timeout), SocketTransport(b, timeout)
 
 
+def listen_tcp(port: int) -> socket.socket:
+    """A listening socket on the loopback interface alone; port 0 picks a free one."""
+    return socket.create_server(("127.0.0.1", port))
+
+
 def connect_tcp(host: str, port: int, timeout: float | None = None) -> SocketTransport:
     """The timeout applies to connecting and to every later read."""
     try:

@@ -5,7 +5,8 @@ agilecrypt.cli` subprocess, so argument parsing, exit codes, the
 password environment variable, and the stdout/stderr split are all
 exercised exactly as a shell user sees them.  The tls-connect port and
 IPv6 tests call main in process, with connect_tcp patched, so that no
-connection is made.
+connection is made.  One more reads cli.py itself: the CLI only parses
+and dispatches, so it imports neither socket nor threading.
 
 The refused commands are one case table, REFUSED: a row names a command
 line over inputs damaged once per module, its exit code, the text of its
@@ -16,6 +17,7 @@ else), no `PORT` on stdout, and no file left at the row's new path.
 
 from __future__ import annotations
 
+import ast
 import json
 import os
 import socket
@@ -26,6 +28,7 @@ import threading
 
 import pytest
 
+from agilecrypt import cli
 from agilecrypt.easyapi import builtin_registry, frame_blob, parse_blob
 from agilecrypt.errors import ConnectionClosed
 from tls_harness import start_serve
@@ -96,6 +99,17 @@ def keyring(workdir):
 
 def _keystore_args(keyring):
     return ["--keystore", keyring["keystore"], "--kdf-iterations", KDF_ITERATIONS]
+
+
+def test_cli_imports_neither_socket_nor_threading():
+    """Listening, accepting and threads per connection live in minitls."""
+    with open(cli.__file__, encoding="utf-8") as fh:
+        tree = ast.parse(fh.read())
+    imported = {alias.name for node in ast.walk(tree) if isinstance(node, ast.Import)
+                for alias in node.names}
+    imported |= {node.module for node in ast.walk(tree)
+                 if isinstance(node, ast.ImportFrom) and node.level == 0}
+    assert imported and not imported & {"socket", "threading"}, imported
 
 
 # ---------------------------------------------------------------------------

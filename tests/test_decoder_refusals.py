@@ -132,6 +132,8 @@ DECODER_REFUSALS = [
      _ME, 1, _ASCII),
     ("record-unknown-type", _record, bytes([99, 3, 3, 0, 1, 0]), _ME, 0, "content type 99"),
     ("record-wrong-version", _record, bytes([23, 3, 1, 0, 1, 0]), _ME, 1, "version 0x0301"),
+    ("record-too-long", _record, bytes([22, 3, 3, 0x48, 0x01]), _ME, 3,
+     "record length 18433 exceeds limit"),
     ("sealed-record-too-long", _sealed, bytes([23, 3, 3, 255, 255]), BadPadding, None,
      "claimed fragment length 65535"),
     ("sealed-record-cut", _sealed, bytes([23, 3, 3, 0, 96]), BadMac, None, "record truncated"),
@@ -170,6 +172,8 @@ DECODER_REFUSALS = [
      "certificate signature algorithm: 'RSA-2048' is no signature algorithm"),
     ("envelope-bad-magic", envelope_decode, _replaced(_ENVELOPE, 0, b"X"), _ME, 0,
      "not an envelope file"),
+    ("envelope-unknown-version", envelope_decode, b"AGEV\x00\x02", _ME, 4,
+     "unknown envelope format version 2"),
     ("envelope-sender-not-utf8", envelope_decode, _replaced(_ENVELOPE, 8, b"\xff"), _ME, 9,
      "text field is not utf-8"),
     ("envelope-trailing-byte", envelope_decode, _ENVELOPE + b"\x00", _ME, 61, _TRAILING),

@@ -13,10 +13,12 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import hmac as hmac_mod
+import json
 import socket
 import struct
 import sys
 import threading
+import time
 import tracemalloc
 
 import pytest
@@ -60,6 +62,7 @@ from agilecrypt.minitls import (
     derive_session_keys,
     finished_verify_data,
     issue_certificate,
+    listen_tcp,
     parse_certificate,
     server_handshake,
     template_divergence,
@@ -75,9 +78,11 @@ from agilecrypt.minitls.measure import (
     echo_until_closed,
     paramset_level,
     run_measurement,
+    serve,
     serve_connection,
 )
 from agilecrypt.minitls.record import MAX_RECORD_PLAINTEXT
+from agilecrypt.minitls.transcript import aggregate_reports
 from agilecrypt.minitls.wire import (
     MAX_HANDSHAKE_MESSAGE,
     decode_client_key_exchange_body,
@@ -86,7 +91,7 @@ from agilecrypt.minitls.wire import (
     encode_handshake_message,
 )
 from agilecrypt.primitives import DeterministicRng, open_record
-from tls_harness import Tap, bit_flip, reframe, run_pair
+from tls_harness import JOIN_TIMEOUT, Tap, bit_flip, reframe, run_pair
 
 _IO_TIMEOUT = 5.0  # converts would-be deadlocks into ConnectionClosed
 
@@ -1015,6 +1020,79 @@ def test_serve_connection_reports_a_peer_that_closes_before_its_hello(low_materi
     assert server_t._sock.fileno() == -1
 
 
+def _served_lines(capsys, count: int) -> list[dict]:
+    """The first ``count`` JSON lines serve writes to standard error,
+    waiting up to JOIN_TIMEOUT for workers that are still writing."""
+    text, deadline = "", time.monotonic() + JOIN_TIMEOUT
+    while text.count("\n") < count and time.monotonic() < deadline:
+        time.sleep(0.01)
+        text += capsys.readouterr().err
+    return [json.loads(line) for line in text.splitlines()]
+
+
+def test_serve_once_serves_one_connection_in_the_calling_thread(low_material, capsys):
+    with listen_tcp(0) as listener:
+        host, port = listener.getsockname()
+
+        def client(_):
+            transport = connect_tcp(host, port, timeout=_IO_TIMEOUT)
+            with client_handshake(transport, _client_cfg(low_material)) as session:
+                return echo_probe(session, b"once")
+
+        results = run_pair(
+            ("served", lambda _: serve(listener, _server_cfg(low_material), _IO_TIMEOUT, True)),
+            ("client", client),
+        )
+    assert results.get("client") == b"once" and "served_exc" not in results, results
+    [line] = _served_lines(capsys, 1)
+    assert line["outcome"] == "ok"
+
+
+def test_serve_once_reraises_what_ended_its_connection(low_material, capsys):
+    with listen_tcp(0) as listener:
+        socket.create_connection(listener.getsockname(), timeout=_IO_TIMEOUT).close()
+        with pytest.raises(ConnectionClosed):
+            serve(listener, _server_cfg(low_material), _IO_TIMEOUT, True)
+    [line] = _served_lines(capsys, 1)
+    assert line["outcome"] == "closed"
+
+
+def test_serve_forever_gives_each_connection_its_own_thread(low_material, capsys):
+    """A second client handshakes and echoes while the first holds its
+    session open, which a server that served connections in turn could
+    not answer in time.  Shutting the listener down wakes the blocked
+    accept (on Linux closing it alone does not), and serve raises."""
+    listener = listen_tcp(0)
+    host, port = listener.getsockname()
+
+    def clients(_):
+        try:
+            sessions = [
+                client_handshake(connect_tcp(host, port, _IO_TIMEOUT), _client_cfg(low_material))
+                for _ in range(2)
+            ]
+            echoes = []
+            for session in reversed(sessions):
+                with session:
+                    echoes.append(echo_probe(session, b"forever"))
+            return echoes, _served_lines(capsys, 2)
+        finally:
+            listener.shutdown(socket.SHUT_RDWR)
+
+    try:
+        results = run_pair(
+            ("served", lambda _: serve(listener, _server_cfg(low_material), _IO_TIMEOUT, False)),
+            ("clients", clients),
+        )
+    finally:
+        listener.close()
+    assert "clients" in results, results
+    echoes, lines = results["clients"]
+    assert echoes == [b"forever"] * 2
+    assert [line["outcome"] for line in lines] == ["ok", "ok"]
+    assert isinstance(results.get("served_exc"), OSError), results
+
+
 def _same_version_conflict():
     """Registry v2's templates under registry v1's version number."""
     return parse_registry_text(
@@ -1740,6 +1818,13 @@ def test_paramsets_resolve_to_the_level_of_their_kem(version):
     }
     with pytest.raises(ParameterError):
         paramset_level(registry, "toy-999")
+
+
+def test_aggregate_reports_refuses_runs_whose_message_sequences_differ():
+    first = {"messages": [{"message": "ClientHello", "direction": "sent", "bytes": 85}]}
+    other = {"messages": [{"message": "ClientHello", "direction": "received", "bytes": 85}]}
+    with pytest.raises(ParameterError, match="handshake runs diverged in message sequence"):
+        aggregate_reports([first, other])
 
 
 def test_measurement_rejects_bad_arguments_before_building_keys():

@@ -27,6 +27,7 @@ from agilecrypt.errors import (
     BadPadding,
     ConnectionClosed,
     MalformedEncoding,
+    ParameterError,
 )
 from agilecrypt.hbs import HbsMode, HbsParams, hbs_keygen
 from agilecrypt.minitls import (
@@ -44,7 +45,11 @@ from agilecrypt.minitls import (
     transport_pair,
     verify_certificate,
 )
-from agilecrypt.minitls.certificate import load_server_material
+from agilecrypt.minitls.certificate import (
+    SERVER_CERT_FILE,
+    SERVER_SEED_FILE,
+    load_server_material,
+)
 from agilecrypt.minitls.transport import READ_BUFFER_SIZE
 from agilecrypt.minitls.wire import (
     TLS_VERSION,
@@ -533,28 +538,37 @@ def server_files():
 
 
 @pytest.mark.parametrize(
-    "fault, error",
+    "fault, error, text",
     [
-        ({"seed_id": "CME-TOY-13-16"}, AlgorithmMismatch),
-        ({"kem_id": "SPX-TOY-16-16-4-S"}, AlgorithmMismatch),
-        ({"kem_id": "RSA-2048"}, AlgorithmMismatch),
-        ({"public": b"\x00" * 100}, MalformedEncoding),
-        ({"seed": b"\x00" * 31}, MalformedEncoding),
-        ({}, None),
+        ({"seed_id": "CME-TOY-13-16"}, AlgorithmMismatch, "server seed holds a CME-TOY-13-16 key"),
+        ({"kem_id": "SPX-TOY-16-16-4-S"}, AlgorithmMismatch, "'SPX-TOY-16-16-4-S' is no"),
+        ({"kem_id": "RSA-2048"}, AlgorithmMismatch, "'RSA-2048' is no"),
+        ({"public": b"\x00" * 100}, MalformedEncoding, "public key length 100"),
+        ({"seed": b"\x00" * 31}, MalformedEncoding, "server seed holds 31 bytes, not 32"),
+        ({"mode": 0o644}, ParameterError, "has mode 0644, not private to its owner: chmod 600"),
+        ({}, None, None),
     ],
-    ids=["seed-for-another-kem", "signature-id", "rsa-id", "key-length", "seed-length", "honest"],
+    ids=[
+        "seed-for-another-kem", "signature-id", "rsa-id", "key-length", "seed-length",
+        "open-seed", "honest",
+    ],
 )
-def test_load_server_material(server_files, fault, error):
+def test_load_server_material(server_files, tmp_path, fault, error, text):
+    """The two files tls-setup writes, read back from the directory."""
     issuer, kem_kp, rng = server_files
     fields = {"kem_id": "CME-TOY-10-8", "public": kem_kp.pk.encoding, **fault}
     cert = issue_certificate(issuer, "server.example", fields["kem_id"], fields["public"], rng)
     seed = fields.get("seed", kem_kp.seed)
-    seed_blob = frame_blob(fields.get("seed_id", fields["kem_id"]), 1, seed)
+    (tmp_path / SERVER_CERT_FILE).write_bytes(cert.encoding)
+    seed_file = tmp_path / SERVER_SEED_FILE
+    seed_file.write_bytes(frame_blob(fields.get("seed_id", fields["kem_id"]), 1, seed))
+    seed_file.chmod(fields.get("mode", 0o600))
     if error is not None:
-        with pytest.raises(error):
-            load_server_material(cert.encoding, seed_blob)
+        with pytest.raises(error) as caught:
+            load_server_material(str(tmp_path))
+        assert caught.type is error and text in str(caught.value)
         return
-    loaded_cert, kp = load_server_material(cert.encoding, seed_blob)
+    loaded_cert, kp = load_server_material(str(tmp_path))
     assert loaded_cert == cert
     pk = kem_public_key(cert.kem_algorithm_id, cert.kem_public_key)
     ct, secret = kem_encap(pk, DeterministicRng(seed=b"encap"))

@@ -13,6 +13,7 @@ import random
 import struct
 
 import pytest
+from cryptography.hazmat.primitives.ciphers import Cipher, algorithms, modes
 from hypothesis import Phase, example, given, settings
 from hypothesis import strategies as st
 
@@ -241,6 +242,17 @@ def test_open_record_computes_one_mac_whichever_check_fails(monkeypatch):
             open_record(keys, 3, b"hdr", tampered)
         assert len(mac_lengths) == calls + 1, text
     assert max(mac_lengths) - min(mac_lengths) <= 16 + pad
+
+
+def test_open_record_refuses_a_record_too_short_for_its_mac():
+    """One block of valid padding (sixteen bytes of 15) leaves no room for
+    the 64-byte MAC."""
+    keys = _fresh_keys(random.Random(112))
+    iv = bytes(16)
+    encryptor = Cipher(algorithms.AES(bytes(keys.enc_key)), modes.CBC(iv)).encryptor()
+    block = encryptor.update(bytes([15]) * 16) + encryptor.finalize()
+    with pytest.raises(BadMac, match="record too short for MAC"):
+        open_record(keys, 0, b"hdr", iv + block)
 
 
 @pytest.mark.parametrize("width", [32, 63, 65])
