@@ -56,6 +56,9 @@ class Reader:
     def u32(self) -> int:
         return struct.unpack(">I", self.take(4))[0]
 
+    def u64(self) -> int:
+        return struct.unpack(">Q", self.take(8))[0]
+
     def vec8(self) -> bytes:
         return self.take(self.u8())
 

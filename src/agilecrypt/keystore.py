@@ -3,19 +3,27 @@
 File format (documented bit-exactly in docs/formats.md):
 
     magic  `AGKS`                4 bytes
-    format version               u16 big-endian (currently 1)
+    format version               u16 big-endian (currently 2)
     KDF salt                     16 bytes
     KDF iteration count          u32 big-endian
-    sealed entry table           primitives.seal_record output, sequence 0,
-                                 with the 26 header bytes as associated data
+    write generation             u64 big-endian
+    sealed entry table           primitives.seal_record output, the write
+                                 generation as its sequence, with the 34
+                                 header bytes as associated data
 
 The password is stretched with PBKDF2-HMAC-SHA512 (iteration count stored
-in the header so tests can lower it) into the record-protection keys; the
-MAC is verified before any entry parsing, so a wrong password or tampered
-file never yields partial data.  The header and the entry table are read
-and written with agilecrypt.codec, whose strict-decoding rules apply; a
-header or table that breaks them, or an entry put_entry would refuse,
-raises MalformedStore when the store is opened.
+in the header so tests can lower it) into one 64-byte block, which
+primitives.prf expands into the record-protection keys; the MAC is
+verified before any entry parsing, so a wrong password or tampered file
+never yields partial data.  Every write spends the next generation
+before it seals, so no two images sealed under one set of keys share an
+IV.  A version 1 file (a 26-byte header without the generation, a table
+sealed with sequence 0 under two PBKDF2 blocks split into keys) still
+opens; its first write re-seals it as version 2 from the first of those
+blocks, with no second PBKDF2 run.  The header and the entry table are
+read and written with agilecrypt.codec, whose strict-decoding rules
+apply; a header or table that breaks them, or an entry put_entry would
+refuse, raises MalformedStore when the store is opened.
 
 Every mutation rewrites and atomically replaces the whole file
 (write-temp, fsync, rename, fsync directory) and completes before the
@@ -67,11 +75,14 @@ from .errors import (
     UnknownAlias,
 )
 from .hbs import HbsMode, HbsParams
-from .primitives import Rng, SymmetricKeys, SystemRng, open_record, seal_record
+from .primitives import HashId, Rng, SymmetricKeys, SystemRng, open_record, prf, seal_record
 
 MAGIC = b"AGKS"
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 DEFAULT_ITERATIONS = 100_000
+# One PBKDF2-HMAC-SHA512 output block, which prf expands to the keys.
+_KDF_BYTES = 64
+_KEY_LABEL = "agks v2 keys"
 
 CRASH_POINTS = ("serialized", "tmp-written", "tmp-synced", "renamed")
 
@@ -128,11 +139,29 @@ def _stateful_leaf_count(algorithm_id: str) -> int | None:
     return params.leaf_count if params.mode is HbsMode.STATEFUL else None
 
 
-def _derive_keys(password: str, salt: bytes, iterations: int) -> SymmetricKeys:
+def _derive_keys(
+    password: str, salt: bytes, iterations: int, version: int
+) -> tuple[SymmetricKeys, SymmetricKeys]:
+    """The keys that open a store whose header reads ``version``, and the
+    keys its writes seal with.  Version 1 split two PBKDF2 blocks into its
+    keys; version 2 expands one block.  The first block is the same for
+    both, so a version 1 store gets its write keys without a second run."""
     material = hashlib.pbkdf2_hmac(
-        "sha512", password.encode("utf-8"), salt, iterations, SymmetricKeys.MATERIAL_BYTES
+        "sha512",
+        password.encode("utf-8"),
+        salt,
+        iterations,
+        SymmetricKeys.MATERIAL_BYTES if version == 1 else _KDF_BYTES,
     )
-    return SymmetricKeys.from_material(material)
+    keys = SymmetricKeys.from_material(
+        prf(HashId.H512, material[:_KDF_BYTES], _KEY_LABEL, b"", SymmetricKeys.MATERIAL_BYTES)
+    )
+    return (SymmetricKeys.from_material(material) if version == 1 else keys), keys
+
+
+def _header_fields(salt: bytes, iterations: int) -> bytes:
+    """A version 2 header up to its write generation."""
+    return MAGIC + uint(FORMAT_VERSION, 2) + salt + uint(iterations, 4)
 
 
 # ---------------------------------------------------------------------------
@@ -196,13 +225,15 @@ class Keystore:
     def __init__(
         self,
         params: KeystoreParameters,
-        header: bytes,
+        header_fields: bytes,
+        generation: int,
         keys: SymmetricKeys,
         entries: dict[str, KeystoreEntry],
         lock_fd: int | None,
     ):
         self.params = params
-        self._header = header
+        self._header_fields = header_fields
+        self._generation = generation
         self._keys = keys
         self._entries = entries
         self._lock_fd = lock_fd
@@ -345,13 +376,17 @@ class Keystore:
             entries = self._entries
         table = _encode_table(entries)
         self._hook("serialized")
-        blob = seal_record(self._keys, 0, self._header, table)
+        # Spent even if the write fails, so a left-over temporary image
+        # never shares an IV with a later one.
+        self._generation += 1
+        header = self._header_fields + uint(self._generation, 8)
+        blob = seal_record(self._keys, self._generation, header, table)
         tmp = self.params.path + ".tmp"
         try:
             fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o600)
             try:
                 # os.write may take part of a buffer; the view slices without copying.
-                for piece in (self._header, blob):
+                for piece in (header, blob):
                     pending = memoryview(piece)
                     while pending:
                         written = os.write(fd, pending)
@@ -453,9 +488,8 @@ def keystore_create(params: KeystoreParameters, rng: Rng | None = None) -> Keyst
         if exists_nonempty:
             raise StoreExists(f"{params.path} already exists and is non-empty")
         salt = (rng or SystemRng()).random_bytes(16)
-        header = MAGIC + uint(FORMAT_VERSION, 2) + salt + uint(params.iterations, 4)
-        keys = _derive_keys(params.password, salt, params.iterations)
-        ks = Keystore(params=params, header=header, keys=keys, entries={}, lock_fd=lock_fd)
+        _, keys = _derive_keys(params.password, salt, params.iterations, FORMAT_VERSION)
+        ks = Keystore(params, _header_fields(salt, params.iterations), 0, keys, {}, lock_fd)
         ks._persist()
     except BaseException:
         _release_lock(lock_fd)
@@ -478,21 +512,26 @@ def keystore_open(params: KeystoreParameters, read_only: bool = False) -> Keysto
             if r.take(4) != MAGIC:
                 raise MalformedEncoding("bad magic", offset=0)
             version = r.u16()
-            if version != FORMAT_VERSION:
+            if version not in (1, FORMAT_VERSION):
                 raise MalformedEncoding(f"unsupported format version {version}", offset=4)
             salt, iterations = r.take(16), r.u32()
             if iterations < 1:
                 raise MalformedEncoding("zero iteration count", offset=22)
+            # Version 1 sealed every image with sequence 0.
+            generation = r.u64() if version == FORMAT_VERSION else 0
         except MalformedEncoding as exc:
             raise MalformedStore(f"header: {exc}") from exc
         header, blob = raw[: r.offset], raw[r.offset :]
-        keys = _derive_keys(params.password, salt, iterations)
+        open_keys, keys = _derive_keys(params.password, salt, iterations, version)
         try:
-            table = open_record(keys, 0, header, blob)
+            table = open_record(open_keys, generation, header, blob)
         except (BadMac, BadPadding) as exc:
             raise BadPassword(
                 "store authentication failed: wrong password or tampered file"
             ) from exc
+        finally:
+            if open_keys is not keys:
+                open_keys.zeroize()
         entries = _decode_table(table)
         for alias, entry in entries.items():
             try:
@@ -504,7 +543,8 @@ def keystore_open(params: KeystoreParameters, read_only: bool = False) -> Keysto
             # never became current; only the lock holder writes that file.
             with contextlib.suppress(OSError):
                 os.remove(params.path + ".tmp")
-        return Keystore(params=params, header=header, keys=keys, entries=entries, lock_fd=lock_fd)
+        fields = _header_fields(salt, iterations)
+        return Keystore(params, fields, generation, keys, entries, lock_fd)
     except BaseException:
         _release_lock(lock_fd)
         raise

@@ -4,6 +4,7 @@ CLI's ``measure`` command, and how ``tls-connect`` has a probe echoed."""
 
 from __future__ import annotations
 
+import errno
 import json
 import socket
 import sys
@@ -27,6 +28,12 @@ _OUTCOMES = (
     (TlsAlertReceived, "alert_received"),
     (ConnectionClosed, "closed"),
 )
+# accept() failures that pass: the process or host is short of
+# descriptors, buffers or memory, or a client left before it was accepted.
+_PASSING_ACCEPT_ERRORS = frozenset(
+    (errno.EMFILE, errno.ENFILE, errno.ENOBUFS, errno.ENOMEM, errno.ECONNABORTED)
+)
+_ACCEPT_PAUSE_S = 0.1
 
 
 def echo_until_closed(session) -> None:
@@ -91,13 +98,18 @@ def serve(
     """Accept connections on ``listener`` and serve each, ``timeout`` bounding its
     reads and writes, with its record written to standard error as one JSON line.
     ``once`` serves one connection in the calling thread and re-raises what ended
-    it; otherwise each gets a daemon thread, and accepting goes on until it raises."""
+    it; otherwise each gets a daemon thread, and accepting goes on until it raises
+    an error that does not pass (a passing one is logged, and accepting resumes
+    after a pause)."""
 
-    def serve_logged(conn: socket.socket, expected: tuple = (AgilecryptError, OSError)) -> None:
-        record, failure = serve_connection(SocketTransport(conn, timeout=timeout), config)
+    def log(record: dict) -> None:
         # One write per line, so lines from concurrent connections stay whole.
         sys.stderr.write(json.dumps(record, sort_keys=True) + "\n")
         sys.stderr.flush()
+
+    def serve_logged(conn: socket.socket, expected: tuple = (AgilecryptError, OSError)) -> None:
+        record, failure = serve_connection(SocketTransport(conn, timeout=timeout), config)
+        log(record)
         if failure is not None and not isinstance(failure, expected):
             raise failure
 
@@ -105,7 +117,14 @@ def serve(
         serve_logged(listener.accept()[0], expected=())
         return
     while True:
-        conn, _ = listener.accept()
+        try:
+            conn, _ = listener.accept()
+        except OSError as exc:
+            if exc.errno not in _PASSING_ACCEPT_ERRORS:
+                raise
+            log({"outcome": "accept_failed", "error": errno.errorcode[exc.errno]})
+            time.sleep(_ACCEPT_PAUSE_S)
+            continue
         # The line reports an expected failure; a worker prints a traceback only for another.
         threading.Thread(target=serve_logged, args=(conn,), daemon=True).start()
 

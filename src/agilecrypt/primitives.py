@@ -6,12 +6,12 @@ randomness contract used by every other module.  All operations are pure
 given their inputs; only RNG handles carry state.
 
 Constant-time behaviour beyond tag comparison is a documented non-goal,
-though open_record computes one MAC whether its padding check or its MAC
-check fails.
+though open_record computes one MAC whichever of its checks fails.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import hmac
 import os
@@ -213,21 +213,22 @@ def open_record(keys: SymmetricKeys, seq: int, header: bytes, sealed: bytes) -> 
     dec = Cipher(algorithms.AES(bytes(keys.enc_key)), modes.CBC(iv)).decryptor()
     body = dec.update(ct) + dec.finalize()
     pad_len = body[-1]
-    bad_padding = None
+    failure = None
     if pad_len + 1 > len(body):
-        bad_padding = "padding length exceeds record"
+        failure = BadPadding("padding length exceeds record")
     elif any(b != pad_len for b in body[-(pad_len + 1):]):
-        bad_padding = "padding bytes inconsistent"
+        failure = BadPadding("padding bytes inconsistent")
     elif len(body) - pad_len - 1 < _MAC_BYTES:
-        raise BadMac("record too short for MAC")
-    # RFC 5246 §6.2.3.2: bad padding still pays for a MAC, computed as if
-    # the pad were empty, so a padding failure costs what a MAC failure does.
-    mac_end = len(body) if bad_padding else len(body) - pad_len - 1
+        failure = BadMac("record too short for MAC")
+    # RFC 5246 §6.2.3.2: a record that fails a check still pays for one MAC,
+    # computed as if the pad were empty when the padding is bad, so every
+    # failure costs what a MAC failure does.
+    mac_end = len(body) if isinstance(failure, BadPadding) else len(body) - pad_len - 1
     mac_start = max(mac_end - _MAC_BYTES, 0)
     plaintext, tag = body[:mac_start], body[mac_start:mac_end]
     mac_matches = hmac.compare_digest(tag, _record_mac(keys, seq, header, plaintext))
-    if bad_padding is not None:
-        raise BadPadding(bad_padding)
+    if failure is not None:
+        raise failure
     if not mac_matches:
         raise BadMac("record MAC mismatch")
     return plaintext
@@ -276,21 +277,34 @@ class Rng:
         The draws are fetched in bulk, one per position left at the
         current width, so the walk reads no byte past its last draw.
         """
+        limits = _shuffle_limits(n)
         perm = list(range(n))
         i = n - 1
         while i > 0:
             width = ((i + 1).bit_length() + 7) // 8
-            top = 256**width
             lowest = max(1, 256 ** (width - 1) - 1)
             # A rejected draw is used up; its position draws again from
             # the next fetch.
             for v in _big_endian_words(self.random_bytes((i - lowest + 1) * width), width):
-                bound = i + 1
-                if v < top - top % bound:
-                    j = v % bound
+                if v < limits[i]:
+                    j = v % (i + 1)
                     perm[i], perm[j] = perm[j], perm[i]
                     i -= 1
         return perm
+
+
+@functools.lru_cache(maxsize=4)
+def _shuffle_limits(n: int) -> tuple[int, ...]:
+    """Entry i is where Rng.shuffled stops accepting draws for position i:
+    the largest multiple of i + 1 that fits the draw's width.  A KEM key
+    shuffles one n many times, so the table is kept for the last few n."""
+    limits, width = [0], 1  # position 0 draws nothing
+    while len(limits) < n:
+        # Bounds below 256**width need at most width bytes.
+        top = 256**width
+        limits.extend(top - top % bound for bound in range(len(limits) + 1, min(n, top - 1) + 1))
+        width += 1
+    return tuple(limits[:n])
 
 
 class SystemRng(Rng):

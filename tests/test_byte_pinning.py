@@ -56,7 +56,7 @@ _ENC_AP = template_resolve(_REGISTRY, TemplateKind.ENCRYPTION, SecurityLevel.LOW
 _PINNED = {
     "encrypter": "0cb7613725d746ac9717e41bb642bcc40e7f15c92603dfd208bbf2ef16df4cae",
     "envelope": "4c45e6c5a5f42a5c8518175d30f443d8ce9b7591c4567f83c5ed82c5432d6a5b",
-    "keystore": "2a03dbb077a851ef026d3ae17e18a68e1c372c73038bf9110c68a0c2c4eb1a11",
+    "keystore": "76bcaf1168924123515d52636b51dd9cfbec9034c43f84236c942a8981cee38c",
     "certificate": "23dc00281f00f087fd59f33040fd521483b9fa0ed7f5c0c87b1870ff30896595",
     "client_hello": "082ddfc235f7b27208ab0a80ff95f21ba0d246c9063cb73c2598abd151b9a750",
     "handshake_client_to_server": "a90f2f8abe1dd88eaa19a9f503a1e12ee7077961e4c54a31dfbdb8b6c530a85e",

@@ -86,7 +86,8 @@ from agilecrypt.minitls.wire import (
     encode_certificate_body,
     encode_client_key_exchange_body,
 )
-from agilecrypt.primitives import DeterministicRng, seal_record
+from agilecrypt.primitives import DeterministicRng
+from store_images import store_image
 
 _PROPERTY = settings(max_examples=150)
 
@@ -440,22 +441,28 @@ def test_handshake_body_decoder_raises_only_malformed_encoding(decode, encodings
 
 
 def _store_file(case) -> bytes:
-    """A store that opens with the password "pw": one iteration, a salt
-    and an entry table."""
-    salt, entries = case
-    header = keystore.MAGIC + uint(keystore.FORMAT_VERSION, 2) + salt + uint(1, 4)
-    keys = keystore._derive_keys("pw", salt, 1)
-    return header + seal_record(keys, 0, header, _encode_table(entries))
+    """A store that opens with the password "pw": a format version, one
+    iteration, a salt, a write generation and an entry table."""
+    version, salt, generation, entries = case
+    return store_image("pw", salt, 1, _encode_table(entries), version, generation)
 
 
-_STORE_FILES = st.tuples(st.binary(min_size=16, max_size=16), _entry_tables()).map(_store_file)
+_STORE_FILES = st.tuples(
+    st.sampled_from((1, keystore.FORMAT_VERSION)),
+    st.binary(min_size=16, max_size=16),
+    st.integers(0, 2**64 - 1),
+    _entry_tables(),
+).map(_store_file)
 
 
 @_PROPERTY
 @given(
     st.one_of(
         _STORE_FILES,
-        _inputs(_STORE_FILES, prefix=keystore.MAGIC + uint(keystore.FORMAT_VERSION, 2)),
+        *[
+            _inputs(_STORE_FILES, prefix=keystore.MAGIC + uint(version, 2))
+            for version in (1, keystore.FORMAT_VERSION)
+        ],
     )
 )
 def test_keystore_open_raises_only_malformed_store_or_bad_password(data):
@@ -465,7 +472,9 @@ def test_keystore_open_raises_only_malformed_store_or_bad_password(data):
     cost, not its outcome."""
     derive = keystore._derive_keys
     with tempfile.TemporaryDirectory() as tmp, mock.patch.object(
-        keystore, "_derive_keys", lambda password, salt, _: derive(password, salt, 1)
+        keystore,
+        "_derive_keys",
+        lambda password, salt, _, version: derive(password, salt, 1, version),
     ):
         path = pathlib.Path(tmp, "store.agks")
         path.write_bytes(data)

@@ -34,6 +34,7 @@ from agilecrypt.minitls import (
     parse_certificate, wire,
 )
 from agilecrypt.primitives import SymmetricKeys
+from store_images import store_image
 
 _ME, _MS, _IC = MalformedEncoding, MalformedStore, InvalidCiphertext
 _CUT, _TRAILING, _ASCII = "input truncated", "1 trailing bytes", "text field is not ascii"
@@ -67,8 +68,9 @@ def _replaced(data: bytes, at: int, new: bytes) -> bytes:
     return data[:at] + new + data[at + len(new) :]
 
 
-def _store(magic=b"AGKS", version=1, iterations=1) -> bytes:
-    return magic + uint(version, 2) + bytes(16) + uint(iterations, 4)
+def _store(magic=b"AGKS", version=1, iterations=1, generation=None) -> bytes:
+    header = magic + uint(version, 2) + bytes(16) + uint(iterations, 4)
+    return header if generation is None else header + uint(generation, 8)
 
 
 def _table(alias=b"enc", algorithm=b"CME-TOY-10-8", count=1) -> bytes:
@@ -196,9 +198,15 @@ DECODER_REFUSALS = [
     ("keystore-empty-file", _open, b"", _MS, 0, "header: input truncated"),
     ("keystore-cut-header", _open, _store()[:25], _MS, 22, "header: input truncated"),
     ("keystore-bad-magic", _open, _store(magic=b"AGKT"), _MS, 0, "header: bad magic"),
-    ("keystore-unknown-version", _open, _store(version=2), _MS, 4, "format version 2"),
+    ("keystore-unknown-version", _open, _store(version=3), _MS, 4, "format version 3"),
+    ("keystore-cut-generation", _open, _store(version=2, generation=0)[:30], _MS, 26,
+     "header: input truncated"),
     ("keystore-zero-iterations", _open, _store(iterations=0), _MS, 22, "zero iteration count"),
     ("keystore-unauthentic-table", _open, _store() + bytes(96), BadPassword, None,
+     "wrong password or tampered file"),
+    # The table was sealed as generation 1; the header says 2.
+    ("keystore-generation-not-sealed", _open,
+     store_image("pw", bytes(16), 1, _table(), generation=2, sequence=1), BadPassword, None,
      "wrong password or tampered file"),
     ("table-alias-not-utf8", _decode_table, _table(alias=b"\xff\xfe"), _MS, 8,
      "entry table: text field is not utf-8"),

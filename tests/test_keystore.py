@@ -11,8 +11,10 @@ from __future__ import annotations
 
 import dataclasses
 import errno
+import hashlib
 import os
 import random
+import shutil
 
 import pytest
 
@@ -32,6 +34,7 @@ from agilecrypt.keystore import (
     keystore_create,
     keystore_open,
 )
+from store_images import V1_IMAGE, V1_IMAGE_SHA256
 
 
 def _params(tmp_path, name="store.agks", password="hunter2", iterations=1000):
@@ -287,6 +290,67 @@ def test_create_refuses_a_store_filled_while_it_waited_for_the_lock(tmp_path, mo
         keystore_create(params)
     with keystore_open(params) as ks:
         assert ks.aliases() == ["enc"]
+
+
+def _image(path) -> tuple[bytes, int, bytes]:
+    """A version 2 file's header fields up to the generation, its
+    generation, and its sealed table."""
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    assert raw[4:6] == b"\x00\x02"
+    return raw[:26], int.from_bytes(raw[26:34], "big"), raw[34:]
+
+
+def test_successive_images_share_no_iv_and_no_ciphertext_block(tmp_path):
+    """CBC under one key needs a fresh IV per image (NIST SP 800-38A,
+    appendix C): a write of the unchanged table spends the next generation,
+    and every 16-byte block after the header differs."""
+    params = _params(tmp_path)
+    with keystore_create(params) as ks:
+        ks.put_entry(_stateful_entry(secret=bytes(256)))
+        images = [_image(params.path)]
+        ks.record_consumed("sig", 0)
+        images.append(_image(params.path))
+    (fields, generation, sealed), (fields_after, generation_after, sealed_after) = images
+    assert fields_after == fields and generation_after == generation + 1
+    assert len(sealed_after) == len(sealed) > 256
+    for start in range(0, len(sealed), 16):
+        assert sealed_after[start : start + 16] != sealed[start : start + 16], start
+
+
+def test_a_failed_write_spends_its_generation(tmp_path, monkeypatch):
+    """The temporary image a failed write leaves is never sealed under
+    the generation of a later image."""
+    params = _params(tmp_path)
+    with keystore_create(params) as ks:
+        monkeypatch.setattr(keystore.os, "replace", _disk_full)
+        with pytest.raises(KeystoreIoError, match="cannot replace"):
+            ks.put_entry(_stateless_entry())
+        monkeypatch.undo()
+        _, left_over, _ = _image(params.path + ".tmp")
+        ks.put_entry(_stateless_entry())
+    assert _image(params.path)[1] == left_over + 1
+
+
+def test_a_version_1_store_opens_and_its_first_write_makes_it_version_2(tmp_path):
+    raw = V1_IMAGE.read_bytes()
+    assert hashlib.sha256(raw).hexdigest() == V1_IMAGE_SHA256
+    params = _params(tmp_path, password="pin", iterations=1)
+    shutil.copyfile(V1_IMAGE, params.path)
+    with keystore_open(params, read_only=True) as reader:
+        entries = {alias: reader.get_entry(alias) for alias in reader.aliases()}
+    assert sorted(entries) == ["enc-pinned", "sig-pinned-é"]
+    assert entries["sig-pinned-é"].state == EntryState(next_leaf=3, reserved_until=7)
+    with pytest.raises(BadPassword):
+        keystore_open(_params(tmp_path, password="pim", iterations=1), read_only=True)
+    with keystore_open(params) as ks, open(params.path, "rb") as fh:
+        assert fh.read() == raw  # opening writes nothing
+        ks.record_consumed("sig-pinned-é", 3)
+    fields, generation, _ = _image(params.path)
+    # The salt and the iteration count carry over; the first v2 image is generation 1.
+    assert fields == raw[:4] + b"\x00\x02" + raw[6:26] and generation == 1
+    with keystore_open(params, read_only=True) as reader:
+        assert {alias: reader.get_entry(alias) for alias in reader.aliases()} == entries
 
 
 def test_blob_looks_random(tmp_path):

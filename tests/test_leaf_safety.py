@@ -1,10 +1,11 @@
 """Leaf safety of a stateful EasySigner and its Keystore, checked by one state machine.
 
-The model is the set of released leaves and the last committed image (each
-alias with its counters).  From EasySigner's window policy it works out
-which call writes and what each write leaves on disk; docs/formats.md §
-Keystore file lists the invariants.  FIXED_SCHEDULES replays, as lists of
-the same rule calls, scenarios a bounded random run may miss.
+The model is the set of released leaves, the last committed image (each
+alias with its counters) and the format version on disk.  From
+EasySigner's window policy it works out which call writes and what each
+write leaves on disk; docs/formats.md § Keystore file lists the
+invariants.  FIXED_SCHEDULES replays, as lists of the same rule calls,
+scenarios a bounded random run may miss.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ from agilecrypt.errors import KeyExhausted, KeystoreIoError, ParameterError, Sto
 from agilecrypt.hbs import HbsMode, HbsParams
 from agilecrypt.keystore import CRASH_POINTS, KeystoreEntry, KeystoreParameters, keystore_open
 from agilecrypt.primitives import DeterministicRng
+from store_images import store_image
 
 # 64 leaves and a window cap of 4: a full window and exhaustion are a few
 # steps away.
@@ -73,7 +75,7 @@ class LeafSafety(RuleBasedStateMachine):
         self.leaves = params.leaf_count
         self.cap = max(1, min(64, self.leaves // 16))
         self.rng = DeterministicRng(b"leaf safety")
-        self.released, self.committed = set(), {}
+        self.released, self.committed, self.version = set(), {}, keystore.FORMAT_VERSION
         self.signer = self.closed = self.crash_at = None
         self.writes = self.racers = 0
 
@@ -132,7 +134,7 @@ class LeafSafety(RuleBasedStateMachine):
         if after is not None and fault in SAYS:
             assert SAYS[fault] in str(result), result
         if after is not None and fault in LANDS:
-            self.committed = after
+            self.committed, self.version = after, keystore.FORMAT_VERSION
         assert self.writes == (after is not None and fault in (None, "renamed"))
         assert self._disk() == self.committed
         return result
@@ -222,6 +224,20 @@ class LeafSafety(RuleBasedStateMachine):
             handle.store.abandon()
             self._ended()
 
+    @precondition(lambda self: self.signer is None)
+    @rule()
+    def as_version_1(self):
+        """Rewrite the committed image as a version 1 writer would have; a
+        handle's next write migrates it."""
+        with keystore_open(self.ksp, read_only=True) as reader:
+            table = keystore._encode_table({a: reader.get_entry(a) for a in reader.aliases()})
+        with open(self.ksp.path, "rb") as fh:
+            salt = fh.read(22)[6:]
+        image = store_image(self.ksp.password, salt, self.ksp.iterations, table, version=1)
+        with open(self.ksp.path, "wb") as fh:
+            fh.write(image)
+        self.version = 1
+
     @with_handle
     @rule()
     def abandon(self):
@@ -251,6 +267,7 @@ class LeafSafety(RuleBasedStateMachine):
             return
         with EasySigner.with_new_key(self.ap, self.ksp, rng=rng) as racer:
             self.committed = {**self.committed, racer.alias: (0, 0)}
+        self.version = keystore.FORMAT_VERSION
 
     @with_handle
     @rule()
@@ -264,6 +281,8 @@ class LeafSafety(RuleBasedStateMachine):
         next_leaf, reserved = self.committed[self.alias]
         assert next_leaf <= made <= reserved <= self.leaves
         assert self._disk() == self.committed
+        with open(self.ksp.path, "rb") as fh:
+            assert fh.read(6)[4:] == self.version.to_bytes(2, "big")
         if self.signer is not None:
             assert _image(self.signer.store) == self._next_image({})
 
@@ -286,6 +305,14 @@ FIXED_SCHEDULES = {
         *[step for point in CRASH_POINTS
           for step in (("reopen",), ("sign", 7), ("write", "refill", point))],
         ("reopen",), ("sign", 5),
+    ]),
+    # A version 1 store migrates on its next write; a crash at each point
+    # of that write leaves the version 1 image or the version 2 one.
+    "migrate-with-a-crash-at-each-point": (SMALL, [
+        ("sign", 3), CLOSE,
+        *[step for point in CRASH_POINTS
+          for step in (("as_version_1",), ("reopen",), ("write", "refill", point))],
+        ("as_version_1",), ("reopen",), ("sign", 5), CLOSE,
     ]),
     # The LOW and MEDIUM signature templates of registry v1; MEDIUM's
     # windows reach the cap of 64 leaves.

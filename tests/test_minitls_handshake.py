@@ -11,6 +11,7 @@ from tests/tls_harness.py."""
 from __future__ import annotations
 
 import dataclasses
+import errno
 import hashlib
 import hmac as hmac_mod
 import json
@@ -69,7 +70,7 @@ from agilecrypt.minitls import (
     transcript_report,
     transport_pair,
 )
-from agilecrypt.minitls import certificate, handshake
+from agilecrypt.minitls import certificate, handshake, measure
 from agilecrypt.minitls import record as record_module
 from agilecrypt.minitls.certificate import issue_server_material
 from agilecrypt.minitls.handshake import build_template_info
@@ -1091,6 +1092,28 @@ def test_serve_forever_gives_each_connection_its_own_thread(low_material, capsys
     assert echoes == [b"forever"] * 2
     assert [line["outcome"] for line in lines] == ["ok", "ok"]
     assert isinstance(results.get("served_exc"), OSError), results
+
+
+class _FailingListener:
+    """A listener whose accept() raises each of ``errors`` in turn."""
+
+    def __init__(self, *errors: int):
+        self.errors = list(errors)
+
+    def accept(self):
+        code = self.errors.pop(0)
+        raise OSError(code, errno.errorcode[code])
+
+
+def test_serve_forever_logs_a_passing_accept_failure_and_accepts_again(low_material, capsys):
+    """A process out of descriptors (EMFILE) logs one line and pauses; the
+    next accept's error (EBADF, as from a closed listener) ends the loop."""
+    started = time.monotonic()
+    with pytest.raises(OSError) as caught:
+        serve(_FailingListener(errno.EMFILE, errno.EBADF), _server_cfg(low_material), 1.0, False)
+    assert caught.value.errno == errno.EBADF
+    assert time.monotonic() - started >= measure._ACCEPT_PAUSE_S
+    assert _served_lines(capsys, 1) == [{"error": "EMFILE", "outcome": "accept_failed"}]
 
 
 def _same_version_conflict():

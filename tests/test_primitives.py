@@ -255,6 +255,36 @@ def test_open_record_refuses_a_record_too_short_for_its_mac():
         open_record(keys, 0, b"hdr", iv + block)
 
 
+@pytest.mark.parametrize("sealed_len", [32, 48, 64])
+def test_a_record_too_short_for_its_mac_costs_one_mac_whatever_its_padding(
+    monkeypatch, sealed_len
+):
+    """A 32-79-byte record holds no 64-byte MAC.  With valid padding it is
+    refused as too short and with invalid padding as badly padded; each
+    pays one MAC, so the time does not tell the two apart."""
+    keys = _fresh_keys(random.Random(113))
+    iv = bytes(16)
+
+    def sealed(last_block: bytes) -> bytes:
+        body = bytes(sealed_len - 32) + last_block
+        encryptor = Cipher(algorithms.AES(bytes(keys.enc_key)), modes.CBC(iv)).encryptor()
+        return iv + encryptor.update(body) + encryptor.finalize()
+
+    record_mac, calls = primitives._record_mac, []
+    monkeypatch.setattr(
+        primitives, "_record_mac", lambda *args: calls.append(args) or record_mac(*args)
+    )
+    cases = [
+        (sealed(bytes([15]) * 16), BadMac, "record too short for MAC"),
+        (sealed(bytes([1]) * 15 + bytes([15])), BadPadding, "padding bytes inconsistent"),
+    ]
+    for record, error, text in cases:
+        calls.clear()
+        with pytest.raises(error, match=text):
+            open_record(keys, 0, b"hdr", record)
+        assert len(calls) == 1, text
+
+
 @pytest.mark.parametrize("width", [32, 63, 65])
 def test_symmetric_keys_refuse_a_mac_key_that_is_not_64_bytes(width):
     with pytest.raises(ParameterError, match="mac_key"):
