@@ -7,8 +7,9 @@ measurement harness (measure).
 
 Conventions shared by every subcommand:
 
-  * data goes to files or standard output; diagnostics go to standard
-    error, one line per failure
+  * data goes to standard output, or to files that keystore.write_whole
+    lands whole or not at all; diagnostics go to standard error, one line
+    per failure
   * exit code 0 on success, 1 on runtime failure (crypto rejection,
     network trouble, unreadable files), 2 on usage errors
   * keystore passwords come from ``--password`` or the
@@ -37,7 +38,7 @@ from .easyapi import (
     template_resolve,
 )
 from .errors import AgilecryptError, ConnectionClosed
-from .keystore import DEFAULT_ITERATIONS, KeystoreParameters
+from .keystore import DEFAULT_ITERATIONS, KeystoreParameters, write_whole
 from .mailenv import (
     ENVELOPE_EXTENSION,
     envelope_decode,
@@ -83,19 +84,15 @@ def _read_file(path: str) -> bytes:
 
 
 def _write_output(data: bytes, out: str | None, private: bool = False) -> None:
-    """File when --out is given, raw bytes to stdout otherwise.  A
-    ``private`` file holds a secret: it is made readable and writable by
-    its owner alone (0600) before a byte of it is written, also when it
-    existed before."""
+    """File when --out is given, raw bytes to stdout otherwise.  The file
+    lands whole through keystore.write_whole.  A ``private`` file holds a
+    secret: it is made readable and writable by its owner alone (0600)
+    before a byte of it is written, also when it existed before."""
     if out is None:
         sys.stdout.buffer.write(data)
         sys.stdout.buffer.flush()
         return
-    fd = os.open(out, os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o600 if private else 0o666)
-    with open(fd, "wb") as fh:
-        if private:
-            os.fchmod(fd, 0o600)
-        fh.write(data)
+    write_whole(out, (data,), 0o600 if private else 0o666)
 
 
 def _resolve_password(args: argparse.Namespace) -> str:

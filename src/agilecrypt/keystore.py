@@ -25,8 +25,7 @@ read and written with agilecrypt.codec, whose strict-decoding rules
 apply; a header or table that breaks them, or an entry put_entry would
 refuse, raises MalformedStore when the store is opened.
 
-Every mutation rewrites and atomically replaces the whole file
-(write-temp, fsync, rename, fsync directory) and completes before the
+Every mutation rewrites the whole file with write_whole before the
 mutating call returns.  The handle's table changes only once the new
 file is in place, so a mutation whose write fails before the rename
 leaves no trace in memory and can be retried; one whose directory fsync
@@ -381,39 +380,17 @@ class Keystore:
         self._generation += 1
         header = self._header_fields + uint(self._generation, 8)
         blob = seal_record(self._keys, self._generation, header, table)
-        tmp = self.params.path + ".tmp"
         try:
-            fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o600)
-            try:
-                # os.write may take part of a buffer; the view slices without copying.
-                for piece in (header, blob):
-                    pending = memoryview(piece)
-                    while pending:
-                        written = os.write(fd, pending)
-                        if written == 0:
-                            raise OSError(f"write stalled with {len(pending)} bytes left")
-                        pending = pending[written:]
-                self._hook("tmp-written")
-                os.fsync(fd)
-            finally:
-                os.close(fd)
-        except OSError as exc:
-            raise KeystoreIoError(f"cannot write {tmp}: {exc}") from exc
-        self._hook("tmp-synced")
-        try:
-            os.replace(tmp, self.params.path)
-        except OSError as exc:
-            raise KeystoreIoError(f"cannot replace {self.params.path}: {exc}") from exc
-        self._entries = entries
-        try:
-            _fsync_dir(self.params.path)
-        except OSError as exc:
-            # The write landed: retrying it would repeat a change already made.
+            write_whole(self.params.path, (header, blob), 0o600, self._hook)
+        except Unsynced as exc:
+            self._entries = entries
             raise KeystoreIoError(
                 f"the new table is in place at {self.params.path}; "
-                f"only syncing its directory failed: {exc}"
-            ) from exc
-        self._hook("renamed")
+                f"only syncing its directory failed: {exc.__cause__}"
+            ) from exc.__cause__
+        except OSError as exc:
+            raise KeystoreIoError(str(exc)) from exc.__cause__
+        self._entries = entries
 
 
 def _validate_entry(entry: KeystoreEntry) -> None:
@@ -437,6 +414,54 @@ def _validate_entry(entry: KeystoreEntry) -> None:
         _encode_entry(entry)
     except MalformedEncoding as exc:
         raise ParameterError(f"entry cannot be stored: {exc}") from exc
+
+
+class Unsynced(OSError):
+    """write_whole's file landed, so a retry would repeat it; only syncing its directory failed."""
+
+
+def write_whole(path: str, parts: tuple[bytes, ...], mode: int, hook=lambda point: None) -> None:
+    """Land ``parts`` at ``path`` whole or not at all: write ``<path>.tmp``
+    (not through a symlink) with ``mode`` less the umask, fsync, rename,
+    fsync the directory, calling ``hook`` at tmp-written, tmp-synced and
+    renamed.  A failure before the rename raises OSError, one after it
+    Unsynced."""
+    # Refused untouched, as these are written into, never replaced: a FIFO,
+    # a device, or a link to an open descriptor (/dev/stdout -> /proc/self/fd/1).
+    if (os.path.exists(path) and not os.path.isfile(path)) or (
+        os.path.islink(path) and os.readlink(path).startswith("/proc/")
+    ):
+        raise OSError(f"cannot replace {path}: not a regular file")
+    tmp = path + ".tmp"
+    try:
+        fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_TRUNC | os.O_NOFOLLOW, mode)
+        try:
+            # Drops bits a stale <path>.tmp had beyond ``mode``; never widens.
+            os.fchmod(fd, os.fstat(fd).st_mode & mode)
+            # os.write may take part of a buffer; the view slices without copying.
+            for piece in parts:
+                pending = memoryview(piece)
+                while pending:
+                    written = os.write(fd, pending)
+                    if written == 0:
+                        raise OSError(f"write stalled with {len(pending)} bytes left")
+                    pending = pending[written:]
+            hook("tmp-written")
+            os.fsync(fd)
+        finally:
+            os.close(fd)
+    except OSError as exc:
+        raise OSError(f"cannot write {tmp}: {exc}") from exc
+    hook("tmp-synced")
+    try:
+        os.replace(tmp, path)
+    except OSError as exc:
+        raise OSError(f"cannot replace {path}: {exc}") from exc
+    try:
+        _fsync_dir(path)
+    except OSError as exc:
+        raise Unsynced(f"{path} is in place; only syncing its directory failed: {exc}") from exc
+    hook("renamed")
 
 
 def _fsync_dir(path: str) -> None:

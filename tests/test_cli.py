@@ -1,12 +1,14 @@
 """Command-line interface tests.
 
-Every test but two drives the CLI through a real `python -m
+Every test but three drives the CLI through a real `python -m
 agilecrypt.cli` subprocess, so argument parsing, exit codes, the
 password environment variable, and the stdout/stderr split are all
 exercised exactly as a shell user sees them.  The tls-connect port and
 IPv6 tests call main in process, with connect_tcp patched, so that no
-connection is made.  One more reads cli.py itself: the CLI only parses
-and dispatches, so it imports neither socket nor threading.
+connection is made; so does the partial-write test, with os.write
+patched.  Two more read cli.py itself: the CLI only parses and
+dispatches, so it imports neither socket nor threading, and it writes no
+file itself (keystore.write_whole lands every output).
 
 The refused commands are one case table, REFUSED: a row names a command
 line over inputs damaged once per module, its exit code, the text of its
@@ -18,6 +20,7 @@ else), no `PORT` on stdout, and no file left at the row's new path.
 from __future__ import annotations
 
 import ast
+import errno
 import json
 import os
 import socket
@@ -29,7 +32,7 @@ import threading
 import pytest
 
 from agilecrypt import cli
-from agilecrypt.easyapi import builtin_registry, frame_blob, parse_blob
+from agilecrypt.easyapi import builtin_registry, easysigner_verify, frame_blob, parse_blob
 from agilecrypt.errors import ConnectionClosed
 from tls_harness import start_serve
 
@@ -110,6 +113,32 @@ def test_cli_imports_neither_socket_nor_threading():
     imported |= {node.module for node in ast.walk(tree)
                  if isinstance(node, ast.ImportFrom) and node.level == 0}
     assert imported and not imported & {"socket", "threading"}, imported
+
+
+def _writes_a_file(call: ast.Call) -> bool:
+    """os.open, os.fchmod, or an open() whose mode may write."""
+    func = call.func
+    if isinstance(func, ast.Attribute) and isinstance(func.value, ast.Name):
+        return func.value.id == "os" and func.attr in ("open", "fchmod")
+    if not (isinstance(func, ast.Name) and func.id == "open"):
+        return False
+    modes = [k.value for k in call.keywords if k.arg == "mode"] + call.args[1:2]
+    # A mode that is no string literal may write.
+    return any(not isinstance(m, ast.Constant) or set("wax+") & set(str(m.value)) for m in modes)
+
+
+def test_cli_writes_no_file_itself():
+    """Every output file lands through keystore.write_whole: cli.py calls
+    neither os.open nor os.fchmod nor a writing open(), and names no O_TRUNC."""
+    with open(cli.__file__, encoding="utf-8") as fh:
+        tree = ast.parse(fh.read())
+    writes = [ast.unparse(node) for node in ast.walk(tree)
+              if isinstance(node, ast.Call) and _writes_a_file(node)]
+    truncs = [node.lineno for node in ast.walk(tree)
+              if isinstance(node, ast.Attribute) and node.attr == "O_TRUNC"]
+    reads = [node for node in ast.walk(tree)
+             if isinstance(node, ast.Call) and ast.unparse(node.func) == "open"]
+    assert reads and not writes and not truncs, (writes, truncs)
 
 
 # ---------------------------------------------------------------------------
@@ -230,6 +259,96 @@ def test_secret_outputs_are_readable_by_their_owner_alone(keyring, workdir):
             assert result.returncode == 0, result.stderr
             assert (out.read_bytes(), _mode(out)) == (MESSAGE, 0o600), (command, out)
         fresh.unlink()
+
+
+def test_a_failed_sign_keeps_the_old_signature_whole(keyring, workdir, monkeypatch, capsys):
+    """A write of the new signature that fails after half its bytes
+    leaves the existing .sig byte for byte, and a rerun lands whole."""
+    out = workdir / "kept.sig"
+    argv = ["sign", str(keyring["message"]), "--alias", keyring["sig_alias"],
+            "--keystore", str(keyring["keystore"]), "--kdf-iterations", KDF_ITERATIONS,
+            "--out", str(out)]
+    monkeypatch.setenv("AGILECRYPT_PASSWORD", PASSWORD)
+    assert cli.main(argv) == 0
+    old = out.read_bytes()
+    real_open, real_write, doomed = os.open, os.write, set()
+
+    def track(path, flags, *args, **kwargs):
+        fd = real_open(path, flags, *args, **kwargs)
+        if os.fspath(path).startswith(str(out)):  # the output, or its <out>.tmp
+            doomed.add(fd)
+        return fd
+
+    def half_then_full_disk(fd, data):
+        if fd not in doomed:
+            return real_write(fd, data)
+        real_write(fd, data[: len(data) // 2])
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+    capsys.readouterr()
+    with monkeypatch.context() as patched:
+        patched.setattr(os, "open", track)
+        patched.setattr(os, "write", half_then_full_disk)
+        code = cli.main(argv)
+    err = capsys.readouterr().err
+    assert (code, err.count(": error:")) == (1, 1), err
+    assert err.startswith("agilecrypt: error: ") and "No space left" in err
+    assert out.read_bytes() == old
+    public = keyring["signer_pub"].read_bytes()
+    assert easysigner_verify(public, MESSAGE, old)
+    assert cli.main(argv) == 0
+    assert out.read_bytes() != old and easysigner_verify(public, MESSAGE, out.read_bytes())
+    assert not (workdir / "kept.sig.tmp").exists()
+
+
+def test_a_stale_out_tmp_of_mode_0644_or_a_symlink(keyring, workdir):
+    """decrypt --out over a stale <out>.tmp: a 0644 one still gives a 0600
+    plaintext; a symlink is refused, and the file it names stays as it was."""
+    ciphertext = workdir / "stale.enc"
+    sealed = run_cli(
+        "encrypt", keyring["message"], "--alias", keyring["enc_alias"],
+        "--recipient", keyring["enc_pub"], *_keystore_args(keyring), "--out", ciphertext,
+    )
+    assert sealed.returncode == 0, sealed.stderr
+    decrypt = ["decrypt", ciphertext, "--alias", keyring["enc_alias"], *_keystore_args(keyring)]
+    out, stale = workdir / "stale-plain.txt", workdir / "stale-plain.txt.tmp"
+    stale.write_bytes(b"stale")
+    stale.chmod(0o644)
+    result = run_cli(*decrypt, "--out", out, umask=0o022)
+    assert result.returncode == 0, result.stderr
+    assert (out.read_bytes(), _mode(out), stale.exists()) == (MESSAGE, 0o600, False)
+
+    target, out = workdir / "stale-target", workdir / "linked-plain.txt"
+    target.write_bytes(b"not to be written")
+    target.chmod(0o644)
+    (workdir / "linked-plain.txt.tmp").symlink_to(target)
+    result = run_cli(*decrypt, "--out", out, umask=0o022)
+    assert result.returncode == 1 and result.stderr.count(": error:") == 1, result.stderr
+    assert "cannot write" in result.stderr
+    assert (target.read_bytes(), _mode(target)) == (b"not to be written", 0o644)
+    assert not out.exists()
+
+
+def test_an_out_that_is_no_regular_file_is_left_as_it_is(workdir):
+    """A FIFO, or a link to a descriptor like /dev/stdout (here with stdout
+    going to a regular file), is refused and left as it is."""
+    fifo = workdir / "out.fifo"
+    os.mkfifo(fifo)
+    result = run_cli("registry-dump", "--builtin", "1", "--out", fifo)
+    assert result.returncode == 1 and "not a regular file" in result.stderr, result.stderr
+    assert stat.S_ISFIFO(os.lstat(fifo).st_mode)
+    assert not (workdir / "out.fifo.tmp").exists()
+
+    link = workdir / "stdout-link"
+    link.symlink_to("/proc/self/fd/1")
+    with open(workdir / "captured", "wb") as captured:
+        result = subprocess.run(
+            [*CLI, "registry-dump", "--builtin", "1", "--out", str(link)],
+            stdout=captured, stderr=subprocess.PIPE, text=True, timeout=60,
+        )
+    assert result.returncode == 1 and "not a regular file" in result.stderr, result.stderr
+    assert os.readlink(link) == "/proc/self/fd/1"
+    assert not (workdir / "stdout-link.tmp").exists()
 
 
 def test_password_flag_beats_environment(keyring, workdir):
@@ -504,6 +623,9 @@ def refused_inputs(keyring, tls_low_dir, workdir):
     for file in ("ca.root", "server.cert", "server.seed"):
         (d / "open-seed" / file).write_bytes((tls_low_dir / file).read_bytes())
     (d / "open-seed" / "server.seed").chmod(0o644)
+    # A stale temporary file of an output that is a symlink (to no file).
+    (d / "linked.tmp").symlink_to(d / "link-target")
+    os.mkfifo(d / "fifo")
     probe = socket.socket()
     probe.bind(("127.0.0.1", 0))
     fields["closed_port"] = probe.getsockname()[1]
@@ -534,6 +656,11 @@ REFUSED = [
     ("decrypt-short-ciphertext",
      "decrypt {dir}/short.enc --alias {enc_alias} --keystore {keystore} --out {new}",
      1, "InvalidCiphertext", PASSWORD),
+    ("decrypt-over-a-symlinked-tmp",
+     "decrypt {dir}/msg.enc --alias {enc_alias} --keystore {keystore} --out {dir}/linked",
+     1, "cannot write", PASSWORD),
+    ("registry-dump-into-a-fifo", "registry-dump --builtin 1 --out {dir}/fifo",
+     1, "cannot replace", None),
     ("envelope-open-wrong-sender",
      "envelope-open {dir}/msg.agenv --alias {enc_alias} --sender {enc_pub} --keystore {keystore} "
      "--out {new}",
