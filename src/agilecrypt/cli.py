@@ -56,7 +56,7 @@ from .minitls import (
     transcript_report,
 )
 from .minitls.certificate import CA_ROOT_FILE, SERVER_CERT_FILE, SERVER_SEED_FILE
-from .minitls.certificate import issue_server_material, load_server_material
+from .minitls.certificate import load_server_material, write_server_material
 from .minitls.measure import echo_probe, run_measurement, serve
 from .minitls.wire import alert_label
 from .primitives import make_rng
@@ -226,11 +226,7 @@ def _cmd_tls_setup(args: argparse.Namespace) -> int:
     registry = _load_registry_arg(args)
     level = SecurityLevel.from_name(args.level)
     rng = make_rng(args.seed)
-    os.makedirs(args.dir, exist_ok=True)
-    issuer, _, cert, seed_blob = issue_server_material(registry, level, args.subject, rng)
-    _write_output(issuer.root, os.path.join(args.dir, CA_ROOT_FILE))
-    _write_output(cert.encoding, os.path.join(args.dir, SERVER_CERT_FILE))
-    _write_output(seed_blob, os.path.join(args.dir, SERVER_SEED_FILE), private=True)
+    write_server_material(args.dir, registry, level, args.subject, rng)
     print(
         f"wrote {CA_ROOT_FILE}, {SERVER_CERT_FILE}, {SERVER_SEED_FILE} to {args.dir}",
         file=sys.stderr,

@@ -345,9 +345,7 @@ class Keystore:
     # -- internals ---------------------------------------------------------
 
     def _require_stateful(self, alias: str) -> KeystoreEntry:
-        if alias not in self._entries:
-            raise UnknownAlias(f"no entry {alias!r}")
-        entry = self._entries[alias]
+        entry = self.get_entry(alias)
         if entry.state is None:
             raise ParameterError(f"entry {alias!r} is not stateful")
         return entry

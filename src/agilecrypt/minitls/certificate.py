@@ -67,6 +67,7 @@ from ..easyapi import (
 )
 from ..errors import AlgorithmMismatch, MalformedEncoding, ParameterError
 from ..hbs import HbsKeyPair, hbs_keygen, hbs_sign, hbs_verify
+from ..keystore import write_whole
 from ..primitives import Rng
 from .record import ClearRecords, frame_clear
 from .wire import ContentType, HandshakeType, certificate_chain_header, encode_handshake_message
@@ -231,7 +232,8 @@ def _is_chain_of(body: Sequence[bytes], encoding: bytes) -> bool:
     return True
 
 
-# The files tls-setup writes and the TLS commands read, in one directory.
+# The files of one TLS server directory: write_server_material writes them,
+# load_server_material and tls-connect read them.
 CA_ROOT_FILE = "ca.root"
 SERVER_CERT_FILE = "server.cert"
 SERVER_SEED_FILE = "server.seed"
@@ -239,16 +241,29 @@ SERVER_SEED_FILE = "server.seed"
 
 def issue_server_material(
     registry: TemplateRegistry, level: SecurityLevel, subject: str, rng: Rng
-) -> tuple[HbsKeyPair, KemKeyPair, Certificate, bytes]:
+) -> tuple[HbsKeyPair, KemKeyPair, Certificate]:
     """CA key, server KEM key, and a certificate binding them, all drawn
-    from the registry's templates at the given level.  The last item is
-    the KEM seed blob that load_server_material reads back."""
+    from the registry's templates at the given level."""
     sig_ap = template_resolve(registry, TemplateKind.SIGNATURE, level)
     enc_ap = template_resolve(registry, TemplateKind.ENCRYPTION, level)
     issuer = hbs_keygen(sig_ap.params, rng)
     kem_kp = kem_keygen(enc_ap.params, rng)
     cert = issue_certificate(issuer, subject, enc_ap.algorithm_id, kem_kp.pk.encoding, rng)
-    return issuer, kem_kp, cert, frame_blob(enc_ap.algorithm_id, registry.version, kem_kp.seed)
+    return issuer, kem_kp, cert
+
+
+def write_server_material(
+    directory: str, registry: TemplateRegistry, level: SecurityLevel, subject: str, rng: Rng
+) -> None:
+    """Issue server material and land it in ``directory``, made if missing,
+    through keystore.write_whole: the CA root and the certificate (0666),
+    then the KEM seed blob, private to its owner (0600), less the umask."""
+    os.makedirs(directory, exist_ok=True)
+    issuer, kem_kp, cert = issue_server_material(registry, level, subject, rng)
+    seed_blob = frame_blob(cert.kem_algorithm_id, registry.version, kem_kp.seed)
+    write_whole(os.path.join(directory, CA_ROOT_FILE), (issuer.root,), 0o666)
+    write_whole(os.path.join(directory, SERVER_CERT_FILE), (cert.encoding,), 0o666)
+    write_whole(os.path.join(directory, SERVER_SEED_FILE), (seed_blob,), 0o600)
 
 
 def load_server_material(directory: str) -> tuple[Certificate, KemKeyPair]:

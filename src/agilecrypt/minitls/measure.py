@@ -174,7 +174,7 @@ def run_measurement(paramset: str, repetitions: int, seed: str | None = None) ->
     if repetitions < 1:
         raise ParameterError(f"repetitions must be at least 1, got {repetitions}")
     started = time.monotonic()
-    issuer, kem_kp, cert, _ = issue_server_material(
+    issuer, kem_kp, cert = issue_server_material(
         registry, level, f"measure-{paramset}", make_rng(None if seed is None else seed + "/setup")
     )
     setup_s = time.monotonic() - started

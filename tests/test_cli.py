@@ -23,6 +23,8 @@ import ast
 import errno
 import json
 import os
+import random
+import signal
 import socket
 import stat
 import subprocess
@@ -34,6 +36,7 @@ import pytest
 from agilecrypt import cli
 from agilecrypt.easyapi import builtin_registry, easysigner_verify, frame_blob, parse_blob
 from agilecrypt.errors import ConnectionClosed
+from agilecrypt.keystore import KeystoreParameters, keystore_open
 from tls_harness import start_serve
 
 CLI = [sys.executable, "-m", "agilecrypt.cli"]
@@ -129,11 +132,14 @@ def _writes_a_file(call: ast.Call) -> bool:
 
 def test_cli_writes_no_file_itself():
     """Every output file lands through keystore.write_whole: cli.py calls
-    neither os.open nor os.fchmod nor a writing open(), and names no O_TRUNC."""
+    neither os.open nor os.fchmod nor a writing open(), and names no O_TRUNC.
+    The TLS server directory is minitls.certificate's: cli.py calls
+    neither os.makedirs nor issue_server_material."""
     with open(cli.__file__, encoding="utf-8") as fh:
         tree = ast.parse(fh.read())
-    writes = [ast.unparse(node) for node in ast.walk(tree)
-              if isinstance(node, ast.Call) and _writes_a_file(node)]
+    writes = [ast.unparse(node) for node in ast.walk(tree) if isinstance(node, ast.Call) and (
+        _writes_a_file(node) or ast.unparse(node.func) in ("os.makedirs", "issue_server_material")
+    )]
     truncs = [node.lineno for node in ast.walk(tree)
               if isinstance(node, ast.Attribute) and node.attr == "O_TRUNC"]
     reads = [node for node in ast.walk(tree)
@@ -349,6 +355,66 @@ def test_an_out_that_is_no_regular_file_is_left_as_it_is(workdir):
     assert result.returncode == 1 and "not a regular file" in result.stderr, result.stderr
     assert os.readlink(link) == "/proc/self/fd/1"
     assert not (workdir / "stdout-link.tmp").exists()
+
+
+# Children a kill test starts and may kill, and the latest time after its
+# start at which it kills one; a cold LOW sign takes about 0.35-0.5 s on a
+# 2-core VM.
+KILLED_SIGNERS = 20
+KILL_BEFORE_S = 0.45
+
+
+def test_signers_killed_at_any_time_leave_whole_signatures_and_no_reused_leaf(tmp_path):
+    """LOW stateful `sign` children into one --out, one at a time, each with
+    its own message, SIGKILLed at a random time (fixed seed) unless it
+    finishes first, then one that runs to its end.  Every .sig left behind
+    verifies, no leaf index (bytes 0-3 of the raw signature) appears twice,
+    every one lies below the store's reservation mark, the store opens, and
+    no <store>.tmp or <out>.tmp is left once the next writer has opened the
+    store and the next sign has written that --out.
+
+    A SIGKILL stops the process, not the machine: what it wrote stays in
+    the page cache.  The sandbox a test runs in can neither drop the page
+    cache nor cut power, so unsynced writes that get lost are not modelled."""
+    keystore, public_path = tmp_path / "kill.agks", tmp_path / "kill.pub"
+    out = tmp_path / "kill.sig"
+    keygen = run_cli("keygen", "sign", "--level", "low", "--keystore", keystore,
+                     "--kdf-iterations", KDF_ITERATIONS, "--out", public_path)
+    assert keygen.returncode == 0, keygen.stderr
+    alias, public = keygen.stdout.strip(), public_path.read_bytes()
+    env = {**os.environ, "AGILECRYPT_PASSWORD": PASSWORD}
+    kill_times = random.Random(20).uniform
+    signatures, killed = {}, 0  # leaf index -> the signature that used it
+    for child in range(KILLED_SIGNERS + 1):
+        message = b"message %d" % child
+        (tmp_path / "message").write_bytes(message)
+        proc = subprocess.Popen(
+            [*CLI, "sign", str(tmp_path / "message"), "--alias", alias, "--keystore",
+             str(keystore), "--kdf-iterations", KDF_ITERATIONS, "--out", str(out)],
+            stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, env=env,
+        )
+        try:
+            _, err = proc.communicate(
+                timeout=kill_times(0.0, KILL_BEFORE_S) if child < KILLED_SIGNERS else 180
+            )
+        except subprocess.TimeoutExpired:
+            proc.send_signal(signal.SIGKILL)
+            _, err = proc.communicate()
+            killed += 1
+        assert proc.returncode in (0, -signal.SIGKILL), err
+        if not out.exists():
+            continue
+        signature = out.read_bytes()
+        leaf = int.from_bytes(parse_blob(signature)[2][:4], "big")
+        if signatures.get(leaf) != signature:  # not the .sig an earlier child left
+            assert leaf not in signatures, f"leaf {leaf} signed twice"
+            assert easysigner_verify(public, message, signature), child
+            signatures[leaf] = signature
+    assert proc.returncode == 0 and killed >= 1
+    assert not (tmp_path / "kill.sig.tmp").exists()
+    with keystore_open(KeystoreParameters(str(keystore), PASSWORD)) as store:
+        assert max(signatures) < store.get_entry(alias).state.reserved_until
+    assert not (tmp_path / "kill.agks.tmp").exists()
 
 
 def test_password_flag_beats_environment(keyring, workdir):

@@ -361,7 +361,7 @@ def medium_material():
     records, where LOW's fits in one."""
     reg = builtin_registry(1)
     rng = DeterministicRng(seed=b"medium-material")
-    ca, kem_kp, cert, _ = issue_server_material(reg, _MEDIUM, "server.test", rng)
+    ca, kem_kp, cert = issue_server_material(reg, _MEDIUM, "server.test", rng)
     return {"registry": reg, "ca": ca, "cert": cert, "kem": kem_kp}
 
 

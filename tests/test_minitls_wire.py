@@ -7,6 +7,7 @@ import contextlib
 import dataclasses
 import gc
 import itertools
+import os
 import random
 import socket
 import struct
@@ -20,7 +21,7 @@ from hypothesis import strategies as st
 
 from agilecrypt.cbkem import KemParams, kem_decap, kem_encap, kem_keygen
 from agilecrypt.codec import Reader
-from agilecrypt.easyapi import frame_blob, kem_public_key
+from agilecrypt.easyapi import SecurityLevel, builtin_registry, frame_blob, kem_public_key
 from agilecrypt.errors import (
     AlgorithmMismatch,
     BadMac,
@@ -46,9 +47,12 @@ from agilecrypt.minitls import (
     verify_certificate,
 )
 from agilecrypt.minitls.certificate import (
+    CA_ROOT_FILE,
     SERVER_CERT_FILE,
     SERVER_SEED_FILE,
+    issue_server_material,
     load_server_material,
+    write_server_material,
 )
 from agilecrypt.minitls.transport import READ_BUFFER_SIZE
 from agilecrypt.minitls.wire import (
@@ -573,6 +577,28 @@ def test_load_server_material(server_files, tmp_path, fault, error, text):
     pk = kem_public_key(cert.kem_algorithm_id, cert.kem_public_key)
     ct, secret = kem_encap(pk, DeterministicRng(seed=b"encap"))
     assert kem_decap(kp.sk, ct) == secret
+
+
+def test_write_server_material_lands_what_load_server_material_reads(tmp_path):
+    """tls-setup's three files, written in-process under umask 0 into a
+    directory that does not exist yet: the CA root, the certificate and
+    the key pair read back are the issued ones, server.seed is still
+    private to its owner, and no <file>.tmp is left."""
+    registry, low, directory = builtin_registry(1), SecurityLevel.LOW, tmp_path / "tls"
+    issuer, _, cert = issue_server_material(registry, low, "server.test", DeterministicRng(b"w"))
+    umask = os.umask(0)
+    try:
+        write_server_material(str(directory), registry, low, "server.test", DeterministicRng(b"w"))
+    finally:
+        os.umask(umask)
+    loaded_cert, kp = load_server_material(str(directory))
+    assert loaded_cert == cert
+    assert kp.pk.encoding == cert.kem_public_key
+    assert (directory / CA_ROOT_FILE).read_bytes() == issuer.root
+    assert (directory / SERVER_SEED_FILE).stat().st_mode & 0o077 == 0
+    assert sorted(p.name for p in directory.iterdir()) == sorted(
+        [CA_ROOT_FILE, SERVER_CERT_FILE, SERVER_SEED_FILE]
+    )
 
 
 def test_certificate_issuing_consumes_a_leaf(cert_material):
